@@ -14,7 +14,8 @@
 
 #include "baseline/systolic.hh"
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "soc/auto_soc.hh"
 
 using namespace ascend;
@@ -42,8 +43,10 @@ main()
 
     // Multi-model perception frame: the paper's comprehensive-decision
     // setup runs several networks concurrently, one per core.
-    const auto resnet = model::zoo::resnet50(1, DataType::Int8);
-    const auto mobilenet = model::zoo::mobilenetV2(1, DataType::Int8);
+    const auto resnet =
+        graph::toNetwork(graph::zoo::resnet50Graph(1, DataType::Int8));
+    const auto mobilenet =
+        graph::toNetwork(graph::zoo::mobilenetV2Graph(1, DataType::Int8));
     const double frame_ms = soc610.frameLatencySeconds(
         {&resnet, &resnet, &mobilenet, &mobilenet}) * 1e3;
     std::cout << "\nMulti-model frame (2x ResNet50 + 2x MobileNetV2, "
@@ -83,7 +86,7 @@ main()
 
     // SLAM on the cube-less Vector Core (Section 3.3).
     bench::banner("Section 3.3: SLAM front-end on the Vector Core");
-    const auto slam = model::zoo::slamFrontend(2048);
+    const auto slam = graph::zoo::slamFrontend(2048);
     const double slam_ms = soc610.slamLatencySeconds(slam) * 1e3;
     std::cout << "stereo + feature sort/match + quaternion pose + "
                  "clustering + LP: "

@@ -12,7 +12,8 @@
 
 #include "bench/bench_util.hh"
 #include "compiler/autotiler.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -72,7 +73,7 @@ main()
                   "ResNet50 on Ascend)");
     TextTable d("L0A/L0B capacity sweep");
     d.header({"L0A/L0B (KiB)", "total cycles", "vs shipped 64 KiB"});
-    const auto net = model::zoo::resnet50(1);
+    const auto net = graph::toNetwork(graph::zoo::resnet50Graph(1));
     const std::vector<Bytes> kibs = {16, 32, 64, 128, 256};
     const auto cycles = runtime::parallelMap(kibs, [&](Bytes kib) {
         auto cfg = arch::makeCoreConfig(arch::CoreVersion::Std);

@@ -13,7 +13,8 @@
 #include <iostream>
 
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -34,7 +35,7 @@ run(unsigned m0, unsigned batch)
     // isolates the utilization effect.
     cfg.busABytesPerCycle = cfg.busABytesPerCycle * m0 / 4;
     runtime::SimSession session(cfg);
-    const auto net = model::zoo::mobilenetV2(batch);
+    const auto net = graph::toNetwork(graph::zoo::mobilenetV2Graph(batch));
     Flops flops = 0;
     Cycles cube_busy = 0, total = 0;
     for (const auto &r : session.runInference(net)) {

@@ -16,7 +16,8 @@
 #include <iostream>
 
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "noc/mesh.hh"
 #include "soc/chip_sim.hh"
 #include "soc/training_soc.hh"
@@ -32,15 +33,18 @@ main()
     bench::banner("Section 5.2: block-parallel ResNet50 on 32 cores");
 
     // 1. Lockstep roofline.
-    const auto roofline = soc910.inferStep(model::zoo::resnet50(4));
+    const auto roofline =
+        soc910.inferStep(graph::toNetwork(graph::zoo::resnet50Graph(4)));
 
     // 2. Fluid, even split: every core runs batch 4.
     const auto fluid_even =
-        soc910.fluidInferStep(model::zoo::resnet50(4));
+        soc910.fluidInferStep(graph::toNetwork(graph::zoo::resnet50Graph(4)));
 
     // 3. Fluid, skewed split: half the cores get batch 6, half get 2.
-    const auto heavy = soc910.coreTasks(model::zoo::resnet50(6));
-    const auto light = soc910.coreTasks(model::zoo::resnet50(2));
+    const auto heavy =
+        soc910.coreTasks(graph::toNetwork(graph::zoo::resnet50Graph(6)));
+    const auto light =
+        soc910.coreTasks(graph::toNetwork(graph::zoo::resnet50Graph(2)));
     std::vector<std::vector<soc::CoreTask>> skewed;
     for (unsigned c = 0; c < cfg.aiCores; ++c)
         skewed.push_back(c % 2 ? heavy : light);

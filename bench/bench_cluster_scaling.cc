@@ -12,7 +12,8 @@
 
 #include "bench/bench_util.hh"
 #include "cluster/collective.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "soc/training_soc.hh"
 
 using namespace ascend;
@@ -22,7 +23,8 @@ main()
 {
     soc::TrainingSoc soc910;
     const unsigned per_core_batch = 8;
-    const auto per_core_net = model::zoo::resnet50(per_core_batch);
+    const auto per_core_net =
+        graph::toNetwork(graph::zoo::resnet50Graph(per_core_batch));
     const auto step = soc910.trainStep(per_core_net);
     const unsigned batch_per_chip =
         per_core_batch * soc910.config().aiCores;

@@ -11,7 +11,8 @@
 
 #include "arch/unit_model.hh"
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -92,11 +93,15 @@ main()
         model::Network net;
     };
     const std::vector<Flagship> flagships = {
-        {arch::CoreVersion::Max, model::zoo::bertBase(1, 128)},
-        {arch::CoreVersion::Std, model::zoo::siameseTracker(1)},
-        {arch::CoreVersion::Mini, model::zoo::resnet50(1)},
-        {arch::CoreVersion::Lite, model::zoo::mobilenetV2(1)},
-        {arch::CoreVersion::Tiny, model::zoo::gestureNet(1)},
+        {arch::CoreVersion::Max,
+         graph::toNetwork(graph::zoo::bertBaseGraph(1, 128))},
+        {arch::CoreVersion::Std, graph::zoo::siameseTracker(1)},
+        {arch::CoreVersion::Mini,
+         graph::toNetwork(graph::zoo::resnet50Graph(1))},
+        {arch::CoreVersion::Lite,
+         graph::toNetwork(graph::zoo::mobilenetV2Graph(1))},
+        {arch::CoreVersion::Tiny,
+         graph::toNetwork(graph::zoo::gestureNetGraph(1))},
     };
     struct FlagshipRun
     {

@@ -14,7 +14,8 @@
 
 #include "arch/unit_model.hh"
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -86,8 +87,10 @@ main()
     util.header({"cube", "ResNet50 b=1", "MobileNetV2 b=1",
                  "BERT-Large 2l b=1"});
     const std::vector<model::Network> nets = {
-        model::zoo::resnet50(1), model::zoo::mobilenetV2(1),
-        model::zoo::bert("bert2", 1, 384, 1024, 2, 16, 4096)};
+        graph::toNetwork(graph::zoo::resnet50Graph(1)),
+        graph::toNetwork(graph::zoo::mobilenetV2Graph(1)),
+        graph::toNetwork(
+            graph::zoo::bertGraph("bert2", 1, 384, 1024, 2, 16, 4096))};
     const std::vector<unsigned> dims = {8, 16, 32};
     std::vector<std::pair<unsigned, std::size_t>> cells;
     for (unsigned dim : dims)

@@ -12,7 +12,8 @@
 
 #include "bench/bench_util.hh"
 #include "compiler/fusion.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -51,10 +52,13 @@ main()
         model::Network net;
     };
     const std::vector<Case> cases = {
-        {arch::CoreVersion::Std, model::zoo::resnet50(1)},
-        {arch::CoreVersion::Lite, model::zoo::mobilenetV2(1)},
-        {arch::CoreVersion::Tiny, model::zoo::gestureNet(1)},
-        {arch::CoreVersion::Max, model::zoo::vgg16(1)},
+        {arch::CoreVersion::Std,
+         graph::toNetwork(graph::zoo::resnet50Graph(1))},
+        {arch::CoreVersion::Lite,
+         graph::toNetwork(graph::zoo::mobilenetV2Graph(1))},
+        {arch::CoreVersion::Tiny,
+         graph::toNetwork(graph::zoo::gestureNetGraph(1))},
+        {arch::CoreVersion::Max, graph::toNetwork(graph::zoo::vgg16Graph(1))},
     };
     // Per-case work (fusion + two simulated runs) is independent;
     // run the cases through the pool and print in catalog order.

@@ -13,7 +13,8 @@
 #include <functional>
 
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -49,8 +50,8 @@ main()
 
     // The three profiles are independent network runs on one shared
     // session; produce them through the pool, print in figure order.
-    const auto bert = model::zoo::bert("bert_large_2l", 1, 384, 1024, 2,
-                                       16, 4096);
+    const auto bert = graph::toNetwork(graph::zoo::bertGraph(
+        "bert_large_2l", 1, 384, 1024, 2, 16, 4096));
     std::vector<std::function<std::vector<runtime::GroupProfile>()>>
         tasks = {
             [&] {
@@ -59,11 +60,13 @@ main()
             },
             [&] {
                 return runtime::fusionGroups(
-                    session.runInference(model::zoo::mobilenetV2(1)));
+                    session.runInference(graph::toNetwork(
+                        graph::zoo::mobilenetV2Graph(1))));
             },
             [&] {
                 return runtime::fusionGroups(
-                    session.runInference(model::zoo::resnet50(1)));
+                    session.runInference(graph::toNetwork(
+                        graph::zoo::resnet50Graph(1))));
             },
         };
     const auto profiles = runtime::parallelMap(

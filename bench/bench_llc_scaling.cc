@@ -13,7 +13,8 @@
 #include <iostream>
 
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "soc/training_soc.hh"
 
 using namespace ascend;
@@ -65,9 +66,10 @@ sweep(const char *name, const model::Network &per_core_net,
 int
 main()
 {
-    sweep("ResNet50 training (global batch 256, next-gen device)", model::zoo::resnet50(4),
-          "(paper: 1.71x)");
+    sweep("ResNet50 training (global batch 256, next-gen device)",
+          graph::toNetwork(graph::zoo::resnet50Graph(4)), "(paper: 1.71x)");
     sweep("BERT-Base training (global batch 128, seq 128)",
-          model::zoo::bertBase(2, 128), "(paper: 1.51x)");
+          graph::toNetwork(graph::zoo::bertBaseGraph(2, 128)),
+          "(paper: 1.51x)");
     return 0;
 }

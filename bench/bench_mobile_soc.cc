@@ -13,9 +13,10 @@
 
 #include "bench/bench_util.hh"
 #include "compiler/layer_compiler.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "isa/encoding.hh"
 #include "soc/dvfs.hh"
-#include "model/zoo.hh"
 #include "soc/mobile_soc.hh"
 
 using namespace ascend;
@@ -25,9 +26,10 @@ main()
 {
     soc::MobileSoc kirin;
 
-    const auto mobilenet = model::zoo::mobilenetV2(1);
+    const auto mobilenet =
+        graph::toNetwork(graph::zoo::mobilenetV2Graph(1));
     const double mn_ms = kirin.liteLatencySeconds(mobilenet) * 1e3;
-    const auto gesture = model::zoo::gestureNet(1);
+    const auto gesture = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     const double gesture_ms = kirin.tinyLatencySeconds(gesture) * 1e3;
 
     bench::banner("Table 8: mobile AI core PPA");
@@ -55,7 +57,9 @@ main()
     // Big-little concurrency (Section 3.2): photo-scene detection on
     // the Lite pair while the always-on net keeps running on Tiny.
     const double makespan =
-        kirin.bigLittleMakespan(model::zoo::mobilenetV2(2), gesture) * 1e3;
+        kirin.bigLittleMakespan(
+            graph::toNetwork(graph::zoo::mobilenetV2Graph(2)), gesture) *
+        1e3;
     std::cout << "Big-little: MobileNetV2 b=2 on 2x Lite + gesture on "
                  "Tiny completes in "
               << TextTable::num(makespan, 1) << " ms\n";

@@ -9,7 +9,8 @@
 #include <iostream>
 
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "soc/training_soc.hh"
 
 using namespace ascend;
@@ -18,8 +19,8 @@ int
 main()
 {
     soc::TrainingSoc soc910;
-    const auto resnet = model::zoo::resnet50(4);
-    const auto bert = model::zoo::bertBase(2, 128);
+    const auto resnet = graph::toNetwork(graph::zoo::resnet50Graph(4));
+    const auto bert = graph::toNetwork(graph::zoo::bertBaseGraph(2, 128));
 
     bench::banner("Optimizer ablation on Ascend 910 (per-step cost)");
     TextTable t("SGD vs momentum vs Adam");

@@ -10,7 +10,8 @@
  */
 
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -22,10 +23,9 @@ main()
 
     // Four encoder layers are enough to show the repeating series
     // (all 24 encoders of BERT-Large are identical).
-    const auto net = model::zoo::bert("bert_large_4l", /*batch=*/1,
-                                      /*seq_len=*/384, /*hidden=*/1024,
-                                      /*layers=*/4, /*heads=*/16,
-                                      /*ffn=*/4096);
+    const auto net = graph::toNetwork(graph::zoo::bertGraph(
+        "bert_large_4l", /*batch=*/1, /*seq_len=*/384, /*hidden=*/1024,
+        /*layers=*/4, /*heads=*/16, /*ffn=*/4096));
 
     bench::banner("Figure 4: cube/vector ratio, BERT inference "
                   "(cube 8192 FLOPS/cy, vector 256 B)");

@@ -13,7 +13,8 @@
  */
 
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -25,14 +26,14 @@ main()
 
     bench::banner("Figure 6: cube/vector ratio, MobileNetV2 inference "
                   "(cube 8192 FLOPS/cy, vector 256 B)");
-    const auto mobilenet = model::zoo::mobilenetV2(1);
+    const auto mobilenet = graph::toNetwork(graph::zoo::mobilenetV2Graph(1));
     bench::printRatioSeries(
         "MobileNetV2 b=1",
         runtime::fusionGroups(session.runInference(mobilenet)));
 
     bench::banner("Figure 7: cube/vector ratio, ResNet50 inference "
                   "(cube 8192 FLOPS/cy, vector 256 B)");
-    const auto resnet = model::zoo::resnet50(1);
+    const auto resnet = graph::toNetwork(graph::zoo::resnet50Graph(1));
     bench::printRatioSeries(
         "ResNet50 b=1",
         runtime::fusionGroups(session.runInference(resnet)));

@@ -9,7 +9,8 @@
  */
 
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -21,7 +22,7 @@ main()
 
     bench::banner("Figure 8: cube/vector ratio, Gesture NN inference "
                   "(cube 1024 int8 OPS/cy, vector 32 B)");
-    const auto net = model::zoo::gestureNet(1);
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     bench::printRatioSeries(
         "Gesture NN b=1 int8",
         runtime::fusionGroups(session.runInference(net)));

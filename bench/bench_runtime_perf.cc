@@ -27,7 +27,8 @@
 #include <iostream>
 
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "soc/chip_sim.hh"
 #include "soc/training_soc.hh"
 
@@ -106,16 +107,18 @@ main()
     runtime::SimSession session(soc910.coreConfig());
 
     timeStage("resnet50 infer (cold)", [&] {
-        session.inferenceResult(model::zoo::resnet50(4));
+        session.inferenceResult(
+            graph::toNetwork(graph::zoo::resnet50Graph(4)));
     });
     timeStage("resnet50 infer (warm)", [&] {
-        session.inferenceResult(model::zoo::resnet50(4));
+        session.inferenceResult(
+            graph::toNetwork(graph::zoo::resnet50Graph(4)));
     });
     timeStage("bert-base training", [&] {
-        session.runTraining(model::zoo::bertBase(8));
+        session.runTraining(graph::toNetwork(graph::zoo::bertBaseGraph(8)));
     });
     timeStage("chip-sim 32-core fluid step", [&] {
-        soc910.fluidInferStep(model::zoo::resnet50(4));
+        soc910.fluidInferStep(graph::toNetwork(graph::zoo::resnet50Graph(4)));
     });
     timeStage("chip-sim 4096-core synthetic", [&] {
         syntheticChipSim(4096, 64);

@@ -41,7 +41,8 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "resilience/fault_domain.hh"
 #include "serving/fleet.hh"
 #include "soc/training_soc.hh"
@@ -468,7 +469,9 @@ sweep()
                                 sur);
     const BatchLatencyModel model = BatchLatencyModel::fromNetwork(
         session,
-        [](unsigned batch) { return model::zoo::resnet50(batch); },
+        [](unsigned batch) {
+            return graph::toNetwork(graph::zoo::resnet50Graph(batch));
+        },
         BatchLatencyModel::denseAnchors(16),
         session.config().clockGhz);
 
@@ -501,7 +504,9 @@ sweep()
     // the same core, measured through the same surrogate session.
     const BatchLatencyModel cheap = BatchLatencyModel::fromNetwork(
         session,
-        [](unsigned batch) { return model::zoo::mobilenetV2(batch); },
+        [](unsigned batch) {
+            return graph::toNetwork(graph::zoo::mobilenetV2Graph(batch));
+        },
         BatchLatencyModel::denseAnchors(16),
         session.config().clockGhz);
     CorrSetup setup;

@@ -12,10 +12,11 @@
 #include <functional>
 
 #include "compiler/layer_compiler.hh"
-#include "des/kernel.hh"
 #include "core/core_sim.hh"
+#include "des/kernel.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "memory/llc.hh"
-#include "model/zoo.hh"
 #include "noc/mesh.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
@@ -63,7 +64,7 @@ BM_ProfileGestureNet(benchmark::State &state)
     runtime::SimSession session(
         arch::makeCoreConfig(arch::CoreVersion::Tiny), {},
         std::make_shared<runtime::SimCache>());
-    const auto net = model::zoo::gestureNet(1);
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     for (auto _ : state) {
         session.cache().clear();
         auto runs = session.runInference(net);
@@ -79,7 +80,7 @@ BM_ProfileGestureNetCached(benchmark::State &state)
     runtime::SimSession session(
         arch::makeCoreConfig(arch::CoreVersion::Tiny), {},
         std::make_shared<runtime::SimCache>());
-    const auto net = model::zoo::gestureNet(1);
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     auto warm = session.runInference(net);
     benchmark::DoNotOptimize(warm.size());
     for (auto _ : state) {

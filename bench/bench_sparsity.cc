@@ -15,7 +15,8 @@
 
 #include "bench/bench_util.hh"
 #include "core/sparsity.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -36,7 +37,8 @@ run(double density, bool structured)
     options.sparsity.weightDensity = density;
     options.sparsity.structured = structured;
     runtime::SimSession session(cfg, options);
-    const auto runs = session.runInference(model::zoo::resnet50(1));
+    const auto runs = session.runInference(
+        graph::toNetwork(graph::zoo::resnet50Graph(1)));
     Sample s{0, 0, 0};
     for (const auto &r : runs) {
         s.cycles += r.result.totalCycles;

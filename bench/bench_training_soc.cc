@@ -17,7 +17,8 @@
 #include "baseline/systolic.hh"
 #include "bench/bench_util.hh"
 #include "cluster/collective.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "soc/training_soc.hh"
 
 using namespace ascend;
@@ -32,11 +33,12 @@ main()
     const unsigned resnet_batch =
         resnet_batch_per_core * soc910.config().aiCores;
     const auto resnet_core =
-        model::zoo::resnet50(resnet_batch_per_core);
+        graph::toNetwork(graph::zoo::resnet50Graph(resnet_batch_per_core));
     const auto resnet_step = soc910.trainStep(resnet_core);
     const double ascend_resnet = resnet_batch / resnet_step.seconds;
 
-    const auto resnet_full = model::zoo::resnet50(resnet_batch);
+    const auto resnet_full =
+        graph::toNetwork(graph::zoo::resnet50Graph(resnet_batch));
     baseline::GpuModel v100(baseline::v100Like());
     const auto v100_resnet = v100.runTraining(resnet_full);
     const double v100_imgs = resnet_batch / v100_resnet.seconds;
@@ -54,7 +56,8 @@ main()
     // (phase-1 pretraining, the configuration behind the published
     // sequences/s numbers). ---
     const unsigned bert_batch_per_core = 2; // 64 sequences per chip
-    const auto bert_core = model::zoo::bertLarge(bert_batch_per_core, 128);
+    const auto bert_core = graph::toNetwork(
+        graph::zoo::bertLargeGraph(bert_batch_per_core, 128));
     const auto bert_step = soc910.trainStep(bert_core);
     const unsigned bert_batch_chip =
         bert_batch_per_core * soc910.config().aiCores;
@@ -68,7 +71,8 @@ main()
     const double ascend_bert_8p = cluster::throughputSamplesPerSec(
         bert_job, one_server, 8);
 
-    const auto bert_full = model::zoo::bertLarge(bert_batch_chip, 128);
+    const auto bert_full =
+        graph::toNetwork(graph::zoo::bertLargeGraph(bert_batch_chip, 128));
     const auto v100_bert = v100.runTraining(bert_full);
     // 8 V100s with NVLink allreduce (~1.5x our HCCS bandwidth).
     cluster::ClusterConfig dgx = one_server;

@@ -14,7 +14,8 @@
 #include <iostream>
 
 #include "bench/bench_util.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -73,11 +74,13 @@ int
 main()
 {
     sweepWidths(arch::CoreVersion::Max,
-                model::zoo::bert("bert_large_2l", 1, 384, 1024, 2, 16,
-                                 4096),
+                graph::toNetwork(graph::zoo::bertGraph(
+                    "bert_large_2l", 1, 384, 1024, 2, 16, 4096)),
                 256);
-    sweepWidths(arch::CoreVersion::Lite, model::zoo::mobilenetV2(1), 128);
-    sweepWidths(arch::CoreVersion::Tiny, model::zoo::gestureNet(1), 32);
+    sweepWidths(arch::CoreVersion::Lite,
+                graph::toNetwork(graph::zoo::mobilenetV2Graph(1)), 128);
+    sweepWidths(arch::CoreVersion::Tiny,
+                graph::toNetwork(graph::zoo::gestureNetGraph(1)), 32);
 
     std::cout << "\nThe shipped width is the knee: halving it inflates "
                  "end-to-end cycles because\nvector work stops hiding "

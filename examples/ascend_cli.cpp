@@ -25,10 +25,11 @@
 #include "arch/config_io.hh"
 #include "common/error.hh"
 #include "common/table.hh"
-#include "runtime/sim_session.hh"
 #include "core/trace.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "isa/verify.hh"
-#include "model/zoo.hh"
+#include "runtime/sim_session.hh"
 
 using namespace ascend;
 
@@ -73,19 +74,19 @@ coreFor(const std::string &name)
 model::Network
 netFor(const std::string &name, unsigned batch, DataType dt)
 {
-    using namespace model::zoo;
+    using namespace graph::zoo;
     if (name == "resnet50")
-        return resnet50(batch, dt);
+        return graph::toNetwork(resnet50Graph(batch, dt));
     if (name == "mobilenet_v2")
-        return mobilenetV2(batch, dt);
+        return graph::toNetwork(mobilenetV2Graph(batch, dt));
     if (name == "vgg16")
-        return vgg16(batch, dt);
+        return graph::toNetwork(vgg16Graph(batch, dt));
     if (name == "bert_base")
-        return bertBase(batch, 128, dt);
+        return graph::toNetwork(bertBaseGraph(batch, 128, dt));
     if (name == "bert_large")
-        return bertLarge(batch, 128, dt);
+        return graph::toNetwork(bertLargeGraph(batch, 128, dt));
     if (name == "gesture_net")
-        return gestureNet(batch);
+        return graph::toNetwork(gestureNetGraph(batch));
     if (name == "mask_rcnn")
         return maskRcnn(batch, dt);
     if (name == "wide_and_deep")

@@ -9,7 +9,8 @@
 #include <iostream>
 
 #include "common/table.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "soc/auto_soc.hh"
 
 using namespace ascend;
@@ -28,9 +29,12 @@ main()
 
     // Perception stack: detector + two trackers + lane model, all
     // int8, running concurrently on separate cores each frame.
-    const auto detector = model::zoo::resnet50(1, DataType::Int8);
-    const auto tracker = model::zoo::mobilenetV2(1, DataType::Int8);
-    const auto lane = model::zoo::gestureNet(1); // small int8 CNN
+    const auto detector =
+        graph::toNetwork(graph::zoo::resnet50Graph(1, DataType::Int8));
+    const auto tracker =
+        graph::toNetwork(graph::zoo::mobilenetV2Graph(1, DataType::Int8));
+    // small int8 CNN
+    const auto lane = graph::toNetwork(graph::zoo::gestureNetGraph(1));
 
     TextTable t("per-frame perception pipeline");
     t.header({"stage", "latency (ms)"});

@@ -15,7 +15,8 @@
 
 #include "cluster/collective.hh"
 #include "common/table.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "runtime/sim_session.hh"
 #include "soc/training_soc.hh"
 
@@ -27,8 +28,8 @@ main()
     // 1. One encoder layer on one Ascend-Max core.
     const auto core_cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
     runtime::SimSession session(core_cfg);
-    const auto one_layer =
-        model::zoo::bert("bert_encoder", 1, 384, 1024, 1, 16, 4096);
+    const auto one_layer = graph::toNetwork(
+        graph::zoo::bertGraph("bert_encoder", 1, 384, 1024, 1, 16, 4096));
     const auto runs = session.runInference(one_layer);
 
     std::cout << "=== one BERT-Large encoder layer on "
@@ -44,7 +45,7 @@ main()
 
     // 2. A full training step on the Ascend 910 SoC.
     soc::TrainingSoc soc910;
-    const auto per_core = model::zoo::bertLarge(2, 128);
+    const auto per_core = graph::toNetwork(graph::zoo::bertLargeGraph(2, 128));
     const auto step = soc910.trainStep(per_core);
     const unsigned chip_batch = 2 * soc910.config().aiCores;
     std::cout << "\n=== BERT-Large training step on Ascend 910 ===\n"

@@ -11,7 +11,8 @@
 
 #include "common/table.hh"
 #include "compiler/graph_engine.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 using namespace ascend;
 
@@ -26,12 +27,14 @@ main()
     compiler::App surveillance;
     surveillance.name = "surveillance";
     surveillance.streams.push_back(compiler::compileToStream(
-        session, model::zoo::resnet50(1), /*max_blocks=*/4));
+        session, graph::toNetwork(graph::zoo::resnet50Graph(1)),
+        /*max_blocks=*/4));
 
     compiler::App tracking;
     tracking.name = "tracking";
     tracking.streams.push_back(compiler::compileToStream(
-        session, model::zoo::mobilenetV2(1), /*max_blocks=*/4));
+        session, graph::toNetwork(graph::zoo::mobilenetV2Graph(1)),
+        /*max_blocks=*/4));
 
     std::cout << "=== multi-level scheduling on an 8-core SoC ===\n";
     std::cout << "surveillance: "

@@ -13,7 +13,8 @@
 
 #include "common/table.hh"
 #include "core/trace.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "runtime/sim_session.hh"
 
 using namespace ascend;
@@ -55,11 +56,11 @@ main()
 {
     // A small always-on CNN on the IoT-class core...
     profileNetwork(arch::makeCoreConfig(arch::CoreVersion::Tiny),
-                   model::zoo::gestureNet(1));
+                   graph::toNetwork(graph::zoo::gestureNetGraph(1)));
 
     // ...and MobileNetV2 on the smartphone-class core.
     profileNetwork(arch::makeCoreConfig(arch::CoreVersion::Lite),
-                   model::zoo::mobilenetV2(1));
+                   graph::toNetwork(graph::zoo::mobilenetV2Graph(1)));
 
     // Bonus: dump a Chrome trace of one convolution so the six-pipe
     // overlap (paper Fig. 3) can be inspected in chrome://tracing.

@@ -25,7 +25,7 @@ compileToStream(const runtime::SimSession &session,
     Stream stream;
     stream.name = net.name;
     stream.tasks.reserve(groups.size());
-    for (const GroupProfile &g : groups) {
+    for (const runtime::GroupProfile &g : groups) {
         Task task;
         task.name = g.name;
         task.cycles = g.totalCycles;

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "compiler/profiler.hh"
+#include "runtime/sim_session.hh"
 
 namespace ascend {
 namespace compiler {
@@ -74,14 +74,6 @@ struct ScheduleResult
 Stream compileToStream(const runtime::SimSession &session,
                        const model::Network &net,
                        unsigned max_blocks = 4);
-
-/** Source-compatible overload for callers still holding a Profiler. */
-inline Stream
-compileToStream(const Profiler &profiler, const model::Network &net,
-                unsigned max_blocks = 4)
-{
-    return compileToStream(profiler.session(), net, max_blocks);
-}
 
 /**
  * List-schedule @p apps on @p cores cores.

@@ -387,8 +387,8 @@ Graph::topoOrder() const
 {
     // Kahn's algorithm with a min-heap: the unique order that
     // dispatches the smallest ready node index first. Builders append
-    // nodes in execution order, so for zoo graphs this reproduces the
-    // legacy linear layer order exactly.
+    // nodes in execution order, so for zoo graphs this is the layer
+    // order frozen in the zoo golden.
     std::vector<unsigned> indegree(nodes.size(), 0);
     for (std::size_t ni = 0; ni < nodes.size(); ++ni)
         for (const TensorId t : nodes[ni].inputs)

@@ -20,9 +20,9 @@
  * without dying.
  *
  * Lowering (graph/lower.hh) walks a validated DAG in deterministic
- * topological order through the existing tiling compiler, so cycle
- * results are byte-identical to the legacy linear path for graphs
- * that re-express a Network (enforced by tests/test_graph_ir.cc).
+ * topological order through the existing tiling compiler; the zoo
+ * graphs' lowered layer lists and cycles are frozen in the zoo golden
+ * (tests/golden/zoo_networks.txt).
  *
  * The struct members are public, repo-style: builder methods keep
  * the producer back-references consistent, and validate() is the
@@ -162,7 +162,7 @@ class Graph
      * included, names excluded) and edge wiring. Two graphs that
      * lower to the same schedule hash equal; the "agr:" prefix keys
      * a SimCache namespace that can never alias the "lay:"-suffixed
-     * legacy layer keys (tests/test_graph_ir.cc proves both).
+     * per-layer keys (tests/test_graph_ir.cc proves both).
      */
     std::string fingerprint() const;
 

@@ -51,8 +51,8 @@ lower(const Graph &g, const std::vector<std::size_t> &order)
             ++delta.layersLowered;
             break;
           case OpKind::ResidualAdd: {
-            // The exact shape the legacy zoo builders emit for their
-            // ".add" layers — the differential tests depend on it.
+            // The exact shape of the ".add" layers frozen in the zoo
+            // golden (tests/golden/zoo_networks.txt).
             const Tensor &out = g.tensors[n.outputs[0]];
             steps.push_back({ni, model::Layer::elementwise(
                                      n.name, out.elems, out.dtype)});
@@ -61,9 +61,8 @@ lower(const Graph &g, const std::vector<std::size_t> &order)
           }
           case OpKind::Concat:
           case OpKind::Split:
-            // Pure wiring: the legacy linear path has no layer for
-            // these (BERT's qkv split is implicit there), so they
-            // must cost zero cycles to keep the paths identical.
+            // Pure wiring: the zoo golden has no layer for these
+            // (BERT's qkv split), so they must cost zero cycles.
             ++delta.structuralElided;
             break;
         }

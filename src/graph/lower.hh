@@ -5,12 +5,10 @@
  * A validated Graph lowers to an ordered list of model::Layer work in
  * deterministic topological order (graph/graph.hh topoOrder). Compute
  * nodes (OpKind::Layer) lower to their layer verbatim; ResidualAdd
- * lowers to Layer::elementwise over its tensor volume — exactly the
- * shape the legacy zoo builders emit for ".add" layers, which is what
- * makes graph-path cycles byte-identical to the linear path. Concat
- * and Split are pure wiring: zero cycles, elided from the schedule
- * (the legacy BERT builder has no layers for its implicit qkv split,
- * so charging them anything would break the differential tests).
+ * lowers to Layer::elementwise over its tensor volume (the ".add"
+ * layers of the zoo golden). Concat and Split are pure wiring: zero
+ * cycles, elided from the schedule (BERT's qkv split has no layer in
+ * the zoo golden, so charging it anything would move every BERT row).
  *
  * runGraph() drives the schedule through SimSession::runInference, so
  * per-layer memoization, the thread-pool fan-out and the surrogate
@@ -53,8 +51,8 @@ std::vector<Step> lower(const Graph &g,
 
 /**
  * The lowered schedule as a model::Network named after the graph —
- * the bridge into every consumer of the legacy linear path
- * (SimSession, BatchLatencyModel, training expansion).
+ * the bridge into every layer-list consumer (SimSession,
+ * BatchLatencyModel, training expansion, the SoC and baseline models).
  */
 model::Network toNetwork(const Graph &g);
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Zoo networks re-expressed as graphs. Layer shapes and names mirror
- * model/zoo_*.cc exactly; only the wiring is new.
+ * The DAG zoo networks: ResNet50, MobileNetV2, BERT, VGG16 and the
+ * gesture CNN.
  */
 
 #include "graph/zoo_graphs.hh"
@@ -323,7 +323,7 @@ bertGraph(const std::string &name, unsigned batch, unsigned seq_len,
     for (unsigned l = 0; l < layers; ++l) {
         const std::string p = "enc" + std::to_string(l);
         // Fused QKV projection, then an explicit split into the three
-        // heads' operands — the wiring the linear path leaves implicit.
+        // heads' operands; the split lowers to no layer.
         TensorId qkv = g.addLayer(
             Layer::linear(p + ".qkv", tokens, hidden, 3ull * hidden,
                           dt),

@@ -5,13 +5,12 @@
 
 #include "resilience/checkpoint.hh"
 
-#include <unistd.h>
-
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "common/atomic_file.hh"
 #include "common/error.hh"
 
 namespace ascend {
@@ -190,34 +189,7 @@ CheckpointStore::save(const RunCheckpoint &state) const
     writeString(buf, state.eventLog);
     writeU64(buf, checksum(buf.data(), buf.size()));
 
-    return writeAtomic(buf);
-}
-
-bool
-CheckpointStore::writeAtomic(const std::string &buf) const
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    const std::string target = path();
-    const std::string tmp =
-        target + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        out.write(buf.data(), std::streamsize(buf.size()));
-        if (!out) {
-            out.close();
-            std::filesystem::remove(tmp, ec);
-            return false;
-        }
-    }
-    std::filesystem::rename(tmp, target, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return false;
-    }
-    return true;
+    return writeFileAtomic(path(), buf);
 }
 
 namespace {
@@ -333,7 +305,7 @@ CheckpointStore::saveBlob(const std::string &run_id,
     writeString(buf, run_id);
     writeString(buf, payload);
     writeU64(buf, checksum(buf.data(), buf.size()));
-    return writeAtomic(buf);
+    return writeFileAtomic(path(), buf);
 }
 
 const char *

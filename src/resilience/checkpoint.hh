@@ -151,7 +151,6 @@ class CheckpointStore
     void remove() const;
 
   private:
-    bool writeAtomic(const std::string &buf) const;
     /** nullptr = success; "missing" = no file; else refusal reason. */
     const char *loadInternal(RunCheckpoint &out,
                              const std::string &run_id) const;

@@ -7,10 +7,6 @@
  * real tool-chain fuses behind it (bias, normalization, activation,
  * residual add). We reproduce that granularity by grouping each cube
  * layer with all following non-cube layers up to the next cube layer.
- *
- * These types originated in compiler::Profiler and moved here when
- * the simulation hot path was consolidated into the runtime layer;
- * compiler/profiler.hh aliases them for source compatibility.
  */
 
 #ifndef ASCEND_RUNTIME_PROFILE_HH

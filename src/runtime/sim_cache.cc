@@ -5,15 +5,13 @@
 
 #include "runtime/sim_cache.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "common/atomic_file.hh"
 
 namespace ascend {
 namespace runtime {
@@ -479,51 +477,11 @@ SimCache::saveFile(const std::string &path, const std::string &version)
         stored = map_.size();
     }
 
-    std::error_code ec;
-    const std::filesystem::path target(path);
-    if (target.has_parent_path())
-        std::filesystem::create_directories(target.parent_path(), ec);
-
-    // Write-to-temp + rename: readers only ever see a complete file,
-    // and a concurrent writer loses the race wholesale instead of
-    // interleaving. The temp name is per-process to keep two writers
-    // off one temp file.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        out.write(buf.data(), std::streamsize(buf.size()));
-        if (!out) {
-            out.close();
-            std::filesystem::remove(tmp, ec);
-            return false;
-        }
-    }
-    // fsync the temp file before the rename: the rename orders the
-    // *name* but not the *bytes*, so a power loss right after it could
-    // otherwise publish a complete-looking file with a zeroed tail.
-    // (loadFile tolerates such a tail — entries are length-prefixed
-    // and validated — but the sync keeps the common case whole.)
-    {
-        const int fd = ::open(tmp.c_str(), O_WRONLY);
-        if (fd < 0) {
-            std::filesystem::remove(tmp, ec);
-            return false;
-        }
-        const int rc = ::fsync(fd);
-        ::close(fd);
-        if (rc != 0) {
-            std::filesystem::remove(tmp, ec);
-            return false;
-        }
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
+    // Readers only ever see a complete file. (loadFile would also
+    // tolerate a zeroed tail — entries are length-prefixed and
+    // validated — but the synced write keeps the common case whole.)
+    if (!writeFileAtomic(path, buf))
         return false;
-    }
     std::lock_guard<std::mutex> lock(mutex_);
     diskStores_ += stored;
     return true;

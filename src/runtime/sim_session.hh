@@ -3,19 +3,15 @@
  * SimSession: the single entry point for "run this layer/network on
  * this core".
  *
- * Before this layer existed, 17 binaries hand-rolled the same
- * compile -> simulate -> aggregate loop through compiler::Profiler,
- * each re-simulating identical layer shapes from scratch on one
- * thread. A SimSession owns the pieces of that loop — a CoreConfig,
- * a LayerCompiler, a CoreSim — plus a (shareable) SimCache, so:
+ * A SimSession owns the pieces of the compile -> simulate ->
+ * aggregate loop — a CoreConfig, a LayerCompiler, a CoreSim — plus a
+ * (shareable) SimCache, so:
  *
  *  - repeated (config, options, layer-shape) triples are memoized
  *    across layers, networks, benches within a process;
  *  - per-layer network profiling fans out over the runtime thread
  *    pool with index-ordered results (byte-identical output at any
- *    ASCEND_THREADS setting);
- *  - compiler::Profiler survives as a thin source-compatible shim
- *    over this class.
+ *    ASCEND_THREADS setting).
  *
  * Sessions default to one process-wide cache: sweeps that vary the
  * config still share entries for everything the sweep holds fixed.

@@ -67,10 +67,10 @@ class BatchLatencyModel
      * fromNetwork for graph-IR workloads: each anchor lowers
      * builder(b) through graph::graphResult, so KV-cache decoders and
      * other DAG-shaped models (graph/decoder.hh) feed the fleet
-     * simulator exactly like the legacy zoo networks. Anchors reuse
-     * denseAnchors() and the whole-graph SimCache memo; a graph that
-     * re-expresses a Network produces the identical curve (the
-     * differential tests guarantee identical cycles).
+     * simulator exactly like fromNetwork workloads. Anchors reuse
+     * denseAnchors() and the whole-graph SimCache memo; a graph
+     * produces the same curve as fromNetwork over its toNetwork()
+     * lowering, since both sum the same per-layer cycles.
      */
     static BatchLatencyModel
     fromGraph(const runtime::SimSession &session,

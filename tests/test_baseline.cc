@@ -9,7 +9,8 @@
 #include "baseline/cpu.hh"
 #include "baseline/simt.hh"
 #include "baseline/systolic.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 namespace ascend {
 namespace baseline {
@@ -41,8 +42,10 @@ TEST(Systolic, SmallMatricesWasteThePipeline)
 TEST(Systolic, UtilizationGrowsWithBatch)
 {
     SystolicArray arr(tpuV3Like());
-    const auto small = arr.runInference(model::zoo::resnet50(1));
-    const auto big = arr.runInference(model::zoo::resnet50(32));
+    const auto small =
+        arr.runInference(graph::toNetwork(graph::zoo::resnet50Graph(1)));
+    const auto big =
+        arr.runInference(graph::toNetwork(graph::zoo::resnet50Graph(32)));
     EXPECT_GT(big.utilization, small.utilization);
     EXPECT_GT(small.flops, 0u);
 }
@@ -50,8 +53,9 @@ TEST(Systolic, UtilizationGrowsWithBatch)
 TEST(Systolic, TrainingCostsMoreThanInference)
 {
     SystolicArray arr(tpuV3Like());
-    const auto inf = arr.runInference(model::zoo::resnet50(4));
-    const auto tra = arr.runTraining(model::zoo::resnet50(4));
+    const auto net = graph::toNetwork(graph::zoo::resnet50Graph(4));
+    const auto inf = arr.runInference(net);
+    const auto tra = arr.runTraining(net);
     EXPECT_GT(tra.cycles, 2 * inf.cycles);
     EXPECT_NEAR(double(tra.flops), 3.0 * double(inf.flops),
                 0.25 * double(tra.flops));
@@ -126,7 +130,7 @@ TEST(Simt, LaunchLatencyDominatesTinyLayers)
 TEST(Simt, TrainingFlopsTripleInference)
 {
     GpuModel gpu(v100Like());
-    const auto net = model::zoo::mobilenetV2(4);
+    const auto net = graph::toNetwork(graph::zoo::mobilenetV2Graph(4));
     const auto inf = gpu.runInference(net);
     const auto tra = gpu.runTraining(net);
     EXPECT_NEAR(double(tra.flops), 3.0 * double(inf.flops),
@@ -151,7 +155,7 @@ TEST(Cpu, RooflineTakesTheMax)
 TEST(Cpu, OrdersOfMagnitudeBehindOnTraining)
 {
     CpuModel cpu{CpuConfig{}};
-    const auto net = model::zoo::resnet50(8);
+    const auto net = graph::toNetwork(graph::zoo::resnet50Graph(8));
     const double imgs =
         8.0 / cpu.trainingStepSeconds(net);
     EXPECT_LT(imgs, 100.0); // paper: CPUs are orders behind
@@ -168,7 +172,8 @@ TEST_P(SystolicSmallBatch, FsdUtilizationStaysLow)
 {
     SystolicArray fsd(fsdLike());
     const auto r = fsd.runInference(
-        model::zoo::mobilenetV2(GetParam(), DataType::Int8));
+        graph::toNetwork(graph::zoo::mobilenetV2Graph(GetParam(),
+                                                      DataType::Int8)));
     EXPECT_LT(r.utilization, 0.35);
 }
 

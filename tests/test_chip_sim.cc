@@ -10,11 +10,11 @@
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "compiler/profiler.hh"
 #include "core/core_sim.hh"
+#include "graph/zoo_graphs.hh"
 #include "isa/verify.hh"
-#include "model/zoo.hh"
 #include "noc/mesh.hh"
+#include "runtime/sim_session.hh"
 #include "soc/chip_sim.hh"
 
 namespace ascend {
@@ -205,7 +205,7 @@ TEST(MeshPercentiles, TailExceedsMedianUnderLoad)
 
 TEST(ZooMore, SiameseHasTwoBranchesAndXcorr)
 {
-    const auto net = model::zoo::siameseTracker(1);
+    const auto net = graph::zoo::siameseTracker(1);
     bool has_template = false, has_search = false, has_xcorr = false;
     for (const auto &l : net.layers) {
         if (l.name.find("template.") == 0)
@@ -222,8 +222,8 @@ TEST(ZooMore, SiameseHasTwoBranchesAndXcorr)
 
 TEST(ZooMore, PointNetRowsScaleWithPoints)
 {
-    const auto small = model::zoo::pointNet(1, 512);
-    const auto big = model::zoo::pointNet(1, 2048);
+    const auto small = graph::zoo::pointNet(1, 512);
+    const auto big = graph::zoo::pointNet(1, 2048);
     EXPECT_NEAR(double(big.totalFlops()),
                 4.0 * double(small.totalFlops()),
                 0.3 * double(big.totalFlops()));
@@ -231,10 +231,11 @@ TEST(ZooMore, PointNetRowsScaleWithPoints)
 
 TEST(ZooMore, BothRunOnTheStdCore)
 {
-    compiler::Profiler p(arch::makeCoreConfig(arch::CoreVersion::Std));
+    runtime::SimSession session(
+        arch::makeCoreConfig(arch::CoreVersion::Std));
     for (const auto &net :
-         {model::zoo::siameseTracker(1), model::zoo::pointNet(1)}) {
-        const auto runs = p.runInference(net);
+         {graph::zoo::siameseTracker(1), graph::zoo::pointNet(1)}) {
+        const auto runs = session.runInference(net);
         EXPECT_EQ(runs.size(), net.size()) << net.name;
     }
 }

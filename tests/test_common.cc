@@ -1,13 +1,18 @@
 /**
  * @file
  * Unit tests for the common substrate: types, logging, stats, table
- * rendering, and the deterministic RNG.
+ * rendering, the deterministic RNG, and crash-safe file writes.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <sstream>
 
+#include "common/atomic_file.hh"
+#include "common/golden.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -225,6 +230,69 @@ TEST(Rng, ChanceMatchesProbability)
         if (r.chance(0.25))
             ++hits;
     EXPECT_NEAR(hits / 10000.0, 0.25, 0.02);
+}
+
+/** A fresh directory inside gtest's per-run temp directory. */
+std::string
+freshDir(const std::string &name)
+{
+    const std::string dir = ::testing::TempDir() + "ascend_" + name;
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+/** True when @p dir holds a leftover "<name>.tmp.<pid>" file. */
+bool
+hasTempFile(const std::string &dir)
+{
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        if (e.path().filename().string().find(".tmp.") !=
+            std::string::npos)
+            return true;
+    return false;
+}
+
+TEST(AtomicFile, CreatesParentsAndReplacesWholeFile)
+{
+    const std::string dir = freshDir("atomic_ok");
+    const std::string path = dir + "/nested/state.bin";
+    ASSERT_TRUE(writeFileAtomic(path, "first, longer contents"));
+    ASSERT_TRUE(writeFileAtomic(path, std::string("se\0cond", 7)));
+    std::string got;
+    ASSERT_TRUE(readFileText(path, got));
+    EXPECT_EQ(got, std::string("se\0cond", 7));
+    EXPECT_FALSE(hasTempFile(dir + "/nested"));
+}
+
+TEST(AtomicFile, FailedRenameLeavesTargetAndNoTempFile)
+{
+    // A non-empty directory at the target path: the temp file writes
+    // and syncs, then the rename over it must fail.
+    const std::string dir = freshDir("atomic_rename");
+    const std::string path = dir + "/state.bin";
+    ASSERT_TRUE(writeFileAtomic(path + "/keep.txt", "keep"));
+    EXPECT_FALSE(writeFileAtomic(path, "new bytes"));
+    std::string got;
+    ASSERT_TRUE(readFileText(path + "/keep.txt", got));
+    EXPECT_EQ(got, "keep");
+    EXPECT_FALSE(hasTempFile(dir));
+}
+
+TEST(AtomicFile, UnwritableDirectoryFailsCleanly)
+{
+    if (::geteuid() == 0)
+        GTEST_SKIP() << "root ignores directory permissions";
+    namespace fs = std::filesystem;
+    const std::string dir = freshDir("atomic_ro");
+    const std::string path = dir + "/state.bin";
+    ASSERT_TRUE(writeFileAtomic(path, "old"));
+    fs::permissions(dir, fs::perms::owner_read | fs::perms::owner_exec);
+    EXPECT_FALSE(writeFileAtomic(path, "new"));
+    fs::permissions(dir, fs::perms::owner_all);
+    std::string got;
+    ASSERT_TRUE(readFileText(path, got));
+    EXPECT_EQ(got, "old");
+    EXPECT_FALSE(hasTempFile(dir));
 }
 
 } // anonymous namespace

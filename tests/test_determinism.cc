@@ -20,7 +20,8 @@
 
 #include "common/rng.hh"
 #include "des/kernel.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "resilience/fault_schedule.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
@@ -249,7 +250,7 @@ TEST(Determinism, DesKernelRandomEventGraphs)
 TEST(Determinism, CoreSimSessionAcrossThreads)
 {
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Tiny);
-    const auto net = model::zoo::gestureNet(1);
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     std::string base;
     for (unsigned threads : kThreadCounts) {
         runtime::ScopedThreadPoolSize pool(threads);

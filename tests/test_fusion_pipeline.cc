@@ -8,8 +8,9 @@
 
 #include "cluster/collective.hh"
 #include "compiler/fusion.hh"
-#include "compiler/profiler.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
+#include "runtime/sim_session.hh"
 
 namespace ascend {
 namespace {
@@ -61,7 +62,7 @@ TEST(Fusion, LeadingVectorLayerStaysStandalone)
 
 TEST(Fusion, ShrinksResnetSubstantially)
 {
-    const auto net = model::zoo::resnet50(1);
+    const auto net = graph::toNetwork(graph::zoo::resnet50Graph(1));
     FusionReport report;
     const auto fused = fuseNetwork(net, &report);
     // Every conv's bn + relu (+ add) folds: well over half the layers.
@@ -71,18 +72,18 @@ TEST(Fusion, ShrinksResnetSubstantially)
 
 TEST(Fusion, FusedNetworkRunsFasterWithLessTraffic)
 {
-    compiler::Profiler profiler(
+    runtime::SimSession session(
         arch::makeCoreConfig(arch::CoreVersion::Std));
-    const auto net = model::zoo::resnet50(1);
+    const auto net = graph::toNetwork(graph::zoo::resnet50Graph(1));
     const auto fused = fuseNetwork(net);
 
     Cycles plain_cycles = 0, fused_cycles = 0;
     Bytes plain_ext = 0, fused_ext = 0;
-    for (const auto &r : profiler.runInference(net)) {
+    for (const auto &r : session.runInference(net)) {
         plain_cycles += r.result.totalCycles;
         plain_ext += r.result.extBytes();
     }
-    for (const auto &r : profiler.runInference(fused)) {
+    for (const auto &r : session.runInference(fused)) {
         fused_cycles += r.result.totalCycles;
         fused_ext += r.result.extBytes();
     }
@@ -95,11 +96,12 @@ TEST(Fusion, FusedNetworkRunsFasterWithLessTraffic)
 
 TEST(Fusion, FlopAccountingStillCoversCubeWork)
 {
-    compiler::Profiler profiler(
+    runtime::SimSession session(
         arch::makeCoreConfig(arch::CoreVersion::Std));
-    const auto fused = fuseNetwork(model::zoo::resnet50(1));
+    const auto fused =
+        fuseNetwork(graph::toNetwork(graph::zoo::resnet50Graph(1)));
     Flops flops = 0;
-    for (const auto &r : profiler.runInference(fused))
+    for (const auto &r : session.runInference(fused))
         flops += r.result.totalFlops;
     // Cube FLOPs unchanged by fusion (~8.2 GFLOPs at b=1).
     EXPECT_GT(flops, 7.5e9);

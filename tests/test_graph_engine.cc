@@ -7,7 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "compiler/graph_engine.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 namespace ascend {
 namespace compiler {
@@ -96,11 +97,11 @@ TEST(SchedulerDeath, ZeroCoresRejected)
 
 TEST(GraphCompiler, StreamHasOneTaskPerFusionGroup)
 {
-    Profiler profiler(arch::makeCoreConfig(arch::CoreVersion::Std));
-    const auto net = model::zoo::gestureNet(1);
-    const Stream s = compileToStream(profiler, net);
-    const auto groups =
-        Profiler::fusionGroups(profiler.runInference(net));
+    runtime::SimSession session(
+        arch::makeCoreConfig(arch::CoreVersion::Std));
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
+    const Stream s = compileToStream(session, net);
+    const auto groups = runtime::fusionGroups(session.runInference(net));
     EXPECT_EQ(s.tasks.size(), groups.size());
     Cycles total = 0;
     for (const Task &t : s.tasks) {
@@ -109,18 +110,19 @@ TEST(GraphCompiler, StreamHasOneTaskPerFusionGroup)
         EXPECT_LE(t.blocks, 4u);
         total += t.cycles;
     }
-    EXPECT_EQ(total, Profiler::totalCycles(profiler.runInference(net)));
+    EXPECT_EQ(total, runtime::totalCycles(session.runInference(net)));
 }
 
 TEST(GraphCompiler, ConcurrentAppsBeatSerialExecution)
 {
-    Profiler profiler(arch::makeCoreConfig(arch::CoreVersion::Std));
+    runtime::SimSession session(
+        arch::makeCoreConfig(arch::CoreVersion::Std));
     App a;
-    a.streams.push_back(
-        compileToStream(profiler, model::zoo::gestureNet(1)));
+    a.streams.push_back(compileToStream(
+        session, graph::toNetwork(graph::zoo::gestureNetGraph(1))));
     App b;
-    b.streams.push_back(
-        compileToStream(profiler, model::zoo::mobilenetV2(1)));
+    b.streams.push_back(compileToStream(
+        session, graph::toNetwork(graph::zoo::mobilenetV2Graph(1))));
     const auto serial =
         schedule({a}, 4).makespan + schedule({b}, 4).makespan;
     const auto together = schedule({a, b}, 4).makespan;

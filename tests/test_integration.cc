@@ -11,16 +11,17 @@
 #include "arch/unit_model.hh"
 #include "baseline/simt.hh"
 #include "baseline/systolic.hh"
-#include "compiler/profiler.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
+#include "runtime/sim_session.hh"
 #include "soc/mobile_soc.hh"
 #include "soc/training_soc.hh"
 
 namespace ascend {
 namespace {
 
-using compiler::GroupProfile;
-using compiler::Profiler;
+using runtime::GroupProfile;
+using runtime::SimSession;
 
 double
 fractionAboveOne(const std::vector<GroupProfile> &groups)
@@ -38,22 +39,24 @@ fractionAboveOne(const std::vector<GroupProfile> &groups)
 
 TEST(Figure4, BertInferenceIsCubeDominated)
 {
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Max));
-    const auto net = model::zoo::bert("b", 1, 384, 1024, 2, 16, 4096);
-    const auto groups = Profiler::fusionGroups(p.runInference(net));
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Max));
+    const auto net = graph::toNetwork(
+        graph::zoo::bertGraph("b", 1, 384, 1024, 2, 16, 4096));
+    const auto groups = runtime::fusionGroups(session.runInference(net));
     // "For most layers, the ratio is much greater than 1."
     EXPECT_GT(fractionAboveOne(groups), 0.7);
 }
 
 TEST(Figure5, BertTrainingStaysMostlyAboveOne)
 {
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Max));
-    const auto net = model::zoo::bert("b", 1, 384, 1024, 2, 16, 4096);
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Max));
+    const auto net = graph::toNetwork(
+        graph::zoo::bertGraph("b", 1, 384, 1024, 2, 16, 4096));
     const auto tra =
-        Profiler::fusionGroupsTraining(p.runTraining(net));
+        runtime::fusionGroupsTraining(session.runTraining(net));
     EXPECT_GT(fractionAboveOne(tra), 0.6);
     // And training is less cube-biased than inference.
-    const auto inf = Profiler::fusionGroups(p.runInference(net));
+    const auto inf = runtime::fusionGroups(session.runInference(net));
     double inf_med = 0, tra_med = 0;
     for (const auto &g : inf)
         inf_med += g.cubeVectorRatio();
@@ -64,18 +67,18 @@ TEST(Figure5, BertTrainingStaysMostlyAboveOne)
 
 TEST(Figure6, MobilenetIsVectorBoundOnTheBigCore)
 {
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Max));
-    const auto groups =
-        Profiler::fusionGroups(p.runInference(model::zoo::mobilenetV2(1)));
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Max));
+    const auto net = graph::toNetwork(graph::zoo::mobilenetV2Graph(1));
+    const auto groups = runtime::fusionGroups(session.runInference(net));
     // "most of the MobileNet layers' ratio are between 0 to 1"
     EXPECT_LE(fractionAboveOne(groups), 0.5);
 }
 
 TEST(Figure7, ResnetFirstOperatorsNearOneLaterAbove)
 {
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Max));
-    const auto groups =
-        Profiler::fusionGroups(p.runInference(model::zoo::resnet50(1)));
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Max));
+    const auto net = graph::toNetwork(graph::zoo::resnet50Graph(1));
+    const auto groups = runtime::fusionGroups(session.runInference(net));
     ASSERT_GT(groups.size(), 20u);
     // conv1 sits close to 1.
     EXPECT_GT(groups[0].cubeVectorRatio(), 0.3);
@@ -92,9 +95,9 @@ TEST(Figure7, ResnetFirstOperatorsNearOneLaterAbove)
 
 TEST(Figure8, GestureNetAllAboveOneOnTiny)
 {
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Tiny));
-    const auto groups =
-        Profiler::fusionGroups(p.runInference(model::zoo::gestureNet(1)));
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Tiny));
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
+    const auto groups = runtime::fusionGroups(session.runInference(net));
     for (const auto &g : groups)
         EXPECT_GT(g.cubeVectorRatio(), 1.0) << g.name;
 }
@@ -105,7 +108,7 @@ TEST(Figure9, BandwidthBoundsAndOrdering)
     cfg.busABytesPerCycle *= 1024; // unlimited-L1 profiling config
     cfg.busBBytesPerCycle *= 1024;
     cfg.busUbBytesPerCycle *= 1024;
-    Profiler p(cfg);
+    SimSession session(cfg);
 
     auto max_read = [](const std::vector<GroupProfile> &groups) {
         double mx = 0;
@@ -117,23 +120,23 @@ TEST(Figure9, BandwidthBoundsAndOrdering)
         }
         return mx;
     };
-    const double mobile = max_read(
-        Profiler::fusionGroups(p.runInference(model::zoo::mobilenetV2(1))));
-    const double resnet = max_read(
-        Profiler::fusionGroups(p.runInference(model::zoo::resnet50(1))));
+    const double mobile = max_read(runtime::fusionGroups(session.runInference(
+        graph::toNetwork(graph::zoo::mobilenetV2Graph(1)))));
+    const double resnet = max_read(runtime::fusionGroups(session.runInference(
+        graph::toNetwork(graph::zoo::resnet50Graph(1)))));
     // "MobileNet shows more L1 memory bandwidth requirement."
     EXPECT_GT(mobile, resnet * 0.99);
 }
 
 TEST(Section24, LiteWidthRecoversMobilenetRatios)
 {
-    Profiler max_core(arch::makeCoreConfig(arch::CoreVersion::Max));
-    Profiler lite(arch::makeCoreConfig(arch::CoreVersion::Lite));
-    const auto net = model::zoo::mobilenetV2(1);
+    SimSession max_core(arch::makeCoreConfig(arch::CoreVersion::Max));
+    SimSession lite(arch::makeCoreConfig(arch::CoreVersion::Lite));
+    const auto net = graph::toNetwork(graph::zoo::mobilenetV2Graph(1));
     const double on_max = fractionAboveOne(
-        Profiler::fusionGroups(max_core.runInference(net)));
+        runtime::fusionGroups(max_core.runInference(net)));
     const double on_lite = fractionAboveOne(
-        Profiler::fusionGroups(lite.runInference(net)));
+        runtime::fusionGroups(lite.runInference(net)));
     // The tailored Lite configuration (narrower cube relative to its
     // vector) pushes more operators above 1.
     EXPECT_GE(on_lite, on_max);
@@ -143,17 +146,17 @@ TEST(Table7, Ascend910BeatsBaselinesOnResnetTraining)
 {
     soc::TrainingSoc soc910;
     const unsigned per_core = 4;
-    const auto step =
-        soc910.trainStep(model::zoo::resnet50(per_core));
+    const auto step = soc910.trainStep(
+        graph::toNetwork(graph::zoo::resnet50Graph(per_core)));
     const unsigned batch = per_core * soc910.config().aiCores;
     const double ascend = batch / step.seconds;
 
+    const auto full = graph::toNetwork(graph::zoo::resnet50Graph(batch));
     baseline::GpuModel v100(baseline::v100Like());
-    const double gpu =
-        batch / v100.runTraining(model::zoo::resnet50(batch)).seconds;
+    const double gpu = batch / v100.runTraining(full).seconds;
 
     baseline::SystolicArray tpu(baseline::tpuV3Like());
-    const auto tr = tpu.runTraining(model::zoo::resnet50(batch));
+    const auto tr = tpu.runTraining(full);
     const double sys = batch / tr.seconds(tpu.config().clockGhz);
 
     // Paper: 1809 vs 1058 vs 976 - Ascend wins by 1.5-3x.
@@ -165,8 +168,9 @@ TEST(Table7, Ascend910BeatsBaselinesOnResnetTraining)
 TEST(Table8, KirinBeatsPublishedCompetitorLatency)
 {
     soc::MobileSoc kirin;
-    const double ms =
-        kirin.liteLatencySeconds(model::zoo::mobilenetV2(1)) * 1e3;
+    const double ms = kirin.liteLatencySeconds(graph::toNetwork(
+                          graph::zoo::mobilenetV2Graph(1))) *
+                      1e3;
     EXPECT_LT(ms, 7.0); // Dimensity 1000: 7 ms; SD865/Exynos: 15 ms
 }
 
@@ -187,15 +191,19 @@ TEST(EndToEnd, EveryZooNetworkRunsOnItsTargetCore)
         model::Network net;
     };
     const Case cases[] = {
-        {arch::CoreVersion::Tiny, model::zoo::gestureNet(1)},
-        {arch::CoreVersion::Lite, model::zoo::mobilenetV2(1)},
-        {arch::CoreVersion::Mini, model::zoo::resnet50(1)},
-        {arch::CoreVersion::Std, model::zoo::vgg16(1)},
-        {arch::CoreVersion::Max, model::zoo::bertBase(1, 128)},
+        {arch::CoreVersion::Tiny,
+         graph::toNetwork(graph::zoo::gestureNetGraph(1))},
+        {arch::CoreVersion::Lite,
+         graph::toNetwork(graph::zoo::mobilenetV2Graph(1))},
+        {arch::CoreVersion::Mini,
+         graph::toNetwork(graph::zoo::resnet50Graph(1))},
+        {arch::CoreVersion::Std, graph::toNetwork(graph::zoo::vgg16Graph(1))},
+        {arch::CoreVersion::Max,
+         graph::toNetwork(graph::zoo::bertBaseGraph(1, 128))},
     };
     for (const Case &c : cases) {
-        Profiler p(arch::makeCoreConfig(c.core));
-        const auto runs = p.runInference(c.net);
+        SimSession session(arch::makeCoreConfig(c.core));
+        const auto runs = session.runInference(c.net);
         EXPECT_EQ(runs.size(), c.net.size());
         Flops flops = 0;
         for (const auto &r : runs)

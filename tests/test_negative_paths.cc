@@ -15,7 +15,6 @@
 #include "common/error.hh"
 #include "compiler/autotiler.hh"
 #include "compiler/layer_compiler.hh"
-#include "model/zoo.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
 

@@ -9,7 +9,8 @@
 
 #include <thread>
 
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "obs/tracer.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/sim_cache.hh"
@@ -117,7 +118,7 @@ TEST(Tracer, CoreSimEmitsSpansAndRepeatRunsDedup)
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Tiny);
     runtime::SimSession session(cfg, {},
                                 std::make_shared<runtime::SimCache>());
-    const auto net = model::zoo::gestureNet(1);
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     session.runInference(net);
     const std::size_t once = obs::Tracer::instance().spanCount();
     EXPECT_GT(once, 0u);
@@ -135,7 +136,7 @@ TEST(Tracer, TraceBytesIdenticalAcrossThreadCounts)
     if (!obs::kTraceCompiledIn)
         GTEST_SKIP() << "tracer compiled out";
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Tiny);
-    const auto net = model::zoo::gestureNet(1);
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     std::string base;
     for (unsigned threads : {1u, 4u}) {
         runtime::ScopedThreadPoolSize pool(threads);

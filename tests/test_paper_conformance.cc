@@ -34,7 +34,8 @@
 #include "baseline/systolic.hh"
 #include "cluster/collective.hh"
 #include "common/golden.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "soc/auto_soc.hh"
 #include "soc/mobile_soc.hh"
 #include "soc/training_soc.hh"
@@ -170,11 +171,12 @@ deriveTable7(std::vector<Cell> &cells)
     const unsigned resnet_batch =
         resnet_batch_per_core * soc910.config().aiCores;
     const auto resnet_core =
-        model::zoo::resnet50(resnet_batch_per_core);
+        graph::toNetwork(graph::zoo::resnet50Graph(resnet_batch_per_core));
     const auto resnet_step = soc910.trainStep(resnet_core);
     const double ascend_resnet = resnet_batch / resnet_step.seconds;
 
-    const auto resnet_full = model::zoo::resnet50(resnet_batch);
+    const auto resnet_full =
+        graph::toNetwork(graph::zoo::resnet50Graph(resnet_batch));
     baseline::GpuModel v100(baseline::v100Like());
     const double v100_imgs =
         resnet_batch / v100.runTraining(resnet_full).seconds;
@@ -188,7 +190,7 @@ deriveTable7(std::vector<Cell> &cells)
 
     const unsigned bert_batch_per_core = 2;
     const auto bert_core =
-        model::zoo::bertLarge(bert_batch_per_core, 128);
+        graph::toNetwork(graph::zoo::bertLargeGraph(bert_batch_per_core, 128));
     const auto bert_step = soc910.trainStep(bert_core);
     const unsigned bert_batch_chip =
         bert_batch_per_core * soc910.config().aiCores;
@@ -201,7 +203,8 @@ deriveTable7(std::vector<Cell> &cells)
     const double ascend_bert_8p =
         cluster::throughputSamplesPerSec(bert_job, one_server, 8);
 
-    const auto bert_full = model::zoo::bertLarge(bert_batch_chip, 128);
+    const auto bert_full =
+        graph::toNetwork(graph::zoo::bertLargeGraph(bert_batch_chip, 128));
     cluster::ClusterConfig dgx = one_server;
     dgx.server.hccsBytesPerSec = 45e9;
     cluster::TrainingJob v100_job;
@@ -238,10 +241,14 @@ deriveTable8(std::vector<Cell> &cells)
     cells.push_back({"t8.npu_area_mm2", kirin.npuAreaMm2()});
     cells.push_back(
         {"t8.mobilenetv2_ms",
-         kirin.liteLatencySeconds(model::zoo::mobilenetV2(1)) * 1e3});
+         kirin.liteLatencySeconds(
+             graph::toNetwork(graph::zoo::mobilenetV2Graph(1))) *
+             1e3});
     cells.push_back(
         {"t8.gesture_ms",
-         kirin.tinyLatencySeconds(model::zoo::gestureNet(1)) * 1e3});
+         kirin.tinyLatencySeconds(
+             graph::toNetwork(graph::zoo::gestureNetGraph(1))) *
+             1e3});
 }
 
 /** Table 9: automotive SoC PPA plus the systolic-bubble claim. */
@@ -275,8 +282,10 @@ deriveTable9(std::vector<Cell> &cells)
                           (double(busy) * shape.flopsPerCycle())
                     : 0.0;
     };
-    const auto resnet = model::zoo::resnet50(1, DataType::Int8);
-    const auto mobilenet = model::zoo::mobilenetV2(1, DataType::Int8);
+    const auto resnet =
+        graph::toNetwork(graph::zoo::resnet50Graph(1, DataType::Int8));
+    const auto mobilenet =
+        graph::toNetwork(graph::zoo::mobilenetV2Graph(1, DataType::Int8));
     cells.push_back({"t9.fsd_util_resnet50_pct",
                      100 * fsd.runInference(resnet).utilization});
     cells.push_back({"t9.fsd_util_mobilenetv2_pct",

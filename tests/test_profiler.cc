@@ -1,21 +1,23 @@
 /**
  * @file
- * Tests for the network profiler: fusion grouping, ratio definitions,
+ * Tests for network profiling through runtime::SimSession and the
+ * runtime/profile.hh aggregators: fusion grouping, ratio definitions,
  * training aggregation, and result accumulation.
  */
 
 #include <gtest/gtest.h>
 
-#include "compiler/profiler.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
+#include "runtime/sim_session.hh"
 
 namespace ascend {
 namespace {
 
-using compiler::GroupProfile;
-using compiler::LayerRun;
-using compiler::Profiler;
 using model::Layer;
+using runtime::GroupProfile;
+using runtime::LayerRun;
+using runtime::SimSession;
 
 model::Network
 tinyNet()
@@ -33,8 +35,8 @@ tinyNet()
 
 TEST(Profiler, RunsEveryLayer)
 {
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Max));
-    const auto runs = p.runInference(tinyNet());
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Max));
+    const auto runs = session.runInference(tinyNet());
     ASSERT_EQ(runs.size(), 5u);
     for (const LayerRun &run : runs)
         EXPECT_GT(run.result.totalCycles, 0u) << run.layer.name;
@@ -42,8 +44,8 @@ TEST(Profiler, RunsEveryLayer)
 
 TEST(Profiler, FusionGroupsAnchorOnCubeLayers)
 {
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Max));
-    const auto groups = Profiler::fusionGroups(p.runInference(tinyNet()));
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Max));
+    const auto groups = runtime::fusionGroups(session.runInference(tinyNet()));
     ASSERT_EQ(groups.size(), 2u);
     EXPECT_EQ(groups[0].name, "conv_a");
     EXPECT_EQ(groups[1].name, "fc");
@@ -54,8 +56,8 @@ TEST(Profiler, LeadingVectorLayerStartsItsOwnGroup)
     model::Network net;
     net.add(Layer::batchNorm("pre", 1024));
     net.add(Layer::linear("fc", 4, 64, 64));
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Max));
-    const auto groups = Profiler::fusionGroups(p.runInference(net));
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Max));
+    const auto groups = runtime::fusionGroups(session.runInference(net));
     ASSERT_EQ(groups.size(), 2u);
     EXPECT_EQ(groups[0].name, "pre");
     EXPECT_EQ(groups[0].cubeBusy, 0u);
@@ -63,16 +65,16 @@ TEST(Profiler, LeadingVectorLayerStartsItsOwnGroup)
 
 TEST(Profiler, GroupTotalsEqualLayerSums)
 {
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Max));
-    const auto runs = p.runInference(tinyNet());
-    const auto groups = Profiler::fusionGroups(runs);
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Max));
+    const auto runs = session.runInference(tinyNet());
+    const auto groups = runtime::fusionGroups(runs);
     Cycles group_total = 0, run_total = 0;
     for (const auto &g : groups)
         group_total += g.totalCycles;
     for (const auto &r : runs)
         run_total += r.result.totalCycles;
     EXPECT_EQ(group_total, run_total);
-    EXPECT_EQ(run_total, Profiler::totalCycles(runs));
+    EXPECT_EQ(run_total, runtime::totalCycles(runs));
 }
 
 TEST(Profiler, RatioDefinition)
@@ -97,11 +99,11 @@ TEST(Profiler, BandwidthDefinition)
 
 TEST(Profiler, TrainingStepsIncludeBackwardWork)
 {
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Max));
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Max));
     const auto net = tinyNet();
-    const auto inf = Profiler::fusionGroups(p.runInference(net));
+    const auto inf = runtime::fusionGroups(session.runInference(net));
     const auto tra =
-        Profiler::fusionGroupsTraining(p.runTraining(net));
+        runtime::fusionGroupsTraining(session.runTraining(net));
     ASSERT_EQ(inf.size(), tra.size());
     for (std::size_t i = 0; i < inf.size(); ++i) {
         EXPECT_EQ(inf[i].name, tra[i].name);
@@ -113,11 +115,12 @@ TEST(Profiler, TrainingStepsIncludeBackwardWork)
 TEST(Profiler, TrainingLowersCubeVectorRatio)
 {
     // The paper's Fig. 4 vs Fig. 5 observation.
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Max));
-    const auto net = model::zoo::bert("b", 1, 128, 512, 1, 8, 2048);
-    const auto inf = Profiler::fusionGroups(p.runInference(net));
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Max));
+    const auto net = graph::toNetwork(
+        graph::zoo::bertGraph("b", 1, 128, 512, 1, 8, 2048));
+    const auto inf = runtime::fusionGroups(session.runInference(net));
     const auto tra =
-        Profiler::fusionGroupsTraining(p.runTraining(net));
+        runtime::fusionGroupsTraining(session.runTraining(net));
     double inf_sum = 0, tra_sum = 0;
     std::size_t counted = 0;
     for (std::size_t i = 0; i < inf.size(); ++i) {
@@ -133,11 +136,11 @@ TEST(Profiler, TrainingLowersCubeVectorRatio)
 
 TEST(Profiler, InferenceResultAccumulates)
 {
-    Profiler p(arch::makeCoreConfig(arch::CoreVersion::Max));
+    SimSession session(arch::makeCoreConfig(arch::CoreVersion::Max));
     const auto net = tinyNet();
-    const auto total = p.inferenceResult(net);
+    const auto total = session.inferenceResult(net);
     EXPECT_EQ(total.totalCycles,
-              Profiler::totalCycles(p.runInference(net)));
+              runtime::totalCycles(session.runInference(net)));
     // Cube-layer FLOPs are exact; vector layers charge datapath
     // passes, so the simulated total is bounded but not equal.
     EXPECT_GE(total.totalFlops, net.totalFlops() * 9 / 10);

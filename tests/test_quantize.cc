@@ -10,7 +10,8 @@
 
 #include "core/functional.hh"
 #include "core/quantize.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 
 namespace ascend {
 namespace {
@@ -130,7 +131,7 @@ TEST(RunSequential, HandBuiltCnnProducesDistribution)
 
 TEST(RunSequential, DeterministicForSameSeeds)
 {
-    const auto net = model::zoo::gestureNet(1);
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     Rng in_rng(31);
     const Tensor input = Tensor::random({1, 3, 96, 96}, in_rng, 0.5f);
     Rng w1(32), w2(32);
@@ -143,7 +144,7 @@ TEST(RunSequential, GestureNetEndToEndIsFinite)
 {
     // The Ascend-Tiny workload runs functionally end-to-end: conv
     // stack -> pool -> fc, output finite and non-degenerate.
-    const auto net = model::zoo::gestureNet(1);
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     Rng in_rng(41);
     const Tensor input = Tensor::random({1, 3, 96, 96}, in_rng, 0.5f);
     Rng w_rng(42);

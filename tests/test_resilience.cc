@@ -11,8 +11,9 @@
 #include <gtest/gtest.h>
 
 #include "cluster/fault_collective.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "memory/dram.hh"
-#include "model/zoo.hh"
 #include "resilience/fault_schedule.hh"
 #include "resilience/policy.hh"
 #include "runtime/sim_session.hh"
@@ -845,7 +846,7 @@ TEST(DramEcc, CorrectableErrorsStall)
 TEST(SessionResilience, DefaultOptionsBitwiseEqualBaseline)
 {
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
-    const auto net = model::zoo::gestureNet(1);
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     // Private caches so the two sessions cannot share entries.
     runtime::SimSession plain(
         cfg, {}, std::make_shared<runtime::SimCache>());
@@ -864,7 +865,7 @@ TEST(SessionResilience, DefaultOptionsBitwiseEqualBaseline)
 TEST(SessionResilience, StragglerSlowdownScalesCycles)
 {
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
-    const auto net = model::zoo::gestureNet(1);
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     resilience::ResilienceOptions res;
     res.enabled = true;
     res.stragglerSlowdown = 1.5;
@@ -884,7 +885,8 @@ TEST(SessionResilience, StragglerSlowdownScalesCycles)
 TEST(SessionResilience, OptionsSeparateCacheKeys)
 {
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
-    const auto layer = model::zoo::gestureNet(1).layers.front();
+    const auto layer =
+        graph::toNetwork(graph::zoo::gestureNetGraph(1)).layers.front();
     auto cache = std::make_shared<runtime::SimCache>();
     resilience::ResilienceOptions res;
     res.enabled = true;

@@ -19,8 +19,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
-#include "compiler/profiler.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
 #include "runtime/thread_pool.hh"
@@ -50,18 +50,19 @@ std::vector<model::Network>
 zooNetworks()
 {
     return {
-        model::zoo::resnet50(1),
-        model::zoo::mobilenetV2(1),
-        model::zoo::bert("bert_2l", 1, 128, 768, 2, 12, 3072),
-        model::zoo::bertBase(1, 128),
-        model::zoo::gestureNet(1),
-        model::zoo::vgg16(1),
-        model::zoo::maskRcnn(1),
-        model::zoo::wideDeep(1),
-        model::zoo::lstm(1),
-        model::zoo::siameseTracker(1),
-        model::zoo::pointNet(1),
-        model::zoo::slamFrontend(256),
+        graph::toNetwork(graph::zoo::resnet50Graph(1)),
+        graph::toNetwork(graph::zoo::mobilenetV2Graph(1)),
+        graph::toNetwork(
+            graph::zoo::bertGraph("bert_2l", 1, 128, 768, 2, 12, 3072)),
+        graph::toNetwork(graph::zoo::bertBaseGraph(1, 128)),
+        graph::toNetwork(graph::zoo::gestureNetGraph(1)),
+        graph::toNetwork(graph::zoo::vgg16Graph(1)),
+        graph::zoo::maskRcnn(1),
+        graph::zoo::wideDeep(1),
+        graph::zoo::lstm(1),
+        graph::zoo::siameseTracker(1),
+        graph::zoo::pointNet(1),
+        graph::zoo::slamFrontend(256),
     };
 }
 
@@ -193,7 +194,7 @@ TEST(SimCachePersist, WarmColdRoundTripIsBitIdentical)
 {
     const std::string path = cacheFileFor("roundtrip");
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Std);
-    const auto net = model::zoo::resnet50(1);
+    const auto net = graph::toNetwork(graph::zoo::resnet50Graph(1));
 
     auto cold_cache = std::make_shared<runtime::SimCache>();
     runtime::SimSession cold(cfg, {}, cold_cache);
@@ -525,29 +526,14 @@ TEST(ThreadPool, SerialPoolRunsInline)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(SimSession, ProfilerShimMatchesSession)
-{
-    // The compiler::Profiler shim must be a pure delegate: identical
-    // results from either entry point, one shared process cache.
-    const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Tiny);
-    const auto net = model::zoo::gestureNet(1);
-    compiler::Profiler profiler(cfg);
-    runtime::SimSession session(cfg);
-    const auto via_shim = profiler.runInference(net);
-    const auto direct = session.runInference(net);
-    ASSERT_EQ(via_shim.size(), direct.size());
-    for (std::size_t i = 0; i < direct.size(); ++i)
-        expectResultEq(via_shim[i].result, direct[i].result);
-    EXPECT_EQ(&profiler.session().cache(), &session.cache());
-}
-
 TEST(SimSession, TrainingRunsAreCachedConsistently)
 {
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
     auto cache = std::make_shared<runtime::SimCache>();
     runtime::SimSession cold(cfg, {}, cache);
     runtime::SimSession warm(cfg, {}, cache);
-    const auto net = model::zoo::bert("b", 1, 128, 256, 1, 4, 1024);
+    const auto net = graph::toNetwork(
+        graph::zoo::bertGraph("b", 1, 128, 256, 1, 4, 1024));
     const auto a = cold.runTraining(net);
     const auto b = warm.runTraining(net);
     ASSERT_EQ(a.size(), b.size());

@@ -15,7 +15,8 @@
 
 #include <gtest/gtest.h>
 
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "resilience/checkpoint.hh"
 #include "resilience/fault_domain.hh"
 #include "runtime/perf_stats.hh"
@@ -257,7 +258,7 @@ TEST(ServingLatencyModel, ChipSimCurveIsMonotoneAndByteStable)
     soc::TrainingSoc soc910;
     runtime::SimSession session(soc910.coreConfig());
     const auto builder = [](unsigned batch) {
-        return model::zoo::gestureNet(batch);
+        return graph::toNetwork(graph::zoo::gestureNetGraph(batch));
     };
     const BatchLatencyModel a = BatchLatencyModel::fromNetwork(
         session, builder, {1, 2}, session.config().clockGhz);
@@ -305,7 +306,7 @@ TEST(ServingLatencyModel, SurrogateDenseCurveIsMonotone)
                                 std::make_shared<runtime::SimCache>(),
                                 {}, sur);
     const auto builder = [](unsigned batch) {
-        return model::zoo::gestureNet(batch);
+        return graph::toNetwork(graph::zoo::gestureNetGraph(batch));
     };
     const std::vector<unsigned> anchors =
         BatchLatencyModel::denseAnchors(32);

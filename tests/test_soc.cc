@@ -6,7 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
 #include "soc/auto_soc.hh"
 #include "soc/chip_sim.hh"
 #include "soc/mobile_soc.hh"
@@ -27,7 +28,8 @@ TEST(TrainingSoc, PeakNumbersMatchPaper)
 TEST(TrainingSoc, TrainStepIsSane)
 {
     TrainingSoc soc;
-    const auto net = model::zoo::gestureNet(4); // tiny but complete
+    // tiny but complete
+    const auto net = graph::toNetwork(graph::zoo::gestureNetGraph(4));
     // gestureNet is int8; the Max core supports int8 too.
     const auto step = soc.trainStep(net);
     EXPECT_GT(step.seconds, 0.0);
@@ -43,7 +45,7 @@ TEST(TrainingSoc, TrainStepIsSane)
 TEST(TrainingSoc, TrainingCostsMoreThanInference)
 {
     TrainingSoc soc;
-    const auto net = model::zoo::mobilenetV2(1);
+    const auto net = graph::toNetwork(graph::zoo::mobilenetV2Graph(1));
     const auto inf = soc.inferStep(net);
     const auto tra = soc.trainStep(net);
     EXPECT_GT(tra.seconds, 1.5 * inf.seconds);
@@ -51,7 +53,7 @@ TEST(TrainingSoc, TrainingCostsMoreThanInference)
 
 TEST(TrainingSoc, BiggerLlcNeverHurts)
 {
-    const auto net = model::zoo::mobilenetV2(2);
+    const auto net = graph::toNetwork(graph::zoo::mobilenetV2Graph(2));
     double prev = 1e18;
     for (Bytes cap : {64ull * kMiB, 256ull * kMiB, 1024ull * kMiB}) {
         TrainingSocConfig cfg;
@@ -65,7 +67,7 @@ TEST(TrainingSoc, BiggerLlcNeverHurts)
 
 TEST(TrainingSoc, MoreCoresMoreThroughput)
 {
-    const auto net = model::zoo::mobilenetV2(1);
+    const auto net = graph::toNetwork(graph::zoo::mobilenetV2Graph(1));
     TrainingSocConfig small;
     small.aiCores = 8;
     TrainingSocConfig big;
@@ -80,7 +82,7 @@ TEST(TrainingSoc, WeightPinningKicksInForSmallModels)
 {
     // ResNet50 weights (~51 MB) fit a 96 MiB LLC: hit rate should be
     // clearly better than a cache 1/8 the size where they do not.
-    const auto net = model::zoo::resnet50(2);
+    const auto net = graph::toNetwork(graph::zoo::resnet50Graph(2));
     TrainingSocConfig small;
     small.llcCapacity = 12 * kMiB;
     TrainingSocConfig big;
@@ -96,7 +98,7 @@ TEST(TrainingSoc, FluidInferStepEqualsManualChipSim)
     // queue replicated across all AI cores; the two must agree
     // bit for bit.
     TrainingSoc soc;
-    const auto net = model::zoo::resnet50(4);
+    const auto net = graph::toNetwork(graph::zoo::resnet50Graph(4));
     const std::vector<std::vector<CoreTask>> work(
         soc.config().aiCores, soc.coreTasks(net));
     const ChipSimResult manual =
@@ -113,7 +115,8 @@ TEST(MobileSoc, FluidBigLittleMakespanIsSane)
 {
     MobileSoc kirin;
     const ChipSimResult r = kirin.fluidBigLittleMakespan(
-        model::zoo::mobilenetV2(1), model::zoo::gestureNet(1));
+        graph::toNetwork(graph::zoo::mobilenetV2Graph(1)),
+        graph::toNetwork(graph::zoo::gestureNetGraph(1)));
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.coreFinish.size(),
               kirin.config().liteCores + kirin.config().tinyCores);
@@ -125,8 +128,8 @@ TEST(MobileSoc, FluidBigLittleMakespanIsSane)
 TEST(AutoSoc, FluidFrameLatencyGrowsWithMoreNetworks)
 {
     AutoSoc soc;
-    const auto det = model::zoo::resnet50(1);
-    const auto seg = model::zoo::mobilenetV2(1);
+    const auto det = graph::toNetwork(graph::zoo::resnet50Graph(1));
+    const auto seg = graph::toNetwork(graph::zoo::mobilenetV2Graph(1));
     const double one = soc.fluidFrameLatencySeconds({&det});
     const double two = soc.fluidFrameLatencySeconds({&det, &seg});
     EXPECT_GT(one, soc.config().dvppFrameSeconds);
@@ -145,8 +148,9 @@ TEST(MobileSoc, PeakAndEfficiencyMatchTable8)
 TEST(MobileSoc, MobilenetLatencyInPublishedBand)
 {
     MobileSoc kirin;
-    const double ms =
-        kirin.liteLatencySeconds(model::zoo::mobilenetV2(1)) * 1e3;
+    const double ms = kirin.liteLatencySeconds(graph::toNetwork(
+                          graph::zoo::mobilenetV2Graph(1))) *
+                      1e3;
     // Paper: 5.2 ms; competitors 7-15 ms. Accept the 3-8 ms band.
     EXPECT_GT(ms, 3.0);
     EXPECT_LT(ms, 8.0);
@@ -155,8 +159,9 @@ TEST(MobileSoc, MobilenetLatencyInPublishedBand)
 TEST(MobileSoc, TinyHandlesAlwaysOnBudget)
 {
     MobileSoc kirin;
-    const double ms =
-        kirin.tinyLatencySeconds(model::zoo::gestureNet(1)) * 1e3;
+    const double ms = kirin.tinyLatencySeconds(graph::toNetwork(
+                          graph::zoo::gestureNetGraph(1))) *
+                      1e3;
     // Always-on detection must run at high frame rates.
     EXPECT_LT(ms, 5.0);
 }
@@ -164,8 +169,8 @@ TEST(MobileSoc, TinyHandlesAlwaysOnBudget)
 TEST(MobileSoc, BigLittleOverlaps)
 {
     MobileSoc kirin;
-    const auto big = model::zoo::mobilenetV2(2);
-    const auto little = model::zoo::gestureNet(1);
+    const auto big = graph::toNetwork(graph::zoo::mobilenetV2Graph(2));
+    const auto little = graph::toNetwork(graph::zoo::gestureNetGraph(1));
     const double makespan = kirin.bigLittleMakespan(big, little);
     EXPECT_LE(makespan, kirin.liteLatencySeconds(big));
     EXPECT_GE(makespan, kirin.tinyLatencySeconds(little));
@@ -181,8 +186,9 @@ TEST(AutoSoc, PeakMatchesTable9)
 TEST(AutoSoc, FrameLatencyIncludesDvppAndWorstModel)
 {
     AutoSoc soc;
-    const auto small = model::zoo::gestureNet(1);
-    const auto big = model::zoo::resnet50(1, DataType::Int8);
+    const auto small = graph::toNetwork(graph::zoo::gestureNetGraph(1));
+    const auto big =
+        graph::toNetwork(graph::zoo::resnet50Graph(1, DataType::Int8));
     const double only_small = soc.frameLatencySeconds({&small});
     const double mixed = soc.frameLatencySeconds({&small, &big});
     EXPECT_GE(only_small, soc.config().dvppFrameSeconds);
@@ -224,7 +230,8 @@ TEST_P(LlcSweep, HitRateWithinBounds)
     TrainingSocConfig cfg;
     cfg.llcCapacity = GetParam() * kMiB;
     TrainingSoc soc(cfg);
-    const auto step = soc.trainStep(model::zoo::gestureNet(8));
+    const auto step =
+        soc.trainStep(graph::toNetwork(graph::zoo::gestureNetGraph(8)));
     EXPECT_GE(step.llcHitRate(), 0.0);
     EXPECT_LE(step.llcHitRate(), 1.0);
 }

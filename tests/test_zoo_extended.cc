@@ -7,8 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "compiler/profiler.hh"
-#include "model/zoo.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
+#include "runtime/sim_session.hh"
 #include "soc/auto_soc.hh"
 #include "soc/training_soc.hh"
 
@@ -30,19 +31,20 @@ TEST(CvOp, FactoryAndCost)
 
 TEST(CvOp, RunsOnVectorPipeWithPassScaling)
 {
-    compiler::Profiler p(arch::makeCoreConfig(arch::CoreVersion::Std));
+    runtime::SimSession session(
+        arch::makeCoreConfig(arch::CoreVersion::Std));
     model::Network cheap, costly;
     cheap.add(Layer::cvOp("a", 100000, 2.0));
     costly.add(Layer::cvOp("b", 100000, 20.0));
-    const auto rc = p.runInference(cheap);
-    const auto rx = p.runInference(costly);
+    const auto rc = session.runInference(cheap);
+    const auto rx = session.runInference(costly);
     EXPECT_GT(rx[0].result.pipe(isa::Pipe::Vector).busyCycles,
               5 * rc[0].result.pipe(isa::Pipe::Vector).busyCycles);
 }
 
 TEST(ZooExtended, MaskRcnnContainsDetectionStages)
 {
-    const auto net = model::zoo::maskRcnn(1);
+    const auto net = graph::zoo::maskRcnn(1);
     unsigned cv = 0;
     bool has_fpn = false, has_mask = false;
     for (const Layer &l : net.layers) {
@@ -57,12 +59,13 @@ TEST(ZooExtended, MaskRcnnContainsDetectionStages)
     EXPECT_TRUE(has_fpn);
     EXPECT_TRUE(has_mask);
     // Heavier than bare ResNet50.
-    EXPECT_GT(net.totalFlops(), model::zoo::resnet50(1).totalFlops());
+    EXPECT_GT(net.totalFlops(),
+              graph::toNetwork(graph::zoo::resnet50Graph(1)).totalFlops());
 }
 
 TEST(ZooExtended, WideDeepIsSmallAndMemoryFlavoured)
 {
-    const auto net = model::zoo::wideDeep(256);
+    const auto net = graph::zoo::wideDeep(256);
     EXPECT_LT(net.totalFlops(), 2e9);
     bool has_gather = false;
     for (const Layer &l : net.layers)
@@ -73,8 +76,8 @@ TEST(ZooExtended, WideDeepIsSmallAndMemoryFlavoured)
 
 TEST(ZooExtended, LstmLayerCountScalesWithSeqAndDepth)
 {
-    const auto a = model::zoo::lstm(1, 8, 256, 512, 1);
-    const auto b = model::zoo::lstm(1, 16, 256, 512, 2);
+    const auto a = graph::zoo::lstm(1, 8, 256, 512, 1);
+    const auto b = graph::zoo::lstm(1, 16, 256, 512, 2);
     EXPECT_GT(b.size(), 3 * a.size());
     // 3 layers per timestep per layer + final projection.
     EXPECT_EQ(a.size(), 8u * 3 + 1);
@@ -82,7 +85,7 @@ TEST(ZooExtended, LstmLayerCountScalesWithSeqAndDepth)
 
 TEST(ZooExtended, SlamIsVectorOnlyExceptQuaternionGemm)
 {
-    const auto net = model::zoo::slamFrontend(2048);
+    const auto net = graph::zoo::slamFrontend(2048);
     unsigned cube_layers = 0;
     for (const Layer &l : net.layers)
         if (l.isCubeLayer())
@@ -92,11 +95,12 @@ TEST(ZooExtended, SlamIsVectorOnlyExceptQuaternionGemm)
 
 TEST(ZooExtended, AllNewNetworksRunOnTheStdCore)
 {
-    compiler::Profiler p(arch::makeCoreConfig(arch::CoreVersion::Std));
+    runtime::SimSession session(
+        arch::makeCoreConfig(arch::CoreVersion::Std));
     for (const auto &net :
-         {model::zoo::maskRcnn(1), model::zoo::wideDeep(64),
-          model::zoo::lstm(4, 4), model::zoo::slamFrontend(512)}) {
-        const auto runs = p.runInference(net);
+         {graph::zoo::maskRcnn(1), graph::zoo::wideDeep(64),
+          graph::zoo::lstm(4, 4), graph::zoo::slamFrontend(512)}) {
+        const auto runs = session.runInference(net);
         EXPECT_EQ(runs.size(), net.size()) << net.name;
         for (const auto &r : runs)
             EXPECT_GT(r.result.totalCycles, 0u)
@@ -123,7 +127,7 @@ TEST(Optimizer, AdamUpdateCostsMoreVectorWork)
 TEST(Optimizer, AdamTrainingStepIsSlowerOnTheSoc)
 {
     soc::TrainingSoc soc;
-    const auto net = model::zoo::mobilenetV2(1);
+    const auto net = graph::toNetwork(graph::zoo::mobilenetV2Graph(1));
     const auto sgd = soc.trainStep(net, OptimizerKind::Sgd);
     const auto adam = soc.trainStep(net, OptimizerKind::Adam);
     EXPECT_GT(adam.seconds, sgd.seconds);
@@ -147,7 +151,7 @@ TEST(VectorCore, SlamFrontendMeetsFrameBudget)
 {
     soc::AutoSoc soc;
     const double ms =
-        soc.slamLatencySeconds(model::zoo::slamFrontend(2048)) * 1e3;
+        soc.slamLatencySeconds(graph::zoo::slamFrontend(2048)) * 1e3;
     // The localization loop must close well within a 100 ms budget.
     EXPECT_LT(ms, 100.0);
     EXPECT_GT(ms, 0.01);
