@@ -232,12 +232,12 @@ chaosExperiment(const char *self, std::uint64_t seed,
         return false;
     }
 
-    std::string resumed_report;
-    if (!readFileText(out_path, resumed_report)) {
+    const std::optional<std::string> resumed_report = readFile(out_path);
+    if (!resumed_report) {
         std::cerr << "chaos: missing report " << out_path << "\n";
         return false;
     }
-    const std::string diff = diffGolden(golden, resumed_report);
+    const std::string diff = diffGolden(golden, *resumed_report);
     if (!diff.empty()) {
         std::cerr << "chaos: resumed report differs (seed " << seed
                   << ", kill after " << kill_after << "):\n"

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.hh"
 #include "common/golden.hh"
 #include "common/table.hh"
 #include "runtime/perf_stats.hh"
@@ -73,14 +74,14 @@ banner(const std::string &what)
 inline bool
 checkGolden(const std::string &actual, const std::string &goldenPath)
 {
-    std::string expected;
-    if (!readFileText(goldenPath, expected)) {
+    const std::optional<std::string> expected = readFile(goldenPath);
+    if (!expected) {
         std::cerr << "golden: cannot read " << goldenPath
                   << " (regenerate by redirecting this bench's stdout"
                      " there)\n";
         return false;
     }
-    const std::string diff = diffGolden(expected, actual);
+    const std::string diff = diffGolden(*expected, actual);
     if (diff.empty())
         return true;
     std::cerr << "golden mismatch vs " << goldenPath << ":\n" << diff;

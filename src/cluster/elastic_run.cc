@@ -33,11 +33,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <sstream>
 
+#include "common/codec.hh"
 #include "common/logging.hh"
 #include "des/kernel.hh"
 #include "obs/tracer.hh"
@@ -56,23 +56,6 @@ namespace {
 
 /** Sentinel for a shrunk (unreplaced) slot in activeNodes. */
 constexpr std::uint32_t kDeadSlot = 0xffffffffu;
-
-void
-putBits(std::string &s, double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    s += std::to_string(bits);
-    s += ',';
-}
-
-void
-putU64(std::string &s, std::uint64_t v)
-{
-    s += std::to_string(v);
-    s += ',';
-}
 
 /** Recovery-phase span on the Cluster domain's elastic track (2). */
 void

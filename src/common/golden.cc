@@ -76,18 +76,6 @@ diffGolden(const std::string &expected, const std::string &actual)
 }
 
 bool
-readFileText(const std::string &path, std::string &out)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    out = buf.str();
-    return true;
-}
-
-bool
 writeFileText(const std::string &path, const std::string &text)
 {
     std::ofstream os(path, std::ios::binary);

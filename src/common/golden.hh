@@ -31,12 +31,6 @@ std::string normalizeGolden(const std::string &text);
 std::string diffGolden(const std::string &expected,
                        const std::string &actual);
 
-/**
- * Read a whole file. @return false (with @p out untouched) when the
- * file cannot be opened.
- */
-bool readFileText(const std::string &path, std::string &out);
-
 /** Write @p text to @p path. @return false on I/O failure. */
 bool writeFileText(const std::string &path, const std::string &text);
 

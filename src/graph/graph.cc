@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "common/codec.hh"
 #include "common/error.hh"
 #include "runtime/sim_cache.hh"
 
@@ -59,16 +60,12 @@ layerOutputElems(const model::Layer &l)
     }
 }
 
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
+/**
+ * FNV-1a basis of graph fingerprints. It is not the standard basis
+ * (one digit short), but every graph cache key is derived from it, so
+ * it stays.
+ */
+constexpr std::uint64_t kGraphHashBasis = 1469598103934665603ULL;
 
 /**
  * Shape agreement between one node and its tensors. Factored out so
@@ -468,7 +465,7 @@ Graph::fingerprint() const
         s += std::to_string(t);
     }
 
-    const std::uint64_t h = fnv1a(s);
+    const std::uint64_t h = fnv1a(s.data(), s.size(), kGraphHashBasis);
     static const char *hex = "0123456789abcdef";
     std::string out = "agr:";
     for (int shift = 60; shift >= 0; shift -= 4)

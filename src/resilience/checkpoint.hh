@@ -11,17 +11,16 @@
  * with output byte-identical to the uninterrupted run — the property
  * bench_chaos enforces with real SIGKILLs.
  *
- * Disk discipline (same as runtime::SimCache):
- *  - writes go to a pid-suffixed temp file renamed into place, so a
- *    crash mid-write leaves the previous complete checkpoint intact
- *    and readers never observe a torn file;
- *  - the header carries a magic, a format version and the run
- *    identity fingerprint; any mismatch makes load() a clean refusal
- *    (a checkpoint from another run, another code version or another
- *    option set can never leak into this one);
- *  - the body is field-wise (never struct memcpy) and ends in an
- *    FNV-1a checksum over everything before it, so bit rot or manual
- *    truncation is detected even when the lengths still parse.
+ * On disk a checkpoint is one common/atomic_file frame (the layer the
+ * SimCache file and the serving blob share): magic ASCCKPT, format
+ * version, the run identity, the field-wise body, and an FNV-1a
+ * checksum over everything before it. The frame is written through
+ * writeFileAtomic, so a crash or power loss mid-save leaves the
+ * previous complete checkpoint intact. A loader refuses, and adopts
+ * nothing, on a bad magic, a checksum mismatch, another format
+ * version, another run's identity, or a body that does not parse to
+ * its exact end: bit rot, truncation and another run's checkpoint
+ * can never leak into this one.
  */
 
 #ifndef ASCEND_RESILIENCE_CHECKPOINT_HH
@@ -130,9 +129,8 @@ class CheckpointStore
 
     /**
      * Persist an opaque client payload (e.g. the serving engine's
-     * serialized state) atomically under the same disk discipline as
-     * save(): temp file + rename, magic/version header, identity
-     * fingerprint, trailing FNV-1a checksum.
+     * serialized state) in the same frame as save(), under magic
+     * ASCBLOB, with @p run_id as the identity.
      */
     bool saveBlob(const std::string &run_id,
                   const std::string &payload) const;
@@ -151,12 +149,6 @@ class CheckpointStore
     void remove() const;
 
   private:
-    /** nullptr = success; "missing" = no file; else refusal reason. */
-    const char *loadInternal(RunCheckpoint &out,
-                             const std::string &run_id) const;
-    const char *loadBlobInternal(std::string &payload,
-                                 const std::string &run_id) const;
-
     std::string dir_;
     std::string name_;
 };

@@ -6,8 +6,8 @@
 #include "resilience/fault_schedule.hh"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/codec.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -185,20 +185,6 @@ FaultSchedule::stragglerFactor(unsigned core) const
             return e.severity;
     return 1.0;
 }
-
-namespace {
-
-void
-putBits(std::string &s, double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    s += std::to_string(bits);
-    s += ',';
-}
-
-} // anonymous namespace
 
 std::string
 fingerprint(const FaultSpec &spec)

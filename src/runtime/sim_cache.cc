@@ -5,67 +5,46 @@
 
 #include "runtime/sim_cache.hh"
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/atomic_file.hh"
+#include "common/codec.hh"
 
 namespace ascend {
 namespace runtime {
 
 namespace {
 
-/** Append an integer field. */
-void
-put(std::string &s, std::uint64_t v)
-{
-    s += std::to_string(v);
-    s += ',';
-}
-
-/**
- * Append a double bit-exactly (decimal formatting would round and
- * alias distinct sweep points onto one key).
- */
-void
-putDouble(std::string &s, double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    put(s, bits);
-}
-
-/// @{ On-disk cache format primitives. Every scalar is a raw
-/// little-fixed-width u64 in host byte order (cache files are
-/// machine-local, not an interchange format).
 constexpr char kFileMagic[8] = {'A', 'S', 'C', 'S',
                                 'I', 'M', 'C', '\n'};
-constexpr std::uint64_t kFileFormatVersion = 2;
+constexpr std::uint64_t kFileFormatVersion = 3;
 
-void
-writeU64(std::string &buf, std::uint64_t v)
-{
-    char raw[sizeof(v)];
-    std::memcpy(raw, &v, sizeof(v));
-    buf.append(raw, sizeof(v));
-}
+/** Longest key the loader accepts (a corrupt length must not OOM). */
+constexpr std::size_t kMaxKeyLen = 1 << 20;
 
-void
-writeBytes(std::string &buf, const std::string &s)
+/** Encoded size of one SimResult: every field is one u64. */
+constexpr std::size_t kResultBytes =
+    sizeof(std::uint64_t) * (4 + 4 * isa::kNumPipes + isa::kNumBuses);
+
+/**
+ * The frame identity: a file is adopted only by the simulator code
+ * version, and the pipe/bus array dimensions, that wrote it.
+ */
+std::string
+fileIdentity(const std::string &version)
 {
-    writeU64(buf, s.size());
-    buf.append(s);
+    std::string id = version;
+    id += ':';
+    putU64(id, isa::kNumPipes);
+    putU64(id, isa::kNumBuses);
+    return id;
 }
 
 void
 writeResult(std::string &buf, const core::SimResult &r)
 {
-    // Field-wise, never a struct memcpy: padding bytes would leak
-    // into the file and any layout change would silently corrupt.
     writeU64(buf, r.totalCycles);
     writeU64(buf, r.totalFlops);
     writeU64(buf, r.instrsExecuted);
@@ -80,64 +59,21 @@ writeResult(std::string &buf, const core::SimResult &r)
         writeU64(buf, b);
 }
 
-/** Bounds-checked cursor over a loaded file image. */
-struct FileReader
+bool
+readResult(ByteReader &r, core::SimResult &out)
 {
-    const std::string &data;
-    std::size_t pos = 0;
-
-    bool
-    readU64(std::uint64_t &v)
-    {
-        if (data.size() - pos < sizeof(v))
+    if (!r.readU64(out.totalCycles) || !r.readU64(out.totalFlops) ||
+        !r.readU64(out.instrsExecuted) || !r.readU64(out.barriers))
+        return false;
+    for (core::PipeStats &p : out.pipes)
+        if (!r.readU64(p.busyCycles) || !r.readU64(p.finishCycle) ||
+            !r.readU64(p.waitCycles) || !r.readU64(p.instrs))
             return false;
-        std::memcpy(&v, data.data() + pos, sizeof(v));
-        pos += sizeof(v);
-        return true;
-    }
-
-    bool
-    readBytes(std::string &s, std::size_t max_len)
-    {
-        std::uint64_t len = 0;
-        if (!readU64(len) || len > max_len ||
-            data.size() - pos < len)
+    for (Bytes &b : out.busBytes)
+        if (!r.readU64(b))
             return false;
-        s.assign(data.data() + pos, std::size_t(len));
-        pos += std::size_t(len);
-        return true;
-    }
-
-    bool
-    readResult(core::SimResult &r)
-    {
-        std::uint64_t v = 0;
-        if (!readU64(v))
-            return false;
-        r.totalCycles = v;
-        if (!readU64(v))
-            return false;
-        r.totalFlops = v;
-        if (!readU64(v))
-            return false;
-        r.instrsExecuted = v;
-        if (!readU64(r.barriers))
-            return false;
-        for (core::PipeStats &p : r.pipes) {
-            if (!readU64(p.busyCycles) ||
-                !readU64(p.finishCycle) ||
-                !readU64(p.waitCycles) || !readU64(p.instrs))
-                return false;
-        }
-        for (Bytes &b : r.busBytes)
-            if (!readU64(b))
-                return false;
-        return true;
-    }
-};
-
-/** Longest key the loader accepts (a corrupt length must not OOM). */
-constexpr std::size_t kMaxKeyLen = 1 << 20;
+    return true;
+}
 
 } // anonymous namespace
 
@@ -147,26 +83,26 @@ fingerprint(const arch::CoreConfig &config)
     std::string s;
     s.reserve(160);
     s += "cfg:";
-    put(s, std::uint64_t(config.version));
-    putDouble(s, config.clockGhz);
-    put(s, config.cube.m0);
-    put(s, config.cube.k0);
-    put(s, config.cube.n0);
-    put(s, config.supportsFp16);
-    put(s, config.supportsInt8);
-    put(s, config.supportsInt4);
-    put(s, config.supportsFp32Cube);
-    put(s, config.vectorWidthBytes);
-    put(s, config.busABytesPerCycle);
-    put(s, config.busBBytesPerCycle);
-    put(s, config.busUbBytesPerCycle);
-    put(s, config.busExtBytesPerCycle);
-    put(s, config.l0aBytes);
-    put(s, config.l0bBytes);
-    put(s, config.l0cBytes);
-    put(s, config.l1Bytes);
-    put(s, config.ubBytes);
-    put(s, config.dispatchPerCycle);
+    putU64(s, std::uint64_t(config.version));
+    putBits(s, config.clockGhz);
+    putU64(s, config.cube.m0);
+    putU64(s, config.cube.k0);
+    putU64(s, config.cube.n0);
+    putU64(s, config.supportsFp16);
+    putU64(s, config.supportsInt8);
+    putU64(s, config.supportsInt4);
+    putU64(s, config.supportsFp32Cube);
+    putU64(s, config.vectorWidthBytes);
+    putU64(s, config.busABytesPerCycle);
+    putU64(s, config.busBBytesPerCycle);
+    putU64(s, config.busUbBytesPerCycle);
+    putU64(s, config.busExtBytesPerCycle);
+    putU64(s, config.l0aBytes);
+    putU64(s, config.l0bBytes);
+    putU64(s, config.l0cBytes);
+    putU64(s, config.l1Bytes);
+    putU64(s, config.ubBytes);
+    putU64(s, config.dispatchPerCycle);
     return s;
 }
 
@@ -176,11 +112,11 @@ fingerprint(const compiler::CompileOptions &options)
     std::string s;
     s.reserve(48);
     s += "opt:";
-    put(s, options.pipelineDepth);
-    putDouble(s, options.sparsity.weightDensity);
-    put(s, options.sparsity.structured);
-    put(s, options.chargeExtTraffic);
-    put(s, options.mapGemmToVector);
+    putU64(s, options.pipelineDepth);
+    putBits(s, options.sparsity.weightDensity);
+    putU64(s, options.sparsity.structured);
+    putU64(s, options.chargeExtTraffic);
+    putU64(s, options.mapGemmToVector);
     return s;
 }
 
@@ -190,30 +126,30 @@ fingerprint(const model::Layer &layer)
     std::string s;
     s.reserve(128);
     s += "lay:";
-    put(s, std::uint64_t(layer.kind));
-    put(s, std::uint64_t(layer.dtype));
-    put(s, layer.batch);
-    put(s, layer.inC);
-    put(s, layer.outC);
-    put(s, layer.inH);
-    put(s, layer.inW);
-    put(s, layer.kernelH);
-    put(s, layer.kernelW);
-    put(s, layer.strideH);
-    put(s, layer.strideW);
-    put(s, layer.padH);
-    put(s, layer.padW);
-    put(s, layer.gemmM);
-    put(s, layer.gemmK);
-    put(s, layer.gemmN);
-    put(s, layer.matmulCount);
-    put(s, layer.elems);
-    put(s, layer.rowLen);
-    putDouble(s, layer.cvPasses);
-    putDouble(s, layer.fusedEvictPasses);
-    put(s, std::uint64_t(layer.act));
-    put(s, layer.inputBytesOverride);
-    put(s, layer.outputBytesOverride);
+    putU64(s, std::uint64_t(layer.kind));
+    putU64(s, std::uint64_t(layer.dtype));
+    putU64(s, layer.batch);
+    putU64(s, layer.inC);
+    putU64(s, layer.outC);
+    putU64(s, layer.inH);
+    putU64(s, layer.inW);
+    putU64(s, layer.kernelH);
+    putU64(s, layer.kernelW);
+    putU64(s, layer.strideH);
+    putU64(s, layer.strideW);
+    putU64(s, layer.padH);
+    putU64(s, layer.padW);
+    putU64(s, layer.gemmM);
+    putU64(s, layer.gemmK);
+    putU64(s, layer.gemmN);
+    putU64(s, layer.matmulCount);
+    putU64(s, layer.elems);
+    putU64(s, layer.rowLen);
+    putBits(s, layer.cvPasses);
+    putBits(s, layer.fusedEvictPasses);
+    putU64(s, std::uint64_t(layer.act));
+    putU64(s, layer.inputBytesOverride);
+    putU64(s, layer.outputBytesOverride);
     return s;
 }
 
@@ -246,12 +182,6 @@ parseLayerFingerprint(const std::string &key, model::Layer &out)
         f[21] > std::uint64_t(model::ActKind::Swish))
         return false;
 
-    auto asDouble = [](std::uint64_t bits) {
-        double d;
-        static_assert(sizeof(d) == sizeof(bits));
-        std::memcpy(&d, &bits, sizeof(d));
-        return d;
-    };
     out = model::Layer{};
     out.kind = model::LayerKind(f[0]);
     out.dtype = DataType(f[1]);
@@ -272,8 +202,8 @@ parseLayerFingerprint(const std::string &key, model::Layer &out)
     out.matmulCount = f[16];
     out.elems = f[17];
     out.rowLen = f[18];
-    out.cvPasses = asDouble(f[19]);
-    out.fusedEvictPasses = asDouble(f[20]);
+    out.cvPasses = bitsDouble(f[19]);
+    out.fusedEvictPasses = bitsDouble(f[20]);
     out.act = model::ActKind(f[21]);
     out.inputBytesOverride = f[22];
     out.outputBytesOverride = f[23];
@@ -286,10 +216,10 @@ fingerprint(const resilience::ResilienceOptions &options)
     std::string s;
     s.reserve(48);
     s += "res:";
-    put(s, options.enabled);
-    put(s, options.faultSeed);
-    putDouble(s, options.stragglerSlowdown);
-    put(s, options.scenario.size());
+    putU64(s, options.enabled);
+    putU64(s, options.faultSeed);
+    putBits(s, options.stragglerSlowdown);
+    putU64(s, options.scenario.size());
     s += options.scenario;
     return s;
 }
@@ -395,56 +325,44 @@ SimCache::codeVersion()
 std::string
 SimCache::filePath(const std::string &dir)
 {
-    // One fixed name; the version lives in the header (checked on
-    // load), not the name, so stale files are reclaimed by overwrite
-    // instead of accumulating.
+    // One fixed name; the version lives in the frame identity
+    // (checked on load), not the name, so stale files are reclaimed
+    // by overwrite instead of accumulating.
     return dir + "/sim_cache.bin";
 }
 
 std::size_t
 SimCache::loadFile(const std::string &path, const std::string &version)
 {
-    std::string data;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (!in)
-            return 0;
-        std::ostringstream os;
-        os << in.rdbuf();
-        data = os.str();
-    }
-
-    FileReader r{data};
-    if (data.size() < sizeof(kFileMagic) ||
-        std::memcmp(data.data(), kFileMagic, sizeof(kFileMagic)) != 0)
+    std::string body;
+    if (readFramed(path, kFileMagic, kFileFormatVersion,
+                   fileIdentity(version), body) != FrameStatus::Ok)
         return 0;
-    r.pos = sizeof(kFileMagic);
 
-    std::uint64_t format = 0, pipes = 0, buses = 0, count = 0;
-    std::string file_version;
-    if (!r.readU64(format) || format != kFileFormatVersion ||
-        !r.readU64(pipes) || pipes != isa::kNumPipes ||
-        !r.readU64(buses) || buses != isa::kNumBuses ||
-        !r.readBytes(file_version, kMaxKeyLen) ||
-        file_version != version || !r.readU64(count))
+    // All or nothing: the whole body must parse before any entry is
+    // adopted.
+    ByteReader r{body};
+    std::uint64_t count = 0;
+    if (!r.readCount(count, sizeof(std::uint64_t) + kResultBytes))
+        return 0;
+    std::vector<std::pair<std::string, core::SimResult>> entries(
+        static_cast<std::size_t>(count));
+    for (auto &[key, value] : entries)
+        if (!r.readBytes(key, kMaxKeyLen) || !readResult(r, value))
+            return 0;
+    if (!r.atEnd())
         return 0;
 
     std::size_t loaded = 0;
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::string key;
-        core::SimResult value;
-        // A short or corrupt tail ends the load; entries already
-        // validated stay (each is self-contained and deterministic).
-        if (!r.readBytes(key, kMaxKeyLen) || !r.readResult(value))
-            break;
+    for (auto &[key, value] : entries) {
         auto it = map_.find(key);
         if (it != map_.end()) {
             it->second.value = value;
             continue;
         }
         lru_.push_back(key); // file order is hot-first; append keeps it
-        map_.emplace(key, Entry{value, std::prev(lru_.end())});
+        map_.emplace(std::move(key), Entry{value, std::prev(lru_.end())});
         ++loaded;
         while (map_.size() > capacity_) {
             map_.erase(lru_.back());
@@ -459,28 +377,20 @@ SimCache::loadFile(const std::string &path, const std::string &version)
 bool
 SimCache::saveFile(const std::string &path, const std::string &version)
 {
-    std::string buf;
+    std::string body;
     std::uint64_t stored = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        buf.reserve(64 + map_.size() * 256);
-        buf.append(kFileMagic, sizeof(kFileMagic));
-        writeU64(buf, kFileFormatVersion);
-        writeU64(buf, isa::kNumPipes);
-        writeU64(buf, isa::kNumBuses);
-        writeBytes(buf, version);
-        writeU64(buf, map_.size());
+        body.reserve(8 + map_.size() * (64 + kResultBytes));
+        writeU64(body, map_.size());
         for (const std::string &key : lru_) { // MRU first
-            writeBytes(buf, key);
-            writeResult(buf, map_.at(key).value);
+            writeBytes(body, key);
+            writeResult(body, map_.at(key).value);
         }
         stored = map_.size();
     }
-
-    // Readers only ever see a complete file. (loadFile would also
-    // tolerate a zeroed tail — entries are length-prefixed and
-    // validated — but the synced write keeps the common case whole.)
-    if (!writeFileAtomic(path, buf))
+    if (!writeFramed(path, kFileMagic, kFileFormatVersion,
+                     fileIdentity(version), body))
         return false;
     std::lock_guard<std::mutex> lock(mutex_);
     diskStores_ += stored;

@@ -21,15 +21,15 @@
  * and LRU-bounded. Hit/miss/eviction counters are exposed for
  * observability (ASCEND_SIM_STATS=1 prints them from the benches).
  *
- * Persistence: loadFile()/saveFile() round-trip the entries through a
- * versioned binary file so a warm ASCEND_CACHE_DIR survives process
- * exit. The header carries a magic, a format version, the pipe/bus
- * array dimensions, and a simulator code-version string; any mismatch
- * makes the loader ignore the file (a stale cache silently rebuilds,
- * it never corrupts results). Writes go to a temp file renamed into
- * place, so a crashed or concurrent writer cannot tear the file;
- * truncated or corrupt files load as far as they validate and the
- * rest is dropped.
+ * Persistence: loadFile()/saveFile() round-trip the entries through
+ * one common/atomic_file frame (magic ASCSIMC, format version, an
+ * identity of the simulator code version plus the pipe/bus array
+ * dimensions, the entries in MRU order, and an FNV-1a checksum), so a
+ * warm ASCEND_CACHE_DIR survives process exit. Writes go through
+ * writeFileAtomic, so a crashed or concurrent writer cannot tear the
+ * file. Loading is all or nothing: a missing, stale, foreign,
+ * truncated or bit-flipped file adopts no entry at all and the cache
+ * silently rebuilds; it never serves a corrupted result.
  */
 
 #ifndef ASCEND_RUNTIME_SIM_CACHE_HH
@@ -154,14 +154,14 @@ class SimCache
     static std::string filePath(const std::string &dir);
 
     /**
-     * Adopt entries from the cache file at @p path. Never throws: a
-     * missing/unreadable file, a header mismatch (magic, format,
-     * pipe/bus dimensions, @p version), or a truncated body simply
-     * ends the load; every entry validated before the damage is kept.
-     * Loaded entries count neither hits nor misses.
+     * Adopt every entry of the cache file at @p path, or none. Never
+     * throws: a missing file, a frame refusal (magic, checksum,
+     * format, @p version, pipe/bus dimensions) or a body that does not
+     * parse to its exact end adopts nothing. Loaded entries count
+     * neither hits nor misses.
      *
      * @return the number of entries adopted (also added to the
-     *         diskLoads counter).
+     *         diskLoads counter); 0 on any refusal.
      */
     std::size_t loadFile(const std::string &path,
                          const std::string &version = codeVersion());

@@ -66,7 +66,7 @@ SimSession::processCache()
         auto c = std::make_shared<SimCache>();
         const std::string path = persistentCachePath();
         if (!path.empty())
-            c->loadFile(path); // corruption-tolerant; 0 is fine
+            c->loadFile(path); // all or nothing; a refusal is a cold start
         return c;
     }();
     // The save hook registers *after* the cache static above:

@@ -27,12 +27,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 
+#include "common/codec.hh"
 #include "common/logging.hh"
 #include "des/kernel.hh"
 #include "obs/tracer.hh"
@@ -50,26 +50,6 @@ using resilience::FaultSchedule;
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/** Longest list the state loader accepts (corrupt counts must not OOM). */
-constexpr std::uint64_t kMaxListLen = std::uint64_t(1) << 24;
-
-void
-putBits(std::string &s, double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    s += std::to_string(bits);
-    s += ',';
-}
-
-void
-putU64(std::string &s, std::uint64_t v)
-{
-    s += std::to_string(v);
-    s += ',';
-}
 
 std::string
 formatSeconds(double v)
@@ -160,54 +140,10 @@ struct ServingState
     std::string eventLog;
 };
 
-void
-writeU64(std::string &buf, std::uint64_t v)
-{
-    char raw[sizeof(v)];
-    std::memcpy(raw, &v, sizeof(v));
-    buf.append(raw, sizeof(v));
-}
-
-void
-writeDouble(std::string &buf, double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(v));
-    writeU64(buf, bits);
-}
-
-struct Reader
-{
-    const std::string &data;
-    std::size_t pos = 0;
-
-    bool
-    readU64(std::uint64_t &v)
-    {
-        if (data.size() - pos < sizeof(v))
-            return false;
-        std::memcpy(&v, data.data() + pos, sizeof(v));
-        pos += sizeof(v);
-        return true;
-    }
-
-    bool
-    readDouble(double &v)
-    {
-        std::uint64_t bits = 0;
-        if (!readU64(bits))
-            return false;
-        std::memcpy(&v, &bits, sizeof(v));
-        return true;
-    }
-
-    bool
-    readCount(std::uint64_t &n)
-    {
-        return readU64(n) && n <= kMaxListLen;
-    }
-};
+/// @{ Smallest encodings of one list element, bounding list counts.
+constexpr std::size_t kRequestBytes = 7 * sizeof(std::uint64_t);
+constexpr std::size_t kReplicaBytes = 10 * sizeof(std::uint64_t);
+/// @}
 
 void
 writeRequest(std::string &buf, const PendingRequest &r)
@@ -223,7 +159,7 @@ writeRequest(std::string &buf, const PendingRequest &r)
 }
 
 bool
-readRequest(Reader &rd, PendingRequest &r)
+readRequest(ByteReader &rd, PendingRequest &r)
 {
     std::uint64_t tier = 0, attempt = 0, flags = 0;
     if (!rd.readU64(r.id) || !rd.readU64(tier) ||
@@ -308,18 +244,16 @@ serializeState(const ServingState &s)
     writeU64(buf, s.completionsSec.size());
     for (double v : s.completionsSec)
         writeDouble(buf, v);
-    writeU64(buf, s.completedOnTime.size());
-    for (std::uint8_t v : s.completedOnTime)
-        buf += char(v);
-    writeU64(buf, s.eventLog.size());
-    buf += s.eventLog;
+    writeBytes(buf, std::string(s.completedOnTime.begin(),
+                                s.completedOnTime.end()));
+    writeBytes(buf, s.eventLog);
     return buf;
 }
 
 bool
 deserializeState(const std::string &payload, ServingState &out)
 {
-    Reader rd{payload};
+    ByteReader rd{payload};
     ServingState s;
     std::uint64_t n = 0;
     if (!rd.readU64(s.sequence) || !rd.readDouble(s.simTimeSec) ||
@@ -343,19 +277,19 @@ deserializeState(const std::string &payload, ServingState &out)
         !rd.readDouble(s.brownoutSec))
         return false;
     s.brownoutActive = std::uint8_t(brownout_active);
-    if (!rd.readCount(n))
+    if (!rd.readCount(n, kRequestBytes))
         return false;
     s.queue.resize(std::size_t(n));
     for (PendingRequest &r : s.queue)
         if (!readRequest(rd, r))
             return false;
-    if (!rd.readCount(n))
+    if (!rd.readCount(n, kRequestBytes))
         return false;
     s.reoffers.resize(std::size_t(n));
     for (PendingRequest &r : s.reoffers)
         if (!readRequest(rd, r))
             return false;
-    if (!rd.readCount(n))
+    if (!rd.readCount(n, kReplicaBytes))
         return false;
     s.replicas.resize(std::size_t(n));
     for (ReplicaState &r : s.replicas) {
@@ -366,7 +300,8 @@ deserializeState(const std::string &payload, ServingState &out)
             !rd.readDouble(r.stragglerFactor) ||
             !rd.readDouble(r.stragglerUntilSec) ||
             !rd.readU64(flags) || !rd.readDouble(r.healthScore) ||
-            !rd.readDouble(r.breakerUntilSec) || !rd.readCount(batch))
+            !rd.readDouble(r.breakerUntilSec) ||
+            !rd.readCount(batch, kRequestBytes))
             return false;
         r.status = std::uint32_t(status);
         r.hedgeIssued = std::uint8_t(flags & 1);
@@ -376,41 +311,35 @@ deserializeState(const std::string &payload, ServingState &out)
             if (!readRequest(rd, b))
                 return false;
     }
-    if (!rd.readCount(n))
+    if (!rd.readCount(n, sizeof(std::uint64_t)))
         return false;
     s.hedgedIds.resize(std::size_t(n));
     for (std::uint64_t &id : s.hedgedIds)
         if (!rd.readU64(id))
             return false;
-    if (!rd.readCount(n))
+    if (!rd.readCount(n, sizeof(std::uint64_t)))
         return false;
     s.hedgedDone.resize(std::size_t(n));
     for (std::uint64_t &id : s.hedgedDone)
         if (!rd.readU64(id))
             return false;
-    if (!rd.readCount(n))
+    if (!rd.readCount(n, sizeof(std::uint64_t)))
         return false;
     s.latencies.resize(std::size_t(n));
     for (double &v : s.latencies)
         if (!rd.readDouble(v))
             return false;
-    if (!rd.readCount(n))
+    if (!rd.readCount(n, sizeof(std::uint64_t)))
         return false;
     s.completionsSec.resize(std::size_t(n));
     for (double &v : s.completionsSec)
         if (!rd.readDouble(v))
             return false;
-    if (!rd.readCount(n) || n > payload.size() - rd.pos)
+    std::string on_time;
+    if (!rd.readBytes(on_time, payload.size()) ||
+        !rd.readBytes(s.eventLog, payload.size()) || !rd.atEnd())
         return false;
-    s.completedOnTime.resize(std::size_t(n));
-    for (std::uint8_t &v : s.completedOnTime)
-        v = std::uint8_t(payload[rd.pos++]);
-    if (!rd.readU64(n) || n > payload.size() - rd.pos)
-        return false;
-    s.eventLog.assign(payload.data() + rd.pos, std::size_t(n));
-    rd.pos += std::size_t(n);
-    if (rd.pos != payload.size())
-        return false;
+    s.completedOnTime.assign(on_time.begin(), on_time.end());
     out = std::move(s);
     return true;
 }
@@ -1366,9 +1295,7 @@ runFingerprint(const std::vector<Request> &arrivals,
     };
     for (const Request &r : arrivals) {
         mix(r.id);
-        std::uint64_t bits;
-        std::memcpy(&bits, &r.arrivalSec, sizeof(bits));
-        mix(bits);
+        mix(doubleBits(r.arrivalSec));
         mix(r.tier);
     }
     putU64(s, arrivals.size());

@@ -6,8 +6,8 @@
 #include "serving/latency_model.hh"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/codec.hh"
 #include "common/logging.hh"
 #include "graph/lower.hh"
 
@@ -142,11 +142,7 @@ BatchLatencyModel::fingerprint() const
     for (const auto &[b, t] : points_) {
         s += std::to_string(b);
         s += '=';
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(t));
-        std::memcpy(&bits, &t, sizeof(bits));
-        s += std::to_string(bits);
-        s += ',';
+        putBits(s, t);
     }
     return s;
 }

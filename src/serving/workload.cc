@@ -6,8 +6,8 @@
 #include "serving/workload.hh"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/codec.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -15,23 +15,6 @@ namespace ascend {
 namespace serving {
 
 namespace {
-
-void
-putBits(std::string &s, double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    s += std::to_string(bits);
-    s += ',';
-}
-
-void
-putU64(std::string &s, std::uint64_t v)
-{
-    s += std::to_string(v);
-    s += ',';
-}
 
 /** Jitter stream: one draw per arrival ordinal. */
 constexpr std::uint64_t kJitterSalt = 0x9e3779b97f4a7c15ULL;

@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/codec.hh"
+
 namespace ascend {
 namespace surrogate {
 
@@ -210,11 +212,6 @@ shapeHash(const model::Layer &l)
             h *= 1099511628211ull;
         }
     };
-    auto mixDouble = [&mix](double d) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &d, sizeof(bits));
-        mix(bits);
-    };
     mix(std::uint64_t(l.kind));
     mix(std::uint64_t(l.dtype));
     mix(l.batch);
@@ -234,8 +231,8 @@ shapeHash(const model::Layer &l)
     mix(l.matmulCount);
     mix(l.elems);
     mix(l.rowLen);
-    mixDouble(l.cvPasses);
-    mixDouble(l.fusedEvictPasses);
+    mix(doubleBits(l.cvPasses));
+    mix(doubleBits(l.fusedEvictPasses));
     mix(std::uint64_t(l.act));
     return h;
 }
@@ -321,23 +318,6 @@ interpolate(const model::Layer &proto, const Features &f,
     return out;
 }
 
-/** Append an integer field (same idiom as the SimCache fingerprints). */
-void
-put(std::string &s, std::uint64_t v)
-{
-    s += std::to_string(v);
-    s += ',';
-}
-
-void
-putDouble(std::string &s, double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    put(s, bits);
-}
-
 } // anonymous namespace
 
 SurrogateOptions
@@ -373,12 +353,12 @@ fingerprint(const SurrogateOptions &options)
     std::string s;
     s.reserve(96);
     s += "sur1:";
-    put(s, options.enabled);
-    putDouble(s, options.errBudget);
-    put(s, options.gridStepsPerOctave);
-    put(s, options.spotCheckPeriod);
-    put(s, options.minQuantize);
-    putDouble(s, options.minPredictFlops);
+    putU64(s, options.enabled);
+    putBits(s, options.errBudget);
+    putU64(s, options.gridStepsPerOctave);
+    putU64(s, options.spotCheckPeriod);
+    putU64(s, options.minQuantize);
+    putBits(s, options.minPredictFlops);
     return s;
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: types, logging, stats, table
- * rendering, the deterministic RNG, and crash-safe file writes.
+ * rendering, the deterministic RNG, the field codec, crash-safe file
+ * writes and the shared durable-file frame.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <sstream>
 
 #include "common/atomic_file.hh"
+#include "common/codec.hh"
 #include "common/golden.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -258,9 +260,7 @@ TEST(AtomicFile, CreatesParentsAndReplacesWholeFile)
     const std::string path = dir + "/nested/state.bin";
     ASSERT_TRUE(writeFileAtomic(path, "first, longer contents"));
     ASSERT_TRUE(writeFileAtomic(path, std::string("se\0cond", 7)));
-    std::string got;
-    ASSERT_TRUE(readFileText(path, got));
-    EXPECT_EQ(got, std::string("se\0cond", 7));
+    EXPECT_EQ(readFile(path), std::string("se\0cond", 7));
     EXPECT_FALSE(hasTempFile(dir + "/nested"));
 }
 
@@ -272,9 +272,7 @@ TEST(AtomicFile, FailedRenameLeavesTargetAndNoTempFile)
     const std::string path = dir + "/state.bin";
     ASSERT_TRUE(writeFileAtomic(path + "/keep.txt", "keep"));
     EXPECT_FALSE(writeFileAtomic(path, "new bytes"));
-    std::string got;
-    ASSERT_TRUE(readFileText(path + "/keep.txt", got));
-    EXPECT_EQ(got, "keep");
+    EXPECT_EQ(readFile(path + "/keep.txt"), "keep");
     EXPECT_FALSE(hasTempFile(dir));
 }
 
@@ -289,10 +287,129 @@ TEST(AtomicFile, UnwritableDirectoryFailsCleanly)
     fs::permissions(dir, fs::perms::owner_read | fs::perms::owner_exec);
     EXPECT_FALSE(writeFileAtomic(path, "new"));
     fs::permissions(dir, fs::perms::owner_all);
-    std::string got;
-    ASSERT_TRUE(readFileText(path, got));
-    EXPECT_EQ(got, "old");
+    EXPECT_EQ(readFile(path), "old");
     EXPECT_FALSE(hasTempFile(dir));
+}
+
+TEST(Codec, FieldsRoundTripAndTheReaderStaysInBounds)
+{
+    std::string buf;
+    writeU64(buf, 0x0123456789abcdefULL);
+    writeDouble(buf, -0.0);
+    writeBytes(buf, std::string("a\0b", 3));
+    ASSERT_EQ(buf.size(), 8u + 8u + 8u + 3u);
+
+    ByteReader r{buf};
+    std::uint64_t u = 0;
+    double d = 1.0;
+    std::string bytes;
+    ASSERT_TRUE(r.readU64(u));
+    ASSERT_TRUE(r.readDouble(d));
+    EXPECT_EQ(u, 0x0123456789abcdefULL);
+    EXPECT_EQ(doubleBits(d), doubleBits(-0.0)); // bit-exact, sign kept
+    EXPECT_FALSE(r.readBytes(bytes, 2)) << "over the caller's maximum";
+
+    ByteReader again{buf, 16};
+    ASSERT_TRUE(again.readBytes(bytes, 3));
+    EXPECT_EQ(bytes, std::string("a\0b", 3));
+    EXPECT_TRUE(again.atEnd());
+    EXPECT_FALSE(again.readU64(u)) << "nothing left";
+    EXPECT_EQ(again.pos, buf.size());
+
+    // A count must fit in the bytes left at its element size.
+    std::string list;
+    writeU64(list, 2);
+    writeU64(list, 7);
+    writeU64(list, 9);
+    std::uint64_t n = 0;
+    EXPECT_TRUE((ByteReader{list}.readCount(n, 8)));
+    EXPECT_EQ(n, 2u);
+    EXPECT_FALSE((ByteReader{list}.readCount(n, 9)));
+    std::string huge;
+    writeU64(huge, ~std::uint64_t(0));
+    EXPECT_FALSE((ByteReader{huge}.readCount(n, 1)));
+    EXPECT_FALSE((ByteReader{huge}.readBytes(bytes, ~std::size_t(0))));
+}
+
+TEST(Codec, TextKeysAndFnv1a)
+{
+    std::string key;
+    putU64(key, 42);
+    putBits(key, 1.0);
+    EXPECT_EQ(key, "42,4607182418800017408,");
+    EXPECT_EQ(bitsDouble(doubleBits(0.1)), 0.1);
+
+    // Published FNV-1a 64 vectors; a hash continues across calls.
+    EXPECT_EQ(fnv1a("", 0), kFnv1aBasis);
+    EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv1a("foobar", 6), 0x85944171f73967e8ULL);
+    EXPECT_EQ(fnv1a("bar", 3, fnv1a("foo", 3)), fnv1a("foobar", 6));
+}
+
+constexpr char kTestMagic[8] = {'T', 'E', 'S', 'T', 'F', 'R', 'M', '\n'};
+
+TEST(Frame, LayoutIsMagicVersionIdentityBodyChecksum)
+{
+    const std::string path = freshDir("frame_layout") + "/f.bin";
+    ASSERT_TRUE(writeFramed(path, kTestMagic, 3, "id", "body"));
+    std::string want(kTestMagic, sizeof(kTestMagic));
+    writeU64(want, 3);
+    writeBytes(want, "id");
+    writeBytes(want, "body");
+    writeU64(want, fnv1a(want.data(), want.size()));
+    EXPECT_EQ(readFile(path), want);
+
+    std::string body;
+    EXPECT_EQ(readFramed(path, kTestMagic, 3, "id", body), FrameStatus::Ok);
+    EXPECT_EQ(body, "body");
+}
+
+TEST(Frame, EveryRefusalHasItsOwnReasonAndLeavesTheBodyAlone)
+{
+    const std::string dir = freshDir("frame_refusals");
+    const std::string path = dir + "/f.bin";
+    const auto status = [&](const std::string &bytes) {
+        EXPECT_TRUE(writeFileAtomic(path, bytes));
+        std::string body = "untouched";
+        const FrameStatus st = readFramed(path, kTestMagic, 3, "id", body);
+        if (st != FrameStatus::Ok) {
+            EXPECT_EQ(body, "untouched") << toString(st);
+        }
+        return st;
+    };
+    // A well-sealed frame, with @p slack between body and checksum.
+    const auto sealed = [](std::uint64_t version, const std::string &id,
+                           const std::string &slack) {
+        std::string f(kTestMagic, sizeof(kTestMagic));
+        writeU64(f, version);
+        writeBytes(f, id);
+        writeBytes(f, "body");
+        f += slack;
+        writeU64(f, fnv1a(f.data(), f.size()));
+        return f;
+    };
+    const std::string good = sealed(3, "id", "");
+
+    std::string body;
+    EXPECT_EQ(readFramed(dir + "/none", kTestMagic, 3, "id", body),
+              FrameStatus::Missing);
+    EXPECT_EQ(status(good.substr(0, 20)), FrameStatus::Short);
+    EXPECT_EQ(status("NOTFRAME" + good.substr(8)), FrameStatus::BadMagic);
+    std::string flipped = good;
+    flipped[20] = char(flipped[20] ^ 0x10);
+    EXPECT_EQ(status(flipped), FrameStatus::ChecksumMismatch);
+    EXPECT_EQ(status(sealed(4, "id", "")), FrameStatus::UnknownVersion);
+    EXPECT_EQ(status(sealed(3, "other", "")),
+              FrameStatus::ForeignIdentity);
+    EXPECT_EQ(status(sealed(3, "id", "xx")), FrameStatus::TrailingBytes);
+    // A length that overruns the frame, under a valid checksum.
+    std::string overrun(kTestMagic, sizeof(kTestMagic));
+    writeU64(overrun, 3);
+    writeU64(overrun, 1000);
+    writeU64(overrun, 0);
+    writeU64(overrun, fnv1a(overrun.data(), overrun.size()));
+    EXPECT_EQ(status(overrun), FrameStatus::Short);
+    EXPECT_EQ(status(good), FrameStatus::Ok);
 }
 
 } // anonymous namespace

@@ -18,6 +18,7 @@
 
 #include "cluster/collective.hh"
 #include "cluster/elastic_run.hh"
+#include "common/atomic_file.hh"
 #include "obs/tracer.hh"
 #include "resilience/fault_domain.hh"
 #include "runtime/perf_stats.hh"
@@ -364,15 +365,6 @@ sampleCheckpoint()
     return s;
 }
 
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
 void
 spit(const std::string &path, const std::string &data)
 {
@@ -412,7 +404,7 @@ TEST(CheckpointStore, RefusesCorruptTruncatedAndForeignFiles)
 {
     const CheckpointStore store(tempDir("corrupt"));
     ASSERT_TRUE(store.save(sampleCheckpoint()));
-    const std::string blob = slurp(store.path());
+    const std::string blob = readFile(store.path()).value();
     ASSERT_GT(blob.size(), 16u);
 
     // A flipped bit anywhere fails the checksum.

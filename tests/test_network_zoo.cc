@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/atomic_file.hh"
 #include "common/golden.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
@@ -384,10 +385,10 @@ std::map<std::string, std::string>
 readZooGolden()
 {
     std::map<std::string, std::string> rows;
-    std::string text;
-    if (!readFileText(zooGoldenPath(), text))
+    const std::optional<std::string> text = readFile(zooGoldenPath());
+    if (!text)
         return rows;
-    std::istringstream is(normalizeGolden(text));
+    std::istringstream is(normalizeGolden(*text));
     std::string line;
     while (std::getline(is, line))
         if (!line.empty() && line[0] != '#')

@@ -33,6 +33,7 @@
 #include "baseline/simt.hh"
 #include "baseline/systolic.hh"
 #include "cluster/collective.hh"
+#include "common/atomic_file.hh"
 #include "common/golden.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
@@ -365,12 +366,11 @@ TEST(PaperConformance, TablesMatchGolden)
                      << " (" << cells.size() << " cells)";
     }
 
-    std::string text;
-    ASSERT_TRUE(readFileText(goldenPath(), text))
-        << "missing golden " << goldenPath()
-        << "; regenerate with ASCEND_UPDATE_GOLDEN=1";
+    const std::optional<std::string> text = readFile(goldenPath());
+    ASSERT_TRUE(text) << "missing golden " << goldenPath()
+                      << "; regenerate with ASCEND_UPDATE_GOLDEN=1";
     std::map<std::string, GoldenCell> golden;
-    ASSERT_TRUE(parseGolden(text, golden))
+    ASSERT_TRUE(parseGolden(*text, golden))
         << "malformed golden " << goldenPath();
 
     // Per-cell comparison with a printed delta for every cell.
