@@ -9,12 +9,13 @@
  *
  * The benches drive simulation through runtime::SimSession (memoized
  * + thread-pooled); with ASCEND_SIM_STATS=1 every banner-using bench
- * prints an aligned table of the process-wide cache counters (with
- * hit rate and disk load/store counts) plus per-scope wall-clock
- * timings at exit. The table goes to stderr so the golden-diffed
- * stdout stays byte-identical across runs and thread counts. Note
- * the counters (not the simulation results) can vary with
- * ASCEND_THREADS: concurrent misses on one key may both simulate.
+ * prints runtime::simStatsReport at exit: the process cache counters
+ * (with hit rate and disk load/store counts), per-scope wall-clock
+ * timings and one row per registered runtime counter. The table goes
+ * to stderr so the golden-diffed stdout stays byte-identical across
+ * runs and thread counts. Rows ending in "~" (cache, threads,
+ * timings, Racy counters) may vary with ASCEND_THREADS; the rest
+ * must not.
  */
 
 #ifndef ASCEND_BENCH_BENCH_UTIL_HH

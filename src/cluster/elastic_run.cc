@@ -635,17 +635,23 @@ struct Engine
     {
         if (store && r.completed)
             store->remove();
-        runtime::ResilienceCounters delta;
-        delta.elasticRuns = 1;
-        delta.failovers = r.counters.failovers;
-        delta.shrinks = r.counters.shrinks;
-        delta.rollbacks = r.counters.rollbacks;
-        delta.replayedSteps = r.counters.replayedSteps;
-        delta.speculations = r.counters.speculations;
-        delta.sparesUsed = r.counters.sparesUsed;
-        delta.spareExhausted = r.counters.spareExhausted;
-        delta.checkpointsSaved = r.counters.checkpointsSaved;
-        runtime::chargeResilience(delta);
+        // Sim-time counters: deterministic at any thread count.
+        using resilience::ElasticCounters;
+        static runtime::Counter &runs = runtime::counter(
+            "elastic runs", runtime::CounterKind::Sum,
+            runtime::Determinism::Deterministic);
+        static const runtime::FieldCounters<ElasticCounters> fields = {
+            {"elastic failovers", &ElasticCounters::failovers},
+            {"elastic spares used", &ElasticCounters::sparesUsed},
+            {"elastic shrinks", &ElasticCounters::shrinks},
+            {"elastic pool-exhausted", &ElasticCounters::spareExhausted},
+            {"elastic rollbacks", &ElasticCounters::rollbacks},
+            {"elastic steps replayed", &ElasticCounters::replayedSteps},
+            {"elastic speculations", &ElasticCounters::speculations},
+            {"elastic checkpoints", &ElasticCounters::checkpointsSaved},
+        };
+        runs.charge(1);
+        fields.charge(r.counters);
         return r;
     }
 };

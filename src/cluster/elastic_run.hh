@@ -45,8 +45,8 @@
  *    elastic adjustment is guarded so the fault-free path performs
  *    the identical float operations as stepSeconds);
  *  - recovery phases emit obs tracer spans (Cluster domain, track 2)
- *    and the per-run counters are charged into
- *    runtime::resilienceTotals() for the ASCEND_SIM_STATS report.
+ *    and the per-run counters are charged into the "elastic ..."
+ *    runtime counters for the ASCEND_SIM_STATS report.
  */
 
 #ifndef ASCEND_CLUSTER_ELASTIC_RUN_HH

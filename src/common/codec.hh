@@ -37,6 +37,21 @@ constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
 std::uint64_t fnv1a(const void *data, std::size_t len,
                     std::uint64_t h = kFnv1aBasis);
 
+/**
+ * Continue FNV-1a state @p h over the 8 bytes of @p v, least
+ * significant first. The explicit shifts pin the byte order, so the
+ * hash is the same on any host.
+ */
+inline std::uint64_t
+fnv1aU64(std::uint64_t h, std::uint64_t v)
+{
+    for (unsigned i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 /// @{ A double's bit pattern and back (bit-exact, no rounding).
 inline std::uint64_t
 doubleBits(double v)

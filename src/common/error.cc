@@ -26,6 +26,7 @@ toString(ErrorCode code)
       case ErrorCode::CheckpointCorrupt: return "checkpoint-corrupt";
       case ErrorCode::GraphInvalid:      return "graph-invalid";
       case ErrorCode::GraphShapeMismatch: return "graph-shape-mismatch";
+      case ErrorCode::CounterConflict:    return "counter-conflict";
     }
     return "unknown";
 }

@@ -38,6 +38,7 @@ enum class ErrorCode {
     CheckpointCorrupt, ///< checkpoint artifact failed validation
     GraphInvalid,      ///< graph IR structure broken (cycle, dangling edge)
     GraphShapeMismatch, ///< graph tensor shapes inconsistent with a node
+    CounterConflict,    ///< one counter name declared two different ways
 };
 
 /** Stable lower-case name of @p code (used in what() prefixes). */

@@ -36,14 +36,22 @@ Kernel::Kernel(const KernelOptions &options) : options_(options)
 
 Kernel::~Kernel()
 {
-    runtime::KernelCounters delta;
-    delta.kernels = 1;
-    delta.eventsScheduled = stats_.eventsScheduled;
-    delta.eventsDispatched = stats_.eventsDispatched;
-    delta.phasesRun = stats_.phasesRun;
-    delta.quiescentPoints = stats_.quiescentPoints;
-    delta.queueHighWater = stats_.queueHighWater;
-    runtime::chargeKernel(delta);
+    // Sim-structure counters: deterministic at any thread count.
+    using runtime::CounterKind;
+    constexpr auto det = runtime::Determinism::Deterministic;
+    static runtime::Counter &kernels =
+        runtime::counter("des kernels", CounterKind::Sum, det);
+    static runtime::Counter &highWater = runtime::counter(
+        "des queue high-water", CounterKind::Max, det);
+    static const runtime::FieldCounters<KernelStats> fields = {
+        {"des events scheduled", &KernelStats::eventsScheduled},
+        {"des events dispatched", &KernelStats::eventsDispatched},
+        {"des phases", &KernelStats::phasesRun},
+        {"des quiescent points", &KernelStats::quiescentPoints},
+    };
+    kernels.charge(1);
+    highWater.charge(stats_.queueHighWater);
+    fields.charge(stats_);
 }
 
 void

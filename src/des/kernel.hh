@@ -20,8 +20,8 @@
  *    instantaneous in sim time (a barrier, not an interval);
  *  - first-class hooks for the rest of the stack: phase executions
  *    emit obs:: tracer spans (Domain::Kernel), retired kernels charge
- *    dispatch/phase/queue counters into runtime::kernelTotals() for
- *    the ASCEND_SIM_STATS report, and clients mark *quiescent points*
+ *    their KernelStats into the "des ..." runtime counters for the
+ *    ASCEND_SIM_STATS report, and clients mark *quiescent points*
  *    — boundaries where no event is mid-dispatch and client state is
  *    declared consistent — at which registered hooks (e.g.
  *    resilience::checkpoint saves) run.
@@ -102,7 +102,7 @@ class Kernel
     using Handler = std::function<void(Kernel &)>;
 
     explicit Kernel(const KernelOptions &options = {});
-    ~Kernel(); ///< charges stats into runtime::kernelTotals()
+    ~Kernel(); ///< charges stats() into the "des ..." runtime counters
 
     Kernel(const Kernel &) = delete;
     Kernel &operator=(const Kernel &) = delete;

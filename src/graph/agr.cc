@@ -320,9 +320,10 @@ printAgr(const Graph &g)
         out += "output " + g.tensors[t].name + '\n';
     out += "end\n";
 
-    runtime::GraphCounters delta;
-    delta.agrPrints = 1;
-    runtime::chargeGraph(delta);
+    static runtime::Counter &prints = runtime::counter(
+        "graph agr printed", runtime::CounterKind::Sum,
+        runtime::Determinism::Deterministic);
+    prints.charge(1);
     return out;
 }
 
@@ -458,9 +459,10 @@ parseAgr(const std::string &text)
     }
     g.validate();
 
-    runtime::GraphCounters delta;
-    delta.agrParses = 1;
-    runtime::chargeGraph(delta);
+    static runtime::Counter &parses = runtime::counter(
+        "graph agr parsed", runtime::CounterKind::Sum,
+        runtime::Determinism::Deterministic);
+    parses.charge(1);
     return g;
 }
 

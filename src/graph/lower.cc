@@ -40,15 +40,11 @@ lower(const Graph &g, const std::vector<std::size_t> &order)
     g.validate();
     std::vector<Step> steps;
     steps.reserve(order.size());
-    runtime::GraphCounters delta;
-    delta.graphsLowered = 1;
     for (const std::size_t ni : order) {
         const Node &n = g.nodes.at(ni);
-        ++delta.nodesLowered;
         switch (n.op) {
           case OpKind::Layer:
             steps.push_back({ni, n.layer});
-            ++delta.layersLowered;
             break;
           case OpKind::ResidualAdd: {
             // The exact shape of the ".add" layers frozen in the zoo
@@ -56,18 +52,30 @@ lower(const Graph &g, const std::vector<std::size_t> &order)
             const Tensor &out = g.tensors[n.outputs[0]];
             steps.push_back({ni, model::Layer::elementwise(
                                      n.name, out.elems, out.dtype)});
-            ++delta.layersLowered;
             break;
           }
           case OpKind::Concat:
           case OpKind::Split:
             // Pure wiring: the zoo golden has no layer for these
             // (BERT's qkv split), so they must cost zero cycles.
-            ++delta.structuralElided;
             break;
         }
     }
-    runtime::chargeGraph(delta);
+    // Sim-structure counters: deterministic at any thread count.
+    using runtime::CounterKind;
+    constexpr auto det = runtime::Determinism::Deterministic;
+    static runtime::Counter &lowerings =
+        runtime::counter("graph lowerings", CounterKind::Sum, det);
+    static runtime::Counter &nodes =
+        runtime::counter("graph nodes", CounterKind::Sum, det);
+    static runtime::Counter &layers =
+        runtime::counter("graph layers", CounterKind::Sum, det);
+    static runtime::Counter &structural =
+        runtime::counter("graph structural", CounterKind::Sum, det);
+    lowerings.charge(1);
+    nodes.charge(order.size());
+    layers.charge(steps.size());
+    structural.charge(order.size() - steps.size());
     return steps;
 }
 
@@ -125,9 +133,12 @@ graphResult(const runtime::SimSession &session, const Graph &g)
     const std::string key = graphCacheKey(session, g);
     core::SimResult cached;
     if (session.cache().lookup(key, cached)) {
-        runtime::GraphCounters delta;
-        delta.graphCacheHits = 1;
-        runtime::chargeGraph(delta);
+        // Racy, like the SimCache counters: concurrent misses on one
+        // graph race to memoize it.
+        static runtime::Counter &hits = runtime::counter(
+            "graph cache hits", runtime::CounterKind::Sum,
+            runtime::Determinism::Racy);
+        hits.charge(1);
         return cached;
     }
     return runGraph(session, g).total;

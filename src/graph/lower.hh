@@ -69,7 +69,8 @@ struct GraphRun
  * from the session's tiered runLayer (cache / surrogate / exact);
  * the summed total is additionally memoized under the graph's
  * content hash. Emits Domain::Graph tracer spans (one per lowered
- * step, cumulative cycle offsets) and charges GraphCounters.
+ * step, cumulative cycle offsets) and charges the "graph ..."
+ * runtime counters.
  */
 GraphRun runGraph(const runtime::SimSession &session, const Graph &g);
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/codec.hh"
 #include "common/logging.hh"
 
 namespace ascend {
@@ -48,16 +49,10 @@ retryJitterUnit(const RetryPolicy &policy, std::uint64_t key,
 {
     // FNV-1a over (jitterSeed, key, attempt), folded into the same
     // 53-bit mantissa mapping Rng::uniformReal uses.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
-    mix(policy.jitterSeed);
-    mix(key);
-    mix(attempt);
+    std::uint64_t h = kFnv1aBasis;
+    for (const std::uint64_t v : {policy.jitterSeed, key,
+                                  std::uint64_t(attempt)})
+        h = fnv1aU64(h, v);
     return double(h >> 11) * 0x1.0p-53;
 }
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Perf-scope registry and ASCEND_SIM_STATS report formatting.
+ * Perf-scope and counter registry, and ASCEND_SIM_STATS report
+ * formatting.
  */
 
 #include "runtime/perf_stats.hh"
@@ -12,6 +13,10 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/codec.hh"
+#include "common/error.hh"
+#include "isa/instruction.hh"
+
 namespace ascend {
 namespace runtime {
 
@@ -20,9 +25,10 @@ namespace {
 struct Registry
 {
     std::mutex mutex;
-    // Ordered map: snapshots come out sorted by name for free, and
+    // Ordered maps: snapshots come out sorted by name for free, and
     // unique_ptr keeps handed-out references stable across inserts.
     std::map<std::string, std::unique_ptr<PerfScope>> scopes;
+    std::map<std::string, std::unique_ptr<Counter>> counters;
 };
 
 Registry &
@@ -30,7 +36,7 @@ registry()
 {
     // Leaked on purpose: the ASCEND_SIM_STATS report runs from a
     // std::atexit handler, and atexit handlers and static destructors
-    // unwind through one LIFO. If the first perfScope() call lands
+    // unwind through one LIFO. If the first registration lands
     // after that handler registers (e.g. inside a bench body), a
     // function-local static Registry would be destroyed before the
     // handler snapshots it.
@@ -54,433 +60,7 @@ secondsStr(double s)
     return buf;
 }
 
-/** Relaxed atomic mirror of PipeTotals (hot-path increments). */
-struct AtomicPipeTotals
-{
-    std::array<std::atomic<std::uint64_t>, isa::kNumPipes> busy{};
-    std::array<std::atomic<std::uint64_t>, isa::kNumPipes> wait{};
-    std::array<std::atomic<std::uint64_t>, isa::kNumPipes> instrs{};
-    std::atomic<std::uint64_t> totalCycles{0};
-    std::atomic<std::uint64_t> barriers{0};
-    std::atomic<std::uint64_t> results{0};
-};
-
-AtomicPipeTotals &
-atomicPipeTotals()
-{
-    static AtomicPipeTotals t;
-    return t;
-}
-
-/** Relaxed atomic mirror of ResilienceCounters. */
-struct AtomicResilienceCounters
-{
-    std::atomic<std::uint64_t> elasticRuns{0};
-    std::atomic<std::uint64_t> failovers{0};
-    std::atomic<std::uint64_t> shrinks{0};
-    std::atomic<std::uint64_t> rollbacks{0};
-    std::atomic<std::uint64_t> replayedSteps{0};
-    std::atomic<std::uint64_t> speculations{0};
-    std::atomic<std::uint64_t> sparesUsed{0};
-    std::atomic<std::uint64_t> spareExhausted{0};
-    std::atomic<std::uint64_t> checkpointsSaved{0};
-};
-
-AtomicResilienceCounters &
-atomicResilienceCounters()
-{
-    static AtomicResilienceCounters t;
-    return t;
-}
-
-/** Relaxed atomic mirror of ServingCounters. */
-struct AtomicServingCounters
-{
-    std::atomic<std::uint64_t> servingRuns{0};
-    std::atomic<std::uint64_t> offered{0};
-    std::atomic<std::uint64_t> admitted{0};
-    std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> goodput{0};
-    std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> hedges{0};
-    std::atomic<std::uint64_t> replicaFailures{0};
-    std::atomic<std::uint64_t> failovers{0};
-    std::atomic<std::uint64_t> autoscaleUps{0};
-    std::atomic<std::uint64_t> checkpointsSaved{0};
-    std::atomic<std::uint64_t> reoffered{0};
-    std::atomic<std::uint64_t> breakerTrips{0};
-    std::atomic<std::uint64_t> brownoutEntries{0};
-};
-
-AtomicServingCounters &
-atomicServingCounters()
-{
-    static AtomicServingCounters t;
-    return t;
-}
-
-/** Relaxed atomic mirror of SurrogateCounters. */
-struct AtomicSurrogateCounters
-{
-    std::atomic<std::uint64_t> predictions{0};
-    std::atomic<std::uint64_t> cacheHits{0};
-    std::atomic<std::uint64_t> anchors{0};
-    std::atomic<std::uint64_t> fallbackSmall{0};
-    std::atomic<std::uint64_t> fallbackHull{0};
-    std::atomic<std::uint64_t> fallbackBudget{0};
-    std::atomic<std::uint64_t> spotChecks{0};
-    std::atomic<double> maxRelError{0};
-};
-
-AtomicSurrogateCounters &
-atomicSurrogateCounters()
-{
-    static AtomicSurrogateCounters t;
-    return t;
-}
-
-/** Relaxed atomic mirror of GraphCounters. */
-struct AtomicGraphCounters
-{
-    std::atomic<std::uint64_t> graphsLowered{0};
-    std::atomic<std::uint64_t> nodesLowered{0};
-    std::atomic<std::uint64_t> layersLowered{0};
-    std::atomic<std::uint64_t> structuralElided{0};
-    std::atomic<std::uint64_t> graphCacheHits{0};
-    std::atomic<std::uint64_t> agrParses{0};
-    std::atomic<std::uint64_t> agrPrints{0};
-};
-
-AtomicGraphCounters &
-atomicGraphCounters()
-{
-    static AtomicGraphCounters t;
-    return t;
-}
-
-/** Relaxed atomic mirror of KernelCounters. */
-struct AtomicKernelCounters
-{
-    std::atomic<std::uint64_t> kernels{0};
-    std::atomic<std::uint64_t> eventsScheduled{0};
-    std::atomic<std::uint64_t> eventsDispatched{0};
-    std::atomic<std::uint64_t> phasesRun{0};
-    std::atomic<std::uint64_t> quiescentPoints{0};
-    std::atomic<std::uint64_t> queueHighWater{0};
-};
-
-AtomicKernelCounters &
-atomicKernelCounters()
-{
-    static AtomicKernelCounters t;
-    return t;
-}
-
 } // anonymous namespace
-
-void
-chargePipes(const core::SimResult &result)
-{
-    AtomicPipeTotals &t = atomicPipeTotals();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
-        t.busy[p].fetch_add(result.pipes[p].busyCycles, relaxed);
-        t.wait[p].fetch_add(result.pipes[p].waitCycles, relaxed);
-        t.instrs[p].fetch_add(result.pipes[p].instrs, relaxed);
-    }
-    t.totalCycles.fetch_add(result.totalCycles, relaxed);
-    t.barriers.fetch_add(result.barriers, relaxed);
-    t.results.fetch_add(1, relaxed);
-}
-
-PipeTotals
-pipeTotals()
-{
-    const AtomicPipeTotals &t = atomicPipeTotals();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    PipeTotals out;
-    for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
-        out.busyCycles[p] = t.busy[p].load(relaxed);
-        out.waitCycles[p] = t.wait[p].load(relaxed);
-        out.instrs[p] = t.instrs[p].load(relaxed);
-    }
-    out.totalCycles = t.totalCycles.load(relaxed);
-    out.barriers = t.barriers.load(relaxed);
-    out.results = t.results.load(relaxed);
-    return out;
-}
-
-void
-resetPipeTotals()
-{
-    AtomicPipeTotals &t = atomicPipeTotals();
-    for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
-        t.busy[p] = 0;
-        t.wait[p] = 0;
-        t.instrs[p] = 0;
-    }
-    t.totalCycles = 0;
-    t.barriers = 0;
-    t.results = 0;
-}
-
-void
-chargeResilience(const ResilienceCounters &delta)
-{
-    AtomicResilienceCounters &t = atomicResilienceCounters();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    t.elasticRuns.fetch_add(delta.elasticRuns, relaxed);
-    t.failovers.fetch_add(delta.failovers, relaxed);
-    t.shrinks.fetch_add(delta.shrinks, relaxed);
-    t.rollbacks.fetch_add(delta.rollbacks, relaxed);
-    t.replayedSteps.fetch_add(delta.replayedSteps, relaxed);
-    t.speculations.fetch_add(delta.speculations, relaxed);
-    t.sparesUsed.fetch_add(delta.sparesUsed, relaxed);
-    t.spareExhausted.fetch_add(delta.spareExhausted, relaxed);
-    t.checkpointsSaved.fetch_add(delta.checkpointsSaved, relaxed);
-}
-
-ResilienceCounters
-resilienceTotals()
-{
-    const AtomicResilienceCounters &t = atomicResilienceCounters();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    ResilienceCounters out;
-    out.elasticRuns = t.elasticRuns.load(relaxed);
-    out.failovers = t.failovers.load(relaxed);
-    out.shrinks = t.shrinks.load(relaxed);
-    out.rollbacks = t.rollbacks.load(relaxed);
-    out.replayedSteps = t.replayedSteps.load(relaxed);
-    out.speculations = t.speculations.load(relaxed);
-    out.sparesUsed = t.sparesUsed.load(relaxed);
-    out.spareExhausted = t.spareExhausted.load(relaxed);
-    out.checkpointsSaved = t.checkpointsSaved.load(relaxed);
-    return out;
-}
-
-void
-resetResilienceTotals()
-{
-    AtomicResilienceCounters &t = atomicResilienceCounters();
-    t.elasticRuns = 0;
-    t.failovers = 0;
-    t.shrinks = 0;
-    t.rollbacks = 0;
-    t.replayedSteps = 0;
-    t.speculations = 0;
-    t.sparesUsed = 0;
-    t.spareExhausted = 0;
-    t.checkpointsSaved = 0;
-}
-
-void
-chargeServing(const ServingCounters &delta)
-{
-    AtomicServingCounters &t = atomicServingCounters();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    t.servingRuns.fetch_add(delta.servingRuns, relaxed);
-    t.offered.fetch_add(delta.offered, relaxed);
-    t.admitted.fetch_add(delta.admitted, relaxed);
-    t.shed.fetch_add(delta.shed, relaxed);
-    t.completed.fetch_add(delta.completed, relaxed);
-    t.goodput.fetch_add(delta.goodput, relaxed);
-    t.retries.fetch_add(delta.retries, relaxed);
-    t.hedges.fetch_add(delta.hedges, relaxed);
-    t.replicaFailures.fetch_add(delta.replicaFailures, relaxed);
-    t.failovers.fetch_add(delta.failovers, relaxed);
-    t.autoscaleUps.fetch_add(delta.autoscaleUps, relaxed);
-    t.checkpointsSaved.fetch_add(delta.checkpointsSaved, relaxed);
-    t.reoffered.fetch_add(delta.reoffered, relaxed);
-    t.breakerTrips.fetch_add(delta.breakerTrips, relaxed);
-    t.brownoutEntries.fetch_add(delta.brownoutEntries, relaxed);
-}
-
-ServingCounters
-servingTotals()
-{
-    const AtomicServingCounters &t = atomicServingCounters();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    ServingCounters out;
-    out.servingRuns = t.servingRuns.load(relaxed);
-    out.offered = t.offered.load(relaxed);
-    out.admitted = t.admitted.load(relaxed);
-    out.shed = t.shed.load(relaxed);
-    out.completed = t.completed.load(relaxed);
-    out.goodput = t.goodput.load(relaxed);
-    out.retries = t.retries.load(relaxed);
-    out.hedges = t.hedges.load(relaxed);
-    out.replicaFailures = t.replicaFailures.load(relaxed);
-    out.failovers = t.failovers.load(relaxed);
-    out.autoscaleUps = t.autoscaleUps.load(relaxed);
-    out.checkpointsSaved = t.checkpointsSaved.load(relaxed);
-    out.reoffered = t.reoffered.load(relaxed);
-    out.breakerTrips = t.breakerTrips.load(relaxed);
-    out.brownoutEntries = t.brownoutEntries.load(relaxed);
-    return out;
-}
-
-void
-resetServingTotals()
-{
-    AtomicServingCounters &t = atomicServingCounters();
-    t.servingRuns = 0;
-    t.offered = 0;
-    t.admitted = 0;
-    t.shed = 0;
-    t.completed = 0;
-    t.goodput = 0;
-    t.retries = 0;
-    t.hedges = 0;
-    t.replicaFailures = 0;
-    t.failovers = 0;
-    t.autoscaleUps = 0;
-    t.checkpointsSaved = 0;
-    t.reoffered = 0;
-    t.breakerTrips = 0;
-    t.brownoutEntries = 0;
-}
-
-void
-chargeGraph(const GraphCounters &delta)
-{
-    AtomicGraphCounters &t = atomicGraphCounters();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    t.graphsLowered.fetch_add(delta.graphsLowered, relaxed);
-    t.nodesLowered.fetch_add(delta.nodesLowered, relaxed);
-    t.layersLowered.fetch_add(delta.layersLowered, relaxed);
-    t.structuralElided.fetch_add(delta.structuralElided, relaxed);
-    t.graphCacheHits.fetch_add(delta.graphCacheHits, relaxed);
-    t.agrParses.fetch_add(delta.agrParses, relaxed);
-    t.agrPrints.fetch_add(delta.agrPrints, relaxed);
-}
-
-GraphCounters
-graphTotals()
-{
-    const AtomicGraphCounters &t = atomicGraphCounters();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    GraphCounters out;
-    out.graphsLowered = t.graphsLowered.load(relaxed);
-    out.nodesLowered = t.nodesLowered.load(relaxed);
-    out.layersLowered = t.layersLowered.load(relaxed);
-    out.structuralElided = t.structuralElided.load(relaxed);
-    out.graphCacheHits = t.graphCacheHits.load(relaxed);
-    out.agrParses = t.agrParses.load(relaxed);
-    out.agrPrints = t.agrPrints.load(relaxed);
-    return out;
-}
-
-void
-resetGraphTotals()
-{
-    AtomicGraphCounters &t = atomicGraphCounters();
-    t.graphsLowered = 0;
-    t.nodesLowered = 0;
-    t.layersLowered = 0;
-    t.structuralElided = 0;
-    t.graphCacheHits = 0;
-    t.agrParses = 0;
-    t.agrPrints = 0;
-}
-
-void
-chargeSurrogate(const SurrogateCounters &delta)
-{
-    AtomicSurrogateCounters &t = atomicSurrogateCounters();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    t.predictions.fetch_add(delta.predictions, relaxed);
-    t.cacheHits.fetch_add(delta.cacheHits, relaxed);
-    t.anchors.fetch_add(delta.anchors, relaxed);
-    t.fallbackSmall.fetch_add(delta.fallbackSmall, relaxed);
-    t.fallbackHull.fetch_add(delta.fallbackHull, relaxed);
-    t.fallbackBudget.fetch_add(delta.fallbackBudget, relaxed);
-    t.spotChecks.fetch_add(delta.spotChecks, relaxed);
-    // Observed error is a max, not a sum: keep the worst any spot
-    // check ever saw.
-    double seen = t.maxRelError.load(relaxed);
-    while (seen < delta.maxRelError &&
-           !t.maxRelError.compare_exchange_weak(
-               seen, delta.maxRelError, relaxed, relaxed)) {
-    }
-}
-
-SurrogateCounters
-surrogateTotals()
-{
-    const AtomicSurrogateCounters &t = atomicSurrogateCounters();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    SurrogateCounters out;
-    out.predictions = t.predictions.load(relaxed);
-    out.cacheHits = t.cacheHits.load(relaxed);
-    out.anchors = t.anchors.load(relaxed);
-    out.fallbackSmall = t.fallbackSmall.load(relaxed);
-    out.fallbackHull = t.fallbackHull.load(relaxed);
-    out.fallbackBudget = t.fallbackBudget.load(relaxed);
-    out.spotChecks = t.spotChecks.load(relaxed);
-    out.maxRelError = t.maxRelError.load(relaxed);
-    return out;
-}
-
-void
-resetSurrogateTotals()
-{
-    AtomicSurrogateCounters &t = atomicSurrogateCounters();
-    t.predictions = 0;
-    t.cacheHits = 0;
-    t.anchors = 0;
-    t.fallbackSmall = 0;
-    t.fallbackHull = 0;
-    t.fallbackBudget = 0;
-    t.spotChecks = 0;
-    t.maxRelError = 0;
-}
-
-void
-chargeKernel(const KernelCounters &delta)
-{
-    AtomicKernelCounters &t = atomicKernelCounters();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    t.kernels.fetch_add(delta.kernels, relaxed);
-    t.eventsScheduled.fetch_add(delta.eventsScheduled, relaxed);
-    t.eventsDispatched.fetch_add(delta.eventsDispatched, relaxed);
-    t.phasesRun.fetch_add(delta.phasesRun, relaxed);
-    t.quiescentPoints.fetch_add(delta.quiescentPoints, relaxed);
-    // High-water is a max, not a sum: keep the deepest queue any one
-    // kernel ever reached.
-    std::uint64_t seen = t.queueHighWater.load(relaxed);
-    while (seen < delta.queueHighWater &&
-           !t.queueHighWater.compare_exchange_weak(
-               seen, delta.queueHighWater, relaxed, relaxed)) {
-    }
-}
-
-KernelCounters
-kernelTotals()
-{
-    const AtomicKernelCounters &t = atomicKernelCounters();
-    constexpr auto relaxed = std::memory_order_relaxed;
-    KernelCounters out;
-    out.kernels = t.kernels.load(relaxed);
-    out.eventsScheduled = t.eventsScheduled.load(relaxed);
-    out.eventsDispatched = t.eventsDispatched.load(relaxed);
-    out.phasesRun = t.phasesRun.load(relaxed);
-    out.quiescentPoints = t.quiescentPoints.load(relaxed);
-    out.queueHighWater = t.queueHighWater.load(relaxed);
-    return out;
-}
-
-void
-resetKernelTotals()
-{
-    AtomicKernelCounters &t = atomicKernelCounters();
-    t.kernels = 0;
-    t.eventsScheduled = 0;
-    t.eventsDispatched = 0;
-    t.phasesRun = 0;
-    t.quiescentPoints = 0;
-    t.queueHighWater = 0;
-}
 
 PerfScope &
 perfScope(const std::string &name)
@@ -508,149 +88,102 @@ perfSnapshot()
     return out;
 }
 
+Counter &
+counter(const std::string &name, CounterKind kind, Determinism det,
+        CounterUnit unit)
+{
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    auto it = r.counters.find(name);
+    if (it == r.counters.end())
+        return *r.counters
+                    .emplace(name, std::make_unique<Counter>(
+                                       name, kind, det, unit))
+                    .first->second;
+    Counter &c = *it->second;
+    if (c.kind() != kind || c.determinism() != det || c.unit() != unit)
+        throwError(ErrorCode::CounterConflict,
+                   "counter '%s' re-registered with a different "
+                   "kind, determinism or unit",
+                   name.c_str());
+    return c;
+}
+
+std::vector<CounterEntry>
+counterSnapshot()
+{
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    std::vector<CounterEntry> out;
+    out.reserve(r.counters.size());
+    for (const auto &kv : r.counters) {
+        const Counter &c = *kv.second;
+        out.push_back(
+            {c.name(), c.kind(), c.determinism(), c.unit(), c.value()});
+    }
+    return out;
+}
+
+std::uint64_t
+counterValue(const std::string &name)
+{
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    const auto it = r.counters.find(name);
+    return it == r.counters.end() ? 0 : it->second->value();
+}
+
+void
+resetCounters()
+{
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    for (auto &kv : r.counters)
+        kv.second->reset();
+}
+
 std::string
 simStatsReport(const SimCache::Stats &stats, unsigned threads)
 {
     struct Row
     {
         std::string label, a, b;
+        bool varies = false; ///< may differ between thread counts
     };
-    std::vector<Row> rows;
-    rows.push_back({"threads", std::to_string(threads), ""});
-    rows.push_back({"cache hits", std::to_string(stats.hits), ""});
-    rows.push_back({"cache misses", std::to_string(stats.misses), ""});
-    rows.push_back({"cache hit rate", percent(stats.hitRate()), ""});
-    rows.push_back({"cache entries", std::to_string(stats.entries), ""});
-    rows.push_back(
-        {"cache evictions", std::to_string(stats.evictions), ""});
-    rows.push_back(
-        {"disk loads", std::to_string(stats.diskLoads), ""});
-    rows.push_back(
-        {"disk stores", std::to_string(stats.diskStores), ""});
+    const auto num = [](std::uint64_t v) { return std::to_string(v); };
+    // Cache counters vary with the thread count: concurrent misses on
+    // one key may both simulate.
+    std::vector<Row> rows = {
+        {"threads", num(threads), "", true},
+        {"cache hits", num(stats.hits), "", true},
+        {"cache misses", num(stats.misses), "", true},
+        {"cache hit rate", percent(stats.hitRate()), "", true},
+        {"cache entries", num(stats.entries), "", true},
+        {"cache evictions", num(stats.evictions), "", true},
+        {"disk loads", num(stats.diskLoads), "", true},
+        {"disk stores", num(stats.diskStores), "", true},
+    };
     for (const PerfEntry &e : perfSnapshot())
-        rows.push_back({"scope " + e.name,
-                        std::to_string(e.calls) + " calls",
-                        secondsStr(e.seconds)});
-    const PipeTotals totals = pipeTotals();
-    if (totals.results) {
-        rows.push_back({"sim results",
-                        std::to_string(totals.results), ""});
-        rows.push_back({"sim barriers",
-                        std::to_string(totals.barriers), ""});
+        rows.push_back({"scope " + e.name, num(e.calls) + " calls",
+                        secondsStr(e.seconds), true});
+    for (const CounterEntry &c : counterSnapshot())
+        rows.push_back({c.name,
+                        c.unit == CounterUnit::Fraction
+                            ? percent(bitsDouble(c.value))
+                            : num(c.value),
+                        "", c.determinism == Determinism::Racy});
+    // Derived from the counters SimSession charges per result.
+    if (const std::uint64_t cycles = counterValue("sim cycles")) {
         for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
-            const auto pipe = static_cast<isa::Pipe>(p);
+            const std::string pipe =
+                std::string("pipe ") +
+                isa::toString(static_cast<isa::Pipe>(p));
             rows.push_back(
-                {std::string("pipe ") + isa::toString(pipe),
-                 std::to_string(totals.busyCycles[p]) + " busy (" +
-                     percent(totals.utilization(pipe)) + ")",
-                 std::to_string(totals.waitCycles[p]) + " wait"});
+                {pipe + " utilization",
+                 percent(double(counterValue(pipe + " busy")) /
+                         double(cycles)),
+                 "", false});
         }
-    }
-    const SurrogateCounters sur = surrogateTotals();
-    if (sur.queries()) {
-        rows.push_back({"surrogate queries",
-                        std::to_string(sur.queries()), ""});
-        rows.push_back({"surrogate hits",
-                        std::to_string(sur.predictions) +
-                            " predicted",
-                        std::to_string(sur.cacheHits) +
-                            " cache hits"});
-        rows.push_back({"surrogate anchors",
-                        std::to_string(sur.anchors), ""});
-        rows.push_back({"surrogate fallbacks",
-                        std::to_string(sur.fallbackSmall) + " small",
-                        std::to_string(sur.fallbackHull) + " hull, " +
-                            std::to_string(sur.fallbackBudget) +
-                            " budget"});
-        rows.push_back({"surrogate spot checks",
-                        std::to_string(sur.spotChecks),
-                        "max rel err " +
-                            percent(sur.maxRelError)});
-    }
-    const KernelCounters kern = kernelTotals();
-    if (kern.kernels) {
-        rows.push_back(
-            {"des kernels", std::to_string(kern.kernels), ""});
-        rows.push_back({"des events",
-                        std::to_string(kern.eventsDispatched) +
-                            " dispatched",
-                        std::to_string(kern.eventsScheduled) +
-                            " scheduled"});
-        rows.push_back({"des phases",
-                        std::to_string(kern.phasesRun),
-                        std::to_string(kern.quiescentPoints) +
-                            " quiescent points"});
-        rows.push_back({"des queue high-water",
-                        std::to_string(kern.queueHighWater), ""});
-    }
-    const ServingCounters srv = servingTotals();
-    if (srv.servingRuns) {
-        rows.push_back({"serving runs",
-                        std::to_string(srv.servingRuns), ""});
-        rows.push_back({"serving requests",
-                        std::to_string(srv.offered) + " offered",
-                        std::to_string(srv.admitted) + " admitted"});
-        rows.push_back({"serving goodput",
-                        std::to_string(srv.goodput),
-                        std::to_string(srv.completed) + " completed"});
-        rows.push_back({"serving shed",
-                        std::to_string(srv.shed), ""});
-        rows.push_back({"serving retries",
-                        std::to_string(srv.retries),
-                        std::to_string(srv.hedges) + " hedges"});
-        rows.push_back({"serving failures",
-                        std::to_string(srv.replicaFailures),
-                        std::to_string(srv.failovers) + " failovers"});
-        rows.push_back({"serving autoscale-ups",
-                        std::to_string(srv.autoscaleUps),
-                        std::to_string(srv.checkpointsSaved) +
-                            " checkpoints"});
-        if (srv.reoffered || srv.breakerTrips || srv.brownoutEntries)
-            rows.push_back({"serving defenses",
-                            std::to_string(srv.reoffered) +
-                                " reoffers",
-                            std::to_string(srv.breakerTrips) +
-                                " breaker trips, " +
-                                std::to_string(srv.brownoutEntries) +
-                                " brownouts"});
-    }
-    const GraphCounters grf = graphTotals();
-    if (grf.graphsLowered || grf.graphCacheHits || grf.agrParses ||
-        grf.agrPrints) {
-        rows.push_back({"graph lowerings",
-                        std::to_string(grf.graphsLowered),
-                        std::to_string(grf.graphCacheHits) +
-                            " cache hits"});
-        rows.push_back({"graph nodes",
-                        std::to_string(grf.nodesLowered),
-                        std::to_string(grf.layersLowered) +
-                            " layers, " +
-                            std::to_string(grf.structuralElided) +
-                            " structural"});
-        rows.push_back({"graph agr io",
-                        std::to_string(grf.agrParses) + " parsed",
-                        std::to_string(grf.agrPrints) + " printed"});
-    }
-    const ResilienceCounters res = resilienceTotals();
-    if (res.elasticRuns) {
-        rows.push_back({"elastic runs",
-                        std::to_string(res.elasticRuns), ""});
-        rows.push_back({"elastic failovers",
-                        std::to_string(res.failovers),
-                        std::to_string(res.sparesUsed) +
-                            " spares used"});
-        rows.push_back({"elastic shrinks",
-                        std::to_string(res.shrinks),
-                        std::to_string(res.spareExhausted) +
-                            " pool-exhausted"});
-        rows.push_back({"elastic rollbacks",
-                        std::to_string(res.rollbacks),
-                        std::to_string(res.replayedSteps) +
-                            " steps replayed"});
-        rows.push_back({"elastic speculations",
-                        std::to_string(res.speculations), ""});
-        rows.push_back({"elastic checkpoints",
-                        std::to_string(res.checkpointsSaved), ""});
     }
 
     std::size_t w0 = 0, w1 = 0;
@@ -666,6 +199,8 @@ simStatsReport(const SimCache::Stats &stats, unsigned threads)
            << std::string(w1 - r.a.size(), ' ') << r.a;
         if (!r.b.empty())
             os << "  " << r.b;
+        if (r.varies)
+            os << "  ~";
         os << "\n";
     }
     return os.str();

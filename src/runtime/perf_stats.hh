@@ -1,31 +1,36 @@
 /**
  * @file
- * Lightweight wall-clock instrumentation of simulation hot paths.
+ * Process-wide instrumentation: wall-clock perf scopes and named
+ * counters, in one registry.
  *
- * The repo tracks a perf trajectory across PRs (BENCH_runtime.json),
- * which needs per-stage timings that do not disturb the stage being
- * timed. A PerfScope is a named pair of atomic counters (calls,
+ * A PerfScope is a named pair of atomic counters (calls,
  * nanoseconds); a PerfTimer is an RAII stopwatch charging one scope.
- * Scopes live in a process-wide registry so the ASCEND_SIM_STATS=1
- * report and the perf bench can enumerate whatever ran.
+ * The perf/ benchmark (BENCHMARK.json) reads them to attribute wall
+ * time to layers, so they must not disturb the stage being timed:
+ * one steady_clock read on entry and one read plus two relaxed
+ * atomic adds on exit — noise next to a layer or chip simulation.
  *
- * Overhead: one steady_clock read on entry and one read plus two
- * relaxed atomic adds on exit — noise next to a layer or chip
- * simulation. Instrumentation must never change simulation output;
- * scopes carry timing only.
+ * A Counter is a named sim-side tally (results simulated, events
+ * dispatched, requests served, ...) that declares how it merges (Sum
+ * or Max) and whether it is deterministic across thread counts. Each
+ * charge site binds its counters once and charges them with relaxed
+ * atomics. The ASCEND_SIM_STATS=1 report enumerates whatever
+ * registered, so a subsystem's rows appear exactly when it ran.
+ *
+ * Instrumentation must never change simulation output.
  */
 
 #ifndef ASCEND_RUNTIME_PERF_STATS_HH
 #define ASCEND_RUNTIME_PERF_STATS_HH
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/core_sim.hh"
 #include "runtime/sim_cache.hh"
 
 namespace ascend {
@@ -112,195 +117,148 @@ struct PerfEntry
 /** Snapshot of every registered scope, sorted by name. */
 std::vector<PerfEntry> perfSnapshot();
 
-/**
- * Process-wide simulated per-pipe totals, accumulated from every
- * SimResult a SimSession produced or served from cache. Unlike the
- * wall-clock scopes these are *sim-time* counters, so for a fixed
- * workload they are deterministic at any ASCEND_THREADS.
- */
-struct PipeTotals
-{
-    std::array<std::uint64_t, isa::kNumPipes> busyCycles{};
-    std::array<std::uint64_t, isa::kNumPipes> waitCycles{};
-    std::array<std::uint64_t, isa::kNumPipes> instrs{};
-    std::uint64_t totalCycles = 0;
-    std::uint64_t barriers = 0;
-    std::uint64_t results = 0; ///< SimResults charged
+/** How a counter merges the values charged into it. */
+enum class CounterKind {
+    Sum, ///< charges add up
+    Max, ///< the counter keeps the largest value charged
+};
 
-    /** Busy fraction of @p p against the summed run cycles. */
-    double
-    utilization(isa::Pipe p) const
+/**
+ * Whether a counter's final value, for a fixed workload, is the same
+ * at any ASCEND_THREADS. Deterministic counters are golden-diffed
+ * across thread counts; Racy ones (e.g. outcomes that depend on which
+ * of two concurrent queries filled the cache first) are flagged as
+ * varying in the report.
+ */
+enum class Determinism { Deterministic, Racy };
+
+/** How the report renders a counter's value. */
+enum class CounterUnit {
+    Count,    ///< a plain integer
+    Fraction, ///< doubleBits() of a non-negative fraction, as a percent
+};
+
+/**
+ * One process-wide named counter: a relaxed atomic u64. Non-negative
+ * doubles order like their IEEE bit patterns, so a Max counter of
+ * doubleBits() values keeps the largest double.
+ */
+class Counter
+{
+  public:
+    Counter(std::string name, CounterKind kind, Determinism det,
+            CounterUnit unit)
+        : name_(std::move(name)), kind_(kind), det_(det), unit_(unit)
     {
-        const auto i = static_cast<std::size_t>(p);
-        return totalCycles
-            ? double(busyCycles[i]) / double(totalCycles) : 0;
     }
-};
 
-/** Charge one simulated result into the process-wide pipe totals. */
-void chargePipes(const core::SimResult &result);
+    Counter(const Counter &) = delete;
+    Counter &operator=(const Counter &) = delete;
 
-/** Point-in-time copy of the pipe totals. */
-PipeTotals pipeTotals();
-
-/** Zero the pipe totals (tests isolate themselves with this). */
-void resetPipeTotals();
-
-/**
- * Process-wide resilience totals, accumulated from every elastic
- * cluster run (cluster/elastic_run). Sim-time counters like
- * PipeTotals: deterministic for a fixed workload at any thread count.
- */
-struct ResilienceCounters
-{
-    std::uint64_t elasticRuns = 0; ///< runs charged
-    std::uint64_t failovers = 0;
-    std::uint64_t shrinks = 0;
-    std::uint64_t rollbacks = 0;
-    std::uint64_t replayedSteps = 0;
-    std::uint64_t speculations = 0;
-    std::uint64_t sparesUsed = 0;
-    std::uint64_t spareExhausted = 0;
-    std::uint64_t checkpointsSaved = 0;
-};
-
-/** Accumulate @p delta into the process-wide resilience totals. */
-void chargeResilience(const ResilienceCounters &delta);
-
-/** Point-in-time copy of the resilience totals. */
-ResilienceCounters resilienceTotals();
-
-/** Zero the resilience totals (tests isolate themselves with this). */
-void resetResilienceTotals();
-
-/**
- * Process-wide discrete-event-kernel totals, accumulated as each
- * des::Kernel retires. Sim-structure counters like PipeTotals: for a
- * fixed workload they are deterministic at any thread count.
- */
-struct KernelCounters
-{
-    std::uint64_t kernels = 0; ///< kernel instances retired
-    std::uint64_t eventsScheduled = 0;
-    std::uint64_t eventsDispatched = 0;
-    std::uint64_t phasesRun = 0;
-    std::uint64_t quiescentPoints = 0;
-    /** Max pending events any one kernel observed (max-merged). */
-    std::uint64_t queueHighWater = 0;
-};
-
-/**
- * Process-wide fleet-serving totals, accumulated from every
- * serving::runFleet simulation. Sim-time counters like PipeTotals:
- * deterministic for a fixed workload at any thread count.
- */
-struct ServingCounters
-{
-    std::uint64_t servingRuns = 0; ///< fleet simulations charged
-    std::uint64_t offered = 0;     ///< requests arrived
-    std::uint64_t admitted = 0;    ///< requests past admission control
-    std::uint64_t shed = 0;        ///< admission + deadline sheds
-    std::uint64_t completed = 0;   ///< requests answered
-    std::uint64_t goodput = 0;     ///< answered within their deadline
-    std::uint64_t retries = 0;     ///< re-dispatches after failures
-    std::uint64_t hedges = 0;      ///< hedged duplicates issued
-    std::uint64_t replicaFailures = 0;
-    std::uint64_t failovers = 0;   ///< warm spares activated
-    std::uint64_t autoscaleUps = 0;
-    std::uint64_t checkpointsSaved = 0;
-    std::uint64_t reoffered = 0;    ///< closed-loop client re-offers
-    std::uint64_t breakerTrips = 0; ///< circuit-breaker opens
-    std::uint64_t brownoutEntries = 0; ///< quality-ladder descents
-};
-
-/** Accumulate @p delta into the process-wide serving totals. */
-void chargeServing(const ServingCounters &delta);
-
-/** Point-in-time copy of the serving totals. */
-ServingCounters servingTotals();
-
-/** Zero the serving totals (tests isolate themselves with this). */
-void resetServingTotals();
-
-/**
- * Process-wide surrogate cost-model totals, accumulated from every
- * surrogate-tiered SimSession::runLayer call. Wall-clock-free
- * outcome counters; the counts themselves may vary with thread
- * scheduling (a racing anchor sim can turn a later anchor query into
- * a cache hit), which is why they surface only in the stderr stats
- * report, never in deterministic output.
- */
-struct SurrogateCounters
-{
-    std::uint64_t predictions = 0;    ///< O(1) interpolated answers
-    std::uint64_t cacheHits = 0;      ///< memoized results re-served
-    std::uint64_t anchors = 0;        ///< on-grid queries: exact sim
-    std::uint64_t fallbackSmall = 0;  ///< below the min-work floor
-    std::uint64_t fallbackHull = 0;   ///< outside the trusted hull
-    std::uint64_t fallbackBudget = 0; ///< level disagreement too large
-    std::uint64_t spotChecks = 0;     ///< sampled exact re-derivations
-    /** Largest relative error a spot check observed (max-merged). */
-    double maxRelError = 0;
+    const std::string &name() const { return name_; }
+    CounterKind kind() const { return kind_; }
+    Determinism determinism() const { return det_; }
+    CounterUnit unit() const { return unit_; }
 
     std::uint64_t
-    queries() const
+    value() const
     {
-        return predictions + cacheHits + anchors + fallbackSmall +
-               fallbackHull + fallbackBudget + spotChecks;
+        return value_.load(std::memory_order_relaxed);
     }
+
+    /** Add @p v (Sum) or raise the counter to @p v (Max). */
+    void
+    charge(std::uint64_t v)
+    {
+        constexpr auto relaxed = std::memory_order_relaxed;
+        if (kind_ == CounterKind::Sum) {
+            value_.fetch_add(v, relaxed);
+            return;
+        }
+        std::uint64_t seen = value_.load(relaxed);
+        while (seen < v &&
+               !value_.compare_exchange_weak(seen, v, relaxed, relaxed)) {
+        }
+    }
+
+    void reset() { value_.store(0, std::memory_order_relaxed); }
+
+  private:
+    const std::string name_;
+    const CounterKind kind_;
+    const Determinism det_;
+    const CounterUnit unit_;
+    std::atomic<std::uint64_t> value_{0};
 };
 
-/** Accumulate @p delta into the process-wide surrogate totals. */
-void chargeSurrogate(const SurrogateCounters &delta);
-
-/** Point-in-time copy of the surrogate totals. */
-SurrogateCounters surrogateTotals();
-
-/** Zero the surrogate totals (tests isolate themselves with this). */
-void resetSurrogateTotals();
-
 /**
- * Process-wide graph-front-end totals, accumulated from every
- * graph::runGraph lowering and `.agr` importer call. Sim-structure
- * counters like PipeTotals: deterministic for a fixed workload at any
- * thread count (except graphCacheHits, which — like SimCache's own
- * counters — can vary when concurrent misses race; it surfaces only
- * in the stderr stats report).
+ * The process-wide counter named @p name, registered on first use
+ * (the reference stays valid for the process lifetime: charge sites
+ * bind it to a function-local static, so charging takes no lock).
+ * The name is the counter's label in the ASCEND_SIM_STATS report.
+ * Re-registering a name with a different kind, determinism or unit
+ * throws Error{CounterConflict}.
  */
-struct GraphCounters
-{
-    std::uint64_t graphsLowered = 0;  ///< lowering passes run
-    std::uint64_t nodesLowered = 0;   ///< DAG nodes walked
-    std::uint64_t layersLowered = 0;  ///< compute layers produced
-    std::uint64_t structuralElided = 0; ///< concat/split wiring nodes
-    std::uint64_t graphCacheHits = 0; ///< whole-graph memo hits
-    std::uint64_t agrParses = 0;      ///< `.agr` texts parsed
-    std::uint64_t agrPrints = 0;      ///< `.agr` texts printed
-};
-
-/** Accumulate @p delta into the process-wide graph totals. */
-void chargeGraph(const GraphCounters &delta);
-
-/** Point-in-time copy of the graph totals. */
-GraphCounters graphTotals();
-
-/** Zero the graph totals (tests isolate themselves with this). */
-void resetGraphTotals();
-
-/** Accumulate @p delta into the process-wide kernel totals. */
-void chargeKernel(const KernelCounters &delta);
-
-/** Point-in-time copy of the kernel totals. */
-KernelCounters kernelTotals();
-
-/** Zero the kernel totals (tests isolate themselves with this). */
-void resetKernelTotals();
+Counter &counter(const std::string &name, CounterKind kind,
+                 Determinism det,
+                 CounterUnit unit = CounterUnit::Count);
 
 /**
- * The ASCEND_SIM_STATS=1 report: cache counters (including hit rate
- * and disk load/store counts), thread budget, per-scope timings, and
- * — when any simulation ran — per-pipe busy/wait cycle totals with
- * utilization, in one aligned table. Ends with a newline.
+ * Deterministic Sum counters bound to u64 fields of a result type T,
+ * for sites that charge a whole result: charge(r) adds each field
+ * into its counter. Bind once, as a function-local static.
+ */
+template <typename T>
+class FieldCounters
+{
+  public:
+    using Field = std::uint64_t T::*;
+
+    FieldCounters(
+        std::initializer_list<std::pair<const char *, Field>> fields)
+    {
+        for (const auto &[name, field] : fields)
+            bound_.push_back({&counter(name, CounterKind::Sum,
+                                       Determinism::Deterministic),
+                              field});
+    }
+
+    void
+    charge(const T &r) const
+    {
+        for (const auto &[c, field] : bound_)
+            c->charge(r.*field);
+    }
+
+  private:
+    std::vector<std::pair<Counter *, Field>> bound_;
+};
+
+/** Point-in-time copy of one counter. */
+struct CounterEntry
+{
+    std::string name;
+    CounterKind kind = CounterKind::Sum;
+    Determinism determinism = Determinism::Deterministic;
+    CounterUnit unit = CounterUnit::Count;
+    std::uint64_t value = 0;
+};
+
+/** Snapshot of every registered counter, sorted by name. */
+std::vector<CounterEntry> counterSnapshot();
+
+/** Current value of counter @p name; 0 if it was never registered. */
+std::uint64_t counterValue(const std::string &name);
+
+/** Zero every counter (tests isolate themselves with this). */
+void resetCounters();
+
+/**
+ * The ASCEND_SIM_STATS=1 report, one aligned table: the thread
+ * budget, the SimCache counters (with hit rate and disk load/store
+ * counts), per-scope timings, one row per registered counter, and —
+ * when any simulation ran — per-pipe utilization. Rows whose value
+ * can vary with the thread count end in "~". Ends with a newline.
  */
 std::string simStatsReport(const SimCache::Stats &stats,
                            unsigned threads);

@@ -5,9 +5,11 @@
 
 #include "runtime/sim_session.hh"
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
 
+#include "common/codec.hh"
 #include "obs/tracer.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/thread_pool.hh"
@@ -47,6 +49,71 @@ persistentCachePath()
     if (!dir || !*dir)
         return {};
     return SimCache::filePath(dir);
+}
+
+/**
+ * Per-pipe and per-result counters, charged from every SimResult a
+ * session produced or served from cache. Sim-time quantities, so for
+ * a fixed workload they are deterministic at any ASCEND_THREADS.
+ */
+struct PipeCounters
+{
+    Counter &results = det("sim results");
+    Counter &cycles = det("sim cycles");
+    Counter &barriers = det("sim barriers");
+    std::array<Counter *, isa::kNumPipes> busy{}, wait{}, instrs{};
+
+    PipeCounters()
+    {
+        for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
+            const std::string pipe =
+                std::string("pipe ") +
+                isa::toString(static_cast<isa::Pipe>(p));
+            busy[p] = &det(pipe + " busy");
+            wait[p] = &det(pipe + " wait");
+            instrs[p] = &det(pipe + " instrs");
+        }
+    }
+
+    static Counter &
+    det(const std::string &name)
+    {
+        return counter(name, CounterKind::Sum,
+                       Determinism::Deterministic);
+    }
+
+    void
+    charge(const core::SimResult &r)
+    {
+        results.charge(1);
+        cycles.charge(r.totalCycles);
+        barriers.charge(r.barriers);
+        for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
+            busy[p]->charge(r.pipes[p].busyCycles);
+            wait[p]->charge(r.pipes[p].waitCycles);
+            instrs[p]->charge(r.pipes[p].instrs);
+        }
+    }
+};
+
+/**
+ * The counter of surrogate outcome @p oc ("surrogate <outcome>").
+ * Racy: which tier answers a query can depend on which of two
+ * concurrent queries filled the cache first.
+ */
+Counter &
+outcomeCounter(surrogate::Outcome oc)
+{
+    using surrogate::Outcome;
+    static const auto counters = [] {
+        std::array<Counter *, std::size_t(Outcome::SpotCheck) + 1> a{};
+        for (auto i = std::size_t(Outcome::CacheHit); i < a.size(); ++i)
+            a[i] = &counter(std::string("surrogate ") +
+                                surrogate::toString(Outcome(i)),
+                            CounterKind::Sum, Determinism::Racy);
+        return a;
+    }();
+    return *counters[std::size_t(oc)];
 }
 
 void
@@ -129,11 +196,13 @@ SimSession::runLayer(const model::Layer &layer,
                      surrogate::Outcome *outcome_out) const
 {
     using surrogate::Outcome;
-    // Cache hits charge pipe totals too: the totals describe the
-    // workload simulated, not the cache behavior, so for a fixed
-    // workload they are hit-pattern- and thread-independent.
+    // Cache hits charge the pipe counters too: they describe the
+    // workload simulated, not the cache behavior.
     auto finish = [&](const core::SimResult &r, Outcome oc) {
-        chargePipes(r);
+        static PipeCounters pipes;
+        pipes.charge(r);
+        if (oc != Outcome::Disabled)
+            outcomeCounter(oc).charge(1);
         if (outcome_out)
             *outcome_out = oc;
         return r;
@@ -155,17 +224,12 @@ SimSession::runLayer(const model::Layer &layer,
 
     const std::string layerPrint = fingerprint(layer);
     core::SimResult result;
-    SurrogateCounters delta;
     if (cache_->lookup(sessionKey_ + layerPrint, result)) {
         trace("exact", result);
-        delta.cacheHits = 1;
-        chargeSurrogate(delta);
         return finish(result, Outcome::CacheHit);
     }
     if (cache_->lookup(surrogateKey_ + layerPrint, result)) {
         trace("predicted", result);
-        delta.cacheHits = 1;
-        chargeSurrogate(delta);
         return finish(result, Outcome::CacheHit);
     }
 
@@ -179,21 +243,12 @@ SimSession::runLayer(const model::Layer &layer,
     if (oc == Outcome::Predicted)
         cache_->insert(surrogateKey_ + layerPrint, result);
     trace(oc == Outcome::Predicted ? "predicted" : "exact", result);
-    switch (oc) {
-      case Outcome::Predicted:      delta.predictions = 1; break;
-      case Outcome::Anchor:         delta.anchors = 1; break;
-      case Outcome::FallbackSmall:  delta.fallbackSmall = 1; break;
-      case Outcome::FallbackHull:   delta.fallbackHull = 1; break;
-      case Outcome::FallbackBudget: delta.fallbackBudget = 1; break;
-      case Outcome::SpotCheck:
-        delta.spotChecks = 1;
-        delta.maxRelError = spotErr;
-        break;
-      case Outcome::Disabled:
-      case Outcome::CacheHit:
-        break; // unreachable on this path
+    if (oc == Outcome::SpotCheck) {
+        static Counter &maxErr =
+            counter("surrogate max rel err", CounterKind::Max,
+                    Determinism::Racy, CounterUnit::Fraction);
+        maxErr.charge(doubleBits(spotErr));
     }
-    chargeSurrogate(delta);
     return finish(result, oc);
 }
 

@@ -1197,23 +1197,28 @@ struct FleetEngine
         FleetResult r = result();
         if (store)
             store->remove();
-        runtime::ServingCounters delta;
-        delta.servingRuns = 1;
-        delta.offered = r.offered;
-        delta.admitted = r.admitted;
-        delta.shed = r.shed;
-        delta.completed = r.completed;
-        delta.goodput = r.goodput;
-        delta.retries = r.retries;
-        delta.hedges = r.hedges;
-        delta.replicaFailures = r.replicaFailures;
-        delta.failovers = r.failovers;
-        delta.autoscaleUps = r.autoscaleUps;
-        delta.checkpointsSaved = r.checkpointsSaved;
-        delta.reoffered = r.reoffered;
-        delta.breakerTrips = r.breakerTrips;
-        delta.brownoutEntries = r.brownoutEntries;
-        runtime::chargeServing(delta);
+        // Sim-time counters: deterministic at any thread count.
+        static runtime::Counter &runs = runtime::counter(
+            "serving runs", runtime::CounterKind::Sum,
+            runtime::Determinism::Deterministic);
+        static const runtime::FieldCounters<FleetResult> fields = {
+            {"serving offered", &FleetResult::offered},
+            {"serving admitted", &FleetResult::admitted},
+            {"serving shed", &FleetResult::shed},
+            {"serving completed", &FleetResult::completed},
+            {"serving goodput", &FleetResult::goodput},
+            {"serving retries", &FleetResult::retries},
+            {"serving hedges", &FleetResult::hedges},
+            {"serving failures", &FleetResult::replicaFailures},
+            {"serving failovers", &FleetResult::failovers},
+            {"serving autoscale-ups", &FleetResult::autoscaleUps},
+            {"serving checkpoints", &FleetResult::checkpointsSaved},
+            {"serving reoffers", &FleetResult::reoffered},
+            {"serving breaker trips", &FleetResult::breakerTrips},
+            {"serving brownouts", &FleetResult::brownoutEntries},
+        };
+        runs.charge(1);
+        fields.charge(r);
         if (obs::Tracer *tracer = obs::Tracer::current())
             tracer->span(obs::Domain::Serving, 1, "serving.run", 0,
                          std::uint64_t(
@@ -1286,17 +1291,11 @@ runFingerprint(const std::vector<Request> &arrivals,
     s += "serving-run:";
     // Arrivals are pure data; fingerprint them exactly (FNV-1a over
     // the packed stream keeps the id short).
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
+    std::uint64_t h = kFnv1aBasis;
     for (const Request &r : arrivals) {
-        mix(r.id);
-        mix(doubleBits(r.arrivalSec));
-        mix(r.tier);
+        h = fnv1aU64(h, r.id);
+        h = fnv1aU64(h, doubleBits(r.arrivalSec));
+        h = fnv1aU64(h, r.tier);
     }
     putU64(s, arrivals.size());
     putU64(s, h);

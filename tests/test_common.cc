@@ -344,6 +344,14 @@ TEST(Codec, TextKeysAndFnv1a)
     EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
     EXPECT_EQ(fnv1a("foobar", 6), 0x85944171f73967e8ULL);
     EXPECT_EQ(fnv1a("bar", 3, fnv1a("foo", 3)), fnv1a("foobar", 6));
+
+    // fnv1aU64 hashes a u64's bytes least significant first, on any
+    // host, from any starting state.
+    const unsigned char le[8] = {8, 7, 6, 5, 4, 3, 2, 1};
+    EXPECT_EQ(fnv1aU64(kFnv1aBasis, 0x0102030405060708ULL),
+              fnv1a(le, sizeof(le)));
+    EXPECT_EQ(fnv1aU64(12345, 0x0102030405060708ULL),
+              fnv1a(le, sizeof(le), 12345));
 }
 
 constexpr char kTestMagic[8] = {'T', 'E', 'S', 'T', 'F', 'R', 'M', '\n'};

@@ -3,9 +3,9 @@
  * Unit and negative-path tests of the des::Kernel: canonical
  * (time, priority, seq) dispatch order, the monotonic-clock
  * "no rewind" rule, deterministic phase slicing, quiescent hooks,
- * stats accounting, and the structured misuse errors (re-entrant
- * run/phase, scheduling into the past, empty-queue drain, event
- * guard).
+ * stats accounting and its charge into the runtime counters, and
+ * the structured misuse errors (re-entrant run/phase, scheduling into
+ * the past, empty-queue drain, event guard).
  */
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 
 #include "common/error.hh"
 #include "des/kernel.hh"
+#include "runtime/perf_stats.hh"
 
 using namespace ascend;
 
@@ -156,6 +157,51 @@ TEST(DesKernel, QuiescentHooksRunInRegistrationOrder)
     k.run();
     EXPECT_EQ(order, "12w");
     EXPECT_EQ(k.stats().quiescentPoints, 1u);
+}
+
+TEST(DesKernel, RetiredKernelChargesItsStatsIntoCounters)
+{
+    runtime::resetCounters();
+    des::KernelStats stats;
+    {
+        des::Kernel k;
+        k.onQuiescent([](des::Kernel &) {});
+        for (int i = 0; i < 4; ++i)
+            k.schedule(1.0 + i, 0, "work", [](des::Kernel &kk) {
+                kk.schedule(kk.now() + 0.5, 0, "child",
+                            [](des::Kernel &) {});
+            });
+        k.scheduleQuiescent(2.0, 0);
+        k.phase("fan", 8, [](std::size_t, std::size_t, std::size_t) {});
+        k.run();
+        stats = k.stats();
+        // Nothing is charged until the kernel retires.
+        EXPECT_EQ(runtime::counterValue("des kernels"), 0u);
+    }
+    EXPECT_EQ(stats.eventsScheduled, 9u);
+    EXPECT_EQ(runtime::counterValue("des kernels"), 1u);
+    EXPECT_EQ(runtime::counterValue("des events scheduled"),
+              stats.eventsScheduled);
+    EXPECT_EQ(runtime::counterValue("des events dispatched"),
+              stats.eventsDispatched);
+    EXPECT_EQ(runtime::counterValue("des phases"), stats.phasesRun);
+    EXPECT_EQ(runtime::counterValue("des quiescent points"),
+              stats.quiescentPoints);
+    EXPECT_EQ(runtime::counterValue("des queue high-water"),
+              stats.queueHighWater);
+
+    // High-water merges by max across kernels, the rest by sum.
+    {
+        des::Kernel shallow;
+        shallow.schedule(1.0, 0, "one", [](des::Kernel &) {});
+        shallow.run();
+    }
+    EXPECT_EQ(runtime::counterValue("des kernels"), 2u);
+    EXPECT_EQ(runtime::counterValue("des events dispatched"),
+              stats.eventsDispatched + 1);
+    EXPECT_EQ(runtime::counterValue("des queue high-water"),
+              stats.queueHighWater);
+    runtime::resetCounters();
 }
 
 TEST(DesKernel, StopLeavesPendingEvents)

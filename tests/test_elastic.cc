@@ -474,16 +474,18 @@ TEST(ElasticRun, HaltResumeMatchesUninterrupted)
 
 TEST(ElasticRun, CountersChargeIntoSimStats)
 {
-    runtime::resetResilienceTotals();
+    runtime::resetCounters();
 
     const ElasticRunResult r = runScenario(chaosSpec(), chaosOptions());
-    const runtime::ResilienceCounters totals =
-        runtime::resilienceTotals();
-    EXPECT_EQ(totals.elasticRuns, 1u);
-    EXPECT_EQ(totals.failovers, r.counters.failovers);
-    EXPECT_EQ(totals.rollbacks, r.counters.rollbacks);
-    EXPECT_EQ(totals.replayedSteps, r.counters.replayedSteps);
-    EXPECT_EQ(totals.checkpointsSaved, r.counters.checkpointsSaved);
+    EXPECT_EQ(runtime::counterValue("elastic runs"), 1u);
+    EXPECT_EQ(runtime::counterValue("elastic failovers"),
+              r.counters.failovers);
+    EXPECT_EQ(runtime::counterValue("elastic rollbacks"),
+              r.counters.rollbacks);
+    EXPECT_EQ(runtime::counterValue("elastic steps replayed"),
+              r.counters.replayedSteps);
+    EXPECT_EQ(runtime::counterValue("elastic checkpoints"),
+              r.counters.checkpointsSaved);
 
     const std::string report =
         runtime::simStatsReport(runtime::SimCache::Stats{}, 1);
@@ -491,12 +493,12 @@ TEST(ElasticRun, CountersChargeIntoSimStats)
     EXPECT_NE(report.find("elastic rollbacks"), std::string::npos);
 
     // A halted run is a crash stand-in: nothing may be charged.
-    runtime::resetResilienceTotals();
+    runtime::resetCounters();
     ElasticOptions halt = chaosOptions();
     halt.haltAfterEvents = 2;
     runScenario(chaosSpec(), halt);
-    EXPECT_EQ(runtime::resilienceTotals().elasticRuns, 0u);
-    runtime::resetResilienceTotals();
+    EXPECT_EQ(runtime::counterValue("elastic runs"), 0u);
+    runtime::resetCounters();
 }
 
 TEST(ElasticRun, RecoveryPhasesEmitTracerSpans)

@@ -93,7 +93,7 @@ TEST(GraphIr, TopoOrderIsInsertionOrderForBuilderGraphs)
 
 TEST(GraphIr, StructuralNodesLowerToNothing)
 {
-    runtime::resetGraphTotals();
+    runtime::resetCounters();
     const std::vector<graph::Step> steps = graph::lower(diamond());
     // split is elided; relu, gelu and the residual add survive.
     ASSERT_EQ(steps.size(), 3u);
@@ -102,11 +102,10 @@ TEST(GraphIr, StructuralNodesLowerToNothing)
     EXPECT_EQ(steps[2].layer.name, "join");
     EXPECT_EQ(steps[2].layer.kind, model::LayerKind::Elementwise);
 
-    const runtime::GraphCounters t = runtime::graphTotals();
-    EXPECT_EQ(t.graphsLowered, 1u);
-    EXPECT_EQ(t.nodesLowered, 4u);
-    EXPECT_EQ(t.layersLowered, 3u);
-    EXPECT_EQ(t.structuralElided, 1u);
+    EXPECT_EQ(runtime::counterValue("graph lowerings"), 1u);
+    EXPECT_EQ(runtime::counterValue("graph nodes"), 4u);
+    EXPECT_EQ(runtime::counterValue("graph layers"), 3u);
+    EXPECT_EQ(runtime::counterValue("graph structural"), 1u);
 }
 
 TEST(GraphIr, ResidualAddMatchesLegacyElementwiseShape)
@@ -229,11 +228,11 @@ TEST(GraphCacheKeys, GraphResultIsMemoized)
     const runtime::SimSession session = makeSession();
     const core::SimResult first = graph::graphResult(session, g);
 
-    runtime::resetGraphTotals();
+    runtime::resetCounters();
     const core::SimResult again = graph::graphResult(session, g);
     EXPECT_EQ(again.totalCycles, first.totalCycles);
-    EXPECT_EQ(runtime::graphTotals().graphCacheHits, 1u);
-    EXPECT_EQ(runtime::graphTotals().graphsLowered, 0u);
+    EXPECT_EQ(runtime::counterValue("graph cache hits"), 1u);
+    EXPECT_EQ(runtime::counterValue("graph lowerings"), 0u);
 }
 
 // --------------------------------------------------- tracer

@@ -218,11 +218,11 @@ TEST(AgrRoundTrip, LayerFieldsSurviveIncludingOverrides)
 
 TEST(AgrRoundTrip, CountersCharge)
 {
-    runtime::resetGraphTotals();
+    runtime::resetCounters();
     expectRoundTrips(graph::zoo::gestureNetGraph(1));
-    const runtime::GraphCounters t = runtime::graphTotals();
-    EXPECT_EQ(t.agrParses, 1u);
-    EXPECT_EQ(t.agrPrints, 2u); // round trip prints twice
+    EXPECT_EQ(runtime::counterValue("graph agr parsed"), 1u);
+    // round trip prints twice
+    EXPECT_EQ(runtime::counterValue("graph agr printed"), 2u);
 }
 
 // ------------------------------------------------ parse errors

@@ -2,13 +2,16 @@
  * @file
  * Tests for the obs layer: tracer determinism and dedup, Chrome JSON
  * shape, the per-pipe stall/occupancy counters on SimResult, and the
- * runtime::pipeTotals charging.
+ * runtime counter registry (charging, merging, reporting).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
+#include "common/codec.hh"
+#include "common/error.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
 #include "obs/tracer.hh"
@@ -197,7 +200,7 @@ TEST(SimResult, BarrierAndWaitStallsAreCounted)
 
 TEST(PerfStats, PipeTotalsChargeOnMissAndHit)
 {
-    runtime::resetPipeTotals();
+    runtime::resetCounters();
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Lite);
     runtime::SimSession session(cfg, {},
                                 std::make_shared<runtime::SimCache>());
@@ -205,22 +208,191 @@ TEST(PerfStats, PipeTotalsChargeOnMissAndHit)
     const auto r1 = session.runLayer(layer); // miss
     const auto r2 = session.runLayer(layer); // memo hit
     EXPECT_EQ(r1.totalCycles, r2.totalCycles);
-    const runtime::PipeTotals totals = runtime::pipeTotals();
-    // The totals describe the workload, so the hit charges too.
-    EXPECT_EQ(totals.results, 2u);
-    EXPECT_EQ(totals.totalCycles, 2 * r1.totalCycles);
+    // The counters describe the workload, so the hit charges too.
+    EXPECT_EQ(runtime::counterValue("sim results"), 2u);
+    const std::uint64_t cycles = runtime::counterValue("sim cycles");
+    EXPECT_EQ(cycles, 2 * r1.totalCycles);
+    EXPECT_EQ(runtime::counterValue("sim barriers"), 2 * r1.barriers);
     for (unsigned p = 0; p < isa::kNumPipes; ++p) {
         const auto pipe = static_cast<isa::Pipe>(p);
-        EXPECT_EQ(totals.busyCycles[p],
-                  2 * r1.pipe(pipe).busyCycles);
-        EXPECT_EQ(totals.waitCycles[p],
+        const std::string name =
+            std::string("pipe ") + isa::toString(pipe);
+        const std::uint64_t busy = runtime::counterValue(name + " busy");
+        EXPECT_EQ(busy, 2 * r1.pipe(pipe).busyCycles);
+        EXPECT_EQ(runtime::counterValue(name + " wait"),
                   2 * r1.pipe(pipe).waitCycles);
-        const double util = totals.utilization(pipe);
-        EXPECT_GE(util, 0.0);
-        EXPECT_LE(util, 1.0);
+        EXPECT_EQ(runtime::counterValue(name + " instrs"),
+                  2 * r1.pipe(pipe).instrs);
+        EXPECT_LE(busy, cycles); // utilization within [0, 1]
     }
-    runtime::resetPipeTotals();
-    EXPECT_EQ(runtime::pipeTotals().results, 0u);
+    runtime::resetCounters();
+    EXPECT_EQ(runtime::counterValue("sim results"), 0u);
+}
+
+// ------------------------------------------------ counter registry
+
+using runtime::CounterKind;
+using runtime::CounterUnit;
+using runtime::Determinism;
+
+TEST(CounterRegistry, ConcurrentSumsTotalExactly)
+{
+    runtime::Counter &c = runtime::counter(
+        "test concurrent sum", CounterKind::Sum,
+        Determinism::Deterministic);
+    c.reset();
+    runtime::ThreadPool pool(8);
+    const std::size_t n = 20000;
+    pool.parallelFor(n, [&](std::size_t i) { c.charge(i + 1); });
+    EXPECT_EQ(c.value(), n * (n + 1) / 2);
+    EXPECT_EQ(runtime::counterValue("test concurrent sum"),
+              n * (n + 1) / 2);
+}
+
+TEST(CounterRegistry, ConcurrentMaxKeepsTheLargestValue)
+{
+    runtime::Counter &u = runtime::counter(
+        "test concurrent max", CounterKind::Max,
+        Determinism::Deterministic);
+    runtime::Counter &err = runtime::counter(
+        "test concurrent max err", CounterKind::Max, Determinism::Racy,
+        CounterUnit::Fraction);
+    u.reset();
+    err.reset();
+    runtime::ThreadPool pool(8);
+    const std::size_t n = 20000;
+    // Scrambled order, so the maximum arrives mid-stream.
+    const auto value = [&](std::size_t i) { return (i * 7919) % n; };
+    pool.parallelFor(n, [&](std::size_t i) {
+        u.charge(value(i));
+        err.charge(doubleBits(double(value(i)) * 1e-6));
+    });
+    EXPECT_EQ(u.value(), n - 1);
+    EXPECT_EQ(bitsDouble(err.value()), double(n - 1) * 1e-6);
+    // A smaller charge never lowers a max.
+    u.charge(1);
+    err.charge(doubleBits(0.5e-6));
+    EXPECT_EQ(u.value(), n - 1);
+    EXPECT_EQ(bitsDouble(err.value()), double(n - 1) * 1e-6);
+}
+
+TEST(CounterRegistry, ReRegisteringWithAnotherDeclarationThrows)
+{
+    runtime::Counter &c = runtime::counter(
+        "test declared once", CounterKind::Sum,
+        Determinism::Deterministic);
+    EXPECT_EQ(&runtime::counter("test declared once", CounterKind::Sum,
+                                Determinism::Deterministic),
+              &c);
+    const auto expectConflict = [](auto &&fn) {
+        try {
+            fn();
+            FAIL() << "expected Error[counter-conflict]";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::CounterConflict);
+            EXPECT_NE(std::string(e.what()).find("test declared once"),
+                      std::string::npos);
+        }
+    };
+    expectConflict([] {
+        runtime::counter("test declared once", CounterKind::Max,
+                         Determinism::Deterministic);
+    });
+    expectConflict([] {
+        runtime::counter("test declared once", CounterKind::Sum,
+                         Determinism::Racy);
+    });
+    expectConflict([] {
+        runtime::counter("test declared once", CounterKind::Sum,
+                         Determinism::Deterministic,
+                         CounterUnit::Fraction);
+    });
+}
+
+TEST(CounterRegistry, ResetZeroesEveryCounter)
+{
+    runtime::counter("test reset sum", CounterKind::Sum,
+                     Determinism::Deterministic)
+        .charge(5);
+    runtime::counter("test reset max", CounterKind::Max,
+                     Determinism::Racy)
+        .charge(9);
+    runtime::resetCounters();
+    for (const runtime::CounterEntry &e : runtime::counterSnapshot())
+        EXPECT_EQ(e.value, 0u) << e.name;
+    EXPECT_EQ(runtime::counterValue("test reset sum"), 0u);
+    EXPECT_EQ(runtime::counterValue("test reset max"), 0u);
+}
+
+TEST(CounterRegistry, SnapshotIsSortedByName)
+{
+    // Registered out of order.
+    runtime::counter("test sort c", CounterKind::Sum,
+                     Determinism::Deterministic)
+        .charge(3);
+    runtime::counter("test sort a", CounterKind::Max,
+                     Determinism::Racy)
+        .charge(1);
+    runtime::counter("test sort b", CounterKind::Sum,
+                     Determinism::Deterministic);
+    const std::vector<runtime::CounterEntry> snap =
+        runtime::counterSnapshot();
+    EXPECT_TRUE(std::is_sorted(
+        snap.begin(), snap.end(),
+        [](const auto &x, const auto &y) { return x.name < y.name; }));
+    const auto find = [&](const std::string &name) {
+        return std::find_if(snap.begin(), snap.end(),
+                            [&](const auto &e) { return e.name == name; });
+    };
+    ASSERT_NE(find("test sort a"), snap.end());
+    EXPECT_EQ(find("test sort a")->kind, CounterKind::Max);
+    EXPECT_EQ(find("test sort a")->determinism, Determinism::Racy);
+    EXPECT_EQ(find("test sort a")->value, 1u);
+    EXPECT_EQ(find("test sort c")->value, 3u);
+    EXPECT_LT(find("test sort a"), find("test sort b"));
+    EXPECT_LT(find("test sort b"), find("test sort c"));
+}
+
+TEST(CounterRegistry, UnregisteredNameReadsZero)
+{
+    EXPECT_EQ(runtime::counterValue("test never registered"), 0u);
+    for (const runtime::CounterEntry &e : runtime::counterSnapshot())
+        EXPECT_NE(e.name, "test never registered");
+}
+
+TEST(CounterRegistry, ReportHasOneRowPerCounterAndMarksVaryingRows)
+{
+    runtime::resetCounters();
+    runtime::counter("test report det", CounterKind::Sum,
+                     Determinism::Deterministic)
+        .charge(42);
+    runtime::counter("test report racy", CounterKind::Sum,
+                     Determinism::Racy)
+        .charge(7);
+    runtime::counter("test report err", CounterKind::Max,
+                     Determinism::Racy, CounterUnit::Fraction)
+        .charge(doubleBits(0.0123));
+    const std::string report =
+        runtime::simStatsReport(runtime::SimCache::Stats{}, 4);
+    const auto row = [&](const std::string &label) {
+        const std::size_t at = report.find("  " + label + " ");
+        EXPECT_NE(at, std::string::npos) << label << "\n" << report;
+        if (at == std::string::npos)
+            return std::string();
+        return report.substr(at, report.find('\n', at) - at);
+    };
+    const std::string det = row("test report det");
+    EXPECT_NE(det.find(" 42"), std::string::npos) << det;
+    EXPECT_NE(det.back(), '~') << det;
+    const std::string racy = row("test report racy");
+    EXPECT_NE(racy.find(" 7  ~"), std::string::npos) << racy;
+    EXPECT_NE(row("test report err").find(" 1.2%  ~"), std::string::npos);
+    // Cache, thread and scope rows can vary with the thread count;
+    // the warm-cache CI regexes still find their values.
+    EXPECT_EQ(row("threads").back(), '~');
+    EXPECT_NE(row("cache hit rate").find(" 0.0%  ~"), std::string::npos);
+    EXPECT_EQ(row("disk loads").back(), '~');
+    runtime::resetCounters();
 }
 
 } // anonymous namespace

@@ -812,17 +812,17 @@ TEST(ServingFleet, ForeignCheckpointIsIgnoredNotResumed)
 
 TEST(ServingFleet, CountersChargeIntoSimStats)
 {
-    runtime::resetServingTotals();
+    runtime::resetCounters();
 
     const FleetResult r =
         run(1.5, baseOptions(), oneDeathPerCore(2, 0.5));
-    const runtime::ServingCounters totals = runtime::servingTotals();
-    EXPECT_EQ(totals.servingRuns, 1u);
-    EXPECT_EQ(totals.offered, r.offered);
-    EXPECT_EQ(totals.shed, r.shed);
-    EXPECT_EQ(totals.goodput, r.goodput);
-    EXPECT_EQ(totals.retries, r.retries);
-    EXPECT_EQ(totals.replicaFailures, r.replicaFailures);
+    EXPECT_EQ(runtime::counterValue("serving runs"), 1u);
+    EXPECT_EQ(runtime::counterValue("serving offered"), r.offered);
+    EXPECT_EQ(runtime::counterValue("serving shed"), r.shed);
+    EXPECT_EQ(runtime::counterValue("serving goodput"), r.goodput);
+    EXPECT_EQ(runtime::counterValue("serving retries"), r.retries);
+    EXPECT_EQ(runtime::counterValue("serving failures"),
+              r.replicaFailures);
 
     const std::string report =
         runtime::simStatsReport(runtime::SimCache::Stats{}, 1);
@@ -830,15 +830,15 @@ TEST(ServingFleet, CountersChargeIntoSimStats)
     EXPECT_NE(report.find("serving goodput"), std::string::npos);
 
     // A halted run is a crash stand-in: nothing may be charged.
-    runtime::resetServingTotals();
+    runtime::resetCounters();
     const std::string dir = tempDir("charge_halt");
     std::filesystem::remove_all(dir);
     FleetOptions halt = baseOptions();
     halt.checkpointDir = dir;
     halt.haltAfterEvents = 1;
     run(1.5, halt, oneDeathPerCore(2, 0.5));
-    EXPECT_EQ(runtime::servingTotals().servingRuns, 0u);
-    runtime::resetServingTotals();
+    EXPECT_EQ(runtime::counterValue("serving runs"), 0u);
+    runtime::resetCounters();
     std::filesystem::remove_all(dir);
 }
 

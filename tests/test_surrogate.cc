@@ -13,11 +13,14 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "model/layer.hh"
+#include "runtime/perf_stats.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
 #include "soc/training_soc.hh"
@@ -321,6 +324,70 @@ TEST(SurrogateTier, RepeatQueryIsServedFromTheCache)
     EXPECT_EQ(first, surrogate::Outcome::Predicted);
     EXPECT_EQ(second, surrogate::Outcome::CacheHit);
     EXPECT_EQ(a.totalCycles, b.totalCycles);
+}
+
+TEST(SurrogateTier, EachQueryChargesExactlyItsOutcomeCounter)
+{
+    surrogate::SurrogateOptions sur;
+    sur.enabled = true;
+    sur.spotCheckPeriod = 0;
+    const runtime::SimSession pred = makeSession(sur);
+    sur.spotCheckPeriod = 1;
+    const runtime::SimSession spot = makeSession(sur);
+
+    const auto outcomeCounts = [] {
+        std::map<std::string, std::uint64_t> out;
+        for (const runtime::CounterEntry &e : runtime::counterSnapshot())
+            if (e.name.rfind("surrogate ", 0) == 0 &&
+                e.unit == runtime::CounterUnit::Count)
+                out[e.name] = e.value;
+        return out;
+    };
+    std::set<surrogate::Outcome> seen;
+    const auto query = [&](const runtime::SimSession &session,
+                           const model::Layer &l) {
+        const auto before = outcomeCounts();
+        surrogate::Outcome oc;
+        session.runLayer(l, &oc);
+        const auto after = outcomeCounts();
+        const std::string charged =
+            std::string("surrogate ") + surrogate::toString(oc);
+        EXPECT_EQ(after.count(charged), 1u) << charged;
+        for (const auto &[name, value] : after) {
+            const auto was = before.find(name);
+            EXPECT_EQ(value - (was == before.end() ? 0 : was->second),
+                      name == charged ? 1u : 0u)
+                << name << " after a " << surrogate::toString(oc)
+                << " query";
+        }
+        seen.insert(oc);
+    };
+    using model::Layer;
+    query(pred, Layer::linear("grid", 2048, 1024, 1024));   // anchor
+    query(pred, Layer::linear("stairs", 560, 1024, 1024));  // hull
+    query(pred, Layer::linear("tiny", 33, 40, 48));         // small
+    query(pred, Layer::linear("rep", 1250, 1024, 1024));    // predicted
+    query(pred, Layer::linear("rep", 1250, 1024, 1024));    // cache hit
+    query(spot, Layer::linear("rep", 1250, 1024, 1024));    // spot check
+    EXPECT_EQ(seen, (std::set<surrogate::Outcome>{
+                        surrogate::Outcome::Anchor,
+                        surrogate::Outcome::FallbackHull,
+                        surrogate::Outcome::FallbackSmall,
+                        surrogate::Outcome::Predicted,
+                        surrogate::Outcome::CacheHit,
+                        surrogate::Outcome::SpotCheck}));
+
+    // The spot check also raised the max-error counter.
+    bool sawErr = false;
+    for (const runtime::CounterEntry &e : runtime::counterSnapshot()) {
+        if (e.name != "surrogate max rel err")
+            continue;
+        sawErr = true;
+        EXPECT_EQ(e.kind, runtime::CounterKind::Max);
+        EXPECT_EQ(e.determinism, runtime::Determinism::Racy);
+        EXPECT_EQ(e.unit, runtime::CounterUnit::Fraction);
+    }
+    EXPECT_TRUE(sawErr);
 }
 
 // ------------------------------------------ determinism and keys
