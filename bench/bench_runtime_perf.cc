@@ -14,8 +14,8 @@
  *  - bert-base training: forward+backward layer sweep;
  *  - chip-sim 32-core: the fluid SoC step (layer sim + event loop);
  *  - chip-sim 4096-core synthetic: a pure event-loop stress at
- *    cluster-node scale, where the parallel advance and active-core
- *    index set dominate (no layer simulation in the loop).
+ *    cluster-node scale, where the active-set passes dominate (no
+ *    layer simulation in the loop).
  *
  * Timings vary run to run, so nothing here is golden-diffed; the
  * JSON is for trend lines and the warm-cache CI assertion.

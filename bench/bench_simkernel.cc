@@ -107,7 +107,7 @@ void
 BM_ChipSimFluid(benchmark::State &state)
 {
     // 64 cores x 32 tasks with index-derived skew: exercises the
-    // parallel fluid advance (and the Chip trace spans under
+    // serial active-set event loop (and the Chip trace spans under
     // ASCEND_TRACE). The workload is identical every iteration, so
     // the emitted spans dedup and the trace stays iteration-count
     // independent.
@@ -177,8 +177,8 @@ void
 BM_DesPhaseFanout(benchmark::State &state)
 {
     // Deterministic parallel phase over a fixed-grain slicing of a
-    // touch-every-element body: the kernel-side cost of what used to
-    // be chip_sim's hand-rolled forSlices.
+    // touch-every-element body: the kernel-side cost a client pays
+    // to fan one per-element pass out over the thread pool.
     const std::size_t n = 1 << 16;
     des::KernelOptions options;
     options.parallelGrain = std::size_t(state.range(0));

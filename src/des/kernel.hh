@@ -3,7 +3,7 @@
  * Deterministic discrete-event simulation kernel.
  *
  * The repo grew three hand-rolled event loops — the fluid chip sim's
- * grain-sliced phase loop, the elastic cluster engine's recovery
+ * re-solve loop, the elastic cluster engine's recovery
  * state machine, and the per-bench sweep drivers — each carrying its
  * own determinism, checkpoint, and tracing contract. This kernel is
  * the one substrate they all run on:

@@ -2,32 +2,40 @@
  * @file
  * Fluid chip simulation implementation — a des::Kernel client.
  *
- * Each rate re-solve of the fluid model is one kernel event: the
- * handler counts memory-active tasks, solves the time to the next
- * completion, advances the kernel clock by that dt, advances per-core
- * state, and re-arms itself while work remains. The parallel pieces
- * run as kernel *phases* (fixed-grain slices over
- * runtime::parallelFor); the kernel grain is ASCEND_CHIPSIM_GRAIN.
+ * One event loop serves the fault-free and the degraded model: an
+ * empty fault plan is a plan whose faults never strike. Each rate
+ * re-solve is one kernel event that re-arms itself while work
+ * remains, and it walks only the *active set* (alive cores holding a
+ * task, ascending index) in two serial passes:
+ *  - reduce: count memory-active cores and take the minima of the
+ *    remaining compute time, the remaining bytes and the repair
+ *    wake-ups; dt = min(wake - now, minCompute, minBytes / rate) is
+ *    exact because min is exact and correctly rounded division by a
+ *    positive rate is monotone;
+ *  - advance: move every running core by dt, add its drained bytes to
+ *    the shared total in core-index order, and reload cores whose
+ *    task completed in the same pass.
+ * Fault strikes come from a min-heap of (next fault time, core) and
+ * idle survivors wait in a min-heap of core indices for orphaned
+ * work, so neither costs a walk over all cores.
  *
  * Determinism notes (the sweep benches diff output across thread
- * counts): every kernel phase below either reduces with exact
- * operations (min over doubles, integer counts) over slices whose
- * boundaries are thread-count independent, or writes core-local state
- * that a serial core-index-ordered pass then folds into the shared
- * accumulators. The arithmetic sequence is identical to a fully
- * serial run — and to the pre-kernel hand-rolled loop, which the
- * checked-in tests/golden/ outputs pin — so output is byte-identical
- * at any ASCEND_THREADS and any ASCEND_CHIPSIM_GRAIN.
+ * counts): the loop runs on the calling thread, every reduction is
+ * exact or a core-index-ordered sum, and orphans are pushed and
+ * popped in core-index order — so results are byte-identical at any
+ * ASCEND_THREADS. tests/golden/chip_sim_fuzz.txt pins the arithmetic
+ * sequence on seeded workloads under dense fault plans.
  */
 
 #include "soc/chip_sim.hh"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <limits>
+#include <queue>
+#include <utility>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -40,14 +48,6 @@ namespace ascend {
 namespace soc {
 
 namespace {
-
-/** Slice count of a fixed-grain partition of [0, n). */
-std::size_t
-sliceCount(std::size_t n, std::size_t grain)
-{
-    grain = std::max<std::size_t>(grain, 1);
-    return (n + grain - 1) / grain;
-}
 
 [[noreturn]] void
 throwGuard(const char *which, int events, double now,
@@ -80,219 +80,18 @@ traceNs(double seconds)
     return std::uint64_t(std::llround(seconds * 1e9));
 }
 
-/** One chip-sim kernel sized by the chip options. */
-des::KernelOptions
-kernelOptions(const ChipSimOptions &options)
-{
-    des::KernelOptions kopt;
-    kopt.parallelGrain = options.parallelGrain;
-    return kopt;
-}
+/** A min-heap of @p T (std::priority_queue with std::greater). */
+template <typename T>
+using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<T>>;
 
 } // anonymous namespace
-
-ChipSimOptions
-ChipSimOptions::fromEnv()
-{
-    static const std::size_t grain = [] {
-        const ChipSimOptions defaults;
-        const char *env = std::getenv("ASCEND_CHIPSIM_GRAIN");
-        if (env && *env) {
-            char *end = nullptr;
-            const long v = std::strtol(env, &end, 10);
-            if (end && *end == '\0' && v > 0)
-                return std::size_t(v);
-            // Malformed values fall through to the built-in default.
-        }
-        return defaults.parallelGrain;
-    }();
-    ChipSimOptions options;
-    options.parallelGrain = grain;
-    return options;
-}
 
 ChipSimResult
 runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
            double mem_bytes_per_sec, const ChipSimOptions &options)
 {
-    static runtime::PerfScope &perf = runtime::perfScope("chip-sim");
-    const runtime::PerfTimer timer(perf);
-
-    simAssert(mem_bytes_per_sec > 0, "memory capacity must be positive");
-    const std::size_t cores = per_core.size();
-
-    struct CoreState
-    {
-        std::size_t next = 0;
-        double computeLeft = 0;
-        double bytesLeft = 0;
-        double moved = 0; ///< bytes drained in the current event
-        bool active = false;
-        double taskStart = 0; ///< sim time the current task began
-        double finish = 0;
-    };
-    std::vector<CoreState> state(cores);
-    // Spans carry only sim-time fields, so recording from the
-    // parallel advance below is safe: the tracer's merge step
-    // restores a deterministic order.
-    obs::Tracer *const tracer = obs::Tracer::current();
-
-    auto load_next = [&](std::size_t c, double now) {
-        CoreState &cs = state[c];
-        while (cs.next < per_core[c].size()) {
-            const CoreTask &t = per_core[c][cs.next];
-            cs.computeLeft = t.computeSeconds;
-            cs.bytesLeft = double(t.memBytes);
-            if (cs.computeLeft > 0 || cs.bytesLeft > 0) {
-                cs.active = true;
-                cs.taskStart = now;
-                return;
-            }
-            ++cs.next; // zero task: completes instantly
-        }
-        cs.active = false;
-        cs.finish = now;
-    };
-
-    double now = 0;
-    double bytes_moved = 0;
-    for (std::size_t c = 0; c < cores; ++c)
-        load_next(c, now);
-
-    // Active-core index set, ascending: finished cores leave every
-    // scan, so one event costs O(active cores), not O(all cores).
-    std::vector<std::size_t> active;
-    active.reserve(cores);
-    for (std::size_t c = 0; c < cores; ++c)
-        if (state[c].active)
-            active.push_back(c);
-
-    const std::size_t grain = options.parallelGrain;
-    std::vector<unsigned> slice_mem(sliceCount(cores, grain));
-    std::vector<double> slice_dt(slice_mem.size());
-
-    des::Kernel kernel(kernelOptions(options));
-    int guard = 0;
-
-    // One rate re-solve per kernel event; the handler re-arms itself
-    // while any core is still active.
-    std::function<void(des::Kernel &)> resolve;
-    resolve = [&](des::Kernel &k) {
-        const std::size_t n = active.size();
-        const std::size_t slices = sliceCount(n, grain);
-
-        // Rate re-solve point 1/2: count memory-active tasks for the
-        // max-min share (exact integer reduction).
-        k.phase("chip.mem-count", n,
-                [&](std::size_t b, std::size_t e, std::size_t s) {
-                    unsigned mem = 0;
-                    for (std::size_t i = b; i < e; ++i)
-                        if (state[active[i]].bytesLeft > 0)
-                            ++mem;
-                    slice_mem[s] = mem;
-                });
-        unsigned mem_active = 0;
-        for (std::size_t s = 0; s < slices; ++s)
-            mem_active += slice_mem[s];
-        const double rate =
-            mem_active ? mem_bytes_per_sec / mem_active : 0;
-
-        // Rate re-solve point 2/2: time to the next completion event
-        // (exact min reduction).
-        k.phase("chip.next-event", n,
-                [&](std::size_t b, std::size_t e, std::size_t s) {
-                    double best =
-                        std::numeric_limits<double>::infinity();
-                    for (std::size_t i = b; i < e; ++i) {
-                        const CoreState &cs = state[active[i]];
-                        double task_dt = 0;
-                        if (cs.bytesLeft > 0 && cs.computeLeft > 0)
-                            task_dt = std::min(cs.computeLeft,
-                                               cs.bytesLeft / rate);
-                        else if (cs.bytesLeft > 0)
-                            task_dt = cs.bytesLeft / rate;
-                        else
-                            task_dt = cs.computeLeft;
-                        best = std::min(best, task_dt);
-                    }
-                    slice_dt[s] = best;
-                });
-        double dt = std::numeric_limits<double>::infinity();
-        for (std::size_t s = 0; s < slices; ++s)
-            dt = std::min(dt, slice_dt[s]);
-        simAssert(dt >= 0 && dt < std::numeric_limits<double>::infinity(),
-                  "chip sim event time must be finite");
-        dt = std::max(dt, 1e-15); // numerical floor
-
-        now += dt;
-        k.advanceTo(now);
-        // Independent cores advance concurrently between re-solve
-        // points; all writes are core-local (load_next only reads the
-        // core's own queue).
-        k.phase("chip.advance", n,
-                [&](std::size_t b, std::size_t e, std::size_t) {
-                    for (std::size_t i = b; i < e; ++i) {
-                        const std::size_t c = active[i];
-                        CoreState &cs = state[c];
-                        cs.moved = 0;
-                        if (cs.computeLeft > 0)
-                            cs.computeLeft =
-                                std::max(0.0, cs.computeLeft - dt);
-                        if (cs.bytesLeft > 0) {
-                            const double moved =
-                                std::min(cs.bytesLeft, rate * dt);
-                            cs.bytesLeft -= moved;
-                            cs.moved = moved;
-                        }
-                        if (cs.computeLeft <= 0 && cs.bytesLeft <= 0) {
-                            if (tracer) {
-                                const std::uint64_t t0 =
-                                    traceNs(cs.taskStart);
-                                tracer->span(
-                                    obs::Domain::Chip,
-                                    std::uint32_t(c) + 1, "task",
-                                    t0, traceNs(now) - t0,
-                                    per_core[c][cs.next].memBytes);
-                            }
-                            ++cs.next;
-                            load_next(c, now);
-                        }
-                    }
-                });
-        // Fold fluid byte accounting serially in core-index order —
-        // floating-point addition is the one non-exact reduction, so
-        // its sequence must not depend on scheduling.
-        for (std::size_t i = 0; i < n; ++i)
-            bytes_moved += state[active[i]].moved;
-        active.erase(std::remove_if(active.begin(), active.end(),
-                                    [&](std::size_t c) {
-                                        return !state[c].active;
-                                    }),
-                     active.end());
-
-        if (++guard > options.guardLimit) {
-            std::uint64_t done = 0;
-            for (const CoreState &cs : state)
-                done += cs.next;
-            throwGuard("fault-free", guard, now, active.size(), cores,
-                       done, totalTasks(per_core));
-        }
-        if (!active.empty())
-            k.schedule(now, 0, "chip.resolve", resolve);
-    };
-
-    if (!active.empty())
-        kernel.schedule(0, 0, "chip.resolve", resolve);
-    kernel.run();
-
-    ChipSimResult result;
-    result.makespan = now;
-    result.coreFinish.reserve(cores);
-    for (const CoreState &cs : state)
-        result.coreFinish.push_back(cs.finish);
-    result.avgMemUtilization =
-        now > 0 ? bytes_moved / (mem_bytes_per_sec * now) : 0.0;
-    return result;
+    return runChipSim(per_core, mem_bytes_per_sec,
+                      resilience::ChipFaultPlan{}, options);
 }
 
 ChipSimResult
@@ -301,28 +100,26 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
            const resilience::ChipFaultPlan &plan,
            const ChipSimOptions &options)
 {
-    if (plan.empty()) // bit-for-bit identical to the fault-free path
-        return runChipSim(per_core, mem_bytes_per_sec, options);
-
     static runtime::PerfScope &perf = runtime::perfScope("chip-sim");
     const runtime::PerfTimer timer(perf);
 
     simAssert(mem_bytes_per_sec > 0, "memory capacity must be positive");
     const std::size_t cores = per_core.size();
     const double inf = std::numeric_limits<double>::infinity();
+    const char *const mode = plan.empty() ? "fault-free" : "degraded";
 
     struct CoreState
     {
-        std::size_t next = 0;       ///< index into own queue
-        CoreTask current;           ///< full values, for restart
+        // Read by both passes of every event; kept side by side.
         double computeLeft = 0;
         double bytesLeft = 0;
-        double moved = 0;           ///< bytes drained this event
-        bool active = false;
-        bool alive = true;
-        bool reload = false;        ///< completed; refill after advance
-        double pausedUntil = 0;     ///< transient repair window
         double slowdown = 1.0;      ///< straggler compute stretch
+        double pausedUntil = 0;     ///< transient repair window
+        // Touched only when a task or a fault event changes hands.
+        std::size_t next = 0;       ///< index into own queue
+        CoreTask current;           ///< full values, for restart
+        bool active = false;        ///< holds a task (in the active set)
+        bool alive = true;
         std::size_t eventIdx = 0;   ///< next unapplied fault event
         double taskStart = 0;       ///< sim time the current task began
         double finish = 0;
@@ -336,6 +133,9 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
 
     ChipSimResult result;
     std::deque<CoreTask> orphans; ///< work shed by dead cores
+    std::vector<std::size_t> active; ///< alive cores with a task, ascending
+    MinHeap<std::size_t> idle; ///< alive idle cores (dead ones skipped)
+    MinHeap<std::pair<double, std::size_t>> strikes; ///< (next fault, core)
 
     auto start_task = [](CoreState &cs, const CoreTask &t) {
         cs.current = t;
@@ -347,13 +147,13 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
 
     // Advance cs to its next non-trivial task: own queue first, then
     // the orphan pool (lowest-index idle core pulls first since the
-    // callers iterate cores in order).
+    // callers visit cores in order). Returns whether it holds a task.
     auto load_next = [&](std::size_t c, double now) {
         CoreState &cs = state[c];
         while (cs.next < per_core[c].size()) {
             if (start_task(cs, per_core[c][cs.next])) {
                 cs.taskStart = now;
-                return;
+                return true;
             }
             ++cs.next; // zero task: completes instantly
         }
@@ -363,32 +163,46 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
             ++result.reDispatchedTasks;
             if (start_task(cs, t)) {
                 cs.taskStart = now;
-                return;
+                return true;
             }
         }
         cs.active = false;
         cs.finish = now;
+        return false;
     };
 
-    auto events_of = [&](std::size_t c)
-        -> const std::vector<resilience::FaultEvent> & {
-        static const std::vector<resilience::FaultEvent> none;
-        return c < plan.coreEvents.size() ? plan.coreEvents[c] : none;
+    // Queue core c's next fault strike. A NaN time never strikes, and
+    // blocks the faults queued behind it.
+    auto arm = [&](std::size_t c) {
+        if (c >= plan.coreEvents.size() || !state[c].alive)
+            return;
+        const auto &events = plan.coreEvents[c];
+        const std::size_t i = state[c].eventIdx;
+        if (i < events.size() && !std::isnan(events[i].timeSec))
+            strikes.emplace(events[i].timeSec, c);
     };
 
-    // Apply every fault event due at or before @p now.
+    // Apply every fault due at or before @p now, in core-index order
+    // (the orphan pool's order).
+    std::vector<std::size_t> due;
     auto apply_events = [&](double now) {
-        for (std::size_t c = 0; c < cores; ++c) {
+        due.clear();
+        while (!strikes.empty() && strikes.top().first <= now) {
+            due.push_back(strikes.top().second);
+            strikes.pop();
+        }
+        std::sort(due.begin(), due.end());
+        bool died = false;
+        for (const std::size_t c : due) {
             CoreState &cs = state[c];
-            const auto &events = events_of(c);
-            while (cs.eventIdx < events.size() &&
+            const auto &events = plan.coreEvents[c];
+            while (cs.alive && cs.eventIdx < events.size() &&
                    events[cs.eventIdx].timeSec <= now) {
                 const resilience::FaultEvent &e = events[cs.eventIdx];
                 ++cs.eventIdx;
-                if (!cs.alive)
-                    continue;
                 ++result.coreFailures;
                 if (e.kind == resilience::FaultKind::CorePermanent) {
+                    died = true;
                     cs.alive = false;
                     cs.finish = e.timeSec;
                     if (cs.active) // shed in-flight task, restarted
@@ -407,66 +221,93 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                     }
                 }
             }
+            arm(c);
         }
+        if (died)
+            active.erase(std::remove_if(active.begin(), active.end(),
+                                        [&](std::size_t c) {
+                                            return !state[c].active;
+                                        }),
+                         active.end());
     };
 
     double now = 0;
     double bytes_moved = 0;
-    apply_events(now);
     for (std::size_t c = 0; c < cores; ++c)
-        if (state[c].alive)
-            load_next(c, now);
+        arm(c);
+    apply_events(now);
+    for (std::size_t c = 0; c < cores; ++c) {
+        if (!state[c].alive)
+            continue;
+        if (load_next(c, now))
+            active.push_back(c);
+        else
+            idle.push(c);
+    }
 
-    const std::size_t grain = options.parallelGrain;
-
-    des::Kernel kernel(kernelOptions(options));
+    des::Kernel kernel;
     int guard = 0;
+    auto count_event = [&] {
+        if (++guard <= options.guardLimit)
+            return;
+        std::uint64_t done = 0;
+        for (const CoreState &cs : state)
+            done += cs.next;
+        throwGuard(mode, guard, now, active.size(), cores, done,
+                   totalTasks(per_core));
+    };
 
-    // One degraded-mode re-solve per kernel event. The handler either
-    // advances the fluid state by one completion interval, or — when
-    // nothing can run — jumps the clock to the next external wake-up
-    // (fault strike or repair completion). It re-arms itself until
-    // the work drains or no survivor can ever run again.
+    // One re-solve per kernel event. The handler either advances the
+    // fluid state by one completion interval, or — when every active
+    // core is in repair or orphans have no survivor to run them —
+    // jumps the clock to the next external wake-up (fault strike or
+    // repair completion). It re-arms itself while work remains, and
+    // stops early when no survivor can ever run it.
     std::function<void(des::Kernel &)> resolve;
+    auto rearm = [&](des::Kernel &k, const char *name) {
+        if (!active.empty() || !orphans.empty())
+            k.schedule(now, 0, name, resolve);
+    };
     resolve = [&](des::Kernel &k) {
         // Idle survivors pick up orphaned work as it appears.
-        for (std::size_t c = 0; c < cores && !orphans.empty(); ++c)
-            if (state[c].alive && !state[c].active)
-                load_next(c, now);
+        const std::size_t held = active.size();
+        while (!orphans.empty() && !idle.empty()) {
+            const std::size_t c = idle.top();
+            idle.pop();
+            if (!state[c].alive)
+                continue;
+            if (load_next(c, now)) {
+                active.push_back(c);
+            } else { // the orphans were all zero tasks
+                idle.push(c);
+            }
+        }
+        if (active.size() != held)
+            std::sort(active.begin(), active.end());
 
-        // A core makes progress only when alive and out of repair.
-        auto running = [&](const CoreState &cs) {
-            return cs.active && cs.alive && now >= cs.pausedUntil;
-        };
-
+        // Reduce pass. A core makes progress only out of repair.
         unsigned mem_active = 0;
         bool any_running = false;
-        bool any_pending = false;
-        for (const CoreState &cs : state) {
-            if (!cs.active)
-                continue;
-            any_pending = true;
-            if (!running(cs))
-                continue;
-            any_running = true;
-            if (cs.bytesLeft > 0)
-                ++mem_active;
-        }
-
-        // Next external wake-up: fault events and repair completions.
-        double wake = inf;
-        for (std::size_t c = 0; c < cores; ++c) {
+        double min_compute = inf;
+        double min_bytes = inf;
+        double wake = strikes.empty() ? inf : strikes.top().first;
+        for (const std::size_t c : active) {
             const CoreState &cs = state[c];
-            const auto &events = events_of(c);
-            if (cs.alive && cs.eventIdx < events.size())
-                wake = std::min(wake, events[cs.eventIdx].timeSec);
-            if (cs.active && cs.alive && cs.pausedUntil > now)
+            if (now < cs.pausedUntil) {
                 wake = std::min(wake, cs.pausedUntil);
+                continue;
+            }
+            any_running = true;
+            if (cs.computeLeft > 0)
+                min_compute =
+                    std::min(min_compute, cs.computeLeft * cs.slowdown);
+            if (cs.bytesLeft > 0) {
+                ++mem_active;
+                min_bytes = std::min(min_bytes, cs.bytesLeft);
+            }
         }
 
         if (!any_running) {
-            if (!any_pending && orphans.empty())
-                return; // all work drained; later events are moot
             if (wake == inf) {
                 // Work remains but no core can ever run it again.
                 result.completed = false;
@@ -475,103 +316,70 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
             now = wake;
             k.advanceTo(now);
             apply_events(now);
-            if (++guard > options.guardLimit) {
-                std::uint64_t done = 0;
-                for (const CoreState &cs : state)
-                    done += cs.next;
-                throwGuard("degraded", guard, now, cores, cores, done,
-                           totalTasks(per_core));
-            }
-            k.schedule(now, 0, "chip.wake", resolve);
+            count_event();
+            rearm(k, "chip.wake");
             return;
         }
 
         const double rate =
             mem_active ? mem_bytes_per_sec / mem_active : 0;
-
-        double dt = wake == inf ? inf : wake - now;
-        for (const CoreState &cs : state) {
-            if (!running(cs))
-                continue;
-            const double compute_dt = cs.computeLeft * cs.slowdown;
-            double task_dt = 0;
-            if (cs.bytesLeft > 0 && cs.computeLeft > 0)
-                task_dt = std::min(compute_dt, cs.bytesLeft / rate);
-            else if (cs.bytesLeft > 0)
-                task_dt = cs.bytesLeft / rate;
-            else
-                task_dt = compute_dt;
-            dt = std::min(dt, task_dt);
-        }
+        double dt = std::min(wake - now, min_compute);
+        if (mem_active)
+            dt = std::min(dt, min_bytes / rate);
         simAssert(dt >= 0 && dt < inf,
                   "chip sim event time must be finite");
         dt = std::max(dt, 1e-15); // numerical floor
 
-        const double t0 = now; // running() must see the old time
+        // Advance pass: running cores move by dt (paused ones hold),
+        // drained bytes fold in core-index order — floating-point
+        // addition is the one non-exact reduction — and completed
+        // cores reload in that same order, so the orphan pool is
+        // popped lowest-index core first.
+        const double t0 = now;
+        const double share = rate * dt;
         now += dt;
         k.advanceTo(now);
-        // Parallel advance between re-solve points: all writes are
-        // core-local; completed cores defer their queue/orphan refill
-        // to the serial index-ordered pass below, so the shared
-        // orphan deque is popped in the same deterministic order as a
-        // serial run (lowest-index core first).
-        k.phase("chip.advance", cores,
-                [&](std::size_t b, std::size_t e, std::size_t) {
-                    for (std::size_t c = b; c < e; ++c) {
-                        CoreState &cs = state[c];
-                        cs.moved = 0;
-                        if (!cs.active || !cs.alive ||
-                            t0 < cs.pausedUntil)
-                            continue;
-                        if (cs.computeLeft > 0)
-                            cs.computeLeft = std::max(
-                                0.0,
-                                cs.computeLeft - dt / cs.slowdown);
-                        if (cs.bytesLeft > 0) {
-                            const double moved =
-                                std::min(cs.bytesLeft, rate * dt);
-                            cs.bytesLeft -= moved;
-                            cs.moved = moved;
-                        }
-                        if (cs.computeLeft <= 0 && cs.bytesLeft <= 0)
-                            cs.reload = true;
-                    }
-                });
-        for (std::size_t c = 0; c < cores; ++c) {
+        double moved_total = bytes_moved; // local, so kept in a register
+        std::size_t kept = 0;
+        for (const std::size_t c : active) {
             CoreState &cs = state[c];
-            bytes_moved += cs.moved;
-            if (cs.reload) {
-                cs.reload = false;
-                if (tracer) {
-                    // The span covers the whole residency including
-                    // repair pauses and restarts, matching what a
-                    // wall-observer of the degraded chip would see.
-                    const std::uint64_t t0 = traceNs(cs.taskStart);
-                    tracer->span(obs::Domain::Chip,
-                                 std::uint32_t(c) + 1, "task", t0,
-                                 traceNs(now) - t0,
-                                 cs.current.memBytes);
+            if (t0 >= cs.pausedUntil) {
+                if (cs.computeLeft > 0)
+                    cs.computeLeft = std::max(
+                        0.0, cs.computeLeft - dt / cs.slowdown);
+                if (cs.bytesLeft > 0) {
+                    const double moved = std::min(cs.bytesLeft, share);
+                    cs.bytesLeft -= moved;
+                    moved_total += moved;
                 }
-                ++cs.next;
-                load_next(c, now);
+                if (cs.computeLeft <= 0 && cs.bytesLeft <= 0) {
+                    if (tracer) {
+                        // The span covers the whole residency
+                        // including repair pauses and restarts, as a
+                        // wall-observer of the chip would see it.
+                        const std::uint64_t start = traceNs(cs.taskStart);
+                        tracer->span(obs::Domain::Chip,
+                                     std::uint32_t(c) + 1, "task", start,
+                                     traceNs(now) - start,
+                                     cs.current.memBytes);
+                    }
+                    ++cs.next;
+                    if (!load_next(c, now)) {
+                        idle.push(c);
+                        continue;
+                    }
+                }
             }
+            active[kept++] = c;
         }
+        active.resize(kept);
+        bytes_moved = moved_total;
         apply_events(now);
-        if (++guard > options.guardLimit) {
-            std::uint64_t done = 0;
-            for (const CoreState &cs : state)
-                done += cs.next;
-            std::size_t live_active = 0;
-            for (const CoreState &cs : state)
-                if (cs.active)
-                    ++live_active;
-            throwGuard("degraded", guard, now, live_active, cores, done,
-                       totalTasks(per_core));
-        }
-        k.schedule(now, 0, "chip.resolve", resolve);
+        count_event();
+        rearm(k, "chip.resolve");
     };
 
-    kernel.schedule(0, 0, "chip.resolve", resolve);
+    rearm(kernel, "chip.resolve");
     kernel.run();
 
     result.makespan = now;

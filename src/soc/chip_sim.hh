@@ -12,14 +12,17 @@
  *
  * Hot-path structure: the simulation is a des::Kernel client — each
  * rate re-solve is one kernel event that re-arms itself while work
- * remains, and it only touches an *active-core index set* (finished
- * cores leave every scan). Between two shared-memory rate re-solve
- * points the independent per-core state advances as a kernel *phase*
- * (fixed-grain slices over runtime::parallelFor). Determinism
- * contract: slice boundaries are thread-count independent, phase
- * reductions are exact (min / integer counts), and fluid byte
- * accounting is serialized in core-index order — so results are
- * byte-identical at any ASCEND_THREADS and any slice grain.
+ * remains. One event loop serves the fault-free and the degraded
+ * model, and it only touches an *active-core index set* (alive cores
+ * holding a task; finished and dead cores leave every scan) in two
+ * serial passes per re-solve: an exact reduce (memory-active count,
+ * minimum remaining compute and bytes, next repair wake-up) and an
+ * advance that folds drained bytes and reloads completed cores in
+ * core-index order. Fault strikes and idle survivors live in min-heaps,
+ * so a fault plan adds no per-event walk over all cores. The loop is
+ * serial — the per-core work of one event is a few flops, far less
+ * than a thread-pool fan-out costs — so results are byte-identical at
+ * any ASCEND_THREADS.
  *
  * Used to study block-level parallel execution (Section 5.2) on the
  * 910: how uneven layer splits and memory interference stretch the
@@ -29,7 +32,6 @@
 #ifndef ASCEND_SOC_CHIP_SIM_HH
 #define ASCEND_SOC_CHIP_SIM_HH
 
-#include <cstddef>
 #include <vector>
 
 #include "common/types.hh"
@@ -65,7 +67,7 @@ struct ChipSimResult
     /// @}
 };
 
-/** Tuning and safety knobs of the fluid event loop. */
+/** Safety knobs of the fluid event loop. */
 struct ChipSimOptions
 {
     /**
@@ -74,18 +76,6 @@ struct ChipSimOptions
      * livelock; genuine workloads complete in O(total tasks) events).
      */
     int guardLimit = 4 * 1000 * 1000;
-
-    /**
-     * Active cores per kernel phase slice (forwarded to
-     * des::KernelOptions::parallelGrain). Active sets smaller than
-     * two slices advance inline (fan-out overhead would dominate at
-     * SoC scale); results never depend on the grain or the thread
-     * count. ASCEND_CHIPSIM_GRAIN overrides the default.
-     */
-    std::size_t parallelGrain = 512;
-
-    /** Defaults with ASCEND_CHIPSIM_GRAIN applied (parsed once). */
-    static ChipSimOptions fromEnv();
 };
 
 /**
@@ -97,8 +87,7 @@ struct ChipSimOptions
  */
 ChipSimResult runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                          double mem_bytes_per_sec,
-                         const ChipSimOptions &options =
-                             ChipSimOptions::fromEnv());
+                         const ChipSimOptions &options = {});
 
 /**
  * Degraded-mode variant: same fluid model plus a per-core fault plan.
@@ -109,14 +98,13 @@ ChipSimResult runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
  *  - A permanent failure kills the core; its in-flight task and its
  *    remaining queue are re-dispatched to surviving cores in
  *    deterministic order (lowest-index idle core first).
- * An empty plan delegates to the fault-free overload and reproduces
- * its result bit-for-bit.
+ * Both overloads run the same event loop; the fault-free one is this
+ * overload with an empty plan.
  */
 ChipSimResult runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                          double mem_bytes_per_sec,
                          const resilience::ChipFaultPlan &plan,
-                         const ChipSimOptions &options =
-                             ChipSimOptions::fromEnv());
+                         const ChipSimOptions &options = {});
 
 /**
  * Convenience: the fluid makespan of one chip step under an optional

@@ -2,9 +2,8 @@
  * @file
  * Determinism fuzz: one seeded sweep asserting byte-identical result
  * fingerprints across thread-pool sizes (the in-process equivalent of
- * ASCEND_THREADS, via runtime::ScopedThreadPoolSize) x chip-sim
- * parallel grains (ASCEND_CHIPSIM_GRAIN). Subsumes the old pairwise
- * serial-vs-parallel checks that lived in test_chip_sim.cc.
+ * ASCEND_THREADS, via runtime::ScopedThreadPoolSize), des::Kernel
+ * phase grains, and a frozen golden of chip-sim fuzz fingerprints.
  *
  * Fingerprints print every field with %.17g / exact integers, so any
  * single-ULP drift in a floating-point reduction fails the EXPECT_EQ
@@ -13,11 +12,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.hh"
+#include "common/golden.hh"
 #include "common/rng.hh"
 #include "des/kernel.hh"
 #include "graph/lower.hh"
@@ -89,35 +94,25 @@ randomWorkload(std::uint64_t seed, unsigned cores, unsigned tasks)
     return work;
 }
 
-TEST(Determinism, ChipSimAcrossThreadsAndGrains)
+TEST(Determinism, ChipSimAcrossThreads)
 {
     for (std::uint64_t seed : {7ull, 1234ull}) {
         const auto work = randomWorkload(seed, 64, 12);
         std::string base;
         for (unsigned threads : kThreadCounts) {
-            for (std::size_t grain : kGrains) {
-                runtime::ScopedThreadPoolSize pool(threads);
-                soc::ChipSimOptions options;
-                options.parallelGrain = grain;
-                const std::string now =
-                    fingerprint(soc::runChipSim(work, 2e12, options));
-                if (base.empty())
-                    base = now;
-                else
-                    EXPECT_EQ(now, base)
-                        << "seed " << seed << " threads " << threads
-                        << " grain " << grain;
-            }
+            runtime::ScopedThreadPoolSize pool(threads);
+            const std::string now =
+                fingerprint(soc::runChipSim(work, 2e12));
+            if (base.empty())
+                base = now;
+            else
+                EXPECT_EQ(now, base)
+                    << "seed " << seed << " threads " << threads;
         }
-        // Fully serial slicing (one giant chunk) must also agree.
-        soc::ChipSimOptions serial;
-        serial.parallelGrain = 1 << 20;
-        EXPECT_EQ(fingerprint(soc::runChipSim(work, 2e12, serial)),
-                  base);
     }
 }
 
-TEST(Determinism, ChipSimUnderFaultsAcrossThreadsAndGrains)
+TEST(Determinism, ChipSimUnderFaultsAcrossThreads)
 {
     const auto work = randomWorkload(99, 48, 8);
     resilience::FaultSpec spec;
@@ -134,21 +129,133 @@ TEST(Determinism, ChipSimUnderFaultsAcrossThreadsAndGrains)
     std::string base;
     unsigned base_failures = 0;
     for (unsigned threads : kThreadCounts) {
-        for (std::size_t grain : kGrains) {
-            runtime::ScopedThreadPoolSize pool(threads);
-            soc::ChipSimOptions options;
-            options.parallelGrain = grain;
-            const auto r = soc::runChipSim(work, 2e12, plan, options);
-            if (base.empty()) {
-                base = fingerprint(r);
-                base_failures = r.coreFailures;
-            } else {
-                EXPECT_EQ(fingerprint(r), base)
-                    << "threads " << threads << " grain " << grain;
-            }
+        runtime::ScopedThreadPoolSize pool(threads);
+        const auto r = soc::runChipSim(work, 2e12, plan);
+        if (base.empty()) {
+            base = fingerprint(r);
+            base_failures = r.coreFailures;
+        } else {
+            EXPECT_EQ(fingerprint(r), base) << "threads " << threads;
         }
     }
     EXPECT_GT(base_failures, 0u); // the fault plan actually bites
+}
+
+/**
+ * One seeded random chip workload under a random fault plan, keyed by
+ * @p seed. The case kind cycles with the seed so every corner of the
+ * degraded event loop is reached: empty queues and zero, compute-only
+ * and memory-only tasks in every kind; stragglers; dense transient and
+ * permanent faults, some striking several cores at the same instant
+ * or within the loop's 1e-15 s time floor of each other; permanent
+ * faults that land after a core's queue drained; and chips on which
+ * every core dies.
+ */
+std::string
+chipFuzzRow(std::uint64_t seed)
+{
+    using resilience::FaultEvent;
+    using resilience::FaultKind;
+    Rng rng(seed);
+    const unsigned cores = 1 + unsigned(rng.uniform(24));
+    std::vector<std::vector<soc::CoreTask>> work(cores);
+    for (auto &queue : work) {
+        queue.resize(rng.uniform(7));
+        for (soc::CoreTask &t : queue) {
+            const unsigned shape = unsigned(rng.uniform(6));
+            if (shape != 0 && shape != 1)
+                t.computeSeconds = 1e-4 * (1.0 + rng.uniformReal() * 9.0);
+            if (shape != 0 && shape != 2)
+                t.memBytes = Bytes(1 + rng.uniform(4u << 20));
+        }
+    }
+    const double bw = 1e9 * double(1 + rng.uniform(100));
+    const soc::ChipSimResult clean = soc::runChipSim(work, bw);
+    const double horizon = std::max(clean.makespan, 1e-6);
+
+    enum Kind { FaultFree, Stragglers, Transients, Dense, Late, AllDead };
+    const char *const names[] = {"fault-free", "stragglers", "transients",
+                                 "dense", "late", "all-dead"};
+    const Kind kind = Kind(seed % 6);
+    resilience::ChipFaultPlan plan;
+    if (kind != FaultFree) {
+        plan.stragglerFactor.assign(cores, 1.0);
+        plan.coreEvents.resize(cores);
+    }
+    // A time in [lo, hi); Dense snaps to an eighth-of-horizon grid so
+    // several cores fault at exactly the same instant.
+    auto at = [&](double lo, double hi) {
+        const double t = lo + rng.uniformReal() * (hi - lo);
+        return kind == Dense ? horizon * std::floor(t / horizon * 8) / 8
+                             : t;
+    };
+    // Half the Dense kills land just past a grid point, closer together
+    // than the time floor, so one step makes several of them due at
+    // once; the rest share the grid instant with transients.
+    auto kill_at = [&](double lo, double hi) {
+        const double t = at(lo, hi);
+        return kind == Dense && rng.chance(0.5)
+                   ? t + rng.uniformReal() * 1e-15
+                   : t;
+    };
+    for (unsigned c = 0; c < cores && kind != FaultFree; ++c) {
+        if (rng.chance(0.3)) // factors below 1 clamp to 1
+            plan.stragglerFactor[c] = 0.5 + rng.uniformReal() * 2.5;
+        auto &events = plan.coreEvents[c];
+        const bool dies = kind == AllDead ||
+                          ((kind == Dense || kind == Late) &&
+                           rng.chance(0.4));
+        if (dies) {
+            // Late kills strike after the core's fault-free finish.
+            // Pushed first, a kill precedes transients at its instant.
+            const double lo = kind == Late ? clean.coreFinish[c] : 0.0;
+            const double hi = kind == Late ? 1.5 * horizon
+                                           : 0.8 * horizon;
+            events.push_back(
+                {FaultKind::CorePermanent, kill_at(lo, hi), c, 0.0, 1.0});
+        }
+        const unsigned transients =
+            kind == Stragglers ? 0 : unsigned(rng.uniform(5));
+        for (unsigned e = 0; e < transients; ++e)
+            events.push_back({FaultKind::CoreTransient,
+                              at(0, 1.2 * horizon), c,
+                              rng.uniformReal() * horizon / 10, 1.0});
+        std::stable_sort(events.begin(), events.end(),
+                         [](const FaultEvent &a, const FaultEvent &b) {
+                             return a.timeSec < b.timeSec;
+                         });
+    }
+    return "seed=" + std::to_string(seed) + " " + names[kind] +
+           " cores=" + std::to_string(cores) + " " +
+           fingerprint(soc::runChipSim(work, bw, plan));
+}
+
+/**
+ * The fuzz rows are frozen in tests/golden/chip_sim_fuzz.txt: every
+ * rewrite of the chip-sim event loop must reproduce them bit for bit.
+ * Regenerate after an intentional model change with
+ *     ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_determinism
+ * and review the diff like any other code change.
+ */
+TEST(Determinism, ChipSimFuzzMatchesGolden)
+{
+    const std::string path =
+        std::string(ASCEND_GOLDEN_DIR) + "/chip_sim_fuzz.txt";
+    std::string rows =
+        "# runChipSim fingerprints of seeded random workloads and fault\n"
+        "# plans (tests/test_determinism.cc chipFuzzRow).\n"
+        "# Regenerate: ASCEND_UPDATE_GOLDEN=1 "
+        "./build/tests/test_determinism\n";
+    for (std::uint64_t seed = 1; seed <= 36; ++seed)
+        rows += chipFuzzRow(seed) + "\n";
+    const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
+    if (env && *env && std::string(env) != "0") {
+        ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
+        GTEST_SKIP() << "golden regenerated";
+    }
+    const std::optional<std::string> golden = readFile(path);
+    ASSERT_TRUE(golden) << "missing " << path;
+    EXPECT_EQ(diffGolden(*golden, rows), "");
 }
 
 /**

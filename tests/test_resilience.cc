@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <initializer_list>
 
 #include <gtest/gtest.h>
 
@@ -615,6 +616,146 @@ TEST(ChipSimFaults, AllCoresDeadReportsIncomplete)
     const soc::ChipSimResult r = soc::runChipSim(work, 100e9, plan);
     EXPECT_FALSE(r.completed);
     EXPECT_EQ(r.coreFailures, 2u);
+}
+
+// Edge cases of the degraded event loop. The tasks are compute-only
+// with binary-exact lengths, so every expectation is a closed form
+// compared exactly.
+
+/** One compute-only task per entry of @p seconds. */
+std::vector<soc::CoreTask>
+computeQueue(std::initializer_list<double> seconds)
+{
+    std::vector<soc::CoreTask> q;
+    for (double s : seconds)
+        q.push_back(soc::CoreTask{s, 0});
+    return q;
+}
+
+/** A plan for @p cores with no stragglers and no events yet. */
+ChipFaultPlan
+blankPlan(unsigned cores)
+{
+    ChipFaultPlan plan;
+    plan.stragglerFactor.assign(cores, 1.0);
+    plan.coreEvents.resize(cores);
+    return plan;
+}
+
+TEST(ChipSimFaults, OrphansGoToACoreThatAlreadyWentIdle)
+{
+    // Core 0 drains its queue at t=1 and idles. Core 1 dies at 1.5
+    // with 0.5 s left of its 2 s task: that task restarts from scratch
+    // and its 3 s successor follows, both on core 0 — 1.5+2+3 = 6.5.
+    const std::vector<std::vector<soc::CoreTask>> work = {
+        computeQueue({1.0}), computeQueue({2.0, 3.0})};
+    ChipFaultPlan plan = blankPlan(2);
+    plan.coreEvents[1].push_back(
+        FaultEvent{FaultKind::CorePermanent, 1.5, 1, 0.0, 1.0});
+    const soc::ChipSimResult r = soc::runChipSim(work, 1e9, plan);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.coreFailures, 1u);
+    EXPECT_EQ(r.reDispatchedTasks, 2u);
+    EXPECT_EQ(r.makespan, 6.5);
+    EXPECT_EQ(r.coreFinish[0], 6.5);
+    EXPECT_EQ(r.coreFinish[1], 1.5);
+}
+
+TEST(ChipSimFaults, TransientOnAnIdleCoreHoldsTheOrphansItPicksUp)
+{
+    // Core 0 idles at t=1; a transient at 1.25 puts it in repair until
+    // 2.25 with nothing to restart. Core 1 dies at 1.5; core 0 takes
+    // its 2 s task at once but may start it only at 2.25 -> 4.25.
+    const std::vector<std::vector<soc::CoreTask>> work = {
+        computeQueue({1.0}), computeQueue({2.0})};
+    ChipFaultPlan plan = blankPlan(2);
+    plan.coreEvents[0].push_back(
+        FaultEvent{FaultKind::CoreTransient, 1.25, 0, 1.0, 1.0});
+    plan.coreEvents[1].push_back(
+        FaultEvent{FaultKind::CorePermanent, 1.5, 1, 0.0, 1.0});
+    const soc::ChipSimResult r = soc::runChipSim(work, 1e9, plan);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.coreFailures, 2u);
+    EXPECT_EQ(r.reDispatchedTasks, 1u);
+    EXPECT_EQ(r.makespan, 4.25);
+    EXPECT_EQ(r.coreFinish[0], 4.25);
+    EXPECT_EQ(r.coreFinish[1], 1.5);
+
+    // Without the later orphan, the idle core's repair changes
+    // nothing but the failure count.
+    plan.coreEvents[1].clear();
+    const soc::ChipSimResult quiet = soc::runChipSim(work, 1e9, plan);
+    EXPECT_EQ(quiet.coreFailures, 1u);
+    EXPECT_EQ(quiet.makespan, 2.0);
+    EXPECT_EQ(quiet.coreFinish[0], 1.0);
+}
+
+TEST(ChipSimFaults, WakeJumpWhenEveryActiveCoreIsPaused)
+{
+    // Both cores fail mid-task at t=0.5: nothing can run, so the clock
+    // jumps to core 0's repair at 1.5; its restarted 1 s task ends at
+    // 2.5, exactly when core 1's repair ends -> 3.5.
+    const std::vector<std::vector<soc::CoreTask>> work = {
+        computeQueue({1.0}), computeQueue({1.0})};
+    ChipFaultPlan plan = blankPlan(2);
+    plan.coreEvents[0].push_back(
+        FaultEvent{FaultKind::CoreTransient, 0.5, 0, 1.0, 1.0});
+    plan.coreEvents[1].push_back(
+        FaultEvent{FaultKind::CoreTransient, 0.5, 1, 2.0, 1.0});
+    const soc::ChipSimResult r = soc::runChipSim(work, 1e9, plan);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.coreFailures, 2u);
+    EXPECT_EQ(r.reDispatchedTasks, 0u);
+    EXPECT_EQ(r.makespan, 3.5);
+    EXPECT_EQ(r.coreFinish[0], 2.5);
+    EXPECT_EQ(r.coreFinish[1], 3.5);
+}
+
+TEST(ChipSimFaults, EventsAfterACoresDeathAreIgnored)
+{
+    // Core 0 dies at 0.5; the transient at the same instant and every
+    // later event on it neither count nor act. Its two 1 s tasks wait
+    // for core 1 to finish its own 4 s task -> 6.
+    const std::vector<std::vector<soc::CoreTask>> work = {
+        computeQueue({1.0, 1.0}), computeQueue({4.0})};
+    ChipFaultPlan plan = blankPlan(2);
+    plan.coreEvents[0] = {
+        FaultEvent{FaultKind::CorePermanent, 0.5, 0, 0.0, 1.0},
+        FaultEvent{FaultKind::CoreTransient, 0.5, 0, 9.0, 1.0},
+        FaultEvent{FaultKind::CoreTransient, 0.75, 0, 9.0, 1.0},
+        FaultEvent{FaultKind::CorePermanent, 2.0, 0, 0.0, 1.0},
+        FaultEvent{FaultKind::CoreTransient, 3.0, 0, 9.0, 1.0}};
+    const soc::ChipSimResult r = soc::runChipSim(work, 1e9, plan);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.coreFailures, 1u);
+    EXPECT_EQ(r.reDispatchedTasks, 2u);
+    EXPECT_EQ(r.makespan, 6.0);
+    EXPECT_EQ(r.coreFinish[0], 0.5);
+    EXPECT_EQ(r.coreFinish[1], 6.0);
+}
+
+TEST(ChipSimFaults, KillsDueInOneStepOrphanInCoreIndexOrder)
+{
+    // Cores 0 and 1 idle at t=1. Core 3 dies one ulp later and core 2
+    // two ulps later: both within the loop's 1e-15 s time floor, so
+    // they fall due in one step, later-index core first in time. The
+    // orphans still queue in core-index order: core 0 takes core 2's
+    // 3 s task and core 1 takes core 3's 5 s task, both from t ~ 1.
+    const std::vector<std::vector<soc::CoreTask>> work = {
+        computeQueue({1.0}), computeQueue({1.0}), computeQueue({3.0}),
+        computeQueue({5.0})};
+    ChipFaultPlan plan = blankPlan(4);
+    plan.coreEvents[2].push_back(
+        FaultEvent{FaultKind::CorePermanent, 1.0 + 0x1p-51, 2, 0.0, 1.0});
+    plan.coreEvents[3].push_back(
+        FaultEvent{FaultKind::CorePermanent, 1.0 + 0x1p-52, 3, 0.0, 1.0});
+    const soc::ChipSimResult r = soc::runChipSim(work, 1e9, plan);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.coreFailures, 2u);
+    EXPECT_EQ(r.reDispatchedTasks, 2u);
+    EXPECT_NEAR(r.coreFinish[0], 4.0, 1e-12);
+    EXPECT_NEAR(r.coreFinish[1], 6.0, 1e-12);
+    EXPECT_NEAR(r.makespan, 6.0, 1e-12);
 }
 
 TEST(ChipClusterRun, EmptyPlansBitwiseEqualScalarPath)
