@@ -452,7 +452,7 @@ elasticSweep(bool smoke)
     return points;
 }
 
-/** Satellite of BENCH_runtime.json: the resilience trajectory. */
+/** The resilience trajectory, machine-readable: BENCH_resilience.json. */
 void
 writeResilienceJson(const std::vector<ElasticPoint> &points)
 {

@@ -174,29 +174,6 @@ BM_DesDispatchOverhead(benchmark::State &state)
 BENCHMARK(BM_DesDispatchOverhead);
 
 void
-BM_DesPhaseFanout(benchmark::State &state)
-{
-    // Deterministic parallel phase over a fixed-grain slicing of a
-    // touch-every-element body: the kernel-side cost a client pays
-    // to fan one per-element pass out over the thread pool.
-    const std::size_t n = 1 << 16;
-    des::KernelOptions options;
-    options.parallelGrain = std::size_t(state.range(0));
-    des::Kernel kernel(options);
-    std::vector<double> cells(n, 1.0);
-    for (auto _ : state) {
-        kernel.phase("bench.touch", n,
-                     [&](std::size_t b, std::size_t e, std::size_t) {
-                         for (std::size_t i = b; i < e; ++i)
-                             cells[i] *= 1.0000001;
-                     });
-        benchmark::DoNotOptimize(cells[0]);
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_DesPhaseFanout)->Arg(512)->Arg(1 << 16);
-
-void
 BM_MeshCycle(benchmark::State &state)
 {
     noc::MeshConfig cfg;

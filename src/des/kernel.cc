@@ -10,29 +10,12 @@
 #include <limits>
 
 #include "common/error.hh"
-#include "obs/tracer.hh"
 #include "runtime/perf_stats.hh"
-#include "runtime/thread_pool.hh"
 
 namespace ascend {
 namespace des {
 
-namespace {
-
-/** Kernel sim time (client units, assumed seconds) to trace ns. */
-std::uint64_t
-traceNs(double seconds)
-{
-    return std::uint64_t(std::llround(seconds * 1e9));
-}
-
-} // anonymous namespace
-
-Kernel::Kernel(const KernelOptions &options) : options_(options)
-{
-    options_.parallelGrain =
-        std::max<std::size_t>(options_.parallelGrain, 1);
-}
+Kernel::Kernel(const KernelOptions &options) : options_(options) {}
 
 Kernel::~Kernel()
 {
@@ -46,7 +29,6 @@ Kernel::~Kernel()
     static const runtime::FieldCounters<KernelStats> fields = {
         {"des events scheduled", &KernelStats::eventsScheduled},
         {"des events dispatched", &KernelStats::eventsDispatched},
-        {"des phases", &KernelStats::phasesRun},
         {"des quiescent points", &KernelStats::quiescentPoints},
     };
     kernels.charge(1);
@@ -160,47 +142,6 @@ Kernel::nextEventTime() const
     // queue_ is a heap under EventAfter, so the front is the earliest
     // (time, priority, seq) key.
     return queue_.front().time;
-}
-
-std::size_t
-Kernel::phaseSlices(std::size_t n) const
-{
-    return (n + options_.parallelGrain - 1) / options_.parallelGrain;
-}
-
-void
-Kernel::runPhase(
-    const char *label, std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>
-        &fn)
-{
-    if (inPhase_)
-        throwError(ErrorCode::KernelMisuse,
-                   "Kernel::phase('%s'): phases cannot nest (a phase "
-                   "body scheduled another phase)",
-                   label ? label : "?");
-    inPhase_ = true;
-    struct InPhase
-    {
-        bool &flag;
-        ~InPhase() { flag = false; }
-    } guard{inPhase_};
-
-    ++stats_.phasesRun;
-    if (obs::Tracer *tracer = obs::Tracer::current())
-        tracer->span(obs::Domain::Kernel, 1, label, traceNs(now_), 0,
-                     n);
-
-    const std::size_t grain = options_.parallelGrain;
-    const std::size_t slices = phaseSlices(n);
-    if (slices < 2) {
-        if (n)
-            fn(std::size_t(0), n, std::size_t(0));
-        return;
-    }
-    runtime::parallelFor(slices, [&](std::size_t s) {
-        fn(s * grain, std::min(n, (s + 1) * grain), s);
-    });
 }
 
 } // namespace des

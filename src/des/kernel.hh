@@ -3,34 +3,28 @@
  * Deterministic discrete-event simulation kernel.
  *
  * The repo grew three hand-rolled event loops — the fluid chip sim's
- * re-solve loop, the elastic cluster engine's recovery
- * state machine, and the per-bench sweep drivers — each carrying its
- * own determinism, checkpoint, and tracing contract. This kernel is
- * the one substrate they all run on:
+ * re-solve loop, the elastic cluster engine's recovery state machine
+ * and the serving fleet's arrival/completion/fault-poll loop — each
+ * carrying its own determinism, checkpoint, and tracing contract.
+ * This kernel is the one substrate they all run on:
  *
  *  - a canonical event queue ordered by the stable key
  *    (time, priority, seq): earlier simulated time first, then lower
  *    priority number, then schedule order. Two kernels fed the same
  *    event graph dispatch in the same order on any machine;
- *  - deterministic parallel *phases*: a phase fans fn(begin, end,
- *    slice) over fixed-grain slices of [0, n) via
- *    runtime::parallelFor. Slice boundaries depend only on n and the
- *    grain — never on ASCEND_THREADS — so slice-local partials
- *    combine identically however slices are scheduled. Phases are
- *    instantaneous in sim time (a barrier, not an interval);
- *  - first-class hooks for the rest of the stack: phase executions
- *    emit obs:: tracer spans (Domain::Kernel), retired kernels charge
- *    their KernelStats into the "des ..." runtime counters for the
- *    ASCEND_SIM_STATS report, and clients mark *quiescent points*
+ *  - single-threaded dispatch: run() executes every handler on its
+ *    caller's thread, one at a time; the kernel starts no threads;
+ *  - first-class hooks for the rest of the stack: retired kernels
+ *    charge their KernelStats into the "des ..." runtime counters for
+ *    the ASCEND_SIM_STATS report, and clients mark *quiescent points*
  *    — boundaries where no event is mid-dispatch and client state is
  *    declared consistent — at which registered hooks (e.g.
  *    resilience::checkpoint saves) run.
  *
  * Determinism contract: the kernel never reads the wall clock, thread
  * identity, or allocation addresses. Given the same initial events
- * and handlers performing the same arithmetic, the dispatch sequence,
- * the simulated clock, and every phase reduction are byte-identical
- * at any ASCEND_THREADS and any phase grain.
+ * and handlers performing the same arithmetic, the dispatch sequence
+ * and the simulated clock are byte-identical at any ASCEND_THREADS.
  *
  * Time model: `now()` is a double in the client's sim-time unit
  * (seconds for the fluid/cluster domains). Time advances two ways:
@@ -41,11 +35,10 @@
  * advanced clock runs it at the current time (the "no rewind" rule —
  * what makes lazily-applied fault batches deterministic).
  *
- * Misuse is structured: re-entrant run(), re-entrant phase(),
- * scheduling into the past, or a non-monotonic advanceTo() throw
- * ascend::Error{KernelMisuse}; exceeding the event guard throws
- * ascend::Error{GuardExceeded}. run() on an empty queue is a clean
- * no-op.
+ * Misuse is structured: re-entrant run(), scheduling into the past,
+ * or a non-monotonic advanceTo() throw ascend::Error{KernelMisuse};
+ * exceeding the event guard throws ascend::Error{GuardExceeded}.
+ * run() on an empty queue is a clean no-op.
  */
 
 #ifndef ASCEND_DES_KERNEL_HH
@@ -65,21 +58,13 @@ struct KernelStats
 {
     std::uint64_t eventsScheduled = 0;
     std::uint64_t eventsDispatched = 0;
-    std::uint64_t phasesRun = 0;       ///< parallel phase executions
     std::uint64_t quiescentPoints = 0; ///< quiescent markers dispatched
     std::uint64_t queueHighWater = 0;  ///< max pending events observed
 };
 
-/** Tuning and safety knobs of one kernel instance. */
+/** Safety knobs of one kernel instance. */
 struct KernelOptions
 {
-    /**
-     * Elements per phase slice. Fewer than two slices run inline (a
-     * fan-out would cost more than the body at small n); results
-     * never depend on the grain or the thread count.
-     */
-    std::size_t parallelGrain = 512;
-
     /**
      * Dispatch-count bound: exceeding it throws ascend::Error with
      * code GuardExceeded (a guard against event-loop livelock;
@@ -91,10 +76,8 @@ struct KernelOptions
 
 /**
  * One deterministic discrete-event kernel: an event queue, a
- * monotonic simulated clock, a parallel phase executor, and quiescent
- * hooks. Not thread-safe across kernels sharing state; one kernel
- * drives one simulation from one thread (its *phases* are what fan
- * out).
+ * monotonic simulated clock, and quiescent hooks. Not thread-safe;
+ * one kernel drives one simulation from one thread.
  */
 class Kernel
 {
@@ -142,8 +125,10 @@ class Kernel
     /**
      * Dispatch events in (time, priority, seq) order until the queue
      * drains or stop() is called. Empty queue: clean no-op.
-     * Re-entrant calls throw KernelMisuse. Handler exceptions
-     * propagate unchanged (the kernel stays stopped but reusable).
+     * Re-entrant calls throw KernelMisuse. A handler exception
+     * propagates unchanged: the throwing event is consumed, later
+     * events stay pending, stopped() stays false, and the next run()
+     * resumes the drain.
      */
     void run();
 
@@ -170,23 +155,6 @@ class Kernel
 
     const KernelStats &stats() const { return stats_; }
 
-    /**
-     * Deterministic parallel phase: invoke fn(begin, end, slice)
-     * over fixed-parallelGrain slices of [0, n). An instantaneous
-     * barrier at now(): all slices complete before phase() returns.
-     * Emits one tracer span (Domain::Kernel) per execution when
-     * tracing is on. Phases must not nest (throws KernelMisuse).
-     */
-    template <typename Fn>
-    void
-    phase(const char *label, std::size_t n, const Fn &fn)
-    {
-        runPhase(label, n, fn);
-    }
-
-    /** Slice count a phase of @p n elements fans out (>= 1 for n>0). */
-    std::size_t phaseSlices(std::size_t n) const;
-
   private:
     struct Event
     {
@@ -211,9 +179,6 @@ class Kernel
         }
     };
 
-    void runPhase(const char *label, std::size_t n,
-                  const std::function<void(std::size_t, std::size_t,
-                                           std::size_t)> &fn);
     std::uint64_t push(double time, std::int32_t priority,
                        const char *name, Handler fn);
 
@@ -224,7 +189,6 @@ class Kernel
     double now_ = 0;
     std::uint64_t nextSeq_ = 0;
     bool running_ = false;
-    bool inPhase_ = false;
     bool stopped_ = false;
 };
 

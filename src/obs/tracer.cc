@@ -105,7 +105,6 @@ processName(std::uint32_t pid)
       case Domain::Llc:     return "llc (ticks)";
       case Domain::Noc:     return "noc mesh (cycles)";
       case Domain::Cluster: return "cluster collectives (ns)";
-      case Domain::Kernel:  return "des kernel (ns)";
       case Domain::Serving: return "serving fleet (ns)";
       case Domain::Surrogate: return "surrogate (cycles)";
       case Domain::Graph:   return "graph lowering (cycles)";
@@ -126,7 +125,6 @@ trackName(std::uint32_t pid, std::uint32_t tid)
       case Domain::Noc:     return "mesh";
       case Domain::Cluster:
         return tid == 2 ? "elastic recovery" : "phases";
-      case Domain::Kernel:  return "phases";
       case Domain::Serving:
         return tid == 1 ? "fleet"
                         : "replica" + std::to_string(tid - 2);

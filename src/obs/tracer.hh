@@ -57,7 +57,8 @@ constexpr bool kTraceCompiledIn = true;
 
 /**
  * Trace domains, one viewer "process" each. The numeric value is the
- * Chrome trace pid, so it is part of the stable output format.
+ * Chrome trace pid, so it is part of the stable output format (6 is
+ * retired, not reused).
  */
 enum class Domain : std::uint32_t {
     Core = 1,    ///< core pipes; timestamps in core cycles
@@ -65,7 +66,6 @@ enum class Domain : std::uint32_t {
     Llc = 3,     ///< LLC model; timestamps in access ticks
     Noc = 4,     ///< mesh NoC; timestamps in NoC cycles
     Cluster = 5, ///< collective phases; timestamps in nanoseconds
-    Kernel = 6,  ///< des kernel phases; timestamps in nanoseconds
     Serving = 7, ///< fleet serving sim; timestamps in nanoseconds
     Surrogate = 8, ///< surrogate cost model; timestamps in core cycles
     Graph = 9,   ///< graph lowering; timestamps in core cycles

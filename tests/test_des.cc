@@ -2,17 +2,16 @@
  * @file
  * Unit and negative-path tests of the des::Kernel: canonical
  * (time, priority, seq) dispatch order, the monotonic-clock
- * "no rewind" rule, deterministic phase slicing, quiescent hooks,
- * stats accounting and its charge into the runtime counters, and
- * the structured misuse errors (re-entrant run/phase, scheduling into
- * the past, empty-queue drain, event guard).
+ * "no rewind" rule, quiescent hooks, stats accounting and its charge
+ * into the runtime counters, the handler-exception contract, and the
+ * structured misuse errors (re-entrant run, scheduling into the past,
+ * empty-queue drain, event guard).
  */
 
-#include <algorithm>
 #include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -122,19 +121,6 @@ TEST(DesKernel, ReentrantRunThrows)
     EXPECT_EQ(order, "x");
 }
 
-TEST(DesKernel, NestedPhaseThrows)
-{
-    des::Kernel k;
-    k.schedule(0.0, 0, "nest", [](des::Kernel &kk) {
-        kk.phase("outer", 4, [&](std::size_t, std::size_t,
-                                 std::size_t) {
-            kk.phase("inner", 4,
-                     [](std::size_t, std::size_t, std::size_t) {});
-        });
-    });
-    expectError([&] { k.run(); }, ErrorCode::KernelMisuse, "nest");
-}
-
 TEST(DesKernel, EmptyQueueRunIsCleanNoOp)
 {
     des::Kernel k;
@@ -172,7 +158,6 @@ TEST(DesKernel, RetiredKernelChargesItsStatsIntoCounters)
                             [](des::Kernel &) {});
             });
         k.scheduleQuiescent(2.0, 0);
-        k.phase("fan", 8, [](std::size_t, std::size_t, std::size_t) {});
         k.run();
         stats = k.stats();
         // Nothing is charged until the kernel retires.
@@ -184,7 +169,6 @@ TEST(DesKernel, RetiredKernelChargesItsStatsIntoCounters)
               stats.eventsScheduled);
     EXPECT_EQ(runtime::counterValue("des events dispatched"),
               stats.eventsDispatched);
-    EXPECT_EQ(runtime::counterValue("des phases"), stats.phasesRun);
     EXPECT_EQ(runtime::counterValue("des quiescent points"),
               stats.quiescentPoints);
     EXPECT_EQ(runtime::counterValue("des queue high-water"),
@@ -222,6 +206,31 @@ TEST(DesKernel, StopLeavesPendingEvents)
     EXPECT_EQ(k.pending(), 0u);
 }
 
+TEST(DesKernel, HandlerExceptionPropagatesAndLeavesTheRestPending)
+{
+    des::Kernel k;
+    std::string order;
+    k.schedule(1.0, 0, "first", [&](des::Kernel &) { order += "a"; });
+    k.schedule(2.0, 0, "thrower", [&](des::Kernel &) {
+        order += "t";
+        throw std::runtime_error("handler failed");
+    });
+    k.schedule(3.0, 0, "later", [&](des::Kernel &) { order += "b"; });
+    k.schedule(4.0, 0, "last", [&](des::Kernel &) { order += "c"; });
+    // The handler's own exception type escapes run(), not a wrapper.
+    EXPECT_THROW(k.run(), std::runtime_error);
+    EXPECT_EQ(order, "at");
+    EXPECT_EQ(k.now(), 2.0);
+    // The throwing event is consumed; the later ones stay queued, and
+    // the kernel is not stopped: a plain second run() drains them.
+    EXPECT_EQ(k.pending(), 2u);
+    EXPECT_FALSE(k.stopped());
+    k.run();
+    EXPECT_EQ(order, "atbc");
+    EXPECT_EQ(k.pending(), 0u);
+    EXPECT_EQ(k.stats().eventsDispatched, 4u);
+}
+
 TEST(DesKernel, EventGuardThrowsGuardExceeded)
 {
     des::KernelOptions options;
@@ -233,48 +242,6 @@ TEST(DesKernel, EventGuardThrowsGuardExceeded)
         };
     k.schedule(0.0, 0, "spin", spin);
     expectError([&] { k.run(); }, ErrorCode::GuardExceeded, "guard");
-}
-
-TEST(DesKernel, PhaseCoversRangeExactlyOnceAtAnyGrain)
-{
-    for (std::size_t grain : {std::size_t(1), std::size_t(7),
-                              std::size_t(64), std::size_t(4096)}) {
-        des::KernelOptions options;
-        options.parallelGrain = grain;
-        des::Kernel k(options);
-        const std::size_t n = 1000;
-        EXPECT_EQ(k.phaseSlices(n), (n + grain - 1) / grain);
-        std::vector<int> hits(n, 0);
-        k.phase("cover", n,
-                [&](std::size_t b, std::size_t e, std::size_t s) {
-                    EXPECT_EQ(b, s * grain);
-                    EXPECT_EQ(e, std::min(n, (s + 1) * grain));
-                    for (std::size_t i = b; i < e; ++i)
-                        ++hits[i];
-                });
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(hits[i], 1) << "index " << i;
-        EXPECT_EQ(k.stats().phasesRun, 1u);
-    }
-}
-
-TEST(DesKernel, PhaseRunsInlineBelowTwoSlices)
-{
-    des::KernelOptions options;
-    options.parallelGrain = 100;
-    des::Kernel k(options);
-    int calls = 0;
-    k.phase("inline", 42,
-            [&](std::size_t b, std::size_t e, std::size_t s) {
-                ++calls;
-                EXPECT_EQ(b, 0u);
-                EXPECT_EQ(e, 42u);
-                EXPECT_EQ(s, 0u);
-            });
-    EXPECT_EQ(calls, 1);
-    k.phase("empty", 0,
-            [&](std::size_t, std::size_t, std::size_t) { ++calls; });
-    EXPECT_EQ(calls, 1); // n == 0: body never invoked
 }
 
 TEST(DesKernel, NextEventTimeTracksTheQueueHead)

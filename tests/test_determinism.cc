@@ -2,8 +2,9 @@
  * @file
  * Determinism fuzz: one seeded sweep asserting byte-identical result
  * fingerprints across thread-pool sizes (the in-process equivalent of
- * ASCEND_THREADS, via runtime::ScopedThreadPoolSize), des::Kernel
- * phase grains, and a frozen golden of chip-sim fuzz fingerprints.
+ * ASCEND_THREADS, via runtime::ScopedThreadPoolSize), an ordered-set
+ * oracle of des::Kernel dispatch order, and a frozen golden of
+ * chip-sim fuzz fingerprints.
  *
  * Fingerprints print every field with %.17g / exact integers, so any
  * single-ULP drift in a floating-point reduction fails the EXPECT_EQ
@@ -18,7 +19,9 @@
 #include <cstdlib>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/atomic_file.hh"
@@ -37,7 +40,6 @@ namespace ascend {
 namespace {
 
 constexpr unsigned kThreadCounts[] = {1, 4, 13};
-constexpr std::size_t kGrains[] = {1, 512};
 
 std::string
 fp(double v)
@@ -260,71 +262,90 @@ TEST(Determinism, ChipSimFuzzMatchesGolden)
 
 /**
  * Drive a des::Kernel with a seeded random event graph — events at
- * random times/priorities whose handlers run two kernel phases and
+ * random times/priorities whose handlers update a cell array and
  * spawn random children — and fingerprint the full dispatch trace.
- * Handlers draw from the shared Rng, so the trace matches across
- * thread counts and grains only if the dispatch sequence is exactly
- * the canonical (time, priority, seq) order every time. The phase
- * work is element-wise (slicing-independent) plus an exact integer
- * reduction, so the fingerprint is also grain-invariant.
+ * A shadow ordered set of pending (time, priority, seq) keys is the
+ * oracle: every schedule inserts its key, and every dispatch must pop
+ * the set's minimum, so each event is checked against the canonical
+ * order as it runs. Times sit on a quarter-unit grid, so equal-time
+ * events are common and the priority and seq tie-breaks decide real
+ * dispatches.
  */
 std::string
-desKernelTrace(std::uint64_t seed, std::size_t grain)
+desKernelTrace(std::uint64_t seed)
 {
+    using Key = std::tuple<double, std::int32_t, std::uint64_t>;
     Rng rng(seed);
-    des::KernelOptions options;
-    options.parallelGrain = grain;
-    des::Kernel kernel(options);
+    des::Kernel kernel;
+    std::set<Key> pending;
+    std::vector<Key> keyOf; // indexed in schedule order
+    const auto dispatched = [&](std::size_t id) {
+        ASSERT_FALSE(pending.empty()) << "seed " << seed;
+        EXPECT_EQ(*pending.begin(), keyOf[id])
+            << "seed " << seed << ": dispatch is not the minimum "
+            << "pending (time, priority, seq) key";
+        pending.erase(keyOf[id]);
+    };
 
     std::vector<double> cells(259);
     for (double &c : cells)
         c = rng.uniformReal();
-    std::vector<unsigned> slice_over(kernel.phaseSlices(cells.size()));
     std::string log;
     std::uint64_t hot = 0;
+    const auto onGrid = [](double t) { return std::floor(t * 4.0) / 4.0; };
 
-    std::function<void(des::Kernel &, int)> node =
-        [&](des::Kernel &k, int depth) {
-            log += "ev t=" + fp(k.now());
-            k.phase("fuzz.scale", cells.size(),
-                    [&](std::size_t b, std::size_t e, std::size_t) {
-                        for (std::size_t i = b; i < e; ++i)
-                            cells[i] = cells[i] * 1.0000001 +
-                                       1e-9 * double(i);
-                    });
-            k.phase("fuzz.count", cells.size(),
-                    [&](std::size_t b, std::size_t e, std::size_t s) {
-                        unsigned n = 0;
-                        for (std::size_t i = b; i < e; ++i)
-                            if (cells[i] > 0.5)
-                                ++n;
-                        slice_over[s] = n;
-                    });
-            unsigned over = 0;
-            for (std::size_t s = 0;
-                 s < kernel.phaseSlices(cells.size()); ++s)
-                over += slice_over[s];
-            hot += over;
-            log += " over=" + std::to_string(over) + "\n";
-            if (depth < 3) {
-                const unsigned kids = unsigned(rng.uniform(3));
-                for (unsigned c = 0; c < kids; ++c)
-                    k.schedule(k.now() + rng.uniformReal(),
-                               std::int32_t(rng.uniform(4)),
-                               "fuzz.node",
-                               [&, depth](des::Kernel &kk) {
-                                   node(kk, depth + 1);
-                               });
+    std::function<void(des::Kernel &, int)> node;
+    const auto spawn = [&](des::Kernel &k, double time,
+                           std::int32_t priority, const char *name,
+                           int depth) {
+        const std::size_t id = keyOf.size();
+        keyOf.emplace_back();
+        const std::uint64_t seq = k.schedule(
+            time, priority, name, [&, id, depth](des::Kernel &kk) {
+                dispatched(id);
+                node(kk, depth);
+            });
+        keyOf[id] = Key(time, priority, seq);
+        pending.insert(keyOf[id]);
+    };
+    node = [&](des::Kernel &k, int depth) {
+        log += "ev t=" + fp(k.now());
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            cells[i] = cells[i] * 1.0000001 + 1e-9 * double(i);
+        unsigned over = 0;
+        for (double c : cells)
+            if (c > 0.5)
+                ++over;
+        hot += over;
+        log += " over=" + std::to_string(over) + "\n";
+        if (depth < 3) {
+            const unsigned kids = unsigned(rng.uniform(3));
+            for (unsigned c = 0; c < kids; ++c) {
+                const auto priority = std::int32_t(rng.uniform(4));
+                const double time = k.now() + onGrid(rng.uniformReal());
+                spawn(k, time, priority, "fuzz.node", depth + 1);
             }
-        };
-    for (int i = 0; i < 5; ++i)
-        kernel.schedule(rng.uniformReal() * 2.0,
-                        std::int32_t(rng.uniform(4)), "fuzz.root",
-                        [&](des::Kernel &k) { node(k, 0); });
+        }
+    };
+    for (int i = 0; i < 5; ++i) {
+        const auto priority = std::int32_t(rng.uniform(4));
+        const double time = onGrid(rng.uniformReal() * 2.0);
+        spawn(kernel, time, priority, "fuzz.root", 0);
+    }
     unsigned quiesced = 0;
-    kernel.onQuiescent([&](des::Kernel &) { ++quiesced; });
-    kernel.scheduleQuiescent(1.0);
+    const std::size_t marker = keyOf.size();
+    keyOf.emplace_back(1.0, 0, kernel.scheduleQuiescent(1.0));
+    pending.insert(keyOf[marker]);
+    kernel.onQuiescent([&](des::Kernel &) {
+        ++quiesced;
+        dispatched(marker);
+    });
     kernel.run();
+    EXPECT_TRUE(pending.empty()) << "seed " << seed;
+    EXPECT_EQ(kernel.stats().eventsDispatched,
+              kernel.stats().eventsScheduled)
+        << "seed " << seed;
+    EXPECT_EQ(quiesced, 1u) << "seed " << seed;
     log += "dispatched=" +
            std::to_string(kernel.stats().eventsDispatched) +
            " quiesced=" + std::to_string(quiesced) +
@@ -335,20 +356,9 @@ desKernelTrace(std::uint64_t seed, std::size_t grain)
 TEST(Determinism, DesKernelRandomEventGraphs)
 {
     for (std::uint64_t seed : {3ull, 42ull, 2026ull}) {
-        std::string base;
-        for (unsigned threads : kThreadCounts) {
-            for (std::size_t grain : kGrains) {
-                runtime::ScopedThreadPoolSize pool(threads);
-                const std::string now = desKernelTrace(seed, grain);
-                if (base.empty())
-                    base = now;
-                else
-                    EXPECT_EQ(now, base)
-                        << "seed " << seed << " threads " << threads
-                        << " grain " << grain;
-            }
-        }
-        // The graph must be non-trivial for the sweep to mean much.
+        const std::string base = desKernelTrace(seed);
+        EXPECT_EQ(desKernelTrace(seed), base) << "seed " << seed;
+        // The graph must be non-trivial for the oracle to mean much.
         EXPECT_NE(base.find("dispatched="), std::string::npos);
         EXPECT_GT(base.size(), 64u) << base;
     }
