@@ -38,6 +38,7 @@
 #include "obs/tracer.hh"
 #include "resilience/checkpoint.hh"
 #include "runtime/perf_stats.hh"
+#include "serving/request_queue.hh"
 
 namespace ascend {
 namespace serving {
@@ -58,20 +59,6 @@ formatSeconds(double v)
     std::snprintf(buf, sizeof(buf), "%.9e", v);
     return buf;
 }
-
-/** One queued (or in-flight) request instance. */
-struct PendingRequest
-{
-    std::uint64_t id = 0;
-    std::uint32_t tier = 0;
-    double arrivalSec = 0;
-    double deadlineSec = 0; ///< absolute SLO instant
-    std::uint32_t attempt = 0; ///< failure re-dispatches so far
-    double eligibleSec = 0; ///< earliest dispatch (retry backoff)
-    std::uint8_t hedged = 0; ///< participates in first-wins dedup
-    std::uint8_t copy = 0;   ///< 1 = hedge duplicate, not the original
-    std::uint8_t reoffers = 0; ///< closed-loop re-offers so far
-};
 
 enum ReplicaStatus : std::uint32_t {
     kIdle = 0,
@@ -129,8 +116,7 @@ struct ServingState
     double brownoutSinceSec = 0; ///< entry instant while active
     double brownoutSec = 0;      ///< accumulated over closed windows
 
-    std::vector<PendingRequest> queue;
-    std::vector<PendingRequest> reoffers; ///< due at eligibleSec
+    RequestQueue queue; ///< queued requests and pending re-offers
     std::vector<ReplicaState> replicas;
     std::vector<std::uint64_t> hedgedIds;  ///< sorted: ids with copies
     std::vector<std::uint64_t> hedgedDone; ///< sorted: winner answered
@@ -180,7 +166,9 @@ std::string
 serializeState(const ServingState &s)
 {
     std::string buf;
-    buf.reserve(256 + s.queue.size() * 56 + s.replicas.size() * 72 +
+    const std::vector<PendingRequest> queue = s.queue.entries();
+    const std::vector<PendingRequest> reoffers = s.queue.reoffers();
+    buf.reserve(256 + queue.size() * 56 + s.replicas.size() * 72 +
                 s.latencies.size() * 8 + s.eventLog.size());
     writeU64(buf, s.sequence);
     writeDouble(buf, s.simTimeSec);
@@ -210,11 +198,11 @@ serializeState(const ServingState &s)
     writeU64(buf, s.brownoutActive);
     writeDouble(buf, s.brownoutSinceSec);
     writeDouble(buf, s.brownoutSec);
-    writeU64(buf, s.queue.size());
-    for (const PendingRequest &r : s.queue)
+    writeU64(buf, queue.size());
+    for (const PendingRequest &r : queue)
         writeRequest(buf, r);
-    writeU64(buf, s.reoffers.size());
-    for (const PendingRequest &r : s.reoffers)
+    writeU64(buf, reoffers.size());
+    for (const PendingRequest &r : reoffers)
         writeRequest(buf, r);
     writeU64(buf, s.replicas.size());
     for (const ReplicaState &r : s.replicas) {
@@ -279,14 +267,16 @@ deserializeState(const std::string &payload, ServingState &out)
     s.brownoutActive = std::uint8_t(brownout_active);
     if (!rd.readCount(n, kRequestBytes))
         return false;
-    s.queue.resize(std::size_t(n));
-    for (PendingRequest &r : s.queue)
+    std::vector<PendingRequest> queue;
+    queue.resize(std::size_t(n));
+    for (PendingRequest &r : queue)
         if (!readRequest(rd, r))
             return false;
     if (!rd.readCount(n, kRequestBytes))
         return false;
-    s.reoffers.resize(std::size_t(n));
-    for (PendingRequest &r : s.reoffers)
+    std::vector<PendingRequest> reoffers;
+    reoffers.resize(std::size_t(n));
+    for (PendingRequest &r : reoffers)
         if (!readRequest(rd, r))
             return false;
     if (!rd.readCount(n, kReplicaBytes))
@@ -340,6 +330,7 @@ deserializeState(const std::string &payload, ServingState &out)
         !rd.readBytes(s.eventLog, payload.size()) || !rd.atEnd())
         return false;
     s.completedOnTime.assign(on_time.begin(), on_time.end());
+    s.queue.restore(queue, reoffers, s.simTimeSec);
     out = std::move(s);
     return true;
 }
@@ -356,19 +347,6 @@ sortedInsert(std::vector<std::uint64_t> &v, std::uint64_t id)
     const auto it = std::lower_bound(v.begin(), v.end(), id);
     if (it == v.end() || *it != id)
         v.insert(it, id);
-}
-
-/** Dispatch order: tightest deadline first, then stable identity. */
-bool
-requestBefore(const PendingRequest &a, const PendingRequest &b)
-{
-    if (a.deadlineSec != b.deadlineSec)
-        return a.deadlineSec < b.deadlineSec;
-    if (a.id != b.id)
-        return a.id < b.id;
-    if (a.attempt != b.attempt)
-        return a.attempt < b.attempt;
-    return a.copy < b.copy;
 }
 
 double
@@ -578,7 +556,7 @@ struct FleetEngine
         r.eligibleSec = t + delay;
         r.reoffers = std::uint8_t(req.reoffers + 1);
         ++s.reoffered;
-        s.reoffers.push_back(r);
+        s.queue.pushReoffer(r);
     }
 
     /** Shed accounting for one queue instance (+ the re-offer hook). */
@@ -638,7 +616,7 @@ struct FleetEngine
                             policy, req.attempt, req.id);
         ++r.attempt;
         ++s.retries;
-        s.queue.push_back(r);
+        s.queue.push(r, t);
     }
 
     /** Apply the single next due fault (one poll dispatch's worth). */
@@ -714,6 +692,7 @@ struct FleetEngine
             if (sortedContains(s.hedgedDone, req.id))
                 return; // the losing copy
             sortedInsert(s.hedgedDone, req.id);
+            s.queue.markAnswered(req);
         }
         ++s.completed;
         const double latency = t - req.arrivalSec;
@@ -783,7 +762,7 @@ struct FleetEngine
             }
         }
         ++s.admitted;
-        s.queue.push_back(r);
+        s.queue.push(r, t);
     }
 
     /**
@@ -804,7 +783,7 @@ struct FleetEngine
             PendingRequest dup = req;
             dup.copy = 1;
             dup.eligibleSec = t;
-            s.queue.push_back(dup);
+            s.queue.push(dup, t);
             ++copies;
             ++s.hedges;
         }
@@ -822,18 +801,9 @@ struct FleetEngine
     void
     purgeQueue(double t)
     {
-        std::vector<PendingRequest> kept;
-        kept.reserve(s.queue.size());
-        for (const PendingRequest &req : s.queue) {
-            if (req.hedged && sortedContains(s.hedgedDone, req.id))
-                continue;
-            if (options.admission.enabled && t > req.deadlineSec) {
-                shedInstance(req, t);
-                continue;
-            }
-            kept.push_back(req);
-        }
-        s.queue.swap(kept);
+        for (const PendingRequest &req :
+             s.queue.purge(t, options.admission.enabled))
+            shedInstance(req, t);
     }
 
     /**
@@ -846,47 +816,12 @@ struct FleetEngine
     void
     dispatchReplica(unsigned idx, double t)
     {
-        ReplicaState &r = s.replicas[idx];
-        std::vector<PendingRequest> eligible, waiting;
-        for (const PendingRequest &req : s.queue)
-            (req.eligibleSec <= t ? eligible : waiting)
-                .push_back(req);
-        if (eligible.empty())
+        std::vector<PendingRequest> batch =
+            s.queue.takeBatch(t, activeMaxBatch(), tiers);
+        if (batch.empty())
             return;
-        std::stable_sort(eligible.begin(), eligible.end(),
-                         requestBefore);
 
-        const std::size_t cap = activeMaxBatch();
-        std::vector<char> taken(eligible.size(), 0);
-        std::vector<PendingRequest> batch;
-        for (std::uint32_t ti = 0;
-             ti < std::uint32_t(tiers.size()) && batch.size() < cap;
-             ++ti) {
-            unsigned got = 0;
-            for (std::size_t i = 0; i < eligible.size() &&
-                                    got < tiers[ti].reservedSlots &&
-                                    batch.size() < cap;
-                 ++i) {
-                if (taken[i] || eligible[i].tier != ti)
-                    continue;
-                taken[i] = 1;
-                batch.push_back(eligible[i]);
-                ++got;
-            }
-        }
-        for (std::size_t i = 0;
-             i < eligible.size() && batch.size() < cap; ++i) {
-            if (taken[i])
-                continue;
-            taken[i] = 1;
-            batch.push_back(eligible[i]);
-        }
-
-        for (std::size_t i = 0; i < eligible.size(); ++i)
-            if (!taken[i])
-                waiting.push_back(eligible[i]);
-        s.queue.swap(waiting);
-
+        ReplicaState &r = s.replicas[idx];
         const double factor =
             t < r.stragglerUntilSec ? r.stragglerFactor : 1.0;
         r.status = kBusy;
@@ -910,9 +845,9 @@ struct FleetEngine
 
     /** Earliest future decision instant (kInf = nothing left). */
     double
-    nextInstant(double t) const
+    nextInstant(double t)
     {
-        double next = kInf;
+        double next = s.queue.nextWake(t);
         if (s.arrivalCursor < arrivals.size())
             next = std::min(next,
                             arrivals[s.arrivalCursor].arrivalSec);
@@ -932,12 +867,6 @@ struct FleetEngine
                 next = std::min(next, r.readyAtSec);
             }
         }
-        for (const PendingRequest &req : s.queue)
-            if (req.eligibleSec > t)
-                next = std::min(next, req.eligibleSec);
-        for (const PendingRequest &req : s.reoffers)
-            if (req.eligibleSec > t)
-                next = std::min(next, req.eligibleSec);
         if (options.health.enabled && !s.queue.empty()) {
             // An open breaker is a decision instant: the replica is
             // idle but skipped, and nothing else may wake the step
@@ -1027,18 +956,11 @@ struct FleetEngine
         while (s.arrivalCursor < arrivals.size() &&
                arrivals[s.arrivalCursor].arrivalSec <= t)
             admit(arrivals[s.arrivalCursor++]);
-        if (!s.reoffers.empty()) {
-            // Closed-loop clients whose think time has elapsed
-            // re-offer their shed request as a brand-new arrival.
-            std::vector<PendingRequest> later;
-            std::vector<PendingRequest> due;
-            for (const PendingRequest &req : s.reoffers)
-                (req.eligibleSec <= t ? due : later).push_back(req);
-            s.reoffers.swap(later);
-            for (PendingRequest &req : due) {
-                req.arrivalSec = t;
-                offerPending(req, t);
-            }
+        // Closed-loop clients whose think time has elapsed re-offer
+        // their shed request as a brand-new arrival.
+        for (PendingRequest &req : s.queue.takeDueReoffers(t)) {
+            req.arrivalSec = t;
+            offerPending(req, t);
         }
         if (options.hedge.enabled) {
             for (unsigned i = 0; i < unsigned(s.replicas.size());
@@ -1071,16 +993,15 @@ struct FleetEngine
 
         if (fleetDoomed()) {
             // Nothing can serve again: account every queued and
-            // future request as shed and drain.
+            // future request as shed and drain. Pending re-offers
+            // were never offered; dropping them keeps completed +
+            // shed == offered intact.
             std::uint64_t lost = 0;
-            for (const PendingRequest &req : s.queue)
+            for (const PendingRequest &req : s.queue.entries())
                 if (!req.copy)
                     ++lost;
             s.shed += lost;
             s.queue.clear();
-            // Pending re-offers were never offered; dropping them
-            // keeps completed + shed == offered intact.
-            s.reoffers.clear();
             const std::uint64_t remaining =
                 arrivals.size() - s.arrivalCursor;
             s.offered += remaining;
@@ -1152,9 +1073,9 @@ struct FleetEngine
         armStep(k, next);
     }
 
-    /** Snapshot counters into a result (shared by halt and finish). */
+    /** Counters and percentiles, without the per-request vectors. */
     FleetResult
-    result() const
+    summary() const
     {
         FleetResult r;
         r.offered = s.offered;
@@ -1178,10 +1099,6 @@ struct FleetEngine
             r.brownoutSec += s.simTimeSec - s.brownoutSinceSec;
         r.halted = haltRequested;
         r.makespanSec = s.simTimeSec;
-        r.latencies = s.latencies;
-        r.completionsSec = s.completionsSec;
-        r.completedOnTime = s.completedOnTime;
-        r.eventLog = s.eventLog;
         std::vector<double> sorted = s.latencies;
         std::sort(sorted.begin(), sorted.end());
         r.p50 = percentile(sorted, 0.50);
@@ -1190,11 +1107,30 @@ struct FleetEngine
         return r;
     }
 
-    /** Natural completion: charge totals, drop the checkpoint file. */
+    /** Halt snapshot: copies, so the state stays whole. */
+    FleetResult
+    result() const
+    {
+        FleetResult r = summary();
+        r.latencies = s.latencies;
+        r.completionsSec = s.completionsSec;
+        r.completedOnTime = s.completedOnTime;
+        r.eventLog = s.eventLog;
+        return r;
+    }
+
+    /**
+     * Natural completion: charge totals, drop the checkpoint file.
+     * The state is dead after this, so its vectors move out.
+     */
     FleetResult
     finish()
     {
-        FleetResult r = result();
+        FleetResult r = summary();
+        r.latencies = std::move(s.latencies);
+        r.completionsSec = std::move(s.completionsSec);
+        r.completedOnTime = std::move(s.completedOnTime);
+        r.eventLog = std::move(s.eventLog);
         if (store)
             store->remove();
         // Sim-time counters: deterministic at any thread count.
@@ -1242,7 +1178,7 @@ struct FleetEngine
         kernel.run();
         simAssert(final_.has_value(),
                   "serving kernel drained without a terminal state");
-        return *final_;
+        return std::move(*final_);
     }
 };
 

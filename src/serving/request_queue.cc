@@ -1,0 +1,337 @@
+#include "serving/request_queue.hh"
+
+#include <algorithm>
+#include <iterator>
+#include <limits>
+
+namespace ascend {
+namespace serving {
+
+namespace {
+
+/** Min-heap order on (eligibleSec, seq), as std::*_heap's "less". */
+template <class E>
+bool
+wakesLater(const E &a, const E &b)
+{
+    if (a.req.eligibleSec != b.req.eligibleSec)
+        return a.req.eligibleSec > b.req.eligibleSec;
+    return a.seq > b.seq;
+}
+
+template <class E>
+bool
+pushedBefore(const E &a, const E &b)
+{
+    return a.seq < b.seq;
+}
+
+} // anonymous namespace
+
+bool
+requestBefore(const PendingRequest &a, const PendingRequest &b)
+{
+    if (a.deadlineSec != b.deadlineSec)
+        return a.deadlineSec < b.deadlineSec;
+    if (a.id != b.id)
+        return a.id < b.id;
+    if (a.attempt != b.attempt)
+        return a.attempt < b.attempt;
+    return a.copy < b.copy;
+}
+
+bool
+RequestQueue::DispatchOrder::operator()(const Entry &a,
+                                        const Entry &b) const
+{
+    if (requestBefore(a.req, b.req))
+        return true;
+    if (requestBefore(b.req, a.req))
+        return false;
+    if (a.group != b.group)
+        return a.group < b.group;
+    return a.seq < b.seq;
+}
+
+std::size_t
+RequestQueue::size() const
+{
+    std::size_t n = waiting_.size();
+    for (const TierSet &set : eligible_)
+        n += set.size();
+    return n;
+}
+
+void
+RequestQueue::push(const PendingRequest &r, double t)
+{
+    Entry e{r, 0, nextSeq_++};
+    if (r.eligibleSec > t) {
+        waiting_.push_back(e);
+        std::push_heap(waiting_.begin(), waiting_.end(),
+                       wakesLater<Entry>);
+        return;
+    }
+    if (r.tier >= eligible_.size())
+        eligible_.resize(r.tier + 1);
+    eligible_[r.tier].insert(e);
+}
+
+void
+RequestQueue::promote(double t)
+{
+    while (!waiting_.empty() && waiting_.front().req.eligibleSec <= t) {
+        std::pop_heap(waiting_.begin(), waiting_.end(),
+                      wakesLater<Entry>);
+        Entry e = waiting_.back();
+        waiting_.pop_back();
+        // Waiting at the last non-empty dispatch: segment 1, which
+        // the next dispatch sorts ahead of every equal-key entry that
+        // was already eligible.
+        e.group = e.seq < stamp_ ? frontGroup() : 0;
+        if (e.req.tier >= eligible_.size())
+            eligible_.resize(e.req.tier + 1);
+        eligible_[e.req.tier].insert(e);
+    }
+}
+
+void
+RequestQueue::markAnswered(const PendingRequest &winner)
+{
+    answered_.push_back(winner);
+}
+
+bool
+RequestQueue::sequenceBefore(const Entry &a, bool a_waiting,
+                             const Entry &b, bool b_waiting) const
+{
+    const auto segment = [this](const Entry &e, bool waiting) {
+        if (e.seq >= stamp_)
+            return 3;
+        return waiting || e.group == frontGroup() ? 1 : 2;
+    };
+    const int sa = segment(a, a_waiting);
+    const int sb = segment(b, b_waiting);
+    if (sa != sb)
+        return sa < sb;
+    return sa == 2 ? DispatchOrder{}(a, b) : a.seq < b.seq;
+}
+
+std::vector<PendingRequest>
+RequestQueue::purge(double t, bool shed_expired)
+{
+    if (!answered_.empty()) {
+        // Every instance of a request shares its deadline and tier, so
+        // the deadline-ordered tier set finds them by lookup.
+        std::vector<std::uint64_t> ids;
+        for (const PendingRequest &w : answered_) {
+            ids.push_back(w.id);
+            if (w.tier >= eligible_.size())
+                continue;
+            TierSet &set = eligible_[w.tier];
+            Entry first;
+            first.req.deadlineSec = w.deadlineSec;
+            first.req.id = w.id;
+            first.group = std::numeric_limits<std::int64_t>::min();
+            auto it = set.lower_bound(first);
+            while (it != set.end() &&
+                   it->req.deadlineSec == w.deadlineSec &&
+                   it->req.id == w.id)
+                it = it->req.hedged ? set.erase(it) : std::next(it);
+        }
+        answered_.clear();
+        std::sort(ids.begin(), ids.end());
+        const auto lost = [&](const Entry &e) {
+            return e.req.hedged &&
+                   std::binary_search(ids.begin(), ids.end(), e.req.id);
+        };
+        const auto end =
+            std::remove_if(waiting_.begin(), waiting_.end(), lost);
+        if (end != waiting_.end()) {
+            waiting_.erase(end, waiting_.end());
+            std::make_heap(waiting_.begin(), waiting_.end(),
+                           wakesLater<Entry>);
+        }
+    }
+    if (!shed_expired)
+        return {};
+
+    struct Expired
+    {
+        Entry entry;
+        bool waiting;
+    };
+    std::vector<Expired> expired;
+    for (TierSet &set : eligible_)
+        while (!set.empty() && t > set.begin()->req.deadlineSec) {
+            expired.push_back({*set.begin(), false});
+            set.erase(set.begin());
+        }
+    const auto end = std::remove_if(
+        waiting_.begin(), waiting_.end(), [&](const Entry &e) {
+            if (!(t > e.req.deadlineSec))
+                return false;
+            expired.push_back({e, true});
+            return true;
+        });
+    if (end != waiting_.end()) {
+        waiting_.erase(end, waiting_.end());
+        std::make_heap(waiting_.begin(), waiting_.end(),
+                       wakesLater<Entry>);
+    }
+    std::sort(expired.begin(), expired.end(),
+              [this](const Expired &a, const Expired &b) {
+                  return sequenceBefore(a.entry, a.waiting, b.entry,
+                                        b.waiting);
+              });
+    std::vector<PendingRequest> out;
+    out.reserve(expired.size());
+    for (const Expired &e : expired)
+        out.push_back(e.entry.req);
+    return out;
+}
+
+std::vector<PendingRequest>
+RequestQueue::takeBatch(double t, std::size_t cap,
+                        const std::vector<QosTier> &tiers)
+{
+    promote(t);
+    if (std::all_of(eligible_.begin(), eligible_.end(),
+                    [](const TierSet &set) { return set.empty(); }))
+        return {};
+
+    std::vector<PendingRequest> batch;
+    const auto take = [&](TierSet &set) {
+        batch.push_back(set.begin()->req);
+        set.erase(set.begin());
+    };
+    const std::size_t reserving = std::min(tiers.size(), eligible_.size());
+    for (std::size_t ti = 0; ti < reserving && batch.size() < cap; ++ti)
+        for (unsigned got = 0; got < tiers[ti].reservedSlots &&
+                               batch.size() < cap && !eligible_[ti].empty();
+             ++got)
+            take(eligible_[ti]);
+    // The remainder: a k-way merge of the tier sets' fronts.
+    while (batch.size() < cap) {
+        TierSet *best = nullptr;
+        for (TierSet &set : eligible_)
+            if (!set.empty() &&
+                (!best || DispatchOrder{}(*set.begin(), *best->begin())))
+                best = &set;
+        if (!best)
+            break;
+        take(*best);
+    }
+    stamp_ = nextSeq_;
+    ++dispatches_;
+    return batch;
+}
+
+double
+RequestQueue::nextWake(double t)
+{
+    promote(t);
+    double next = waiting_.empty()
+                      ? std::numeric_limits<double>::infinity()
+                      : waiting_.front().req.eligibleSec;
+    // A re-offer due at or before t (zero think time) does not wake
+    // the fleet; look past it, then put it back.
+    const std::vector<Entry> due = popDueReoffers(t);
+    if (!reoffers_.empty())
+        next = std::min(next, reoffers_.front().req.eligibleSec);
+    for (const Entry &e : due) {
+        reoffers_.push_back(e);
+        std::push_heap(reoffers_.begin(), reoffers_.end(),
+                       wakesLater<Entry>);
+    }
+    return next;
+}
+
+void
+RequestQueue::pushReoffer(const PendingRequest &r)
+{
+    reoffers_.push_back({r, 0, nextReofferSeq_++});
+    std::push_heap(reoffers_.begin(), reoffers_.end(), wakesLater<Entry>);
+}
+
+std::vector<RequestQueue::Entry>
+RequestQueue::popDueReoffers(double t)
+{
+    std::vector<Entry> due;
+    while (!reoffers_.empty() && reoffers_.front().req.eligibleSec <= t) {
+        std::pop_heap(reoffers_.begin(), reoffers_.end(),
+                      wakesLater<Entry>);
+        due.push_back(reoffers_.back());
+        reoffers_.pop_back();
+    }
+    return due;
+}
+
+std::vector<PendingRequest>
+RequestQueue::takeDueReoffers(double t)
+{
+    std::vector<Entry> due = popDueReoffers(t);
+    std::sort(due.begin(), due.end(), pushedBefore<Entry>);
+    std::vector<PendingRequest> out;
+    out.reserve(due.size());
+    for (const Entry &e : due)
+        out.push_back(e.req);
+    return out;
+}
+
+std::vector<PendingRequest>
+RequestQueue::entries() const
+{
+    std::vector<std::pair<Entry, bool>> all;
+    all.reserve(size());
+    for (const TierSet &set : eligible_)
+        for (const Entry &e : set)
+            all.emplace_back(e, false);
+    for (const Entry &e : waiting_)
+        all.emplace_back(e, true);
+    std::sort(all.begin(), all.end(),
+              [this](const auto &a, const auto &b) {
+                  return sequenceBefore(a.first, a.second, b.first,
+                                        b.second);
+              });
+    std::vector<PendingRequest> out;
+    out.reserve(all.size());
+    for (const auto &e : all)
+        out.push_back(e.first.req);
+    return out;
+}
+
+std::vector<PendingRequest>
+RequestQueue::reoffers() const
+{
+    std::vector<Entry> sorted = reoffers_;
+    std::sort(sorted.begin(), sorted.end(), pushedBefore<Entry>);
+    std::vector<PendingRequest> out;
+    out.reserve(sorted.size());
+    for (const Entry &e : sorted)
+        out.push_back(e.req);
+    return out;
+}
+
+void
+RequestQueue::restore(const std::vector<PendingRequest> &entries,
+                      const std::vector<PendingRequest> &reoffers,
+                      double t)
+{
+    // No dispatch stamp: every entry is segment 3, so push order is
+    // the saved sequence order.
+    clear();
+    for (const PendingRequest &r : entries)
+        push(r, t);
+    for (const PendingRequest &r : reoffers)
+        pushReoffer(r);
+}
+
+void
+RequestQueue::clear()
+{
+    *this = RequestQueue{};
+}
+
+} // namespace serving
+} // namespace ascend

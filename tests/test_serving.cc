@@ -7,14 +7,22 @@
  * observability surface.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/atomic_file.hh"
+#include "common/codec.hh"
+#include "common/golden.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
 #include "resilience/checkpoint.hh"
@@ -806,6 +814,193 @@ TEST(ServingFleet, ForeignCheckpointIsIgnoredNotResumed)
 
     std::filesystem::remove_all(dir);
     std::filesystem::remove_all(fresh.checkpointDir);
+}
+
+// ------------------------------------------------- golden fuzz grid
+
+namespace {
+
+/** The fuzz grid's axes, in row order. */
+constexpr double kFuzzLoads[] = {0.5, 1.0, 1.5, 2.0};
+const char *const kFuzzFaults[] = {"none", "independent", "rack"};
+const char *const kFuzzPolicies[] = {"no-shed+hedge", "shed+re-offer",
+                                     "defended", "shed+hedge"};
+
+std::string
+hex64(std::uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+std::uint64_t
+hashText(const std::string &text)
+{
+    return fnv1a(text.data(), text.size());
+}
+
+/** Fault column @p kind of the grid over @p horizon_sec. */
+FaultSchedule
+fuzzFaults(unsigned kind, std::uint64_t seed, double horizon_sec)
+{
+    if (kind == 1) {
+        FaultSpec spec;
+        spec.seed = seed;
+        spec.horizonSec = horizon_sec;
+        spec.cores = 6;
+        spec.corePermanentPerSec = 1.0 / horizon_sec;
+        spec.coreTransientPerSec = 4.0 / horizon_sec;
+        spec.coreRepairSec = horizon_sec / 20.0;
+        spec.stragglerFraction = 0.3;
+        spec.stragglerSlowdown = 3.0;
+        return FaultSchedule::generate(spec);
+    }
+    CorrelatedFaultSpec spec;
+    spec.seed = seed;
+    spec.horizonSec = horizon_sec;
+    spec.topology.replicas = 6;
+    spec.topology.replicasPerRack = 3;
+    if (kind == 2) {
+        spec.rackStrikeAtSec = 0.3 * horizon_sec;
+        spec.rackStrikeKind = FaultKind::CorePermanent;
+        spec.rackOutagePerSec = 2.0 / horizon_sec;
+        spec.rackOutageSec = horizon_sec / 25.0;
+        spec.background.stragglerFraction = 0.3;
+        spec.background.stragglerSlowdown = 3.0;
+    }
+    return resilience::generateCorrelated(spec);
+}
+
+/** Policy column @p policy of the grid (the benchmark's mixes). */
+FleetOptions
+fuzzOptions(unsigned policy, std::uint64_t seed)
+{
+    FleetOptions o = baseOptions();
+    o.replicas = 4;
+    o.warmSpares = 1;
+    o.failoverSec = 5e-3;
+    o.retry.maxRetries = 3;
+    o.autoscale.enabled = true;
+    o.autoscale.checkIntervalSec = 5e-3;
+    o.autoscale.queueDepthPerReplica = 8;
+    o.autoscale.spinUpSec = 0.02;
+    o.autoscale.maxExtraReplicas = 2;
+    o.checkpointIntervalSec = 5e-3;
+    o.admission.enabled = policy != 0;
+    o.hedge.enabled = policy == 0 || policy == 3;
+    o.hedge.afterSec = 8e-3; // above a healthy full batch
+    if (policy == 1 || policy == 2) {
+        o.reoffer.enabled = true;
+        o.reoffer.delaySec = 2e-3;
+    }
+    if (policy == 2) {
+        o.retry.jitterFraction = 0.5;
+        o.retry.jitterSeed = seed;
+        o.health.enabled = true;
+        o.health.cooloffSec = 0.02;
+        o.brownout.enabled = true;
+        o.brownout.enterQueueDepthPerReplica = 8;
+        o.brownout.exitQueueDepthPerReplica = 2;
+        o.brownout.minResidencySec = 5e-3;
+    }
+    return o;
+}
+
+/**
+ * One cell of the fleet fuzz grid: the hash of the finished run's
+ * report, and the hash of the checkpoint file a haltAfterEvents halt
+ * at the run's midpoint leaves on disk (so the ASCBLOB serving bytes,
+ * queue order included, are pinned too).
+ */
+std::string
+fleetFuzzRow(unsigned load_idx, unsigned fault_idx, unsigned policy)
+{
+    const std::uint64_t seed =
+        1000 + 100 * load_idx + 10 * fault_idx + policy;
+    const double horizon = 0.25;
+    const std::vector<QosTier> tiers = testTiers();
+    ArrivalSpec arr;
+    arr.seed = seed;
+    arr.horizonSec = horizon;
+    arr.ratePerSec = kFuzzLoads[load_idx] *
+                     testModel().saturationRequestsPerSec(4);
+    arr.burstFactor = 2.0;
+    arr.burstPeriodSec = horizon / 5.0;
+    arr.burstDuty = 0.3;
+    const std::vector<Request> arrivals =
+        serving::generateArrivals(arr, tiers);
+    const FaultSchedule faults = fuzzFaults(fault_idx, seed, horizon);
+    const BatchLatencyModel cheap =
+        BatchLatencyModel::linear(5e-4, 1e-4, 8);
+    const FleetOptions base = fuzzOptions(policy, seed);
+    const std::string dir = tempDir("fuzz");
+
+    std::filesystem::remove_all(dir);
+    FleetOptions full = base;
+    full.checkpointDir = dir;
+    const FleetResult ref = serving::runFleet(arrivals, tiers,
+                                              testModel(), faults,
+                                              full, &cheap);
+    unsigned events = 0;
+    for (char c : ref.eventLog)
+        events += c == '\n';
+
+    std::filesystem::remove_all(dir);
+    FleetOptions victim = full;
+    victim.haltAfterEvents = std::max(1u, events / 2);
+    serving::runFleet(arrivals, tiers, testModel(), faults, victim,
+                      &cheap);
+    const std::optional<std::string> blob =
+        readFile(resilience::CheckpointStore(dir, "serving").path());
+    std::filesystem::remove_all(dir);
+
+    char load[16];
+    std::snprintf(load, sizeof(load), "%.1f", kFuzzLoads[load_idx]);
+    return std::string("load=") + load + " faults=" +
+           kFuzzFaults[fault_idx] + " policy=" + kFuzzPolicies[policy] +
+           " offered=" + std::to_string(ref.offered) +
+           " completed=" + std::to_string(ref.completed) +
+           " shed=" + std::to_string(ref.shed) +
+           " report=" + hex64(hashText(ref.report())) +
+           " blob=" + (blob ? hex64(hashText(*blob)) : "none");
+}
+
+} // namespace
+
+/**
+ * The fuzz rows are frozen in tests/golden/fleet_fuzz.txt: every
+ * rewrite of the fleet queue or step must reproduce them bit for bit,
+ * reports and checkpoint bytes alike. The shed+hedge column pins the
+ * current behaviour, conservation bug included (completed + shed can
+ * differ from offered there). Regenerate after an intentional model
+ * change with
+ *     ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_serving
+ * and review the diff like any other code change.
+ */
+TEST(ServingFleet, FleetFuzzMatchesGolden)
+{
+    const std::string path =
+        std::string(ASCEND_GOLDEN_DIR) + "/fleet_fuzz.txt";
+    std::string rows =
+        "# runFleet report and midpoint-checkpoint hashes over a seeded\n"
+        "# load x faults x policy grid (tests/test_serving.cc "
+        "fleetFuzzRow).\n"
+        "# Regenerate: ASCEND_UPDATE_GOLDEN=1 "
+        "./build/tests/test_serving\n";
+    for (unsigned l = 0; l < std::size(kFuzzLoads); ++l)
+        for (unsigned f = 0; f < std::size(kFuzzFaults); ++f)
+            for (unsigned p = 0; p < std::size(kFuzzPolicies); ++p)
+                rows += fleetFuzzRow(l, f, p) + "\n";
+    const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
+    if (env && *env && std::string(env) != "0") {
+        ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
+        GTEST_SKIP() << "golden regenerated";
+    }
+    const std::optional<std::string> golden = readFile(path);
+    ASSERT_TRUE(golden) << "missing " << path;
+    EXPECT_EQ(diffGolden(*golden, rows), "");
 }
 
 // ------------------------------------------------- observability
