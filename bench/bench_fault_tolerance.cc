@@ -303,7 +303,7 @@ struct ElasticPoint
     /** Whole-schedule fault events per sim-second of its horizon —
      *  the one fault-rate unit stdout and the JSON share. */
     double faultEventsPerSimSec = 0;
-    resilience::ElasticCounters counters;
+    cluster::ElasticCounters counters;
 };
 
 /** Events per sim-second of @p faults over its horizon. */

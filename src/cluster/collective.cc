@@ -54,10 +54,8 @@ tracePhase(const char *name, double startSec, double sec, Bytes bytes)
 {
     if (sec > 0) {
         if (obs::Tracer *tracer = obs::Tracer::current()) {
-            const std::uint64_t t0 =
-                std::uint64_t(std::llround(startSec * 1e9));
-            const std::uint64_t t1 =
-                std::uint64_t(std::llround((startSec + sec) * 1e9));
+            const std::uint64_t t0 = obs::traceNs(startSec);
+            const std::uint64_t t1 = obs::traceNs(startSec + sec);
             tracer->span(obs::Domain::Cluster, 1, name, t0, t1 - t0,
                          bytes);
         }

@@ -3,9 +3,9 @@
  * The elastic cluster-run state machine — a des::Kernel client.
  *
  * The engine is deliberately a pure function of (immutable inputs,
- * RunCheckpoint state): every mutation lives in the RunCheckpoint,
- * every cost is serial double arithmetic, and nothing reads the
- * wall clock or thread count — which is what makes kill-and-resume
+ * ElasticState + the journal's event log): every mutation lives
+ * there, every cost is serial double arithmetic, and nothing reads
+ * the wall clock or thread count — which is what makes kill-and-resume
  * byte-identical and lets bench_chaos enforce it with real SIGKILLs.
  *
  * Each training step is a short chain of kernel events at the same
@@ -22,7 +22,7 @@
  *
  * Checkpoints ride the kernel's quiescent points: the onQuiescent
  * hook fires only between event dispatches, when no handler is
- * mid-flight and the RunCheckpoint is self-consistent — the saved
+ * mid-flight and the ElasticState is self-consistent — the saved
  * state is a fixed point of the chain, so a SIGKILL after any save
  * resumes into a byte-identical continuation (bench_chaos enforces
  * this with real kills at event boundaries).
@@ -31,9 +31,8 @@
 #include "cluster/elastic_run.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstdio>
-#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -46,16 +45,104 @@
 namespace ascend {
 namespace cluster {
 
-using resilience::CheckpointStore;
 using resilience::FaultEvent;
 using resilience::FaultKind;
 using resilience::FaultSchedule;
-using resilience::RunCheckpoint;
+using resilience::formatSeconds;
 
 namespace {
 
 /** Sentinel for a shrunk (unreplaced) slot in activeNodes. */
 constexpr std::uint32_t kDeadSlot = 0xffffffffu;
+
+/** The elastic checkpoint: <checkpointDir>/elastic.ckpt, ASCCKPT v2. */
+const resilience::JournalFormat kJournalFormat = {
+    "elastic", {'A', 'S', 'C', 'C', 'K', 'P', 'T', '\n'}, 2};
+
+/**
+ * Complete engine state at one event boundary, less the event log the
+ * journal keeps: simulated clock, next step, surviving world, spare
+ * budget, resilience counters and fault cursors.
+ */
+struct ElasticState
+{
+    std::uint64_t sequence = 0; ///< checkpoint ordinal within the run
+    std::uint64_t nextStep = 0; ///< first step not yet committed
+    double simTimeSec = 0;      ///< simulated clock at the boundary
+
+    /** Surviving node ids (spares have ids >= the initial count). */
+    std::vector<std::uint32_t> activeNodes;
+    std::uint64_t sparesLeft = 0;
+
+    /** Step/time of the last *logical* (rollback target) checkpoint. */
+    std::uint64_t lastCheckpointStep = 0;
+    double lastCheckpointSec = 0;
+
+    /// @{ Cursors into the time-sorted fault-event lists.
+    std::uint64_t nodeEventCursor = 0;
+    std::uint64_t eccEventCursor = 0;
+    /// @}
+
+    ElasticCounters counters;
+};
+
+/** The counters in their on-disk order. */
+std::array<std::uint64_t *, 10>
+counterFields(ElasticCounters &c)
+{
+    return {&c.failovers,     &c.shrinks,        &c.rollbacks,
+            &c.replayedSteps, &c.speculations,   &c.retries,
+            &c.degradedSteps, &c.sparesUsed,     &c.spareExhausted,
+            &c.checkpointsSaved};
+}
+
+/** The ASCCKPT v2 body fields, in order (the journal appends the log). */
+std::string
+encodeState(const ElasticState &s)
+{
+    std::string buf;
+    writeU64(buf, s.sequence);
+    writeU64(buf, s.nextStep);
+    writeDouble(buf, s.simTimeSec);
+    writeU64(buf, s.activeNodes.size());
+    for (std::uint32_t node : s.activeNodes)
+        writeU64(buf, node);
+    writeU64(buf, s.sparesLeft);
+    writeU64(buf, s.lastCheckpointStep);
+    writeDouble(buf, s.lastCheckpointSec);
+    writeU64(buf, s.nodeEventCursor);
+    writeU64(buf, s.eccEventCursor);
+    ElasticCounters counters = s.counters;
+    for (const std::uint64_t *v : counterFields(counters))
+        writeU64(buf, *v);
+    return buf;
+}
+
+/** Inverse of encodeState(); false on a short or out-of-range field. */
+bool
+decodeState(ByteReader &r, ElasticState &s)
+{
+    std::uint64_t nodes = 0;
+    if (!r.readU64(s.sequence) || !r.readU64(s.nextStep) ||
+        !r.readDouble(s.simTimeSec) ||
+        !r.readCount(nodes, sizeof(std::uint64_t)))
+        return false;
+    s.activeNodes.resize(std::size_t(nodes));
+    for (std::uint32_t &node : s.activeNodes) {
+        std::uint64_t v = 0;
+        if (!r.readU64(v) || v > kDeadSlot)
+            return false;
+        node = std::uint32_t(v);
+    }
+    if (!r.readU64(s.sparesLeft) || !r.readU64(s.lastCheckpointStep) ||
+        !r.readDouble(s.lastCheckpointSec) ||
+        !r.readU64(s.nodeEventCursor) || !r.readU64(s.eccEventCursor))
+        return false;
+    for (std::uint64_t *v : counterFields(s.counters))
+        if (!r.readU64(*v))
+            return false;
+    return true;
+}
 
 /** Recovery-phase span on the Cluster domain's elastic track (2). */
 void
@@ -63,21 +150,11 @@ traceRecovery(const char *name, double t0_sec, double t1_sec,
               Bytes bytes)
 {
     if (obs::Tracer *tracer = obs::Tracer::current()) {
-        const std::uint64_t t0 =
-            std::uint64_t(std::llround(t0_sec * 1e9));
-        const std::uint64_t t1 =
-            std::uint64_t(std::llround(t1_sec * 1e9));
+        const std::uint64_t t0 = obs::traceNs(t0_sec);
+        const std::uint64_t t1 = obs::traceNs(t1_sec);
         tracer->span(obs::Domain::Cluster, 2, name, t0,
                      t1 > t0 ? t1 - t0 : 0, bytes);
     }
-}
-
-std::string
-formatSeconds(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9e", v);
-    return buf;
 }
 
 } // anonymous namespace
@@ -164,9 +241,9 @@ namespace {
 /**
  * All state and handlers of one elastic run, driven as a des::Kernel
  * event chain (see the file comment for the chain layout). Mutations
- * touch only `s` (the checkpointable state) plus the this-process
- * halt counter; terminal handlers record the run's outcome in
- * `final_` instead of re-arming the chain.
+ * touch only `s` and the journal (the checkpointable state); terminal
+ * handlers record the run's outcome in `final_` instead of re-arming
+ * the chain.
  */
 struct Engine
 {
@@ -184,12 +261,9 @@ struct Engine
     unsigned spareBase = 0;
     std::vector<FaultEvent> nodeFail;
     std::vector<FaultEvent> ecc;
-    std::unique_ptr<CheckpointStore> store;
 
-    RunCheckpoint s;
-    std::uint64_t eventIndex = 0; ///< lines in s.eventLog
-    unsigned eventsSeen = 0;      ///< this process only (halt hook)
-    bool haltRequested = false;
+    ElasticState s;
+    resilience::RunJournal journal{options, kJournalFormat};
     std::optional<ElasticRunResult> final_; ///< terminal outcome
 
     void
@@ -208,23 +282,47 @@ struct Engine
         // set: they can neither fail nor straggle.
         spareBase = std::max(initialNodes, faults.spec().cores);
 
-        s.runId = runFingerprint(job, cluster, chips, num_steps,
-                                 faults, retry, mode, options);
         s.activeNodes.resize(initialNodes);
         for (unsigned i = 0; i < initialNodes; ++i)
             s.activeNodes[i] = i;
         s.sparesLeft = options.spareNodes;
 
-        if (!options.checkpointDir.empty()) {
-            store = std::make_unique<CheckpointStore>(
-                options.checkpointDir);
-            RunCheckpoint loaded;
-            if (store->load(loaded, s.runId))
+        if (journal.persistent()) {
+            ElasticState loaded;
+            if (journal.load(runFingerprint(job, cluster, chips,
+                                            num_steps, faults, retry,
+                                            mode, options),
+                             [&](ByteReader &r) {
+                                 return decodeState(r, loaded) &&
+                                        consistent(loaded);
+                             }) == FrameStatus::Ok)
                 s = std::move(loaded);
         }
-        for (char c : s.eventLog)
-            if (c == '\n')
-                ++eventIndex;
+    }
+
+    /**
+     * True when @p st is a state this run could have saved: the
+     * identity matched, so anything else is a damaged body that must
+     * not index past the inputs.
+     */
+    bool
+    consistent(const ElasticState &st) const
+    {
+        if (st.activeNodes.size() != initialNodes ||
+            st.sparesLeft > options.spareNodes ||
+            st.nextStep > num_steps ||
+            st.lastCheckpointStep > st.nextStep ||
+            st.nodeEventCursor > nodeFail.size() ||
+            st.eccEventCursor > ecc.size() ||
+            !std::isfinite(st.simTimeSec) ||
+            !(st.lastCheckpointSec >= 0) ||
+            !(st.lastCheckpointSec <= st.simTimeSec))
+            return false;
+        for (std::uint32_t phys : st.activeNodes)
+            if (phys != kDeadSlot &&
+                phys >= spareBase + options.spareNodes)
+                return false;
+        return true;
     }
 
     /** Chips the slot originally contributed (last slot is partial). */
@@ -256,28 +354,10 @@ struct Engine
         return n;
     }
 
-    void
-    appendEvent(const std::string &line)
-    {
-        s.eventLog += line;
-        s.eventLog += '\n';
-        ++eventIndex;
-        ++eventsSeen;
-        if (options.onEvent)
-            options.onEvent(line);
-        if (options.haltAfterEvents &&
-            eventsSeen >= options.haltAfterEvents)
-            haltRequested = true;
-    }
-
     std::string
     eventPrefix() const
     {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "[e%05llu] t=%s ",
-                      static_cast<unsigned long long>(eventIndex),
-                      formatSeconds(s.simTimeSec).c_str());
-        return buf;
+        return journal.prefix(s.simTimeSec);
     }
 
     /** True while another node failure is due at the current time. */
@@ -338,11 +418,11 @@ struct Engine
                            cluster.netLatencySec;
                 ++s.counters.failovers;
                 ++s.counters.sparesUsed;
-                appendEvent(eventPrefix() + "failover slot " +
-                            std::to_string(slot) + " phys " +
-                            std::to_string(e.target) + " -> spare " +
-                            std::to_string(spare) + " cost " +
-                            formatSeconds(one));
+                journal.append(eventPrefix() + "failover slot " +
+                               std::to_string(slot) + " phys " +
+                               std::to_string(e.target) + " -> spare " +
+                               std::to_string(spare) + " cost " +
+                               formatSeconds(one));
                 traces.push_back({"elastic.failover", t0 + one,
                                   options.stateBytes});
                 cost = std::max(cost, one);
@@ -352,9 +432,9 @@ struct Engine
                 ++s.counters.spareExhausted;
                 const unsigned survivors = aliveNodes();
                 if (survivors == 0) {
-                    appendEvent(eventPrefix() +
-                                "world died at slot " +
-                                std::to_string(slot));
+                    journal.append(eventPrefix() +
+                                   "world died at slot " +
+                                   std::to_string(slot));
                     return true;
                 }
                 // Survivors exchange the dead shard: one allreduce
@@ -367,11 +447,11 @@ struct Engine
                                          survivors,
                                          cluster.netBytesPerSec,
                                          cluster.netLatencySec);
-                appendEvent(eventPrefix() + "shrink slot " +
-                            std::to_string(slot) + " phys " +
-                            std::to_string(e.target) + " -> " +
-                            std::to_string(survivors) +
-                            " nodes cost " + formatSeconds(one));
+                journal.append(eventPrefix() + "shrink slot " +
+                               std::to_string(slot) + " phys " +
+                               std::to_string(e.target) + " -> " +
+                               std::to_string(survivors) +
+                               " nodes cost " + formatSeconds(one));
                 traces.push_back({"elastic.reshard", t0 + one,
                                   options.stateBytes});
                 cost = std::max(cost, one);
@@ -412,14 +492,14 @@ struct Engine
         ++s.counters.rollbacks;
         s.counters.replayedSteps += lost;
         traceRecovery("elastic.rollback", t0, s.simTimeSec, 0);
-        appendEvent(line);
+        journal.append(line);
     }
 
     /** Take a (logical + on-disk) checkpoint when the cadence is due. */
     void
     maybeCheckpoint()
     {
-        if (haltRequested || !options.checkpoint.enabled)
+        if (journal.halted() || !options.checkpoint.enabled)
             return;
         const bool interval_due =
             options.checkpoint.intervalSec > 0 &&
@@ -444,9 +524,9 @@ struct Engine
         s.lastCheckpointStep = s.nextStep;
         s.lastCheckpointSec = s.simTimeSec;
         traceRecovery("elastic.checkpoint", t0, s.simTimeSec, 0);
-        appendEvent(line);
-        if (store)
-            store->save(s);
+        journal.append(line);
+        if (journal.persistent())
+            journal.save(encodeState(s));
     }
 
     /** Worst straggler slowdown among the surviving machines. */
@@ -467,14 +547,14 @@ struct Engine
         ElasticRunResult r;
         r.seconds = s.simTimeSec;
         r.stepsDone = unsigned(s.nextStep);
-        r.completed = completed && !haltRequested;
-        r.halted = haltRequested;
+        r.completed = completed && !journal.halted();
+        r.halted = journal.halted();
         r.finalNodes = aliveNodes();
         r.finalChips = aliveChips();
         r.retries = unsigned(s.counters.retries);
         r.degradedSteps = unsigned(s.counters.degradedSteps);
         r.counters = s.counters;
-        r.eventLog = s.eventLog;
+        r.eventLog = journal.log();
         return r;
     }
 
@@ -504,7 +584,7 @@ struct Engine
     void
     pollFailures(des::Kernel &k)
     {
-        if (!haltRequested && nodeFailureDue()) {
+        if (!journal.halted() && nodeFailureDue()) {
             const bool world_died = applyOneNodeFailure();
             k.advanceTo(s.simTimeSec);
             if (!world_died) {
@@ -515,7 +595,7 @@ struct Engine
                 return;
             }
         }
-        if (haltRequested) {
+        if (journal.halted()) {
             final_ = result(false);
             return;
         }
@@ -531,14 +611,14 @@ struct Engine
     void
     pollRollbacks(des::Kernel &k)
     {
-        if (!haltRequested && rollbackDue()) {
+        if (!journal.halted() && rollbackDue()) {
             applyOneRollback();
             k.advanceTo(s.simTimeSec);
             k.schedule(k.now(), 2, "elastic.poll-rollbacks",
                        [this](des::Kernel &kk) { pollRollbacks(kk); });
             return;
         }
-        if (haltRequested) {
+        if (journal.halted()) {
             final_ = result(false);
             return;
         }
@@ -588,7 +668,7 @@ struct Engine
                     ++s.counters.speculations;
                     traceRecovery("elastic.speculate", s.simTimeSec,
                                   s.simTimeSec + chosen, 0);
-                    appendEvent(
+                    journal.append(
                         eventPrefix() + "speculate step " +
                         std::to_string(
                             static_cast<unsigned long long>(
@@ -597,7 +677,7 @@ struct Engine
                 }
             }
             step_sec = chosen;
-            if (haltRequested) {
+            if (journal.halted()) {
                 final_ = result(false); // step not committed
                 return;
             }
@@ -615,7 +695,7 @@ struct Engine
         setUp();
         des::Kernel kernel;
         // Checkpoints ride the kernel's quiescent points: no event
-        // is mid-dispatch there, so the RunCheckpoint is consistent
+        // is mid-dispatch there, so the ElasticState is consistent
         // by construction.
         kernel.onQuiescent([this](des::Kernel &k) {
             maybeCheckpoint();
@@ -633,10 +713,9 @@ struct Engine
     ElasticRunResult
     finish(const ElasticRunResult &r) const
     {
-        if (store && r.completed)
-            store->remove();
+        if (journal.persistent() && r.completed)
+            journal.remove();
         // Sim-time counters: deterministic at any thread count.
-        using resilience::ElasticCounters;
         static runtime::Counter &runs = runtime::counter(
             "elastic runs", runtime::CounterKind::Sum,
             runtime::Determinism::Deterministic);

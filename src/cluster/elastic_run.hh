@@ -29,13 +29,12 @@
  * at the same sim time, so recovery ordering is the kernel's
  * canonical dispatch order rather than ad-hoc loop structure.
  *
- * Checkpoints are real resilience::CheckpointStore artifacts taken
- * only at kernel quiescent points (no handler mid-flight): the
- * engine is a pure function of the RunCheckpoint state, so a run
- * killed at any instant and re-invoked with the same arguments
- * resumes from the last on-disk checkpoint and finishes with a
- * byte-identical report (bench_chaos SIGKILLs a child to enforce
- * exactly this).
+ * Checkpoints are resilience::RunJournal files (format ASCCKPT v2)
+ * taken only at kernel quiescent points (no handler mid-flight): the
+ * engine is a pure function of its state, so a run killed at any
+ * instant and re-invoked with the same arguments resumes from the
+ * last on-disk checkpoint and finishes with a byte-identical report
+ * (bench_chaos SIGKILLs a child to enforce exactly this).
  *
  * Determinism contract:
  *  - pure serial arithmetic over the schedule: byte-identical at any
@@ -52,17 +51,21 @@
 #ifndef ASCEND_CLUSTER_ELASTIC_RUN_HH
 #define ASCEND_CLUSTER_ELASTIC_RUN_HH
 
-#include <functional>
+#include <cstdint>
 #include <string>
 
 #include "cluster/fault_collective.hh"
-#include "resilience/checkpoint.hh"
+#include "resilience/run_journal.hh"
 
 namespace ascend {
 namespace cluster {
 
-/** Knobs of the elastic engine. */
-struct ElasticOptions
+/**
+ * Knobs of the elastic engine. The resilience::RunControl fields
+ * (checkpoint directory, halt hook, event callback) are excluded from
+ * fingerprint().
+ */
+struct ElasticOptions : resilience::RunControl
 {
     /** Warm spare servers available for failover. */
     unsigned spareNodes = 0;
@@ -90,38 +93,32 @@ struct ElasticOptions
 
     /** Also checkpoint every N committed steps (0 = sim-time only). */
     unsigned checkpointEverySteps = 0;
-
-    /**
-     * Directory for crash-consistent on-disk checkpoints; empty keeps
-     * checkpoints logical only (rollback targets, no files). When
-     * set, a valid checkpoint left by a killed run with the same
-     * fingerprint is resumed automatically, and a completed run
-     * removes its file. Excluded from fingerprint().
-     */
-    std::string checkpointDir;
-
-    /**
-     * Test/chaos hook: stop (like a crash, checkpoint left on disk,
-     * nothing charged) after this many recovery events. 0 = never.
-     * Excluded from fingerprint().
-     */
-    unsigned haltAfterEvents = 0;
-
-    /**
-     * Called with each event-log line as it is appended (bench_chaos
-     * uses this to flush kill-point markers). Excluded from
-     * fingerprint().
-     */
-    std::function<void(const std::string &line)> onEvent;
 };
 
 /**
  * Exact fingerprint of the option fields that influence simulated
- * results (checkpointDir / haltAfterEvents / onEvent excluded). Mix
+ * results (the RunControl fields excluded). Mix
  * into runtime::ResilienceOptions::scenario so sessions simulating
  * different elastic configurations never alias in the SimCache.
  */
 std::string fingerprint(const ElasticOptions &options);
+
+/** Resilience counters an elastic run accumulates. */
+struct ElasticCounters
+{
+    std::uint64_t failovers = 0;      ///< spare-node replacements
+    std::uint64_t shrinks = 0;        ///< elastic world reductions
+    std::uint64_t rollbacks = 0;      ///< checkpoint restores
+    std::uint64_t replayedSteps = 0;  ///< steps lost and re-run
+    std::uint64_t speculations = 0;   ///< straggler speculative wins
+    std::uint64_t retries = 0;        ///< link-level retry attempts
+    std::uint64_t degradedSteps = 0;  ///< steps at reduced bandwidth
+    std::uint64_t sparesUsed = 0;     ///< warm spares consumed
+    std::uint64_t spareExhausted = 0; ///< failures with an empty pool
+    std::uint64_t checkpointsSaved = 0;
+
+    bool operator==(const ElasticCounters &) const = default;
+};
 
 /** Outcome of an elastic run. */
 struct ElasticRunResult
@@ -134,7 +131,7 @@ struct ElasticRunResult
     unsigned finalChips = 0;
     unsigned retries = 0;       ///< link-level retries (all steps)
     unsigned degradedSteps = 0; ///< steps at reduced bandwidth
-    resilience::ElasticCounters counters;
+    ElasticCounters counters;
 
     /** One line per recovery event, deterministic. */
     std::string eventLog;
@@ -148,8 +145,8 @@ struct ElasticRunResult
 
 /**
  * Identity fingerprint of a run: all inputs that influence its
- * output. Checkpoints carry it, and load() refuses a file written
- * under any other identity.
+ * output. Checkpoints carry it, and a checkpoint written under any
+ * other identity is refused (the run cold-starts).
  */
 std::string runFingerprint(const TrainingJob &job,
                            const ClusterConfig &cluster, unsigned chips,

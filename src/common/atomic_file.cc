@@ -93,6 +93,7 @@ toString(FrameStatus status)
       case FrameStatus::UnknownVersion:   return "unknown format version";
       case FrameStatus::ForeignIdentity:  return "foreign identity";
       case FrameStatus::TrailingBytes:    return "trailing bytes after body";
+      case FrameStatus::BadBody:          return "malformed body";
     }
     return "?";
 }

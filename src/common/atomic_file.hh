@@ -2,8 +2,8 @@
  * @file
  * The one durable-bytes layer: crash-safe whole-file replacement, the
  * whole-file read, and the framing every on-disk format shares (the
- * ASCCKPT checkpoint and ASCBLOB payload in resilience/checkpoint,
- * and the ASCSIMC file in runtime/sim_cache).
+ * ASCCKPT elastic and ASCBLOB serving checkpoints written through
+ * resilience/run_journal, and the ASCSIMC file in runtime/sim_cache).
  *
  * A framed file is, in order:
  *  1. an 8-byte magic naming the format;
@@ -54,6 +54,7 @@ enum class FrameStatus
     UnknownVersion,   ///< another format version
     ForeignIdentity,  ///< written for another run or code version
     TrailingBytes,    ///< bytes between the body and the checksum
+    BadBody,          ///< an intact frame whose body its format refuses
 };
 
 /** Short human-readable refusal reason ("checksum mismatch", ...). */

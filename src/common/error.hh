@@ -35,7 +35,6 @@ enum class ErrorCode {
     FaultInjected,    ///< a simulated fault escalated to fail-stop
     GuardExceeded,    ///< a simulation event-count guard tripped
     KernelMisuse,     ///< des::Kernel API contract violated
-    CheckpointCorrupt, ///< checkpoint artifact failed validation
     GraphInvalid,      ///< graph IR structure broken (cycle, dangling edge)
     GraphShapeMismatch, ///< graph tensor shapes inconsistent with a node
     CounterConflict,    ///< one counter name declared two different ways

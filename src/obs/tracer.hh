@@ -39,6 +39,7 @@
 #define ASCEND_OBS_TRACER_HH
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -90,6 +91,17 @@ struct CounterSample
     const char *name = nullptr;
     double value = 0;
 };
+
+/**
+ * Sim seconds to the nanosecond timestamps of the fluid and analytical
+ * domains (Chip, Cluster, Serving): every such record site rounds
+ * through here, so their timestamps agree to the nanosecond.
+ */
+inline std::uint64_t
+traceNs(double seconds)
+{
+    return std::uint64_t(std::llround(seconds * 1e9));
+}
 
 /**
  * The process-wide tracer singleton.

@@ -3,11 +3,11 @@
  * The fleet serving state machine — a des::Kernel client.
  *
  * Discipline mirrors cluster/elastic_run: the engine is a pure
- * function of (immutable inputs, ServingState); every mutation lives
- * in the ServingState, every cost is serial double arithmetic, and
- * nothing reads the wall clock or thread count — which is what makes
- * kill-and-resume byte-identical and lets bench_serving --chaos
- * enforce it with real SIGKILLs.
+ * function of (immutable inputs, ServingState + the journal's event
+ * log); every mutation lives there, every cost is serial double
+ * arithmetic, and nothing reads the wall clock or thread count —
+ * which is what makes kill-and-resume byte-identical and lets
+ * bench_serving --chaos enforce it with real SIGKILLs.
  *
  * Each decision instant t is a chain of kernel events tie-broken by
  * priority: quiescent marker (0) whose hook takes the cadenced
@@ -26,9 +26,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -36,29 +34,25 @@
 #include "common/logging.hh"
 #include "des/kernel.hh"
 #include "obs/tracer.hh"
-#include "resilience/checkpoint.hh"
+#include "resilience/run_journal.hh"
 #include "runtime/perf_stats.hh"
 #include "serving/request_queue.hh"
 
 namespace ascend {
 namespace serving {
 
-using resilience::CheckpointStore;
 using resilience::FaultEvent;
 using resilience::FaultKind;
 using resilience::FaultSchedule;
+using resilience::formatSeconds;
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-std::string
-formatSeconds(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9e", v);
-    return buf;
-}
+/** The serving checkpoint: <checkpointDir>/serving.ckpt, ASCBLOB v1. */
+const resilience::JournalFormat kJournalFormat = {
+    "serving", {'A', 'S', 'C', 'B', 'L', 'O', 'B', '\n'}, 1};
 
 enum ReplicaStatus : std::uint32_t {
     kIdle = 0,
@@ -83,7 +77,7 @@ struct ReplicaState
     std::vector<PendingRequest> batch; ///< in-flight requests
 };
 
-/** Complete engine state at one chain boundary. */
+/** Complete engine state at one chain boundary, less the event log. */
 struct ServingState
 {
     std::uint64_t sequence = 0; ///< checkpoint ordinal
@@ -123,7 +117,6 @@ struct ServingState
     std::vector<double> latencies; ///< every completed request
     std::vector<double> completionsSec;    ///< aligned with latencies
     std::vector<std::uint8_t> completedOnTime; ///< aligned, 0/1
-    std::string eventLog;
 };
 
 /// @{ Smallest encodings of one list element, bounding list counts.
@@ -144,11 +137,23 @@ writeRequest(std::string &buf, const PendingRequest &r)
                       (std::uint64_t(r.hedged) << 1) | r.copy);
 }
 
+/**
+ * The input sizes a decoded state's indices must stay within: the
+ * identity matched, so an index past them is a damaged body that
+ * offerPending, requeueLost and batching would read out of range.
+ */
+struct StateBounds
+{
+    std::size_t tiers;
+    std::size_t arrivals;
+    std::size_t faults;
+};
+
 bool
-readRequest(ByteReader &rd, PendingRequest &r)
+readRequest(ByteReader &rd, const StateBounds &bounds, PendingRequest &r)
 {
     std::uint64_t tier = 0, attempt = 0, flags = 0;
-    if (!rd.readU64(r.id) || !rd.readU64(tier) ||
+    if (!rd.readU64(r.id) || !rd.readU64(tier) || tier >= bounds.tiers ||
         !rd.readDouble(r.arrivalSec) || !rd.readDouble(r.deadlineSec) ||
         !rd.readU64(attempt) || !rd.readDouble(r.eligibleSec) ||
         !rd.readU64(flags))
@@ -161,7 +166,7 @@ readRequest(ByteReader &rd, PendingRequest &r)
     return true;
 }
 
-/** Field-wise serialization of the whole state (blob payload). */
+/** The ASCBLOB v1 body fields, in order (the journal appends the log). */
 std::string
 serializeState(const ServingState &s)
 {
@@ -169,7 +174,7 @@ serializeState(const ServingState &s)
     const std::vector<PendingRequest> queue = s.queue.entries();
     const std::vector<PendingRequest> reoffers = s.queue.reoffers();
     buf.reserve(256 + queue.size() * 56 + s.replicas.size() * 72 +
-                s.latencies.size() * 8 + s.eventLog.size());
+                s.latencies.size() * 8);
     writeU64(buf, s.sequence);
     writeDouble(buf, s.simTimeSec);
     writeU64(buf, s.arrivalCursor);
@@ -234,18 +239,24 @@ serializeState(const ServingState &s)
         writeDouble(buf, v);
     writeBytes(buf, std::string(s.completedOnTime.begin(),
                                 s.completedOnTime.end()));
-    writeBytes(buf, s.eventLog);
     return buf;
 }
 
+/**
+ * Inverse of serializeState(); false on a short field, an index
+ * outside @p bounds, a replica status that is not a ReplicaStatus, or
+ * a clock that is not a real instant.
+ */
 bool
-deserializeState(const std::string &payload, ServingState &out)
+deserializeState(ByteReader &rd, const StateBounds &bounds,
+                 ServingState &s)
 {
-    ByteReader rd{payload};
-    ServingState s;
     std::uint64_t n = 0;
     if (!rd.readU64(s.sequence) || !rd.readDouble(s.simTimeSec) ||
-        !rd.readU64(s.arrivalCursor) || !rd.readU64(s.faultCursor) ||
+        !std::isfinite(s.simTimeSec) || s.simTimeSec < 0 ||
+        !rd.readU64(s.arrivalCursor) ||
+        s.arrivalCursor > bounds.arrivals ||
+        !rd.readU64(s.faultCursor) || s.faultCursor > bounds.faults ||
         !rd.readU64(s.sparesLeft) || !rd.readU64(s.scaleUpsLeft) ||
         !rd.readDouble(s.nextAutoscaleSec) ||
         !rd.readDouble(s.lastCheckpointSec) || !rd.readU64(s.offered) ||
@@ -270,14 +281,14 @@ deserializeState(const std::string &payload, ServingState &out)
     std::vector<PendingRequest> queue;
     queue.resize(std::size_t(n));
     for (PendingRequest &r : queue)
-        if (!readRequest(rd, r))
+        if (!readRequest(rd, bounds, r))
             return false;
     if (!rd.readCount(n, kRequestBytes))
         return false;
     std::vector<PendingRequest> reoffers;
     reoffers.resize(std::size_t(n));
     for (PendingRequest &r : reoffers)
-        if (!readRequest(rd, r))
+        if (!readRequest(rd, bounds, r))
             return false;
     if (!rd.readCount(n, kReplicaBytes))
         return false;
@@ -291,14 +302,14 @@ deserializeState(const std::string &payload, ServingState &out)
             !rd.readDouble(r.stragglerUntilSec) ||
             !rd.readU64(flags) || !rd.readDouble(r.healthScore) ||
             !rd.readDouble(r.breakerUntilSec) ||
-            !rd.readCount(batch, kRequestBytes))
+            status > kDead || !rd.readCount(batch, kRequestBytes))
             return false;
         r.status = std::uint32_t(status);
         r.hedgeIssued = std::uint8_t(flags & 1);
         r.degraded = std::uint8_t((flags >> 1) & 1);
         r.batch.resize(std::size_t(batch));
         for (PendingRequest &b : r.batch)
-            if (!readRequest(rd, b))
+            if (!readRequest(rd, bounds, b))
                 return false;
     }
     if (!rd.readCount(n, sizeof(std::uint64_t)))
@@ -326,12 +337,10 @@ deserializeState(const std::string &payload, ServingState &out)
         if (!rd.readDouble(v))
             return false;
     std::string on_time;
-    if (!rd.readBytes(on_time, payload.size()) ||
-        !rd.readBytes(s.eventLog, payload.size()) || !rd.atEnd())
+    if (!rd.readBytes(on_time, rd.data.size()))
         return false;
     s.completedOnTime.assign(on_time.begin(), on_time.end());
     s.queue.restore(queue, reoffers, s.simTimeSec);
-    out = std::move(s);
     return true;
 }
 
@@ -384,17 +393,13 @@ struct FleetEngine
     const BatchLatencyModel *brownoutModel; ///< null = no ladder
 
     std::vector<FaultEvent> faultEvents; ///< core-kind, time-sorted
-    std::string runId;
     double serviceLatencySec = 0;
     unsigned maxBatch = 1;
     double brownoutServiceLatencySec = 0;
     unsigned brownoutMaxBatch = 1;
 
-    std::unique_ptr<CheckpointStore> store;
     ServingState s;
-    std::uint64_t eventIndex = 0; ///< lines in s.eventLog
-    unsigned eventsSeen = 0;      ///< this process only (halt hook)
-    bool haltRequested = false;
+    resilience::RunJournal journal{options, kJournalFormat};
     std::optional<FleetResult> final_;
 
     void
@@ -424,8 +429,6 @@ struct FleetEngine
                 brownoutModel->latencySeconds(brownoutMaxBatch);
         }
 
-        runId = runFingerprint(arrivals, tiers, model, faults,
-                               options, brownoutModel);
         s.replicas.resize(options.replicas);
         s.sparesLeft = options.warmSpares;
         s.scaleUpsLeft =
@@ -433,42 +436,26 @@ struct FleetEngine
                 ? options.autoscale.maxExtraReplicas : 0;
         s.nextAutoscaleSec = options.autoscale.checkIntervalSec;
 
-        if (!options.checkpointDir.empty()) {
-            store = std::make_unique<CheckpointStore>(
-                options.checkpointDir, "serving");
-            std::string payload;
+        if (journal.persistent()) {
             ServingState loaded;
-            if (store->loadBlob(payload, runId) &&
-                deserializeState(payload, loaded))
+            if (journal.load(runFingerprint(arrivals, tiers, model,
+                                            faults, options,
+                                            brownoutModel),
+                             [&](ByteReader &r) {
+                                 return deserializeState(
+                                     r,
+                                     {tiers.size(), arrivals.size(),
+                                      faultEvents.size()},
+                                     loaded);
+                             }) == FrameStatus::Ok)
                 s = std::move(loaded);
         }
-        for (char c : s.eventLog)
-            if (c == '\n')
-                ++eventIndex;
-    }
-
-    void
-    appendEvent(const std::string &line)
-    {
-        s.eventLog += line;
-        s.eventLog += '\n';
-        ++eventIndex;
-        ++eventsSeen;
-        if (options.onEvent)
-            options.onEvent(line);
-        if (options.haltAfterEvents &&
-            eventsSeen >= options.haltAfterEvents)
-            haltRequested = true;
     }
 
     std::string
     eventPrefix() const
     {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "[e%05llu] t=%s ",
-                      static_cast<unsigned long long>(eventIndex),
-                      formatSeconds(s.simTimeSec).c_str());
-        return buf;
+        return journal.prefix(s.simTimeSec);
     }
 
     unsigned
@@ -523,9 +510,9 @@ struct FleetEngine
             r.breakerUntilSec = t + options.health.cooloffSec;
             r.healthScore = 0.5 * options.health.breakerThreshold;
             ++s.breakerTrips;
-            appendEvent(eventPrefix() + "breaker open replica " +
-                        std::to_string(idx) + " until " +
-                        formatSeconds(r.breakerUntilSec));
+            journal.append(eventPrefix() + "breaker open replica " +
+                           std::to_string(idx) + " until " +
+                           formatSeconds(r.breakerUntilSec));
         }
     }
 
@@ -573,7 +560,7 @@ struct FleetEngine
     void
     maybeCheckpoint()
     {
-        if (haltRequested || !store)
+        if (journal.halted() || !journal.persistent())
             return;
         if (s.lastCheckpointSec >= 0 &&
             s.simTimeSec - s.lastCheckpointSec <
@@ -582,10 +569,10 @@ struct FleetEngine
         ++s.sequence;
         ++s.checkpointsSaved;
         s.lastCheckpointSec = s.simTimeSec;
-        appendEvent(eventPrefix() + "checkpoint seq " +
-                    std::to_string(static_cast<unsigned long long>(
-                        s.sequence)));
-        store->saveBlob(runId, serializeState(s));
+        journal.append(eventPrefix() + "checkpoint seq " +
+                       std::to_string(static_cast<unsigned long long>(
+                           s.sequence)));
+        journal.save(serializeState(s));
     }
 
     /**
@@ -645,13 +632,13 @@ struct FleetEngine
                 r.stragglerUntilSec = 0;
                 r.healthScore = 0; // the spare is a fresh machine
                 r.breakerUntilSec = 0;
-                appendEvent(eventPrefix() + "failover replica " +
-                            std::to_string(e.target) + " ready " +
-                            formatSeconds(r.readyAtSec));
+                journal.append(eventPrefix() + "failover replica " +
+                               std::to_string(e.target) + " ready " +
+                               formatSeconds(r.readyAtSec));
             } else {
                 r.status = kDead;
-                appendEvent(eventPrefix() + "replica " +
-                            std::to_string(e.target) + " dead");
+                journal.append(eventPrefix() + "replica " +
+                               std::to_string(e.target) + " dead");
             }
             break;
           }
@@ -663,9 +650,9 @@ struct FleetEngine
             r.hedgeIssued = 0;
             r.status = kSpinningUp;
             r.readyAtSec = t + e.durationSec;
-            appendEvent(eventPrefix() + "replica " +
-                        std::to_string(e.target) + " outage until " +
-                        formatSeconds(r.readyAtSec));
+            journal.append(eventPrefix() + "replica " +
+                           std::to_string(e.target) + " outage until " +
+                           formatSeconds(r.readyAtSec));
             bumpHealth(e.target, t);
             break;
           }
@@ -673,9 +660,9 @@ struct FleetEngine
             r.stragglerFactor = e.severity;
             r.stragglerUntilSec =
                 e.durationSec > 0 ? t + e.durationSec : kInf;
-            appendEvent(eventPrefix() + "replica " +
-                        std::to_string(e.target) + " straggles x" +
-                        formatSeconds(e.severity));
+            journal.append(eventPrefix() + "replica " +
+                           std::to_string(e.target) + " straggles x" +
+                           formatSeconds(e.severity));
             bumpHealth(e.target, t);
             break;
           }
@@ -788,9 +775,9 @@ struct FleetEngine
             ++s.hedges;
         }
         if (copies)
-            appendEvent(eventPrefix() + "hedge replica " +
-                        std::to_string(idx) + " copies " +
-                        std::to_string(copies));
+            journal.append(eventPrefix() + "hedge replica " +
+                           std::to_string(idx) + " copies " +
+                           std::to_string(copies));
     }
 
     /**
@@ -832,15 +819,11 @@ struct FleetEngine
         r.hedgeIssued = 0;
         r.degraded = (brownoutModel && s.brownoutActive) ? 1 : 0;
         r.batch = std::move(batch);
-        if (obs::Tracer *tracer = obs::Tracer::current()) {
-            const auto ns = [](double sec) {
-                return std::uint64_t(std::llround(sec * 1e9));
-            };
+        if (obs::Tracer *tracer = obs::Tracer::current())
             tracer->span(obs::Domain::Serving, idx + 2,
-                         "serving.batch", ns(t),
-                         ns(r.busyUntilSec) - ns(t),
+                         "serving.batch", obs::traceNs(t),
+                         obs::traceNs(r.busyUntilSec) - obs::traceNs(t),
                          r.batch.size());
-        }
     }
 
     /** Earliest future decision instant (kInf = nothing left). */
@@ -912,7 +895,7 @@ struct FleetEngine
     void
     pollFaults(des::Kernel &k)
     {
-        if (haltRequested) {
+        if (journal.halted()) {
             final_ = result();
             k.stop();
             return;
@@ -929,7 +912,7 @@ struct FleetEngine
     void
     stepOnce(des::Kernel &k)
     {
-        if (haltRequested) {
+        if (journal.halted()) {
             final_ = result();
             k.stop();
             return;
@@ -982,10 +965,10 @@ struct FleetEngine
                 fresh.status = kSpinningUp;
                 fresh.readyAtSec = t + options.autoscale.spinUpSec;
                 s.replicas.push_back(fresh);
-                appendEvent(eventPrefix() + "autoscale to " +
-                            std::to_string(s.replicas.size()) +
-                            " replicas ready " +
-                            formatSeconds(fresh.readyAtSec));
+                journal.append(eventPrefix() + "autoscale to " +
+                               std::to_string(s.replicas.size()) +
+                               " replicas ready " +
+                               formatSeconds(fresh.readyAtSec));
             }
             s.nextAutoscaleSec =
                 t + options.autoscale.checkIntervalSec;
@@ -1007,10 +990,11 @@ struct FleetEngine
             s.offered += remaining;
             s.shed += remaining;
             s.arrivalCursor = arrivals.size();
-            appendEvent(eventPrefix() + "fleet dead, dropped " +
-                        std::to_string(static_cast<unsigned long long>(
-                            lost + remaining)));
-            if (haltRequested) {
+            journal.append(
+                eventPrefix() + "fleet dead, dropped " +
+                std::to_string(
+                    static_cast<unsigned long long>(lost + remaining)));
+            if (journal.halted()) {
                 final_ = result();
                 k.stop();
                 return;
@@ -1030,8 +1014,9 @@ struct FleetEngine
                 s.brownoutActive = 1;
                 s.brownoutSinceSec = t;
                 ++s.brownoutEntries;
-                appendEvent(eventPrefix() + "brownout enter depth " +
-                            std::to_string(s.queue.size()));
+                journal.append(eventPrefix() +
+                               "brownout enter depth " +
+                               std::to_string(s.queue.size()));
             } else if (s.brownoutActive &&
                        s.queue.size() <=
                            options.brownout.exitQueueDepthPerReplica *
@@ -1040,8 +1025,8 @@ struct FleetEngine
                            options.brownout.minResidencySec) {
                 s.brownoutActive = 0;
                 s.brownoutSec += t - s.brownoutSinceSec;
-                appendEvent(eventPrefix() + "brownout exit depth " +
-                            std::to_string(s.queue.size()));
+                journal.append(eventPrefix() + "brownout exit depth " +
+                               std::to_string(s.queue.size()));
             }
         }
         for (unsigned i = 0; i < unsigned(s.replicas.size()); ++i) {
@@ -1054,10 +1039,9 @@ struct FleetEngine
         }
         if (obs::Tracer *tracer = obs::Tracer::current())
             tracer->counter(obs::Domain::Serving, "serving.queue",
-                            std::uint64_t(std::llround(t * 1e9)),
-                            double(s.queue.size()));
+                            obs::traceNs(t), double(s.queue.size()));
 
-        if (haltRequested) {
+        if (journal.halted()) {
             final_ = result();
             k.stop();
             return;
@@ -1097,7 +1081,7 @@ struct FleetEngine
         r.brownoutSec = s.brownoutSec;
         if (s.brownoutActive)
             r.brownoutSec += s.simTimeSec - s.brownoutSinceSec;
-        r.halted = haltRequested;
+        r.halted = journal.halted();
         r.makespanSec = s.simTimeSec;
         std::vector<double> sorted = s.latencies;
         std::sort(sorted.begin(), sorted.end());
@@ -1115,7 +1099,7 @@ struct FleetEngine
         r.latencies = s.latencies;
         r.completionsSec = s.completionsSec;
         r.completedOnTime = s.completedOnTime;
-        r.eventLog = s.eventLog;
+        r.eventLog = journal.log();
         return r;
     }
 
@@ -1130,9 +1114,9 @@ struct FleetEngine
         r.latencies = std::move(s.latencies);
         r.completionsSec = std::move(s.completionsSec);
         r.completedOnTime = std::move(s.completedOnTime);
-        r.eventLog = std::move(s.eventLog);
-        if (store)
-            store->remove();
+        r.eventLog = journal.takeLog();
+        if (journal.persistent())
+            journal.remove();
         // Sim-time counters: deterministic at any thread count.
         static runtime::Counter &runs = runtime::counter(
             "serving runs", runtime::CounterKind::Sum,
@@ -1157,9 +1141,7 @@ struct FleetEngine
         fields.charge(r);
         if (obs::Tracer *tracer = obs::Tracer::current())
             tracer->span(obs::Domain::Serving, 1, "serving.run", 0,
-                         std::uint64_t(
-                             std::llround(r.makespanSec * 1e9)),
-                         r.completed);
+                         obs::traceNs(r.makespanSec), r.completed);
         return r;
     }
 

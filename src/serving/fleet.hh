@@ -31,10 +31,10 @@
  * the cadenced on-disk checkpoint, fault poll (1, ONE due fault per
  * dispatch, self-re-arming), then the step (2): completions, admitted
  * arrivals, hedge checks, autoscale, dispatch, and the re-arm at the
- * next decision instant. Checkpoints are CheckpointStore blobs taken
- * only at quiescent points, so a SIGKILL at any instant resumes into
- * a byte-identical report — the property bench_serving --chaos
- * enforces with real kills.
+ * next decision instant. Checkpoints are resilience::RunJournal files
+ * (format ASCBLOB v1) taken only at quiescent points, so a SIGKILL at
+ * any instant resumes into a byte-identical report — the property
+ * bench_serving --chaos enforces with real kills.
  *
  * Determinism contract: serial double arithmetic over the sorted
  * arrival and fault lists; no wall clock, thread identity, or
@@ -45,12 +45,12 @@
 #define ASCEND_SERVING_FLEET_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "resilience/fault_schedule.hh"
 #include "resilience/policy.hh"
+#include "resilience/run_journal.hh"
 #include "serving/latency_model.hh"
 #include "serving/workload.hh"
 
@@ -157,8 +157,12 @@ struct ReofferPolicy
     unsigned maxReoffers = 2; ///< per original request
 };
 
-/** Knobs of one fleet run. */
-struct FleetOptions
+/**
+ * Knobs of one fleet run. The resilience::RunControl fields
+ * (checkpoint directory, halt hook, event callback) are excluded from
+ * runFingerprint().
+ */
+struct FleetOptions : resilience::RunControl
 {
     unsigned replicas = 4;    ///< initially-warm replicas
     unsigned warmSpares = 0;  ///< failover pool
@@ -180,28 +184,6 @@ struct FleetOptions
 
     /** On-disk checkpoint cadence in sim time (0 = every quiescent). */
     double checkpointIntervalSec = 0;
-
-    /**
-     * Directory for crash-consistent checkpoints; empty disables
-     * persistence. A valid checkpoint left by a killed run with the
-     * same fingerprint is resumed automatically; a completed run
-     * removes its file. Excluded from fingerprint().
-     */
-    std::string checkpointDir;
-
-    /**
-     * Test/chaos hook: stop (like a crash — checkpoint left on disk,
-     * nothing charged) after this many event-log lines. 0 = never.
-     * Excluded from fingerprint().
-     */
-    unsigned haltAfterEvents = 0;
-
-    /**
-     * Called with each event-log line as it is appended (the chaos
-     * harness flushes kill-point markers here). Excluded from
-     * fingerprint().
-     */
-    std::function<void(const std::string &line)> onEvent;
 };
 
 /** Outcome of one fleet run. */
@@ -257,8 +239,8 @@ struct FleetResult
 
 /**
  * Identity fingerprint of a run: every input that influences its
- * output. Checkpoints carry it, and a stored blob written under any
- * other identity is refused.
+ * output. Checkpoints carry it, and a checkpoint written under any
+ * other identity is refused (the run cold-starts).
  */
 std::string runFingerprint(const std::vector<Request> &arrivals,
                            const std::vector<QosTier> &tiers,

@@ -73,13 +73,6 @@ totalTasks(const std::vector<std::vector<CoreTask>> &per_core)
     return n;
 }
 
-/** Fluid sim time (seconds) to trace nanoseconds. */
-std::uint64_t
-traceNs(double seconds)
-{
-    return std::uint64_t(std::llround(seconds * 1e9));
-}
-
 /** A min-heap of @p T (std::priority_queue with std::greater). */
 template <typename T>
 using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<T>>;
@@ -357,10 +350,10 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                         // The span covers the whole residency
                         // including repair pauses and restarts, as a
                         // wall-observer of the chip would see it.
-                        const std::uint64_t start = traceNs(cs.taskStart);
+                        const std::uint64_t start = obs::traceNs(cs.taskStart);
                         tracer->span(obs::Domain::Chip,
                                      std::uint32_t(c) + 1, "task", start,
-                                     traceNs(now) - start,
+                                     obs::traceNs(now) - start,
                                      cs.current.memBytes);
                     }
                     ++cs.next;

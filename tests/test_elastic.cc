@@ -2,14 +2,18 @@
  * @file
  * Tests of the elastic cluster-run engine: the fault-free bit-for-bit
  * contract, thread-count invariance, failover / shrink / rollback /
- * speculation behavior, crash-consistent CheckpointStore round-trips
- * and refusals, in-process kill/resume equivalence, and the
+ * speculation behavior, in-process kill/resume equivalence, refusal
+ * of another run's checkpoint, the golden fuzz grid, and the
  * observability surface (tracer spans, SIM_STATS counters).
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
+#include <iterator>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,6 +23,8 @@
 #include "cluster/collective.hh"
 #include "cluster/elastic_run.hh"
 #include "common/atomic_file.hh"
+#include "common/codec.hh"
+#include "common/golden.hh"
 #include "obs/tracer.hh"
 #include "resilience/fault_domain.hh"
 #include "runtime/perf_stats.hh"
@@ -29,12 +35,10 @@ using cluster::ClusterConfig;
 using cluster::ElasticOptions;
 using cluster::ElasticRunResult;
 using cluster::TrainingJob;
-using resilience::CheckpointStore;
 using resilience::DegradedMode;
 using resilience::FaultSchedule;
 using resilience::FaultSpec;
 using resilience::RetryPolicy;
-using resilience::RunCheckpoint;
 
 namespace {
 
@@ -154,7 +158,7 @@ TEST(ElasticRun, FaultFreeBitwiseEqualsClosedForm)
     EXPECT_EQ(r.stepsDone, 25u);
     EXPECT_EQ(r.finalChips, 64u);
     EXPECT_TRUE(r.eventLog.empty());
-    EXPECT_EQ(r.counters, resilience::ElasticCounters{});
+    EXPECT_EQ(r.counters, cluster::ElasticCounters{});
 
     // And bit-for-bit equal to the penalty-model run (which shares
     // the empty-schedule contract of stepSecondsWithFaults).
@@ -339,101 +343,6 @@ TEST(ElasticRun, FingerprintSeparatesOptionsAndInputs)
     EXPECT_NE(id_a, id_b);
 }
 
-// ------------------------------------------------ CheckpointStore
-
-namespace {
-
-RunCheckpoint
-sampleCheckpoint()
-{
-    RunCheckpoint s;
-    s.runId = "run-A";
-    s.sequence = 3;
-    s.nextStep = 17;
-    s.simTimeSec = 1.25;
-    s.activeNodes = {0u, 5u, 0xffffffffu, 9u};
-    s.sparesLeft = 1;
-    s.lastCheckpointStep = 15;
-    s.lastCheckpointSec = 1.0;
-    s.nodeEventCursor = 4;
-    s.eccEventCursor = 2;
-    s.counters.failovers = 1;
-    s.counters.rollbacks = 2;
-    s.counters.replayedSteps = 5;
-    s.counters.checkpointsSaved = 3;
-    s.eventLog = "[e00001] t=0 failover\n[e00002] t=1 rollback\n";
-    return s;
-}
-
-void
-spit(const std::string &path, const std::string &data)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(data.data(), std::streamsize(data.size()));
-}
-
-} // namespace
-
-TEST(CheckpointStore, RoundTripIsExact)
-{
-    const CheckpointStore store(tempDir("roundtrip"));
-    const RunCheckpoint s = sampleCheckpoint();
-    ASSERT_TRUE(store.save(s));
-
-    RunCheckpoint out;
-    ASSERT_TRUE(store.load(out, "run-A"));
-    EXPECT_TRUE(out == s);
-
-    store.remove();
-    RunCheckpoint gone;
-    EXPECT_FALSE(store.load(gone, "run-A"));
-}
-
-TEST(CheckpointStore, RefusesForeignRunAndLeavesOutUntouched)
-{
-    const CheckpointStore store(tempDir("foreign"));
-    ASSERT_TRUE(store.save(sampleCheckpoint()));
-
-    RunCheckpoint out;
-    out.nextStep = 999;
-    EXPECT_FALSE(store.load(out, "run-B"));
-    EXPECT_EQ(out.nextStep, 999u); // refusal never touches out
-}
-
-TEST(CheckpointStore, RefusesCorruptTruncatedAndForeignFiles)
-{
-    const CheckpointStore store(tempDir("corrupt"));
-    ASSERT_TRUE(store.save(sampleCheckpoint()));
-    const std::string blob = readFile(store.path()).value();
-    ASSERT_GT(blob.size(), 16u);
-
-    // A flipped bit anywhere fails the checksum.
-    std::string flipped = blob;
-    flipped[flipped.size() / 2] =
-        char(flipped[flipped.size() / 2] ^ 0x40);
-    spit(store.path(), flipped);
-    RunCheckpoint out;
-    EXPECT_FALSE(store.load(out, "run-A"));
-
-    // Truncation at any point is a clean refusal.
-    for (std::size_t cut = 0; cut < blob.size(); cut += 13) {
-        spit(store.path(), blob.substr(0, cut));
-        EXPECT_FALSE(store.load(out, "run-A"));
-    }
-
-    // A foreign magic is rejected before anything is parsed.
-    std::string foreign = blob;
-    foreign[0] = 'X';
-    spit(store.path(), foreign);
-    EXPECT_FALSE(store.load(out, "run-A"));
-
-    // The intact file still loads (the refusals were non-destructive
-    // reads, and save() goes through an atomic rename).
-    spit(store.path(), blob);
-    EXPECT_TRUE(store.load(out, "run-A"));
-    EXPECT_TRUE(out == sampleCheckpoint());
-}
-
 // --------------------------------------------- kill/resume contract
 
 TEST(ElasticRun, HaltResumeMatchesUninterrupted)
@@ -464,10 +373,203 @@ TEST(ElasticRun, HaltResumeMatchesUninterrupted)
         EXPECT_EQ(done.report(), ref.report())
             << "halt after event " << halt;
         // A completed run removes its checkpoint slot.
-        EXPECT_FALSE(
-            std::filesystem::exists(CheckpointStore(dir).path()));
+        EXPECT_FALSE(std::filesystem::exists(dir + "/elastic.ckpt"));
     }
     std::filesystem::remove_all(dir);
+}
+
+TEST(ElasticRun, ForeignCheckpointIsIgnoredNotResumed)
+{
+    const std::string dir = tempDir("foreign");
+    std::filesystem::remove_all(dir);
+
+    ElasticOptions victim = chaosOptions();
+    victim.checkpointDir = dir;
+    victim.haltAfterEvents = 9;
+    ASSERT_TRUE(runScenario(chaosSpec(), victim, 40).halted);
+    ASSERT_TRUE(std::filesystem::exists(dir + "/elastic.ckpt"));
+
+    // A different configuration (different fingerprint) must cold
+    // start: every line of its log is emitted by this process, and
+    // the report equals a run that never saw the stale file.
+    ElasticOptions other = chaosOptions();
+    other.spareNodes = 3;
+    const ElasticRunResult clean = runScenario(chaosSpec(), other, 40);
+    other.checkpointDir = dir;
+    std::size_t emitted = 0;
+    other.onEvent = [&](const std::string &) { ++emitted; };
+    const ElasticRunResult resumed =
+        runScenario(chaosSpec(), other, 40);
+    EXPECT_EQ(resumed.report(), clean.report());
+    EXPECT_EQ(emitted, std::size_t(std::count(clean.eventLog.begin(),
+                                              clean.eventLog.end(),
+                                              '\n')));
+    std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------ golden fuzz grid
+
+namespace {
+
+/** The fuzz grid's axes, in row order. */
+const char *const kFuzzFaults[] = {"none", "node+ecc", "rack"};
+const char *const kFuzzOptions[] = {"logical", "disk-interval",
+                                    "every-n", "no-ckpt+spares",
+                                    "no-speculation"};
+
+constexpr unsigned kFuzzSteps = 30;
+
+std::string
+hex64(std::uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+std::uint64_t
+hashText(const std::string &text)
+{
+    return fnv1a(text.data(), text.size());
+}
+
+/** Fault column @p kind of the grid over about two seconds. */
+FaultSchedule
+fuzzFaults(unsigned kind, std::uint64_t seed)
+{
+    const double horizon = 2.0;
+    if (kind == 0)
+        return FaultSchedule::generate(FaultSpec{});
+    if (kind == 1) {
+        FaultSpec spec;
+        spec.seed = seed;
+        spec.horizonSec = horizon;
+        spec.cores = 8; // node scope
+        spec.corePermanentPerSec = 1.5 / horizon;
+        spec.eccUncorrectablePerSec = 2.0 / horizon;
+        spec.stragglerFraction = 0.25;
+        spec.stragglerSlowdown = 2.0;
+        return FaultSchedule::generate(spec);
+    }
+    resilience::CorrelatedFaultSpec spec;
+    spec.seed = seed;
+    spec.horizonSec = horizon;
+    spec.topology.replicas = 8; // node scope
+    spec.topology.replicasPerRack = 4;
+    spec.rackStrikeAtSec = 0.4 * horizon;
+    spec.rackStrikeKind = resilience::FaultKind::CorePermanent;
+    spec.background.eccUncorrectablePerSec = 1.0 / horizon;
+    spec.background.stragglerFraction = 0.25;
+    spec.background.stragglerSlowdown = 2.0;
+    return resilience::generateCorrelated(spec);
+}
+
+/** Option column @p column of the grid; @p dir backs disk columns. */
+ElasticOptions
+fuzzOptions(unsigned column, const std::string &dir)
+{
+    ElasticOptions o;
+    o.spareNodes = 1;
+    o.stateBytes = 256 * kMiB;
+    o.failoverRestartSec = 0.1;
+    o.reshardRestartSec = 0.2;
+    o.checkpoint.enabled = true;
+    o.checkpoint.intervalSec = 0.3;
+    o.checkpoint.saveSec = 0.02;
+    o.checkpoint.restartSec = 0.1;
+    if (column != 0)
+        o.checkpointDir = dir;
+    if (column == 2) {
+        o.checkpoint.intervalSec = 1e6; // step cadence only
+        o.checkpointEverySteps = 4;
+    }
+    if (column == 3) {
+        o.checkpoint.enabled = false;
+        o.spareNodes = 3;
+    }
+    if (column == 4)
+        o.speculation = false;
+    return o;
+}
+
+/**
+ * One cell of the elastic fuzz grid: the hash of the finished run's
+ * report, the hash of the checkpoint file a haltAfterEvents halt at
+ * the run's midpoint leaves on disk (so the ASCCKPT bytes are pinned
+ * too), and whether resuming from that file reproduces the report.
+ */
+std::string
+elasticFuzzRow(unsigned fault_idx, unsigned column)
+{
+    const std::uint64_t seed = 2000 + 10 * fault_idx + column;
+    const FaultSchedule faults = fuzzFaults(fault_idx, seed);
+    const std::string dir = tempDir("fuzz");
+    const ElasticOptions base = fuzzOptions(column, dir);
+    const auto run = [&](const ElasticOptions &options) {
+        return cluster::runElastic(testJob(), testCluster(), 64,
+                                   kFuzzSteps, faults, RetryPolicy{},
+                                   DegradedMode::ContinueDegraded,
+                                   options);
+    };
+
+    std::filesystem::remove_all(dir);
+    const ElasticRunResult ref = run(base);
+    unsigned events = 0;
+    for (char c : ref.eventLog)
+        events += c == '\n';
+
+    std::filesystem::remove_all(dir);
+    ElasticOptions victim = base;
+    victim.haltAfterEvents = std::max(1u, events / 2);
+    run(victim);
+    const std::optional<std::string> ckpt =
+        readFile(dir + "/elastic.ckpt");
+    const ElasticRunResult resumed = run(base);
+    std::filesystem::remove_all(dir);
+
+    return std::string("faults=") + kFuzzFaults[fault_idx] +
+           " options=" + kFuzzOptions[column] +
+           " steps=" + std::to_string(ref.stepsDone) +
+           " chips=" + std::to_string(ref.finalChips) +
+           " events=" + std::to_string(events) +
+           " report=" + hex64(hashText(ref.report())) +
+           " ckpt=" + (ckpt ? hex64(hashText(*ckpt)) : "none") +
+           " resume=" +
+           (resumed.report() == ref.report() ? "equal" : "differs");
+}
+
+} // namespace
+
+/**
+ * The fuzz rows are frozen in tests/golden/elastic_fuzz.txt: every
+ * rewrite of the elastic engine or its checkpoint codec must
+ * reproduce them bit for bit, reports and checkpoint bytes alike.
+ * Regenerate after an intentional model change with
+ *     ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_elastic
+ * and review the diff like any other code change.
+ */
+TEST(ElasticRun, ElasticFuzzMatchesGolden)
+{
+    const std::string path =
+        std::string(ASCEND_GOLDEN_DIR) + "/elastic_fuzz.txt";
+    std::string rows =
+        "# runElastic report, midpoint-checkpoint hashes and resume\n"
+        "# equality over a seeded faults x options grid\n"
+        "# (tests/test_elastic.cc elasticFuzzRow).\n"
+        "# Regenerate: ASCEND_UPDATE_GOLDEN=1 "
+        "./build/tests/test_elastic\n";
+    for (unsigned f = 0; f < std::size(kFuzzFaults); ++f)
+        for (unsigned o = 0; o < std::size(kFuzzOptions); ++o)
+            rows += elasticFuzzRow(f, o) + "\n";
+    const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
+    if (env && *env && std::string(env) != "0") {
+        ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
+        GTEST_SKIP() << "golden regenerated";
+    }
+    const std::optional<std::string> golden = readFile(path);
+    ASSERT_TRUE(golden) << "missing " << path;
+    EXPECT_EQ(diffGolden(*golden, rows), "");
 }
 
 // ------------------------------------------------ observability

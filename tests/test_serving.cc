@@ -25,7 +25,6 @@
 #include "common/golden.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
-#include "resilience/checkpoint.hh"
 #include "resilience/fault_domain.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/sim_session.hh"
@@ -775,8 +774,7 @@ TEST(ServingFleet, HaltResumeMatchesUninterrupted)
         EXPECT_EQ(done.report(), ref.report())
             << "halt after event " << halt;
         // A completed run removes its checkpoint slot.
-        EXPECT_FALSE(std::filesystem::exists(
-            resilience::CheckpointStore(dir, "serving").path()));
+        EXPECT_FALSE(std::filesystem::exists(dir + "/serving.ckpt"));
     }
     std::filesystem::remove_all(ref_dir);
     std::filesystem::remove_all(dir);
@@ -793,8 +791,7 @@ TEST(ServingFleet, ForeignCheckpointIsIgnoredNotResumed)
     victim.haltAfterEvents = 1;
     const FleetResult dead = run(1.5, victim);
     ASSERT_TRUE(dead.halted);
-    ASSERT_TRUE(std::filesystem::exists(
-        resilience::CheckpointStore(dir, "serving").path()));
+    ASSERT_TRUE(std::filesystem::exists(dir + "/serving.ckpt"));
 
     // A different configuration (different fingerprint) must cold
     // start, not adopt the stale blob.
@@ -953,7 +950,7 @@ fleetFuzzRow(unsigned load_idx, unsigned fault_idx, unsigned policy)
     serving::runFleet(arrivals, tiers, testModel(), faults, victim,
                       &cheap);
     const std::optional<std::string> blob =
-        readFile(resilience::CheckpointStore(dir, "serving").path());
+        readFile(dir + "/serving.ckpt");
     std::filesystem::remove_all(dir);
 
     char load[16];
