@@ -25,10 +25,10 @@
 #include "arch/config_io.hh"
 #include "common/error.hh"
 #include "common/table.hh"
-#include "core/trace.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
 #include "isa/verify.hh"
+#include "obs/pipe_trace.hh"
 #include "runtime/sim_session.hh"
 
 using namespace ascend;
@@ -217,7 +217,7 @@ main(int argc, char **argv)
     if (!opt.traceFile.empty()) {
         compiler::LayerCompiler lc(cfg, copt);
         core::CoreSim sim(cfg);
-        core::Trace trace;
+        obs::PipeTrace trace;
         for (const auto &layer : net.layers)
             sim.run(lc.compile(layer), &trace);
         std::ofstream out(opt.traceFile);

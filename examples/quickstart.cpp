@@ -12,9 +12,9 @@
 #include <iostream>
 
 #include "common/table.hh"
-#include "core/trace.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
+#include "obs/pipe_trace.hh"
 #include "runtime/sim_session.hh"
 
 using namespace ascend;
@@ -67,7 +67,7 @@ main()
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Lite);
     compiler::LayerCompiler lc(cfg);
     core::CoreSim sim(cfg);
-    core::Trace trace;
+    obs::PipeTrace trace;
     sim.run(lc.compile(model::Layer::conv2d("conv", 1, 32, 56, 56, 64,
                                             3, 1, 1)),
             &trace);

@@ -5,137 +5,15 @@
 
 #include "arch/config_io.hh"
 
-#include <cmath>
-#include <functional>
-#include <map>
 #include <ostream>
 #include <sstream>
 
-#include "common/error.hh"
+#include "common/field.hh"
 
 namespace ascend {
 namespace arch {
 
 namespace {
-
-/** Field registry: one row per serialized knob. */
-struct Field
-{
-    const char *key;
-    std::function<std::string(const CoreConfig &)> get;
-    std::function<void(CoreConfig &, const std::string &)> set;
-};
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t v = std::stoull(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        throwError(ErrorCode::ConfigParse,
-                   "config: bad integer '%s' for key %s", value.c_str(),
-                   key.c_str());
-    }
-}
-
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        if (pos != value.size() || !std::isfinite(v))
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        throwError(ErrorCode::ConfigParse,
-                   "config: bad number '%s' for key %s", value.c_str(),
-                   key.c_str());
-    }
-}
-
-bool
-parseBool(const std::string &key, const std::string &value)
-{
-    if (value == "true" || value == "1")
-        return true;
-    if (value == "false" || value == "0")
-        return false;
-    throwError(ErrorCode::ConfigParse,
-               "config: bad bool '%s' for key %s", value.c_str(),
-               key.c_str());
-}
-
-const std::vector<Field> &
-fields()
-{
-    auto u64_field = [](const char *key, Bytes CoreConfig::*member) {
-        return Field{
-            key,
-            [member](const CoreConfig &c) {
-                return std::to_string(c.*member);
-            },
-            [member, key](CoreConfig &c, const std::string &v) {
-                c.*member = parseU64(key, v);
-            }};
-    };
-    auto bool_field = [](const char *key, bool CoreConfig::*member) {
-        return Field{
-            key,
-            [member](const CoreConfig &c) {
-                return std::string(c.*member ? "true" : "false");
-            },
-            [member, key](CoreConfig &c, const std::string &v) {
-                c.*member = parseBool(key, v);
-            }};
-    };
-    auto dim_field = [](const char *key, unsigned CubeShape::*member) {
-        return Field{
-            key,
-            [member](const CoreConfig &c) {
-                return std::to_string(c.cube.*member);
-            },
-            [member, key](CoreConfig &c, const std::string &v) {
-                c.cube.*member =
-                    static_cast<unsigned>(parseU64(key, v));
-            }};
-    };
-    static const std::vector<Field> table = {
-        {"name", [](const CoreConfig &c) { return c.name; },
-         [](CoreConfig &c, const std::string &v) { c.name = v; }},
-        {"clock_ghz",
-         [](const CoreConfig &c) { return std::to_string(c.clockGhz); },
-         [](CoreConfig &c, const std::string &v) {
-             c.clockGhz = parseDouble("clock_ghz", v);
-         }},
-        dim_field("cube_m0", &CubeShape::m0),
-        dim_field("cube_k0", &CubeShape::k0),
-        dim_field("cube_n0", &CubeShape::n0),
-        bool_field("supports_fp16", &CoreConfig::supportsFp16),
-        bool_field("supports_int8", &CoreConfig::supportsInt8),
-        bool_field("supports_int4", &CoreConfig::supportsInt4),
-        bool_field("supports_fp32_cube", &CoreConfig::supportsFp32Cube),
-        u64_field("vector_width_bytes", &CoreConfig::vectorWidthBytes),
-        u64_field("bus_a_bytes_per_cycle",
-                  &CoreConfig::busABytesPerCycle),
-        u64_field("bus_b_bytes_per_cycle",
-                  &CoreConfig::busBBytesPerCycle),
-        u64_field("bus_ub_bytes_per_cycle",
-                  &CoreConfig::busUbBytesPerCycle),
-        u64_field("bus_ext_bytes_per_cycle",
-                  &CoreConfig::busExtBytesPerCycle),
-        u64_field("l0a_bytes", &CoreConfig::l0aBytes),
-        u64_field("l0b_bytes", &CoreConfig::l0bBytes),
-        u64_field("l0c_bytes", &CoreConfig::l0cBytes),
-        u64_field("l1_bytes", &CoreConfig::l1Bytes),
-        u64_field("ub_bytes", &CoreConfig::ubBytes),
-    };
-    return table;
-}
 
 std::string
 trim(const std::string &s)
@@ -153,8 +31,11 @@ void
 writeConfig(const CoreConfig &config, std::ostream &os)
 {
     os << "# ascend-sim core configuration\n";
-    for (const Field &f : fields())
-        os << f.key << " = " << f.get(config) << "\n";
+    forEachField(
+        [&os](const char *key, const auto &v) {
+            os << key << " = " << fieldText(v) << "\n";
+        },
+        config);
 }
 
 std::string
@@ -169,12 +50,8 @@ CoreConfig
 readConfig(std::istream &is, const CoreConfig &base)
 {
     CoreConfig config = base;
-    std::map<std::string, const Field *> by_key;
-    for (const Field &f : fields())
-        by_key[f.key] = &f;
-
     std::string line;
-    int line_no = 0;
+    unsigned line_no = 0;
     while (std::getline(is, line)) {
         ++line_no;
         const auto hash = line.find('#');
@@ -186,16 +63,10 @@ readConfig(std::istream &is, const CoreConfig &base)
         const auto eq = body.find('=');
         if (eq == std::string::npos)
             throwError(ErrorCode::ConfigParse,
-                       "config line %d: expected 'key = value', got "
+                       "config line %u: expected 'key = value', got "
                        "'%s'", line_no, body.c_str());
-        const std::string key = trim(body.substr(0, eq));
-        const std::string value = trim(body.substr(eq + 1));
-        const auto it = by_key.find(key);
-        if (it == by_key.end())
-            throwError(ErrorCode::ConfigParse,
-                       "config line %d: unknown key '%s'", line_no,
-                       key.c_str());
-        it->second->set(config, value);
+        setFieldText(config, trim(body.substr(0, eq)),
+                     trim(body.substr(eq + 1)), "config", line_no);
     }
     config.validate();
     return config;

@@ -5,8 +5,11 @@
  * A downstream user exploring the design space (Section 2.3) wants to
  * edit parameters in a file, not recompile. The format is flat
  * `key = value` lines with `#` comments — trivially diffable and
- * stable. Unknown keys are an error (they are usually typos of knobs
- * the user meant to change).
+ * stable. The keys are arch::forEachField's, so a written file names
+ * every field, doubles exactly (%.17g): read back over any base it
+ * restores the same machine and the same SimCache key. Unknown keys
+ * are an error (they are usually typos of knobs the user meant to
+ * change), and so is a value its field cannot hold.
  */
 
 #ifndef ASCEND_ARCH_CONFIG_IO_HH
@@ -20,7 +23,7 @@
 namespace ascend {
 namespace arch {
 
-/** Write @p config as `key = value` lines. */
+/** Write every field of @p config as `key = value` lines. */
 void writeConfig(const CoreConfig &config, std::ostream &os);
 
 /** Serialize to a string (convenience). */

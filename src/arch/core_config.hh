@@ -12,8 +12,10 @@
 #ifndef ASCEND_ARCH_CORE_CONFIG_HH
 #define ASCEND_ARCH_CORE_CONFIG_HH
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hh"
 
@@ -118,6 +120,41 @@ struct CoreConfig
      */
     void validate() const;
 };
+
+/**
+ * CoreConfig's fields, in SimCache-key order: calls f(key, c.member...)
+ * once per field, passing that member of every config in @p c, under
+ * its config-file key. This list is the only place the fields are
+ * named: the cache key (which skips the cosmetic name) and the config
+ * file both walk it.
+ */
+template <typename F, typename... C>
+    requires(std::same_as<std::remove_const_t<C>, CoreConfig> && ...)
+void
+forEachField(F &&f, C &...c)
+{
+    f("name", c.name...);
+    f("version", c.version...);
+    f("clock_ghz", c.clockGhz...);
+    f("cube_m0", c.cube.m0...);
+    f("cube_k0", c.cube.k0...);
+    f("cube_n0", c.cube.n0...);
+    f("supports_fp16", c.supportsFp16...);
+    f("supports_int8", c.supportsInt8...);
+    f("supports_int4", c.supportsInt4...);
+    f("supports_fp32_cube", c.supportsFp32Cube...);
+    f("vector_width_bytes", c.vectorWidthBytes...);
+    f("bus_a_bytes_per_cycle", c.busABytesPerCycle...);
+    f("bus_b_bytes_per_cycle", c.busBBytesPerCycle...);
+    f("bus_ub_bytes_per_cycle", c.busUbBytesPerCycle...);
+    f("bus_ext_bytes_per_cycle", c.busExtBytesPerCycle...);
+    f("l0a_bytes", c.l0aBytes...);
+    f("l0b_bytes", c.l0bBytes...);
+    f("l0c_bytes", c.l0cBytes...);
+    f("l1_bytes", c.l1Bytes...);
+    f("ub_bytes", c.ubBytes...);
+    f("dispatch_per_cycle", c.dispatchPerCycle...);
+}
 
 /** Preset for a published design point (Table 5). */
 CoreConfig makeCoreConfig(CoreVersion version);

@@ -17,21 +17,6 @@ v100Like()
     return GpuConfig{};
 }
 
-GpuConfig
-xavierLike()
-{
-    GpuConfig c;
-    c.name = "xavier-like";
-    c.sms = 8;
-    c.clockGhz = 1.37;
-    c.tensorFlopsPerSec = 22e12; // int8 DLA+GPU combined
-    c.cudaFlopsPerSec = 1.4e12;
-    c.memBandwidth = 1.37e11;
-    c.issueEfficiency = 0.5;
-    c.tilesPerWave = 8ull * 8;
-    return c;
-}
-
 double
 GpuModel::layerSeconds(const model::Layer &layer) const
 {

@@ -73,9 +73,6 @@ class GpuModel
 /** NVidia V100 SXM2 configuration. */
 GpuConfig v100Like();
 
-/** NVidia Xavier-class embedded GPU configuration. */
-GpuConfig xavierLike();
-
 } // namespace baseline
 } // namespace ascend
 

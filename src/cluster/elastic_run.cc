@@ -749,33 +749,5 @@ runElastic(const TrainingJob &job, const ClusterConfig &cluster,
     return engine.run();
 }
 
-ElasticRunResult
-runElasticWithChipSim(
-    const TrainingJob &job, const ClusterConfig &cluster, unsigned chips,
-    unsigned num_steps,
-    const std::vector<std::vector<soc::CoreTask>> &per_core,
-    double mem_bytes_per_sec, const resilience::ChipFaultPlan &chip_plan,
-    const FaultSchedule &faults, const resilience::RetryPolicy &retry,
-    resilience::DegradedMode mode, const ElasticOptions &options)
-{
-    const soc::ChipSimResult chip =
-        soc::runChipSim(per_core, mem_bytes_per_sec, chip_plan);
-    if (!chip.completed) {
-        // Every core died with work queued: no chip ever produces a
-        // gradient, so the run fail-stops before its first step.
-        ElasticRunResult r;
-        r.completed = false;
-        r.seconds = chip.makespan;
-        r.finalNodes =
-            unsigned(ceilDiv(chips, cluster.server.chips));
-        r.finalChips = chips;
-        return r;
-    }
-    TrainingJob chip_job = job;
-    chip_job.stepSecondsPerChip = chip.makespan;
-    return runElastic(chip_job, cluster, chips, num_steps, faults,
-                      retry, mode, options);
-}
-
 } // namespace cluster
 } // namespace ascend

@@ -171,22 +171,6 @@ ElasticRunResult runElastic(const TrainingJob &job,
                             resilience::DegradedMode mode,
                             const ElasticOptions &options = {});
 
-/**
- * Chip-driven variant: the per-chip step time is simulated by the
- * fluid chip model (soc::chipStepSeconds) under @p chip_plan instead
- * of supplied, then the run proceeds elastically. A chip plan that
- * kills every core fail-stops at step 0 like
- * trainingRunWithChipFaults.
- */
-ElasticRunResult runElasticWithChipSim(
-    const TrainingJob &job, const ClusterConfig &cluster, unsigned chips,
-    unsigned num_steps,
-    const std::vector<std::vector<soc::CoreTask>> &per_core,
-    double mem_bytes_per_sec, const resilience::ChipFaultPlan &chip_plan,
-    const resilience::FaultSchedule &faults,
-    const resilience::RetryPolicy &retry, resilience::DegradedMode mode,
-    const ElasticOptions &options = {});
-
 } // namespace cluster
 } // namespace ascend
 

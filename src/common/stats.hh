@@ -1,11 +1,7 @@
 /**
  * @file
- * A small statistics package in the spirit of gem5's Stats.
- *
- * Simulation components register named scalar counters and distributions
- * in a StatGroup; benches and tests read them back by name or dump the
- * whole group as text/CSV. Keeping statistics out of the simulation
- * kernel proper keeps the latency models testable in isolation.
+ * Latency histograms. Named run counters live in the runtime counter
+ * registry (runtime/perf_stats.hh).
  */
 
 #ifndef ASCEND_COMMON_STATS_HH
@@ -13,64 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
-
-#include "common/logging.hh"
 
 namespace ascend {
 namespace stats {
-
-/** A monotonically increasing scalar statistic. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void inc(std::uint64_t delta = 1) { value_ += delta; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** A running mean/min/max/sum over observed samples. */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        if (count_ == 0 || v < min_)
-            min_ = v;
-        if (count_ == 0 || v > max_)
-            max_ = v;
-        ++count_;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-
-    void
-    reset()
-    {
-        sum_ = min_ = max_ = 0.0;
-        count_ = 0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    std::uint64_t count_ = 0;
-};
 
 /**
  * A fixed-bucket histogram with percentile queries (used for NoC /
@@ -128,64 +70,6 @@ class Histogram
     double max_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
-};
-
-/**
- * A named collection of statistics.
- *
- * Names are hierarchical by convention ("core.cube.busyCycles"); the
- * group owns the storage, so components hold references obtained from
- * counter()/distribution().
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Get-or-create a counter with the given name. */
-    Counter &counter(const std::string &name) { return counters_[name]; }
-
-    /** Get-or-create a distribution with the given name. */
-    Distribution &
-    distribution(const std::string &name)
-    {
-        return distributions_[name];
-    }
-
-    /** Look up an existing counter; panics if absent. */
-    const Counter &
-    findCounter(const std::string &name) const
-    {
-        auto it = counters_.find(name);
-        if (it == counters_.end())
-            panic("StatGroup %s: no counter named %s",
-                  name_.c_str(), name.c_str());
-        return it->second;
-    }
-
-    bool
-    hasCounter(const std::string &name) const
-    {
-        return counters_.count(name) != 0;
-    }
-
-    const std::string &name() const { return name_; }
-
-    /** Reset every statistic in the group to zero. */
-    void reset();
-
-    /** Dump all statistics, one "name value" line each. */
-    void dump(std::ostream &os) const;
-
-    const std::map<std::string, Counter> &counters() const
-    { return counters_; }
-    const std::map<std::string, Distribution> &distributions() const
-    { return distributions_; }
-
-  private:
-    std::string name_;
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Distribution> distributions_;
 };
 
 } // namespace stats

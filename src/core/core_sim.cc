@@ -53,7 +53,7 @@ SimResult::accumulate(const SimResult &other)
 }
 
 SimResult
-CoreSim::run(const isa::Program &program, Trace *trace) const
+CoreSim::run(const isa::Program &program, obs::PipeTrace *trace) const
 {
     const std::vector<Instr> &instrs = program.instrs();
     const std::size_t n = instrs.size();

@@ -22,8 +22,8 @@
 #include <cstdint>
 
 #include "arch/core_config.hh"
-#include "core/trace.hh"
 #include "isa/program.hh"
+#include "obs/pipe_trace.hh"
 
 namespace ascend {
 namespace core {
@@ -65,13 +65,6 @@ struct SimResult
     {
         return bus(isa::Bus::ExtA) + bus(isa::Bus::ExtB) +
                bus(isa::Bus::ExtOut);
-    }
-
-    /** Average bytes per cycle on @p b over the whole program. */
-    double
-    busBytesPerCycle(isa::Bus b) const
-    {
-        return totalCycles ? static_cast<double>(bus(b)) / totalCycles : 0;
     }
 
     /** Busy fraction of @p p over the whole program. */
@@ -128,7 +121,7 @@ class CoreSim
      * Panics (with pipe-state diagnostics) if the program deadlocks.
      */
     SimResult run(const isa::Program &program,
-                  Trace *trace = nullptr) const;
+                  obs::PipeTrace *trace = nullptr) const;
 
     const arch::CoreConfig &config() const { return config_; }
 

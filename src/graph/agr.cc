@@ -5,13 +5,11 @@
 
 #include "graph/agr.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <climits>
 #include <sstream>
 #include <unordered_map>
 
-#include "common/error.hh"
+#include "common/field.hh"
 #include "runtime/perf_stats.hh"
 
 namespace ascend {
@@ -19,130 +17,25 @@ namespace graph {
 
 namespace {
 
-/** %.17g: enough digits that strtod restores the exact double. */
-std::string
-doubleToken(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-const char *
-actToken(model::ActKind a)
-{
-    switch (a) {
-      case model::ActKind::Relu:    return "relu";
-      case model::ActKind::Relu6:   return "relu6";
-      case model::ActKind::Gelu:    return "gelu";
-      case model::ActKind::Sigmoid: return "sigmoid";
-      case model::ActKind::Swish:   return "swish";
-    }
-    return "?";
-}
-
-bool
-parseAct(const std::string &tok, model::ActKind &out)
-{
-    using model::ActKind;
-    static const std::pair<const char *, ActKind> table[] = {
-        {"relu", ActKind::Relu},       {"relu6", ActKind::Relu6},
-        {"gelu", ActKind::Gelu},       {"sigmoid", ActKind::Sigmoid},
-        {"swish", ActKind::Swish},
-    };
-    for (const auto &[name, kind] : table)
-        if (tok == name) {
-            out = kind;
-            return true;
-        }
-    return false;
-}
-
-bool
-parseDtype(const std::string &tok, DataType &out)
-{
-    static const DataType all[] = {DataType::Int4, DataType::Int8,
-                                   DataType::Fp16, DataType::Int32,
-                                   DataType::Fp32};
-    for (const DataType dt : all)
-        if (tok == toString(dt)) {
-            out = dt;
-            return true;
-        }
-    return false;
-}
-
-bool
-parseLayerKind(const std::string &tok, model::LayerKind &out)
-{
-    using model::LayerKind;
-    static const LayerKind all[] = {
-        LayerKind::Conv2d,     LayerKind::DepthwiseConv2d,
-        LayerKind::Linear,     LayerKind::BatchedMatmul,
-        LayerKind::Pool2d,     LayerKind::BatchNorm,
-        LayerKind::LayerNorm,  LayerKind::Activation,
-        LayerKind::Softmax,    LayerKind::Elementwise,
-        LayerKind::CvOp,
-    };
-    for (const LayerKind k : all)
-        if (tok == toString(k)) {
-            out = k;
-            return true;
-        }
-    return false;
-}
-
-/** Append "key=value" when @p value differs from @p dflt. */
-template <typename T>
-void
-putKey(std::string &out, const char *key, T value, T dflt)
-{
-    if (value == dflt)
-        return;
-    out += ' ';
-    out += key;
-    out += '=';
-    if constexpr (std::is_floating_point_v<T>)
-        out += doubleToken(value);
-    else
-        out += std::to_string(value);
-}
-
-/** Every fingerprinted layer field, keyed (kind is the op token). */
+/**
+ * Every keyed layer field that differs from its default, as
+ * " key=value" (kind is the op token).
+ */
 std::string
 layerKeys(const model::Layer &l)
 {
-    const model::Layer d; // field defaults
+    const model::Layer defaults;
     std::string s;
-    if (l.dtype != d.dtype) {
-        s += " dt=";
-        s += toString(l.dtype);
-    }
-    putKey(s, "b", l.batch, d.batch);
-    putKey(s, "ic", l.inC, d.inC);
-    putKey(s, "oc", l.outC, d.outC);
-    putKey(s, "ih", l.inH, d.inH);
-    putKey(s, "iw", l.inW, d.inW);
-    putKey(s, "kh", l.kernelH, d.kernelH);
-    putKey(s, "kw", l.kernelW, d.kernelW);
-    putKey(s, "sh", l.strideH, d.strideH);
-    putKey(s, "sw", l.strideW, d.strideW);
-    putKey(s, "ph", l.padH, d.padH);
-    putKey(s, "pw", l.padW, d.padW);
-    putKey(s, "m", l.gemmM, d.gemmM);
-    putKey(s, "k", l.gemmK, d.gemmK);
-    putKey(s, "n", l.gemmN, d.gemmN);
-    putKey(s, "cnt", l.matmulCount, d.matmulCount);
-    putKey(s, "el", l.elems, d.elems);
-    putKey(s, "rl", l.rowLen, d.rowLen);
-    putKey(s, "cvp", l.cvPasses, d.cvPasses);
-    putKey(s, "fep", l.fusedEvictPasses, d.fusedEvictPasses);
-    if (l.act != d.act) {
-        s += " act=";
-        s += actToken(l.act);
-    }
-    putKey(s, "ibo", l.inputBytesOverride, d.inputBytesOverride);
-    putKey(s, "obo", l.outputBytesOverride, d.outputBytesOverride);
+    model::forEachField(
+        [&s](const char *key, const auto &v, const auto &dflt) {
+            if (v == dflt)
+                return;
+            s += ' ';
+            s += key;
+            s += '=';
+            s += fieldText(v);
+        },
+        l, defaults);
     return s;
 }
 
@@ -183,23 +76,15 @@ nextLine(ParseCursor &cur, std::vector<std::string> &tokens)
     return false;
 }
 
-std::uint64_t
-parseU64(const std::string &tok, unsigned line_no)
+/** @p tok as a T (see parseFieldText), or a ConfigParse error. */
+template <typename T>
+T
+parseToken(const std::string &tok, unsigned line_no)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0')
-        parseFail(line_no, "expected an unsigned integer");
-    return v;
-}
-
-double
-parseF64(const std::string &tok, unsigned line_no)
-{
-    char *end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0')
-        parseFail(line_no, "expected a number");
+    T v{};
+    if (!parseFieldText(tok, v))
+        throwError(ErrorCode::ConfigParse, "agr line %u: bad %s '%s'",
+                   line_no, fieldTypeName<T>(), tok.c_str());
     return v;
 }
 
@@ -221,64 +106,6 @@ splitList(const std::string &tok, unsigned line_no)
         at = comma + 1;
     }
     return out;
-}
-
-void
-applyLayerKey(model::Layer &l, const std::string &key,
-              const std::string &value, unsigned line_no)
-{
-    auto u = [&] { return parseU64(value, line_no); };
-    if (key == "dt") {
-        if (!parseDtype(value, l.dtype))
-            parseFail(line_no, "unknown dtype");
-    } else if (key == "b") {
-        l.batch = unsigned(u());
-    } else if (key == "ic") {
-        l.inC = unsigned(u());
-    } else if (key == "oc") {
-        l.outC = unsigned(u());
-    } else if (key == "ih") {
-        l.inH = unsigned(u());
-    } else if (key == "iw") {
-        l.inW = unsigned(u());
-    } else if (key == "kh") {
-        l.kernelH = unsigned(u());
-    } else if (key == "kw") {
-        l.kernelW = unsigned(u());
-    } else if (key == "sh") {
-        l.strideH = unsigned(u());
-    } else if (key == "sw") {
-        l.strideW = unsigned(u());
-    } else if (key == "ph") {
-        l.padH = unsigned(u());
-    } else if (key == "pw") {
-        l.padW = unsigned(u());
-    } else if (key == "m") {
-        l.gemmM = u();
-    } else if (key == "k") {
-        l.gemmK = u();
-    } else if (key == "n") {
-        l.gemmN = u();
-    } else if (key == "cnt") {
-        l.matmulCount = u();
-    } else if (key == "el") {
-        l.elems = u();
-    } else if (key == "rl") {
-        l.rowLen = u();
-    } else if (key == "cvp") {
-        l.cvPasses = parseF64(value, line_no);
-    } else if (key == "fep") {
-        l.fusedEvictPasses = parseF64(value, line_no);
-    } else if (key == "act") {
-        if (!parseAct(value, l.act))
-            parseFail(line_no, "unknown activation");
-    } else if (key == "ibo") {
-        l.inputBytesOverride = u();
-    } else if (key == "obo") {
-        l.outputBytesOverride = u();
-    } else {
-        parseFail(line_no, "unknown layer key");
-    }
 }
 
 } // anonymous namespace
@@ -357,9 +184,8 @@ parseAgr(const std::string &text)
                 parseFail(cur.lineNo, "malformed tensor record");
             Tensor t;
             t.name = tok[1];
-            t.elems = parseU64(tok[2], cur.lineNo);
-            if (!parseDtype(tok[3], t.dtype))
-                parseFail(cur.lineNo, "unknown dtype");
+            t.elems = parseToken<std::uint64_t>(tok[2], cur.lineNo);
+            t.dtype = parseToken<DataType>(tok[3], cur.lineNo);
             if (tok.size() == 5 && tok[4] == "input") {
                 t.producer = -1;
             } else if (tok.size() == 6 && tok[4] == "from") {
@@ -367,10 +193,13 @@ parseAgr(const std::string &text)
                 if (dot == std::string::npos)
                     parseFail(cur.lineNo,
                               "expected '<node>.<slot>' after 'from'");
-                t.producer = int(
-                    parseU64(tok[5].substr(0, dot), cur.lineNo));
-                t.producerSlot = unsigned(
-                    parseU64(tok[5].substr(dot + 1), cur.lineNo));
+                const unsigned producer = parseToken<unsigned>(
+                    tok[5].substr(0, dot), cur.lineNo);
+                if (producer > unsigned(INT_MAX))
+                    parseFail(cur.lineNo, "producer index out of range");
+                t.producer = int(producer);
+                t.producerSlot = parseToken<unsigned>(
+                    tok[5].substr(dot + 1), cur.lineNo);
             } else {
                 parseFail(cur.lineNo,
                           "expected 'input' or 'from <node>.<slot>'");
@@ -388,8 +217,8 @@ parseAgr(const std::string &text)
             std::size_t at = 2;
             if (tok[at] == "layer") {
                 n.op = OpKind::Layer;
-                if (!parseLayerKind(tok[at + 1], n.layer.kind))
-                    parseFail(cur.lineNo, "unknown layer kind");
+                n.layer.kind = parseToken<model::LayerKind>(
+                    tok[at + 1], cur.lineNo);
                 n.layer.name = n.name;
                 at += 2;
             } else if (tok[at] == "add") {
@@ -422,8 +251,8 @@ parseAgr(const std::string &text)
                 const std::size_t eq = tok[at].find('=');
                 if (eq == std::string::npos || eq == 0)
                     parseFail(cur.lineNo, "expected key=value");
-                applyLayerKey(n.layer, tok[at].substr(0, eq),
-                              tok[at].substr(eq + 1), cur.lineNo);
+                setFieldText(n.layer, tok[at].substr(0, eq),
+                             tok[at].substr(eq + 1), "agr", cur.lineNo);
             }
             g.nodes.push_back(std::move(n));
         } else if (tok[0] == "output") {

@@ -96,6 +96,18 @@ checkNodeShapes(const Graph &g, std::size_t ni)
             fail("a layer node produces exactly one output");
         if (in(0).dtype != l.dtype)
             fail("input dtype differs from the layer dtype");
+        if (l.kind == model::LayerKind::Conv2d ||
+            l.kind == model::LayerKind::DepthwiseConv2d ||
+            l.kind == model::LayerKind::Pool2d) {
+            // Refused before layerOutputElems divides by the stride
+            // and subtracts the kernel from the padded input.
+            const std::uint64_t padded_h = l.inH + 2 * std::uint64_t(l.padH);
+            const std::uint64_t padded_w = l.inW + 2 * std::uint64_t(l.padW);
+            if (l.strideH == 0 || l.strideW == 0)
+                fail("stride must be positive");
+            if (l.kernelH > padded_h || l.kernelW > padded_w)
+                fail("kernel is larger than its padded input");
+        }
         if (in(0).elems != layerInputElems(l))
             fail("input volume differs from the layer's activation");
         if (n.inputs.size() == 2) {

@@ -85,8 +85,8 @@ core::SimResult graphResult(const runtime::SimSession &session,
 /**
  * The whole-graph memo key: fingerprint(config) + fingerprint(options)
  * + fingerprint(resilience) + Graph::fingerprint(). Ends in
- * "agr:<hash>", so runtime::parseLayerFingerprint rejects it — graph
- * totals can never be mistaken for per-layer entries.
+ * "agr:<hash>" and holds no "lay:" component, so graph totals can
+ * never alias a per-layer entry (whose key ends in one).
  */
 std::string graphCacheKey(const runtime::SimSession &session,
                           const Graph &g);

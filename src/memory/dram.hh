@@ -67,14 +67,6 @@ class DramModel
                (static_cast<double>(bytes) / double(kGiB));
     }
 
-    /** Expected uncorrectable-error count while moving @p bytes. */
-    double
-    expectedUncorrectable(Bytes bytes) const
-    {
-        return config_.ecc.uncorrectablePerGiB *
-               (static_cast<double>(bytes) / double(kGiB));
-    }
-
     /** Expected stall seconds from ECC corrections on @p bytes. */
     double
     eccStallTime(Bytes bytes) const

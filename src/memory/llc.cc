@@ -49,12 +49,6 @@ Llc::Llc(LlcConfig config) : config_(config)
 }
 
 void
-Llc::setPartitionWays(unsigned part, unsigned ways)
-{
-    setPartitionRange(part, 0, ways == 0 ? config_.ways : ways);
-}
-
-void
 Llc::setPartitionRange(unsigned part, unsigned first, unsigned count)
 {
     if (part >= partWays_.size())

@@ -65,15 +65,11 @@ class Llc
     bool access(std::uint64_t addr, unsigned part = 0);
 
     /**
-     * Restrict partition @p part to allocate into @p ways ways
-     * (starting from way 0 upward; 0 means "all ways allowed").
-     * Different partitions may overlap; the automotive configuration
-     * gives the critical partition a private slice by assigning
-     * disjoint ranges with setPartitionRange().
+     * Restrict @p part to allocate into ways [first, first+count).
+     * Ranges of different partitions may overlap; the automotive
+     * configuration gives the critical partition a private slice by
+     * assigning disjoint ones.
      */
-    void setPartitionWays(unsigned part, unsigned ways);
-
-    /** Restrict @p part to ways [first, first+count). */
     void setPartitionRange(unsigned part, unsigned first, unsigned count);
 
     const LlcPartStats &partStats(unsigned part) const;

@@ -29,6 +29,19 @@ toString(LayerKind kind)
     return "?";
 }
 
+const char *
+toString(ActKind act)
+{
+    switch (act) {
+      case ActKind::Relu:    return "relu";
+      case ActKind::Relu6:   return "relu6";
+      case ActKind::Gelu:    return "gelu";
+      case ActKind::Sigmoid: return "sigmoid";
+      case ActKind::Swish:   return "swish";
+    }
+    return "?";
+}
+
 Layer
 Layer::conv2d(std::string name, unsigned batch, unsigned in_c,
               unsigned in_h, unsigned in_w, unsigned out_c,

@@ -12,8 +12,10 @@
 #ifndef ASCEND_MODEL_LAYER_HH
 #define ASCEND_MODEL_LAYER_HH
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hh"
 
@@ -40,6 +42,8 @@ const char *toString(LayerKind kind);
 
 /** Activation flavours (cost differs in datapath passes). */
 enum class ActKind { Relu, Relu6, Gelu, Sigmoid, Swish };
+
+const char *toString(ActKind act);
 
 /**
  * One layer. Fields are meaningful per kind; the factory functions
@@ -159,6 +163,55 @@ struct Layer
     void lowerToGemm(std::uint64_t &m, std::uint64_t &k,
                      std::uint64_t &n) const;
 };
+
+/**
+ * Layer's shape fields, in SimCache-key order: calls
+ * f(key, l.member...) once per field, passing that member of every
+ * layer in @p l (so a printer can compare a layer with the defaults),
+ * under its `.agr` key. This list and forEachField's two byte
+ * overrides are the only place the keyed fields are named: the cache
+ * key, the `.agr` text and the surrogate's spot-check hash all walk
+ * them. kind is keyed ahead of the list by every consumer (it is the
+ * `.agr` op token) and name is never keyed.
+ */
+template <typename F, typename... L>
+    requires(std::same_as<std::remove_const_t<L>, Layer> && ...)
+void
+forEachShapeField(F &&f, L &...l)
+{
+    f("dt", l.dtype...);
+    f("b", l.batch...);
+    f("ic", l.inC...);
+    f("oc", l.outC...);
+    f("ih", l.inH...);
+    f("iw", l.inW...);
+    f("kh", l.kernelH...);
+    f("kw", l.kernelW...);
+    f("sh", l.strideH...);
+    f("sw", l.strideW...);
+    f("ph", l.padH...);
+    f("pw", l.padW...);
+    f("m", l.gemmM...);
+    f("k", l.gemmK...);
+    f("n", l.gemmN...);
+    f("cnt", l.matmulCount...);
+    f("el", l.elems...);
+    f("rl", l.rowLen...);
+    f("cvp", l.cvPasses...);
+    f("fep", l.fusedEvictPasses...);
+    f("act", l.act...);
+}
+
+/** Every keyed field of Layer: the shape fields, then the overrides. */
+template <typename F, typename... L>
+    requires(std::same_as<std::remove_const_t<L>, Layer> && ...)
+void
+forEachField(F &&f, L &...l)
+{
+    forEachShapeField(f, l...);
+    f("ibo", l.inputBytesOverride...);
+    f("obo", l.outputBytesOverride...);
+}
 
 } // namespace model
 } // namespace ascend

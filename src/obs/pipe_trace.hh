@@ -4,8 +4,7 @@
  * simulator fills when a run wants its own isolated trace (the
  * paper's Fig. 3 pipe-overlap picture for one program).
  *
- * This is the old core::Trace, absorbed into the observability layer:
- * same event model as the process-wide obs::Tracer (one span per
+ * Same event model as the process-wide obs::Tracer (one span per
  * executed instruction), but scoped to a single CoreSim::run call and
  * always on when passed. Use obs::Tracer + ASCEND_TRACE for
  * whole-process traces across all simulator layers.

@@ -5,12 +5,12 @@
 
 #include "runtime/sim_cache.hh"
 
-#include <cstdlib>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "common/atomic_file.hh"
-#include "common/codec.hh"
+#include "common/field.hh"
 
 namespace ascend {
 namespace runtime {
@@ -83,26 +83,14 @@ fingerprint(const arch::CoreConfig &config)
     std::string s;
     s.reserve(160);
     s += "cfg:";
-    putU64(s, std::uint64_t(config.version));
-    putBits(s, config.clockGhz);
-    putU64(s, config.cube.m0);
-    putU64(s, config.cube.k0);
-    putU64(s, config.cube.n0);
-    putU64(s, config.supportsFp16);
-    putU64(s, config.supportsInt8);
-    putU64(s, config.supportsInt4);
-    putU64(s, config.supportsFp32Cube);
-    putU64(s, config.vectorWidthBytes);
-    putU64(s, config.busABytesPerCycle);
-    putU64(s, config.busBBytesPerCycle);
-    putU64(s, config.busUbBytesPerCycle);
-    putU64(s, config.busExtBytesPerCycle);
-    putU64(s, config.l0aBytes);
-    putU64(s, config.l0bBytes);
-    putU64(s, config.l0cBytes);
-    putU64(s, config.l1Bytes);
-    putU64(s, config.ubBytes);
-    putU64(s, config.dispatchPerCycle);
+    arch::forEachField(
+        [&s](const char *, const auto &v) {
+            // The name is cosmetic: equal machines share entries.
+            if constexpr (!std::is_same_v<std::decay_t<decltype(v)>,
+                                          std::string>)
+                putU64(s, fieldBits(v));
+        },
+        config);
     return s;
 }
 
@@ -127,87 +115,9 @@ fingerprint(const model::Layer &layer)
     s.reserve(128);
     s += "lay:";
     putU64(s, std::uint64_t(layer.kind));
-    putU64(s, std::uint64_t(layer.dtype));
-    putU64(s, layer.batch);
-    putU64(s, layer.inC);
-    putU64(s, layer.outC);
-    putU64(s, layer.inH);
-    putU64(s, layer.inW);
-    putU64(s, layer.kernelH);
-    putU64(s, layer.kernelW);
-    putU64(s, layer.strideH);
-    putU64(s, layer.strideW);
-    putU64(s, layer.padH);
-    putU64(s, layer.padW);
-    putU64(s, layer.gemmM);
-    putU64(s, layer.gemmK);
-    putU64(s, layer.gemmN);
-    putU64(s, layer.matmulCount);
-    putU64(s, layer.elems);
-    putU64(s, layer.rowLen);
-    putBits(s, layer.cvPasses);
-    putBits(s, layer.fusedEvictPasses);
-    putU64(s, std::uint64_t(layer.act));
-    putU64(s, layer.inputBytesOverride);
-    putU64(s, layer.outputBytesOverride);
+    model::forEachField(
+        [&s](const char *, auto v) { putU64(s, fieldBits(v)); }, layer);
     return s;
-}
-
-bool
-parseLayerFingerprint(const std::string &key, model::Layer &out)
-{
-    // The layer fingerprint is always the final component of a
-    // session key, so take the last "lay:".
-    const std::size_t at = key.rfind("lay:");
-    if (at == std::string::npos)
-        return false;
-    const char *p = key.c_str() + at + 4;
-    const char *end = key.c_str() + key.size();
-
-    // 24 comma-terminated u64 fields, in fingerprint(layer) order.
-    std::uint64_t f[24];
-    for (std::uint64_t &v : f) {
-        if (p >= end)
-            return false;
-        char *stop = nullptr;
-        v = std::strtoull(p, &stop, 10);
-        if (stop == p || stop >= end || *stop != ',')
-            return false;
-        p = stop + 1;
-    }
-    if (p != end)
-        return false;
-    if (f[0] > std::uint64_t(model::LayerKind::CvOp) ||
-        f[1] > std::uint64_t(DataType::Fp32) ||
-        f[21] > std::uint64_t(model::ActKind::Swish))
-        return false;
-
-    out = model::Layer{};
-    out.kind = model::LayerKind(f[0]);
-    out.dtype = DataType(f[1]);
-    out.batch = unsigned(f[2]);
-    out.inC = unsigned(f[3]);
-    out.outC = unsigned(f[4]);
-    out.inH = unsigned(f[5]);
-    out.inW = unsigned(f[6]);
-    out.kernelH = unsigned(f[7]);
-    out.kernelW = unsigned(f[8]);
-    out.strideH = unsigned(f[9]);
-    out.strideW = unsigned(f[10]);
-    out.padH = unsigned(f[11]);
-    out.padW = unsigned(f[12]);
-    out.gemmM = f[13];
-    out.gemmK = f[14];
-    out.gemmN = f[15];
-    out.matmulCount = f[16];
-    out.elems = f[17];
-    out.rowLen = f[18];
-    out.cvPasses = bitsDouble(f[19]);
-    out.fusedEvictPasses = bitsDouble(f[20]);
-    out.act = model::ActKind(f[21]);
-    out.inputBytesOverride = f[22];
-    out.outputBytesOverride = f[23];
-    return true;
 }
 
 std::string
@@ -285,16 +195,6 @@ SimCache::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     map_.clear();
     lru_.clear();
-}
-
-void
-SimCache::forEach(const std::function<void(const std::string &,
-                                           const core::SimResult &)>
-                      &fn) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const std::string &key : lru_) // MRU first, like saveFile
-        fn(key, map_.at(key).value);
 }
 
 std::string

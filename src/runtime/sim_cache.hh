@@ -12,9 +12,12 @@
  *
  * Keys are exact serializations of every field that can influence
  * compilation or simulation (no lossy hashing beyond the hash map's
- * own bucketing, so collisions cannot corrupt results). Layer and
- * network *names* are deliberately excluded: two layers with the same
- * shape share one entry, which is where the hit rate comes from.
+ * own bucketing, so collisions cannot corrupt results). The layer and
+ * core-config keys walk the records' one field lists
+ * (model::forEachField, arch::forEachField), so a field added there
+ * is keyed without touching this file. Layer and network *names* are
+ * deliberately excluded: two layers with the same shape share one
+ * entry, which is where the hit rate comes from.
  *
  * The cache is thread-safe (one mutex; the guarded work is a map
  * probe, orders of magnitude cheaper than the simulation it saves)
@@ -36,7 +39,6 @@
 #define ASCEND_RUNTIME_SIM_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <mutex>
 #include <string>
@@ -68,16 +70,6 @@ std::string fingerprint(const model::Layer &layer);
  * their key so fault-injected runs never alias fault-free entries.
  */
 std::string fingerprint(const resilience::ResilienceOptions &options);
-
-/**
- * Recover the layer shape serialized in a cache key: the inverse of
- * fingerprint(layer) over the trailing "lay:" component every
- * SimSession key ends with. The surrogate cost model trains from a
- * warm cache through this (the name is not recoverable — it was never
- * fingerprinted). Returns false when @p key carries no well-formed
- * layer fingerprint.
- */
-bool parseLayerFingerprint(const std::string &key, model::Layer &out);
 
 /**
  * Thread-safe LRU memo: fingerprint key -> SimResult.
@@ -130,17 +122,6 @@ class SimCache
 
     /** One-line human-readable counter summary. */
     std::string summary() const;
-
-    /**
-     * Visit every entry, most recently used first, under the cache
-     * lock (so @p fn must not call back into this cache). Counts
-     * neither hits nor recency. Export path for consumers that mine
-     * memoized results wholesale — e.g. the surrogate cost model
-     * training from a warm ASCEND_CACHE_DIR cache.
-     */
-    void forEach(const std::function<void(const std::string &,
-                                          const core::SimResult &)>
-                     &fn) const;
 
     /**
      * Simulator code-version fingerprint baked into cache files.

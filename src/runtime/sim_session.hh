@@ -108,7 +108,6 @@ class SimSession
 
     /** The memo this session reads and writes. */
     SimCache &cache() const { return *cache_; }
-    const std::shared_ptr<SimCache> &cachePtr() const { return cache_; }
 
     /** The process-wide cache all default-constructed sessions share. */
     static const std::shared_ptr<SimCache> &processCache();

@@ -25,6 +25,7 @@
 #include "serving/fleet.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -77,8 +78,12 @@ struct ReplicaState
     std::vector<PendingRequest> batch; ///< in-flight requests
 };
 
-/** Complete engine state at one chain boundary, less the event log. */
-struct ServingState
+/**
+ * Complete engine state at one chain boundary, less the event log.
+ * The FleetCounters base is encoded between lastCheckpointSec and
+ * nextReofferId.
+ */
+struct ServingState : FleetCounters
 {
     std::uint64_t sequence = 0; ///< checkpoint ordinal
     double simTimeSec = 0;      ///< chain instant (head not yet run)
@@ -88,23 +93,6 @@ struct ServingState
     std::uint64_t scaleUpsLeft = 0;
     double nextAutoscaleSec = 0;
     double lastCheckpointSec = -1;
-
-    std::uint64_t offered = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t goodput = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t hedges = 0;
-    std::uint64_t replicaFailures = 0;
-    std::uint64_t failovers = 0;
-    std::uint64_t autoscaleUps = 0;
-    std::uint64_t checkpointsSaved = 0;
-    std::uint64_t reoffered = 0;
-    std::uint64_t breakerTrips = 0;
-    std::uint64_t brownoutEntries = 0;
-    std::uint64_t brownoutCompleted = 0;
-    std::uint64_t brownoutGoodput = 0;
     std::uint64_t nextReofferId = 0; ///< fresh ids for re-offers
     std::uint8_t brownoutActive = 0;
     double brownoutSinceSec = 0; ///< entry instant while active
@@ -118,6 +106,23 @@ struct ServingState
     std::vector<double> completionsSec;    ///< aligned with latencies
     std::vector<std::uint8_t> completedOnTime; ///< aligned, 0/1
 };
+
+/**
+ * Every FleetCounters field, in ASCBLOB body order: the one list the
+ * checkpoint encoder and decoder walk.
+ */
+template <typename C>
+auto
+counterFields(C &c)
+{
+    return std::array{
+        &c.offered,         &c.admitted,        &c.shed,
+        &c.completed,       &c.goodput,         &c.retries,
+        &c.hedges,          &c.replicaFailures, &c.failovers,
+        &c.autoscaleUps,    &c.checkpointsSaved, &c.reoffered,
+        &c.breakerTrips,    &c.brownoutEntries, &c.brownoutCompleted,
+        &c.brownoutGoodput};
+}
 
 /// @{ Smallest encodings of one list element, bounding list counts.
 constexpr std::size_t kRequestBytes = 7 * sizeof(std::uint64_t);
@@ -183,22 +188,8 @@ serializeState(const ServingState &s)
     writeU64(buf, s.scaleUpsLeft);
     writeDouble(buf, s.nextAutoscaleSec);
     writeDouble(buf, s.lastCheckpointSec);
-    writeU64(buf, s.offered);
-    writeU64(buf, s.admitted);
-    writeU64(buf, s.shed);
-    writeU64(buf, s.completed);
-    writeU64(buf, s.goodput);
-    writeU64(buf, s.retries);
-    writeU64(buf, s.hedges);
-    writeU64(buf, s.replicaFailures);
-    writeU64(buf, s.failovers);
-    writeU64(buf, s.autoscaleUps);
-    writeU64(buf, s.checkpointsSaved);
-    writeU64(buf, s.reoffered);
-    writeU64(buf, s.breakerTrips);
-    writeU64(buf, s.brownoutEntries);
-    writeU64(buf, s.brownoutCompleted);
-    writeU64(buf, s.brownoutGoodput);
+    for (const std::uint64_t *v : counterFields(s))
+        writeU64(buf, *v);
     writeU64(buf, s.nextReofferId);
     writeU64(buf, s.brownoutActive);
     writeDouble(buf, s.brownoutSinceSec);
@@ -259,19 +250,13 @@ deserializeState(ByteReader &rd, const StateBounds &bounds,
         !rd.readU64(s.faultCursor) || s.faultCursor > bounds.faults ||
         !rd.readU64(s.sparesLeft) || !rd.readU64(s.scaleUpsLeft) ||
         !rd.readDouble(s.nextAutoscaleSec) ||
-        !rd.readDouble(s.lastCheckpointSec) || !rd.readU64(s.offered) ||
-        !rd.readU64(s.admitted) || !rd.readU64(s.shed) ||
-        !rd.readU64(s.completed) || !rd.readU64(s.goodput) ||
-        !rd.readU64(s.retries) || !rd.readU64(s.hedges) ||
-        !rd.readU64(s.replicaFailures) || !rd.readU64(s.failovers) ||
-        !rd.readU64(s.autoscaleUps) || !rd.readU64(s.checkpointsSaved))
+        !rd.readDouble(s.lastCheckpointSec))
         return false;
+    for (std::uint64_t *v : counterFields(s))
+        if (!rd.readU64(*v))
+            return false;
     std::uint64_t brownout_active = 0;
-    if (!rd.readU64(s.reoffered) || !rd.readU64(s.breakerTrips) ||
-        !rd.readU64(s.brownoutEntries) ||
-        !rd.readU64(s.brownoutCompleted) ||
-        !rd.readU64(s.brownoutGoodput) ||
-        !rd.readU64(s.nextReofferId) || !rd.readU64(brownout_active) ||
+    if (!rd.readU64(s.nextReofferId) || !rd.readU64(brownout_active) ||
         !rd.readDouble(s.brownoutSinceSec) ||
         !rd.readDouble(s.brownoutSec))
         return false;
@@ -1062,22 +1047,7 @@ struct FleetEngine
     summary() const
     {
         FleetResult r;
-        r.offered = s.offered;
-        r.admitted = s.admitted;
-        r.shed = s.shed;
-        r.completed = s.completed;
-        r.goodput = s.goodput;
-        r.retries = s.retries;
-        r.hedges = s.hedges;
-        r.replicaFailures = s.replicaFailures;
-        r.failovers = s.failovers;
-        r.autoscaleUps = s.autoscaleUps;
-        r.checkpointsSaved = s.checkpointsSaved;
-        r.reoffered = s.reoffered;
-        r.breakerTrips = s.breakerTrips;
-        r.brownoutEntries = s.brownoutEntries;
-        r.brownoutCompleted = s.brownoutCompleted;
-        r.brownoutGoodput = s.brownoutGoodput;
+        static_cast<FleetCounters &>(r) = s;
         r.brownoutSec = s.brownoutSec;
         if (s.brownoutActive)
             r.brownoutSec += s.simTimeSec - s.brownoutSinceSec;
@@ -1121,21 +1091,21 @@ struct FleetEngine
         static runtime::Counter &runs = runtime::counter(
             "serving runs", runtime::CounterKind::Sum,
             runtime::Determinism::Deterministic);
-        static const runtime::FieldCounters<FleetResult> fields = {
-            {"serving offered", &FleetResult::offered},
-            {"serving admitted", &FleetResult::admitted},
-            {"serving shed", &FleetResult::shed},
-            {"serving completed", &FleetResult::completed},
-            {"serving goodput", &FleetResult::goodput},
-            {"serving retries", &FleetResult::retries},
-            {"serving hedges", &FleetResult::hedges},
-            {"serving failures", &FleetResult::replicaFailures},
-            {"serving failovers", &FleetResult::failovers},
-            {"serving autoscale-ups", &FleetResult::autoscaleUps},
-            {"serving checkpoints", &FleetResult::checkpointsSaved},
-            {"serving reoffers", &FleetResult::reoffered},
-            {"serving breaker trips", &FleetResult::breakerTrips},
-            {"serving brownouts", &FleetResult::brownoutEntries},
+        static const runtime::FieldCounters<FleetCounters> fields = {
+            {"serving offered", &FleetCounters::offered},
+            {"serving admitted", &FleetCounters::admitted},
+            {"serving shed", &FleetCounters::shed},
+            {"serving completed", &FleetCounters::completed},
+            {"serving goodput", &FleetCounters::goodput},
+            {"serving retries", &FleetCounters::retries},
+            {"serving hedges", &FleetCounters::hedges},
+            {"serving failures", &FleetCounters::replicaFailures},
+            {"serving failovers", &FleetCounters::failovers},
+            {"serving autoscale-ups", &FleetCounters::autoscaleUps},
+            {"serving checkpoints", &FleetCounters::checkpointsSaved},
+            {"serving reoffers", &FleetCounters::reoffered},
+            {"serving breaker trips", &FleetCounters::breakerTrips},
+            {"serving brownouts", &FleetCounters::brownoutEntries},
         };
         runs.charge(1);
         fields.charge(r);

@@ -186,8 +186,11 @@ struct FleetOptions : resilience::RunControl
     double checkpointIntervalSec = 0;
 };
 
-/** Outcome of one fleet run. */
-struct FleetResult
+/**
+ * The counters a fleet run accumulates: checkpointed with the run's
+ * state and reported in its FleetResult.
+ */
+struct FleetCounters
 {
     std::uint64_t offered = 0;   ///< requests that arrived
     std::uint64_t admitted = 0;  ///< past admission control
@@ -205,6 +208,11 @@ struct FleetResult
     std::uint64_t brownoutEntries = 0;
     std::uint64_t brownoutCompleted = 0; ///< answered on the ladder
     std::uint64_t brownoutGoodput = 0;   ///< ...within their deadline
+};
+
+/** Outcome of a fleet run: its counters plus times and latencies. */
+struct FleetResult : FleetCounters
+{
     double brownoutSec = 0; ///< sim time spent degraded
 
     bool halted = false;    ///< true only via haltAfterEvents

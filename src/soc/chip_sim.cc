@@ -384,14 +384,6 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
     return result;
 }
 
-double
-chipStepSeconds(const std::vector<std::vector<CoreTask>> &per_core,
-                double mem_bytes_per_sec,
-                const resilience::ChipFaultPlan &plan)
-{
-    return runChipSim(per_core, mem_bytes_per_sec, plan).makespan;
-}
-
 std::vector<CoreTask>
 coreTasks(const runtime::SimSession &session, const model::Network &net)
 {

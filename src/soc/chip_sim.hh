@@ -107,17 +107,6 @@ ChipSimResult runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                          const ChipSimOptions &options = {});
 
 /**
- * Convenience: the fluid makespan of one chip step under an optional
- * fault plan — what a cluster-scope model (cluster/elastic_run,
- * bench_fault_tolerance) plugs in as stepSecondsPerChip. Callers
- * that must distinguish an all-cores-dead chip use runChipSim and
- * check `completed`; here a dead chip simply reports the time it ran.
- */
-double chipStepSeconds(const std::vector<std::vector<CoreTask>> &per_core,
-                       double mem_bytes_per_sec,
-                       const resilience::ChipFaultPlan &plan = {});
-
-/**
  * Per-core fluid task queue for one instance of @p net on @p session's
  * core: one task per layer, pure compute seconds at the core clock
  * plus the layer's external-bus traffic. The building block the SoC

@@ -10,9 +10,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 
-#include "common/codec.hh"
+#include "common/field.hh"
 
 namespace ascend {
 namespace surrogate {
@@ -199,24 +198,20 @@ struct Bracket
 };
 
 /**
- * FNV-1a over a canonical shape serialization: the deterministic
- * spot-check sampler (hash, not a counter, so the sampled subset is
- * independent of query order and thread count).
+ * FNV-1a over the layer's kind and shape fields (the byte overrides
+ * are not hashed): the deterministic spot-check sampler (hash, not a
+ * counter, so the sampled subset is independent of query order and
+ * thread count).
  */
 std::uint64_t
 shapeHash(const model::Layer &l)
 {
     // The historical basis (one digit short of the standard one, as
     // graph's); changing it would resample the spot-checked subset.
-    std::uint64_t h = 1469598103934665603ull;
-    for (const std::uint64_t v : std::initializer_list<std::uint64_t>{
-             std::uint64_t(l.kind), std::uint64_t(l.dtype), l.batch,
-             l.inC, l.outC, l.inH, l.inW, l.kernelH, l.kernelW,
-             l.strideH, l.strideW, l.padH, l.padW, l.gemmM, l.gemmK,
-             l.gemmN, l.matmulCount, l.elems, l.rowLen,
-             doubleBits(l.cvPasses), doubleBits(l.fusedEvictPasses),
-             std::uint64_t(l.act)})
-        h = fnv1aU64(h, v);
+    std::uint64_t h = fnv1aU64(1469598103934665603ull,
+                               std::uint64_t(l.kind));
+    model::forEachShapeField(
+        [&h](const char *, auto v) { h = fnv1aU64(h, fieldBits(v)); }, l);
     return h;
 }
 

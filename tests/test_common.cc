@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the common substrate: types, logging, stats, table
+ * Unit tests for the common substrate: types, logging, table
  * rendering, the deterministic RNG, the field codec, crash-safe file
  * writes and the shared durable-file frame.
  */
@@ -17,7 +17,6 @@
 #include "common/golden.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 #include "common/types.hh"
 
@@ -98,59 +97,6 @@ TEST(LoggingDeath, SimAssertPanicsOnFalse)
 TEST(Logging, SimAssertPassesOnTrue)
 {
     simAssert(true, "fine");
-}
-
-TEST(Stats, CounterAccumulates)
-{
-    stats::Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(9);
-    EXPECT_EQ(c.value(), 10u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, DistributionTracksMoments)
-{
-    stats::Distribution d;
-    d.sample(1.0);
-    d.sample(3.0);
-    d.sample(2.0);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 3.0);
-    EXPECT_DOUBLE_EQ(d.sum(), 6.0);
-}
-
-TEST(Stats, EmptyDistributionIsZero)
-{
-    stats::Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
-}
-
-TEST(Stats, GroupLookupAndDump)
-{
-    stats::StatGroup g("core");
-    g.counter("cube.busy").inc(5);
-    g.distribution("lat").sample(2.0);
-    EXPECT_TRUE(g.hasCounter("cube.busy"));
-    EXPECT_FALSE(g.hasCounter("nope"));
-    EXPECT_EQ(g.findCounter("cube.busy").value(), 5u);
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("core.cube.busy 5"), std::string::npos);
-    g.reset();
-    EXPECT_EQ(g.findCounter("cube.busy").value(), 0u);
-}
-
-TEST(StatsDeath, MissingCounterPanics)
-{
-    stats::StatGroup g("g");
-    EXPECT_DEATH(g.findCounter("missing"), "no counter named");
 }
 
 TEST(Table, RendersAlignedRows)

@@ -12,8 +12,8 @@
 
 #include "compiler/layer_compiler.hh"
 #include "core/core_sim.hh"
-#include "core/trace.hh"
 #include "isa/encoding.hh"
+#include "obs/pipe_trace.hh"
 #include "soc/dvfs.hh"
 
 namespace ascend {
@@ -122,7 +122,7 @@ TEST(Trace, CapturesEveryExecInstr)
     p.waitFlag(isa::Pipe::Cube, 0);
     p.exec(isa::Pipe::Cube, 200, 0, {}, "mm");
 
-    core::Trace trace;
+    obs::PipeTrace trace;
     const auto r = sim.run(p, &trace);
     ASSERT_EQ(trace.size(), 2u);
     EXPECT_EQ(trace.events()[0].pipe, isa::Pipe::Mte1);
@@ -142,7 +142,7 @@ TEST(Trace, BusyCyclesMatchSimResultOnRealProgram)
     core::CoreSim sim(cfg);
     const auto prog =
         lc.compile(model::Layer::linear("fc", 256, 256, 256));
-    core::Trace trace;
+    obs::PipeTrace trace;
     const auto r = sim.run(prog, &trace);
     for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
         const auto pipe = static_cast<isa::Pipe>(p);
@@ -153,7 +153,7 @@ TEST(Trace, BusyCyclesMatchSimResultOnRealProgram)
 
 TEST(Trace, ChromeJsonIsWellFormedEnough)
 {
-    core::Trace trace;
+    obs::PipeTrace trace;
     trace.add(isa::Pipe::Cube, 0, 10, "mm");
     trace.add(isa::Pipe::Vector, 10, 5, nullptr);
     std::ostringstream os;
@@ -169,7 +169,7 @@ TEST(Trace, ChromeJsonIsWellFormedEnough)
 
 TEST(Trace, ClearResets)
 {
-    core::Trace trace;
+    obs::PipeTrace trace;
     trace.add(isa::Pipe::Cube, 0, 1, "x");
     trace.clear();
     EXPECT_EQ(trace.size(), 0u);

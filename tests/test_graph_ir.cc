@@ -202,10 +202,8 @@ TEST(GraphCacheKeys, NeverAliasLayerFingerprints)
     const runtime::SimSession session = makeSession();
     const std::string key = graph::graphCacheKey(session, g);
     EXPECT_EQ(key.find("agr:"), key.size() - 4 - 16);
-
-    model::Layer out;
-    EXPECT_FALSE(runtime::parseLayerFingerprint(key, out));
-    EXPECT_FALSE(runtime::parseLayerFingerprint(g.fingerprint(), out));
+    EXPECT_EQ(key.find("lay:"), std::string::npos);
+    EXPECT_EQ(g.fingerprint().find("lay:"), std::string::npos);
 }
 
 TEST(GraphCacheKeys, FingerprintIgnoresNamesButNotShapes)

@@ -9,6 +9,10 @@
  */
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <optional>
 #include <queue>
 #include <random>
 #include <string>
@@ -16,13 +20,18 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/core_config.hh"
+#include "common/atomic_file.hh"
+#include "common/codec.hh"
 #include "common/error.hh"
+#include "common/golden.hh"
 #include "graph/agr.hh"
 #include "graph/decoder.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/sim_cache.hh"
+#include "runtime/sim_session.hh"
 
 using namespace ascend;
 
@@ -178,6 +187,20 @@ randomDag(std::mt19937 &rng)
     return g;
 }
 
+/** The text of a one-conv graph (8x8 input, pad 1), @p keys appended
+ *  to its node line. */
+std::string
+convAgr(const std::string &keys)
+{
+    graph::Graph g;
+    g.name = "conv";
+    const graph::TensorId in = g.addInput("x", 3 * 8 * 8, DataType::Fp16);
+    g.markOutput(g.addLayer(
+        model::Layer::conv2d("c", 1, 3, 8, 8, 4, 3, 1, 1), {in}));
+    std::string text = graph::printAgr(g);
+    return text.insert(text.find("\noutput"), keys);
+}
+
 // ------------------------------------------------- round trips
 
 TEST(AgrRoundTrip, ZooGraphs)
@@ -245,6 +268,37 @@ TEST(AgrParse, RejectsMalformedText)
     bad("agr 1\ngraph g\ntensor t 8 fp16 input\n"
         "node n layer elementwise in t bogus=1\nend\n");
     bad("agr 1\ngraph g\ntensor t 8 fp16 input\n"); // missing end
+    // A value its field's type cannot hold is refused, not truncated.
+    bad(convAgr(" b=4294967297"));
+    bad(convAgr(" b=-1"));
+    bad(convAgr(" el=18446744073709551616"));
+    bad(convAgr(" cvp=inf"));
+    bad(convAgr(" act=tanh"));
+    bad(convAgr(" dt=fp8"));
+    bad("agr 1\ngraph g\ntensor t 8 fp16 from 4294967296.0\nend\n");
+    bad("agr 1\ngraph g\ntensor t 8 fp16 from 3000000000.0\nend\n");
+}
+
+TEST(AgrParse, DegenerateWindowFailsTheShapeCheck)
+{
+    // Caught before any output volume is derived from the window; a
+    // kernel that just fits the padded input gets past the check (to
+    // the output-volume one, since the conv's output shrinks).
+    const auto refusal = [](const char *keys) -> std::string {
+        try {
+            graph::parseAgr(convAgr(keys));
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::GraphShapeMismatch) << keys;
+            return e.what();
+        }
+        return "";
+    };
+    for (const char *keys : {" sh=0", " sw=0"})
+        EXPECT_NE(refusal(keys).find("stride"), std::string::npos);
+    for (const char *keys : {" kh=11", " kw=11"})
+        EXPECT_NE(refusal(keys).find("kernel"), std::string::npos);
+    EXPECT_NE(refusal(" kh=10").find("output"), std::string::npos);
+    EXPECT_EQ(refusal(""), "");
 }
 
 TEST(AgrParse, WellFormedButBrokenGraphFailsValidation)
@@ -297,6 +351,160 @@ TEST(TopoInvariance, FingerprintIsOrderIndependentForSameGraph)
     const std::string fp = g.fingerprint();
     (void)graph::lower(g, reverseGreedyTopo(g));
     EXPECT_EQ(g.fingerprint(), fp);
+}
+
+// ------------------------------------------------ record keys
+
+std::string
+hex64(std::uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+std::uint64_t
+hashText(const std::string &text)
+{
+    return fnv1a(text.data(), text.size());
+}
+
+/**
+ * One golden row of graph @p g: the hash of its .agr text, the hash
+ * of every lowered layer's SimCache fingerprint, and (when
+ * @p run_outcomes) the hash of the surrogate outcome sequence of a
+ * fresh-cache, surrogate-on session walking those layers. The spot
+ * check samples by the surrogate's shape hash, so the outcome column
+ * pins that hash too; a short spot-check period makes every
+ * predicted layer carry its hash modulo the period into the row.
+ */
+std::string
+recordKeysRow(const std::string &label, const graph::Graph &g,
+              bool run_outcomes = true)
+{
+    const model::Network net = graph::toNetwork(g);
+    std::uint64_t lay = kFnv1aBasis;
+    for (const model::Layer &l : net.layers) {
+        const std::string fp = runtime::fingerprint(l);
+        lay = fnv1a(fp.data(), fp.size(), lay);
+    }
+    std::string outcomes = "-";
+    if (run_outcomes) {
+        surrogate::SurrogateOptions sur;
+        sur.enabled = true;
+        sur.spotCheckPeriod = 3;
+        const runtime::SimSession session(
+            arch::makeCoreConfig(arch::CoreVersion::Max), {},
+            std::make_shared<runtime::SimCache>(), {}, sur);
+        std::string seq;
+        for (const model::Layer &l : net.layers) {
+            surrogate::Outcome o = surrogate::Outcome::Disabled;
+            (void)session.runLayer(l, &o);
+            seq += char('0' + unsigned(o));
+        }
+        outcomes = hex64(hashText(seq));
+    }
+    return label + " layers=" + std::to_string(net.layers.size()) +
+           " agr=" + hex64(hashText(graph::printAgr(g))) +
+           " lay=" + hex64(lay) + " outcomes=" + outcomes;
+}
+
+/**
+ * A one-layer graph whose layer sets every keyed field off its
+ * default, so the .agr and fingerprint columns cover fields no zoo
+ * graph touches (fused passes, byte overrides, activation).
+ */
+graph::Graph
+everyFieldGraph()
+{
+    model::Layer l = model::Layer::conv2d("c", 2, 3, 33, 31, 8, 3, 2,
+                                          1, DataType::Int8);
+    l.kernelW = 5;
+    l.strideW = 1;
+    l.padW = 2;
+    l.gemmM = 7;
+    l.gemmK = 11;
+    l.gemmN = 13;
+    l.matmulCount = 3;
+    l.elems = 17;
+    l.rowLen = 19;
+    l.cvPasses = 1.0000001;
+    l.fusedEvictPasses = 2.5;
+    l.act = model::ActKind::Swish;
+    l.inputBytesOverride = 12345;
+    l.outputBytesOverride = 67890;
+    graph::Graph g;
+    g.name = "every-field";
+    const graph::TensorId in =
+        g.addInput("x", std::uint64_t(2) * 3 * 33 * 31, DataType::Int8);
+    g.markOutput(g.addLayer(l, {in}));
+    return g;
+}
+
+/**
+ * Every keyed byte of the layer and core records is frozen in
+ * tests/golden/record_keys.txt: the .agr text, the SimCache key of
+ * every lowered layer, the surrogate's spot-check subset, and the key
+ * of every core preset. Regenerate only for an intended key change
+ * (which also orphans every on-disk cache) with
+ *     ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_graph_properties
+ */
+TEST(RecordKeys, MatchGolden)
+{
+    namespace zoo = graph::zoo;
+    std::string rows =
+        "# .agr, layer-fingerprint and surrogate-outcome hashes per "
+        "graph, and\n"
+        "# the fingerprint of every core preset "
+        "(tests/test_graph_properties.cc).\n"
+        "# Regenerate: ASCEND_UPDATE_GOLDEN=1 "
+        "./build/tests/test_graph_properties\n";
+    rows += recordKeysRow("resnet50-b1", zoo::resnet50Graph(1)) + "\n";
+    rows += recordKeysRow("resnet50-b4-int8",
+                          zoo::resnet50Graph(4, DataType::Int8)) +
+            "\n";
+    rows += recordKeysRow("mobilenetv2-b1", zoo::mobilenetV2Graph(1)) +
+            "\n";
+    rows += recordKeysRow("vgg16-b1", zoo::vgg16Graph(1)) + "\n";
+    rows += recordKeysRow("gesturenet-b1", zoo::gestureNetGraph(1)) +
+            "\n";
+    rows += recordKeysRow("bert-base-b1-s128", zoo::bertBaseGraph(1, 128)) +
+            "\n";
+    rows += recordKeysRow("bert-large-b1-s128",
+                          zoo::bertLargeGraph(1, 128)) +
+            "\n";
+    for (const unsigned batch : {1u, 8u}) {
+        graph::DecoderConfig cfg;
+        cfg.batch = batch;
+        const std::string b = "-b" + std::to_string(batch);
+        rows += recordKeysRow("prefill" + b + "-p128",
+                              graph::prefillGraph(cfg, 128)) +
+                "\n";
+        for (const unsigned ctx : {1u, 129u, 1024u})
+            rows += recordKeysRow("decode" + b + "-c" +
+                                      std::to_string(ctx),
+                                  graph::decodeGraph(cfg, ctx)) +
+                    "\n";
+    }
+    rows += recordKeysRow("every-field", everyFieldGraph(), false) + "\n";
+    for (const arch::CoreVersion v :
+         {arch::CoreVersion::Tiny, arch::CoreVersion::Lite,
+          arch::CoreVersion::Mini, arch::CoreVersion::Std,
+          arch::CoreVersion::Max})
+        rows += std::string("core ") + arch::toString(v) + " " +
+                runtime::fingerprint(arch::makeCoreConfig(v)) + "\n";
+
+    const std::string path =
+        std::string(ASCEND_GOLDEN_DIR) + "/record_keys.txt";
+    const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
+    if (env && *env && std::string(env) != "0") {
+        ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
+        GTEST_SKIP() << "golden regenerated";
+    }
+    const std::optional<std::string> golden = readFile(path);
+    ASSERT_TRUE(golden) << "missing " << path;
+    EXPECT_EQ(diffGolden(*golden, rows), "");
 }
 
 // -------------------------------------------------- fuzz

@@ -137,67 +137,6 @@ TEST(SurrogateGrid, ValuesDoubleEveryOctaveAndFloorBrackets)
     }
 }
 
-// ------------------------------------------- cache export / parse
-
-TEST(SimCacheExport, LayerFingerprintRoundTrips)
-{
-    const std::vector<model::Layer> layers = {
-        model::Layer::linear("a", 640, 1024, 768),
-        model::Layer::conv2d("b", 4, 64, 56, 56, 128, 3, 1, 1),
-        model::Layer::softmax("c", 4096, 512),
-        model::Layer::elementwise("d", 1 << 20),
-        model::Layer::batchedMatmul("e", 12, 128, 64, 128),
-        model::Layer::cvOp("f", 500000, 7.5),
-    };
-    for (const model::Layer &l : layers) {
-        const std::string key =
-            "cfg:whatever;" + runtime::fingerprint(l);
-        model::Layer parsed;
-        ASSERT_TRUE(runtime::parseLayerFingerprint(key, parsed))
-            << key;
-        EXPECT_EQ(runtime::fingerprint(parsed),
-                  runtime::fingerprint(l));
-    }
-    model::Layer scratch;
-    EXPECT_FALSE(runtime::parseLayerFingerprint("no layer here",
-                                                scratch));
-    EXPECT_FALSE(runtime::parseLayerFingerprint("lay:1,2,3", scratch));
-}
-
-TEST(SimCacheExport, ForEachExportsEveryStoredPair)
-{
-    auto cache = std::make_shared<runtime::SimCache>();
-    const runtime::SimSession session =
-        makeSession(surrogate::SurrogateOptions{}, cache);
-    const std::vector<model::Layer> layers = {
-        model::Layer::linear("a", 512, 512, 512),
-        model::Layer::linear("b", 1024, 512, 512),
-        model::Layer::elementwise("c", 1 << 22),
-    };
-    std::vector<core::SimResult> expected;
-    for (const model::Layer &l : layers)
-        expected.push_back(session.runLayer(l));
-
-    std::map<std::string, core::SimResult> seen;
-    cache->forEach([&](const std::string &key,
-                       const core::SimResult &r) { seen[key] = r; });
-    ASSERT_EQ(seen.size(), layers.size());
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-        bool found = false;
-        for (const auto &[key, r] : seen) {
-            model::Layer parsed;
-            if (!runtime::parseLayerFingerprint(key, parsed) ||
-                runtime::fingerprint(parsed) !=
-                    runtime::fingerprint(layers[i]))
-                continue;
-            found = true;
-            EXPECT_EQ(r.totalCycles, expected[i].totalCycles);
-            EXPECT_EQ(r.instrsExecuted, expected[i].instrsExecuted);
-        }
-        EXPECT_TRUE(found) << layers[i].name;
-    }
-}
-
 // ----------------------------------------------- prediction tiers
 
 TEST(SurrogateTier, PredictionsStayWithinBudgetOnASweep)
