@@ -49,10 +49,13 @@ BM_CompileResnetLayer(benchmark::State &state)
     compiler::LayerCompiler lc(cfg);
     const auto layer =
         model::Layer::conv2d("c", 1, 256, 14, 14, 256, 3, 1, 1);
+    std::size_t instrs = 0;
     for (auto _ : state) {
         auto prog = lc.compile(layer);
-        benchmark::DoNotOptimize(prog.size());
+        instrs = prog.size();
+        benchmark::DoNotOptimize(instrs);
     }
+    state.SetItemsProcessed(state.iterations() * instrs);
 }
 BENCHMARK(BM_CompileResnetLayer);
 

@@ -269,9 +269,20 @@ LayerCompiler::compileGemm(isa::Program &prog, const Layer &layer,
     const bool a_panel_resident = a_panel_raw <= l1_budget;
     const bool b_resident = k * n * es <= l1_budget;
 
-    const std::uint64_t iters =
-        layer.matmulCount * m_tiles * n_tiles * k_tiles;
-    prog.reserve(prog.size() + iters * 7 + 16);
+    // Exact instruction count of the loop nest below: 11 per (m, n, k)
+    // iteration, 3 more per operand staged into L1, 8 per output tile
+    // plus the L0C wait on its first and the C-ready set on its last
+    // k step, and the seeded tokens.
+    const std::uint64_t out_tiles = layer.matmulCount * m_tiles * n_tiles;
+    const std::uint64_t iters = out_tiles * k_tiles;
+    const std::uint64_t a_loads = layer.matmulCount * m_tiles * k_tiles *
+                                  (a_panel_resident ? 1 : n_tiles);
+    const std::uint64_t b_loads = layer.matmulCount * n_tiles * k_tiles *
+                                  (b_resident ? 1 : m_tiles);
+    const std::size_t expected = prog.size() + 4 * options_.pipelineDepth +
+                                 11 * iters + 3 * (a_loads + b_loads) +
+                                 10 * out_tiles;
+    prog.reserve(expected);
 
     // Seed the free-buffer tokens (software pipeline depth).
     for (unsigned d = 0; d < options_.pipelineDepth; ++d) {
@@ -382,6 +393,8 @@ LayerCompiler::compileGemm(isa::Program &prog, const Layer &layer,
             }
         }
     }
+    simAssert(prog.size() == expected,
+              "compileGemm emitted the reserved instruction count");
 }
 
 void
@@ -424,7 +437,9 @@ LayerCompiler::compileVector(isa::Program &prog, const Layer &layer) const
     out_tile_bytes = std::max<Bytes>(out_tile_bytes / es, 1) * es;
     const std::uint64_t tiles = ceilDiv(out_bytes_total, out_tile_bytes);
 
-    prog.reserve(prog.size() + tiles * 8 + 8);
+    const std::size_t expected =
+        prog.size() + options_.pipelineDepth + 12 * tiles;
+    prog.reserve(expected);
     for (unsigned d = 0; d < options_.pipelineDepth; ++d)
         prog.setFlag(Pipe::Scalar, flags::kUbFree, "seed");
 
@@ -470,13 +485,23 @@ LayerCompiler::compileVector(isa::Program &prog, const Layer &layer) const
                   {{Bus::UbRead, ob}, {Bus::ExtOut, ob}}, "mte3.out");
         prog.setFlag(Pipe::Mte3, flags::kUbFree);
     }
+    simAssert(prog.size() == expected,
+              "compileVector emitted the reserved instruction count");
 }
 
 isa::Program
 LayerCompiler::compile(const Layer &layer) const
 {
+    isa::Program prog;
+    compileInto(layer, prog);
+    return prog;
+}
+
+void
+LayerCompiler::compileInto(const Layer &layer, isa::Program &prog) const
+{
     validateLayer(layer);
-    isa::Program prog(layer.name);
+    prog.reset(layer.name);
     if (layer.isCubeLayer() && !options_.mapGemmToVector) {
         std::uint64_t m, k, n;
         layer.lowerToGemm(m, k, n);
@@ -485,7 +510,6 @@ LayerCompiler::compile(const Layer &layer) const
         compileVectorGemm(prog, layer);
     else
         compileVector(prog, layer);
-    return prog;
 }
 
 void

@@ -100,6 +100,12 @@ class LayerCompiler
     isa::Program compile(const model::Layer &layer) const;
 
     /**
+     * compile() into @p prog, which is reset first: a caller that
+     * compiles many layers can reuse one program's storage.
+     */
+    void compileInto(const model::Layer &layer, isa::Program &prog) const;
+
+    /**
      * Lower a GEMM-like layer with an explicitly chosen tile (the
      * auto-tiler's entry point). @p layer must be a cube layer.
      * Throws ascend::Error(InvalidLayer) on malformed shapes and

@@ -6,8 +6,6 @@
 #include "core/core_sim.hh"
 
 #include <algorithm>
-#include <deque>
-#include <queue>
 #include <vector>
 
 #include "common/logging.hh"
@@ -29,9 +27,64 @@ struct QueueEntry
     Cycles dispatchCycle;
 };
 
-/** Min-heap of pending SET_FLAG completion times for one flag id. */
-using TokenHeap =
-    std::priority_queue<Cycles, std::vector<Cycles>, std::greater<>>;
+/**
+ * Pending SET_FLAG completion times of one flag id, popped smallest
+ * first like a min-heap. Each producer pipe's clock only moves
+ * forward, so a push is almost always an append; the rare token that
+ * completes before one already queued (two producer pipes) is
+ * inserted in order. Tokens are plain values, so the front is the
+ * same minimum a heap would return.
+ */
+class TokenQueue
+{
+  public:
+    bool empty() const { return head_ == times_.size(); }
+
+    void
+    push(Cycles t)
+    {
+        if (empty() || t >= times_.back()) {
+            times_.push_back(t);
+            return;
+        }
+        const auto at =
+            std::upper_bound(times_.begin() + head_, times_.end(), t);
+        times_.insert(at, t);
+    }
+
+    Cycles
+    pop()
+    {
+        const Cycles t = times_[head_++];
+        if (empty())
+            clear();
+        return t;
+    }
+
+    void
+    clear()
+    {
+        times_.clear();
+        head_ = 0;
+    }
+
+  private:
+    std::vector<Cycles> times_;
+    std::size_t head_ = 0;
+};
+
+/**
+ * Per-thread scratch of CoreSim::run, kept between runs so a thread
+ * simulating program after program stops reallocating. The pipe
+ * queues share one flat array: a counting pass gives each pipe a
+ * slice that holds exactly its instructions; dispatch appends at the
+ * pipe's tail, retirement advances its head.
+ */
+struct RunScratch
+{
+    std::vector<QueueEntry> entries;
+    std::array<TokenQueue, isa::kNumFlags> tokens;
+};
 
 } // anonymous namespace
 
@@ -58,9 +111,26 @@ CoreSim::run(const isa::Program &program, obs::PipeTrace *trace) const
     const std::vector<Instr> &instrs = program.instrs();
     const std::size_t n = instrs.size();
 
-    std::array<std::deque<QueueEntry>, isa::kNumPipes> queues;
+    thread_local RunScratch scratch;
+    std::array<TokenQueue, isa::kNumFlags> &tokens = scratch.tokens;
+    std::array<std::size_t, isa::kNumPipes> head{};
+    std::array<std::size_t, isa::kNumPipes> tail{};
+    {
+        std::array<std::size_t, isa::kNumPipes> count{};
+        for (const Instr &i : instrs)
+            if (i.op != Opcode::Barrier)
+                ++count[static_cast<std::size_t>(i.pipe)];
+        std::size_t begin = 0;
+        for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
+            head[p] = tail[p] = begin;
+            begin += count[p];
+        }
+        scratch.entries.resize(begin);
+        for (TokenQueue &t : tokens)
+            t.clear();
+    }
+    QueueEntry *const entries = scratch.entries.data();
     std::array<Cycles, isa::kNumPipes> pipeAvail{};
-    std::array<TokenHeap, isa::kNumFlags> tokens;
 
     SimResult result;
     // One gate check per run; record sites below stay branch-free
@@ -72,9 +142,9 @@ CoreSim::run(const isa::Program &program, obs::PipeTrace *trace) const
     unsigned dispatched_this_cycle = 0;
     const unsigned dispatch_rate = std::max(1u, config_.dispatchPerCycle);
 
-    auto queues_empty = [&queues]() {
-        for (const auto &q : queues)
-            if (!q.empty())
+    auto queues_empty = [&]() {
+        for (std::size_t p = 0; p < isa::kNumPipes; ++p)
+            if (head[p] != tail[p])
                 return false;
         return true;
     };
@@ -102,9 +172,8 @@ CoreSim::run(const isa::Program &program, obs::PipeTrace *trace) const
         while (progress) {
             progress = false;
             for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
-                auto &q = queues[p];
-                while (!q.empty()) {
-                    const QueueEntry entry = q.front();
+                while (head[p] != tail[p]) {
+                    const QueueEntry entry = entries[head[p]];
                     const Instr &i = *entry.instr;
                     if (i.op == Opcode::Exec) {
                         Cycles start = std::max(pipeAvail[p],
@@ -137,11 +206,10 @@ CoreSim::run(const isa::Program &program, obs::PipeTrace *trace) const
                         tokens[i.flagId].push(t);
                         ++result.instrsExecuted;
                     } else if (i.op == Opcode::WaitFlag) {
-                        TokenHeap &heap = tokens[i.flagId];
-                        if (heap.empty())
+                        TokenQueue &queue = tokens[i.flagId];
+                        if (queue.empty())
                             break; // pipe blocked; try others
-                        Cycles t = heap.top();
-                        heap.pop();
+                        const Cycles t = queue.pop();
                         // Stall accounting: cycles the pipe sat ready
                         // but waiting for the producer's token.
                         const Cycles ready = std::max(
@@ -153,7 +221,7 @@ CoreSim::run(const isa::Program &program, obs::PipeTrace *trace) const
                     } else {
                         panic("CoreSim: Barrier reached a pipe queue");
                     }
-                    q.pop_front();
+                    ++head[p];
                     progress = true;
                     any = true;
                 }
@@ -181,8 +249,8 @@ CoreSim::run(const isa::Program &program, obs::PipeTrace *trace) const
                 progress = true;
                 continue;
             }
-            queues[static_cast<std::size_t>(i.pipe)].push_back(
-                QueueEntry{&i, dispatch_clock});
+            const std::size_t p = static_cast<std::size_t>(i.pipe);
+            entries[tail[p]++] = QueueEntry{&i, dispatch_clock};
             tick_dispatch();
             ++next_dispatch;
             progress = true;
@@ -197,15 +265,15 @@ CoreSim::run(const isa::Program &program, obs::PipeTrace *trace) const
         if (!progress) {
             // Deadlock: report per-pipe head state for debugging.
             for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
-                const auto &q = queues[p];
-                if (q.empty())
+                if (head[p] == tail[p])
                     continue;
-                const Instr &i = *q.front().instr;
+                const Instr &i = *entries[head[p]].instr;
                 warn("deadlock: pipe %s blocked on %s flag %u (tag %s), "
                      "%zu queued",
                      isa::toString(static_cast<Pipe>(p)),
                      i.op == Opcode::WaitFlag ? "WAIT" : "instr",
-                     unsigned(i.flagId), i.tag ? i.tag : "-", q.size());
+                     unsigned(i.flagId), i.tag ? i.tag : "-",
+                     tail[p] - head[p]);
             }
             panic("CoreSim: program '%s' deadlocked at instr %zu/%zu",
                   program.name().c_str(), next_dispatch, n);
@@ -213,6 +281,16 @@ CoreSim::run(const isa::Program &program, obs::PipeTrace *trace) const
     }
 
     result.totalCycles = std::max(dispatch_clock, max_pipe_avail());
+    // Pipe accounting holds by construction: a pipe's executions and
+    // WAIT stalls are disjoint spans of its own timeline, which ends
+    // at or before the program does.
+    for (const PipeStats &ps : result.pipes) {
+        simAssert(ps.busyCycles <= ps.finishCycle &&
+                      ps.finishCycle <= result.totalCycles,
+                  "CoreSim: pipe busy <= finish <= total cycles");
+        simAssert(ps.busyCycles + ps.waitCycles <= result.totalCycles,
+                  "CoreSim: pipe busy + wait <= total cycles");
+    }
     return result;
 }
 

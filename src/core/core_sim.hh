@@ -101,7 +101,8 @@ struct SimResult
 };
 
 /**
- * The core simulator. Stateless between run() calls; safe to reuse.
+ * The core simulator. Stateless between run() calls (its scratch
+ * buffers are per thread); safe to reuse, also from several threads.
  */
 class CoreSim
 {

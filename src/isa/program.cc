@@ -11,43 +11,10 @@ namespace ascend {
 namespace isa {
 
 void
-Program::exec(Pipe pipe, Cycles cycles, Flops flops,
-              std::initializer_list<BusUse> buses, const char *tag)
+Program::tooManyBusUses(std::size_t n) const
 {
-    if (buses.size() > kMaxBusUses)
-        panic("Program %s: %zu bus uses on one instruction (max %zu)",
-              name_.c_str(), buses.size(), kMaxBusUses);
-    Instr i;
-    i.op = Opcode::Exec;
-    i.pipe = pipe;
-    i.cycles = cycles;
-    i.flops = flops;
-    i.tag = tag;
-    for (const BusUse &b : buses)
-        i.busUses[i.numBusUses++] = b;
-    instrs_.push_back(i);
-}
-
-void
-Program::setFlag(Pipe pipe, std::uint8_t id, const char *tag)
-{
-    Instr i;
-    i.op = Opcode::SetFlag;
-    i.pipe = pipe;
-    i.flagId = id;
-    i.tag = tag;
-    instrs_.push_back(i);
-}
-
-void
-Program::waitFlag(Pipe pipe, std::uint8_t id, const char *tag)
-{
-    Instr i;
-    i.op = Opcode::WaitFlag;
-    i.pipe = pipe;
-    i.flagId = id;
-    i.tag = tag;
-    instrs_.push_back(i);
+    panic("Program %s: %zu bus uses on one instruction (max %zu)",
+          name_.c_str(), n, kMaxBusUses);
 }
 
 void

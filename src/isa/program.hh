@@ -32,13 +32,32 @@ class Program
     /** Append an executing instruction on @p pipe. */
     void
     exec(Pipe pipe, Cycles cycles, Flops flops = 0,
-         std::initializer_list<BusUse> buses = {}, const char *tag = nullptr);
+         std::initializer_list<BusUse> buses = {}, const char *tag = nullptr)
+    {
+        if (buses.size() > kMaxBusUses)
+            tooManyBusUses(buses.size());
+        Instr &i = instrs_.emplace_back();
+        i.pipe = pipe;
+        i.cycles = cycles;
+        i.flops = flops;
+        i.tag = tag;
+        for (const BusUse &b : buses)
+            i.busUses[i.numBusUses++] = b;
+    }
 
     /** Append a SET_FLAG on @p pipe for flag @p id. */
-    void setFlag(Pipe pipe, std::uint8_t id, const char *tag = nullptr);
+    void
+    setFlag(Pipe pipe, std::uint8_t id, const char *tag = nullptr)
+    {
+        flagOp(Opcode::SetFlag, pipe, id, tag);
+    }
 
     /** Append a WAIT_FLAG on @p pipe for flag @p id. */
-    void waitFlag(Pipe pipe, std::uint8_t id, const char *tag = nullptr);
+    void
+    waitFlag(Pipe pipe, std::uint8_t id, const char *tag = nullptr)
+    {
+        flagOp(Opcode::WaitFlag, pipe, id, tag);
+    }
 
     /** Append a full pipe barrier (dispatch drains all pipes). */
     void barrier(const char *tag = nullptr);
@@ -55,6 +74,14 @@ class Program
     /** Reserve storage for @p n instructions. */
     void reserve(std::size_t n) { instrs_.reserve(n); }
 
+    /** Drop every instruction and rename, keeping the storage. */
+    void
+    reset(const std::string &name)
+    {
+        name_ = name;
+        instrs_.clear();
+    }
+
     /**
      * Count of SET_FLAG minus WAIT_FLAG occurrences per flag id; a
      * well-formed double-buffered program ends balanced (all zero)
@@ -64,6 +91,18 @@ class Program
     std::vector<int> flagBalance() const;
 
   private:
+    void
+    flagOp(Opcode op, Pipe pipe, std::uint8_t id, const char *tag)
+    {
+        Instr &i = instrs_.emplace_back();
+        i.op = op;
+        i.pipe = pipe;
+        i.flagId = id;
+        i.tag = tag;
+    }
+
+    [[noreturn]] void tooManyBusUses(std::size_t n) const;
+
     std::string name_;
     std::vector<Instr> instrs_;
 };

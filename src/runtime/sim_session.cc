@@ -176,7 +176,11 @@ SimSession::runLayerExact(const model::Layer &layer) const
         return result;
     static PerfScope &perf = perfScope("layer-sim");
     const PerfTimer timer(perf);
-    result = sim_.run(layerCompiler_.compile(layer));
+    // One program per thread: its storage outlives the layer, so a
+    // worker compiling layer after layer stops reallocating.
+    thread_local isa::Program prog;
+    layerCompiler_.compileInto(layer, prog);
+    result = sim_.run(prog);
     // Straggler derate: only off the bit-for-bit fault-free path when
     // explicitly enabled with a real slowdown.
     if (resilience_.enabled && resilience_.stragglerSlowdown > 1.0)

@@ -2,12 +2,32 @@
  * @file
  * Unit tests for the core simulator's scheduling semantics: in-order
  * pipes, cross-pipe flags as counting semaphores, barriers, dispatch
- * bandwidth, deadlock detection, and statistics accounting.
+ * bandwidth, deadlock detection, and statistics accounting. The
+ * CoreSimFuzz golden pins the exact tier (compiler + core sim) bit
+ * for bit on seeded random programs and on every zoo layer.
  */
+
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/atomic_file.hh"
+#include "common/codec.hh"
+#include "common/golden.hh"
+#include "common/rng.hh"
+#include "compiler/layer_compiler.hh"
 #include "core/core_sim.hh"
+#include "graph/decoder.hh"
+#include "graph/lower.hh"
+#include "graph/zoo_graphs.hh"
+#include "runtime/sim_cache.hh"
+#include "runtime/sim_session.hh"
+#include "runtime/thread_pool.hh"
 
 namespace ascend {
 namespace {
@@ -136,6 +156,9 @@ TEST(CoreSimDeath, WaitWithoutSetDeadlocks)
     p.waitFlag(Pipe::Cube, 7);
     p.exec(Pipe::Cube, 10);
     EXPECT_DEATH(sim.run(p), "deadlocked");
+    // The warning names the blocked pipe, its flag and queue depth.
+    EXPECT_DEATH(sim.run(p), "deadlock: pipe cube blocked on WAIT flag 7 "
+                             "\\(tag -\\), 2 queued");
 }
 
 TEST(CoreSimDeath, SetAfterBarrierDeadlocks)
@@ -148,6 +171,8 @@ TEST(CoreSimDeath, SetAfterBarrierDeadlocks)
     p.barrier();
     p.setFlag(Pipe::Mte1, 3);
     EXPECT_DEATH(sim.run(p), "deadlocked");
+    EXPECT_DEATH(sim.run(p), "deadlock: pipe cube blocked on WAIT flag 3 "
+                             "\\(tag -\\), 1 queued");
 }
 
 TEST(CoreSim, DispatchBandwidthLimitsTinyInstructions)
@@ -218,6 +243,31 @@ TEST(CoreSim, SetBeforeWaitCompletesInstantly)
     EXPECT_LE(r.totalCycles, 15u);
 }
 
+TEST(CoreSim, WaiterTakesEarliestToken)
+{
+    // Two pipes SET one flag. MTE1 is dispatched first but finishes
+    // late; MTE2 is dispatched second and finishes first, so its token
+    // is pushed after a later one. The first WAIT must take the
+    // earliest token, the second the late one.
+    CoreSim sim(testConfig());
+    Program p;
+    p.exec(Pipe::Mte1, 500);
+    p.setFlag(Pipe::Mte1, 4);
+    p.exec(Pipe::Mte2, 10);
+    p.setFlag(Pipe::Mte2, 4);
+    p.waitFlag(Pipe::Cube, 4);
+    p.exec(Pipe::Cube, 20);
+    p.waitFlag(Pipe::Cube, 4);
+    p.exec(Pipe::Cube, 20);
+    const SimResult r = sim.run(p);
+    // MTE2's token (~11) starts the first cube op and MTE1's (~500)
+    // the second, so the cube finishes at ~520. Taking MTE1's token
+    // first would run both ops after it and finish at ~540.
+    EXPECT_EQ(r.pipe(Pipe::Cube).busyCycles, 40u);
+    EXPECT_GE(r.pipe(Pipe::Cube).finishCycle, 520u);
+    EXPECT_LE(r.pipe(Pipe::Cube).finishCycle, 530u);
+}
+
 TEST(CoreSim, ManyTokensAccumulate)
 {
     CoreSim sim(testConfig());
@@ -246,6 +296,298 @@ TEST(CoreSim, Deterministic)
     const SimResult b = sim.run(p);
     EXPECT_EQ(a.totalCycles, b.totalCycles);
     EXPECT_EQ(a.pipe(Pipe::Cube).busyCycles, b.pipe(Pipe::Cube).busyCycles);
+}
+
+// ------------------------------------------------ golden fuzz
+
+std::string
+hex64(std::uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/** Hash of every SimResult field. */
+std::uint64_t
+resultHash(const SimResult &r, std::uint64_t h = kFnv1aBasis)
+{
+    h = fnv1aU64(h, r.totalCycles);
+    h = fnv1aU64(h, r.totalFlops);
+    h = fnv1aU64(h, r.instrsExecuted);
+    h = fnv1aU64(h, r.barriers);
+    for (const core::PipeStats &ps : r.pipes) {
+        h = fnv1aU64(h, ps.busyCycles);
+        h = fnv1aU64(h, ps.finishCycle);
+        h = fnv1aU64(h, ps.waitCycles);
+        h = fnv1aU64(h, ps.instrs);
+    }
+    for (const Bytes b : r.busBytes)
+        h = fnv1aU64(h, b);
+    return h;
+}
+
+/** Hash of a program's name and every field of every instruction. */
+std::uint64_t
+programHash(const Program &p, std::uint64_t h = kFnv1aBasis)
+{
+    h = fnv1a(p.name().data(), p.name().size(), h);
+    for (const isa::Instr &i : p.instrs()) {
+        h = fnv1aU64(h, std::uint64_t(i.op));
+        h = fnv1aU64(h, std::uint64_t(i.pipe));
+        h = fnv1aU64(h, i.flagId);
+        h = fnv1aU64(h, i.cycles);
+        h = fnv1aU64(h, i.flops);
+        h = fnv1aU64(h, i.numBusUses);
+        for (unsigned b = 0; b < i.numBusUses; ++b) {
+            h = fnv1aU64(h, std::uint64_t(i.busUses[b].bus));
+            h = fnv1aU64(h, i.busUses[b].bytes);
+        }
+        const std::string tag = i.tag ? i.tag : "-";
+        h = fnv1a(tag.data(), tag.size() + 1, h);
+    }
+    return h;
+}
+
+/** One random bus use. */
+isa::BusUse
+randomBus(Rng &rng)
+{
+    const isa::Bus bus = isa::Bus(rng.uniform(isa::kNumBuses));
+    return {bus, rng.uniform(1 << 16)};
+}
+
+/** Append one random EXEC on @p pipe with 0 to 3 bus uses. */
+void
+randomExec(Rng &rng, Program &p, Pipe pipe)
+{
+    Cycles cycles = 0;
+    if (!rng.chance(0.1))
+        cycles = 1 + rng.uniform(rng.chance(0.2) ? 2000 : 60);
+    const Flops flops = rng.chance(0.5) ? rng.uniform(1 << 20) : 0;
+    switch (rng.uniform(4)) {
+      case 0:
+        p.exec(pipe, cycles, flops);
+        break;
+      case 1:
+        p.exec(pipe, cycles, flops, {randomBus(rng)}, "x1");
+        break;
+      case 2: {
+        const isa::BusUse a = randomBus(rng);
+        p.exec(pipe, cycles, flops, {a, randomBus(rng)});
+        break;
+      }
+      default: {
+        const isa::BusUse a = randomBus(rng);
+        const isa::BusUse b = randomBus(rng);
+        p.exec(pipe, cycles, flops, {a, b, randomBus(rng)}, "x3");
+        break;
+      }
+    }
+}
+
+/**
+ * A seeded random program that cannot deadlock. Each flag id has one
+ * consumer pipe and is SET by any pipe, so tokens arrive out of time
+ * order; a WAIT is emitted only while the id's SETs so far in program
+ * order outnumber its WAITs. With one consumer per id that rules out
+ * deadlock, barriers included. Some ids start with pre-seeded scalar
+ * tokens, and barriers fall mid-stream.
+ */
+Program
+randomProgram(Rng &rng)
+{
+    Program p("fuzz");
+    const unsigned nflags = 1 + unsigned(rng.uniform(6));
+    std::vector<std::uint8_t> ids;
+    std::vector<Pipe> consumer;
+    for (unsigned f = 0; f < nflags; ++f) {
+        ids.push_back(std::uint8_t(rng.uniform(isa::kNumFlags)));
+        consumer.push_back(Pipe(rng.uniform(isa::kNumPipes)));
+    }
+    // Two slots may draw the same id; the first slot's consumer wins.
+    std::vector<int> balance(isa::kNumFlags, 0);
+    std::vector<Pipe> consumerOf(isa::kNumFlags, Pipe::Scalar);
+    for (unsigned f = nflags; f-- > 0;)
+        consumerOf[ids[f]] = consumer[f];
+    for (unsigned f = 0; f < nflags; ++f) {
+        for (unsigned s = unsigned(rng.uniform(3)); s > 0; --s) {
+            p.setFlag(Pipe::Scalar, ids[f], "seed");
+            ++balance[ids[f]];
+        }
+    }
+
+    const unsigned len = 20 + unsigned(rng.uniform(400));
+    for (unsigned n = 0; n < len; ++n) {
+        const std::uint64_t kind = rng.uniform(100);
+        const Pipe pipe = Pipe(rng.uniform(isa::kNumPipes));
+        const std::uint8_t id = ids[rng.uniform(nflags)];
+        if (kind < 45) {
+            randomExec(rng, p, pipe);
+        } else if (kind < 72) {
+            p.setFlag(pipe, id);
+            ++balance[id];
+        } else if (kind < 98) {
+            if (balance[id] > 0) {
+                p.waitFlag(consumerOf[id], id);
+                --balance[id];
+            }
+        } else {
+            p.barrier();
+        }
+    }
+    return p;
+}
+
+std::string
+randomRow(std::uint64_t seed)
+{
+    Rng rng(seed);
+    const Program p = randomProgram(rng);
+    std::string row = "rand seed=" + std::to_string(seed);
+    row += " instrs=" + std::to_string(p.size());
+    for (const unsigned dpc : {1u, 2u, 4u}) {
+        arch::CoreConfig cfg = testConfig();
+        cfg.dispatchPerCycle = dpc;
+        const SimResult r = CoreSim(cfg).run(p);
+        row += " d" + std::to_string(dpc) + "=" + hex64(resultHash(r));
+    }
+    return row;
+}
+
+struct FuzzGraph
+{
+    std::string label;
+    graph::Graph graph;
+};
+
+std::vector<FuzzGraph>
+fuzzGraphs()
+{
+    namespace zoo = graph::zoo;
+    graph::DecoderConfig dec;
+    graph::DecoderConfig dec8;
+    dec8.batch = 8;
+    return {{"resnet50-b1", zoo::resnet50Graph(1)},
+            {"resnet50-b4-int8", zoo::resnet50Graph(4, DataType::Int8)},
+            {"mobilenetv2-b1", zoo::mobilenetV2Graph(1)},
+            {"vgg16-b1", zoo::vgg16Graph(1)},
+            {"gesturenet-b1", zoo::gestureNetGraph(1)},
+            {"bert-base-b1-s128", zoo::bertBaseGraph(1, 128)},
+            {"bert-large-b1-s128", zoo::bertLargeGraph(1, 128)},
+            {"prefill-b1-p128", graph::prefillGraph(dec, 128)},
+            {"decode-b1-c129", graph::decodeGraph(dec, 129)},
+            {"decode-b8-c1024", graph::decodeGraph(dec8, 1024)}};
+}
+
+/** The distinct lowered layers of @p g, first occurrence kept. */
+std::vector<model::Layer>
+distinctLayers(const graph::Graph &g)
+{
+    std::vector<model::Layer> out;
+    std::set<std::string> seen;
+    for (const model::Layer &l : graph::toNetwork(g).layers)
+        if (seen.insert(runtime::fingerprint(l)).second)
+            out.push_back(l);
+    return out;
+}
+
+struct FuzzOptions
+{
+    const char *label;
+    compiler::CompileOptions options;
+};
+
+std::vector<FuzzOptions>
+fuzzOptions()
+{
+    compiler::CompileOptions sparse;
+    sparse.sparsity.weightDensity = 0.5;
+    sparse.sparsity.structured = true;
+    compiler::CompileOptions vector;
+    vector.mapGemmToVector = true;
+    return {{"default", {}}, {"sparse", sparse}, {"vector", vector}};
+}
+
+/**
+ * One golden row: the program and result hashes of every distinct
+ * layer of @p fg compiled for @p v under @p fo. The layers also run
+ * through one SimSession on the process pool (ASCEND_THREADS wide),
+ * so workers reuse their per-thread buffers across layers; each
+ * pooled result must equal the direct one.
+ */
+std::string
+layerRow(const FuzzGraph &fg, arch::CoreVersion v, const FuzzOptions &fo)
+{
+    const std::vector<model::Layer> layers = distinctLayers(fg.graph);
+    const arch::CoreConfig cfg = arch::makeCoreConfig(v);
+    const compiler::LayerCompiler lc(cfg, fo.options);
+    const CoreSim sim(cfg);
+    std::uint64_t prog = kFnv1aBasis;
+    std::uint64_t res = kFnv1aBasis;
+    std::uint64_t instrs = 0;
+    std::vector<std::uint64_t> direct;
+    for (const model::Layer &l : layers) {
+        const Program p = lc.compile(l);
+        const SimResult r = sim.run(p);
+        instrs += p.size();
+        prog = programHash(p, prog);
+        res = resultHash(r, res);
+        direct.push_back(resultHash(r));
+    }
+
+    std::string row = fg.label + " " + arch::toString(v);
+    row += " " + std::string(fo.label);
+    const runtime::SimSession session(
+        cfg, fo.options, std::make_shared<runtime::SimCache>());
+    std::vector<std::uint64_t> pooled(layers.size());
+    runtime::parallelFor(layers.size(), [&](std::size_t i) {
+        pooled[i] = resultHash(session.runLayer(layers[i]));
+    });
+    EXPECT_EQ(pooled, direct) << row;
+
+    row += " layers=" + std::to_string(layers.size());
+    row += " instrs=" + std::to_string(instrs);
+    row += " prog=" + hex64(prog) + " sim=" + hex64(res);
+    return row;
+}
+
+/**
+ * Seeded random programs and every distinct zoo and decoder layer, on
+ * four presets under three option sets, are frozen in
+ * tests/golden/core_sim_fuzz.txt: a rewrite of the compiler or the
+ * core-sim kernel must reproduce each program and SimResult bit for
+ * bit. Regenerate after an intended model change with
+ *     ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_core_sim
+ */
+TEST(CoreSimFuzz, MatchesGolden)
+{
+    std::string rows =
+        "# CoreSim result hashes of seeded random programs at dispatch\n"
+        "# widths 1/2/4, and program + result hashes of every distinct\n"
+        "# zoo and decoder layer per preset and option set\n"
+        "# (tests/test_core_sim.cc).\n"
+        "# Regenerate: ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_core_sim\n";
+    for (std::uint64_t seed = 1; seed <= 128; ++seed)
+        rows += randomRow(seed) + "\n";
+    for (const FuzzGraph &fg : fuzzGraphs())
+        for (const arch::CoreVersion v :
+             {arch::CoreVersion::Lite, arch::CoreVersion::Mini,
+              arch::CoreVersion::Std, arch::CoreVersion::Max})
+            for (const FuzzOptions &fo : fuzzOptions())
+                rows += layerRow(fg, v, fo) + "\n";
+
+    const std::string path =
+        std::string(ASCEND_GOLDEN_DIR) + "/core_sim_fuzz.txt";
+    const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
+    if (env && *env && std::string(env) != "0") {
+        ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
+        GTEST_SKIP() << "golden regenerated";
+    }
+    const std::optional<std::string> golden = readFile(path);
+    ASSERT_TRUE(golden) << "missing " << path;
+    EXPECT_EQ(diffGolden(*golden, rows), "");
 }
 
 } // anonymous namespace
