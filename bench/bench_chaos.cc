@@ -5,13 +5,12 @@
  * and re-invoked resumes from its last on-disk checkpoint and
  * produces a byte-identical report.
  *
- * The engine runs on the des::Kernel, so every CHAOS-EVENT marker —
- * and therefore every kill point — lands at a kernel event boundary:
- * onEvent fires from inside a dispatched handler (checkpoint
- * quiescent hook, failure/rollback poll, or step event), never
- * mid-phase. Checkpoints themselves are taken only at kernel
- * quiescent points, which is what makes any kill-resume pair replay
- * the identical event chain.
+ * Every CHAOS-EVENT marker — and therefore every kill point — lands
+ * at an event boundary of the engine loop: onEvent fires as a
+ * checkpoint, failure, rollback or step logs its line, never
+ * mid-phase. Checkpoints themselves are taken only at the head of an
+ * instant, before its faults and step, which is what makes any
+ * kill-resume pair replay the identical sequence of events.
  *
  * Three modes:
  *  - (no args) soak: run the chaos scenario for two seeds in-process

@@ -9,11 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <functional>
-
 #include "compiler/layer_compiler.hh"
 #include "core/core_sim.hh"
-#include "des/kernel.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
 #include "memory/llc.hh"
@@ -130,51 +127,6 @@ BM_ChipSimFluid(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64 * 32);
 }
 BENCHMARK(BM_ChipSimFluid);
-
-void
-BM_DesQueueThroughput(benchmark::State &state)
-{
-    // Raw event-queue rate: schedule a batch with interleaved times
-    // and priorities, then drain it through no-op handlers. Measures
-    // the canonical-key heap plus dispatch plumbing with zero client
-    // work — the floor every kernel client pays per event.
-    const std::size_t events = std::size_t(state.range(0));
-    for (auto _ : state) {
-        des::Kernel kernel;
-        for (std::size_t i = 0; i < events; ++i)
-            kernel.schedule(double((i * 7919) % events),
-                            std::int32_t(i % 4), "noop",
-                            [](des::Kernel &) {});
-        kernel.run();
-        benchmark::DoNotOptimize(kernel.stats().eventsDispatched);
-    }
-    state.SetItemsProcessed(state.iterations() * events);
-}
-BENCHMARK(BM_DesQueueThroughput)->Arg(1 << 10)->Arg(1 << 16);
-
-void
-BM_DesDispatchOverhead(benchmark::State &state)
-{
-    // Self-rescheduling chain of depth-1 events — the chip_sim /
-    // elastic_run usage shape (queue length ~1). Measures per-event
-    // dispatch overhead with a hot queue, i.e. the kernel tax the
-    // ported loops pay per iteration versus a hand-rolled while.
-    constexpr std::uint64_t kChain = 4096;
-    for (auto _ : state) {
-        des::Kernel kernel;
-        std::uint64_t left = kChain;
-        std::function<void(des::Kernel &)> next =
-            [&](des::Kernel &k) {
-                if (--left)
-                    k.schedule(k.now() + 1.0, 0, "chain", next);
-            };
-        kernel.schedule(0.0, 0, "chain", next);
-        kernel.run();
-        benchmark::DoNotOptimize(kernel.stats().eventsDispatched);
-    }
-    state.SetItemsProcessed(state.iterations() * kChain);
-}
-BENCHMARK(BM_DesDispatchOverhead);
 
 void
 BM_MeshCycle(benchmark::State &state)

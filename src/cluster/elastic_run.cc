@@ -1,6 +1,6 @@
 /**
  * @file
- * The elastic cluster-run state machine — a des::Kernel client.
+ * The elastic cluster-run state machine.
  *
  * The engine is deliberately a pure function of (immutable inputs,
  * ElasticState + the journal's event log): every mutation lives
@@ -8,24 +8,25 @@
  * the wall clock or thread count — which is what makes kill-and-resume
  * byte-identical and lets bench_chaos enforce it with real SIGKILLs.
  *
- * Each training step is a short chain of kernel events at the same
- * sim time, tie-broken by priority: a quiescent marker (0) whose hook
- * takes the cadenced checkpoint, a node-failure poll (1), an ECC
- * rollback poll (2), and the step itself (3). The poll events apply
- * ONE due fault per dispatch and re-arm themselves: recovery costs
- * advance the sim clock mid-batch, which can make further faults due,
- * and one-at-a-time dispatch reproduces that cascade exactly. Faults
- * are deliberately NOT scheduled at their strike times — the engine
- * batches "every node failure due by now, then every rollback due by
- * now" at each step boundary, and the event chain preserves that
- * order. The kernel clock shadows s.simTimeSec via advanceTo().
+ * One loop iteration is one training step. Its instant runs, in
+ * order: the cadenced checkpoint, the node failures due by now, the
+ * ECC rollbacks due by now, and the step itself. Failures and
+ * rollbacks are applied ONE at a time with the due test re-checked
+ * after each: recovery costs advance the sim clock mid-batch, which
+ * can make further faults due, and one-at-a-time application
+ * reproduces that cascade exactly. Faults are deliberately NOT
+ * applied at their strike times — the engine batches "every node
+ * failure due by now, then every rollback due by now" at each step
+ * boundary.
  *
- * Checkpoints ride the kernel's quiescent points: the onQuiescent
- * hook fires only between event dispatches, when no handler is
- * mid-flight and the ElasticState is self-consistent — the saved
- * state is a fixed point of the chain, so a SIGKILL after any save
- * resumes into a byte-identical continuation (bench_chaos enforces
- * this with real kills at event boundaries).
+ * The checkpoint comes first in the instant, before any fault or
+ * step of it has run, so the ElasticState it saves is consistent. A
+ * resumed run re-enters the loop at the same instant with the cadence
+ * trivially not-due (the save itself reset it), so it replays exactly
+ * what the uninterrupted run did after the save — including failures
+ * and rollbacks that became due during the saveSec window. A SIGKILL
+ * after any save therefore resumes into a byte-identical continuation
+ * (bench_chaos enforces this with real kills at event boundaries).
  */
 
 #include "cluster/elastic_run.hh"
@@ -33,12 +34,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <optional>
 #include <sstream>
 
 #include "common/codec.hh"
 #include "common/logging.hh"
-#include "des/kernel.hh"
 #include "obs/tracer.hh"
 #include "runtime/perf_stats.hh"
 
@@ -239,11 +238,9 @@ ElasticRunResult::report() const
 namespace {
 
 /**
- * All state and handlers of one elastic run, driven as a des::Kernel
- * event chain (see the file comment for the chain layout). Mutations
- * touch only `s` and the journal (the checkpointable state); terminal
- * handlers record the run's outcome in `final_` instead of re-arming
- * the chain.
+ * All state and steps of one elastic run (see the file comment for
+ * the loop). Mutations touch only `s` and the journal (the
+ * checkpointable state).
  */
 struct Engine
 {
@@ -264,7 +261,6 @@ struct Engine
 
     ElasticState s;
     resilience::RunJournal journal{options, kJournalFormat};
-    std::optional<ElasticRunResult> final_; ///< terminal outcome
 
     void
     setUp()
@@ -370,13 +366,14 @@ struct Engine
 
     /**
      * Apply every node-permanent failure due at the next due instant
-     * (one poll dispatch's worth). Independent schedules place one
-     * event per instant and behave exactly as before. A correlated
-     * domain event (a rack or power strike from fault_domain.hh)
-     * lands several deaths at one shared instant; their recoveries
-     * proceed in parallel — each spare receives its shard over its
-     * own uplink — so the step pays the slowest single recovery, not
-     * the serialized sum. @return true when the whole world died.
+     * (one iteration of the failure loop). Independent schedules
+     * place one event per instant and behave exactly as before. A
+     * correlated domain event (a rack or power strike from
+     * fault_domain.hh) lands several deaths at one shared instant;
+     * their recoveries proceed in parallel — each spare receives its
+     * shard over its own uplink — so the step pays the slowest single
+     * recovery, not the serialized sum. @return true when the whole
+     * world died.
      */
     bool
     applyOneNodeFailure()
@@ -559,76 +556,12 @@ struct Engine
     }
 
     /**
-     * Arm one step's event chain at the current sim time. The
-     * quiescent marker dispatches first (priority 0): the kernel's
-     * quiescent hook checkpoints there, so the saved state is a
-     * fixed point of the chain head. A resumed run re-enters here
-     * with the cadence trivially not-due (the save itself reset it),
-     * so it replays exactly the events the uninterrupted run
-     * dispatched after the save — including failures and rollbacks
-     * that became due during the saveSec window.
+     * Run one training step and commit it. @return false when the
+     * step ended the run instead: the collective failed, or the
+     * journal halted before the commit.
      */
-    void
-    armStep(des::Kernel &k)
-    {
-        k.scheduleQuiescent(k.now(), 0);
-        k.schedule(k.now(), 1, "elastic.poll-failures",
-                   [this](des::Kernel &kk) { pollFailures(kk); });
-    }
-
-    /**
-     * Node-failure poll event: apply ONE due failure, re-arm while
-     * more are due (recovery costs advance the clock, which can make
-     * more due), then hand over to the rollback poll.
-     */
-    void
-    pollFailures(des::Kernel &k)
-    {
-        if (!journal.halted() && nodeFailureDue()) {
-            const bool world_died = applyOneNodeFailure();
-            k.advanceTo(s.simTimeSec);
-            if (!world_died) {
-                k.schedule(k.now(), 1, "elastic.poll-failures",
-                           [this](des::Kernel &kk) {
-                               pollFailures(kk);
-                           });
-                return;
-            }
-        }
-        if (journal.halted()) {
-            final_ = result(false);
-            return;
-        }
-        if (aliveNodes() == 0) {
-            final_ = finish(result(false));
-            return;
-        }
-        k.schedule(k.now(), 2, "elastic.poll-rollbacks",
-                   [this](des::Kernel &kk) { pollRollbacks(kk); });
-    }
-
-    /** ECC rollback poll event: one rollback per dispatch, then step. */
-    void
-    pollRollbacks(des::Kernel &k)
-    {
-        if (!journal.halted() && rollbackDue()) {
-            applyOneRollback();
-            k.advanceTo(s.simTimeSec);
-            k.schedule(k.now(), 2, "elastic.poll-rollbacks",
-                       [this](des::Kernel &kk) { pollRollbacks(kk); });
-            return;
-        }
-        if (journal.halted()) {
-            final_ = result(false);
-            return;
-        }
-        k.schedule(k.now(), 3, "elastic.step",
-                   [this](des::Kernel &kk) { stepOnce(kk); });
-    }
-
-    /** The training-step event: run one step, commit, re-arm. */
-    void
-    stepOnce(des::Kernel &k)
+    bool
+    stepOnce()
     {
         const unsigned chips_now = aliveChips();
         // Re-shard: the same global batch over fewer chips means
@@ -646,9 +579,7 @@ struct Engine
         s.counters.degradedSteps += step.degradedSteps;
         if (!step.completed) {
             s.simTimeSec += step.seconds; // time-to-failure
-            k.advanceTo(s.simTimeSec);
-            final_ = finish(result(false));
-            return;
+            return false;
         }
         double step_sec = step.seconds;
         const double factor = stragglerFactor();
@@ -677,36 +608,45 @@ struct Engine
                 }
             }
             step_sec = chosen;
-            if (journal.halted()) {
-                final_ = result(false); // step not committed
-                return;
-            }
+            if (journal.halted())
+                return false; // step not committed
         }
         s.simTimeSec += step_sec;
         ++s.nextStep;
-        k.advanceTo(s.simTimeSec);
-        if (s.nextStep < num_steps)
-            armStep(k);
+        return true;
     }
 
+    /** The outcome of a run cut short: a halt, or a lost world. */
+    ElasticRunResult
+    cutShort() const
+    {
+        return journal.halted() ? result(false) : finish(result(false));
+    }
+
+    /**
+     * The engine loop; see the file comment for the order of one
+     * instant. perf/driver.cc reads the "des-kernel" scope for its
+     * des.kernel_s metric, so the loop keeps that name.
+     */
     ElasticRunResult
     run()
     {
         setUp();
-        des::Kernel kernel;
-        // Checkpoints ride the kernel's quiescent points: no event
-        // is mid-dispatch there, so the ElasticState is consistent
-        // by construction.
-        kernel.onQuiescent([this](des::Kernel &k) {
+        static runtime::PerfScope &perf =
+            runtime::perfScope("des-kernel");
+        const runtime::PerfTimer timer(perf);
+        while (s.nextStep < num_steps) {
             maybeCheckpoint();
-            k.advanceTo(s.simTimeSec);
-        });
-        kernel.advanceTo(s.simTimeSec); // resumes re-enter mid-run
-        if (s.nextStep < num_steps)
-            armStep(kernel);
-        kernel.run();
-        if (final_)
-            return *final_;
+            while (!journal.halted() && nodeFailureDue())
+                if (applyOneNodeFailure())
+                    break; // the whole world died
+            if (journal.halted() || aliveNodes() == 0)
+                return cutShort();
+            while (!journal.halted() && rollbackDue())
+                applyOneRollback();
+            if (journal.halted() || !stepOnce())
+                return cutShort();
+        }
         return finish(result(true));
     }
 

@@ -23,15 +23,14 @@
  *    speculatively re-dispatched at RetryPolicy cost and the step
  *    takes the cheaper of the two outcomes.
  *
- * The engine runs on the des::Kernel: every training step is a short
- * chain of kernel events (checkpoint quiescent marker, node-failure
- * poll, ECC rollback poll, the step itself) tie-broken by priority
- * at the same sim time, so recovery ordering is the kernel's
- * canonical dispatch order rather than ad-hoc loop structure.
+ * The engine is one loop over training steps. Each step's instant
+ * runs in a fixed order: the cadenced checkpoint, the node failures
+ * due by now (one at a time), the ECC rollbacks due by now (one at a
+ * time), then the step itself.
  *
  * Checkpoints are resilience::RunJournal files (format ASCCKPT v2)
- * taken only at kernel quiescent points (no handler mid-flight): the
- * engine is a pure function of its state, so a run killed at any
+ * taken only at the head of an instant, before any of its faults or
+ * its step has run: the engine is a pure function of its state, so a run killed at any
  * instant and re-invoked with the same arguments resumes from the
  * last on-disk checkpoint and finishes with a byte-identical report
  * (bench_chaos SIGKILLs a child to enforce exactly this).

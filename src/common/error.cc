@@ -22,7 +22,6 @@ toString(ErrorCode code)
       case ErrorCode::ParallelFailure:  return "parallel-failure";
       case ErrorCode::FaultInjected:    return "fault-injected";
       case ErrorCode::GuardExceeded:    return "guard-exceeded";
-      case ErrorCode::KernelMisuse:     return "kernel-misuse";
       case ErrorCode::GraphInvalid:      return "graph-invalid";
       case ErrorCode::GraphShapeMismatch: return "graph-shape-mismatch";
       case ErrorCode::CounterConflict:    return "counter-conflict";

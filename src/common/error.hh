@@ -34,7 +34,6 @@ enum class ErrorCode {
     ParallelFailure,  ///< multiple tasks of one parallel loop threw
     FaultInjected,    ///< a simulated fault escalated to fail-stop
     GuardExceeded,    ///< a simulation event-count guard tripped
-    KernelMisuse,     ///< des::Kernel API contract violated
     GraphInvalid,      ///< graph IR structure broken (cycle, dangling edge)
     GraphShapeMismatch, ///< graph tensor shapes inconsistent with a node
     CounterConflict,    ///< one counter name declared two different ways

@@ -1,9 +1,8 @@
 /**
  * @file
  * The run journal: the event log, halt hook and crash-consistent
- * checkpoint slot every resumable des::Kernel engine shares (the
- * elastic trainer in cluster/elastic_run and the serving fleet in
- * serving/fleet).
+ * checkpoint slot every resumable engine shares (the elastic trainer
+ * in cluster/elastic_run and the serving fleet in serving/fleet).
  *
  * An engine is a pure function of (immutable inputs, its state), so a
  * run killed at any instant and resumed from its last on-disk

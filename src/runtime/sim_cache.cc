@@ -5,7 +5,6 @@
 
 #include "runtime/sim_cache.hh"
 
-#include <sstream>
 #include <type_traits>
 #include <vector>
 
@@ -195,21 +194,6 @@ SimCache::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     map_.clear();
     lru_.clear();
-}
-
-std::string
-SimCache::summary() const
-{
-    const Stats s = stats();
-    std::ostringstream os;
-    os << "sim-cache: " << s.hits << " hits, " << s.misses
-       << " misses, " << s.entries << " entries, " << s.evictions
-       << " evictions (" << int(100.0 * s.hitRate() + 0.5)
-       << "% hit rate)";
-    if (s.diskLoads || s.diskStores)
-        os << " [disk: " << s.diskLoads << " loaded, "
-           << s.diskStores << " stored]";
-    return os.str();
 }
 
 const char *

@@ -120,9 +120,6 @@ class SimCache
     /** Drop all entries; counters survive (they are cumulative). */
     void clear();
 
-    /** One-line human-readable counter summary. */
-    std::string summary() const;
-
     /**
      * Simulator code-version fingerprint baked into cache files.
      * Bump it whenever a change can alter any SimResult for an

@@ -1,6 +1,6 @@
 /**
  * @file
- * The fleet serving state machine — a des::Kernel client.
+ * The fleet serving state machine.
  *
  * Discipline mirrors cluster/elastic_run: the engine is a pure
  * function of (immutable inputs, ServingState + the journal's event
@@ -9,17 +9,17 @@
  * which is what makes kill-and-resume byte-identical and lets
  * bench_serving --chaos enforce it with real SIGKILLs.
  *
- * Each decision instant t is a chain of kernel events tie-broken by
- * priority: quiescent marker (0) whose hook takes the cadenced
- * on-disk checkpoint, fault poll (1, ONE due fault per dispatch,
- * self-re-arming), then the step (2). The step processes — in a fixed
- * order — completions, replica spin-ups, due arrivals (admission
- * control), hedge checks, the autoscaler, and dispatch over idle
- * replicas in index order, then arms the next chain at the earliest
- * future decision instant. armStep() advances s.simTimeSec *before*
- * scheduling, so the state a quiescent save captures says "chain at t
- * not yet run": a resumed run re-enters at t and replays the fault
- * poll and step exactly as the uninterrupted run dispatched them.
+ * One loop iteration is one decision instant t. It runs, in order:
+ * the cadenced on-disk checkpoint, the faults due by t (ONE at a
+ * time, with the journal's halt re-checked after each), then the
+ * step. The step processes — in a fixed order — completions, replica
+ * spin-ups, due arrivals (admission control), hedge checks, the
+ * autoscaler, and dispatch over idle replicas in index order; the
+ * loop then moves s.simTimeSec to the earliest future decision
+ * instant. The clock moves *before* the next checkpoint, so the state
+ * a save captures says "instant t not yet run": a resumed run
+ * re-enters at t and replays its faults and step exactly as the
+ * uninterrupted run did.
  */
 
 #include "serving/fleet.hh"
@@ -28,12 +28,10 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <sstream>
 
 #include "common/codec.hh"
 #include "common/logging.hh"
-#include "des/kernel.hh"
 #include "obs/tracer.hh"
 #include "resilience/run_journal.hh"
 #include "runtime/perf_stats.hh"
@@ -79,14 +77,14 @@ struct ReplicaState
 };
 
 /**
- * Complete engine state at one chain boundary, less the event log.
+ * Complete engine state at one instant's head, less the event log.
  * The FleetCounters base is encoded between lastCheckpointSec and
  * nextReofferId.
  */
 struct ServingState : FleetCounters
 {
     std::uint64_t sequence = 0; ///< checkpoint ordinal
-    double simTimeSec = 0;      ///< chain instant (head not yet run)
+    double simTimeSec = 0;      ///< decision instant (not yet run)
     std::uint64_t arrivalCursor = 0;
     std::uint64_t faultCursor = 0;
     std::uint64_t sparesLeft = 0;
@@ -354,7 +352,7 @@ percentile(const std::vector<double> &sorted, double q)
     return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-/** The engine: immutable inputs + kernel + checkpointable state. */
+/** The engine: immutable inputs + checkpointable state. */
 struct FleetEngine
 {
     FleetEngine(const std::vector<Request> &arrivals_,
@@ -385,7 +383,6 @@ struct FleetEngine
 
     ServingState s;
     resilience::RunJournal journal{options, kJournalFormat};
-    std::optional<FleetResult> final_;
 
     void
     setUp()
@@ -541,7 +538,7 @@ struct FleetEngine
         maybeReoffer(req, t);
     }
 
-    /** Take the cadenced on-disk checkpoint (quiescent hook body). */
+    /** Take the cadenced on-disk checkpoint (head of an instant). */
     void
     maybeCheckpoint()
     {
@@ -591,7 +588,7 @@ struct FleetEngine
         s.queue.push(r, t);
     }
 
-    /** Apply the single next due fault (one poll dispatch's worth). */
+    /** Apply the single next due fault. */
     void
     applyOneFault(double t)
     {
@@ -864,44 +861,14 @@ struct FleetEngine
                s.scaleUpsLeft == 0;
     }
 
-    /** Arm the chain at @p t: quiescent(0), fault poll(1), step(2). */
-    void
-    armStep(des::Kernel &k, double t)
+    /**
+     * The step of the decision instant s.simTimeSec, after its
+     * faults. @return true when the fleet is doomed: every queued and
+     * future request was shed and the run is over.
+     */
+    bool
+    stepOnce()
     {
-        s.simTimeSec = t;
-        k.scheduleQuiescent(t, 0);
-        k.schedule(t, 1, "serving.poll-faults",
-                   [this](des::Kernel &kk) { pollFaults(kk); });
-        k.schedule(t, 2, "serving.step",
-                   [this](des::Kernel &kk) { stepOnce(kk); });
-    }
-
-    /** Fault poll event: ONE due fault, re-arm while more are due. */
-    void
-    pollFaults(des::Kernel &k)
-    {
-        if (journal.halted()) {
-            final_ = result();
-            k.stop();
-            return;
-        }
-        if (s.faultCursor < faultEvents.size() &&
-            faultEvents[s.faultCursor].timeSec <= s.simTimeSec) {
-            applyOneFault(s.simTimeSec);
-            k.schedule(k.now(), 1, "serving.poll-faults",
-                       [this](des::Kernel &kk) { pollFaults(kk); });
-        }
-    }
-
-    /** The step event: one decision instant, then re-arm or finish. */
-    void
-    stepOnce(des::Kernel &k)
-    {
-        if (journal.halted()) {
-            final_ = result();
-            k.stop();
-            return;
-        }
         const double t = s.simTimeSec;
 
         // Completions first: capacity freed at t serves requests
@@ -979,13 +946,7 @@ struct FleetEngine
                 eventPrefix() + "fleet dead, dropped " +
                 std::to_string(
                     static_cast<unsigned long long>(lost + remaining)));
-            if (journal.halted()) {
-                final_ = result();
-                k.stop();
-                return;
-            }
-            final_ = finish();
-            return;
+            return true;
         }
 
         purgeQueue(t);
@@ -1026,20 +987,7 @@ struct FleetEngine
             tracer->counter(obs::Domain::Serving, "serving.queue",
                             obs::traceNs(t), double(s.queue.size()));
 
-        if (journal.halted()) {
-            final_ = result();
-            k.stop();
-            return;
-        }
-
-        const double next = nextInstant(t);
-        if (next == kInf) {
-            final_ = finish();
-            return;
-        }
-        simAssert(next > t,
-                  "serving chain must advance the sim clock");
-        armStep(k, next);
+        return false;
     }
 
     /** Counters and percentiles, without the per-request vectors. */
@@ -1115,22 +1063,39 @@ struct FleetEngine
         return r;
     }
 
+    /**
+     * The engine loop; see the file comment for the order of one
+     * instant. perf/driver.cc reads the "des-kernel" scope for its
+     * des.kernel_s metric, so the loop keeps that name.
+     */
     FleetResult
     run()
     {
         setUp();
-        des::Kernel kernel;
-        // Checkpoints ride the kernel's quiescent points: no event is
-        // mid-dispatch there, so the ServingState is consistent by
-        // construction.
-        kernel.onQuiescent(
-            [this](des::Kernel &) { maybeCheckpoint(); });
-        kernel.advanceTo(s.simTimeSec); // resumes re-enter mid-run
-        armStep(kernel, s.simTimeSec);
-        kernel.run();
-        simAssert(final_.has_value(),
-                  "serving kernel drained without a terminal state");
-        return std::move(*final_);
+        static runtime::PerfScope &perf =
+            runtime::perfScope("des-kernel");
+        const runtime::PerfTimer timer(perf);
+        for (;;) {
+            maybeCheckpoint();
+            while (!journal.halted() &&
+                   s.faultCursor < faultEvents.size() &&
+                   faultEvents[s.faultCursor].timeSec <= s.simTimeSec)
+                applyOneFault(s.simTimeSec);
+            if (journal.halted())
+                return result();
+            const double t = s.simTimeSec;
+            const bool doomed = stepOnce();
+            if (journal.halted())
+                return result();
+            if (doomed)
+                return finish();
+            const double next = nextInstant(t);
+            if (next == kInf)
+                return finish();
+            simAssert(next > t,
+                      "serving loop must advance the sim clock");
+            s.simTimeSec = next;
+        }
     }
 };
 

@@ -1,7 +1,6 @@
 /**
  * @file
- * The overload-tolerant fleet serving simulator — a des::Kernel
- * client.
+ * The overload-tolerant fleet serving simulator.
  *
  * The paper's cluster story ends at training; its serving story
  * (Section 2's "ubiquitous" deployment) is a fleet of inference
@@ -24,15 +23,14 @@
  *  - a queue-depth autoscaler that spins up cold replicas with a
  *    spin-up latency.
  *
- * Kernel client shape (same discipline as cluster/elastic_run): the
- * engine is a pure function of (immutable inputs, ServingState).
- * Every decision instant is a short chain of kernel events tie-broken
- * by priority at one sim time — quiescent marker (0) whose hook takes
- * the cadenced on-disk checkpoint, fault poll (1, ONE due fault per
- * dispatch, self-re-arming), then the step (2): completions, admitted
- * arrivals, hedge checks, autoscale, dispatch, and the re-arm at the
- * next decision instant. Checkpoints are resilience::RunJournal files
- * (format ASCBLOB v1) taken only at quiescent points, so a SIGKILL at
+ * Engine shape (same discipline as cluster/elastic_run): the engine
+ * is a pure function of (immutable inputs, ServingState), driven by
+ * one loop over decision instants. Each instant runs, in order, the
+ * cadenced on-disk checkpoint, the faults due by then (ONE at a
+ * time), then the step: completions, admitted arrivals, hedge checks,
+ * autoscale, dispatch; the loop then moves to the next decision
+ * instant. Checkpoints are resilience::RunJournal files (format
+ * ASCBLOB v1) taken only at the head of an instant, so a SIGKILL at
  * any instant resumes into a byte-identical report — the property
  * bench_serving --chaos enforces with real kills.
  *
@@ -182,7 +180,7 @@ struct FleetOptions : resilience::RunControl
      */
     resilience::RetryPolicy retry;
 
-    /** On-disk checkpoint cadence in sim time (0 = every quiescent). */
+    /** On-disk checkpoint cadence in sim time (0 = every instant). */
     double checkpointIntervalSec = 0;
 };
 

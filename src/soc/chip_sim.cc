@@ -1,10 +1,10 @@
 /**
  * @file
- * Fluid chip simulation implementation — a des::Kernel client.
+ * Fluid chip simulation implementation.
  *
  * One event loop serves the fault-free and the degraded model: an
  * empty fault plan is a plan whose faults never strike. Each rate
- * re-solve is one kernel event that re-arms itself while work
+ * re-solve is one iteration of a plain loop that runs while work
  * remains, and it walks only the *active set* (alive cores holding a
  * task, ascending index) in two serial passes:
  *  - reduce: count memory-active cores and take the minima of the
@@ -32,14 +32,12 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <queue>
 #include <utility>
 
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "des/kernel.hh"
 #include "obs/tracer.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/sim_session.hh"
@@ -238,7 +236,6 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
             idle.push(c);
     }
 
-    des::Kernel kernel;
     int guard = 0;
     auto count_event = [&] {
         if (++guard <= options.guardLimit)
@@ -250,18 +247,18 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                    totalTasks(per_core));
     };
 
-    // One re-solve per kernel event. The handler either advances the
-    // fluid state by one completion interval, or — when every active
-    // core is in repair or orphans have no survivor to run them —
-    // jumps the clock to the next external wake-up (fault strike or
-    // repair completion). It re-arms itself while work remains, and
-    // stops early when no survivor can ever run it.
-    std::function<void(des::Kernel &)> resolve;
-    auto rearm = [&](des::Kernel &k, const char *name) {
-        if (!active.empty() || !orphans.empty())
-            k.schedule(now, 0, name, resolve);
-    };
-    resolve = [&](des::Kernel &k) {
+    // One re-solve per iteration. It either advances the fluid state
+    // by one completion interval, or — when every active core is in
+    // repair or orphans have no survivor to run them — jumps the
+    // clock to the next external wake-up (fault strike or repair
+    // completion). The loop runs while work remains, and stops early
+    // when no survivor can ever run it. perf/driver.cc reads the
+    // "des-kernel" scope for its des.kernel_s metric, so the loop
+    // keeps that name.
+    static runtime::PerfScope &loop_perf =
+        runtime::perfScope("des-kernel");
+    const runtime::PerfTimer loop_timer(loop_perf);
+    while (!active.empty() || !orphans.empty()) {
         // Idle survivors pick up orphaned work as it appears.
         const std::size_t held = active.size();
         while (!orphans.empty() && !idle.empty()) {
@@ -304,14 +301,12 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
             if (wake == inf) {
                 // Work remains but no core can ever run it again.
                 result.completed = false;
-                return;
+                break;
             }
             now = wake;
-            k.advanceTo(now);
             apply_events(now);
             count_event();
-            rearm(k, "chip.wake");
-            return;
+            continue;
         }
 
         const double rate =
@@ -331,7 +326,6 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         const double t0 = now;
         const double share = rate * dt;
         now += dt;
-        k.advanceTo(now);
         double moved_total = bytes_moved; // local, so kept in a register
         std::size_t kept = 0;
         for (const std::size_t c : active) {
@@ -369,11 +363,7 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         bytes_moved = moved_total;
         apply_events(now);
         count_event();
-        rearm(k, "chip.resolve");
-    };
-
-    rearm(kernel, "chip.resolve");
-    kernel.run();
+    }
 
     result.makespan = now;
     result.coreFinish.reserve(cores);

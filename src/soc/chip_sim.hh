@@ -10,10 +10,10 @@
  * stragglers, skewed partitions, and bandwidth contention between
  * unequal tasks are captured.
  *
- * Hot-path structure: the simulation is a des::Kernel client — each
- * rate re-solve is one kernel event that re-arms itself while work
- * remains. One event loop serves the fault-free and the degraded
- * model, and it only touches an *active-core index set* (alive cores
+ * Hot-path structure: each rate re-solve is one iteration of a loop
+ * that runs while work remains. One loop serves the fault-free and
+ * the degraded model, and it only touches an *active-core index set*
+ * (alive cores
  * holding a task; finished and dead cores leave every scan) in two
  * serial passes per re-solve: an exact reduce (memory-active count,
  * minimum remaining compute and bytes, next repair wake-up) and an

@@ -311,14 +311,5 @@ TrainingSoc::fluidInferStep(const model::Network &per_core_net) const
     return runChipSim(per_core, config_.llcBandwidth);
 }
 
-ChipSimResult
-TrainingSoc::fluidInferStep(const model::Network &per_core_net,
-                            const resilience::ChipFaultPlan &plan) const
-{
-    const std::vector<std::vector<CoreTask>> per_core(
-        config_.aiCores, coreTasks(per_core_net));
-    return runChipSim(per_core, config_.llcBandwidth, plan);
-}
-
 } // namespace soc
 } // namespace ascend

@@ -21,7 +21,6 @@
 
 #include "memory/llc.hh"
 #include "model/network.hh"
-#include "resilience/fault_schedule.hh"
 #include "runtime/sim_session.hh"
 #include "soc/chip_sim.hh"
 #include "soc/soc_config.hh"
@@ -81,11 +80,6 @@ class TrainingSoc
      */
     ChipSimResult
     fluidInferStep(const model::Network &per_core_net) const;
-
-    /** Degraded-mode variant: same fluid step under a fault plan. */
-    ChipSimResult
-    fluidInferStep(const model::Network &per_core_net,
-                   const resilience::ChipFaultPlan &plan) const;
 
     /** Per-core fluid task queue of @p net on this SoC's core. */
     std::vector<CoreTask> coreTasks(const model::Network &net) const;

@@ -2,9 +2,8 @@
  * @file
  * Determinism fuzz: one seeded sweep asserting byte-identical result
  * fingerprints across thread-pool sizes (the in-process equivalent of
- * ASCEND_THREADS, via runtime::ScopedThreadPoolSize), an ordered-set
- * oracle of des::Kernel dispatch order, and a frozen golden of
- * chip-sim fuzz fingerprints.
+ * ASCEND_THREADS, via runtime::ScopedThreadPoolSize), and a frozen
+ * golden of chip-sim fuzz fingerprints.
  *
  * Fingerprints print every field with %.17g / exact integers, so any
  * single-ULP drift in a floating-point reduction fails the EXPECT_EQ
@@ -17,17 +16,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <optional>
-#include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/atomic_file.hh"
 #include "common/golden.hh"
 #include "common/rng.hh"
-#include "des/kernel.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
 #include "resilience/fault_schedule.hh"
@@ -258,110 +253,6 @@ TEST(Determinism, ChipSimFuzzMatchesGolden)
     const std::optional<std::string> golden = readFile(path);
     ASSERT_TRUE(golden) << "missing " << path;
     EXPECT_EQ(diffGolden(*golden, rows), "");
-}
-
-/**
- * Drive a des::Kernel with a seeded random event graph — events at
- * random times/priorities whose handlers update a cell array and
- * spawn random children — and fingerprint the full dispatch trace.
- * A shadow ordered set of pending (time, priority, seq) keys is the
- * oracle: every schedule inserts its key, and every dispatch must pop
- * the set's minimum, so each event is checked against the canonical
- * order as it runs. Times sit on a quarter-unit grid, so equal-time
- * events are common and the priority and seq tie-breaks decide real
- * dispatches.
- */
-std::string
-desKernelTrace(std::uint64_t seed)
-{
-    using Key = std::tuple<double, std::int32_t, std::uint64_t>;
-    Rng rng(seed);
-    des::Kernel kernel;
-    std::set<Key> pending;
-    std::vector<Key> keyOf; // indexed in schedule order
-    const auto dispatched = [&](std::size_t id) {
-        ASSERT_FALSE(pending.empty()) << "seed " << seed;
-        EXPECT_EQ(*pending.begin(), keyOf[id])
-            << "seed " << seed << ": dispatch is not the minimum "
-            << "pending (time, priority, seq) key";
-        pending.erase(keyOf[id]);
-    };
-
-    std::vector<double> cells(259);
-    for (double &c : cells)
-        c = rng.uniformReal();
-    std::string log;
-    std::uint64_t hot = 0;
-    const auto onGrid = [](double t) { return std::floor(t * 4.0) / 4.0; };
-
-    std::function<void(des::Kernel &, int)> node;
-    const auto spawn = [&](des::Kernel &k, double time,
-                           std::int32_t priority, const char *name,
-                           int depth) {
-        const std::size_t id = keyOf.size();
-        keyOf.emplace_back();
-        const std::uint64_t seq = k.schedule(
-            time, priority, name, [&, id, depth](des::Kernel &kk) {
-                dispatched(id);
-                node(kk, depth);
-            });
-        keyOf[id] = Key(time, priority, seq);
-        pending.insert(keyOf[id]);
-    };
-    node = [&](des::Kernel &k, int depth) {
-        log += "ev t=" + fp(k.now());
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            cells[i] = cells[i] * 1.0000001 + 1e-9 * double(i);
-        unsigned over = 0;
-        for (double c : cells)
-            if (c > 0.5)
-                ++over;
-        hot += over;
-        log += " over=" + std::to_string(over) + "\n";
-        if (depth < 3) {
-            const unsigned kids = unsigned(rng.uniform(3));
-            for (unsigned c = 0; c < kids; ++c) {
-                const auto priority = std::int32_t(rng.uniform(4));
-                const double time = k.now() + onGrid(rng.uniformReal());
-                spawn(k, time, priority, "fuzz.node", depth + 1);
-            }
-        }
-    };
-    for (int i = 0; i < 5; ++i) {
-        const auto priority = std::int32_t(rng.uniform(4));
-        const double time = onGrid(rng.uniformReal() * 2.0);
-        spawn(kernel, time, priority, "fuzz.root", 0);
-    }
-    unsigned quiesced = 0;
-    const std::size_t marker = keyOf.size();
-    keyOf.emplace_back(1.0, 0, kernel.scheduleQuiescent(1.0));
-    pending.insert(keyOf[marker]);
-    kernel.onQuiescent([&](des::Kernel &) {
-        ++quiesced;
-        dispatched(marker);
-    });
-    kernel.run();
-    EXPECT_TRUE(pending.empty()) << "seed " << seed;
-    EXPECT_EQ(kernel.stats().eventsDispatched,
-              kernel.stats().eventsScheduled)
-        << "seed " << seed;
-    EXPECT_EQ(quiesced, 1u) << "seed " << seed;
-    log += "dispatched=" +
-           std::to_string(kernel.stats().eventsDispatched) +
-           " quiesced=" + std::to_string(quiesced) +
-           " hot=" + std::to_string(hot) + "\n";
-    return log;
-}
-
-TEST(Determinism, DesKernelRandomEventGraphs)
-{
-    for (std::uint64_t seed : {3ull, 42ull, 2026ull}) {
-        const std::string base = desKernelTrace(seed);
-        EXPECT_EQ(desKernelTrace(seed), base) << "seed " << seed;
-        // The graph must be non-trivial for the oracle to mean much.
-        EXPECT_NE(base.find("dispatched="), std::string::npos);
-        EXPECT_GT(base.size(), 64u) << base;
-    }
 }
 
 TEST(Determinism, CoreSimSessionAcrossThreads)

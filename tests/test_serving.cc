@@ -727,6 +727,23 @@ TEST(ServingDefenses, FingerprintReactsToEveryDefenseKnob)
 
 // ------------------------------------------- kill/resume contract
 
+TEST(ServingFleet, HaltStopsAFaultBatchAfterTheFaultThatTrippedIt)
+{
+    // A rack strike kills all four replicas at one instant. The
+    // engine applies due faults one at a time and re-checks the halt
+    // after each, so a halt tripped by the first death's log line
+    // leaves the other three unapplied.
+    FleetOptions o = baseOptions();
+    o.replicas = 4;
+    o.haltAfterEvents = 1;
+    const FleetResult r = runSched(0.6, o, rackStrike(0.1));
+    EXPECT_TRUE(r.halted);
+    EXPECT_EQ(r.replicaFailures, 1u);
+    EXPECT_EQ(std::count(r.eventLog.begin(), r.eventLog.end(), '\n'), 1)
+        << r.eventLog;
+    EXPECT_NE(r.eventLog.find("dead"), std::string::npos) << r.eventLog;
+}
+
 TEST(ServingFleet, HaltResumeMatchesUninterrupted)
 {
     const std::string ref_dir = tempDir("resume_ref");
