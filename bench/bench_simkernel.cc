@@ -23,21 +23,38 @@ using namespace ascend;
 
 namespace {
 
+/** Simulate a 1024^3 GEMM; items are its flattened instructions. */
 void
-BM_CoreSimGemm(benchmark::State &state)
+simulateGemm(benchmark::State &state, bool flatten)
 {
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
     compiler::LayerCompiler lc(cfg);
     core::CoreSim sim(cfg);
     const auto layer = model::Layer::linear("gemm", 1024, 1024, 1024);
-    const auto prog = lc.compile(layer);
+    const auto compiled = lc.compile(layer);
+    const auto prog = flatten ? compiled.flatten() : compiled;
     for (auto _ : state) {
         auto r = sim.run(prog);
         benchmark::DoNotOptimize(r.totalCycles);
     }
     state.SetItemsProcessed(state.iterations() * prog.size());
 }
+
+/** The per-instruction kernel: every instruction stepped. */
+void
+BM_CoreSimGemm(benchmark::State &state)
+{
+    simulateGemm(state, true);
+}
 BENCHMARK(BM_CoreSimGemm);
+
+/** The compiled, loop-structured program, steady trips extrapolated. */
+void
+BM_CoreSimGemmFastForward(benchmark::State &state)
+{
+    simulateGemm(state, false);
+}
+BENCHMARK(BM_CoreSimGemmFastForward);
 
 void
 BM_CompileResnetLayer(benchmark::State &state)

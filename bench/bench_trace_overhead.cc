@@ -71,8 +71,10 @@ main()
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
     compiler::LayerCompiler lc(cfg);
     core::CoreSim sim(cfg);
+    // Flattened, so every instruction is stepped through the record
+    // sites whatever the tracing state.
     const auto prog =
-        lc.compile(model::Layer::linear("gemm", 512, 512, 512));
+        lc.compile(model::Layer::linear("gemm", 512, 512, 512)).flatten();
 
     const int iters = 200; // ~several ms per block
     const int reps = 11;

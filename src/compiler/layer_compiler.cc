@@ -6,6 +6,7 @@
 #include "compiler/layer_compiler.hh"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -69,6 +70,32 @@ validateLayer(const Layer &layer)
         if (layer.elems == 0)
             reject("element count must be positive");
         break;
+    }
+}
+
+/**
+ * Emit a loop of @p n iterations as runs of identical iterations:
+ * body(i) once for the first index of each run, inside a repeat block
+ * when the run is longer than one. key(i) names what iteration i
+ * emits; it may differ from its neighbours' only at the first and the
+ * last index, so the runs are the first, the middle and the last
+ * iteration, merged where their keys agree.
+ */
+template <typename Key, typename Body>
+void
+emitLoop(isa::Program &prog, std::uint64_t n, Key key, Body body)
+{
+    std::uint64_t cuts[4] = {0, 0, 0, 0};
+    std::size_t ncuts = 0;
+    for (const std::uint64_t c : {std::uint64_t(1), n - 1})
+        if (c > cuts[ncuts] && c < n && key(c) != key(c - 1))
+            cuts[++ncuts] = c;
+    cuts[++ncuts] = n;
+    for (std::size_t r = 0; r < ncuts; ++r) {
+        const std::uint64_t trips = cuts[r + 1] - cuts[r];
+        prog.beginBlock(trips);
+        body(cuts[r]);
+        prog.endBlock();
     }
 }
 
@@ -269,10 +296,10 @@ LayerCompiler::compileGemm(isa::Program &prog, const Layer &layer,
     const bool a_panel_resident = a_panel_raw <= l1_budget;
     const bool b_resident = k * n * es <= l1_budget;
 
-    // Exact instruction count of the loop nest below: 11 per (m, n, k)
-    // iteration, 3 more per operand staged into L1, 8 per output tile
-    // plus the L0C wait on its first and the C-ready set on its last
-    // k step, and the seeded tokens.
+    // Exact (flattened) instruction count of the loop nest below: 11
+    // per (m, n, k) iteration, 3 more per operand staged into L1, 8 per
+    // output tile plus the L0C wait on its first and the C-ready set
+    // on its last k step, and the seeded tokens.
     const std::uint64_t out_tiles = layer.matmulCount * m_tiles * n_tiles;
     const std::uint64_t iters = out_tiles * k_tiles;
     const std::uint64_t a_loads = layer.matmulCount * m_tiles * k_tiles *
@@ -282,7 +309,6 @@ LayerCompiler::compileGemm(isa::Program &prog, const Layer &layer,
     const std::size_t expected = prog.size() + 4 * options_.pipelineDepth +
                                  11 * iters + 3 * (a_loads + b_loads) +
                                  10 * out_tiles;
-    prog.reserve(expected);
 
     // Seed the free-buffer tokens (software pipeline depth).
     for (unsigned d = 0; d < options_.pipelineDepth; ++d) {
@@ -292,109 +318,124 @@ LayerCompiler::compileGemm(isa::Program &prog, const Layer &layer,
         prog.setFlag(Pipe::Scalar, flags::kUbFree, "seed");
     }
 
-    for (std::uint64_t mm = 0; mm < layer.matmulCount; ++mm) {
-        for (std::uint64_t mi = 0; mi < m_tiles; ++mi) {
-            const std::uint64_t cm = std::min(tile.mt, m - mi * tile.mt);
-            for (std::uint64_t ni = 0; ni < n_tiles; ++ni) {
-                const std::uint64_t cn =
-                    std::min(tile.nt, n - ni * tile.nt);
-                for (std::uint64_t ki = 0; ki < k_tiles; ++ki) {
-                    const std::uint64_t ck =
-                        std::min(tile.kt, k - ki * tile.kt);
+    // The loops are emitted as repeat blocks. An iteration's code
+    // depends on its tile extents (only the last tile of a dimension
+    // may be short), on whether it stages an L1-resident operand (the
+    // first n tile for A, the first m tile for B) and, for k, on
+    // whether it opens or closes the accumulation.
+    auto extent = [](std::uint64_t i, std::uint64_t t, std::uint64_t d) {
+        return std::min(t, d - i * t);
+    };
+    auto k_key = [&](std::uint64_t ki) {
+        return std::tuple(ki == 0, ki == k_tiles - 1, extent(ki, tile.kt, k));
+    };
+    auto n_key = [&](std::uint64_t ni) {
+        return std::tuple(a_panel_resident && ni == 0,
+                          extent(ni, tile.nt, n));
+    };
+    auto m_key = [&](std::uint64_t mi) {
+        return std::tuple(b_resident && mi == 0, extent(mi, tile.mt, m));
+    };
 
-                    const Bytes a_expanded = cm * ck * es;
-                    const Bytes a_raw = static_cast<Bytes>(
-                        double(a_expanded) / expansion);
-                    const Bytes b_bytes = ck * cn * es;
+    prog.beginBlock(layer.matmulCount);
+    emitLoop(prog, m_tiles, m_key, [&](std::uint64_t mi) {
+        const std::uint64_t cm = extent(mi, tile.mt, m);
+        const bool load_b = !b_resident || mi == 0;
+        emitLoop(prog, n_tiles, n_key, [&](std::uint64_t ni) {
+            const std::uint64_t cn = extent(ni, tile.nt, n);
+            const bool load_a = !a_panel_resident || ni == 0;
+            emitLoop(prog, k_tiles, k_key, [&](std::uint64_t ki) {
+                const std::uint64_t ck = extent(ki, tile.kt, k);
 
-                    // Stage operands into L1 (skip reused panels).
-                    const bool load_a = !a_panel_resident || ni == 0;
-                    const bool load_b = !b_resident || mi == 0;
-                    if (load_a) {
-                        prog.exec(Pipe::Mte2, cost_.mte2(a_raw), 0,
-                                  {{Bus::ExtA, a_raw},
-                                   {Bus::L1Write, a_raw}},
-                                  "mte2.A");
-                        prog.setFlag(Pipe::Mte2, flags::kAL1Ready);
-                    }
-                    const Bytes b_stored = sparsity.sparse()
-                        ? core::Zvc::compressedBytes(
-                              b_bytes, dt, sparsity.weightDensity)
-                        : b_bytes;
-                    if (load_b) {
-                        prog.exec(Pipe::Mte2, cost_.mte2(b_stored), 0,
-                                  {{Bus::ExtB, b_stored},
-                                   {Bus::L1Write, b_stored}},
-                                  "mte2.B");
-                        prog.setFlag(Pipe::Mte2, flags::kBL1Ready);
-                    }
+                const Bytes a_expanded = cm * ck * es;
+                const Bytes a_raw = static_cast<Bytes>(
+                    double(a_expanded) / expansion);
+                const Bytes b_bytes = ck * cn * es;
 
-                    // L1 -> L0A with img2col expansion. The transfer
-                    // occupies bus A for the *expanded* volume, but
-                    // the L1 read port only sees the *raw* bytes: the
-                    // img2col engine line-buffers each input row and
-                    // replays it into every overlapping patch.
-                    prog.waitFlag(Pipe::Mte1, flags::kL0aFree);
-                    if (load_a)
-                        prog.waitFlag(Pipe::Mte1, flags::kAL1Ready);
-                    prog.exec(Pipe::Mte1, cost_.mte1A(a_expanded), 0,
-                              {{Bus::L1Read, a_raw}}, "mte1.A");
-                    prog.setFlag(Pipe::Mte1, flags::kAReady);
-
-                    // L1 -> L0B.
-                    // The decomp module reads the compressed stream
-                    // from L1 and inflates at bus-B rate into L0B.
-                    prog.waitFlag(Pipe::Mte1, flags::kL0bFree);
-                    if (load_b)
-                        prog.waitFlag(Pipe::Mte1, flags::kBL1Ready);
-                    prog.exec(Pipe::Mte1, cost_.mte1B(b_bytes), 0,
-                              {{Bus::L1Read, b_stored}}, "mte1.B");
-                    prog.setFlag(Pipe::Mte1, flags::kBReady);
-
-                    // Cube tile GEMM, accumulating into L0C.
-                    prog.waitFlag(Pipe::Cube, flags::kAReady);
-                    prog.waitFlag(Pipe::Cube, flags::kBReady);
-                    if (ki == 0)
-                        prog.waitFlag(Pipe::Cube, flags::kL0cFree);
-                    Cycles cube_cycles = cost_.cubeGemm(cm, ck, cn, dt);
-                    if (compute_scale < 1.0)
-                        cube_cycles = std::max<Cycles>(
-                            core::CostModel::kComputeOverhead + 1,
-                            static_cast<Cycles>(double(cube_cycles) *
-                                                compute_scale));
-                    prog.exec(Pipe::Cube, cube_cycles,
-                              core::CostModel::gemmFlops(cm, ck, cn), {},
-                              "cube.gemm");
-                    prog.setFlag(Pipe::Cube, flags::kL0aFree);
-                    prog.setFlag(Pipe::Cube, flags::kL0bFree);
-                    if (ki == k_tiles - 1)
-                        prog.setFlag(Pipe::Cube, flags::kCReady);
+                // Stage operands into L1 (skip reused panels).
+                if (load_a) {
+                    prog.exec(Pipe::Mte2, cost_.mte2(a_raw), 0,
+                              {{Bus::ExtA, a_raw}, {Bus::L1Write, a_raw}},
+                              "mte2.A");
+                    prog.setFlag(Pipe::Mte2, flags::kAL1Ready);
+                }
+                const Bytes b_stored = sparsity.sparse()
+                    ? core::Zvc::compressedBytes(b_bytes, dt,
+                                                 sparsity.weightDensity)
+                    : b_bytes;
+                if (load_b) {
+                    prog.exec(Pipe::Mte2, cost_.mte2(b_stored), 0,
+                              {{Bus::ExtB, b_stored},
+                               {Bus::L1Write, b_stored}},
+                              "mte2.B");
+                    prog.setFlag(Pipe::Mte2, flags::kBL1Ready);
                 }
 
-                // Evict the finished output tile through the vector
-                // unit (precision conversion + bias), then store.
-                const Bytes out_bytes = cm * cn * es;
-                const Bytes out_ext = std::max<Bytes>(
-                    1, static_cast<Bytes>(double(out_bytes) * out_factor));
-                prog.waitFlag(Pipe::Vector, flags::kCReady);
-                prog.waitFlag(Pipe::Vector, flags::kUbFree);
-                prog.exec(Pipe::Vector,
-                          cost_.vectorOp(cm * cn, dt, evict_passes), 0,
-                          {{Bus::UbWrite, out_bytes}}, "vec.evict");
-                prog.setFlag(Pipe::Vector, flags::kL0cFree);
-                prog.setFlag(Pipe::Vector, flags::kOutReady);
+                // L1 -> L0A with img2col expansion. The transfer
+                // occupies bus A for the *expanded* volume, but the L1
+                // read port only sees the *raw* bytes: the img2col
+                // engine line-buffers each input row and replays it
+                // into every overlapping patch.
+                prog.waitFlag(Pipe::Mte1, flags::kL0aFree);
+                if (load_a)
+                    prog.waitFlag(Pipe::Mte1, flags::kAL1Ready);
+                prog.exec(Pipe::Mte1, cost_.mte1A(a_expanded), 0,
+                          {{Bus::L1Read, a_raw}}, "mte1.A");
+                prog.setFlag(Pipe::Mte1, flags::kAReady);
 
-                prog.waitFlag(Pipe::Mte3, flags::kOutReady);
-                prog.exec(Pipe::Mte3, cost_.mte3Ext(out_ext), 0,
-                          {{Bus::UbRead, out_bytes},
-                           {Bus::ExtOut, out_ext}},
-                          "mte3.out");
-                prog.setFlag(Pipe::Mte3, flags::kUbFree);
-            }
-        }
-    }
+                // L1 -> L0B.
+                // The decomp module reads the compressed stream from
+                // L1 and inflates at bus-B rate into L0B.
+                prog.waitFlag(Pipe::Mte1, flags::kL0bFree);
+                if (load_b)
+                    prog.waitFlag(Pipe::Mte1, flags::kBL1Ready);
+                prog.exec(Pipe::Mte1, cost_.mte1B(b_bytes), 0,
+                          {{Bus::L1Read, b_stored}}, "mte1.B");
+                prog.setFlag(Pipe::Mte1, flags::kBReady);
+
+                // Cube tile GEMM, accumulating into L0C.
+                prog.waitFlag(Pipe::Cube, flags::kAReady);
+                prog.waitFlag(Pipe::Cube, flags::kBReady);
+                if (ki == 0)
+                    prog.waitFlag(Pipe::Cube, flags::kL0cFree);
+                Cycles cube_cycles = cost_.cubeGemm(cm, ck, cn, dt);
+                if (compute_scale < 1.0)
+                    cube_cycles = std::max<Cycles>(
+                        core::CostModel::kComputeOverhead + 1,
+                        static_cast<Cycles>(double(cube_cycles) *
+                                            compute_scale));
+                prog.exec(Pipe::Cube, cube_cycles,
+                          core::CostModel::gemmFlops(cm, ck, cn), {},
+                          "cube.gemm");
+                prog.setFlag(Pipe::Cube, flags::kL0aFree);
+                prog.setFlag(Pipe::Cube, flags::kL0bFree);
+                if (ki == k_tiles - 1)
+                    prog.setFlag(Pipe::Cube, flags::kCReady);
+            });
+
+            // Evict the finished output tile through the vector unit
+            // (precision conversion + bias), then store.
+            const Bytes out_bytes = cm * cn * es;
+            const Bytes out_ext = std::max<Bytes>(
+                1, static_cast<Bytes>(double(out_bytes) * out_factor));
+            prog.waitFlag(Pipe::Vector, flags::kCReady);
+            prog.waitFlag(Pipe::Vector, flags::kUbFree);
+            prog.exec(Pipe::Vector,
+                      cost_.vectorOp(cm * cn, dt, evict_passes), 0,
+                      {{Bus::UbWrite, out_bytes}}, "vec.evict");
+            prog.setFlag(Pipe::Vector, flags::kL0cFree);
+            prog.setFlag(Pipe::Vector, flags::kOutReady);
+
+            prog.waitFlag(Pipe::Mte3, flags::kOutReady);
+            prog.exec(Pipe::Mte3, cost_.mte3Ext(out_ext), 0,
+                      {{Bus::UbRead, out_bytes}, {Bus::ExtOut, out_ext}},
+                      "mte3.out");
+            prog.setFlag(Pipe::Mte3, flags::kUbFree);
+        });
+    });
+    prog.endBlock();
     simAssert(prog.size() == expected,
-              "compileGemm emitted the reserved instruction count");
+              "compileGemm emitted the expected instruction count");
 }
 
 void
@@ -439,20 +480,12 @@ LayerCompiler::compileVector(isa::Program &prog, const Layer &layer) const
 
     const std::size_t expected =
         prog.size() + options_.pipelineDepth + 12 * tiles;
-    prog.reserve(expected);
     for (unsigned d = 0; d < options_.pipelineDepth; ++d)
         prog.setFlag(Pipe::Scalar, flags::kUbFree, "seed");
 
-    Bytes out_remaining = out_bytes_total;
-    Bytes in_remaining = in_bytes_total;
-    for (std::uint64_t ti = 0; ti < tiles; ++ti) {
-        const Bytes ob = std::min(out_tile_bytes, out_remaining);
-        const Bytes ib = ti + 1 == tiles
-            ? in_remaining
-            : std::min<Bytes>(static_cast<Bytes>(double(ob) * in_ratio),
-                              in_remaining);
-        out_remaining -= ob;
-        in_remaining -= ib;
+    // One tile's code depends only on its (output, input) byte counts:
+    // consecutive tiles that agree form one repeat block.
+    auto emit_tile = [&](Bytes ob, Bytes ib) {
         const std::uint64_t tile_elems = std::max<std::uint64_t>(ob / es, 1);
 
         // Stage input: ext -> L1 -> UB.
@@ -484,9 +517,36 @@ LayerCompiler::compileVector(isa::Program &prog, const Layer &layer) const
         prog.exec(Pipe::Mte3, cost_.mte3Ext(ob), 0,
                   {{Bus::UbRead, ob}, {Bus::ExtOut, ob}}, "mte3.out");
         prog.setFlag(Pipe::Mte3, flags::kUbFree);
+    };
+
+    Bytes out_remaining = out_bytes_total;
+    Bytes in_remaining = in_bytes_total;
+    Bytes run_ob = 0, run_ib = 0;
+    std::uint64_t run_len = 0;
+    auto flush = [&]() {
+        prog.beginBlock(run_len);
+        emit_tile(run_ob, run_ib);
+        prog.endBlock();
+    };
+    for (std::uint64_t ti = 0; ti < tiles; ++ti) {
+        const Bytes ob = std::min(out_tile_bytes, out_remaining);
+        const Bytes ib = ti + 1 == tiles
+            ? in_remaining
+            : std::min<Bytes>(static_cast<Bytes>(double(ob) * in_ratio),
+                              in_remaining);
+        out_remaining -= ob;
+        in_remaining -= ib;
+        if (run_len && (ob != run_ob || ib != run_ib)) {
+            flush();
+            run_len = 0;
+        }
+        run_ob = ob;
+        run_ib = ib;
+        ++run_len;
     }
+    flush();
     simAssert(prog.size() == expected,
-              "compileVector emitted the reserved instruction count");
+              "compileVector emitted the expected instruction count");
 }
 
 isa::Program

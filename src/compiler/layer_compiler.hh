@@ -15,7 +15,9 @@
  *   MTE3  UB -> external store.
  * Buffer reuse is expressed with counting-semaphore flags seeded with
  * two tokens per buffer, giving depth-2 software pipelining on every
- * queue (the paper's Fig. 3 execution style).
+ * queue (the paper's Fig. 3 execution style). Each loop is emitted as
+ * repeat blocks (isa::Program::beginBlock) of identical iterations,
+ * with the first, last and edge-tile iterations peeled off.
  *
  * Vector layers (normalization, activation, softmax, pooling, and
  * depthwise convolutions, which do not map efficiently onto the cube

@@ -13,6 +13,14 @@
  * dependency scheduler. A blocked WAIT_FLAG with no matching SET_FLAG
  * anywhere upstream is reported as a deadlock with full pipe state
  * (this catches compiler synchronization bugs in tests).
+ *
+ * A program's repeat blocks are dispatched one trip at a time. Once a
+ * block's trips settle into a steady state (every pipe clock and
+ * queued token time moving by a fixed amount per trip, every max()
+ * picking the same winner with a margin that does not shrink), the
+ * remaining trips are advanced in closed form. The result is exactly
+ * that of the flattened program (DESIGN.md, "Repeat blocks and the
+ * steady-state fast-forward").
  */
 
 #ifndef ASCEND_CORE_CORE_SIM_HH
@@ -100,6 +108,15 @@ struct SimResult
     void accumulate(const SimResult &other);
 };
 
+/** Work counts of one CoreSim::run. */
+struct RunStats
+{
+    /** Instructions simulated one by one (barriers included). */
+    std::uint64_t steppedInstrs = 0;
+    /** Block trips advanced in closed form instead. */
+    std::uint64_t extrapolatedTrips = 0;
+};
+
 /**
  * The core simulator. Stateless between run() calls (its scratch
  * buffers are per thread); safe to reuse, also from several threads.
@@ -118,11 +135,15 @@ class CoreSim
      * @param program The instruction sequence.
      * @param trace Optional collector receiving one event per
      *        executed instruction (for Chrome-trace visualization).
+     *        A trace, like an active obs::Tracer, makes the run step
+     *        every instruction of the flattened program.
+     * @param stats Optional work counts; the run's are added to it.
      * @return timing and traffic statistics.
      * Panics (with pipe-state diagnostics) if the program deadlocks.
      */
     SimResult run(const isa::Program &program,
-                  obs::PipeTrace *trace = nullptr) const;
+                  obs::PipeTrace *trace = nullptr,
+                  RunStats *stats = nullptr) const;
 
     const arch::CoreConfig &config() const { return config_; }
 

@@ -40,7 +40,8 @@ Bytes
 encodedBytes(const Program &program)
 {
     Bytes total = 0;
-    for (const Instr &i : program.instrs())
+    const Program flat = program.flatten();
+    for (const Instr &i : flat.instrs())
         total += instrBytes(i);
     return total;
 }
@@ -50,7 +51,8 @@ compressedBytes(const Program &program)
 {
     std::unordered_set<std::uint64_t> shapes;
     Bytes total = 0;
-    for (const Instr &i : program.instrs()) {
+    const Program flat = program.flatten();
+    for (const Instr &i : flat.instrs()) {
         if (shapes.insert(shapeKey(i)).second)
             total += kDictEntryBytes;
         // Reference + operand delta (sync instrs have no operands).

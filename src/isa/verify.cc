@@ -16,7 +16,8 @@ std::vector<VerifyIssue>
 verifyProgram(const Program &program)
 {
     std::vector<VerifyIssue> issues;
-    const auto &instrs = program.instrs();
+    const Program flat = program.flatten();
+    const auto &instrs = flat.instrs();
 
     // Global set/wait totals per flag.
     std::array<long, kNumFlags> sets{};
@@ -95,7 +96,8 @@ disassemble(const Program &program, std::size_t max_lines)
     os << "; program '" << program.name() << "', " << program.size()
        << " instructions\n";
     std::size_t line = 0;
-    for (const Instr &i : program.instrs()) {
+    const Program flat = program.flatten();
+    for (const Instr &i : flat.instrs()) {
         if (line++ >= max_lines) {
             os << "; ... " << (program.size() - max_lines)
                << " more\n";

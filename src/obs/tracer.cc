@@ -24,9 +24,23 @@ namespace {
  * Per-thread buffers compact (sort + dedup in place) past this size,
  * so repetitive workloads — benchmark iterations replaying one
  * program — stay bounded in memory. Compaction never changes the
- * final merged set: dedup is idempotent under union.
+ * final merged set: dedup is idempotent under union. The next
+ * compaction waits until the buffer doubles, so a run with millions
+ * of distinct events sorts O(log n) times, not once per event.
  */
 constexpr std::size_t kCompactAt = std::size_t(1) << 20;
+
+/** Compact @p events with @p compact once they reach @p at. */
+template <typename T>
+void
+compactPast(std::vector<T> &events, std::size_t &at,
+            void (*compact)(std::vector<T> &))
+{
+    if (events.size() < std::max(at, kCompactAt))
+        return;
+    compact(events);
+    at = 2 * events.size();
+}
 
 int
 cstrCompare(const char *a, const char *b)
@@ -260,8 +274,7 @@ Tracer::span(Domain domain, std::uint32_t track, const char *name,
     Buffer &buf = localBuffer();
     buf.spans.push_back(Span{static_cast<std::uint32_t>(domain), track,
                              start, duration, name, bytes});
-    if (buf.spans.size() >= kCompactAt)
-        compactSpans(buf.spans);
+    compactPast(buf.spans, buf.compactSpansAt, compactSpans);
 }
 
 void
@@ -273,8 +286,7 @@ Tracer::counter(Domain domain, const char *name, std::uint64_t ts,
     Buffer &buf = localBuffer();
     buf.counters.push_back(CounterSample{
         static_cast<std::uint32_t>(domain), ts, name, value});
-    if (buf.counters.size() >= kCompactAt)
-        compactCounters(buf.counters);
+    compactPast(buf.counters, buf.compactCountersAt, compactCounters);
 }
 
 void
@@ -405,6 +417,7 @@ Tracer::clear()
     for (const auto &buf : buffers_) {
         buf->spans.clear();
         buf->counters.clear();
+        buf->compactSpansAt = buf->compactCountersAt = 0;
     }
 }
 

@@ -180,6 +180,9 @@ class Tracer
     {
         std::vector<Span> spans;
         std::vector<CounterSample> counters;
+        /** Sizes that trigger the next compaction (see tracer.cc). */
+        std::size_t compactSpansAt = 0;
+        std::size_t compactCountersAt = 0;
     };
 
     static std::atomic<bool> &activeFlag();

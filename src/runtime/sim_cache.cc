@@ -71,6 +71,13 @@ readResult(ByteReader &r, core::SimResult &out)
     for (Bytes &b : out.busBytes)
         if (!r.readU64(b))
             return false;
+    // A record that breaks the pipe accounting every simulation obeys
+    // is as malformed as a truncated one.
+    for (const core::PipeStats &p : out.pipes)
+        if (p.busyCycles > p.finishCycle ||
+            p.finishCycle > out.totalCycles ||
+            p.waitCycles > out.totalCycles - p.busyCycles)
+            return false;
     return true;
 }
 

@@ -134,8 +134,10 @@ class SimCache
     /**
      * Adopt every entry of the cache file at @p path, or none. Never
      * throws: a missing file, a frame refusal (magic, checksum,
-     * format, @p version, pipe/bus dimensions) or a body that does not
-     * parse to its exact end adopts nothing. Loaded entries count
+     * format, @p version, pipe/bus dimensions), a body that does not
+     * parse to its exact end or a record that breaks the pipe
+     * accounting (busy <= finish <= total, busy + wait <= total)
+     * adopts nothing. Loaded entries count
      * neither hits nor misses.
      *
      * @return the number of entries adopted (also added to the

@@ -20,26 +20,6 @@ namespace runtime {
 namespace {
 
 /**
- * Stretch a simulated result by a straggler factor: wall-clock
- * quantities (total and per-pipe cycle counts) scale, while work
- * quantities (flops, instructions, bytes) do not.
- */
-core::SimResult
-derate(core::SimResult r, double slowdown)
-{
-    auto stretch = [slowdown](Cycles c) {
-        return Cycles(std::ceil(double(c) * slowdown));
-    };
-    r.totalCycles = stretch(r.totalCycles);
-    for (core::PipeStats &p : r.pipes) {
-        p.busyCycles = stretch(p.busyCycles);
-        p.finishCycle = stretch(p.finishCycle);
-        p.waitCycles = stretch(p.waitCycles);
-    }
-    return r;
-}
-
-/**
  * ASCEND_CACHE_DIR's cache file, or empty when persistence is off.
  */
 std::string
@@ -126,6 +106,22 @@ saveProcessCache()
 
 } // anonymous namespace
 
+core::SimResult
+derate(core::SimResult r, double slowdown)
+{
+    auto stretch = [slowdown](Cycles c) {
+        return Cycles(std::ceil(double(c) * slowdown));
+    };
+    r.totalCycles = stretch(r.totalCycles);
+    for (core::PipeStats &p : r.pipes) {
+        p.busyCycles = stretch(p.busyCycles);
+        p.finishCycle = stretch(p.finishCycle);
+        // ceil(busy * s) + floor(wait * s) <= ceil((busy + wait) * s).
+        p.waitCycles = Cycles(std::floor(double(p.waitCycles) * slowdown));
+    }
+    return r;
+}
+
 const std::shared_ptr<SimCache> &
 SimSession::processCache()
 {
@@ -180,7 +176,16 @@ SimSession::runLayerExact(const model::Layer &layer) const
     // worker compiling layer after layer stops reallocating.
     thread_local isa::Program prog;
     layerCompiler_.compileInto(layer, prog);
-    result = sim_.run(prog);
+    // Racy, like the cache counters: concurrent misses on one key
+    // both simulate.
+    static Counter &stepped = counter("core stepped instrs",
+                                      CounterKind::Sum, Determinism::Racy);
+    static Counter &skipped = counter("core extrapolated trips",
+                                      CounterKind::Sum, Determinism::Racy);
+    core::RunStats stats;
+    result = sim_.run(prog, nullptr, &stats);
+    stepped.charge(stats.steppedInstrs);
+    skipped.charge(stats.extrapolatedTrips);
     // Straggler derate: only off the bit-for-bit fault-free path when
     // explicitly enabled with a real slowdown.
     if (resilience_.enabled && resilience_.stragglerSlowdown > 1.0)

@@ -33,6 +33,16 @@ namespace ascend {
 namespace runtime {
 
 /**
+ * Stretch a simulated result by a straggler factor @p slowdown: wall-
+ * clock quantities (total and per-pipe cycle counts) scale, while work
+ * quantities (flops, instructions, bytes) do not. Total, busy and
+ * finish cycles round up, WAIT stalls round down, so the pipe
+ * accounting (busy <= finish <= total, busy + wait <= total) holds
+ * for the stretched result too.
+ */
+core::SimResult derate(core::SimResult r, double slowdown);
+
+/**
  * Compile-and-simulate service for one core configuration.
  */
 class SimSession

@@ -25,6 +25,7 @@
 #include "graph/decoder.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
+#include "obs/tracer.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
 #include "runtime/thread_pool.hh"
@@ -328,12 +329,16 @@ resultHash(const SimResult &r, std::uint64_t h = kFnv1aBasis)
     return h;
 }
 
-/** Hash of a program's name and every field of every instruction. */
+/**
+ * Hash of a program's name and every field of every instruction of
+ * its flattened sequence.
+ */
 std::uint64_t
 programHash(const Program &p, std::uint64_t h = kFnv1aBasis)
 {
     h = fnv1a(p.name().data(), p.name().size(), h);
-    for (const isa::Instr &i : p.instrs()) {
+    const Program flat = p.flatten();
+    for (const isa::Instr &i : flat.instrs()) {
         h = fnv1aU64(h, std::uint64_t(i.op));
         h = fnv1aU64(h, std::uint64_t(i.pipe));
         h = fnv1aU64(h, i.flagId);
@@ -388,6 +393,71 @@ randomExec(Rng &rng, Program &p, Pipe pipe)
 }
 
 /**
+ * The flags of one random program: their ids, each id's one consumer
+ * pipe, an optional single producer pipe per id (otherwise any pipe
+ * may SET it) and the SET-minus-WAIT balance so far in program order.
+ */
+struct FuzzFlags
+{
+    std::vector<std::uint8_t> ids;
+    std::vector<Pipe> consumerOf = std::vector<Pipe>(isa::kNumFlags);
+    std::vector<int> producerOf = std::vector<int>(isa::kNumFlags, -1);
+    std::vector<int> balance = std::vector<int>(isa::kNumFlags, 0);
+};
+
+/**
+ * Draw 1 to 6 flag ids, each with one consumer pipe, and open @p p
+ * with 0 to 2 pre-seeded scalar tokens per id.
+ */
+FuzzFlags
+randomFlags(Rng &rng, Program &p)
+{
+    FuzzFlags f;
+    const unsigned nflags = 1 + unsigned(rng.uniform(6));
+    std::vector<Pipe> consumer;
+    for (unsigned i = 0; i < nflags; ++i) {
+        f.ids.push_back(std::uint8_t(rng.uniform(isa::kNumFlags)));
+        consumer.push_back(Pipe(rng.uniform(isa::kNumPipes)));
+    }
+    // Two slots may draw the same id; the first slot's consumer wins.
+    for (unsigned i = nflags; i-- > 0;)
+        f.consumerOf[f.ids[i]] = consumer[i];
+    for (unsigned i = 0; i < nflags; ++i) {
+        for (unsigned s = unsigned(rng.uniform(3)); s > 0; --s) {
+            p.setFlag(Pipe::Scalar, f.ids[i], "seed");
+            ++f.balance[f.ids[i]];
+        }
+    }
+    return f;
+}
+
+/**
+ * Append one random instruction: an EXEC, a SET, a WAIT (only while
+ * the id's SETs so far outnumber its WAITs) or, rarely and if
+ * @p barriers, a barrier.
+ */
+void
+randomInstr(Rng &rng, Program &p, FuzzFlags &f, bool barriers = true)
+{
+    const std::uint64_t kind = rng.uniform(100);
+    const Pipe pipe = Pipe(rng.uniform(isa::kNumPipes));
+    const std::uint8_t id = f.ids[rng.uniform(f.ids.size())];
+    if (kind < 45) {
+        randomExec(rng, p, pipe);
+    } else if (kind < 72) {
+        p.setFlag(f.producerOf[id] < 0 ? pipe : Pipe(f.producerOf[id]), id);
+        ++f.balance[id];
+    } else if (kind < 98) {
+        if (f.balance[id] > 0) {
+            p.waitFlag(f.consumerOf[id], id);
+            --f.balance[id];
+        }
+    } else if (barriers) {
+        p.barrier();
+    }
+}
+
+/**
  * A seeded random program that cannot deadlock. Each flag id has one
  * consumer pipe and is SET by any pipe, so tokens arrive out of time
  * order; a WAIT is emitted only while the id's SETs so far in program
@@ -399,44 +469,10 @@ Program
 randomProgram(Rng &rng)
 {
     Program p("fuzz");
-    const unsigned nflags = 1 + unsigned(rng.uniform(6));
-    std::vector<std::uint8_t> ids;
-    std::vector<Pipe> consumer;
-    for (unsigned f = 0; f < nflags; ++f) {
-        ids.push_back(std::uint8_t(rng.uniform(isa::kNumFlags)));
-        consumer.push_back(Pipe(rng.uniform(isa::kNumPipes)));
-    }
-    // Two slots may draw the same id; the first slot's consumer wins.
-    std::vector<int> balance(isa::kNumFlags, 0);
-    std::vector<Pipe> consumerOf(isa::kNumFlags, Pipe::Scalar);
-    for (unsigned f = nflags; f-- > 0;)
-        consumerOf[ids[f]] = consumer[f];
-    for (unsigned f = 0; f < nflags; ++f) {
-        for (unsigned s = unsigned(rng.uniform(3)); s > 0; --s) {
-            p.setFlag(Pipe::Scalar, ids[f], "seed");
-            ++balance[ids[f]];
-        }
-    }
-
+    FuzzFlags f = randomFlags(rng, p);
     const unsigned len = 20 + unsigned(rng.uniform(400));
-    for (unsigned n = 0; n < len; ++n) {
-        const std::uint64_t kind = rng.uniform(100);
-        const Pipe pipe = Pipe(rng.uniform(isa::kNumPipes));
-        const std::uint8_t id = ids[rng.uniform(nflags)];
-        if (kind < 45) {
-            randomExec(rng, p, pipe);
-        } else if (kind < 72) {
-            p.setFlag(pipe, id);
-            ++balance[id];
-        } else if (kind < 98) {
-            if (balance[id] > 0) {
-                p.waitFlag(consumerOf[id], id);
-                --balance[id];
-            }
-        } else {
-            p.barrier();
-        }
-    }
+    for (unsigned n = 0; n < len; ++n)
+        randomInstr(rng, p, f);
     return p;
 }
 
@@ -588,6 +624,398 @@ TEST(CoreSimFuzz, MatchesGolden)
     const std::optional<std::string> golden = readFile(path);
     ASSERT_TRUE(golden) << "missing " << path;
     EXPECT_EQ(diffGolden(*golden, rows), "");
+}
+
+// ------------------------------------------- steady-state fast-forward
+
+/** The first SimResult field where @p a and @p b differ, or "". */
+std::string
+resultDiff(const SimResult &a, const SimResult &b)
+{
+    auto field = [](const char *name, std::uint64_t x, std::uint64_t y) {
+        return x == y ? std::string()
+                      : std::string(name) + " " + std::to_string(x) +
+                            " vs " + std::to_string(y);
+    };
+    std::string d = field("totalCycles", a.totalCycles, b.totalCycles);
+    if (d.empty())
+        d = field("totalFlops", a.totalFlops, b.totalFlops);
+    if (d.empty())
+        d = field("instrsExecuted", a.instrsExecuted, b.instrsExecuted);
+    if (d.empty())
+        d = field("barriers", a.barriers, b.barriers);
+    for (std::size_t p = 0; p < isa::kNumPipes && d.empty(); ++p) {
+        const std::string pipe = isa::toString(Pipe(p));
+        const core::PipeStats &x = a.pipes[p], &y = b.pipes[p];
+        d = field((pipe + " busy").c_str(), x.busyCycles, y.busyCycles);
+        if (d.empty())
+            d = field((pipe + " finish").c_str(), x.finishCycle,
+                      y.finishCycle);
+        if (d.empty())
+            d = field((pipe + " wait").c_str(), x.waitCycles, y.waitCycles);
+        if (d.empty())
+            d = field((pipe + " instrs").c_str(), x.instrs, y.instrs);
+    }
+    for (std::size_t i = 0; i < isa::kNumBuses && d.empty(); ++i)
+        d = field(isa::toString(isa::Bus(i)), a.busBytes[i], b.busBytes[i]);
+    return d;
+}
+
+/**
+ * Whether runs may fast-forward. An active obs::Tracer (ASCEND_TRACE)
+ * makes every run step the flattened program; the suite then pins
+ * that stepped path to the same results.
+ */
+bool
+fastForwardOn()
+{
+    return obs::Tracer::current() == nullptr;
+}
+
+/**
+ * run(p) against run(p.flatten()) on @p sim: every field must match.
+ * Returns the blocked run's work counts.
+ */
+core::RunStats
+expectMatchesFlattened(const CoreSim &sim, const Program &p,
+                       const std::string &where)
+{
+    core::RunStats stats;
+    const SimResult fast = sim.run(p, nullptr, &stats);
+    const SimResult flat = sim.run(p.flatten());
+    EXPECT_EQ(resultDiff(fast, flat), "") << where;
+    EXPECT_EQ(fast.instrsExecuted, p.size()) << where;
+    EXPECT_LE(stats.steppedInstrs, p.size()) << where;
+    if (!fastForwardOn()) {
+        EXPECT_EQ(stats.steppedInstrs, p.size()) << where;
+        EXPECT_EQ(stats.extrapolatedTrips, 0u) << where;
+    }
+    return stats;
+}
+
+/**
+ * Append 1 to 4 segments to @p p, each a run of random instructions or
+ * (up to 3 deep) a repeat block of 1 to 64 trips around further
+ * segments. A block body ends with the SETs or WAITs that bring each
+ * id's balance back to its value at entry: every trip's WAITs are
+ * covered as the first's were, and no queue grows from trip to trip.
+ * @p mult is the product of the enclosing trips; it caps the
+ * flattened size.
+ */
+void
+randomSegments(Rng &rng, Program &p, FuzzFlags &f, bool barriers,
+               unsigned depth, std::uint64_t mult)
+{
+    for (unsigned s = 1 + unsigned(rng.uniform(4)); s > 0; --s) {
+        if (depth < 3 && rng.chance(0.5)) {
+            const std::uint64_t trips =
+                1 + rng.uniform(std::min<std::uint64_t>(64, 512 / mult));
+            const std::vector<int> entry = f.balance;
+            p.beginBlock(trips);
+            randomSegments(rng, p, f, barriers, depth + 1, mult * trips);
+            for (const std::uint8_t id : f.ids) {
+                while (f.balance[id] < entry[id]) {
+                    const int pipe = f.producerOf[id];
+                    p.setFlag(pipe < 0 ? Pipe(rng.uniform(isa::kNumPipes))
+                                       : Pipe(pipe),
+                              id);
+                    ++f.balance[id];
+                }
+                while (f.balance[id] > entry[id]) {
+                    p.waitFlag(f.consumerOf[id], id);
+                    --f.balance[id];
+                }
+            }
+            p.endBlock();
+        } else {
+            for (unsigned n = 1 + unsigned(rng.uniform(24)); n > 0; --n)
+                randomInstr(rng, p, f, barriers);
+        }
+    }
+}
+
+/**
+ * A seeded random block program: the fuzz generator's flags, seeds and
+ * instruction mix, nested up to 3 deep. In about half the programs
+ * each id has one producer pipe, the shape the fast-forward
+ * extrapolates; the rest keep multi-producer ids. A quarter keep the
+ * generator's barriers.
+ */
+Program
+randomBlockProgram(Rng &rng)
+{
+    Program p("blocks");
+    FuzzFlags f = randomFlags(rng, p);
+    if (rng.chance(0.5))
+        for (const std::uint8_t id : f.ids)
+            f.producerOf[id] = int(rng.uniform(isa::kNumPipes));
+    randomSegments(rng, p, f, rng.chance(0.25), 0, 1);
+    return p;
+}
+
+TEST(CoreSimFastForward, RandomBlockProgramsMatchFlattened)
+{
+    std::size_t programs = 0, extrapolated = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        Rng rng(seed);
+        const Program p = randomBlockProgram(rng);
+        if (!p.hasBlocks())
+            continue;
+        for (const unsigned dpc : {1u, 2u, 4u}) {
+            arch::CoreConfig cfg = testConfig();
+            cfg.dispatchPerCycle = dpc;
+            const core::RunStats st = expectMatchesFlattened(
+                CoreSim(cfg), p,
+                "seed " + std::to_string(seed) + " d" + std::to_string(dpc));
+            ++programs;
+            extrapolated += st.extrapolatedTrips > 0;
+        }
+    }
+    // The generator must keep exercising the extrapolation itself, not
+    // only the step-every-trip paths.
+    EXPECT_GT(programs, 600u);
+    if (fastForwardOn()) {
+        EXPECT_GT(extrapolated, programs / 5);
+    }
+}
+
+/**
+ * Flattened instructions outside every leaf block (a block with no
+ * block inside). If only leaf blocks were extrapolated, each of these
+ * would still be stepped.
+ */
+std::uint64_t
+outsideLeafBlocks(const Program &p)
+{
+    const std::vector<isa::Block> &blocks = p.blocks();
+    std::vector<std::uint64_t> mult(p.code().size(), 1);
+    std::vector<bool> inLeaf(p.code().size(), false);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        const bool leaf = b + 1 == blocks.size() ||
+                          blocks[b + 1].begin >= blocks[b].end;
+        for (std::size_t i = blocks[b].begin; i < blocks[b].end; ++i) {
+            mult[i] *= blocks[b].trips;
+            inLeaf[i] = inLeaf[i] || leaf;
+        }
+    }
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < mult.size(); ++i)
+        if (!inLeaf[i])
+            n += mult[i];
+    return n;
+}
+
+TEST(CoreSimFastForward, ZooLayersMatchFlattened)
+{
+    // Every program of the CoreSimFuzz zoo rows.
+    std::uint64_t flat = 0, stepped = 0, outside = 0;
+    for (const FuzzGraph &fg : fuzzGraphs()) {
+        const std::vector<model::Layer> layers = distinctLayers(fg.graph);
+        for (const arch::CoreVersion v :
+             {arch::CoreVersion::Lite, arch::CoreVersion::Mini,
+              arch::CoreVersion::Std, arch::CoreVersion::Max}) {
+            const arch::CoreConfig cfg = arch::makeCoreConfig(v);
+            const CoreSim sim(cfg);
+            for (const FuzzOptions &fo : fuzzOptions()) {
+                const compiler::LayerCompiler lc(cfg, fo.options);
+                for (const model::Layer &l : layers) {
+                    const Program p = lc.compile(l);
+                    const core::RunStats st = expectMatchesFlattened(
+                        sim, p,
+                        fg.label + " " + arch::toString(v) + " " +
+                            fo.label + " " + l.name);
+                    flat += p.size();
+                    stepped += st.steppedInstrs;
+                    outside += outsideLeafBlocks(p);
+                }
+            }
+        }
+    }
+    // Fewer steps than the instructions outside leaf blocks: the
+    // fast-forward fired at two or more nesting levels.
+    if (fastForwardOn()) {
+        EXPECT_LT(stepped, outside);
+        EXPECT_LT(stepped * 3, flat);
+    }
+}
+
+TEST(CoreSimFastForward, StepsUnderAThirdOfTheDseNetworks)
+{
+    // The seven networks of the perf benchmark's dse-exact workload, at
+    // the Std preset.
+    namespace zoo = graph::zoo;
+    graph::DecoderConfig dec;
+    graph::DecoderConfig dec8;
+    dec8.batch = 8;
+    const std::vector<graph::Graph> nets = {
+        zoo::resnet50Graph(1),       zoo::resnet50Graph(16),
+        zoo::mobilenetV2Graph(1),    zoo::bertBaseGraph(1, 128),
+        zoo::bertBaseGraph(4, 384),  graph::prefillGraph(dec, 512),
+        graph::decodeGraph(dec8, 2048)};
+    const arch::CoreConfig cfg = arch::makeCoreConfig(arch::CoreVersion::Std);
+    const compiler::LayerCompiler lc(cfg);
+    const CoreSim sim(cfg);
+    std::uint64_t flat = 0;
+    core::RunStats stats;
+    for (const graph::Graph &g : nets) {
+        for (const model::Layer &l : distinctLayers(g)) {
+            const Program p = lc.compile(l);
+            sim.run(p, nullptr, &stats);
+            flat += p.size();
+        }
+    }
+    if (!fastForwardOn()) {
+        EXPECT_EQ(stats.steppedInstrs, flat);
+        return;
+    }
+    EXPECT_GT(stats.extrapolatedTrips, 0u);
+    EXPECT_LE(stats.steppedInstrs * 3, flat)
+        << stats.steppedInstrs << " stepped of " << flat;
+}
+
+TEST(CoreSimFastForward, NeverUnderAPipeTrace)
+{
+    const arch::CoreConfig cfg = testConfig();
+    const Program p = compiler::LayerCompiler(cfg).compile(
+        model::Layer::linear("gemm", 512, 512, 512));
+    ASSERT_TRUE(p.hasBlocks());
+    const CoreSim sim(cfg);
+    obs::PipeTrace traced, flat;
+    core::RunStats stats;
+    const SimResult a = sim.run(p, &traced, &stats);
+    const SimResult b = sim.run(p.flatten(), &flat);
+    EXPECT_EQ(resultDiff(a, b), "");
+    EXPECT_EQ(stats.extrapolatedTrips, 0u);
+    EXPECT_EQ(stats.steppedInstrs, p.size());
+    ASSERT_EQ(traced.size(), flat.size());
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+        const obs::PipeTraceEvent &x = traced.events()[i];
+        const obs::PipeTraceEvent &y = flat.events()[i];
+        ASSERT_TRUE(x.pipe == y.pipe && x.start == y.start &&
+                    x.duration == y.duration && x.tag == y.tag)
+            << "event " << i;
+    }
+    // Without the trace the same program is fast-forwarded.
+    core::RunStats fast;
+    EXPECT_EQ(resultDiff(sim.run(p, nullptr, &fast), b), "");
+    if (fastForwardOn()) {
+        EXPECT_GT(fast.extrapolatedTrips, 0u);
+        EXPECT_LT(fast.steppedInstrs, p.size());
+    }
+}
+
+TEST(CoreSimFastForward, NestedBlocksExtrapolateAtBothLevels)
+{
+    // 64 x 64 trips of a two-pipe handshake: if only the inner block
+    // were extrapolated, every outer trip would still step its inner
+    // block's first trips and its own tail.
+    Program p("nest");
+    p.setFlag(Pipe::Scalar, 1, "seed");
+    p.setFlag(Pipe::Scalar, 1, "seed");
+    p.beginBlock(64);
+    p.beginBlock(64);
+    p.waitFlag(Pipe::Mte1, 1);
+    p.exec(Pipe::Mte1, 30, 0, {{Bus::L1Read, 64}});
+    p.setFlag(Pipe::Mte1, 0);
+    p.waitFlag(Pipe::Cube, 0);
+    p.exec(Pipe::Cube, 40, 512);
+    p.setFlag(Pipe::Cube, 1);
+    p.endBlock();
+    p.exec(Pipe::Vector, 25, 0, {{Bus::UbWrite, 32}});
+    p.endBlock();
+    ASSERT_EQ(p.size(), 2u + 64 * (64 * 6 + 1));
+    for (const unsigned dpc : {1u, 2u, 4u}) {
+        arch::CoreConfig cfg = testConfig();
+        cfg.dispatchPerCycle = dpc;
+        const core::RunStats st = expectMatchesFlattened(
+            CoreSim(cfg), p, "d" + std::to_string(dpc));
+        if (fastForwardOn()) {
+            EXPECT_LT(st.steppedInstrs, 64u * 6) << "d" << dpc;
+        }
+    }
+}
+
+TEST(CoreSimFastForward, ShrinkingMarginIsNotExtrapolated)
+{
+    // The cube starts far behind its dispatch slot and catches up by
+    // one cycle per trip: every early trip takes each max() the same
+    // way, with the same per-trip deltas, but the pipe-vs-dispatch
+    // margin shrinks until dispatch wins. Extrapolating while it
+    // shrinks would finish the cube ~200 cycles early.
+    Program p("catch-up");
+    p.exec(Pipe::Cube, 200);
+    p.beginBlock(400);
+    p.exec(Pipe::Cube, 1);
+    p.exec(Pipe::Vector, 1);
+    p.endBlock();
+    arch::CoreConfig cfg = testConfig();
+    cfg.dispatchPerCycle = 1;
+    const core::RunStats st =
+        expectMatchesFlattened(CoreSim(cfg), p, "catch-up");
+    EXPECT_EQ(st.extrapolatedTrips > 0, fastForwardOn());
+}
+
+TEST(CoreSimFastForward, StaleQueuedTokensBlockExtrapolation)
+{
+    // Four pre-seeded tokens let the fast cube consume ahead of its
+    // slow producer; the pipe clocks move by fixed amounts per trip
+    // from the start, but the queued seed times do not. Extrapolating
+    // on the pipe clocks alone would miss the cube becoming
+    // token-bound once the seeds run out.
+    Program p("stale");
+    for (int i = 0; i < 4; ++i)
+        p.setFlag(Pipe::Scalar, 3, "seed");
+    p.beginBlock(200);
+    p.exec(Pipe::Mte2, 10);
+    p.setFlag(Pipe::Mte2, 3);
+    p.waitFlag(Pipe::Cube, 3);
+    p.exec(Pipe::Cube, 1);
+    p.endBlock();
+    for (const unsigned dpc : {1u, 4u}) {
+        arch::CoreConfig cfg = testConfig();
+        cfg.dispatchPerCycle = dpc;
+        const core::RunStats st = expectMatchesFlattened(
+            CoreSim(cfg), p, "d" + std::to_string(dpc));
+        EXPECT_EQ(st.extrapolatedTrips > 0, fastForwardOn()) << "d" << dpc;
+    }
+}
+
+TEST(CoreSimFastForward, MultiProducerFlagStepsTheFlattenedProgram)
+{
+    // Flag 0 has two producer pipes. Stepped trip by trip, the cube's
+    // WAIT would take MTE2's early token; the flat run, which
+    // dispatches everything first, hands it MTE1's late one. Such a
+    // program must run flat.
+    Program p("two-producers");
+    p.beginBlock(3);
+    p.setFlag(Pipe::Mte3, 1);
+    p.waitFlag(Pipe::Mte2, 1);
+    p.exec(Pipe::Mte2, 10);
+    p.setFlag(Pipe::Mte2, 0);
+    p.exec(Pipe::Mte1, 500);
+    p.setFlag(Pipe::Mte1, 0);
+    p.waitFlag(Pipe::Cube, 0);
+    p.exec(Pipe::Cube, 1);
+    p.waitFlag(Pipe::Cube, 0);
+    p.endBlock();
+    const core::RunStats st =
+        expectMatchesFlattened(CoreSim(testConfig()), p, "two-producers");
+    EXPECT_EQ(st.extrapolatedTrips, 0u);
+    EXPECT_EQ(st.steppedInstrs, p.size());
+}
+
+TEST(CoreSimFastForward, BarrierInABlockStepsEveryTrip)
+{
+    Program p("barrier");
+    p.beginBlock(50);
+    p.exec(Pipe::Cube, 7);
+    p.barrier();
+    p.exec(Pipe::Vector, 3);
+    p.endBlock();
+    const core::RunStats st =
+        expectMatchesFlattened(CoreSim(testConfig()), p, "barrier");
+    EXPECT_EQ(st.extrapolatedTrips, 0u);
+    EXPECT_EQ(st.steppedInstrs, p.size());
 }
 
 } // anonymous namespace

@@ -123,6 +123,94 @@ TEST(Program, EmptyAndName)
     EXPECT_FALSE(p.empty());
 }
 
+TEST(ProgramBlocks, FlattenUnrollsNestedBlocks)
+{
+    Program p("nest");
+    p.setFlag(Pipe::Scalar, 1);
+    p.beginBlock(3);
+    p.exec(Pipe::Mte2, 5);
+    p.beginBlock(2);
+    p.exec(Pipe::Cube, 7);
+    p.endBlock();
+    p.endBlock();
+    p.exec(Pipe::Vector, 9);
+    EXPECT_TRUE(p.hasBlocks());
+    EXPECT_EQ(p.code().size(), 4u);
+    ASSERT_EQ(p.blocks().size(), 2u);
+    EXPECT_EQ(p.blocks()[0].trips, 3u); // outer before inner
+    EXPECT_EQ(p.blocks()[1].begin, 2u);
+    EXPECT_EQ(p.blocks()[0].bodySize, 3u); // mte2 + 2 x cube
+    EXPECT_EQ(p.blocks()[1].bodySize, 1u);
+    EXPECT_EQ(p.size(), 1u + 3 * (1 + 2) + 1);
+
+    const Program flat = p.flatten();
+    EXPECT_FALSE(flat.hasBlocks());
+    EXPECT_EQ(flat.name(), "nest");
+    std::vector<Pipe> pipes;
+    for (const Instr &i : flat.instrs())
+        pipes.push_back(i.pipe);
+    const std::vector<Pipe> expect = {
+        Pipe::Scalar, Pipe::Mte2, Pipe::Cube, Pipe::Cube,
+        Pipe::Mte2,   Pipe::Cube, Pipe::Cube, Pipe::Mte2,
+        Pipe::Cube,   Pipe::Cube, Pipe::Vector};
+    EXPECT_EQ(pipes, expect);
+}
+
+TEST(ProgramBlocks, OneTripAndEmptyBlocksAreDropped)
+{
+    Program p;
+    p.beginBlock(1);
+    p.exec(Pipe::Cube, 1);
+    p.endBlock();
+    p.beginBlock(5);
+    p.endBlock();
+    EXPECT_FALSE(p.hasBlocks());
+    EXPECT_EQ(p.size(), 1u);
+    EXPECT_EQ(p.instrs().size(), 1u);
+}
+
+TEST(ProgramBlocks, FlagBalanceCountsEveryTrip)
+{
+    Program p;
+    p.setFlag(Pipe::Scalar, 4);
+    p.beginBlock(10);
+    p.setFlag(Pipe::Mte1, 4);
+    p.setFlag(Pipe::Mte1, 4);
+    p.waitFlag(Pipe::Cube, 4);
+    p.endBlock();
+    EXPECT_EQ(p.flagBalance()[4], 11);
+    EXPECT_EQ(p.flagBalance(), p.flatten().flagBalance());
+}
+
+TEST(ProgramBlocks, AppendKeepsBlocksAndResetDropsThem)
+{
+    Program a("a"), b("b");
+    a.exec(Pipe::Cube, 1);
+    b.beginBlock(4);
+    b.exec(Pipe::Vector, 2);
+    b.endBlock();
+    a.append(b);
+    EXPECT_EQ(a.size(), 5u);
+    ASSERT_EQ(a.blocks().size(), 1u);
+    EXPECT_EQ(a.blocks()[0].begin, 1u);
+    EXPECT_EQ(a.flatten().size(), 5u);
+    a.reset("r");
+    EXPECT_TRUE(a.empty());
+    EXPECT_FALSE(a.hasBlocks());
+}
+
+TEST(ProgramBlocksDeath, InstrsOfABlockProgramPanics)
+{
+    Program p("blocked");
+    p.beginBlock(2);
+    p.exec(Pipe::Cube, 1);
+    p.endBlock();
+    EXPECT_DEATH(p.instrs(), "repeat blocks");
+    Program q;
+    EXPECT_DEATH(q.endBlock(), "without an open block");
+    EXPECT_DEATH(q.beginBlock(0), "at least one trip");
+}
+
 } // anonymous namespace
 } // namespace isa
 } // namespace ascend

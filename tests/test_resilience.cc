@@ -1023,6 +1023,41 @@ TEST(SessionResilience, StragglerSlowdownScalesCycles)
     }
 }
 
+TEST(SessionResilience, DerateKeepsPipeAccounting)
+{
+    // busy 1 + wait 1 = total 2 stretched by 1.5: rounding every term
+    // up would give 2 + 2 > 3. The stall rounds down instead.
+    core::SimResult r;
+    r.totalCycles = 2;
+    r.pipes[0] = {1, 1, 1, 1}; // busy, finish, wait, instrs
+    const core::SimResult d = runtime::derate(r, 1.5);
+    EXPECT_EQ(d.totalCycles, 3u);
+    EXPECT_EQ(d.pipes[0].busyCycles, 2u);
+    EXPECT_EQ(d.pipes[0].finishCycle, 2u);
+    EXPECT_EQ(d.pipes[0].waitCycles, 1u);
+    EXPECT_EQ(d.pipes[0].instrs, 1u); // work is unchanged
+
+    // Every split of a small total, at several factors.
+    for (const double s : {1.1, 1.5, 2.0, 2.7, 3.3}) {
+        for (Cycles total = 0; total <= 12; ++total) {
+            for (Cycles busy = 0; busy <= total; ++busy) {
+                for (Cycles wait = 0; busy + wait <= total; ++wait) {
+                    core::SimResult x;
+                    x.totalCycles = total;
+                    x.pipes[2] = {busy, busy + wait, wait, 1};
+                    const core::SimResult y = runtime::derate(x, s);
+                    const core::PipeStats &p = y.pipes[2];
+                    EXPECT_LE(p.busyCycles, p.finishCycle);
+                    EXPECT_LE(p.finishCycle, y.totalCycles);
+                    EXPECT_LE(p.busyCycles + p.waitCycles, y.totalCycles)
+                        << "busy " << busy << " wait " << wait
+                        << " total " << total << " x" << s;
+                }
+            }
+        }
+    }
+}
+
 TEST(SessionResilience, OptionsSeparateCacheKeys)
 {
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);

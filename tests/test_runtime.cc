@@ -278,6 +278,42 @@ TEST(SimCachePersist, TruncatedAndCorruptFilesAreIgnored)
     EXPECT_EQ(out.totalCycles, Cycles(4));
 }
 
+TEST(SimCachePersist, RecordBreakingPipeAccountingIsRefused)
+{
+    // A record no simulation can produce (busy > finish, finish >
+    // total, or busy + wait > total on some pipe) makes the whole file
+    // malformed: a fresh cache adopts none of its entries.
+    const std::string path = cacheFileFor("accounting");
+    core::SimResult good;
+    good.totalCycles = 10;
+    good.pipes[1] = {4, 8, 6, 1}; // busy, finish, wait, instrs
+    auto broken = [&good](Cycles busy, Cycles finish, Cycles wait) {
+        core::SimResult r = good;
+        r.pipes[3] = {busy, finish, wait, 1};
+        return r;
+    };
+    {
+        runtime::SimCache cache;
+        cache.insert("good", good);
+        cache.insert("edge", broken(5, 10, 5)); // at every bound
+        ASSERT_TRUE(cache.saveFile(path));
+        runtime::SimCache fresh;
+        EXPECT_EQ(fresh.loadFile(path), 2u);
+    }
+    for (const core::SimResult &bad :
+         {broken(6, 10, 5), broken(6, 5, 0), broken(1, 11, 0),
+          broken(1, 1, ~Cycles(0))}) {
+        runtime::SimCache cache;
+        cache.insert("good", good);
+        cache.insert("bad", bad);
+        ASSERT_TRUE(cache.saveFile(path));
+        runtime::SimCache fresh;
+        EXPECT_EQ(fresh.loadFile(path), 0u);
+        EXPECT_EQ(fresh.stats().entries, 0u);
+        EXPECT_EQ(fresh.stats().diskLoads, 0u);
+    }
+}
+
 TEST(SimCachePersist, BitFlipInsideAResultIsRefusedNotServed)
 {
     // One flipped bit inside a stored SimResult must not turn a saved
