@@ -2,13 +2,14 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: core
  * scheduling throughput, compiler lowering speed, LLC access rate,
- * and mesh-NoC cycle rate. These guard the simulator's own
- * performance (the table/figure benches above depend on it staying
- * fast enough to sweep).
+ * chip-sim event rate and mesh-NoC cycle rate. These guard the
+ * simulator's own performance (the table/figure benches above depend
+ * on it staying fast enough to sweep).
  */
 
 #include <benchmark/benchmark.h>
 
+#include "common/rng.hh"
 #include "compiler/layer_compiler.hh"
 #include "core/core_sim.hh"
 #include "graph/lower.hh"
@@ -123,11 +124,11 @@ BENCHMARK(BM_LlcAccess);
 void
 BM_ChipSimFluid(benchmark::State &state)
 {
-    // 64 cores x 32 tasks with index-derived skew: exercises the
-    // serial active-set event loop (and the Chip trace spans under
-    // ASCEND_TRACE). The workload is identical every iteration, so
-    // the emitted spans dedup and the trace stays iteration-count
-    // independent.
+    // 64 cores x 32 tasks with index-derived skew: every core holds a
+    // distinct fluid state, so each is its own cohort, the event loop's
+    // worst case (and the Chip trace spans under ASCEND_TRACE). The
+    // workload is identical every iteration, so the emitted spans
+    // dedup and the trace stays iteration-count independent.
     std::vector<std::vector<soc::CoreTask>> per_core(64);
     for (std::size_t c = 0; c < per_core.size(); ++c) {
         per_core[c].resize(32);
@@ -144,6 +145,35 @@ BM_ChipSimFluid(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64 * 32);
 }
 BENCHMARK(BM_ChipSimFluid);
+
+void
+BM_ChipSimFanout(benchmark::State &state)
+{
+    // perf/'s chip-fanout class structure at its widest shape: 4096
+    // cores x 32 tasks, each core drawing a phase into a five-step
+    // compute pattern and one of 11 traffic classes. Cores that share
+    // a draw hold bit-identical fluid state, so the loop advances at
+    // most about 70 cohorts per instant instead of 4096 cores.
+    // BM_ChipSimFluid, where every core is distinct, is the worst case.
+    constexpr std::size_t kCores = 4096, kTasks = 32;
+    std::vector<std::vector<soc::CoreTask>> per_core(kCores);
+    Rng rng(11);
+    for (auto &queue : per_core) {
+        const std::uint64_t phase = rng.uniform(5);
+        const std::uint64_t traffic = rng.uniform(11);
+        queue.resize(kTasks);
+        for (std::size_t k = 0; k < kTasks; ++k) {
+            queue[k].computeSeconds = 1e-4 * double(1 + (phase + 3 * k) % 5);
+            queue[k].memBytes = Bytes(traffic + k + 1) * kMiB;
+        }
+    }
+    for (auto _ : state) {
+        auto r = soc::runChipSim(per_core, 4e12);
+        benchmark::DoNotOptimize(r.makespan);
+    }
+    state.SetItemsProcessed(state.iterations() * kCores * kTasks);
+}
+BENCHMARK(BM_ChipSimFanout);
 
 void
 BM_MeshCycle(benchmark::State &state)

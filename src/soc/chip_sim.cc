@@ -5,16 +5,34 @@
  * One event loop serves the fault-free and the degraded model: an
  * empty fault plan is a plan whose faults never strike. Each rate
  * re-solve is one iteration of a plain loop that runs while work
- * remains, and it walks only the *active set* (alive cores holding a
- * task, ascending index) in two serial passes:
- *  - reduce: count memory-active cores and take the minima of the
- *    remaining compute time, the remaining bytes and the repair
- *    wake-ups; dt = min(wake - now, minCompute, minBytes / rate) is
- *    exact because min is exact and correctly rounded division by a
- *    positive rate is monotone;
- *  - advance: move every running core by dt, add its drained bytes to
- *    the shared total in core-index order, and reload cores whose
- *    task completed in the same pass.
+ * remains.
+ *
+ * The loop advances *cohorts*, not cores. A cohort is a set of active
+ * cores (alive, holding a task) whose fluid state — remaining compute,
+ * remaining bytes, straggler factor, repair deadline — is bit-identical;
+ * every active core holds its cohort's id in a dense array. Cores
+ * sharing a state advance identically, so one iteration is:
+ *  - reduce, once per cohort: the memory-active count (an integer sum
+ *    of member counts) and the minima of the remaining compute time,
+ *    the remaining bytes and the repair wake-ups;
+ *    dt = min(wake - now, minCompute, minBytes / rate) is exact
+ *    because min is exact and correctly rounded division by a positive
+ *    rate is monotone, so it equals the per-core reduce bit for bit;
+ *  - advance, once per cohort: move it by dt and record the bytes each
+ *    member drained and whether its task completed;
+ *  - fold, once per active core in index order: add the core's drained
+ *    bytes to the shared total — floating-point addition is the one
+ *    non-exact reduction, so it keeps the per-core order — and collect
+ *    the members of completed cohorts. The pass makes no call, so the
+ *    total stays in a register;
+ *  - reload the collected cores in index order, so the orphan pool is
+ *    popped and tracer spans are emitted lowest-index core first.
+ * A core re-groups whenever it takes a new state at the current
+ * instant (a task load, an orphan pickup, a transient restart): a
+ * per-instant index from the state's bits to a cohort id finds the
+ * cohort that state already has, and is cleared at every advance.
+ * Freed ids are recycled and leave the index.
+ *
  * Fault strikes come from a min-heap of (next fault time, core) and
  * idle survivors wait in a min-heap of core indices for orphaned
  * work, so neither costs a walk over all cores.
@@ -24,13 +42,16 @@
  * exact or a core-index-ordered sum, and orphans are pushed and
  * popped in core-index order — so results are byte-identical at any
  * ASCEND_THREADS. tests/golden/chip_sim_fuzz.txt pins the arithmetic
- * sequence on seeded workloads under dense fault plans.
+ * sequence on seeded workloads under dense fault plans, including
+ * class-structured ones whose cohorts faults split and merge.
  */
 
 #include "soc/chip_sim.hh"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <deque>
 #include <limits>
 #include <queue>
@@ -75,6 +96,121 @@ totalTasks(const std::vector<std::vector<CoreTask>> &per_core)
 template <typename T>
 using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<T>>;
 
+/** The fluid state of an active core; a cohort's members share it. */
+struct FluidState
+{
+    double computeLeft = 0;
+    double bytesLeft = 0;
+    double slowdown = 1.0;  ///< straggler compute stretch
+    double pausedUntil = 0; ///< transient repair window
+
+    bool
+    sameBits(const FluidState &o) const
+    {
+        return std::memcmp(this, &o, sizeof(*this)) == 0;
+    }
+};
+
+/** Active cores with a bit-identical FluidState. */
+struct Cohort
+{
+    FluidState s;
+    double moved = 0;         ///< bytes each member drained last advance
+    bool done = false;        ///< the members' tasks completed last advance
+    std::uint32_t members = 0; ///< 0 = a free id
+};
+
+/**
+ * The per-instant map from a FluidState's bits to the id of the cohort
+ * holding it: open addressing with linear probing, each slot a cohort
+ * id whose cohort stores the key. An advance changes every state, so
+ * the loop clears the index at each one.
+ */
+class CohortIndex
+{
+  public:
+    static constexpr std::uint32_t kNone = ~0u;
+
+    explicit CohortIndex(std::size_t cores)
+    {
+        std::size_t n = 16;
+        while (n < 2 * cores)
+            n *= 2;
+        slots_.assign(n, kNone);
+    }
+
+    /** The cohort in @p cohorts holding @p s, or kNone. */
+    std::uint32_t
+    find(const FluidState &s, const std::vector<Cohort> &cohorts) const
+    {
+        for (std::size_t i = home(s);; i = (i + 1) & mask()) {
+            const std::uint32_t k = slots_[i];
+            if (k == kNone)
+                return kNone;
+            if (k != kErased && cohorts[k].s.sameBits(s))
+                return k;
+        }
+    }
+
+    /** Index cohort @p k, whose state @p s find() did not hold. */
+    void
+    insert(std::uint32_t k, const FluidState &s)
+    {
+        // Forgetting entries only forgoes grouping, so a full table
+        // simply starts over.
+        if (2 * used_.size() >= slots_.size())
+            clear();
+        std::size_t i = home(s);
+        while (slots_[i] != kNone)
+            i = (i + 1) & mask();
+        slots_[i] = k;
+        used_.push_back(i);
+    }
+
+    /**
+     * Drop cohort @p k, freed with state @p s, if it is indexed: its
+     * id is recycled, and a stale entry would let a core join it.
+     */
+    void
+    erase(std::uint32_t k, const FluidState &s)
+    {
+        for (std::size_t i = home(s); slots_[i] != kNone;
+             i = (i + 1) & mask())
+            if (slots_[i] == k) {
+                slots_[i] = kErased;
+                return;
+            }
+    }
+
+    void
+    clear()
+    {
+        for (const std::size_t i : used_)
+            slots_[i] = kNone;
+        used_.clear();
+    }
+
+  private:
+    static constexpr std::uint32_t kErased = kNone - 1;
+
+    std::size_t mask() const { return slots_.size() - 1; }
+
+    std::size_t
+    home(const FluidState &s) const
+    {
+        std::uint64_t w[4];
+        static_assert(sizeof(w) == sizeof(FluidState), "padded state");
+        std::memcpy(w, &s, sizeof(w));
+        std::uint64_t h = 0;
+        for (const std::uint64_t x : w)
+            h = (h ^ x ^ (x >> 29)) * 0x9e3779b97f4a7c15ull;
+        return std::size_t(h >> 32) & mask();
+    }
+
+    std::vector<std::uint32_t> slots_;
+    std::vector<std::size_t> used_; ///< filled slots, for clear()
+};
+
 } // anonymous namespace
 
 ChipSimResult
@@ -99,21 +235,19 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
     const double inf = std::numeric_limits<double>::infinity();
     const char *const mode = plan.empty() ? "fault-free" : "degraded";
 
+    // Per-core state the fluid advance never reads. While a core is
+    // active, its remaining compute and bytes live in its cohort.
     struct CoreState
     {
-        // Read by both passes of every event; kept side by side.
-        double computeLeft = 0;
-        double bytesLeft = 0;
-        double slowdown = 1.0;      ///< straggler compute stretch
-        double pausedUntil = 0;     ///< transient repair window
-        // Touched only when a task or a fault event changes hands.
         std::size_t next = 0;       ///< index into own queue
         CoreTask current;           ///< full values, for restart
-        bool active = false;        ///< holds a task (in the active set)
-        bool alive = true;
-        std::size_t eventIdx = 0;   ///< next unapplied fault event
+        double slowdown = 1.0;      ///< straggler compute stretch
+        double pausedUntil = 0;     ///< transient repair window
         double taskStart = 0;       ///< sim time the current task began
         double finish = 0;
+        std::size_t eventIdx = 0;   ///< next unapplied fault event
+        bool active = false;        ///< holds a task (in the active set)
+        bool alive = true;
     };
     std::vector<CoreState> state(cores);
     obs::Tracer *const tracer = obs::Tracer::current();
@@ -123,39 +257,72 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                 std::max(plan.stragglerFactor[c], 1.0);
 
     ChipSimResult result;
+    std::uint64_t tasks_done = 0;
     std::deque<CoreTask> orphans; ///< work shed by dead cores
     std::vector<std::size_t> active; ///< alive cores with a task, ascending
     MinHeap<std::size_t> idle; ///< alive idle cores (dead ones skipped)
     MinHeap<std::pair<double, std::size_t>> strikes; ///< (next fault, core)
 
-    auto start_task = [](CoreState &cs, const CoreTask &t) {
+    std::vector<Cohort> cohorts;
+    std::vector<std::uint32_t> free_ids;
+    std::vector<std::uint32_t> cohort_of(cores, CohortIndex::kNone);
+    CohortIndex index(cores);
+
+    // Core c takes fluid state (compute, bytes) at the current instant.
+    auto join = [&](std::size_t c, double compute, double bytes) {
+        const FluidState s{compute, bytes, state[c].slowdown,
+                           state[c].pausedUntil};
+        std::uint32_t k = index.find(s, cohorts);
+        if (k == CohortIndex::kNone) {
+            if (free_ids.empty()) {
+                k = std::uint32_t(cohorts.size());
+                cohorts.emplace_back();
+            } else {
+                k = free_ids.back();
+                free_ids.pop_back();
+            }
+            cohorts[k] = Cohort{s};
+            index.insert(k, s);
+        }
+        ++cohorts[k].members;
+        cohort_of[c] = k;
+    };
+    auto leave = [&](std::size_t c) {
+        const std::uint32_t k = cohort_of[c];
+        if (--cohorts[k].members == 0) {
+            index.erase(k, cohorts[k].s);
+            free_ids.push_back(k);
+        }
+    };
+
+    auto start_task = [&](std::size_t c, const CoreTask &t, double now) {
+        CoreState &cs = state[c];
         cs.current = t;
-        cs.computeLeft = t.computeSeconds;
-        cs.bytesLeft = double(t.memBytes);
-        cs.active = cs.computeLeft > 0 || cs.bytesLeft > 0;
+        cs.active = t.computeSeconds > 0 || t.memBytes > 0;
+        if (cs.active) {
+            cs.taskStart = now;
+            join(c, t.computeSeconds, double(t.memBytes));
+        } else {
+            ++tasks_done; // zero task: completes instantly
+        }
         return cs.active;
     };
 
-    // Advance cs to its next non-trivial task: own queue first, then
-    // the orphan pool (lowest-index idle core pulls first since the
-    // callers visit cores in order). Returns whether it holds a task.
+    // Advance core c to its next non-trivial task: own queue first,
+    // then the orphan pool (lowest-index idle core pulls first since
+    // the callers visit cores in order). Returns whether it holds a
+    // task.
     auto load_next = [&](std::size_t c, double now) {
         CoreState &cs = state[c];
-        while (cs.next < per_core[c].size()) {
-            if (start_task(cs, per_core[c][cs.next])) {
-                cs.taskStart = now;
+        for (; cs.next < per_core[c].size(); ++cs.next)
+            if (start_task(c, per_core[c][cs.next], now))
                 return true;
-            }
-            ++cs.next; // zero task: completes instantly
-        }
         while (!orphans.empty()) {
             const CoreTask t = orphans.front();
             orphans.pop_front();
             ++result.reDispatchedTasks;
-            if (start_task(cs, t)) {
-                cs.taskStart = now;
+            if (start_task(c, t, now))
                 return true;
-            }
         }
         cs.active = false;
         cs.finish = now;
@@ -171,6 +338,15 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         const std::size_t i = state[c].eventIdx;
         if (i < events.size() && !std::isnan(events[i].timeSec))
             strikes.emplace(events[i].timeSec, c);
+    };
+
+    // Drop cores that left the active set (died or went idle).
+    auto prune_active = [&] {
+        active.erase(std::remove_if(active.begin(), active.end(),
+                                    [&](std::size_t c) {
+                                        return !state[c].active;
+                                    }),
+                     active.end());
     };
 
     // Apply every fault due at or before @p now, in core-index order
@@ -196,8 +372,10 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                     died = true;
                     cs.alive = false;
                     cs.finish = e.timeSec;
-                    if (cs.active) // shed in-flight task, restarted
+                    if (cs.active) { // shed in-flight task, restarted
                         orphans.push_back(cs.current);
+                        leave(c);
+                    }
                     for (std::size_t i = cs.next + (cs.active ? 1 : 0);
                          i < per_core[c].size(); ++i)
                         orphans.push_back(per_core[c][i]);
@@ -207,19 +385,16 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                     cs.pausedUntil = std::max(
                         cs.pausedUntil, e.timeSec + e.durationSec);
                     if (cs.active) {
-                        cs.computeLeft = cs.current.computeSeconds;
-                        cs.bytesLeft = double(cs.current.memBytes);
+                        leave(c);
+                        join(c, cs.current.computeSeconds,
+                             double(cs.current.memBytes));
                     }
                 }
             }
             arm(c);
         }
         if (died)
-            active.erase(std::remove_if(active.begin(), active.end(),
-                                        [&](std::size_t c) {
-                                            return !state[c].active;
-                                        }),
-                         active.end());
+            prune_active();
     };
 
     double now = 0;
@@ -238,13 +413,9 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
 
     int guard = 0;
     auto count_event = [&] {
-        if (++guard <= options.guardLimit)
-            return;
-        std::uint64_t done = 0;
-        for (const CoreState &cs : state)
-            done += cs.next;
-        throwGuard(mode, guard, now, active.size(), cores, done,
-                   totalTasks(per_core));
+        if (++guard > options.guardLimit)
+            throwGuard(mode, guard, now, active.size(), cores, tasks_done,
+                       totalTasks(per_core));
     };
 
     // One re-solve per iteration. It either advances the fluid state
@@ -258,6 +429,7 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
     static runtime::PerfScope &loop_perf =
         runtime::perfScope("des-kernel");
     const runtime::PerfTimer loop_timer(loop_perf);
+    std::vector<std::size_t> completed(cores); ///< fold pass output
     while (!active.empty() || !orphans.empty()) {
         // Idle survivors pick up orphaned work as it appears.
         const std::size_t held = active.size();
@@ -275,25 +447,26 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         if (active.size() != held)
             std::sort(active.begin(), active.end());
 
-        // Reduce pass. A core makes progress only out of repair.
+        // Reduce, per cohort. A core makes progress only out of repair.
         unsigned mem_active = 0;
         bool any_running = false;
         double min_compute = inf;
         double min_bytes = inf;
         double wake = strikes.empty() ? inf : strikes.top().first;
-        for (const std::size_t c : active) {
-            const CoreState &cs = state[c];
-            if (now < cs.pausedUntil) {
-                wake = std::min(wake, cs.pausedUntil);
+        for (const Cohort &h : cohorts) {
+            if (h.members == 0)
+                continue;
+            if (now < h.s.pausedUntil) {
+                wake = std::min(wake, h.s.pausedUntil);
                 continue;
             }
             any_running = true;
-            if (cs.computeLeft > 0)
+            if (h.s.computeLeft > 0)
                 min_compute =
-                    std::min(min_compute, cs.computeLeft * cs.slowdown);
-            if (cs.bytesLeft > 0) {
-                ++mem_active;
-                min_bytes = std::min(min_bytes, cs.bytesLeft);
+                    std::min(min_compute, h.s.computeLeft * h.s.slowdown);
+            if (h.s.bytesLeft > 0) {
+                mem_active += h.members;
+                min_bytes = std::min(min_bytes, h.s.bytesLeft);
             }
         }
 
@@ -318,49 +491,64 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                   "chip sim event time must be finite");
         dt = std::max(dt, 1e-15); // numerical floor
 
-        // Advance pass: running cores move by dt (paused ones hold),
-        // drained bytes fold in core-index order — floating-point
-        // addition is the one non-exact reduction — and completed
-        // cores reload in that same order, so the orphan pool is
-        // popped lowest-index core first.
+        // Advance, per cohort: running cohorts move by dt, paused ones
+        // hold and drain nothing.
         const double t0 = now;
         const double share = rate * dt;
         now += dt;
-        double moved_total = bytes_moved; // local, so kept in a register
-        std::size_t kept = 0;
-        for (const std::size_t c : active) {
-            CoreState &cs = state[c];
-            if (t0 >= cs.pausedUntil) {
-                if (cs.computeLeft > 0)
-                    cs.computeLeft = std::max(
-                        0.0, cs.computeLeft - dt / cs.slowdown);
-                if (cs.bytesLeft > 0) {
-                    const double moved = std::min(cs.bytesLeft, share);
-                    cs.bytesLeft -= moved;
-                    moved_total += moved;
-                }
-                if (cs.computeLeft <= 0 && cs.bytesLeft <= 0) {
-                    if (tracer) {
-                        // The span covers the whole residency
-                        // including repair pauses and restarts, as a
-                        // wall-observer of the chip would see it.
-                        const std::uint64_t start = obs::traceNs(cs.taskStart);
-                        tracer->span(obs::Domain::Chip,
-                                     std::uint32_t(c) + 1, "task", start,
-                                     obs::traceNs(now) - start,
-                                     cs.current.memBytes);
-                    }
-                    ++cs.next;
-                    if (!load_next(c, now)) {
-                        idle.push(c);
-                        continue;
-                    }
-                }
+        for (Cohort &h : cohorts) {
+            h.moved = 0;
+            h.done = false;
+            if (h.members == 0 || t0 < h.s.pausedUntil)
+                continue;
+            FluidState &s = h.s;
+            if (s.computeLeft > 0)
+                s.computeLeft =
+                    std::max(0.0, s.computeLeft - dt / s.slowdown);
+            if (s.bytesLeft > 0) {
+                h.moved = std::min(s.bytesLeft, share);
+                s.bytesLeft -= h.moved;
             }
-            active[kept++] = c;
+            h.done = s.computeLeft <= 0 && s.bytesLeft <= 0;
         }
-        active.resize(kept);
+        index.clear(); // every indexed state just changed
+
+        // Fold, per core in index order: adding +0.0 for a core that
+        // drained nothing leaves the total's bits unchanged.
+        double moved_total = bytes_moved; // local, so kept in a register
+        std::size_t n_done = 0;
+        for (const std::size_t c : active) {
+            const Cohort &h = cohorts[cohort_of[c]];
+            moved_total += h.moved;
+            completed[n_done] = c;
+            n_done += h.done;
+        }
         bytes_moved = moved_total;
+
+        // Reload completed cores in index order.
+        bool went_idle = false;
+        for (std::size_t i = 0; i < n_done; ++i) {
+            const std::size_t c = completed[i];
+            CoreState &cs = state[c];
+            if (tracer) {
+                // The span covers the whole residency including
+                // repair pauses and restarts, as a wall-observer of
+                // the chip would see it.
+                const std::uint64_t start = obs::traceNs(cs.taskStart);
+                tracer->span(obs::Domain::Chip, std::uint32_t(c) + 1,
+                             "task", start, obs::traceNs(now) - start,
+                             cs.current.memBytes);
+            }
+            ++tasks_done;
+            ++cs.next;
+            leave(c);
+            if (!load_next(c, now)) {
+                idle.push(c);
+                went_idle = true;
+            }
+        }
+        if (went_idle)
+            prune_active();
         apply_events(now);
         count_event();
     }

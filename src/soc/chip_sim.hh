@@ -12,17 +12,21 @@
  *
  * Hot-path structure: each rate re-solve is one iteration of a loop
  * that runs while work remains. One loop serves the fault-free and
- * the degraded model, and it only touches an *active-core index set*
- * (alive cores
- * holding a task; finished and dead cores leave every scan) in two
- * serial passes per re-solve: an exact reduce (memory-active count,
- * minimum remaining compute and bytes, next repair wake-up) and an
- * advance that folds drained bytes and reloads completed cores in
- * core-index order. Fault strikes and idle survivors live in min-heaps,
- * so a fault plan adds no per-event walk over all cores. The loop is
- * serial — the per-core work of one event is a few flops, far less
- * than a thread-pool fan-out costs — so results are byte-identical at
- * any ASCEND_THREADS.
+ * the degraded model, traced or not. Active cores (alive, holding a
+ * task) whose fluid state — remaining compute, remaining bytes,
+ * straggler factor, repair deadline — is bit-identical form a
+ * *cohort*, and the exact reduce (memory-active count, minimum
+ * remaining compute and bytes, next repair wake-up) and the fluid
+ * advance run once per cohort. Only the shared byte total, the one
+ * non-exact sum, still folds per core in core-index order; completed
+ * cores then reload in that order. Cores re-group when they take a
+ * new state (task load, orphan pickup, transient restart). On the
+ * perf driver's fault-free chip-fanout runs about 53 cohorts stand
+ * for some 1,700 active cores per instant.
+ * Fault strikes and idle survivors live in min-heaps, so a fault plan
+ * adds no per-event walk over all cores. The loop is serial — the
+ * work of one event is far less than a thread-pool fan-out costs —
+ * so results are byte-identical at any ASCEND_THREADS.
  *
  * Used to study block-level parallel execution (Section 5.2) on the
  * 910: how uneven layer splits and memory interference stretch the

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -14,6 +18,8 @@
 #include "graph/zoo_graphs.hh"
 #include "isa/verify.hh"
 #include "noc/mesh.hh"
+#include "obs/tracer.hh"
+#include "resilience/fault_schedule.hh"
 #include "runtime/sim_session.hh"
 #include "soc/chip_sim.hh"
 
@@ -137,6 +143,139 @@ TEST(ChipSim, GuardLimitRaisesStructuredErrorUnderFaults)
         FAIL() << "guard did not trip";
     } catch (const Error &e) {
         EXPECT_EQ(e.code(), ErrorCode::GuardExceeded);
+    }
+}
+
+TEST(ChipSim, GuardErrorCountsCompletionsNotOrphans)
+{
+    // Core 1 dies at t=0, so its 16 tasks become orphans that core 0
+    // runs after its own. Every event completes one task on core 0;
+    // the guard trips on the 4th event, after 4 of the 32 tasks.
+    std::vector<std::vector<soc::CoreTask>> cores(2);
+    for (auto &queue : cores)
+        queue.assign(16, {0.001, 0});
+    resilience::ChipFaultPlan plan;
+    plan.coreEvents.resize(2);
+    plan.coreEvents[1].push_back(
+        {resilience::FaultKind::CorePermanent, 0.0, 1, 0.0, 1.0});
+    soc::ChipSimOptions options;
+    options.guardLimit = 3;
+    try {
+        soc::runChipSim(cores, 1e9, plan, options);
+        FAIL() << "guard did not trip";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::GuardExceeded);
+        EXPECT_NE(e.context().find("4/32 tasks done"), std::string::npos)
+            << e.context();
+    }
+}
+
+/** Every field of @p r, doubles in hex, so one ULP shows. */
+std::string
+fingerprint(const soc::ChipSimResult &r)
+{
+    std::string s;
+    char buf[64];
+    for (double v : {r.makespan, r.avgMemUtilization}) {
+        std::snprintf(buf, sizeof(buf), "%a ", v);
+        s += buf;
+    }
+    std::snprintf(buf, sizeof(buf), "%u %u %d", r.coreFailures,
+                  r.reDispatchedTasks, int(r.completed));
+    s += buf;
+    for (double f : r.coreFinish) {
+        std::snprintf(buf, sizeof(buf), " %a", f);
+        s += buf;
+    }
+    return s;
+}
+
+/** One Chip-domain span parsed back out of the trace JSON. */
+struct ChipSpan
+{
+    std::uint32_t core = 0; ///< 0-based (the track is core + 1)
+    std::uint64_t start = 0;
+    std::uint64_t end = 0;
+};
+
+std::vector<ChipSpan>
+chipTaskSpans(const std::string &json)
+{
+    std::vector<ChipSpan> spans;
+    const std::string key = "{\"name\":\"task\",\"ph\":\"X\",\"pid\":2,";
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+        unsigned long long tid = 0, ts = 0, dur = 0;
+        EXPECT_EQ(std::sscanf(json.c_str() + at + key.size(),
+                              "\"tid\":%llu,\"ts\":%llu,\"dur\":%llu",
+                              &tid, &ts, &dur),
+                  3);
+        spans.push_back({std::uint32_t(tid - 1), ts, ts + dur});
+    }
+    return spans;
+}
+
+TEST(ChipSim, TracedRunEqualsUntracedRun)
+{
+    if (!obs::kTraceCompiledIn)
+        GTEST_SKIP() << "tracer compiled out";
+    // Three task classes over 48 cores, so cores run in cohorts; a
+    // straggler factor, shared-instant transients and two early kills
+    // split the classes and move orphans between them.
+    const unsigned n = 48;
+    std::vector<std::vector<soc::CoreTask>> work(n);
+    std::size_t tasks = 0;
+    for (unsigned c = 0; c < n; ++c) {
+        const unsigned cls = c % 3;
+        for (unsigned k = 0; k < 6 + cls; ++k)
+            work[c].push_back({1e-4 * double(1 + (cls + k) % 4),
+                               Bytes(1 + cls + k % 3) << 18});
+        tasks += work[c].size();
+    }
+    resilience::ChipFaultPlan plan;
+    plan.stragglerFactor.assign(n, 1.0);
+    plan.coreEvents.resize(n);
+    for (unsigned c = 0; c < n; c += 5)
+        plan.stragglerFactor[c] = 1.75;
+    for (unsigned c = 1; c < n; c += 4)
+        plan.coreEvents[c].push_back(
+            {resilience::FaultKind::CoreTransient, 3e-4, c, 2e-4, 1.0});
+    for (unsigned c : {7u, 20u})
+        plan.coreEvents[c].insert(
+            plan.coreEvents[c].begin(),
+            {resilience::FaultKind::CorePermanent, 1e-4, c, 0.0, 1.0});
+
+    obs::Tracer &tracer = obs::Tracer::instance();
+    const bool was_tracing = obs::Tracer::enabled();
+    const std::string was_path = tracer.path();
+    tracer.stop();
+    const std::string untraced =
+        fingerprint(soc::runChipSim(work, 40e9, plan));
+    tracer.start("");
+    const soc::ChipSimResult r = soc::runChipSim(work, 40e9, plan);
+    const std::vector<ChipSpan> spans = chipTaskSpans(tracer.json());
+    tracer.stop();
+    if (was_tracing)
+        tracer.start(was_path);
+
+    EXPECT_EQ(fingerprint(r), untraced);
+    ASSERT_TRUE(r.completed);
+    EXPECT_GT(r.reDispatchedTasks, 0u);
+    EXPECT_EQ(spans.size(), tasks); // no zero tasks: one span each
+    std::vector<std::uint64_t> last_end(n, 0);
+    std::vector<bool> seen(n, false);
+    for (const ChipSpan &s : spans) { // sorted by (core, start)
+        ASSERT_LT(s.core, n);
+        EXPECT_GE(s.start, last_end[s.core]) << "core " << s.core;
+        last_end[s.core] = s.end;
+        seen[s.core] = true;
+    }
+    for (unsigned c = 0; c < n; ++c) {
+        const std::uint64_t finish = obs::traceNs(r.coreFinish[c]);
+        if (c == 7 || c == 20) // killed: the lost task has no span
+            EXPECT_LE(last_end[c], finish) << "core " << c;
+        else
+            EXPECT_TRUE(seen[c] && last_end[c] == finish) << "core " << c;
     }
 }
 

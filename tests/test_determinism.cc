@@ -228,6 +228,80 @@ chipFuzzRow(std::uint64_t seed)
 }
 
 /**
+ * One seeded class-structured chip workload, keyed by @p seed. Cores
+ * draw their task queue from a few shared classes, so many cores hold
+ * bit-identical fluid state at once and the event loop advances them
+ * as one cohort. The faults split and merge cohorts: a straggler
+ * factor and grid-aligned transients hit some members of a class, and
+ * Dense kills at shared grid instants hand orphans from one class to
+ * idle cores of another. Some tasks are zero.
+ */
+std::string
+chipCohortRow(std::uint64_t seed)
+{
+    using resilience::FaultEvent;
+    using resilience::FaultKind;
+    Rng rng(seed);
+    const unsigned cores = 8 + unsigned(rng.uniform(57));
+    const unsigned classes = 1 + unsigned(rng.uniform(4));
+    std::vector<std::vector<soc::CoreTask>> queues(classes);
+    for (auto &queue : queues) {
+        queue.resize(rng.uniform(9));
+        for (soc::CoreTask &t : queue) {
+            const unsigned shape = unsigned(rng.uniform(6));
+            if (shape != 0 && shape != 1)
+                t.computeSeconds = 1e-4 * (1.0 + rng.uniformReal() * 9.0);
+            if (shape != 0 && shape != 2)
+                t.memBytes = Bytes(1 + rng.uniform(4u << 20));
+        }
+    }
+    std::vector<std::vector<soc::CoreTask>> work(cores);
+    for (auto &queue : work)
+        queue = queues[rng.uniform(classes)];
+    const double bw = 1e9 * double(1 + rng.uniform(100));
+    const double horizon =
+        std::max(soc::runChipSim(work, bw).makespan, 1e-6);
+
+    enum Kind { FaultFree, Stragglers, Transients, Dense };
+    const char *const names[] = {"cohort-fault-free", "cohort-stragglers",
+                                 "cohort-transients", "cohort-dense"};
+    const Kind kind = Kind(seed % 4);
+    resilience::ChipFaultPlan plan;
+    if (kind != FaultFree) {
+        plan.stragglerFactor.assign(cores, 1.0);
+        plan.coreEvents.resize(cores);
+    }
+    // Grid instants and repair windows shared across cores, so the
+    // members a fault hits re-group with each other.
+    auto grid = [&](double hi) {
+        return horizon * double(rng.uniform(unsigned(hi * 8))) / 8;
+    };
+    const double factor = 1.0 + rng.uniformReal() * 2.0;
+    for (unsigned c = 0; c < cores && kind != FaultFree; ++c) {
+        if (rng.chance(0.3))
+            plan.stragglerFactor[c] = factor;
+        auto &events = plan.coreEvents[c];
+        if (kind == Dense && rng.chance(0.3))
+            events.push_back(
+                {FaultKind::CorePermanent, grid(0.8), c, 0.0, 1.0});
+        const unsigned transients =
+            kind == Stragglers ? 0 : unsigned(rng.uniform(3));
+        for (unsigned e = 0; e < transients; ++e)
+            events.push_back({FaultKind::CoreTransient, grid(1.2), c,
+                              horizon / double(16 << rng.uniform(2)),
+                              1.0});
+        std::stable_sort(events.begin(), events.end(),
+                         [](const FaultEvent &a, const FaultEvent &b) {
+                             return a.timeSec < b.timeSec;
+                         });
+    }
+    return "seed=" + std::to_string(seed) + " " + names[kind] +
+           " classes=" + std::to_string(classes) +
+           " cores=" + std::to_string(cores) + " " +
+           fingerprint(soc::runChipSim(work, bw, plan));
+}
+
+/**
  * The fuzz rows are frozen in tests/golden/chip_sim_fuzz.txt: every
  * rewrite of the chip-sim event loop must reproduce them bit for bit.
  * Regenerate after an intentional model change with
@@ -240,11 +314,14 @@ TEST(Determinism, ChipSimFuzzMatchesGolden)
         std::string(ASCEND_GOLDEN_DIR) + "/chip_sim_fuzz.txt";
     std::string rows =
         "# runChipSim fingerprints of seeded random workloads and fault\n"
-        "# plans (tests/test_determinism.cc chipFuzzRow).\n"
+        "# plans (tests/test_determinism.cc chipFuzzRow, then\n"
+        "# chipCohortRow from seed 37).\n"
         "# Regenerate: ASCEND_UPDATE_GOLDEN=1 "
         "./build/tests/test_determinism\n";
     for (std::uint64_t seed = 1; seed <= 36; ++seed)
         rows += chipFuzzRow(seed) + "\n";
+    for (std::uint64_t seed = 37; seed <= 60; ++seed)
+        rows += chipCohortRow(seed) + "\n";
     const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
     if (env && *env && std::string(env) != "0") {
         ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
