@@ -12,10 +12,8 @@
 #ifndef ASCEND_ARCH_CORE_CONFIG_HH
 #define ASCEND_ARCH_CORE_CONFIG_HH
 
-#include <concepts>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 
 #include "common/types.hh"
 
@@ -128,8 +126,7 @@ struct CoreConfig
  * named: the cache key (which skips the cosmetic name) and the config
  * file both walk it.
  */
-template <typename F, typename... C>
-    requires(std::same_as<std::remove_const_t<C>, CoreConfig> && ...)
+template <typename F, RecordOf<CoreConfig>... C>
 void
 forEachField(F &&f, C &...c)
 {

@@ -7,11 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <map>
 #include <sstream>
 
 #include "common/error.hh"
+#include "common/field.hh"
 #include "common/logging.hh"
 #include "obs/tracer.hh"
 
@@ -282,123 +281,12 @@ ClusterConfig::validate() const
     checkNonNegative("net_latency_sec", netLatencySec);
 }
 
-namespace {
-
-std::string
-trimToken(const std::string &s)
-{
-    const auto begin = s.find_first_not_of(" \t\r");
-    const auto end = s.find_last_not_of(" \t\r");
-    if (begin == std::string::npos)
-        return "";
-    return s.substr(begin, end - begin + 1);
-}
-
-double
-parseClusterDouble(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        if (pos != value.size() || !std::isfinite(v))
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const Error &) {
-        throw;
-    } catch (const std::exception &) {
-        throwError(ErrorCode::ConfigParse,
-                   "cluster config: bad number '%s' for key %s",
-                   value.c_str(), key.c_str());
-    }
-}
-
-unsigned
-parseClusterUnsigned(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        const unsigned long v = std::stoul(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return unsigned(v);
-    } catch (const Error &) {
-        throw;
-    } catch (const std::exception &) {
-        throwError(ErrorCode::ConfigParse,
-                   "cluster config: bad integer '%s' for key %s",
-                   value.c_str(), key.c_str());
-    }
-}
-
-} // anonymous namespace
-
 ClusterConfig
 clusterConfigFromString(const std::string &text, const ClusterConfig &base)
 {
     ClusterConfig config = base;
-    const std::map<std::string, std::function<void(const std::string &,
-                                                   const std::string &)>>
-        setters = {
-            {"chips",
-             [&](const std::string &k, const std::string &v) {
-                 config.server.chips = parseClusterUnsigned(k, v);
-             }},
-            {"chips_per_group",
-             [&](const std::string &k, const std::string &v) {
-                 config.server.chipsPerGroup = parseClusterUnsigned(k, v);
-             }},
-            {"hccs_bytes_per_sec",
-             [&](const std::string &k, const std::string &v) {
-                 config.server.hccsBytesPerSec = parseClusterDouble(k, v);
-             }},
-            {"pcie_bytes_per_sec",
-             [&](const std::string &k, const std::string &v) {
-                 config.server.pcieBytesPerSec = parseClusterDouble(k, v);
-             }},
-            {"link_latency_sec",
-             [&](const std::string &k, const std::string &v) {
-                 config.server.linkLatencySec = parseClusterDouble(k, v);
-             }},
-            {"servers",
-             [&](const std::string &k, const std::string &v) {
-                 config.servers = parseClusterUnsigned(k, v);
-             }},
-            {"net_bytes_per_sec",
-             [&](const std::string &k, const std::string &v) {
-                 config.netBytesPerSec = parseClusterDouble(k, v);
-             }},
-            {"net_latency_sec",
-             [&](const std::string &k, const std::string &v) {
-                 config.netLatencySec = parseClusterDouble(k, v);
-             }},
-        };
-
     std::istringstream is(text);
-    std::string line;
-    int line_no = 0;
-    while (std::getline(is, line)) {
-        ++line_no;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        const std::string body = trimToken(line);
-        if (body.empty())
-            continue;
-        const auto eq = body.find('=');
-        if (eq == std::string::npos)
-            throwError(ErrorCode::ConfigParse,
-                       "cluster config line %d: expected 'key = value',"
-                       " got '%s'",
-                       line_no, body.c_str());
-        const std::string key = trimToken(body.substr(0, eq));
-        const std::string value = trimToken(body.substr(eq + 1));
-        const auto it = setters.find(key);
-        if (it == setters.end())
-            throwError(ErrorCode::ConfigParse,
-                       "cluster config line %d: unknown key '%s'",
-                       line_no, key.c_str());
-        it->second(key, value);
-    }
+    readFields(is, config, "cluster config");
     config.validate();
     return config;
 }
@@ -407,15 +295,8 @@ std::string
 clusterConfigToString(const ClusterConfig &config)
 {
     std::ostringstream os;
-    os << "# ascend-sim cluster configuration\n"
-       << "chips = " << config.server.chips << "\n"
-       << "chips_per_group = " << config.server.chipsPerGroup << "\n"
-       << "hccs_bytes_per_sec = " << config.server.hccsBytesPerSec << "\n"
-       << "pcie_bytes_per_sec = " << config.server.pcieBytesPerSec << "\n"
-       << "link_latency_sec = " << config.server.linkLatencySec << "\n"
-       << "servers = " << config.servers << "\n"
-       << "net_bytes_per_sec = " << config.netBytesPerSec << "\n"
-       << "net_latency_sec = " << config.netLatencySec << "\n";
+    os << "# ascend-sim cluster configuration\n";
+    writeFields(os, config);
     return os.str();
 }
 

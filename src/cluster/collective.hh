@@ -53,17 +53,34 @@ struct ClusterConfig
 };
 
 /**
+ * ClusterConfig's fields under their cluster-text keys, the server's
+ * first (common/field.hh).
+ */
+template <typename F, RecordOf<ClusterConfig>... C>
+void
+forEachField(F &&f, C &...c)
+{
+    f("chips", c.server.chips...);
+    f("chips_per_group", c.server.chipsPerGroup...);
+    f("hccs_bytes_per_sec", c.server.hccsBytesPerSec...);
+    f("pcie_bytes_per_sec", c.server.pcieBytesPerSec...);
+    f("link_latency_sec", c.server.linkLatencySec...);
+    f("servers", c.servers...);
+    f("net_bytes_per_sec", c.netBytesPerSec...);
+    f("net_latency_sec", c.netLatencySec...);
+}
+
+/**
  * Parse a cluster description: starts from @p base and applies
- * `key = value` lines (keys: chips, chips_per_group,
- * hccs_bytes_per_sec, pcie_bytes_per_sec, link_latency_sec, servers,
- * net_bytes_per_sec, net_latency_sec; `#` comments). Throws
- * ascend::Error(ConfigParse) on malformed text and the result is
- * validate()d before it is returned.
+ * `key = value` lines whose keys are the forEachField list's above
+ * (`#` comments). Throws ascend::Error(ConfigParse) on malformed text,
+ * an unknown key or a value its field cannot hold (`servers = -1`);
+ * the result is validate()d before it is returned.
  */
 ClusterConfig clusterConfigFromString(const std::string &text,
                                       const ClusterConfig &base = {});
 
-/** Serialize @p config as `key = value` lines (round-trips). */
+/** Serialize @p config as `key = value` lines (round-trips exactly). */
 std::string clusterConfigToString(const ClusterConfig &config);
 
 /** Allreduce algorithm families (Section 4.2 software stack). */
@@ -127,6 +144,17 @@ struct TrainingJob
     /** Fraction of the allreduce hidden behind backward compute. */
     double overlapFraction = 0.5;
 };
+
+/** TrainingJob's fields, keyed into the elastic run identity. */
+template <typename F, RecordOf<TrainingJob>... J>
+void
+forEachField(F &&f, J &...j)
+{
+    f("step_seconds_per_chip", j.stepSecondsPerChip...);
+    f("gradient_bytes", j.gradientBytes...);
+    f("samples_per_chip_step", j.samplesPerChipStep...);
+    f("overlap_fraction", j.overlapFraction...);
+}
 
 /** Per-step wall time with gradient synchronization. */
 double stepSeconds(const TrainingJob &job, const ClusterConfig &cluster,

@@ -36,7 +36,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/codec.hh"
+#include "common/field.hh"
 #include "common/logging.hh"
 #include "obs/tracer.hh"
 #include "runtime/perf_stats.hh"
@@ -159,25 +159,6 @@ traceRecovery(const char *name, double t0_sec, double t1_sec,
 } // anonymous namespace
 
 std::string
-fingerprint(const ElasticOptions &options)
-{
-    std::string s;
-    s.reserve(192);
-    s += "elopt:";
-    putU64(s, options.spareNodes);
-    putU64(s, options.stateBytes);
-    putBits(s, options.failoverRestartSec);
-    putBits(s, options.reshardRestartSec);
-    putU64(s, options.speculation ? 1 : 0);
-    putU64(s, options.checkpoint.enabled ? 1 : 0);
-    putBits(s, options.checkpoint.intervalSec);
-    putBits(s, options.checkpoint.saveSec);
-    putBits(s, options.checkpoint.restartSec);
-    putU64(s, options.checkpointEverySteps);
-    return s;
-}
-
-std::string
 runFingerprint(const TrainingJob &job, const ClusterConfig &cluster,
                unsigned chips, unsigned num_steps,
                const FaultSchedule &faults,
@@ -185,30 +166,12 @@ runFingerprint(const TrainingJob &job, const ClusterConfig &cluster,
                resilience::DegradedMode mode,
                const ElasticOptions &options)
 {
-    std::string s;
-    s.reserve(768);
-    s += "elastic-run:";
-    putU64(s, chips);
-    putU64(s, num_steps);
-    putBits(s, job.stepSecondsPerChip);
-    putU64(s, job.gradientBytes);
-    putU64(s, job.samplesPerChipStep);
-    putBits(s, job.overlapFraction);
-    putU64(s, retry.maxRetries);
-    putBits(s, retry.timeoutSec);
-    putBits(s, retry.backoffBaseSec);
-    putBits(s, retry.backoffMultiplier);
-    putBits(s, retry.backoffCapSec);
-    putBits(s, retry.giveUpAfterSeconds);
-    putBits(s, retry.degradedBandwidthFactor);
-    putU64(s, std::uint64_t(mode));
-    s += fingerprint(options);
     // The schedule's own fingerprint, not fingerprint(spec()):
     // correlated schedules (resilience::generateCorrelated) carry an
     // identity their nominal spec alone cannot reproduce.
-    s += faults.fingerprint();
-    s += clusterConfigToString(cluster);
-    return s;
+    return "elastic-run:" +
+           fieldKey(chips, num_steps, job, retry, mode, options) +
+           faults.fingerprint() + fieldKey(cluster);
 }
 
 std::string

@@ -62,7 +62,7 @@ namespace cluster {
 /**
  * Knobs of the elastic engine. The resilience::RunControl fields
  * (checkpoint directory, halt hook, event callback) are excluded from
- * fingerprint().
+ * runFingerprint().
  */
 struct ElasticOptions : resilience::RunControl
 {
@@ -94,13 +94,19 @@ struct ElasticOptions : resilience::RunControl
     unsigned checkpointEverySteps = 0;
 };
 
-/**
- * Exact fingerprint of the option fields that influence simulated
- * results (the RunControl fields excluded). Mix
- * into runtime::ResilienceOptions::scenario so sessions simulating
- * different elastic configurations never alias in the SimCache.
- */
-std::string fingerprint(const ElasticOptions &options);
+/** ElasticOptions' fields, RunControl's excluded (common/field.hh). */
+template <typename F, RecordOf<ElasticOptions>... O>
+void
+forEachField(F &&f, O &...o)
+{
+    f("spare_nodes", o.spareNodes...);
+    f("state_bytes", o.stateBytes...);
+    f("failover_restart_sec", o.failoverRestartSec...);
+    f("reshard_restart_sec", o.reshardRestartSec...);
+    f("speculation", o.speculation...);
+    f("checkpoint", o.checkpoint...);
+    f("checkpoint_every_steps", o.checkpointEverySteps...);
+}
 
 /** Resilience counters an elastic run accumulates. */
 struct ElasticCounters

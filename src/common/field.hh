@@ -1,20 +1,28 @@
 /**
  * @file
- * Per-type codecs for the fields of keyed records.
+ * Per-type codecs for the fields of keyed records, and the walks over
+ * their field lists.
  *
- * A keyed record (model::Layer, arch::CoreConfig) declares its fields
- * once, in a forEachField list next to the struct that calls
- * f(key, member) for each. Every consumer walks that list with these
- * codecs instead of naming the fields again:
+ * A keyed record (model::Layer, arch::CoreConfig and the option
+ * records DESIGN.md section 4b lists) declares its fields once, in a
+ * forEachField list next to the struct that calls f(key, member) for
+ * each. A field may be another record, which the key encoder walks
+ * through its own list (the text walks take flat records). Every
+ * consumer walks the lists with these codecs instead of naming the
+ * fields again:
  *
  * - fieldBits: the field as one u64 word of a cache key or hash (an
  *   enum or integer as its value, a double as its bit pattern);
+ * - putField / fieldKey: the one key encoder of fingerprints and run
+ *   identities;
  * - fieldText / parseFieldText: the field as text in `.agr` files and
  *   config files (decimal integers, %.17g doubles, true/false, an
  *   enum's toString token);
  * - setFieldText: parse one `key=value` pair into a record, refusing
  *   an unknown key or a value its field's type cannot hold with a
- *   structured ConfigParse error.
+ *   structured ConfigParse error;
+ * - writeFields / readFields: a record as the `key = value` lines of
+ *   the core config file and the cluster config text.
  *
  * Enum fields need a toString overload reachable by argument-dependent
  * lookup whose values run from 0 and which returns "?" past the last.
@@ -28,7 +36,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <istream>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <type_traits>
 
@@ -36,6 +46,12 @@
 #include "common/error.hh"
 
 namespace ascend {
+
+/** A record with a forEachField list (by argument-dependent lookup). */
+template <typename T>
+concept FieldRecord = requires(T &rec) {
+    forEachField([](const char *, auto &) {}, rec);
+};
 
 /** A field as one key or hash word. */
 template <typename T>
@@ -46,6 +62,41 @@ fieldBits(T v)
         return doubleBits(v);
     else
         return std::uint64_t(v);
+}
+
+/**
+ * Append @p v to text key @p key: a string length-prefixed, a record
+ * as its static keyTag (when it declares one) followed by each listed
+ * field, any other field as one fieldBits word.
+ */
+template <typename T>
+void
+putField(std::string &key, const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        putU64(key, v.size());
+        key += v;
+    } else if constexpr (FieldRecord<const T>) {
+        if constexpr (requires { T::keyTag; })
+            key += T::keyTag;
+        forEachField(
+            [&key](const char *, const auto &field) {
+                putField(key, field);
+            },
+            v);
+    } else {
+        putU64(key, fieldBits(v));
+    }
+}
+
+/** A new key of putField of each of @p vs, in order. */
+template <typename... T>
+std::string
+fieldKey(const T &...vs)
+{
+    std::string key;
+    (putField(key, vs), ...);
+    return key;
 }
 
 /** A field's text form; parseFieldText restores it exactly. */
@@ -161,6 +212,54 @@ setFieldText(R &rec, const std::string &key, const std::string &text,
     if (!known)
         throwError(ErrorCode::ConfigParse, "%s line %u: unknown key '%s'",
                    source, line_no, key.c_str());
+}
+
+/** Write every field of @p rec as a `key = value` line. */
+template <typename R>
+void
+writeFields(std::ostream &os, const R &rec)
+{
+    forEachField(
+        [&os](const char *key, const auto &v) {
+            os << key << " = " << fieldText(v) << "\n";
+        },
+        rec);
+}
+
+/**
+ * Apply each `key = value` line of @p is (`#` comments, blank lines
+ * skipped) to @p rec with setFieldText; a line without '=' throws
+ * ConfigParse too. On a throw @p rec holds the lines before the bad one.
+ */
+template <typename R>
+void
+readFields(std::istream &is, R &rec, const char *source)
+{
+    const auto trim = [](const std::string &s) {
+        const auto begin = s.find_first_not_of(" \t\r");
+        const auto end = s.find_last_not_of(" \t\r");
+        return begin == std::string::npos
+                   ? std::string()
+                   : s.substr(begin, end - begin + 1);
+    };
+    std::string line;
+    unsigned line_no = 0;
+    while (std::getline(is, line)) {
+        ++line_no;
+        const auto hash = line.find('#');
+        if (hash != std::string::npos)
+            line.resize(hash);
+        const std::string body = trim(line);
+        if (body.empty())
+            continue;
+        const auto eq = body.find('=');
+        if (eq == std::string::npos)
+            throwError(ErrorCode::ConfigParse,
+                       "%s line %u: expected 'key = value', got '%s'",
+                       source, line_no, body.c_str());
+        setFieldText(rec, trim(body.substr(0, eq)),
+                     trim(body.substr(eq + 1)), source, line_no);
+    }
 }
 
 } // namespace ascend

@@ -6,8 +6,10 @@
 #ifndef ASCEND_COMMON_TYPES_HH
 #define ASCEND_COMMON_TYPES_HH
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -21,6 +23,10 @@ using Bytes = std::uint64_t;
 
 /** Multiply-accumulate counts / FLOP counts. */
 using Flops = std::uint64_t;
+
+/** @p T is record @p R, const or not (a forEachField parameter). */
+template <typename T, typename R>
+concept RecordOf = std::same_as<std::remove_const_t<T>, R>;
 
 /** Numeric formats supported by the Ascend datapath. */
 enum class DataType {

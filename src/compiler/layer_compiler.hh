@@ -70,19 +70,26 @@ struct CompileOptions
      */
     core::SparsityConfig sparsity;
     /**
-     * Treat layer inputs/outputs as resident in the LLC side (charges
-     * Ext traffic at LLC bandwidth). Always true at core scope; the
-     * SoC roofline applies HBM limits on top.
-     */
-    bool chargeExtTraffic = true;
-    /**
      * Vector-Core mode (Section 3.3: "Ascend core without cube"):
      * GEMM layers lower to the vector unit's general-matrix
      * extension instead of the cube. Used for the automotive SLAM
      * core, where matrices are tiny (quaternion math).
      */
     bool mapGemmToVector = false;
+
+    static constexpr const char *keyTag = "opt:"; ///< SimCache key prefix
 };
+
+/** CompileOptions' fields, in SimCache-key order (common/field.hh). */
+template <typename F, RecordOf<CompileOptions>... O>
+void
+forEachField(F &&f, O &...o)
+{
+    f("pipeline_depth", o.pipelineDepth...);
+    f("weight_density", o.sparsity.weightDensity...);
+    f("structured", o.sparsity.structured...);
+    f("map_gemm_to_vector", o.mapGemmToVector...);
+}
 
 /**
  * Compiles a single layer for a fixed core configuration.

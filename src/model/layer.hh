@@ -12,10 +12,8 @@
 #ifndef ASCEND_MODEL_LAYER_HH
 #define ASCEND_MODEL_LAYER_HH
 
-#include <concepts>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 
 #include "common/types.hh"
 
@@ -174,8 +172,7 @@ struct Layer
  * them. kind is keyed ahead of the list by every consumer (it is the
  * `.agr` op token) and name is never keyed.
  */
-template <typename F, typename... L>
-    requires(std::same_as<std::remove_const_t<L>, Layer> && ...)
+template <typename F, RecordOf<Layer>... L>
 void
 forEachShapeField(F &&f, L &...l)
 {
@@ -203,8 +200,7 @@ forEachShapeField(F &&f, L &...l)
 }
 
 /** Every keyed field of Layer: the shape fields, then the overrides. */
-template <typename F, typename... L>
-    requires(std::same_as<std::remove_const_t<L>, Layer> && ...)
+template <typename F, RecordOf<Layer>... L>
 void
 forEachField(F &&f, L &...l)
 {

@@ -7,8 +7,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
+#include "common/field.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -128,36 +128,7 @@ emitDomainSeries(std::vector<FaultEvent> &out,
 std::string
 fingerprint(const CorrelatedFaultSpec &spec)
 {
-    const auto bits = [](double v) {
-        std::uint64_t b;
-        static_assert(sizeof(b) == sizeof(v));
-        std::memcpy(&b, &v, sizeof(b));
-        return std::to_string(b);
-    };
-    std::string s;
-    s.reserve(256);
-    s += "cflt:";
-    s += std::to_string(spec.seed);
-    s += ',';
-    s += std::to_string(spec.topology.replicas);
-    s += ',';
-    s += std::to_string(spec.topology.replicasPerRack);
-    s += ',';
-    s += std::to_string(spec.topology.racksPerPowerDomain);
-    s += ',';
-    for (double v :
-         {spec.horizonSec, spec.rackOutagePerSec, spec.rackOutageSec,
-          spec.rackFailPerSec, spec.rackDegradePerSec,
-          spec.rackDegradeSec, spec.rackDegradeFactor,
-          spec.powerOutagePerSec, spec.powerOutageSec,
-          spec.rackStrikeAtSec, spec.rackStrikeOutageSec}) {
-        s += bits(v);
-        s += ',';
-    }
-    s += std::to_string(unsigned(spec.rackStrikeKind));
-    s += ',';
-    s += fingerprint(spec.background);
-    return s;
+    return fieldKey(spec);
 }
 
 FaultSchedule

@@ -100,7 +100,33 @@ struct CorrelatedFaultSpec
 
     /** True when no rate or strike can produce an event. */
     bool empty() const;
+
+    static constexpr const char *keyTag = "cflt:"; ///< key prefix
 };
+
+/** CorrelatedFaultSpec's fields, in key order (common/field.hh). */
+template <typename F, RecordOf<CorrelatedFaultSpec>... S>
+void
+forEachField(F &&f, S &...s)
+{
+    f("seed", s.seed...);
+    f("replicas", s.topology.replicas...);
+    f("replicas_per_rack", s.topology.replicasPerRack...);
+    f("racks_per_power_domain", s.topology.racksPerPowerDomain...);
+    f("horizon_sec", s.horizonSec...);
+    f("rack_outage_per_sec", s.rackOutagePerSec...);
+    f("rack_outage_sec", s.rackOutageSec...);
+    f("rack_fail_per_sec", s.rackFailPerSec...);
+    f("rack_degrade_per_sec", s.rackDegradePerSec...);
+    f("rack_degrade_sec", s.rackDegradeSec...);
+    f("rack_degrade_factor", s.rackDegradeFactor...);
+    f("power_outage_per_sec", s.powerOutagePerSec...);
+    f("power_outage_sec", s.powerOutageSec...);
+    f("rack_strike_at_sec", s.rackStrikeAtSec...);
+    f("rack_strike_outage_sec", s.rackStrikeOutageSec...);
+    f("rack_strike_kind", s.rackStrikeKind...);
+    f("background", s.background...);
+}
 
 /** Exact serialization of @p spec (cache keys / run fingerprints). */
 std::string fingerprint(const CorrelatedFaultSpec &spec);

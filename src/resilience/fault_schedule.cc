@@ -7,7 +7,7 @@
 
 #include <algorithm>
 
-#include "common/codec.hh"
+#include "common/field.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -189,28 +189,7 @@ FaultSchedule::stragglerFactor(unsigned core) const
 std::string
 fingerprint(const FaultSpec &spec)
 {
-    std::string s;
-    s.reserve(256);
-    s += "flt:";
-    s += std::to_string(spec.seed);
-    s += ',';
-    s += std::to_string(spec.cores);
-    s += ',';
-    s += std::to_string(spec.links);
-    s += ',';
-    putBits(s, spec.horizonSec);
-    putBits(s, spec.coreTransientPerSec);
-    putBits(s, spec.corePermanentPerSec);
-    putBits(s, spec.linkDegradePerSec);
-    putBits(s, spec.linkDownPerSec);
-    putBits(s, spec.eccUncorrectablePerSec);
-    putBits(s, spec.coreRepairSec);
-    putBits(s, spec.linkOutageSec);
-    putBits(s, spec.linkDegradeSec);
-    putBits(s, spec.linkDegradeFactor);
-    putBits(s, spec.stragglerFraction);
-    putBits(s, spec.stragglerSlowdown);
-    return s;
+    return fieldKey(spec);
 }
 
 std::string

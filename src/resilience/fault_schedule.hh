@@ -98,7 +98,31 @@ struct FaultSpec
 
     /** True when no rate can produce an event. */
     bool empty() const;
+
+    static constexpr const char *keyTag = "flt:"; ///< key prefix
 };
+
+/** FaultSpec's fields, in key order (common/field.hh). */
+template <typename F, RecordOf<FaultSpec>... S>
+void
+forEachField(F &&f, S &...s)
+{
+    f("seed", s.seed...);
+    f("cores", s.cores...);
+    f("links", s.links...);
+    f("horizon_sec", s.horizonSec...);
+    f("core_transient_per_sec", s.coreTransientPerSec...);
+    f("core_permanent_per_sec", s.corePermanentPerSec...);
+    f("link_degrade_per_sec", s.linkDegradePerSec...);
+    f("link_down_per_sec", s.linkDownPerSec...);
+    f("ecc_uncorrectable_per_sec", s.eccUncorrectablePerSec...);
+    f("core_repair_sec", s.coreRepairSec...);
+    f("link_outage_sec", s.linkOutageSec...);
+    f("link_degrade_sec", s.linkDegradeSec...);
+    f("link_degrade_factor", s.linkDegradeFactor...);
+    f("straggler_fraction", s.stragglerFraction...);
+    f("straggler_slowdown", s.stragglerSlowdown...);
+}
 
 /**
  * The generated schedule: FaultEvents sorted by (time, target, kind).

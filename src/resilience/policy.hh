@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/types.hh"
+
 namespace ascend {
 namespace resilience {
 
@@ -69,6 +71,22 @@ struct RetryPolicy
     double jitterFraction = 0;
     std::uint64_t jitterSeed = 0x5eed;
 };
+
+/** RetryPolicy's fields (common/field.hh). */
+template <typename F, RecordOf<RetryPolicy>... P>
+void
+forEachField(F &&f, P &...p)
+{
+    f("max_retries", p.maxRetries...);
+    f("timeout_sec", p.timeoutSec...);
+    f("backoff_base_sec", p.backoffBaseSec...);
+    f("backoff_multiplier", p.backoffMultiplier...);
+    f("backoff_cap_sec", p.backoffCapSec...);
+    f("degraded_bandwidth_factor", p.degradedBandwidthFactor...);
+    f("give_up_after_seconds", p.giveUpAfterSeconds...);
+    f("jitter_fraction", p.jitterFraction...);
+    f("jitter_seed", p.jitterSeed...);
+}
 
 /**
  * Deterministic jitter unit u in [0, 1) for (policy.jitterSeed,
@@ -120,6 +138,17 @@ struct CheckpointPolicy
     double restartSec = 10.0;  ///< reload + re-setup after a loss
 };
 
+/** CheckpointPolicy's fields (common/field.hh). */
+template <typename F, RecordOf<CheckpointPolicy>... P>
+void
+forEachField(F &&f, P &...p)
+{
+    f("enabled", p.enabled...);
+    f("interval_sec", p.intervalSec...);
+    f("save_sec", p.saveSec...);
+    f("restart_sec", p.restartSec...);
+}
+
 /**
  * Expected wall time to finish @p work_sec of compute when
  * uncorrectable errors strike at @p events_per_sec and @p policy
@@ -154,7 +183,20 @@ struct ResilienceOptions
      * elastic/chaos configurations never alias each other.
      */
     std::string scenario;
+
+    static constexpr const char *keyTag = "res:"; ///< key prefix
 };
+
+/** ResilienceOptions' fields, in SimCache-key order (common/field.hh). */
+template <typename F, RecordOf<ResilienceOptions>... O>
+void
+forEachField(F &&f, O &...o)
+{
+    f("enabled", o.enabled...);
+    f("fault_seed", o.faultSeed...);
+    f("straggler_slowdown", o.stragglerSlowdown...);
+    f("scenario", o.scenario...);
+}
 
 } // namespace resilience
 } // namespace ascend

@@ -103,15 +103,7 @@ fingerprint(const arch::CoreConfig &config)
 std::string
 fingerprint(const compiler::CompileOptions &options)
 {
-    std::string s;
-    s.reserve(48);
-    s += "opt:";
-    putU64(s, options.pipelineDepth);
-    putBits(s, options.sparsity.weightDensity);
-    putU64(s, options.sparsity.structured);
-    putU64(s, options.chargeExtTraffic);
-    putU64(s, options.mapGemmToVector);
-    return s;
+    return fieldKey(options);
 }
 
 std::string
@@ -129,15 +121,7 @@ fingerprint(const model::Layer &layer)
 std::string
 fingerprint(const resilience::ResilienceOptions &options)
 {
-    std::string s;
-    s.reserve(48);
-    s += "res:";
-    putU64(s, options.enabled);
-    putU64(s, options.faultSeed);
-    putBits(s, options.stragglerSlowdown);
-    putU64(s, options.scenario.size());
-    s += options.scenario;
-    return s;
+    return fieldKey(options);
 }
 
 SimCache::SimCache(std::size_t capacity)

@@ -12,10 +12,11 @@
  *
  * Keys are exact serializations of every field that can influence
  * compilation or simulation (no lossy hashing beyond the hash map's
- * own bucketing, so collisions cannot corrupt results). The layer and
- * core-config keys walk the records' one field lists
- * (model::forEachField, arch::forEachField), so a field added there
- * is keyed without touching this file. Layer and network *names* are
+ * own bucketing, so collisions cannot corrupt results). Every key
+ * walks its record's one field list (model::forEachField,
+ * arch::forEachField and those of CompileOptions and
+ * ResilienceOptions), so a field added there is keyed without
+ * touching this file. Layer and network *names* are
  * deliberately excluded: two layers with the same shape share one
  * entry, which is where the hit rate comes from.
  *

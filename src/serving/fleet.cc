@@ -30,7 +30,7 @@
 #include <limits>
 #include <sstream>
 
-#include "common/codec.hh"
+#include "common/field.hh"
 #include "common/logging.hh"
 #include "obs/tracer.hh"
 #include "resilience/run_journal.hh"
@@ -387,12 +387,14 @@ struct FleetEngine
     void
     setUp()
     {
-        simAssert(options.replicas > 0,
-                  "a fleet needs at least one replica");
-        simAssert(!tiers.empty(), "a fleet needs at least one tier");
+        options.validate();
+        if (tiers.empty())
+            throwError(ErrorCode::ConfigValidation,
+                       "a fleet needs at least one tier");
         for (const Request &r : arrivals)
-            simAssert(r.tier < tiers.size(),
-                      "request tier out of range");
+            if (r.tier >= tiers.size())
+                throwError(ErrorCode::ConfigValidation,
+                           "request tier %u of %zu", r.tier, tiers.size());
         for (const FaultEvent &e : faults.events())
             if (e.kind == FaultKind::CorePermanent ||
                 e.kind == FaultKind::CoreTransient ||
@@ -1131,6 +1133,14 @@ FleetResult::report() const
     return os.str();
 }
 
+void
+FleetOptions::validate() const
+{
+    if (replicas == 0)
+        throwError(ErrorCode::ConfigValidation,
+                   "a fleet needs at least one replica");
+}
+
 std::string
 runFingerprint(const std::vector<Request> &arrivals,
                const std::vector<QosTier> &tiers,
@@ -1155,45 +1165,11 @@ runFingerprint(const std::vector<Request> &arrivals,
     s += fingerprint(tiers);
     s += model.fingerprint();
     s += faults.fingerprint();
-    s += "fleet:";
-    putU64(s, options.replicas);
-    putU64(s, options.warmSpares);
-    putBits(s, options.failoverSec);
-    putU64(s, options.admission.enabled ? 1 : 0);
-    putU64(s, options.admission.queueCapacity);
-    putBits(s, options.admission.slackFactor);
-    putU64(s, options.hedge.enabled ? 1 : 0);
-    putBits(s, options.hedge.afterSec);
-    putU64(s, options.autoscale.enabled ? 1 : 0);
-    putBits(s, options.autoscale.checkIntervalSec);
-    putU64(s, options.autoscale.queueDepthPerReplica);
-    putBits(s, options.autoscale.spinUpSec);
-    putU64(s, options.autoscale.maxExtraReplicas);
-    putU64(s, options.retry.maxRetries);
-    putBits(s, options.retry.timeoutSec);
-    putBits(s, options.retry.backoffBaseSec);
-    putBits(s, options.retry.backoffMultiplier);
-    putBits(s, options.retry.backoffCapSec);
-    putBits(s, options.retry.giveUpAfterSeconds);
-    putBits(s, options.retry.jitterFraction);
-    putU64(s, options.retry.jitterSeed);
-    putU64(s, options.health.enabled ? 1 : 0);
-    putBits(s, options.health.faultScore);
-    putBits(s, options.health.successDecay);
-    putBits(s, options.health.breakerThreshold);
-    putBits(s, options.health.cooloffSec);
-    putU64(s, options.brownout.enabled ? 1 : 0);
-    putU64(s, options.brownout.enterQueueDepthPerReplica);
-    putU64(s, options.brownout.exitQueueDepthPerReplica);
-    putBits(s, options.brownout.minResidencySec);
-    putU64(s, options.reoffer.enabled ? 1 : 0);
-    putBits(s, options.reoffer.delaySec);
-    putU64(s, options.reoffer.maxReoffers);
+    putField(s, options);
     if (options.brownout.enabled && brownout_model) {
         s += "brownout:";
         s += brownout_model->fingerprint();
     }
-    putBits(s, options.checkpointIntervalSec);
     return s;
 }
 

@@ -7,7 +7,7 @@
 
 #include <algorithm>
 
-#include "common/codec.hh"
+#include "common/field.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -134,35 +134,12 @@ replayTrace(const std::vector<double> &times_sec,
 }
 
 std::string
-fingerprint(const ArrivalSpec &spec)
-{
-    std::string s;
-    s.reserve(128);
-    s += "arrivals:";
-    putU64(s, spec.seed);
-    putBits(s, spec.horizonSec);
-    putBits(s, spec.ratePerSec);
-    putBits(s, spec.burstFactor);
-    putBits(s, spec.burstPeriodSec);
-    putBits(s, spec.burstDuty);
-    return s;
-}
-
-std::string
 fingerprint(const std::vector<QosTier> &tiers)
 {
-    std::string s;
-    s.reserve(64 + tiers.size() * 48);
-    s += "tiers:";
+    std::string s = "tiers:";
     putU64(s, tiers.size());
-    for (const QosTier &t : tiers) {
-        s += t.name;
-        s += ';';
-        putBits(s, t.deadlineSec);
-        putBits(s, t.share);
-        putU64(s, t.sheddable ? 1 : 0);
-        putU64(s, t.reservedSlots);
-    }
+    for (const QosTier &t : tiers)
+        putField(s, t);
     return s;
 }
 

@@ -30,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hh"
+
 namespace ascend {
 namespace serving {
 
@@ -48,6 +50,18 @@ struct QosTier
     bool sheddable = true;     ///< admission control may drop these
     unsigned reservedSlots = 0; ///< guaranteed batch slots per dispatch
 };
+
+/** QosTier's fields (common/field.hh). */
+template <typename F, RecordOf<QosTier>... T>
+void
+forEachField(F &&f, T &...t)
+{
+    f("name", t.name...);
+    f("deadline_sec", t.deadlineSec...);
+    f("share", t.share...);
+    f("sheddable", t.sheddable...);
+    f("reserved_slots", t.reservedSlots...);
+}
 
 /** One offered request. */
 struct Request
@@ -90,9 +104,6 @@ std::vector<Request> generateArrivals(const ArrivalSpec &spec,
 std::vector<Request> replayTrace(const std::vector<double> &times_sec,
                                  const std::vector<QosTier> &tiers,
                                  std::uint64_t seed);
-
-/** Exact identity of @p spec (checkpoint/runId fingerprints). */
-std::string fingerprint(const ArrivalSpec &spec);
 
 /** Exact identity of the tier list. */
 std::string fingerprint(const std::vector<QosTier> &tiers);

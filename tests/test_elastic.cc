@@ -327,20 +327,18 @@ TEST(ElasticRun, FingerprintSeparatesOptionsAndInputs)
     const ElasticOptions base;
     ElasticOptions spares = base;
     spares.spareNodes = 2;
-    EXPECT_NE(cluster::fingerprint(base), cluster::fingerprint(spares));
+    const auto id = [](const FaultSpec &spec, const ElasticOptions &o) {
+        return cluster::runFingerprint(
+            testJob(), testCluster(), 64, 20, FaultSchedule::generate(spec),
+            RetryPolicy{}, DegradedMode::ContinueDegraded, o);
+    };
+    EXPECT_NE(id(chaosSpec(), base), id(chaosSpec(), spares));
 
     // Run-identity must separate fault seeds (a resumed run may
     // never adopt a checkpoint from a different schedule).
-    FaultSpec a = chaosSpec();
     FaultSpec b = chaosSpec();
     b.seed = 4;
-    const std::string id_a = cluster::runFingerprint(
-        testJob(), testCluster(), 64, 20, FaultSchedule::generate(a),
-        RetryPolicy{}, DegradedMode::ContinueDegraded, base);
-    const std::string id_b = cluster::runFingerprint(
-        testJob(), testCluster(), 64, 20, FaultSchedule::generate(b),
-        RetryPolicy{}, DegradedMode::ContinueDegraded, base);
-    EXPECT_NE(id_a, id_b);
+    EXPECT_NE(id(chaosSpec(), base), id(b, base));
 }
 
 // --------------------------------------------- kill/resume contract

@@ -9,29 +9,36 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <random>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "arch/core_config.hh"
+#include "cluster/elastic_run.hh"
 #include "common/atomic_file.hh"
 #include "common/codec.hh"
 #include "common/error.hh"
+#include "common/field.hh"
 #include "common/golden.hh"
 #include "graph/agr.hh"
 #include "graph/decoder.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
+#include "resilience/fault_domain.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
+#include "serving/fleet.hh"
 
 using namespace ascend;
 
@@ -505,6 +512,150 @@ TEST(RecordKeys, MatchGolden)
     const std::optional<std::string> golden = readFile(path);
     ASSERT_TRUE(golden) << "missing " << path;
     EXPECT_EQ(diffGolden(*golden, rows), "");
+}
+
+/** Move @p v to another value with another key word. */
+template <typename T>
+void
+perturb(T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        v += "x";
+    else if constexpr (std::is_same_v<T, bool>)
+        v = !v;
+    else if constexpr (std::is_enum_v<T>)
+        v = T(unsigned(v) ^ 1);
+    else if constexpr (std::is_floating_point_v<T>)
+        v += 1 + std::abs(v);
+    else
+        ++v;
+}
+
+/**
+ * Calls f(key, field) for every scalar field of @p rec, descending
+ * into a nested record through its own list.
+ */
+template <typename F, typename R>
+void
+forEachLeafField(F &&f, R &rec)
+{
+    forEachField(
+        [&f](const char *key, auto &field) {
+            if constexpr (FieldRecord<
+                              std::remove_reference_t<decltype(field)>>)
+                forEachLeafField(f, field);
+            else
+                f(key, field);
+        },
+        rec);
+}
+
+/** No list of @p rec, nested ones included, names a key twice. */
+template <typename R>
+void
+expectUniqueKeys(const R &rec, const std::string &what)
+{
+    std::set<std::string> keys;
+    forEachField(
+        [&](const char *key, const auto &field) {
+            EXPECT_TRUE(keys.insert(key).second)
+                << what << " lists " << key << " twice";
+            if constexpr (FieldRecord<
+                              std::remove_reference_t<decltype(field)>>)
+                expectUniqueKeys(field, what + "." + key);
+        },
+        rec);
+}
+
+/**
+ * Each leaf field of @p base, perturbed alone, changes @p key, the
+ * fingerprint or run identity the record's list feeds.
+ */
+template <typename R, typename Key>
+void
+expectEveryFieldKeyed(const R &base, const Key &key, const char *what)
+{
+    expectUniqueKeys(base, what);
+    std::size_t fields = 0;
+    forEachLeafField([&](const char *, const auto &) { ++fields; }, base);
+    EXPECT_GT(fields, 1u) << what;
+    const std::string baseKey = key(base);
+    for (std::size_t i = 0; i < fields; ++i) {
+        R rec = base;
+        std::size_t j = 0;
+        std::string name;
+        forEachLeafField(
+            [&](const char *k, auto &v) {
+                if (j++ == i) {
+                    perturb(v);
+                    name = k;
+                }
+            },
+            rec);
+        EXPECT_NE(key(rec), baseKey) << what << " drops " << name;
+    }
+}
+
+TEST(RecordKeys, EveryListedFieldIsKeyed)
+{
+    expectEveryFieldKeyed(
+        compiler::CompileOptions{},
+        [](const auto &o) { return runtime::fingerprint(o); },
+        "CompileOptions");
+    resilience::ResilienceOptions res;
+    res.scenario = "s";
+    expectEveryFieldKeyed(
+        res, [](const auto &o) { return runtime::fingerprint(o); },
+        "ResilienceOptions");
+    expectEveryFieldKeyed(
+        resilience::CorrelatedFaultSpec{},
+        [](const auto &s) { return resilience::fingerprint(s); },
+        "CorrelatedFaultSpec");
+    expectEveryFieldKeyed(
+        serving::QosTier{},
+        [](const serving::QosTier &t) {
+            return serving::fingerprint(std::vector<serving::QosTier>{t});
+        },
+        "QosTier");
+
+    const std::vector<serving::QosTier> tiers(1);
+    const std::vector<serving::Request> arrivals = {{0, 0.0, 0}};
+    const serving::BatchLatencyModel model =
+        serving::BatchLatencyModel::linear(0.01, 0.001, 4);
+    const resilience::FaultSchedule faults;
+    expectEveryFieldKeyed(
+        serving::FleetOptions{},
+        [&](const serving::FleetOptions &o) {
+            return serving::runFingerprint(arrivals, tiers, model, faults,
+                                           o);
+        },
+        "FleetOptions");
+
+    // The elastic run identity walks four records.
+    const cluster::TrainingJob job;
+    const cluster::ClusterConfig cl;
+    const resilience::RetryPolicy retry;
+    const cluster::ElasticOptions opt;
+    const auto elastic = [&](const cluster::TrainingJob &j,
+                             const cluster::ClusterConfig &c,
+                             const resilience::RetryPolicy &r,
+                             const cluster::ElasticOptions &o) {
+        return cluster::runFingerprint(
+            j, c, 64, 10, faults, r,
+            resilience::DegradedMode::ContinueDegraded, o);
+    };
+    expectEveryFieldKeyed(
+        job, [&](const auto &j) { return elastic(j, cl, retry, opt); },
+        "TrainingJob");
+    expectEveryFieldKeyed(
+        cl, [&](const auto &c) { return elastic(job, c, retry, opt); },
+        "ClusterConfig");
+    expectEveryFieldKeyed(
+        retry, [&](const auto &r) { return elastic(job, cl, r, opt); },
+        "RetryPolicy");
+    expectEveryFieldKeyed(
+        opt, [&](const auto &o) { return elastic(job, cl, retry, o); },
+        "ElasticOptions");
 }
 
 // -------------------------------------------------- fuzz

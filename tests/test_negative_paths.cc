@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include "cluster/collective.hh"
+#include "cluster/elastic_run.hh"
 #include "common/error.hh"
+#include "common/field.hh"
 #include "compiler/autotiler.hh"
 #include "compiler/layer_compiler.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
+#include "serving/fleet.hh"
 
 using namespace ascend;
 using compiler::LayerCompiler;
@@ -193,6 +196,13 @@ TEST(NegativeClusterConfig, ParserRejectsMalformedText)
     expectError(
         [] { cluster::clusterConfigFromString("net_bytes_per_sec = nan\n"); },
         ErrorCode::ConfigParse, "bad");
+    // A value its field cannot hold is refused, never wrapped.
+    expectError(
+        [] { cluster::clusterConfigFromString("servers = -1\n"); },
+        ErrorCode::ConfigParse, "bad integer");
+    expectError(
+        [] { cluster::clusterConfigFromString("chips = 4294967297\n"); },
+        ErrorCode::ConfigParse, "bad integer");
     // Values that parse but violate validation surface as such.
     expectError(
         [] { cluster::clusterConfigFromString("servers = 0\n"); },
@@ -214,6 +224,67 @@ TEST(NegativeClusterConfig, RoundTrips)
     EXPECT_EQ(back.server.chipsPerGroup, cl.server.chipsPerGroup);
     EXPECT_EQ(back.netBytesPerSec, cl.netBytesPerSec);
     EXPECT_EQ(back.server.hccsBytesPerSec, cl.server.hccsBytesPerSec);
+
+    // Bit for bit: every field off its default, doubles with no short
+    // decimal form. The key holds each field's exact bits.
+    cl.server.chips = 6;
+    cl.server.chipsPerGroup = 3;
+    cl.server.hccsBytesPerSec = 30e9 / 7;
+    cl.server.pcieBytesPerSec = 32e9 / 3;
+    cl.server.linkLatencySec = 1.0 / 3;
+    cl.servers = 13;
+    cl.netBytesPerSec = 12500000100;
+    cl.netLatencySec = 5e-6 / 7;
+    const cluster::ClusterConfig odd = cluster::clusterConfigFromString(
+        cluster::clusterConfigToString(cl));
+    EXPECT_EQ(fieldKey(odd), fieldKey(cl));
+    EXPECT_NE(fieldKey(cluster::ClusterConfig{}), fieldKey(cl));
+}
+
+TEST(NegativeClusterConfig, RunIdentitySeesEveryDigit)
+{
+    // Two clusters equal to six significant digits are two runs: a
+    // checkpoint of one must not resume under the other.
+    cluster::ClusterConfig a;
+    cluster::ClusterConfig b;
+    b.netBytesPerSec = a.netBytesPerSec * (1 + 1e-9);
+    cluster::TrainingJob job;
+    job.stepSecondsPerChip = 0.1;
+    job.gradientBytes = 1 << 20;
+    job.samplesPerChipStep = 32;
+    const auto id = [&](const cluster::ClusterConfig &cl) {
+        return cluster::runFingerprint(
+            job, cl, 64, 10, resilience::FaultSchedule{}, {},
+            resilience::DegradedMode::ContinueDegraded, {});
+    };
+    EXPECT_NE(id(a), id(b));
+}
+
+TEST(NegativeFleet, CallerInputIsRefusedNotAborted)
+{
+    const std::vector<serving::QosTier> tiers(1);
+    const std::vector<serving::Request> arrivals = {{0, 0.0, 0},
+                                                    {1, 0.1, 0}};
+    const serving::BatchLatencyModel model =
+        serving::BatchLatencyModel::linear(0.01, 0.001, 4);
+    const resilience::FaultSchedule faults;
+
+    serving::FleetOptions none;
+    none.replicas = 0;
+    expectError([&] { none.validate(); }, ErrorCode::ConfigValidation,
+                "replica");
+    expectError(
+        [&] { serving::runFleet(arrivals, tiers, model, faults, none); },
+        ErrorCode::ConfigValidation, "replica");
+    expectError(
+        [&] { serving::runFleet(arrivals, {}, model, faults); },
+        ErrorCode::ConfigValidation, "tier");
+    const std::vector<serving::Request> stray = {{0, 0.0, 0},
+                                                 {1, 0.1, 1}};
+    expectError(
+        [&] { serving::runFleet(stray, tiers, model, faults); },
+        ErrorCode::ConfigValidation, "tier 1 of 1");
+    EXPECT_NO_THROW(serving::runFleet(arrivals, tiers, model, faults));
 }
 
 TEST(NegativeCoreConfig, ZeroClockRejectedOnLoad)

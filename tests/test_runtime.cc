@@ -120,10 +120,6 @@ TEST(SimCache, KeySeparatesCompileOptions)
     compiler::CompileOptions vec;
     vec.mapGemmToVector = true;
     EXPECT_NE(runtime::fingerprint(base), runtime::fingerprint(vec));
-
-    compiler::CompileOptions ext;
-    ext.chargeExtTraffic = false;
-    EXPECT_NE(runtime::fingerprint(base), runtime::fingerprint(ext));
 }
 
 TEST(SimCache, OptionVariantsSimulateDifferently)
