@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
 #include "resilience/fault_domain.hh"
 #include "serving/fleet.hh"
@@ -467,10 +466,10 @@ sweep()
     sur.enabled = true;
     runtime::SimSession session(soc910.coreConfig(), {}, nullptr, {},
                                 sur);
-    const BatchLatencyModel model = BatchLatencyModel::fromNetwork(
+    const BatchLatencyModel model = BatchLatencyModel::fromGraph(
         session,
         [](unsigned batch) {
-            return graph::toNetwork(graph::zoo::resnet50Graph(batch));
+            return graph::zoo::resnet50Graph(batch);
         },
         BatchLatencyModel::denseAnchors(16),
         session.config().clockGhz);
@@ -502,10 +501,10 @@ sweep()
     // Correlated-chaos sweep: one rack outage against three defense
     // levels. The brownout ladder's cheaper rung is mobilenetV2 on
     // the same core, measured through the same surrogate session.
-    const BatchLatencyModel cheap = BatchLatencyModel::fromNetwork(
+    const BatchLatencyModel cheap = BatchLatencyModel::fromGraph(
         session,
         [](unsigned batch) {
-            return graph::toNetwork(graph::zoo::mobilenetV2Graph(batch));
+            return graph::zoo::mobilenetV2Graph(batch);
         },
         BatchLatencyModel::denseAnchors(16),
         session.config().clockGhz);

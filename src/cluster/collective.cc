@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hh"
@@ -277,6 +278,11 @@ ClusterConfig::validate() const
     if (servers == 0)
         throwError(ErrorCode::ConfigValidation,
                    "cluster needs at least one server");
+    if (std::uint64_t(servers) * server.chips >
+        std::numeric_limits<unsigned>::max())
+        throwError(ErrorCode::ConfigValidation,
+                   "%u servers of %u chips overflow the chip count",
+                   servers, server.chips);
     checkPositive("net_bytes_per_sec", netBytesPerSec);
     checkNonNegative("net_latency_sec", netLatencySec);
 }

@@ -48,7 +48,7 @@ struct ClusterConfig
 
     unsigned totalChips() const { return servers * server.chips; }
 
-    /** Validate the fat tree and the embedded server; see above. */
+    /** Validate the fat tree, the server and totalChips(); see above. */
     void validate() const;
 };
 

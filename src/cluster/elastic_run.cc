@@ -32,7 +32,6 @@
 #include "cluster/elastic_run.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -85,62 +84,21 @@ struct ElasticState
     ElasticCounters counters;
 };
 
-/** The counters in their on-disk order. */
-std::array<std::uint64_t *, 10>
-counterFields(ElasticCounters &c)
+/** ElasticState's fields, in ASCCKPT v2 body order (common/field.hh). */
+template <typename F, RecordOf<ElasticState>... S>
+void
+forEachField(F &&f, S &...s)
 {
-    return {&c.failovers,     &c.shrinks,        &c.rollbacks,
-            &c.replayedSteps, &c.speculations,   &c.retries,
-            &c.degradedSteps, &c.sparesUsed,     &c.spareExhausted,
-            &c.checkpointsSaved};
-}
-
-/** The ASCCKPT v2 body fields, in order (the journal appends the log). */
-std::string
-encodeState(const ElasticState &s)
-{
-    std::string buf;
-    writeU64(buf, s.sequence);
-    writeU64(buf, s.nextStep);
-    writeDouble(buf, s.simTimeSec);
-    writeU64(buf, s.activeNodes.size());
-    for (std::uint32_t node : s.activeNodes)
-        writeU64(buf, node);
-    writeU64(buf, s.sparesLeft);
-    writeU64(buf, s.lastCheckpointStep);
-    writeDouble(buf, s.lastCheckpointSec);
-    writeU64(buf, s.nodeEventCursor);
-    writeU64(buf, s.eccEventCursor);
-    ElasticCounters counters = s.counters;
-    for (const std::uint64_t *v : counterFields(counters))
-        writeU64(buf, *v);
-    return buf;
-}
-
-/** Inverse of encodeState(); false on a short or out-of-range field. */
-bool
-decodeState(ByteReader &r, ElasticState &s)
-{
-    std::uint64_t nodes = 0;
-    if (!r.readU64(s.sequence) || !r.readU64(s.nextStep) ||
-        !r.readDouble(s.simTimeSec) ||
-        !r.readCount(nodes, sizeof(std::uint64_t)))
-        return false;
-    s.activeNodes.resize(std::size_t(nodes));
-    for (std::uint32_t &node : s.activeNodes) {
-        std::uint64_t v = 0;
-        if (!r.readU64(v) || v > kDeadSlot)
-            return false;
-        node = std::uint32_t(v);
-    }
-    if (!r.readU64(s.sparesLeft) || !r.readU64(s.lastCheckpointStep) ||
-        !r.readDouble(s.lastCheckpointSec) ||
-        !r.readU64(s.nodeEventCursor) || !r.readU64(s.eccEventCursor))
-        return false;
-    for (std::uint64_t *v : counterFields(s.counters))
-        if (!r.readU64(*v))
-            return false;
-    return true;
+    f("sequence", s.sequence...);
+    f("next_step", s.nextStep...);
+    f("sim_time_sec", s.simTimeSec...);
+    f("active_nodes", s.activeNodes...);
+    f("spares_left", s.sparesLeft...);
+    f("last_checkpoint_step", s.lastCheckpointStep...);
+    f("last_checkpoint_sec", s.lastCheckpointSec...);
+    f("node_event_cursor", s.nodeEventCursor...);
+    f("ecc_event_cursor", s.eccEventCursor...);
+    f("counters", s.counters...);
 }
 
 /** Recovery-phase span on the Cluster domain's elastic track (2). */
@@ -252,7 +210,7 @@ struct Engine
                                             num_steps, faults, retry,
                                             mode, options),
                              [&](ByteReader &r) {
-                                 return decodeState(r, loaded) &&
+                                 return decodeBody(r, loaded) &&
                                         consistent(loaded);
                              }) == FrameStatus::Ok)
                 s = std::move(loaded);
@@ -486,7 +444,7 @@ struct Engine
         traceRecovery("elastic.checkpoint", t0, s.simTimeSec, 0);
         journal.append(line);
         if (journal.persistent())
-            journal.save(encodeState(s));
+            journal.save(encodeBody(s));
     }
 
     /** Worst straggler slowdown among the surviving machines. */

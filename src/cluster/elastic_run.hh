@@ -125,6 +125,23 @@ struct ElasticCounters
     bool operator==(const ElasticCounters &) const = default;
 };
 
+/** ElasticCounters' fields, in checkpoint order (common/field.hh). */
+template <typename F, RecordOf<ElasticCounters>... C>
+void
+forEachField(F &&f, C &...c)
+{
+    f("failovers", c.failovers...);
+    f("shrinks", c.shrinks...);
+    f("rollbacks", c.rollbacks...);
+    f("replayed_steps", c.replayedSteps...);
+    f("speculations", c.speculations...);
+    f("retries", c.retries...);
+    f("degraded_steps", c.degradedSteps...);
+    f("spares_used", c.sparesUsed...);
+    f("spare_exhausted", c.spareExhausted...);
+    f("checkpoints_saved", c.checkpointsSaved...);
+}
+
 /** Outcome of an elastic run. */
 struct ElasticRunResult
 {

@@ -29,12 +29,6 @@ writeU64(std::string &buf, std::uint64_t v)
 }
 
 void
-writeDouble(std::string &buf, double v)
-{
-    writeU64(buf, doubleBits(v));
-}
-
-void
 writeBytes(std::string &buf, const std::string &bytes)
 {
     writeU64(buf, bytes.size());
@@ -48,16 +42,6 @@ ByteReader::readU64(std::uint64_t &v)
         return false;
     std::memcpy(&v, data.data() + pos, sizeof(v));
     pos += sizeof(v);
-    return true;
-}
-
-bool
-ByteReader::readDouble(double &v)
-{
-    std::uint64_t bits = 0;
-    if (!readU64(bits))
-        return false;
-    v = bitsDouble(bits);
     return true;
 }
 

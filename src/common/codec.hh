@@ -2,14 +2,15 @@
  * @file
  * The one field codec behind every durable format and every text key.
  *
- * Binary fields (the checkpoint, blob and SimCache bodies, and the
- * frame header in common/atomic_file): every scalar is a fixed-width
- * u64 in host byte order (the files are machine-local, not an
- * interchange format), a double travels as its bit pattern, and a
- * byte string is length-prefixed. Fields are written one by one,
- * never as a struct memcpy, so padding never reaches the disk.
- * ByteReader is the one bounds-checked reader: a read that would run
- * past the end, or a length or count over its cap, fails instead.
+ * Binary fields (the frame header in common/atomic_file, and the
+ * checkpoint, blob and SimCache bodies common/field.hh's body walk
+ * builds): every scalar is a fixed-width u64 in host byte order (the
+ * files are machine-local, not an interchange format), a double
+ * travels as its bit pattern, and a byte string is length-prefixed.
+ * Fields are written one by one, never as a struct memcpy, so padding
+ * never reaches the disk. ByteReader is the one bounds-checked
+ * reader: a read that would run past the end, or a length or count
+ * over its cap, fails instead.
  *
  * Text keys (cache keys, run identities, fingerprints): decimal
  * fields, each terminated by ','. A double is keyed by its bit
@@ -89,7 +90,6 @@ putBits(std::string &key, double v)
 
 /// @{ Binary fields, appended to @p buf.
 void writeU64(std::string &buf, std::uint64_t v);
-void writeDouble(std::string &buf, double v);
 void writeBytes(std::string &buf, const std::string &bytes);
 /// @}
 
@@ -100,7 +100,6 @@ struct ByteReader
     std::size_t pos = 0;
 
     bool readU64(std::uint64_t &v);
-    bool readDouble(double &v);
 
     /** A length-prefixed string of at most @p max_len bytes. */
     bool readBytes(std::string &out, std::size_t max_len);

@@ -4,12 +4,13 @@
  * their field lists.
  *
  * A keyed record (model::Layer, arch::CoreConfig and the option
- * records DESIGN.md section 4b lists) declares its fields once, in a
+ * records DESIGN.md section 4b lists) and a durable-body record (the
+ * checkpoint states and SimResult) declare their fields once, in a
  * forEachField list next to the struct that calls f(key, member) for
- * each. A field may be another record, which the key encoder walks
- * through its own list (the text walks take flat records). Every
- * consumer walks the lists with these codecs instead of naming the
- * fields again:
+ * each. A field may be another record, which the key encoder and the
+ * body walk go through by its own list (the text walks take flat
+ * records). Every consumer walks the lists with these codecs instead
+ * of naming the fields again:
  *
  * - fieldBits: the field as one u64 word of a cache key or hash (an
  *   enum or integer as its value, a double as its bit pattern);
@@ -22,7 +23,12 @@
  *   an unknown key or a value its field's type cannot hold with a
  *   structured ConfigParse error;
  * - writeFields / readFields: a record as the `key = value` lines of
- *   the core config file and the cluster config text.
+ *   the core config file and the cluster config text;
+ * - encodeBody / decodeBody (encodeField / decodeField for one
+ *   value): records and values as the binary body of a durable file
+ *   (the elastic and fleet checkpoints, the SimCache file). Both walk
+ *   the same lists, so a field cannot be written and not read, and
+ *   the decoder refuses a value its field cannot hold.
  *
  * Enum fields need a toString overload reachable by argument-dependent
  * lookup whose values run from 0 and which returns "?" past the last.
@@ -31,6 +37,7 @@
 #ifndef ASCEND_COMMON_FIELD_HH
 #define ASCEND_COMMON_FIELD_HH
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -41,6 +48,7 @@
 #include <ostream>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "common/codec.hh"
 #include "common/error.hh"
@@ -260,6 +268,164 @@ readFields(std::istream &is, R &rec, const char *source)
         setFieldText(rec, trim(body.substr(0, eq)),
                      trim(body.substr(eq + 1)), source, line_no);
     }
+}
+
+/**
+ * Narrow fields sharing one body word, the first in the lowest bits:
+ * a list names `bitWord<1, 8>(a, b)` where it would name one field,
+ * and the word holds a in bit 0 and b in bits 1 to 8.
+ */
+template <typename T, std::size_t N>
+struct BitWord
+{
+    using Field = T;
+    std::array<T *, N> fields;
+    std::array<unsigned, N> widths;
+};
+
+template <unsigned... Bits, typename T, typename... Rest>
+BitWord<T, sizeof...(Bits)>
+bitWord(T &first, Rest &...rest)
+{
+    static_assert((Bits + ...) < 64 &&
+                  ((Bits <= std::numeric_limits<
+                                std::remove_const_t<T>>::digits) &&
+                   ...));
+    return {{&first, &rest...}, {Bits...}};
+}
+
+/// @{ The body codec's compound cases.
+template <typename T>
+constexpr bool kVectorField = false;
+template <typename T>
+constexpr bool kVectorField<std::vector<T>> = true;
+template <typename T>
+constexpr bool kArrayField = false;
+template <typename T, std::size_t N>
+constexpr bool kArrayField<std::array<T, N>> = true;
+template <typename T>
+constexpr bool kBitWordField = false;
+template <typename T, std::size_t N>
+constexpr bool kBitWordField<BitWord<T, N>> = true;
+template <typename T>
+constexpr bool kBytesField = std::is_same_v<T, std::string> ||
+                             std::is_same_v<T, std::vector<std::uint8_t>>;
+/// @}
+
+/** Append the body encoding of @p v to @p buf (see encodeBody). */
+template <typename T>
+void
+encodeField(std::string &buf, const T &v)
+{
+    if constexpr (kBytesField<T>) {
+        writeU64(buf, v.size());
+        buf.append(v.begin(), v.end());
+    } else if constexpr (kVectorField<T> || kArrayField<T>) {
+        if constexpr (kVectorField<T>)
+            writeU64(buf, v.size());
+        for (const auto &e : v)
+            encodeField(buf, e);
+    } else if constexpr (kBitWordField<T>) {
+        std::uint64_t word = 0;
+        for (std::size_t i = 0, at = 0; i < v.fields.size();
+             at += v.widths[i++])
+            word |= std::uint64_t(*v.fields[i]) << at;
+        writeU64(buf, word);
+    } else if constexpr (FieldRecord<const T>) {
+        forEachField(
+            [&buf](const char *, const auto &field) {
+                encodeField(buf, field);
+            },
+            v);
+    } else {
+        writeU64(buf, fieldBits(v));
+    }
+}
+
+/**
+ * The body codec over @p vs, in order: an integer, enum or bool is one
+ * u64 word (common/codec.hh); a double is its bit pattern; a string
+ * or byte vector is length-prefixed; any other std::vector is a count
+ * and its elements; a std::array is its elements; a bitWord is one
+ * word; a record is its list's fields in order. encodeBody returns a
+ * new body. decodeBody reads one back, false at the first field that
+ * runs past the end, whose count or length cannot fit in the bytes
+ * left, or whose value its field cannot hold (a bitWord with a bit
+ * set past its fields included); @p vs are then partly written.
+ */
+template <typename... T>
+std::string
+encodeBody(const T &...vs)
+{
+    std::string buf;
+    (encodeField(buf, vs), ...);
+    return buf;
+}
+
+/** Decode one encodeField of a T into @p v (see encodeBody). */
+template <typename T>
+bool
+decodeField(ByteReader &rd, T &v)
+{
+    if constexpr (kBytesField<T>) {
+        std::string bytes;
+        if (!rd.readBytes(bytes, rd.data.size()))
+            return false;
+        v.assign(bytes.begin(), bytes.end());
+        return true;
+    } else if constexpr (kVectorField<T> || kArrayField<T>) {
+        if constexpr (kVectorField<T>) {
+            // A default element (empty lists) encodes smallest: a
+            // count too big for the bytes left fails before resizing.
+            static const std::size_t min_bytes =
+                encodeBody(typename T::value_type{}).size();
+            std::uint64_t n = 0;
+            if (!rd.readCount(n, min_bytes))
+                return false;
+            v.assign(std::size_t(n), {});
+        }
+        for (auto &e : v)
+            if (!decodeField(rd, e))
+                return false;
+        return true;
+    } else if constexpr (FieldRecord<T>) {
+        bool ok = true;
+        forEachField(
+            [&](const char *, auto &&field) {
+                ok = ok && decodeField(rd, field);
+            },
+            v);
+        return ok;
+    } else {
+        std::uint64_t word = 0;
+        if (!rd.readU64(word))
+            return false;
+        if constexpr (kBitWordField<T>) {
+            for (std::size_t i = 0; i < v.fields.size();
+                 word >>= v.widths[i++])
+                *v.fields[i] = typename T::Field(
+                    word & ((std::uint64_t(1) << v.widths[i]) - 1));
+            return word == 0; // no bit set past the fields
+        } else if constexpr (std::is_floating_point_v<T>) {
+            v = bitsDouble(word);
+            return true;
+        } else {
+            using U = typename std::conditional_t<
+                std::is_enum_v<T>, std::underlying_type<T>,
+                std::type_identity<T>>::type;
+            if (word > std::uint64_t(std::numeric_limits<U>::max()))
+                return false;
+            v = T(word);
+            return true;
+        }
+    }
+}
+
+template <typename... T>
+bool
+decodeBody(ByteReader &rd, T &...vs)
+{
+    return (decodeField(rd, vs) && ...);
 }
 
 } // namespace ascend

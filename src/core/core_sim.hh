@@ -45,6 +45,17 @@ struct PipeStats
     std::uint64_t instrs = 0;
 };
 
+/** PipeStats' fields, in SimCache file order (common/field.hh). */
+template <typename F, RecordOf<PipeStats>... P>
+void
+forEachField(F &&f, P &...p)
+{
+    f("busy_cycles", p.busyCycles...);
+    f("finish_cycle", p.finishCycle...);
+    f("wait_cycles", p.waitCycles...);
+    f("instrs", p.instrs...);
+}
+
 /** Result of simulating one program on one core. */
 struct SimResult
 {
@@ -107,6 +118,19 @@ struct SimResult
     /** Merge another result (sequential composition of programs). */
     void accumulate(const SimResult &other);
 };
+
+/** SimResult's fields, in SimCache file order (common/field.hh). */
+template <typename F, RecordOf<SimResult>... R>
+void
+forEachField(F &&f, R &...r)
+{
+    f("total_cycles", r.totalCycles...);
+    f("total_flops", r.totalFlops...);
+    f("instrs_executed", r.instrsExecuted...);
+    f("barriers", r.barriers...);
+    f("pipes", r.pipes...);
+    f("bus_bytes", r.busBytes...);
+}
 
 /** Work counts of one CoreSim::run. */
 struct RunStats

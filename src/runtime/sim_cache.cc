@@ -20,13 +20,6 @@ constexpr char kFileMagic[8] = {'A', 'S', 'C', 'S',
                                 'I', 'M', 'C', '\n'};
 constexpr std::uint64_t kFileFormatVersion = 3;
 
-/** Longest key the loader accepts (a corrupt length must not OOM). */
-constexpr std::size_t kMaxKeyLen = 1 << 20;
-
-/** Encoded size of one SimResult: every field is one u64. */
-constexpr std::size_t kResultBytes =
-    sizeof(std::uint64_t) * (4 + 4 * isa::kNumPipes + isa::kNumBuses);
-
 /**
  * The frame identity: a file is adopted only by the simulator code
  * version, and the pipe/bus array dimensions, that wrote it.
@@ -41,44 +34,19 @@ fileIdentity(const std::string &version)
     return id;
 }
 
-void
-writeResult(std::string &buf, const core::SimResult &r)
+/** One cache entry of the ASCSIMC v3 body, which is a vector of them. */
+struct FileEntry
 {
-    writeU64(buf, r.totalCycles);
-    writeU64(buf, r.totalFlops);
-    writeU64(buf, r.instrsExecuted);
-    writeU64(buf, r.barriers);
-    for (const core::PipeStats &p : r.pipes) {
-        writeU64(buf, p.busyCycles);
-        writeU64(buf, p.finishCycle);
-        writeU64(buf, p.waitCycles);
-        writeU64(buf, p.instrs);
-    }
-    for (Bytes b : r.busBytes)
-        writeU64(buf, b);
-}
+    std::string key;
+    core::SimResult value;
+};
 
-bool
-readResult(ByteReader &r, core::SimResult &out)
+template <typename F, RecordOf<FileEntry>... E>
+void
+forEachField(F &&f, E &...e)
 {
-    if (!r.readU64(out.totalCycles) || !r.readU64(out.totalFlops) ||
-        !r.readU64(out.instrsExecuted) || !r.readU64(out.barriers))
-        return false;
-    for (core::PipeStats &p : out.pipes)
-        if (!r.readU64(p.busyCycles) || !r.readU64(p.finishCycle) ||
-            !r.readU64(p.waitCycles) || !r.readU64(p.instrs))
-            return false;
-    for (Bytes &b : out.busBytes)
-        if (!r.readU64(b))
-            return false;
-    // A record that breaks the pipe accounting every simulation obeys
-    // is as malformed as a truncated one.
-    for (const core::PipeStats &p : out.pipes)
-        if (p.busyCycles > p.finishCycle ||
-            p.finishCycle > out.totalCycles ||
-            p.waitCycles > out.totalCycles - p.busyCycles)
-            return false;
-    return true;
+    f("key", e.key...);
+    f("value", e.value...);
 }
 
 } // anonymous namespace
@@ -217,16 +185,17 @@ SimCache::loadFile(const std::string &path, const std::string &version)
     // All or nothing: the whole body must parse before any entry is
     // adopted.
     ByteReader r{body};
-    std::uint64_t count = 0;
-    if (!r.readCount(count, sizeof(std::uint64_t) + kResultBytes))
+    std::vector<FileEntry> entries;
+    if (!decodeBody(r, entries) || !r.atEnd())
         return 0;
-    std::vector<std::pair<std::string, core::SimResult>> entries(
-        static_cast<std::size_t>(count));
-    for (auto &[key, value] : entries)
-        if (!r.readBytes(key, kMaxKeyLen) || !readResult(r, value))
-            return 0;
-    if (!r.atEnd())
-        return 0;
+    // A record that breaks the pipe accounting every simulation obeys
+    // is as malformed as a truncated one.
+    for (const FileEntry &e : entries)
+        for (const core::PipeStats &p : e.value.pipes)
+            if (p.busyCycles > p.finishCycle ||
+                p.finishCycle > e.value.totalCycles ||
+                p.waitCycles > e.value.totalCycles - p.busyCycles)
+                return 0;
 
     std::size_t loaded = 0;
     std::lock_guard<std::mutex> lock(mutex_);
@@ -256,11 +225,12 @@ SimCache::saveFile(const std::string &path, const std::string &version)
     std::uint64_t stored = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        body.reserve(8 + map_.size() * (64 + kResultBytes));
-        writeU64(body, map_.size());
-        for (const std::string &key : lru_) { // MRU first
-            writeBytes(body, key);
-            writeResult(body, map_.at(key).value);
+        // The encoding of a std::vector<FileEntry>, MRU first, written
+        // field by field instead of copying the entries into one.
+        encodeField(body, std::uint64_t(map_.size()));
+        for (const std::string &key : lru_) {
+            encodeField(body, key);
+            encodeField(body, map_.at(key).value);
         }
         stored = map_.size();
     }

@@ -25,7 +25,6 @@
 #include "serving/fleet.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -77,11 +76,27 @@ struct ReplicaState
 };
 
 /**
- * Complete engine state at one instant's head, less the event log.
- * The FleetCounters base is encoded between lastCheckpointSec and
- * nextReofferId.
+ * ReplicaState's fields, in ASCBLOB body order: the two flags share
+ * one word, hedgeIssued in bit 0 and degraded in bit 1.
  */
-struct ServingState : FleetCounters
+template <typename F, RecordOf<ReplicaState>... R>
+void
+forEachField(F &&f, R &...r)
+{
+    f("status", r.status...);
+    f("ready_at_sec", r.readyAtSec...);
+    f("busy_until_sec", r.busyUntilSec...);
+    f("dispatched_sec", r.dispatchedSec...);
+    f("straggler_factor", r.stragglerFactor...);
+    f("straggler_until_sec", r.stragglerUntilSec...);
+    f("flags", bitWord<1, 1>(r.hedgeIssued, r.degraded)...);
+    f("health_score", r.healthScore...);
+    f("breaker_until_sec", r.breakerUntilSec...);
+    f("batch", r.batch...);
+}
+
+/** The engine state's scalars, its counters included. */
+struct ServingHead : FleetCounters
 {
     std::uint64_t sequence = 0; ///< checkpoint ordinal
     double simTimeSec = 0;      ///< decision instant (not yet run)
@@ -95,7 +110,38 @@ struct ServingState : FleetCounters
     std::uint8_t brownoutActive = 0;
     double brownoutSinceSec = 0; ///< entry instant while active
     double brownoutSec = 0;      ///< accumulated over closed windows
+};
 
+/** ServingHead's fields, in ASCBLOB body order. */
+template <typename F, RecordOf<ServingHead>... H>
+void
+forEachField(F &&f, H &...h)
+{
+    f("sequence", h.sequence...);
+    f("sim_time_sec", h.simTimeSec...);
+    f("arrival_cursor", h.arrivalCursor...);
+    f("fault_cursor", h.faultCursor...);
+    f("spares_left", h.sparesLeft...);
+    f("scale_ups_left", h.scaleUpsLeft...);
+    f("next_autoscale_sec", h.nextAutoscaleSec...);
+    f("last_checkpoint_sec", h.lastCheckpointSec...);
+    f("counters", static_cast<std::conditional_t<std::is_const_v<H>,
+                                                 const FleetCounters,
+                                                 FleetCounters> &>(h)...);
+    f("next_reoffer_id", h.nextReofferId...);
+    f("brownout_active", h.brownoutActive...);
+    f("brownout_since_sec", h.brownoutSinceSec...);
+    f("brownout_sec", h.brownoutSec...);
+}
+
+/**
+ * Complete engine state at one instant's head, less the event log.
+ * The ASCBLOB v1 body is the head, the queue's entries() and
+ * reoffers(), then the members below in order; the journal appends
+ * the log.
+ */
+struct ServingState : ServingHead
+{
     RequestQueue queue; ///< queued requests and pending re-offers
     std::vector<ReplicaState> replicas;
     std::vector<std::uint64_t> hedgedIds;  ///< sorted: ids with copies
@@ -104,228 +150,6 @@ struct ServingState : FleetCounters
     std::vector<double> completionsSec;    ///< aligned with latencies
     std::vector<std::uint8_t> completedOnTime; ///< aligned, 0/1
 };
-
-/**
- * Every FleetCounters field, in ASCBLOB body order: the one list the
- * checkpoint encoder and decoder walk.
- */
-template <typename C>
-auto
-counterFields(C &c)
-{
-    return std::array{
-        &c.offered,         &c.admitted,        &c.shed,
-        &c.completed,       &c.goodput,         &c.retries,
-        &c.hedges,          &c.replicaFailures, &c.failovers,
-        &c.autoscaleUps,    &c.checkpointsSaved, &c.reoffered,
-        &c.breakerTrips,    &c.brownoutEntries, &c.brownoutCompleted,
-        &c.brownoutGoodput};
-}
-
-/// @{ Smallest encodings of one list element, bounding list counts.
-constexpr std::size_t kRequestBytes = 7 * sizeof(std::uint64_t);
-constexpr std::size_t kReplicaBytes = 10 * sizeof(std::uint64_t);
-/// @}
-
-void
-writeRequest(std::string &buf, const PendingRequest &r)
-{
-    writeU64(buf, r.id);
-    writeU64(buf, r.tier);
-    writeDouble(buf, r.arrivalSec);
-    writeDouble(buf, r.deadlineSec);
-    writeU64(buf, r.attempt);
-    writeDouble(buf, r.eligibleSec);
-    writeU64(buf, (std::uint64_t(r.reoffers) << 2) |
-                      (std::uint64_t(r.hedged) << 1) | r.copy);
-}
-
-/**
- * The input sizes a decoded state's indices must stay within: the
- * identity matched, so an index past them is a damaged body that
- * offerPending, requeueLost and batching would read out of range.
- */
-struct StateBounds
-{
-    std::size_t tiers;
-    std::size_t arrivals;
-    std::size_t faults;
-};
-
-bool
-readRequest(ByteReader &rd, const StateBounds &bounds, PendingRequest &r)
-{
-    std::uint64_t tier = 0, attempt = 0, flags = 0;
-    if (!rd.readU64(r.id) || !rd.readU64(tier) || tier >= bounds.tiers ||
-        !rd.readDouble(r.arrivalSec) || !rd.readDouble(r.deadlineSec) ||
-        !rd.readU64(attempt) || !rd.readDouble(r.eligibleSec) ||
-        !rd.readU64(flags))
-        return false;
-    r.tier = std::uint32_t(tier);
-    r.attempt = std::uint32_t(attempt);
-    r.hedged = std::uint8_t((flags >> 1) & 1);
-    r.copy = std::uint8_t(flags & 1);
-    r.reoffers = std::uint8_t((flags >> 2) & 0xff);
-    return true;
-}
-
-/** The ASCBLOB v1 body fields, in order (the journal appends the log). */
-std::string
-serializeState(const ServingState &s)
-{
-    std::string buf;
-    const std::vector<PendingRequest> queue = s.queue.entries();
-    const std::vector<PendingRequest> reoffers = s.queue.reoffers();
-    buf.reserve(256 + queue.size() * 56 + s.replicas.size() * 72 +
-                s.latencies.size() * 8);
-    writeU64(buf, s.sequence);
-    writeDouble(buf, s.simTimeSec);
-    writeU64(buf, s.arrivalCursor);
-    writeU64(buf, s.faultCursor);
-    writeU64(buf, s.sparesLeft);
-    writeU64(buf, s.scaleUpsLeft);
-    writeDouble(buf, s.nextAutoscaleSec);
-    writeDouble(buf, s.lastCheckpointSec);
-    for (const std::uint64_t *v : counterFields(s))
-        writeU64(buf, *v);
-    writeU64(buf, s.nextReofferId);
-    writeU64(buf, s.brownoutActive);
-    writeDouble(buf, s.brownoutSinceSec);
-    writeDouble(buf, s.brownoutSec);
-    writeU64(buf, queue.size());
-    for (const PendingRequest &r : queue)
-        writeRequest(buf, r);
-    writeU64(buf, reoffers.size());
-    for (const PendingRequest &r : reoffers)
-        writeRequest(buf, r);
-    writeU64(buf, s.replicas.size());
-    for (const ReplicaState &r : s.replicas) {
-        writeU64(buf, r.status);
-        writeDouble(buf, r.readyAtSec);
-        writeDouble(buf, r.busyUntilSec);
-        writeDouble(buf, r.dispatchedSec);
-        writeDouble(buf, r.stragglerFactor);
-        writeDouble(buf, r.stragglerUntilSec);
-        writeU64(buf, (std::uint64_t(r.degraded) << 1) |
-                          r.hedgeIssued);
-        writeDouble(buf, r.healthScore);
-        writeDouble(buf, r.breakerUntilSec);
-        writeU64(buf, r.batch.size());
-        for (const PendingRequest &b : r.batch)
-            writeRequest(buf, b);
-    }
-    writeU64(buf, s.hedgedIds.size());
-    for (std::uint64_t id : s.hedgedIds)
-        writeU64(buf, id);
-    writeU64(buf, s.hedgedDone.size());
-    for (std::uint64_t id : s.hedgedDone)
-        writeU64(buf, id);
-    writeU64(buf, s.latencies.size());
-    for (double v : s.latencies)
-        writeDouble(buf, v);
-    writeU64(buf, s.completionsSec.size());
-    for (double v : s.completionsSec)
-        writeDouble(buf, v);
-    writeBytes(buf, std::string(s.completedOnTime.begin(),
-                                s.completedOnTime.end()));
-    return buf;
-}
-
-/**
- * Inverse of serializeState(); false on a short field, an index
- * outside @p bounds, a replica status that is not a ReplicaStatus, or
- * a clock that is not a real instant.
- */
-bool
-deserializeState(ByteReader &rd, const StateBounds &bounds,
-                 ServingState &s)
-{
-    std::uint64_t n = 0;
-    if (!rd.readU64(s.sequence) || !rd.readDouble(s.simTimeSec) ||
-        !std::isfinite(s.simTimeSec) || s.simTimeSec < 0 ||
-        !rd.readU64(s.arrivalCursor) ||
-        s.arrivalCursor > bounds.arrivals ||
-        !rd.readU64(s.faultCursor) || s.faultCursor > bounds.faults ||
-        !rd.readU64(s.sparesLeft) || !rd.readU64(s.scaleUpsLeft) ||
-        !rd.readDouble(s.nextAutoscaleSec) ||
-        !rd.readDouble(s.lastCheckpointSec))
-        return false;
-    for (std::uint64_t *v : counterFields(s))
-        if (!rd.readU64(*v))
-            return false;
-    std::uint64_t brownout_active = 0;
-    if (!rd.readU64(s.nextReofferId) || !rd.readU64(brownout_active) ||
-        !rd.readDouble(s.brownoutSinceSec) ||
-        !rd.readDouble(s.brownoutSec))
-        return false;
-    s.brownoutActive = std::uint8_t(brownout_active);
-    if (!rd.readCount(n, kRequestBytes))
-        return false;
-    std::vector<PendingRequest> queue;
-    queue.resize(std::size_t(n));
-    for (PendingRequest &r : queue)
-        if (!readRequest(rd, bounds, r))
-            return false;
-    if (!rd.readCount(n, kRequestBytes))
-        return false;
-    std::vector<PendingRequest> reoffers;
-    reoffers.resize(std::size_t(n));
-    for (PendingRequest &r : reoffers)
-        if (!readRequest(rd, bounds, r))
-            return false;
-    if (!rd.readCount(n, kReplicaBytes))
-        return false;
-    s.replicas.resize(std::size_t(n));
-    for (ReplicaState &r : s.replicas) {
-        std::uint64_t status = 0, flags = 0, batch = 0;
-        if (!rd.readU64(status) || !rd.readDouble(r.readyAtSec) ||
-            !rd.readDouble(r.busyUntilSec) ||
-            !rd.readDouble(r.dispatchedSec) ||
-            !rd.readDouble(r.stragglerFactor) ||
-            !rd.readDouble(r.stragglerUntilSec) ||
-            !rd.readU64(flags) || !rd.readDouble(r.healthScore) ||
-            !rd.readDouble(r.breakerUntilSec) ||
-            status > kDead || !rd.readCount(batch, kRequestBytes))
-            return false;
-        r.status = std::uint32_t(status);
-        r.hedgeIssued = std::uint8_t(flags & 1);
-        r.degraded = std::uint8_t((flags >> 1) & 1);
-        r.batch.resize(std::size_t(batch));
-        for (PendingRequest &b : r.batch)
-            if (!readRequest(rd, bounds, b))
-                return false;
-    }
-    if (!rd.readCount(n, sizeof(std::uint64_t)))
-        return false;
-    s.hedgedIds.resize(std::size_t(n));
-    for (std::uint64_t &id : s.hedgedIds)
-        if (!rd.readU64(id))
-            return false;
-    if (!rd.readCount(n, sizeof(std::uint64_t)))
-        return false;
-    s.hedgedDone.resize(std::size_t(n));
-    for (std::uint64_t &id : s.hedgedDone)
-        if (!rd.readU64(id))
-            return false;
-    if (!rd.readCount(n, sizeof(std::uint64_t)))
-        return false;
-    s.latencies.resize(std::size_t(n));
-    for (double &v : s.latencies)
-        if (!rd.readDouble(v))
-            return false;
-    if (!rd.readCount(n, sizeof(std::uint64_t)))
-        return false;
-    s.completionsSec.resize(std::size_t(n));
-    for (double &v : s.completionsSec)
-        if (!rd.readDouble(v))
-            return false;
-    std::string on_time;
-    if (!rd.readBytes(on_time, rd.data.size()))
-        return false;
-    s.completedOnTime.assign(on_time.begin(), on_time.end());
-    s.queue.restore(queue, reoffers, s.simTimeSec);
-    return true;
-}
 
 bool
 sortedContains(const std::vector<std::uint64_t> &v, std::uint64_t id)
@@ -426,14 +250,40 @@ struct FleetEngine
                                             faults, options,
                                             brownoutModel),
                              [&](ByteReader &r) {
-                                 return deserializeState(
-                                     r,
-                                     {tiers.size(), arrivals.size(),
-                                      faultEvents.size()},
-                                     loaded);
+                                 return decode(r, loaded);
                              }) == FrameStatus::Ok)
                 s = std::move(loaded);
         }
+    }
+
+    /**
+     * Decode a saved body into @p st and check it is a state this run
+     * could have saved (the identity matched): no tier or cursor past
+     * the inputs, a real replica status and a finite clock.
+     */
+    bool
+    decode(ByteReader &r, ServingState &st) const
+    {
+        const auto tiered = [this](const std::vector<PendingRequest> &v) {
+            return std::ranges::all_of(
+                v, [this](std::uint32_t t) { return t < tiers.size(); },
+                &PendingRequest::tier);
+        };
+        std::vector<PendingRequest> queue, reoffers;
+        if (!decodeBody(r, static_cast<ServingHead &>(st), queue,
+                        reoffers, st.replicas, st.hedgedIds,
+                        st.hedgedDone, st.latencies, st.completionsSec,
+                        st.completedOnTime) ||
+            !std::isfinite(st.simTimeSec) || st.simTimeSec < 0 ||
+            st.arrivalCursor > arrivals.size() ||
+            st.faultCursor > faultEvents.size() || !tiered(queue) ||
+            !tiered(reoffers))
+            return false;
+        for (const ReplicaState &rep : st.replicas)
+            if (rep.status > kDead || !tiered(rep.batch))
+                return false;
+        st.queue.restore(queue, reoffers, st.simTimeSec);
+        return true;
     }
 
     std::string
@@ -530,12 +380,20 @@ struct FleetEngine
         s.queue.pushReoffer(r);
     }
 
-    /** Shed accounting for one queue instance (+ the re-offer hook). */
+    /**
+     * Shed accounting for one queue instance (+ the re-offer hook).
+     * First fate wins: a shed hedged original answers its hedge, so a
+     * live copy can neither complete nor count again.
+     */
     void
     shedInstance(const PendingRequest &req, double t)
     {
         if (req.copy)
             return; // the original carries the book-keeping
+        if (req.hedged) {
+            sortedInsert(s.hedgedDone, req.id);
+            s.queue.markAnswered(req);
+        }
         ++s.shed;
         maybeReoffer(req, t);
     }
@@ -556,7 +414,11 @@ struct FleetEngine
         journal.append(eventPrefix() + "checkpoint seq " +
                        std::to_string(static_cast<unsigned long long>(
                            s.sequence)));
-        journal.save(serializeState(s));
+        journal.save(encodeBody(static_cast<const ServingHead &>(s),
+                                s.queue.entries(), s.queue.reoffers(),
+                                s.replicas, s.hedgedIds, s.hedgedDone,
+                                s.latencies, s.completionsSec,
+                                s.completedOnTime));
     }
 
     /**

@@ -251,6 +251,29 @@ struct FleetCounters
     std::uint64_t brownoutGoodput = 0;   ///< ...within their deadline
 };
 
+/** FleetCounters' fields, in checkpoint order (common/field.hh). */
+template <typename F, RecordOf<FleetCounters>... C>
+void
+forEachField(F &&f, C &...c)
+{
+    f("offered", c.offered...);
+    f("admitted", c.admitted...);
+    f("shed", c.shed...);
+    f("completed", c.completed...);
+    f("goodput", c.goodput...);
+    f("retries", c.retries...);
+    f("hedges", c.hedges...);
+    f("replica_failures", c.replicaFailures...);
+    f("failovers", c.failovers...);
+    f("autoscale_ups", c.autoscaleUps...);
+    f("checkpoints_saved", c.checkpointsSaved...);
+    f("reoffered", c.reoffered...);
+    f("breaker_trips", c.breakerTrips...);
+    f("brownout_entries", c.brownoutEntries...);
+    f("brownout_completed", c.brownoutCompleted...);
+    f("brownout_goodput", c.brownoutGoodput...);
+}
+
 /** Outcome of a fleet run: its counters plus times and latencies. */
 struct FleetResult : FleetCounters
 {

@@ -49,24 +49,6 @@ BatchLatencyModel::linear(double base_sec, double per_request_sec,
 }
 
 BatchLatencyModel
-BatchLatencyModel::fromNetwork(
-    const runtime::SimSession &session,
-    const std::function<model::Network(unsigned)> &builder,
-    const std::vector<unsigned> &batches, double clock_ghz)
-{
-    simAssert(!batches.empty(), "need at least one anchor batch");
-    simAssert(clock_ghz > 0, "clock must be positive");
-    std::vector<std::pair<unsigned, double>> pts;
-    pts.reserve(batches.size());
-    for (unsigned b : batches) {
-        const core::SimResult r =
-            session.inferenceResult(builder(b));
-        pts.emplace_back(b, r.seconds(clock_ghz));
-    }
-    return fromPoints(std::move(pts));
-}
-
-BatchLatencyModel
 BatchLatencyModel::fromGraph(
     const runtime::SimSession &session,
     const std::function<graph::Graph(unsigned)> &builder,

@@ -9,10 +9,11 @@
  * interpolation between them.
  *
  * The measured points come from the repo's own chip simulator —
- * fromNetwork() runs a batch-parameterized model-zoo network through
- * a runtime::SimSession at each anchor batch size, so every sample is
- * served from (or installed into) the content-addressed SimCache and
- * the curve is byte-stable across runs and thread counts. linear()
+ * fromGraph() runs a batch-parameterized graph (a zoo network or a
+ * KV-cache decoder) through a runtime::SimSession at each anchor
+ * batch size, so every sample is served from (or installed into) the
+ * content-addressed SimCache and the curve is byte-stable across runs
+ * and thread counts. linear()
  * builds a synthetic curve for tests and chaos drills where the cost
  * model is not the thing under test.
  */
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "graph/graph.hh"
-#include "model/network.hh"
 #include "runtime/sim_session.hh"
 
 namespace ascend {
@@ -54,23 +54,11 @@ class BatchLatencyModel
 
     /**
      * Measure the curve on the chip simulator: for each anchor batch
-     * b in @p batches, simulate builder(b) end-to-end on @p session
-     * and take totalCycles / clock. Results are memoized by the
-     * session's SimCache like every other simulation.
-     */
-    static BatchLatencyModel
-    fromNetwork(const runtime::SimSession &session,
-                const std::function<model::Network(unsigned)> &builder,
-                const std::vector<unsigned> &batches, double clock_ghz);
-
-    /**
-     * fromNetwork for graph-IR workloads: each anchor lowers
-     * builder(b) through graph::graphResult, so KV-cache decoders and
-     * other DAG-shaped models (graph/decoder.hh) feed the fleet
-     * simulator exactly like fromNetwork workloads. Anchors reuse
-     * denseAnchors() and the whole-graph SimCache memo; a graph
-     * produces the same curve as fromNetwork over its toNetwork()
-     * lowering, since both sum the same per-layer cycles.
+     * b in @p batches, lower builder(b) through graph::graphResult on
+     * @p session and take totalCycles / clock. KV-cache decoders and
+     * other DAG-shaped models (graph/decoder.hh) feed the fleet like
+     * the zoo networks do. Results are memoized by the session's
+     * SimCache and its whole-graph memo like every other simulation.
      */
     static BatchLatencyModel
     fromGraph(const runtime::SimSession &session,

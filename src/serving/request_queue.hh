@@ -55,6 +55,7 @@
 #include <set>
 #include <vector>
 
+#include "common/field.hh"
 #include "serving/workload.hh"
 
 namespace ascend {
@@ -73,6 +74,23 @@ struct PendingRequest
     std::uint8_t copy = 0;   ///< 1 = hedge duplicate, not the original
     std::uint8_t reoffers = 0; ///< closed-loop re-offers so far
 };
+
+/**
+ * PendingRequest's fields, in checkpoint order (common/field.hh); the
+ * flags share one word: copy, hedged, then reoffers from bit 2.
+ */
+template <typename F, RecordOf<PendingRequest>... R>
+void
+forEachField(F &&f, R &...r)
+{
+    f("id", r.id...);
+    f("tier", r.tier...);
+    f("arrival_sec", r.arrivalSec...);
+    f("deadline_sec", r.deadlineSec...);
+    f("attempt", r.attempt...);
+    f("eligible_sec", r.eligibleSec...);
+    f("flags", bitWord<1, 1, 8>(r.copy, r.hedged, r.reoffers)...);
+}
 
 /** Dispatch order: tightest deadline first, then stable identity. */
 bool requestBefore(const PendingRequest &a, const PendingRequest &b);

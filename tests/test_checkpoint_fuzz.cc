@@ -673,25 +673,49 @@ TEST(CheckpointFuzz, ForeignRunIdIsCorruptionUnderCheckedLoad)
     }
 }
 
-TEST(CheckpointFuzz, ServingDecoderRefusesOutOfRangeTier)
+/**
+ * Resume the serving engine from its pristine checkpoint, resealed
+ * with word @p field of the first queued request set to @p value. The
+ * ASCBLOB v1 body holds 28 u64/double scalars, then the queue as a
+ * count and 7-word requests (id, tier, arrival, deadline, attempt,
+ * eligible, flags).
+ */
+Outcome
+resumeWithFirstRequestWord(const char *test, std::size_t field,
+                           std::uint64_t value)
 {
-    // ASCBLOB v1 body: 28 u64/double scalars, then the queue as a
-    // count and 7-field requests (id, tier, ...). A resealed file
-    // whose first queued request names tier 0xffffffff passes the
-    // frame; the decoder must refuse it rather than let batching and
-    // re-offers index the tier list out of range.
     const Format &f = format("ASCBLOB");
-    const std::string dir = tempDir("bad_tier");
+    const std::string dir = tempDir(test);
     const std::string file = pristine(f, dir);
     const std::size_t body_at =
         headerOf(file).bodyAt + sizeof(std::uint64_t);
     ByteReader r{file, body_at + 28 * sizeof(std::uint64_t)};
     std::uint64_t queued = 0;
-    ASSERT_TRUE(r.readU64(queued));
-    ASSERT_GT(queued, 0u) << "the halted run must leave a queue";
-    std::string mutated = file.substr(0, r.pos + 8);
-    writeU64(mutated, 0xffffffffu);
-    mutated += file.substr(mutated.size());
+    EXPECT_TRUE(r.readU64(queued));
+    EXPECT_GT(queued, 0u) << "the halted run must leave a queue";
+    std::string word;
+    writeU64(word, value);
+    std::string mutated = file;
+    mutated.replace(r.pos + field * sizeof(std::uint64_t), word.size(),
+                    word);
     spit(slotOf(f, dir), reseal(mutated));
-    EXPECT_EQ(f.load(dir, false), Outcome::ColdStart);
+    return f.load(dir, false);
+}
+
+TEST(CheckpointFuzz, ServingDecoderRefusesOutOfRangeTier)
+{
+    // A first queued request naming tier 0xffffffff passes the frame;
+    // the decoder must refuse it rather than let batching and
+    // re-offers index the tier list out of range.
+    EXPECT_EQ(resumeWithFirstRequestWord("bad_tier", 1, 0xffffffffu),
+              Outcome::ColdStart);
+}
+
+TEST(CheckpointFuzz, ServingDecoderRefusesNarrowingAttempt)
+{
+    // A u32 attempt count cannot hold 2^32: the decoder must refuse
+    // the word instead of adopting it truncated to 0.
+    EXPECT_EQ(resumeWithFirstRequestWord("narrow_attempt", 4,
+                                         std::uint64_t(1) << 32),
+              Outcome::ColdStart);
 }

@@ -9,11 +9,15 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/atomic_file.hh"
 #include "common/codec.hh"
+#include "common/field.hh"
 #include "common/golden.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -241,7 +245,7 @@ TEST(Codec, FieldsRoundTripAndTheReaderStaysInBounds)
 {
     std::string buf;
     writeU64(buf, 0x0123456789abcdefULL);
-    writeDouble(buf, -0.0);
+    encodeField(buf, -0.0);
     writeBytes(buf, std::string("a\0b", 3));
     ASSERT_EQ(buf.size(), 8u + 8u + 8u + 3u);
 
@@ -250,7 +254,7 @@ TEST(Codec, FieldsRoundTripAndTheReaderStaysInBounds)
     double d = 1.0;
     std::string bytes;
     ASSERT_TRUE(r.readU64(u));
-    ASSERT_TRUE(r.readDouble(d));
+    ASSERT_TRUE(decodeField(r, d));
     EXPECT_EQ(u, 0x0123456789abcdefULL);
     EXPECT_EQ(doubleBits(d), doubleBits(-0.0)); // bit-exact, sign kept
     EXPECT_FALSE(r.readBytes(bytes, 2)) << "over the caller's maximum";
@@ -275,6 +279,100 @@ TEST(Codec, FieldsRoundTripAndTheReaderStaysInBounds)
     writeU64(huge, ~std::uint64_t(0));
     EXPECT_FALSE((ByteReader{huge}.readCount(n, 1)));
     EXPECT_FALSE((ByteReader{huge}.readBytes(bytes, ~std::size_t(0))));
+}
+
+/** A body record with every kind of field the body walk codes. */
+struct BodyProbe
+{
+    std::uint32_t narrow = 0;
+    double real = 0;
+    std::string text;
+    std::vector<std::uint8_t> bytes;
+    std::array<std::uint16_t, 2> pair{};
+    std::uint8_t lo = 0;
+    std::uint8_t hi = 0;
+    std::vector<BodyProbe> children;
+};
+
+template <typename F, RecordOf<BodyProbe>... P>
+void
+forEachField(F &&f, P &...p)
+{
+    f("narrow", p.narrow...);
+    f("real", p.real...);
+    f("text", p.text...);
+    f("bytes", p.bytes...);
+    f("pair", p.pair...);
+    f("flags", bitWord<1, 7>(p.lo, p.hi)...);
+    f("children", p.children...);
+}
+
+TEST(Codec, BodyWalkRoundTripsAndRefusesWhatAFieldCannotHold)
+{
+    BodyProbe p;
+    p.narrow = 0xffffffffu;
+    p.real = -0.0;
+    p.text = std::string("a\0b", 3);
+    p.bytes = {0, 255};
+    p.pair = {1, 65535};
+    p.lo = 1;
+    p.hi = 127;
+    p.children.resize(2);
+    p.children[1].text = "child";
+    const std::string body = encodeBody(p, std::uint64_t(7));
+    // narrow, real, text, bytes, pair, flags, then the two children
+    // (8 words each, plus 5 text bytes) and the trailing word.
+    ASSERT_EQ(body.size(), 8u * 2 + (8 + 3) + (8 + 2) + 8 * 2 + 8 +
+                               (8 + 2 * 8 * 8 + 5) + 8);
+
+    BodyProbe back;
+    std::uint64_t tail = 0;
+    ByteReader r{body};
+    ASSERT_TRUE(decodeBody(r, back, tail));
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(encodeBody(back, tail), body);
+    EXPECT_EQ(doubleBits(back.real), doubleBits(-0.0));
+    EXPECT_EQ(back.text, p.text);
+    EXPECT_EQ(back.bytes, p.bytes);
+    EXPECT_EQ(back.pair, p.pair);
+    EXPECT_EQ(back.lo, 1u);
+    EXPECT_EQ(back.hi, 127u);
+    ASSERT_EQ(back.children.size(), 2u);
+    EXPECT_EQ(back.children[1].text, "child");
+
+    // The flags word holds lo in bit 0 and hi in bits 1 to 7.
+    const std::size_t pair_at = 16 + 11 + 10;
+    const std::size_t flags_at = pair_at + 16;
+    std::uint64_t flags = 0;
+    ByteReader at_flags{body, flags_at};
+    ASSERT_TRUE(at_flags.readU64(flags));
+    EXPECT_EQ(flags, 1u | (127u << 1));
+
+    // A word its field cannot hold is refused, never truncated.
+    const auto refused = [&](std::size_t at, std::uint64_t word) {
+        std::string bad = body;
+        std::string w;
+        writeU64(w, word);
+        bad.replace(at, w.size(), w);
+        BodyProbe out;
+        ByteReader rd{bad};
+        return !decodeBody(rd, out);
+    };
+    EXPECT_TRUE(refused(0, std::uint64_t(1) << 32)) << "u32";
+    EXPECT_TRUE(refused(pair_at + 8, 65536)) << "u16 in an array";
+    EXPECT_TRUE(refused(flags_at, 1u << 8)) << "past the bitWord";
+    EXPECT_FALSE(refused(flags_at, 0xff)) << "every bitWord bit";
+    // A child takes at least 8 words: a count the bytes left cannot
+    // hold fails before any element is read.
+    EXPECT_TRUE(refused(flags_at + 8, 3)) << "count";
+    EXPECT_FALSE(refused(flags_at + 8, 2));
+    // Every cut of the body is refused.
+    for (std::size_t cut = 0; cut < body.size() - 8; ++cut) {
+        const std::string part = body.substr(0, cut);
+        BodyProbe out;
+        ByteReader rd{part};
+        EXPECT_FALSE(decodeBody(rd, out)) << "cut at " << cut;
+    }
 }
 
 TEST(Codec, TextKeysAndFnv1a)

@@ -492,6 +492,32 @@ randomRow(std::uint64_t seed)
     return row;
 }
 
+/**
+ * The ASCSIMC file bytes: a SimCache filled serially with the width-1
+ * results of the first random programs (real, distinct values in
+ * every field) and saved, hashed whole. It pins the cache file's body
+ * codec as the elastic ckpt= and fleet blob= columns pin theirs.
+ */
+std::string
+simCacheFileRow()
+{
+    constexpr std::uint64_t kEntries = 16;
+    runtime::SimCache cache;
+    for (std::uint64_t seed = 1; seed <= kEntries; ++seed) {
+        Rng rng(seed);
+        cache.insert("rand:" + std::to_string(seed) + ",",
+                     CoreSim(testConfig()).run(randomProgram(rng)));
+    }
+    const std::string path =
+        ::testing::TempDir() + "ascend_simc_golden.bin";
+    EXPECT_TRUE(cache.saveFile(path, "golden"));
+    const std::string file = readFile(path).value_or("");
+    std::remove(path.c_str());
+    return "simc entries=" + std::to_string(kEntries) +
+           " bytes=" + std::to_string(file.size()) +
+           " file=" + hex64(fnv1a(file.data(), file.size()));
+}
+
 struct FuzzGraph
 {
     std::string label;
@@ -594,7 +620,8 @@ layerRow(const FuzzGraph &fg, arch::CoreVersion v, const FuzzOptions &fo)
  * four presets under three option sets, are frozen in
  * tests/golden/core_sim_fuzz.txt: a rewrite of the compiler or the
  * core-sim kernel must reproduce each program and SimResult bit for
- * bit. Regenerate after an intended model change with
+ * bit, and a rewrite of the SimCache file codec each file byte (the
+ * simc row). Regenerate after an intended model change with
  *     ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_core_sim
  */
 TEST(CoreSimFuzz, MatchesGolden)
@@ -602,11 +629,13 @@ TEST(CoreSimFuzz, MatchesGolden)
     std::string rows =
         "# CoreSim result hashes of seeded random programs at dispatch\n"
         "# widths 1/2/4, and program + result hashes of every distinct\n"
-        "# zoo and decoder layer per preset and option set\n"
+        "# zoo and decoder layer per preset and option set, and the\n"
+        "# hash of a SimCache file of random-program results\n"
         "# (tests/test_core_sim.cc).\n"
         "# Regenerate: ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_core_sim\n";
     for (std::uint64_t seed = 1; seed <= 128; ++seed)
         rows += randomRow(seed) + "\n";
+    rows += simCacheFileRow() + "\n";
     for (const FuzzGraph &fg : fuzzGraphs())
         for (const arch::CoreVersion v :
              {arch::CoreVersion::Lite, arch::CoreVersion::Mini,

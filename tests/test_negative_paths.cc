@@ -207,6 +207,12 @@ TEST(NegativeClusterConfig, ParserRejectsMalformedText)
     expectError(
         [] { cluster::clusterConfigFromString("servers = 0\n"); },
         ErrorCode::ConfigValidation, "server");
+    // Each factor fits, but the chip count would wrap.
+    expectError(
+        [] {
+            cluster::clusterConfigFromString("servers = 4294967295\n");
+        },
+        ErrorCode::ConfigValidation, "overflow");
 }
 
 TEST(NegativeClusterConfig, RoundTrips)

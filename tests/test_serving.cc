@@ -23,7 +23,6 @@
 #include "common/atomic_file.hh"
 #include "common/codec.hh"
 #include "common/golden.hh"
-#include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
 #include "resilience/fault_domain.hh"
 #include "runtime/perf_stats.hh"
@@ -264,9 +263,9 @@ TEST(ServingLatencyModel, ChipSimCurveIsMonotoneAndByteStable)
     soc::TrainingSoc soc910;
     runtime::SimSession session(soc910.coreConfig());
     const auto builder = [](unsigned batch) {
-        return graph::toNetwork(graph::zoo::gestureNetGraph(batch));
+        return graph::zoo::gestureNetGraph(batch);
     };
-    const BatchLatencyModel a = BatchLatencyModel::fromNetwork(
+    const BatchLatencyModel a = BatchLatencyModel::fromGraph(
         session, builder, {1, 2}, session.config().clockGhz);
     ASSERT_EQ(a.points().size(), 2u);
     EXPECT_GT(a.latencySeconds(1), 0.0);
@@ -274,7 +273,7 @@ TEST(ServingLatencyModel, ChipSimCurveIsMonotoneAndByteStable)
 
     // A second session re-derives the identical curve (SimCache).
     runtime::SimSession again(soc910.coreConfig());
-    const BatchLatencyModel b = BatchLatencyModel::fromNetwork(
+    const BatchLatencyModel b = BatchLatencyModel::fromGraph(
         again, builder, {1, 2}, again.config().clockGhz);
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
 }
@@ -312,12 +311,12 @@ TEST(ServingLatencyModel, SurrogateDenseCurveIsMonotone)
                                 std::make_shared<runtime::SimCache>(),
                                 {}, sur);
     const auto builder = [](unsigned batch) {
-        return graph::toNetwork(graph::zoo::gestureNetGraph(batch));
+        return graph::zoo::gestureNetGraph(batch);
     };
     const std::vector<unsigned> anchors =
         BatchLatencyModel::denseAnchors(32);
     ASSERT_GE(anchors.size(), 6u);
-    const BatchLatencyModel m = BatchLatencyModel::fromNetwork(
+    const BatchLatencyModel m = BatchLatencyModel::fromGraph(
         session, builder, anchors, session.config().clockGhz);
     ASSERT_EQ(m.points().size(), anchors.size());
     double prev = 0;
@@ -971,9 +970,12 @@ fleetFuzzRow(unsigned load_idx, unsigned fault_idx, unsigned policy)
 
     char load[16];
     std::snprintf(load, sizeof(load), "%.1f", kFuzzLoads[load_idx]);
-    return std::string("load=") + load + " faults=" +
-           kFuzzFaults[fault_idx] + " policy=" + kFuzzPolicies[policy] +
-           " offered=" + std::to_string(ref.offered) +
+    const std::string cell = std::string("load=") + load + " faults=" +
+                             kFuzzFaults[fault_idx] +
+                             " policy=" + kFuzzPolicies[policy];
+    // Every offered request ends exactly once: answered or shed.
+    EXPECT_EQ(ref.completed + ref.shed, ref.offered) << cell;
+    return cell + " offered=" + std::to_string(ref.offered) +
            " completed=" + std::to_string(ref.completed) +
            " shed=" + std::to_string(ref.shed) +
            " report=" + hex64(hashText(ref.report())) +
@@ -985,10 +987,9 @@ fleetFuzzRow(unsigned load_idx, unsigned fault_idx, unsigned policy)
 /**
  * The fuzz rows are frozen in tests/golden/fleet_fuzz.txt: every
  * rewrite of the fleet queue or step must reproduce them bit for bit,
- * reports and checkpoint bytes alike. The shed+hedge column pins the
- * current behaviour, conservation bug included (completed + shed can
- * differ from offered there). Regenerate after an intentional model
- * change with
+ * reports and checkpoint bytes alike, and every row must conserve
+ * requests (completed + shed == offered, hedged and shed ones
+ * included). Regenerate after an intentional model change with
  *     ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_serving
  * and review the diff like any other code change.
  */
