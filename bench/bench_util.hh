@@ -48,9 +48,12 @@ banner(const std::string &what)
         if (env && std::string(env) == "1") {
             // Construct the process cache *before* registering the
             // handler: statics destruct in reverse order, so the
-            // report then prints while the cache is still alive.
+            // report then prints while the cache is still alive. The
+            // cache's own exit save was registered first, so it would
+            // run after the report: save here, before counting.
             runtime::SimSession::processCache();
             std::atexit([] {
+                runtime::SimSession::saveProcessCache();
                 std::cerr << runtime::simStatsReport(
                     runtime::SimSession::processCache()->stats(),
                     runtime::ThreadPool::configuredThreads());

@@ -8,6 +8,7 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
+#include <mutex>
 
 #include "common/codec.hh"
 #include "obs/tracer.hh"
@@ -96,14 +97,6 @@ outcomeCounter(surrogate::Outcome oc)
     return *counters[std::size_t(oc)];
 }
 
-void
-saveProcessCache()
-{
-    const std::string path = persistentCachePath();
-    if (!path.empty())
-        SimSession::processCache()->saveFile(path);
-}
-
 } // anonymous namespace
 
 core::SimResult
@@ -144,6 +137,17 @@ SimSession::processCache()
     }();
     (void)saver;
     return cache;
+}
+
+void
+SimSession::saveProcessCache()
+{
+    static std::once_flag saved;
+    std::call_once(saved, [] {
+        const std::string path = persistentCachePath();
+        if (!path.empty())
+            processCache()->saveFile(path);
+    });
 }
 
 SimSession::SimSession(const arch::CoreConfig &config,

@@ -10,32 +10,44 @@
  * The loop advances *cohorts*, not cores. A cohort is a set of active
  * cores (alive, holding a task) whose fluid state — remaining compute,
  * remaining bytes, straggler factor, repair deadline — is bit-identical;
- * every active core holds its cohort's id in a dense array. Cores
- * sharing a state advance identically, so one iteration is:
+ * every active core holds its cohort's id in a dense array, and a
+ * cohort's members form a linked list through the cores. Cores sharing
+ * a state advance identically, so one iteration is:
  *  - reduce, once per cohort: the memory-active count (an integer sum
  *    of member counts) and the minima of the remaining compute time,
  *    the remaining bytes and the repair wake-ups;
  *    dt = min(wake - now, minCompute, minBytes / rate) is exact
  *    because min is exact and correctly rounded division by a positive
  *    rate is monotone, so it equals the per-core reduce bit for bit;
- *  - advance, once per cohort: move it by dt and record the bytes each
- *    member drained and whether its task completed;
- *  - fold, once per active core in index order: add the core's drained
- *    bytes to the shared total — floating-point addition is the one
- *    non-exact reduction, so it keeps the per-core order — and collect
- *    the members of completed cohorts. The pass makes no call, so the
- *    total stays in a register;
+ *  - advance, once per cohort: move it by dt and set its mark, one
+ *    byte saying whether each member drained the instant's common
+ *    `share`, drained less (its own `moved`: the last bytes of its
+ *    task), and whether its task completed. A per-core byte array
+ *    carries each active core's cohort mark (0 for every other core);
+ *    only a cohort whose mark changed rewrites its members' bytes;
+ *  - fold, over the mark array in 64-bit words: the shared byte total
+ *    is the one non-exact reduction, so it must add every core's
+ *    drained bytes in core-index order. A run of cores that drained
+ *    `share` is a run of equal adds, which addRepeated
+ *    (common/exact_sum.hh) does exactly in one step; it is flushed
+ *    before each core that drained its own `moved`. A core that
+ *    drained nothing adds +0.0, which leaves the total's bits
+ *    unchanged, so it is skipped. The same pass collects completed
+ *    cores in index order. The pass costs O(cores / 8 + changed
+ *    cores), not O(active cores);
  *  - reload the collected cores in index order, so the orphan pool is
  *    popped and tracer spans are emitted lowest-index core first.
  * A core re-groups whenever it takes a new state at the current
- * instant (a task load, an orphan pickup, a transient restart): a
- * per-instant index from the state's bits to a cohort id finds the
- * cohort that state already has, and is cleared at every advance.
- * Freed ids are recycled and leave the index.
+ * instant (a task load, an orphan pickup, a transient restart): it
+ * first tries the cohort of the previous join, since the members of a
+ * finished cohort usually load one next state, and then a per-instant
+ * index from the state's bits to a cohort id, cleared at every
+ * advance. Freed ids are recycled and leave the index.
  *
  * Fault strikes come from a min-heap of (next fault time, core) and
  * idle survivors wait in a min-heap of core indices for orphaned
- * work, so neither costs a walk over all cores.
+ * work, so neither costs a walk over all cores; the active cores are
+ * only counted.
  *
  * Determinism notes (the sweep benches diff output across thread
  * counts): the loop runs on the calling thread, every reduction is
@@ -43,12 +55,14 @@
  * popped in core-index order — so results are byte-identical at any
  * ASCEND_THREADS. tests/golden/chip_sim_fuzz.txt pins the arithmetic
  * sequence on seeded workloads under dense fault plans, including
- * class-structured ones whose cohorts faults split and merge.
+ * class-structured ones whose cohorts faults split and merge and
+ * 4,096-core chips whose share runs cross many binades.
  */
 
 #include "soc/chip_sim.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -58,6 +72,7 @@
 #include <utility>
 
 #include "common/error.hh"
+#include "common/exact_sum.hh"
 #include "common/logging.hh"
 #include "obs/tracer.hh"
 #include "runtime/perf_stats.hh"
@@ -111,13 +126,27 @@ struct FluidState
     }
 };
 
+/** No core / no cohort. */
+constexpr std::uint32_t kNone = ~0u;
+
+// The fold reads eight mark bytes as one word, lowest core lowest.
+static_assert(std::endian::native == std::endian::little,
+              "the mark fold assumes a little-endian word");
+
+/// @{ The bits of a core's byte in the fold's mark array.
+constexpr std::uint8_t kShare = 1; ///< drained the instant's common share
+constexpr std::uint8_t kOwn = 2;   ///< drained its cohort's smaller `moved`
+constexpr std::uint8_t kDone = 4;  ///< its task completed
+/// @}
+
 /** Active cores with a bit-identical FluidState. */
 struct Cohort
 {
     FluidState s;
-    double moved = 0;         ///< bytes each member drained last advance
-    bool done = false;        ///< the members' tasks completed last advance
+    double moved = 0;          ///< bytes each member drained last advance
     std::uint32_t members = 0; ///< 0 = a free id
+    std::uint32_t head = kNone; ///< first member; the list runs per core
+    std::uint8_t mark = 0;     ///< the mark byte each member carries
 };
 
 /**
@@ -129,8 +158,6 @@ struct Cohort
 class CohortIndex
 {
   public:
-    static constexpr std::uint32_t kNone = ~0u;
-
     explicit CohortIndex(std::size_t cores)
     {
         std::size_t n = 16;
@@ -230,7 +257,11 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
     static runtime::PerfScope &perf = runtime::perfScope("chip-sim");
     const runtime::PerfTimer timer(perf);
 
-    simAssert(mem_bytes_per_sec > 0, "memory capacity must be positive");
+    if (!(mem_bytes_per_sec > 0) || !std::isfinite(mem_bytes_per_sec))
+        throwError(ErrorCode::ConfigValidation,
+                   "runChipSim: memory capacity must be positive and "
+                   "finite, got %g bytes/s",
+                   mem_bytes_per_sec);
     const std::size_t cores = per_core.size();
     const double inf = std::numeric_limits<double>::infinity();
     const char *const mode = plan.empty() ? "fault-free" : "degraded";
@@ -246,7 +277,7 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         double taskStart = 0;       ///< sim time the current task began
         double finish = 0;
         std::size_t eventIdx = 0;   ///< next unapplied fault event
-        bool active = false;        ///< holds a task (in the active set)
+        bool active = false;        ///< holds a task (in a cohort)
         bool alive = true;
     };
     std::vector<CoreState> state(cores);
@@ -259,38 +290,65 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
     ChipSimResult result;
     std::uint64_t tasks_done = 0;
     std::deque<CoreTask> orphans; ///< work shed by dead cores
-    std::vector<std::size_t> active; ///< alive cores with a task, ascending
+    std::size_t n_active = 0; ///< alive cores holding a task
     MinHeap<std::size_t> idle; ///< alive idle cores (dead ones skipped)
     MinHeap<std::pair<double, std::size_t>> strikes; ///< (next fault, core)
 
     std::vector<Cohort> cohorts;
     std::vector<std::uint32_t> free_ids;
-    std::vector<std::uint32_t> cohort_of(cores, CohortIndex::kNone);
+    std::vector<std::uint32_t> cohort_of(cores, kNone);
+    // Each cohort's members form a doubly linked list through the cores.
+    std::vector<std::uint32_t> next_member(cores, kNone);
+    std::vector<std::uint32_t> prev_member(cores, kNone);
+    // One mark byte per core, padded to whole 64-bit words; an inactive
+    // core's byte is 0. join() need not write it: a joinable cohort was
+    // made after the last advance, so its mark is still 0 too.
+    std::vector<std::uint8_t> marks((cores + 7) / 8 * 8, 0);
     CohortIndex index(cores);
+    std::uint32_t last_join = kNone; ///< joined since the last advance
 
     // Core c takes fluid state (compute, bytes) at the current instant.
+    // Cores that finish together often load the same next state, so
+    // the cohort of the previous join is tried before the index.
     auto join = [&](std::size_t c, double compute, double bytes) {
         const FluidState s{compute, bytes, state[c].slowdown,
                            state[c].pausedUntil};
-        std::uint32_t k = index.find(s, cohorts);
-        if (k == CohortIndex::kNone) {
-            if (free_ids.empty()) {
-                k = std::uint32_t(cohorts.size());
-                cohorts.emplace_back();
-            } else {
-                k = free_ids.back();
-                free_ids.pop_back();
+        std::uint32_t k = last_join;
+        if (k == kNone || cohorts[k].members == 0 ||
+            !cohorts[k].s.sameBits(s)) {
+            k = index.find(s, cohorts);
+            if (k == kNone) {
+                if (free_ids.empty()) {
+                    k = std::uint32_t(cohorts.size());
+                    cohorts.emplace_back();
+                } else {
+                    k = free_ids.back();
+                    free_ids.pop_back();
+                }
+                cohorts[k] = Cohort{s};
+                index.insert(k, s);
             }
-            cohorts[k] = Cohort{s};
-            index.insert(k, s);
+            last_join = k;
         }
-        ++cohorts[k].members;
+        Cohort &h = cohorts[k];
+        ++h.members;
+        prev_member[c] = kNone;
+        next_member[c] = h.head;
+        if (h.head != kNone)
+            prev_member[h.head] = std::uint32_t(c);
+        h.head = std::uint32_t(c);
         cohort_of[c] = k;
     };
     auto leave = [&](std::size_t c) {
         const std::uint32_t k = cohort_of[c];
-        if (--cohorts[k].members == 0) {
-            index.erase(k, cohorts[k].s);
+        Cohort &h = cohorts[k];
+        const std::uint32_t prev = prev_member[c], next = next_member[c];
+        (prev == kNone ? h.head : next_member[prev]) = next;
+        if (next != kNone)
+            prev_member[next] = prev;
+        marks[c] = 0;
+        if (--h.members == 0) {
+            index.erase(k, h.s);
             free_ids.push_back(k);
         }
     };
@@ -340,15 +398,6 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
             strikes.emplace(events[i].timeSec, c);
     };
 
-    // Drop cores that left the active set (died or went idle).
-    auto prune_active = [&] {
-        active.erase(std::remove_if(active.begin(), active.end(),
-                                    [&](std::size_t c) {
-                                        return !state[c].active;
-                                    }),
-                     active.end());
-    };
-
     // Apply every fault due at or before @p now, in core-index order
     // (the orphan pool's order).
     std::vector<std::size_t> due;
@@ -359,7 +408,6 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
             strikes.pop();
         }
         std::sort(due.begin(), due.end());
-        bool died = false;
         for (const std::size_t c : due) {
             CoreState &cs = state[c];
             const auto &events = plan.coreEvents[c];
@@ -369,12 +417,12 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                 ++cs.eventIdx;
                 ++result.coreFailures;
                 if (e.kind == resilience::FaultKind::CorePermanent) {
-                    died = true;
                     cs.alive = false;
                     cs.finish = e.timeSec;
                     if (cs.active) { // shed in-flight task, restarted
                         orphans.push_back(cs.current);
                         leave(c);
+                        --n_active;
                     }
                     for (std::size_t i = cs.next + (cs.active ? 1 : 0);
                          i < per_core[c].size(); ++i)
@@ -393,8 +441,6 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
             }
             arm(c);
         }
-        if (died)
-            prune_active();
     };
 
     double now = 0;
@@ -406,7 +452,7 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         if (!state[c].alive)
             continue;
         if (load_next(c, now))
-            active.push_back(c);
+            ++n_active;
         else
             idle.push(c);
     }
@@ -414,7 +460,7 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
     int guard = 0;
     auto count_event = [&] {
         if (++guard > options.guardLimit)
-            throwGuard(mode, guard, now, active.size(), cores, tasks_done,
+            throwGuard(mode, guard, now, n_active, cores, tasks_done,
                        totalTasks(per_core));
     };
 
@@ -430,22 +476,19 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         runtime::perfScope("des-kernel");
     const runtime::PerfTimer loop_timer(loop_perf);
     std::vector<std::size_t> completed(cores); ///< fold pass output
-    while (!active.empty() || !orphans.empty()) {
+    while (n_active > 0 || !orphans.empty()) {
         // Idle survivors pick up orphaned work as it appears.
-        const std::size_t held = active.size();
         while (!orphans.empty() && !idle.empty()) {
             const std::size_t c = idle.top();
             idle.pop();
             if (!state[c].alive)
                 continue;
             if (load_next(c, now)) {
-                active.push_back(c);
+                ++n_active;
             } else { // the orphans were all zero tasks
                 idle.push(c);
             }
         }
-        if (active.size() != held)
-            std::sort(active.begin(), active.end());
 
         // Reduce, per cohort. A core makes progress only out of repair.
         unsigned mem_active = 0;
@@ -492,41 +535,74 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         dt = std::max(dt, 1e-15); // numerical floor
 
         // Advance, per cohort: running cohorts move by dt, paused ones
-        // hold and drain nothing.
+        // hold and drain nothing. A cohort whose mark changes rewrites
+        // its members' bytes.
         const double t0 = now;
         const double share = rate * dt;
         now += dt;
         for (Cohort &h : cohorts) {
-            h.moved = 0;
-            h.done = false;
-            if (h.members == 0 || t0 < h.s.pausedUntil)
+            if (h.members == 0)
                 continue;
-            FluidState &s = h.s;
-            if (s.computeLeft > 0)
-                s.computeLeft =
-                    std::max(0.0, s.computeLeft - dt / s.slowdown);
-            if (s.bytesLeft > 0) {
-                h.moved = std::min(s.bytesLeft, share);
-                s.bytesLeft -= h.moved;
+            h.moved = 0;
+            std::uint8_t mark = 0;
+            if (!(t0 < h.s.pausedUntil)) {
+                FluidState &s = h.s;
+                if (s.computeLeft > 0)
+                    s.computeLeft =
+                        std::max(0.0, s.computeLeft - dt / s.slowdown);
+                if (s.bytesLeft > 0) {
+                    h.moved = std::min(s.bytesLeft, share);
+                    s.bytesLeft -= h.moved;
+                    mark = h.moved == share ? kShare : kOwn;
+                }
+                if (s.computeLeft <= 0 && s.bytesLeft <= 0)
+                    mark |= kDone;
             }
-            h.done = s.computeLeft <= 0 && s.bytesLeft <= 0;
+            if (mark != h.mark) {
+                h.mark = mark;
+                for (std::uint32_t c = h.head; c != kNone;
+                     c = next_member[c])
+                    marks[c] = mark;
+            }
         }
         index.clear(); // every indexed state just changed
+        last_join = kNone;
 
-        // Fold, per core in index order: adding +0.0 for a core that
-        // drained nothing leaves the total's bits unchanged.
+        // Fold, in core-index order, one 64-bit word of marks at a
+        // time. The cores that drained `share` only count: a run of n
+        // equal adds is one exact addRepeated, flushed before a core
+        // that drained its own `moved`. Cores that drained nothing
+        // add +0.0, which leaves the total's bits unchanged, and are
+        // skipped. Completed cores are collected in index order.
+        constexpr std::uint64_t kBytes = 0x0101010101010101ull;
         double moved_total = bytes_moved; // local, so kept in a register
+        std::uint64_t run = 0;
         std::size_t n_done = 0;
-        for (const std::size_t c : active) {
-            const Cohort &h = cohorts[cohort_of[c]];
-            moved_total += h.moved;
-            completed[n_done] = c;
-            n_done += h.done;
+        for (std::size_t i = 0; i < marks.size(); i += 8) {
+            std::uint64_t w;
+            std::memcpy(&w, &marks[i], sizeof(w));
+            if (w & (kBytes * kOwn)) {
+                for (std::size_t c = i; c < i + 8; ++c) {
+                    run += marks[c] & kShare;
+                    if (marks[c] & kOwn) {
+                        moved_total =
+                            addRepeated(moved_total, share, run) +
+                            cohorts[cohort_of[c]].moved;
+                        run = 0;
+                    }
+                }
+            } else {
+                // Sum the word's kShare bits into its top byte: the
+                // library targets baseline x86-64, where a popcount is
+                // a libgcc call.
+                run += ((w & kBytes) * kBytes) >> 56;
+            }
+            for (std::uint64_t d = w & (kBytes * kDone); d != 0; d &= d - 1)
+                completed[n_done++] = i + (std::countr_zero(d) >> 3);
         }
-        bytes_moved = moved_total;
+        bytes_moved = addRepeated(moved_total, share, run);
 
         // Reload completed cores in index order.
-        bool went_idle = false;
         for (std::size_t i = 0; i < n_done; ++i) {
             const std::size_t c = completed[i];
             CoreState &cs = state[c];
@@ -544,11 +620,9 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
             leave(c);
             if (!load_next(c, now)) {
                 idle.push(c);
-                went_idle = true;
+                --n_active;
             }
         }
-        if (went_idle)
-            prune_active();
         apply_events(now);
         count_event();
     }

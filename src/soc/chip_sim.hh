@@ -17,12 +17,15 @@
  * straggler factor, repair deadline — is bit-identical form a
  * *cohort*, and the exact reduce (memory-active count, minimum
  * remaining compute and bytes, next repair wake-up) and the fluid
- * advance run once per cohort. Only the shared byte total, the one
- * non-exact sum, still folds per core in core-index order; completed
- * cores then reload in that order. Cores re-group when they take a
- * new state (task load, orphan pickup, transient restart). On the
- * perf driver's fault-free chip-fanout runs about 53 cohorts stand
- * for some 1,700 active cores per instant.
+ * advance run once per cohort. The shared byte total, the one
+ * non-exact sum, must add per core in core-index order; it folds a
+ * per-core mark byte array a 64-bit word at a time, adding each run
+ * of equal per-core drains in one exact step, so an instant costs
+ * O(cohorts + cores / 8 + changed cores) rather than O(active
+ * cores). Completed cores then reload in index order. Cores re-group
+ * when they take a new state (task load, orphan pickup, transient
+ * restart). On the fault-free runs of the chip-fanout perf workload
+ * about 53 cohorts stand for some 1,700 active cores per instant.
  * Fault strikes and idle survivors live in min-heaps, so a fault plan
  * adds no per-event walk over all cores. The loop is serial — the
  * work of one event is far less than a thread-pool fan-out costs —

@@ -37,6 +37,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include "cluster/elastic_run.hh"
 #include "common/atomic_file.hh"
 #include "common/codec.hh"
@@ -249,11 +251,14 @@ const std::string &
 servingReference(bool foreign)
 {
     // Every save logs a line, so the reference persists like the
-    // resumed runs do.
+    // resumed runs do. Tests run as parallel processes, so each takes
+    // its own directory.
     static const std::array<std::string, 2> refs = [] {
         std::array<std::string, 2> out;
+        const std::string name =
+            "serving_ref_" + std::to_string(::getpid());
         for (int i = 0; i < 2; ++i) {
-            const std::string dir = tempDir("serving_ref");
+            const std::string dir = tempDir(name.c_str());
             serving::FleetOptions o = ServingScenario::options(i == 1);
             o.checkpointDir = dir;
             out[i] = servingScenario().run(o).report();

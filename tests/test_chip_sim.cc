@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -103,9 +104,18 @@ TEST(ChipSim, ContentionVsRooflineGap)
     EXPECT_LE(r.makespan, upper);
 }
 
-TEST(ChipSimDeath, ZeroCapacityRejected)
+TEST(ChipSim, BadCapacityRaisesConfigValidation)
 {
-    EXPECT_DEATH(soc::runChipSim({}, 0), "capacity");
+    const std::vector<std::vector<soc::CoreTask>> cores(2);
+    for (const double cap : {std::nan(""), HUGE_VAL, 0.0, -1e9}) {
+        try {
+            soc::runChipSim(cores, cap);
+            FAIL() << "capacity " << cap << " accepted";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::ConfigValidation) << cap;
+            EXPECT_NE(e.context().find("capacity"), std::string::npos);
+        }
+    }
 }
 
 TEST(ChipSim, GuardLimitRaisesStructuredError)

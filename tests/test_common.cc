@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the common substrate: types, logging, table
  * rendering, the deterministic RNG, the field codec, crash-safe file
- * writes and the shared durable-file frame.
+ * writes, the shared durable-file frame and exact run-length addition.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,10 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -17,6 +21,7 @@
 
 #include "common/atomic_file.hh"
 #include "common/codec.hh"
+#include "common/exact_sum.hh"
 #include "common/field.hh"
 #include "common/golden.hh"
 #include "common/logging.hh"
@@ -462,6 +467,96 @@ TEST(Frame, EveryRefusalHasItsOwnReasonAndLeavesTheBodyAlone)
     writeU64(overrun, fnv1a(overrun.data(), overrun.size()));
     EXPECT_EQ(status(overrun), FrameStatus::Short);
     EXPECT_EQ(status(good), FrameStatus::Ok);
+}
+
+// ------------------------------------------------ exact run-length add
+
+/** What addRepeated must reproduce: n plain adds in sequence. */
+double
+addLoop(double t, double x, std::uint64_t n)
+{
+    for (; n > 0; --n)
+        t = t + x;
+    return t;
+}
+
+/** Expect addRepeated(t, x, n) to equal the plain loop bit for bit. */
+void
+expectSameAsLoop(double t, double x, std::uint64_t n)
+{
+    const double want = addLoop(t, x, n);
+    const double got = addRepeated(t, x, n);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "t=" << std::hexfloat << t << " x=" << x << " n="
+        << std::dec << n << ": got " << std::hexfloat << got
+        << ", loop " << want;
+}
+
+/** The spacing of doubles at positive normal @p t. */
+double
+ulpOf(double t)
+{
+    return std::nextafter(t, HUGE_VAL) - t;
+}
+
+TEST(AddRepeated, MatchesThePlainLoopOnRandomRuns)
+{
+    Rng rng(0xadd);
+    for (int trial = 0; trial < 400; ++trial) {
+        // t spans 60 binades; x is t scaled by 2^-40 .. 2^4, so runs
+        // start below, at and above t and cross up to ~17 binades.
+        const double t = trial % 10 == 0
+                             ? 0.0
+                             : std::ldexp(1.0 + rng.uniformReal(),
+                                          int(rng.uniform(60)) - 30);
+        const double x = std::ldexp(1.0 + rng.uniformReal(),
+                                    int(rng.uniform(60)) - 30 -
+                                        int(rng.uniform(45)) + 4);
+        expectSameAsLoop(t, x, 1 + rng.uniform(100000));
+    }
+}
+
+TEST(AddRepeated, ExactTiesRoundToEven)
+{
+    Rng rng(0x7e);
+    for (int trial = 0; trial < 200; ++trial) {
+        double t = std::ldexp(1.0 + rng.uniformReal(),
+                              int(rng.uniform(40)) - 20);
+        if (trial % 2) // both parities of the last significand bit
+            t = std::nextafter(t, HUGE_VAL);
+        const double k = double(rng.uniform(trial % 4 ? 8 : 2));
+        expectSameAsLoop(t, (k + 0.5) * ulpOf(t), 1 + rng.uniform(100000));
+    }
+}
+
+TEST(AddRepeated, RunsCrossSeveralBinades)
+{
+    expectSameAsLoop(1.0, 1.0, 100000);  // exact, 17 binades
+    expectSameAsLoop(0.3, 0.1, 100000);  // inexact x
+    expectSameAsLoop(1e6, 3.7e5, 99999); // x just under t
+    expectSameAsLoop(0x1.fffffffffffffp-1, 0x1p-53, 5); // tie at the edge
+    expectSameAsLoop(DBL_MAX / 4, DBL_MAX / 8, 100);    // overflows
+}
+
+TEST(AddRepeated, EdgeCases)
+{
+    EXPECT_EQ(addRepeated(2.5, 1.0, 0), 2.5);
+    expectSameAsLoop(0.0, 0.75, 1000);     // t = 0
+    expectSameAsLoop(-0.0, 0.0, 3);        // -0 + +0 is +0
+    expectSameAsLoop(1.0, 0.0, 1000);      // x = 0
+    expectSameAsLoop(1e-3, 5.0, 1000);     // x > t
+    expectSameAsLoop(0.0, 4.9e-324, 1000); // subnormal x from t = 0
+    expectSameAsLoop(DBL_MIN * 0.75, 3e-310, 1000); // into the normals
+    expectSameAsLoop(1.0, 4.9e-324, 1000); // subnormal x on a normal t
+    expectSameAsLoop(1.0, -0.25, 1000);    // negative x
+    expectSameAsLoop(HUGE_VAL, 1.0, 1000);
+    // x below half an ulp never moves t; exactly half moves only an
+    // odd significand, once.
+    const double t = 1.0 + 0x1p-50;
+    EXPECT_EQ(addRepeated(t, 0.49 * ulpOf(t), 100000), t);
+    expectSameAsLoop(t, 0.5 * ulpOf(t), 100000);
+    expectSameAsLoop(std::nextafter(t, 2.0), 0.5 * ulpOf(t), 100000);
 }
 
 } // anonymous namespace

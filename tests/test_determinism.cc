@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/atomic_file.hh"
+#include "common/codec.hh"
 #include "common/golden.hh"
 #include "common/rng.hh"
 #include "graph/lower.hh"
@@ -301,6 +302,97 @@ chipCohortRow(std::uint64_t seed)
            fingerprint(soc::runChipSim(work, bw, plan));
 }
 
+/** FNV-1a of @p s: a one-token stand-in for a long fingerprint. */
+std::string
+fnv(const std::string &s)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a(s.data(), s.size())));
+    return buf;
+}
+
+/**
+ * The chip-fanout workload's class structure (perf/workloads.cc) at
+ * full size, keyed by @p seed: 4,096 cores x 32 tasks, each core
+ * drawing one of five compute phases and one of eleven traffic
+ * classes, so about 55 cohorts share the active set and long runs of
+ * cores drain the same bytes per instant while the shared total
+ * crosses many binades. With
+ * @p faulty, a seeded fault schedule adds transients, kills and
+ * stragglers at a few percent of the cores. The per-core finish times
+ * are hashed to keep the row short.
+ */
+std::string
+chipFanoutRow(std::uint64_t seed, bool faulty)
+{
+    constexpr unsigned cores = 4096, tasks = 32;
+    constexpr double bw = 4e12;
+    Rng rng(seed);
+    std::vector<std::vector<soc::CoreTask>> work(cores);
+    Bytes total = 0;
+    for (auto &queue : work) {
+        const std::uint64_t phase = rng.uniform(5);
+        const std::uint64_t traffic = rng.uniform(11);
+        queue.resize(tasks);
+        for (unsigned k = 0; k < tasks; ++k) {
+            queue[k].computeSeconds = 1e-4 * double(1 + (phase + 3 * k) % 5);
+            queue[k].memBytes = Bytes(traffic + k + 1) * kMiB;
+            total += queue[k].memBytes;
+        }
+    }
+    resilience::ChipFaultPlan plan;
+    if (faulty) {
+        resilience::FaultSpec spec;
+        spec.seed = seed;
+        spec.cores = cores;
+        spec.horizonSec = double(total) / bw;
+        spec.coreTransientPerSec = 0.01 / spec.horizonSec;
+        spec.corePermanentPerSec = 0.003 / spec.horizonSec;
+        spec.coreRepairSec = 5e-4;
+        spec.stragglerFraction = 0.01;
+        spec.stragglerSlowdown = 1.5;
+        plan = resilience::ChipFaultPlan::fromSchedule(
+            resilience::FaultSchedule::generate(spec), cores);
+    }
+    const soc::ChipSimResult r = soc::runChipSim(work, bw, plan);
+    return "seed=" + std::to_string(seed) +
+           (faulty ? " fanout-faults" : " fanout-fault-free") +
+           " cores=" + std::to_string(cores) +
+           " tasks=" + std::to_string(tasks) +
+           " makespan=" + fp(r.makespan) +
+           " memutil=" + fp(r.avgMemUtilization) +
+           " failures=" + std::to_string(r.coreFailures) +
+           " redispatched=" + std::to_string(r.reDispatchedTasks) +
+           " completed=" + std::to_string(r.completed) +
+           " fnv=" + fnv(fingerprint(r));
+}
+
+/**
+ * 64 cores whose tasks all differ, keyed by @p seed: every core is its
+ * own cohort, so the shared byte total takes short runs of equal adds
+ * between cores that drain their last bytes.
+ */
+std::string
+chipDistinctRow(std::uint64_t seed)
+{
+    constexpr unsigned cores = 64;
+    Rng rng(seed);
+    std::vector<std::vector<soc::CoreTask>> work(cores);
+    for (auto &queue : work) {
+        queue.resize(1 + rng.uniform(12));
+        for (soc::CoreTask &t : queue) {
+            t.computeSeconds = 1e-4 * (1.0 + rng.uniformReal() * 9.0);
+            t.memBytes = Bytes(1 + rng.uniform(8u << 20));
+        }
+    }
+    const double bw = 1e9 * double(1 + rng.uniform(100));
+    return "seed=" + std::to_string(seed) + " distinct cores=" +
+           std::to_string(cores) + " " +
+           fingerprint(soc::runChipSim(work, bw));
+}
+
 /**
  * The fuzz rows are frozen in tests/golden/chip_sim_fuzz.txt: every
  * rewrite of the chip-sim event loop must reproduce them bit for bit.
@@ -315,13 +407,17 @@ TEST(Determinism, ChipSimFuzzMatchesGolden)
     std::string rows =
         "# runChipSim fingerprints of seeded random workloads and fault\n"
         "# plans (tests/test_determinism.cc chipFuzzRow, then\n"
-        "# chipCohortRow from seed 37).\n"
+        "# chipCohortRow from seed 37, chipFanoutRow from seed 61 and\n"
+        "# chipDistinctRow at seed 63).\n"
         "# Regenerate: ASCEND_UPDATE_GOLDEN=1 "
         "./build/tests/test_determinism\n";
     for (std::uint64_t seed = 1; seed <= 36; ++seed)
         rows += chipFuzzRow(seed) + "\n";
     for (std::uint64_t seed = 37; seed <= 60; ++seed)
         rows += chipCohortRow(seed) + "\n";
+    rows += chipFanoutRow(61, false) + "\n";
+    rows += chipFanoutRow(62, true) + "\n";
+    rows += chipDistinctRow(63) + "\n";
     const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
     if (env && *env && std::string(env) != "0") {
         ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;

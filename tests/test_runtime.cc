@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.hh"
 #include "common/atomic_file.hh"
 #include "common/codec.hh"
 #include "common/error.hh"
@@ -402,6 +405,29 @@ TEST(SimCachePersist, TruncatedHeaderIsRejectedCleanly)
         EXPECT_EQ(partial.loadFile(cut_path), 0u) << "cut at " << cut;
         EXPECT_EQ(partial.stats().entries, 0u);
     }
+}
+
+// The ASCEND_SIM_STATS=1 report and the ASCEND_CACHE_DIR save both run
+// at exit. A run that writes the cache file must report its stores.
+TEST(SimCachePersistDeathTest, ExitReportCountsTheExitSave)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string dir = ::testing::TempDir() + "ascend_exit_report";
+    std::remove(runtime::SimCache::filePath(dir).c_str());
+    ASSERT_EQ(setenv("ASCEND_CACHE_DIR", dir.c_str(), 1), 0);
+    ASSERT_EQ(setenv("ASCEND_SIM_STATS", "1", 1), 0);
+    EXPECT_EXIT(
+        {
+            bench::banner("exit report");
+            runtime::SimSession session(
+                arch::makeCoreConfig(arch::CoreVersion::Tiny));
+            session.runInference(
+                graph::toNetwork(graph::zoo::gestureNetGraph(1)));
+            std::exit(0);
+        },
+        testing::ExitedWithCode(0), "disk stores +[1-9]");
+    unsetenv("ASCEND_CACHE_DIR");
+    unsetenv("ASCEND_SIM_STATS");
 }
 
 TEST(SimCachePersist, SaveCreatesParentDirectories)
