@@ -6,9 +6,9 @@
 #include "arch/core_config.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hh"
+#include "common/field.hh"
 #include "common/logging.hh"
 
 namespace ascend {
@@ -71,28 +71,7 @@ CoreConfig::validate() const
     // User-facing checks: a hand-edited config file lands here, so
     // report ConfigValidation errors callers can catch and attribute
     // rather than aborting the process.
-    if (!(clockGhz > 0) || !std::isfinite(clockGhz))
-        throwError(ErrorCode::ConfigValidation,
-                   "core %s: clock must be positive, got %g",
-                   name.c_str(), clockGhz);
-    if (!(cube.m0 > 0 && cube.k0 > 0 && cube.n0 > 0))
-        throwError(ErrorCode::ConfigValidation,
-                   "core %s: cube dims must be positive, got %ux%ux%u",
-                   name.c_str(), cube.m0, cube.k0, cube.n0);
-    if (vectorWidthBytes == 0)
-        throwError(ErrorCode::ConfigValidation,
-                   "core %s: vector width must be positive",
-                   name.c_str());
-    if (!(busABytesPerCycle > 0 && busBBytesPerCycle > 0 &&
-          busUbBytesPerCycle > 0))
-        throwError(ErrorCode::ConfigValidation,
-                   "core %s: bus widths must be positive",
-                   name.c_str());
-    if (!(l0aBytes > 0 && l0bBytes > 0 && l0cBytes > 0 &&
-          l1Bytes > 0 && ubBytes > 0))
-        throwError(ErrorCode::ConfigValidation,
-                   "core %s: buffer sizes must be positive",
-                   name.c_str());
+    checkFields(*this, "core " + name);
     // L0A must hold at least two fractal tiles of A for double buffering.
     const Bytes fractal =
         2 * bytesOf(DataType::Fp16, std::uint64_t(cube.m0) * cube.k0);

@@ -112,9 +112,10 @@ struct CoreConfig
     }
 
     /**
-     * Reject inconsistent or out-of-range fields (zero clock, empty
-     * buffers, ...). Throws ascend::Error with code ConfigValidation
-     * so callers loading user-supplied configs can recover.
+     * Reject out-of-domain fields (forEachField below: zero clock,
+     * empty buffers, ...) and an L0A too small for a double-buffered
+     * fractal. Throws ascend::Error with code ConfigValidation so
+     * callers loading user-supplied configs can recover.
      */
     void validate() const;
 };
@@ -123,8 +124,8 @@ struct CoreConfig
  * CoreConfig's fields, in SimCache-key order: calls f(key, c.member...)
  * once per field, passing that member of every config in @p c, under
  * its config-file key. This list is the only place the fields are
- * named: the cache key (which skips the cosmetic name) and the config
- * file both walk it.
+ * named: the cache key (which skips the cosmetic name), the config
+ * file and validate() all walk it.
  */
 template <typename F, RecordOf<CoreConfig>... C>
 void
@@ -132,25 +133,25 @@ forEachField(F &&f, C &...c)
 {
     f("name", c.name...);
     f("version", c.version...);
-    f("clock_ghz", c.clockGhz...);
-    f("cube_m0", c.cube.m0...);
-    f("cube_k0", c.cube.k0...);
-    f("cube_n0", c.cube.n0...);
+    f(positive("clock_ghz"), c.clockGhz...);
+    f(positive("cube_m0"), c.cube.m0...);
+    f(positive("cube_k0"), c.cube.k0...);
+    f(positive("cube_n0"), c.cube.n0...);
     f("supports_fp16", c.supportsFp16...);
     f("supports_int8", c.supportsInt8...);
     f("supports_int4", c.supportsInt4...);
     f("supports_fp32_cube", c.supportsFp32Cube...);
-    f("vector_width_bytes", c.vectorWidthBytes...);
-    f("bus_a_bytes_per_cycle", c.busABytesPerCycle...);
-    f("bus_b_bytes_per_cycle", c.busBBytesPerCycle...);
-    f("bus_ub_bytes_per_cycle", c.busUbBytesPerCycle...);
-    f("bus_ext_bytes_per_cycle", c.busExtBytesPerCycle...);
-    f("l0a_bytes", c.l0aBytes...);
-    f("l0b_bytes", c.l0bBytes...);
-    f("l0c_bytes", c.l0cBytes...);
-    f("l1_bytes", c.l1Bytes...);
-    f("ub_bytes", c.ubBytes...);
-    f("dispatch_per_cycle", c.dispatchPerCycle...);
+    f(positive("vector_width_bytes"), c.vectorWidthBytes...);
+    f(positive("bus_a_bytes_per_cycle"), c.busABytesPerCycle...);
+    f(positive("bus_b_bytes_per_cycle"), c.busBBytesPerCycle...);
+    f(positive("bus_ub_bytes_per_cycle"), c.busUbBytesPerCycle...);
+    f(positive("bus_ext_bytes_per_cycle"), c.busExtBytesPerCycle...);
+    f(positive("l0a_bytes"), c.l0aBytes...);
+    f(positive("l0b_bytes"), c.l0bBytes...);
+    f(positive("l0c_bytes"), c.l0cBytes...);
+    f(positive("l1_bytes"), c.l1Bytes...);
+    f(positive("ub_bytes"), c.ubBytes...);
+    f(positive("dispatch_per_cycle"), c.dispatchPerCycle...);
 }
 
 /** Preset for a published design point (Table 5). */

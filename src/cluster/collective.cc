@@ -6,7 +6,6 @@
 #include "cluster/collective.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -180,7 +179,9 @@ double
 stepSeconds(const TrainingJob &job, const ClusterConfig &cluster,
             unsigned chips)
 {
-    simAssert(chips > 0, "need at least one chip");
+    if (chips == 0)
+        throwError(ErrorCode::ConfigValidation,
+                   "a training step needs at least one chip");
     const double comm =
         jobAllreduceSeconds(cluster, job.gradientBytes, chips);
     const double exposed =
@@ -200,8 +201,7 @@ throughputSamplesPerSec(const TrainingJob &job, const ClusterConfig &cluster,
 double
 pipelineStepSeconds(const PipelineJob &job)
 {
-    simAssert(job.stages > 0 && job.microBatches > 0,
-              "pipeline needs stages and micro-batches");
+    checkFields(job, "pipeline job");
     // Per-micro-batch slot: stage compute plus shipping the boundary
     // activations to the next stage (overlappable only across
     // different micro-batches, so it adds to the slot time when it
@@ -219,8 +219,7 @@ pipelineStepSeconds(const PipelineJob &job)
 double
 pipelineBubbleFraction(const PipelineJob &job)
 {
-    simAssert(job.stages > 0 && job.microBatches > 0,
-              "pipeline needs stages and micro-batches");
+    checkFields(job, "pipeline job");
     return double(job.stages - 1) /
            double(job.microBatches + job.stages - 1);
 }
@@ -234,57 +233,26 @@ scalingEfficiency(const TrainingJob &job, const ClusterConfig &cluster,
     return one > 0 ? many / (one * chips) : 0.0;
 }
 
-namespace {
-
-/** Reject non-finite or non-positive rates with an actionable error. */
-void
-checkPositive(const char *what, double v)
-{
-    if (!std::isfinite(v) || v <= 0)
-        throwError(ErrorCode::ConfigValidation,
-                   "%s must be positive and finite, got %g", what, v);
-}
-
-void
-checkNonNegative(const char *what, double v)
-{
-    if (!std::isfinite(v) || v < 0)
-        throwError(ErrorCode::ConfigValidation,
-                   "%s must be non-negative and finite, got %g", what,
-                   v);
-}
-
-} // anonymous namespace
-
 void
 ServerConfig::validate() const
 {
-    if (chips == 0)
-        throwError(ErrorCode::ConfigValidation,
-                   "server needs at least one chip");
-    if (chipsPerGroup == 0 || chips % chipsPerGroup != 0)
+    checkFields(*this, "server");
+    if (chips % chipsPerGroup != 0)
         throwError(ErrorCode::ConfigValidation,
                    "chips_per_group (%u) must divide chips (%u)",
                    chipsPerGroup, chips);
-    checkPositive("hccs_bytes_per_sec", hccsBytesPerSec);
-    checkPositive("pcie_bytes_per_sec", pcieBytesPerSec);
-    checkNonNegative("link_latency_sec", linkLatencySec);
 }
 
 void
 ClusterConfig::validate() const
 {
     server.validate();
-    if (servers == 0)
-        throwError(ErrorCode::ConfigValidation,
-                   "cluster needs at least one server");
+    checkFields(*this, "cluster");
     if (std::uint64_t(servers) * server.chips >
         std::numeric_limits<unsigned>::max())
         throwError(ErrorCode::ConfigValidation,
                    "%u servers of %u chips overflow the chip count",
                    servers, server.chips);
-    checkPositive("net_bytes_per_sec", netBytesPerSec);
-    checkNonNegative("net_latency_sec", netLatencySec);
 }
 
 ClusterConfig

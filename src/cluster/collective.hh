@@ -30,13 +30,25 @@ struct ServerConfig
     double linkLatencySec = 2e-6;
 
     /**
-     * Reject degenerate topologies and non-finite / non-positive
-     * bandwidths or latencies; throws ascend::Error with code
-     * ConfigValidation (zero bandwidth would otherwise propagate as
-     * silent inf/NaN through every time formula downstream).
+     * Reject fields outside their domains (forEachField below) and
+     * groups that do not divide the chips; throws ascend::Error with
+     * code ConfigValidation (zero bandwidth would otherwise propagate
+     * as silent inf/NaN through every time formula downstream).
      */
     void validate() const;
 };
+
+/** ServerConfig's fields under their cluster-text keys. */
+template <typename F, RecordOf<ServerConfig>... S>
+void
+forEachField(F &&f, S &...s)
+{
+    f(positive("chips"), s.chips...);
+    f(positive("chips_per_group"), s.chipsPerGroup...);
+    f(positive("hccs_bytes_per_sec"), s.hccsBytesPerSec...);
+    f(positive("pcie_bytes_per_sec"), s.pcieBytesPerSec...);
+    f(nonNegative("link_latency_sec"), s.linkLatencySec...);
+}
 
 /** A fat-tree cluster of servers (Fig. 15 upper half). */
 struct ClusterConfig
@@ -48,26 +60,22 @@ struct ClusterConfig
 
     unsigned totalChips() const { return servers * server.chips; }
 
-    /** Validate the fat tree, the server and totalChips(); see above. */
+    /** Validate the server, the fat tree and totalChips(); see above. */
     void validate() const;
 };
 
 /**
  * ClusterConfig's fields under their cluster-text keys, the server's
- * first (common/field.hh).
+ * spliced in first (common/field.hh).
  */
 template <typename F, RecordOf<ClusterConfig>... C>
 void
 forEachField(F &&f, C &...c)
 {
-    f("chips", c.server.chips...);
-    f("chips_per_group", c.server.chipsPerGroup...);
-    f("hccs_bytes_per_sec", c.server.hccsBytesPerSec...);
-    f("pcie_bytes_per_sec", c.server.pcieBytesPerSec...);
-    f("link_latency_sec", c.server.linkLatencySec...);
-    f("servers", c.servers...);
-    f("net_bytes_per_sec", c.netBytesPerSec...);
-    f("net_latency_sec", c.netLatencySec...);
+    forEachField(f, c.server...);
+    f(positive("servers"), c.servers...);
+    f(positive("net_bytes_per_sec"), c.netBytesPerSec...);
+    f(nonNegative("net_latency_sec"), c.netLatencySec...);
 }
 
 /**
@@ -145,18 +153,18 @@ struct TrainingJob
     double overlapFraction = 0.5;
 };
 
-/** TrainingJob's fields, keyed into the elastic run identity. */
+/** TrainingJob's fields, keyed and checked by runElastic. */
 template <typename F, RecordOf<TrainingJob>... J>
 void
 forEachField(F &&f, J &...j)
 {
-    f("step_seconds_per_chip", j.stepSecondsPerChip...);
+    f(nonNegative("step_seconds_per_chip"), j.stepSecondsPerChip...);
     f("gradient_bytes", j.gradientBytes...);
     f("samples_per_chip_step", j.samplesPerChipStep...);
     f("overlap_fraction", j.overlapFraction...);
 }
 
-/** Per-step wall time with gradient synchronization. */
+/** Per-step wall time with gradient sync; throws at zero chips. */
 double stepSeconds(const TrainingJob &job, const ClusterConfig &cluster,
                    unsigned chips);
 
@@ -184,6 +192,20 @@ struct PipelineJob
     double linkBytesPerSec = 30e9; ///< HCCS by default
     double linkLatencySec = 2e-6;
 };
+
+/** PipelineJob's fields, checked by the two functions below. */
+template <typename F, RecordOf<PipelineJob>... J>
+void
+forEachField(F &&f, J &...j)
+{
+    f(positive("stages"), j.stages...);
+    f(positive("micro_batches"), j.microBatches...);
+    f(nonNegative("stage_seconds_per_micro_batch"),
+      j.stageSecondsPerMicroBatch...);
+    f("boundary_bytes", j.boundaryBytes...);
+    f(positive("link_bytes_per_sec"), j.linkBytesPerSec...);
+    f(nonNegative("link_latency_sec"), j.linkLatencySec...);
+}
 
 /** Wall time of one pipelined step. */
 double pipelineStepSeconds(const PipelineJob &job);

@@ -32,7 +32,6 @@
 #include "cluster/elastic_run.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/field.hh"
@@ -91,11 +90,11 @@ forEachField(F &&f, S &...s)
 {
     f("sequence", s.sequence...);
     f("next_step", s.nextStep...);
-    f("sim_time_sec", s.simTimeSec...);
+    f(nonNegative("sim_time_sec"), s.simTimeSec...);
     f("active_nodes", s.activeNodes...);
     f("spares_left", s.sparesLeft...);
     f("last_checkpoint_step", s.lastCheckpointStep...);
-    f("last_checkpoint_sec", s.lastCheckpointSec...);
+    f(nonNegative("last_checkpoint_sec"), s.lastCheckpointSec...);
     f("node_event_cursor", s.nodeEventCursor...);
     f("ecc_event_cursor", s.eccEventCursor...);
     f("counters", s.counters...);
@@ -165,6 +164,17 @@ namespace {
  */
 struct Engine
 {
+    Engine(const TrainingJob &job_, const ClusterConfig &cluster_,
+           unsigned chips_, unsigned num_steps_,
+           const FaultSchedule &faults_,
+           const resilience::RetryPolicy &retry_,
+           resilience::DegradedMode mode_, const ElasticOptions &options_)
+        : job(job_), cluster(cluster_), chips(chips_),
+          num_steps(num_steps_), faults(faults_), retry(retry_),
+          mode(mode_), options(options_)
+    {
+    }
+
     const TrainingJob &job;
     const ClusterConfig &cluster;
     unsigned chips;
@@ -186,7 +196,6 @@ struct Engine
     void
     setUp()
     {
-        simAssert(chips > 0, "elastic run needs at least one chip");
         perServer = cluster.server.chips;
         initialNodes = unsigned(ceilDiv(chips, perServer));
         for (const FaultEvent &e : faults.events()) {
@@ -231,9 +240,7 @@ struct Engine
             st.lastCheckpointStep > st.nextStep ||
             st.nodeEventCursor > nodeFail.size() ||
             st.eccEventCursor > ecc.size() ||
-            !std::isfinite(st.simTimeSec) ||
-            !(st.lastCheckpointSec >= 0) ||
-            !(st.lastCheckpointSec <= st.simTimeSec))
+            st.lastCheckpointSec > st.simTimeSec)
             return false;
         for (std::uint32_t phys : st.activeNodes)
             if (phys != kDeadSlot &&
@@ -469,8 +476,6 @@ struct Engine
         r.halted = journal.halted();
         r.finalNodes = aliveNodes();
         r.finalChips = aliveChips();
-        r.retries = unsigned(s.counters.retries);
-        r.degradedSteps = unsigned(s.counters.degradedSteps);
         r.counters = s.counters;
         r.eventLog = journal.log();
         return r;
@@ -580,18 +585,8 @@ struct Engine
         static runtime::Counter &runs = runtime::counter(
             "elastic runs", runtime::CounterKind::Sum,
             runtime::Determinism::Deterministic);
-        static const runtime::FieldCounters<ElasticCounters> fields = {
-            {"elastic failovers", &ElasticCounters::failovers},
-            {"elastic spares used", &ElasticCounters::sparesUsed},
-            {"elastic shrinks", &ElasticCounters::shrinks},
-            {"elastic pool-exhausted", &ElasticCounters::spareExhausted},
-            {"elastic rollbacks", &ElasticCounters::rollbacks},
-            {"elastic steps replayed", &ElasticCounters::replayedSteps},
-            {"elastic speculations", &ElasticCounters::speculations},
-            {"elastic checkpoints", &ElasticCounters::checkpointsSaved},
-        };
         runs.charge(1);
-        fields.charge(r.counters);
+        runtime::chargeFields("elastic", r.counters);
         return r;
     }
 };
@@ -605,8 +600,14 @@ runElastic(const TrainingJob &job, const ClusterConfig &cluster,
            const resilience::RetryPolicy &retry,
            resilience::DegradedMode mode, const ElasticOptions &options)
 {
-    Engine engine{job,    cluster, chips, num_steps,
-                  faults, retry,   mode,  options};
+    if (chips == 0)
+        throwError(ErrorCode::ConfigValidation,
+                   "an elastic run needs at least one chip");
+    checkFields(job, "training job");
+    checkFields(retry, "retry");
+    checkFields(options, "elastic");
+    Engine engine(job, cluster, chips, num_steps, faults, retry, mode,
+                  options);
     return engine.run();
 }
 

@@ -43,8 +43,8 @@
  *    elastic adjustment is guarded so the fault-free path performs
  *    the identical float operations as stepSeconds);
  *  - recovery phases emit obs tracer spans (Cluster domain, track 2)
- *    and the per-run counters are charged into the "elastic ..."
- *    runtime counters for the ASCEND_SIM_STATS report.
+ *    and every ElasticCounters field is charged into the runtime
+ *    counter "elastic <key>" for the ASCEND_SIM_STATS report.
  */
 
 #ifndef ASCEND_CLUSTER_ELASTIC_RUN_HH
@@ -94,15 +94,15 @@ struct ElasticOptions : resilience::RunControl
     unsigned checkpointEverySteps = 0;
 };
 
-/** ElasticOptions' fields, RunControl's excluded (common/field.hh). */
+/** ElasticOptions' fields, RunControl's excluded; runElastic checks. */
 template <typename F, RecordOf<ElasticOptions>... O>
 void
 forEachField(F &&f, O &...o)
 {
     f("spare_nodes", o.spareNodes...);
     f("state_bytes", o.stateBytes...);
-    f("failover_restart_sec", o.failoverRestartSec...);
-    f("reshard_restart_sec", o.reshardRestartSec...);
+    f(nonNegative("failover_restart_sec"), o.failoverRestartSec...);
+    f(nonNegative("reshard_restart_sec"), o.reshardRestartSec...);
     f("speculation", o.speculation...);
     f("checkpoint", o.checkpoint...);
     f("checkpoint_every_steps", o.checkpointEverySteps...);
@@ -151,8 +151,6 @@ struct ElasticRunResult
     bool halted = false;    ///< true only via haltAfterEvents
     unsigned finalNodes = 0;
     unsigned finalChips = 0;
-    unsigned retries = 0;       ///< link-level retries (all steps)
-    unsigned degradedSteps = 0; ///< steps at reduced bandwidth
     ElasticCounters counters;
 
     /** One line per recovery event, deterministic. */
@@ -183,7 +181,9 @@ std::string runFingerprint(const TrainingJob &job,
  * (ceil(chips/server.chips) nodes) reacting to @p faults as described
  * above. Node-scope events use FaultSpec::cores as *server* ids;
  * link events hit fat-tree uplinks exactly as in
- * stepSecondsWithFaults.
+ * stepSecondsWithFaults. Throws ascend::Error(ConfigValidation) when
+ * @p chips is 0 or @p job, @p retry or @p options has a field outside
+ * its domain.
  */
 ElasticRunResult runElastic(const TrainingJob &job,
                             const ClusterConfig &cluster, unsigned chips,

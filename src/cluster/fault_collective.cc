@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace ascend {
@@ -197,7 +198,9 @@ stepSecondsWithFaults(const TrainingJob &job, const ClusterConfig &cluster,
                       const RetryPolicy &retry, DegradedMode mode,
                       double start_sec)
 {
-    simAssert(chips > 0, "need at least one chip");
+    if (chips == 0)
+        throwError(ErrorCode::ConfigValidation,
+                   "a training step needs at least one chip");
     const unsigned per_server = cluster.server.chips;
     FaultyCollectiveResult comm;
     if (chips <= 1) {

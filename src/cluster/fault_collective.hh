@@ -76,7 +76,8 @@ hierarchicalAllreduceWithFaults(const ClusterConfig &cluster, Bytes bytes,
 /**
  * Fault-aware synchronous-SGD step time at @p chips chips (the
  * counterpart of stepSeconds): compute plus the exposed fraction of
- * the fault-aware allreduce.
+ * the fault-aware allreduce. Throws ascend::Error(ConfigValidation)
+ * when @p chips is 0.
  */
 FaultyCollectiveResult
 stepSecondsWithFaults(const TrainingJob &job, const ClusterConfig &cluster,

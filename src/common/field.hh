@@ -28,10 +28,16 @@
  *   value): records and values as the binary body of a durable file
  *   (the elastic and fleet checkpoints, the SimCache file). Both walk
  *   the same lists, so a field cannot be written and not read, and
- *   the decoder refuses a value its field cannot hold.
+ *   the decoder refuses a value its field cannot hold;
+ * - checkFields: a record against the domains its list declares,
+ *   `f(positive("key"), ...)` (common/types.hh). The other walks take
+ *   the key as `const char *`, so a domain moves no key, text or body
+ *   byte; decodeBody refuses a value outside it too. A list's comment
+ *   names the entry points that check its record.
  *
  * Enum fields need a toString overload reachable by argument-dependent
- * lookup whose values run from 0 and which returns "?" past the last.
+ * lookup whose values run from 0 and which returns "?" past the last;
+ * decodeBody refuses a value past the last.
  */
 
 #ifndef ASCEND_COMMON_FIELD_HH
@@ -52,6 +58,7 @@
 
 #include "common/codec.hh"
 #include "common/error.hh"
+#include "common/types.hh"
 
 namespace ascend {
 
@@ -271,6 +278,55 @@ readFields(std::istream &is, R &rec, const char *source)
 }
 
 /**
+ * Why @p v lies outside @p domain ("must be positive", ...), or null
+ * when it lies inside. A non-numeric field is always inside.
+ */
+template <typename T>
+const char *
+outOfDomain(FieldDomain domain, const T &v)
+{
+    if constexpr (std::is_arithmetic_v<T>) {
+        const double x = double(v);
+        const bool inside[] = {true, x > 0, x >= 0, x >= 0 && x <= 1,
+                               x >= 1};
+        const char *const why[] = {nullptr, "must be positive",
+                                   "must be non-negative",
+                                   "must be in [0, 1]", "must be at least 1"};
+        const auto d = std::size_t(domain);
+        if (d != 0 && !std::isfinite(x))
+            return "must be finite";
+        return inside[d] ? nullptr : why[d];
+    }
+    return nullptr;
+}
+
+/**
+ * Check each numeric field of @p rec, nested records included,
+ * against its list entry's domain. Throws ConfigValidation naming
+ * @p record and the key at the first field outside, e.g. `core
+ * ascend-max clock_ghz: must be positive, got 0`; a nested record's
+ * keys follow its own (`fleet retry timeout_sec: ...`).
+ */
+template <typename R>
+void
+checkFields(const R &rec, const std::string &record)
+{
+    forEachField(
+        [&record](FieldName name, const auto &field) {
+            using T = std::decay_t<decltype(field)>;
+            if constexpr (FieldRecord<const T>) {
+                checkFields(field, record + " " + name.key);
+            } else if constexpr (std::is_arithmetic_v<T>) {
+                if (const char *why = outOfDomain(name.domain, field))
+                    throwError(ErrorCode::ConfigValidation,
+                               "%s %s: %s, got %s", record.c_str(),
+                               name.key, why, fieldText(field).c_str());
+            }
+        },
+        rec);
+}
+
+/**
  * Narrow fields sharing one body word, the first in the lowest bits:
  * a list names `bitWord<1, 8>(a, b)` where it would name one field,
  * and the word holds a in bit 0 and b in bits 1 to 8.
@@ -351,7 +407,9 @@ encodeField(std::string &buf, const T &v)
  * new body. decodeBody reads one back, false at the first field that
  * runs past the end, whose count or length cannot fit in the bytes
  * left, or whose value its field cannot hold (a bitWord with a bit
- * set past its fields included); @p vs are then partly written.
+ * set past its fields, an enum past its last value and a value
+ * outside its list entry's domain included); @p vs are then partly
+ * written.
  */
 template <typename... T>
 std::string
@@ -391,8 +449,9 @@ decodeField(ByteReader &rd, T &v)
     } else if constexpr (FieldRecord<T>) {
         bool ok = true;
         forEachField(
-            [&](const char *, auto &&field) {
-                ok = ok && decodeField(rd, field);
+            [&](FieldName name, auto &&field) {
+                ok = ok && decodeField(rd, field) &&
+                     !outOfDomain(name.domain, field);
             },
             v);
         return ok;
@@ -416,6 +475,8 @@ decodeField(ByteReader &rd, T &v)
             if (word > std::uint64_t(std::numeric_limits<U>::max()))
                 return false;
             v = T(word);
+            if constexpr (std::is_enum_v<T>)
+                return std::strcmp(toString(v), "?") != 0;
             return true;
         }
     }

@@ -28,6 +28,45 @@ using Flops = std::uint64_t;
 template <typename T, typename R>
 concept RecordOf = std::same_as<std::remove_const_t<T>, R>;
 
+/**
+ * The valid range of a numeric field, declared by its forEachField
+ * entry (common/field.hh checks it); a bounded double must be finite.
+ */
+enum class FieldDomain : std::uint8_t {
+    Any,
+    Positive,    ///< > 0
+    NonNegative, ///< >= 0
+    Fraction,    ///< in [0, 1]
+    AtLeastOne,  ///< >= 1 (a factor over a baseline)
+};
+
+/**
+ * A list entry's key and its field's domain. It converts to the key,
+ * so a walk that takes `const char *` never sees the domain.
+ */
+struct FieldName
+{
+    const char *key;
+    FieldDomain domain = FieldDomain::Any;
+
+    constexpr FieldName(const char *k, FieldDomain d = FieldDomain::Any)
+        : key(k), domain(d)
+    {
+    }
+    constexpr operator const char *() const { return key; }
+};
+
+/** Names a bounded list entry: f(positive("key"), c.member...). */
+template <FieldDomain D>
+struct BoundedKey
+{
+    constexpr FieldName operator()(const char *key) const { return {key, D}; }
+};
+inline constexpr BoundedKey<FieldDomain::Positive> positive;
+inline constexpr BoundedKey<FieldDomain::NonNegative> nonNegative;
+inline constexpr BoundedKey<FieldDomain::Fraction> fraction;
+inline constexpr BoundedKey<FieldDomain::AtLeastOne> atLeastOne;
+
 /** Numeric formats supported by the Ascend datapath. */
 enum class DataType {
     Int4,

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace ascend {
@@ -30,7 +31,10 @@ TileSearchResult
 AutoTiler::search(const model::Layer &layer,
                   unsigned max_candidates) const
 {
-    simAssert(layer.isCubeLayer(), "AutoTiler needs a GEMM-like layer");
+    if (!layer.isCubeLayer())
+        throwError(ErrorCode::ConfigValidation,
+                   "AutoTiler needs a GEMM-like layer, got %s",
+                   layer.name.c_str());
     std::uint64_t m, k, n;
     layer.lowerToGemm(m, k, n);
     const DataType dt = layer.dtype;

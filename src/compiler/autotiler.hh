@@ -52,7 +52,8 @@ class AutoTiler
     /**
      * Enumerate legitimate tiles for @p layer (fractal multiples that
      * fit the double-buffered L0s), simulate each, and return the
-     * fastest together with the heuristic baseline.
+     * fastest together with the heuristic baseline. Throws
+     * ascend::Error(ConfigValidation) when @p layer is not GEMM-like.
      *
      * @param max_candidates Cap on simulated candidates (the space is
      *        pruned largest-tiles-first, which is where optima live).

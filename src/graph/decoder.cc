@@ -5,6 +5,7 @@
 
 #include "graph/decoder.hh"
 
+#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace ascend {
@@ -97,13 +98,17 @@ blockStack(Graph &g, const DecoderConfig &cfg, TensorId x,
     return x;
 }
 
+/** Refuse dims no decoder has, and an empty @p tokens of @p what. */
 void
-checkConfig(const DecoderConfig &cfg)
+checkConfig(const DecoderConfig &cfg, unsigned tokens, const char *what)
 {
-    simAssert(cfg.batch > 0 && cfg.hidden > 0 && cfg.blocks > 0,
-              "bad decoder dims");
-    simAssert(cfg.heads > 0 && cfg.hidden % cfg.heads == 0,
-              "hidden must divide by heads");
+    if (cfg.batch == 0 || cfg.hidden == 0 || cfg.blocks == 0 ||
+        cfg.heads == 0 || cfg.hidden % cfg.heads != 0 || tokens == 0)
+        throwError(ErrorCode::ConfigValidation,
+                   "decoder %s: batch %u, hidden %u, blocks %u and %s %u "
+                   "must be positive, and heads %u must divide hidden",
+                   cfg.name.c_str(), cfg.batch, cfg.hidden, cfg.blocks,
+                   what, tokens, cfg.heads);
 }
 
 } // anonymous namespace
@@ -111,8 +116,7 @@ checkConfig(const DecoderConfig &cfg)
 Graph
 prefillGraph(const DecoderConfig &cfg, unsigned prompt_len)
 {
-    checkConfig(cfg);
-    simAssert(prompt_len > 0, "prompt must be non-empty");
+    checkConfig(cfg, prompt_len, "prompt_len");
     const std::uint64_t tokens =
         std::uint64_t(cfg.batch) * prompt_len;
 
@@ -139,8 +143,7 @@ prefillGraph(const DecoderConfig &cfg, unsigned prompt_len)
 Graph
 decodeGraph(const DecoderConfig &cfg, unsigned ctx)
 {
-    checkConfig(cfg);
-    simAssert(ctx > 0, "context must include the new token");
+    checkConfig(cfg, ctx, "ctx");
 
     Graph g;
     g.name = cfg.name + ".decode";

@@ -54,7 +54,9 @@ struct DecoderConfig
  * The prefill phase over a @p prompt_len -token prompt: full
  * self-attention across the prompt, per-block K/V tensors marked as
  * graph outputs (the caches decode will consume), and the LM head
- * over the last token only.
+ * over the last token only. This and decodeGraph throw ascend::Error
+ * (ConfigValidation) on a zero dimension or token count, or heads
+ * that do not divide hidden.
  */
 Graph prefillGraph(const DecoderConfig &cfg, unsigned prompt_len);
 

@@ -134,8 +134,7 @@ fingerprint(const CorrelatedFaultSpec &spec)
 FaultSchedule
 generateCorrelated(const CorrelatedFaultSpec &spec)
 {
-    simAssert(spec.horizonSec >= 0,
-              "correlated fault horizon must be >= 0");
+    checkFields(spec, "correlated fault spec");
     // The schedule's nominal spec carries the fleet-facing metadata
     // (consumers size spare pools off spec().cores); the identity of
     // the *correlated* run is the fingerprint override below.

@@ -104,26 +104,27 @@ struct CorrelatedFaultSpec
     static constexpr const char *keyTag = "cflt:"; ///< key prefix
 };
 
-/** CorrelatedFaultSpec's fields, in key order (common/field.hh). */
+/** CorrelatedFaultSpec's fields, in key order; checked on generate. */
 template <typename F, RecordOf<CorrelatedFaultSpec>... S>
 void
 forEachField(F &&f, S &...s)
 {
     f("seed", s.seed...);
     f("replicas", s.topology.replicas...);
-    f("replicas_per_rack", s.topology.replicasPerRack...);
-    f("racks_per_power_domain", s.topology.racksPerPowerDomain...);
-    f("horizon_sec", s.horizonSec...);
-    f("rack_outage_per_sec", s.rackOutagePerSec...);
-    f("rack_outage_sec", s.rackOutageSec...);
-    f("rack_fail_per_sec", s.rackFailPerSec...);
-    f("rack_degrade_per_sec", s.rackDegradePerSec...);
-    f("rack_degrade_sec", s.rackDegradeSec...);
-    f("rack_degrade_factor", s.rackDegradeFactor...);
-    f("power_outage_per_sec", s.powerOutagePerSec...);
-    f("power_outage_sec", s.powerOutageSec...);
+    f(positive("replicas_per_rack"), s.topology.replicasPerRack...);
+    f(positive("racks_per_power_domain"),
+      s.topology.racksPerPowerDomain...);
+    f(nonNegative("horizon_sec"), s.horizonSec...);
+    f(nonNegative("rack_outage_per_sec"), s.rackOutagePerSec...);
+    f(nonNegative("rack_outage_sec"), s.rackOutageSec...);
+    f(nonNegative("rack_fail_per_sec"), s.rackFailPerSec...);
+    f(nonNegative("rack_degrade_per_sec"), s.rackDegradePerSec...);
+    f(nonNegative("rack_degrade_sec"), s.rackDegradeSec...);
+    f(atLeastOne("rack_degrade_factor"), s.rackDegradeFactor...);
+    f(nonNegative("power_outage_per_sec"), s.powerOutagePerSec...);
+    f(nonNegative("power_outage_sec"), s.powerOutageSec...);
     f("rack_strike_at_sec", s.rackStrikeAtSec...);
-    f("rack_strike_outage_sec", s.rackStrikeOutageSec...);
+    f(nonNegative("rack_strike_outage_sec"), s.rackStrikeOutageSec...);
     f("rack_strike_kind", s.rackStrikeKind...);
     f("background", s.background...);
 }

@@ -89,7 +89,7 @@ emitSeries(std::vector<FaultEvent> &out, const FaultSpec &spec,
 FaultSchedule
 FaultSchedule::generate(const FaultSpec &spec)
 {
-    simAssert(spec.horizonSec >= 0, "fault horizon must be >= 0");
+    checkFields(spec, "fault spec");
     FaultSchedule schedule;
     schedule.spec_ = spec;
     std::vector<FaultEvent> &out = schedule.events_;

@@ -102,7 +102,7 @@ struct FaultSpec
     static constexpr const char *keyTag = "flt:"; ///< key prefix
 };
 
-/** FaultSpec's fields, in key order (common/field.hh). */
+/** FaultSpec's fields, in key order; generate() checks them. */
 template <typename F, RecordOf<FaultSpec>... S>
 void
 forEachField(F &&f, S &...s)
@@ -110,18 +110,19 @@ forEachField(F &&f, S &...s)
     f("seed", s.seed...);
     f("cores", s.cores...);
     f("links", s.links...);
-    f("horizon_sec", s.horizonSec...);
-    f("core_transient_per_sec", s.coreTransientPerSec...);
-    f("core_permanent_per_sec", s.corePermanentPerSec...);
-    f("link_degrade_per_sec", s.linkDegradePerSec...);
-    f("link_down_per_sec", s.linkDownPerSec...);
-    f("ecc_uncorrectable_per_sec", s.eccUncorrectablePerSec...);
-    f("core_repair_sec", s.coreRepairSec...);
-    f("link_outage_sec", s.linkOutageSec...);
-    f("link_degrade_sec", s.linkDegradeSec...);
-    f("link_degrade_factor", s.linkDegradeFactor...);
-    f("straggler_fraction", s.stragglerFraction...);
-    f("straggler_slowdown", s.stragglerSlowdown...);
+    f(nonNegative("horizon_sec"), s.horizonSec...);
+    f(nonNegative("core_transient_per_sec"), s.coreTransientPerSec...);
+    f(nonNegative("core_permanent_per_sec"), s.corePermanentPerSec...);
+    f(nonNegative("link_degrade_per_sec"), s.linkDegradePerSec...);
+    f(nonNegative("link_down_per_sec"), s.linkDownPerSec...);
+    f(nonNegative("ecc_uncorrectable_per_sec"),
+      s.eccUncorrectablePerSec...);
+    f(nonNegative("core_repair_sec"), s.coreRepairSec...);
+    f(nonNegative("link_outage_sec"), s.linkOutageSec...);
+    f(nonNegative("link_degrade_sec"), s.linkDegradeSec...);
+    f(fraction("link_degrade_factor"), s.linkDegradeFactor...);
+    f(fraction("straggler_fraction"), s.stragglerFraction...);
+    f(atLeastOne("straggler_slowdown"), s.stragglerSlowdown...);
 }
 
 /**

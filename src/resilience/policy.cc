@@ -9,6 +9,8 @@
 #include <cmath>
 
 #include "common/codec.hh"
+#include "common/error.hh"
+#include "common/field.hh"
 #include "common/logging.hh"
 
 namespace ascend {
@@ -150,15 +152,16 @@ double
 timeWithCheckpointRestart(double work_sec, double events_per_sec,
                           const CheckpointPolicy &policy)
 {
-    simAssert(work_sec >= 0 && events_per_sec >= 0,
-              "checkpoint model needs non-negative inputs");
+    if (!(work_sec >= 0 && events_per_sec >= 0))
+        throwError(ErrorCode::ConfigValidation,
+                   "checkpoint model needs non-negative inputs, got "
+                   "work %g s at %g events/s", work_sec, events_per_sec);
+    checkFields(policy, "checkpoint");
     if (events_per_sec == 0 && !policy.enabled)
         return work_sec;
     double total = work_sec;
     double rework_per_event;
     if (policy.enabled) {
-        simAssert(policy.intervalSec > 0,
-                  "checkpoint interval must be positive");
         // Periodic save cost over the whole run...
         total += work_sec / policy.intervalSec * policy.saveSec;
         // ...and each error loses half an interval plus the restart.

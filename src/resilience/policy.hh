@@ -72,18 +72,21 @@ struct RetryPolicy
     std::uint64_t jitterSeed = 0x5eed;
 };
 
-/** RetryPolicy's fields (common/field.hh). */
+/**
+ * RetryPolicy's fields (common/field.hh), checked by runFleet and
+ * runElastic; the fields that are clamped where used have no domain.
+ */
 template <typename F, RecordOf<RetryPolicy>... P>
 void
 forEachField(F &&f, P &...p)
 {
     f("max_retries", p.maxRetries...);
-    f("timeout_sec", p.timeoutSec...);
-    f("backoff_base_sec", p.backoffBaseSec...);
+    f(nonNegative("timeout_sec"), p.timeoutSec...);
+    f(nonNegative("backoff_base_sec"), p.backoffBaseSec...);
     f("backoff_multiplier", p.backoffMultiplier...);
-    f("backoff_cap_sec", p.backoffCapSec...);
+    f(nonNegative("backoff_cap_sec"), p.backoffCapSec...);
     f("degraded_bandwidth_factor", p.degradedBandwidthFactor...);
-    f("give_up_after_seconds", p.giveUpAfterSeconds...);
+    f(nonNegative("give_up_after_seconds"), p.giveUpAfterSeconds...);
     f("jitter_fraction", p.jitterFraction...);
     f("jitter_seed", p.jitterSeed...);
 }
@@ -138,15 +141,18 @@ struct CheckpointPolicy
     double restartSec = 10.0;  ///< reload + re-setup after a loss
 };
 
-/** CheckpointPolicy's fields (common/field.hh). */
+/**
+ * CheckpointPolicy's fields (common/field.hh), checked by
+ * timeWithCheckpointRestart and runElastic.
+ */
 template <typename F, RecordOf<CheckpointPolicy>... P>
 void
 forEachField(F &&f, P &...p)
 {
     f("enabled", p.enabled...);
-    f("interval_sec", p.intervalSec...);
-    f("save_sec", p.saveSec...);
-    f("restart_sec", p.restartSec...);
+    f(positive("interval_sec"), p.intervalSec...);
+    f(nonNegative("save_sec"), p.saveSec...);
+    f(nonNegative("restart_sec"), p.restartSec...);
 }
 
 /**
@@ -156,7 +162,9 @@ forEachField(F &&f, P &...p)
  * progress so far (modeled as restarting half the work on average);
  * enabled, each error loses restartSec plus half an interval, and
  * every interval pays saveSec. Exactly @p work_sec when the error
- * rate is zero and checkpointing is disabled.
+ * rate is zero and checkpointing is disabled. Throws
+ * ascend::Error(ConfigValidation) on a negative input or a @p policy
+ * field outside its domain.
  */
 double timeWithCheckpointRestart(double work_sec, double events_per_sec,
                                  const CheckpointPolicy &policy);

@@ -26,8 +26,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -204,35 +204,24 @@ Counter &counter(const std::string &name, CounterKind kind,
                  CounterUnit unit = CounterUnit::Count);
 
 /**
- * Deterministic Sum counters bound to u64 fields of a result type T,
- * for sites that charge a whole result: charge(r) adds each field
- * into its counter. Bind once, as a function-local static.
+ * Charge each field of @p rec, found through its forEachField list
+ * (common/field.hh; every field a u64), into the deterministic Sum
+ * counter "<prefix> <key>", for sites that charge a whole result.
  */
-template <typename T>
-class FieldCounters
+template <typename R>
+void
+chargeFields(const char *prefix, const R &rec)
 {
-  public:
-    using Field = std::uint64_t T::*;
-
-    FieldCounters(
-        std::initializer_list<std::pair<const char *, Field>> fields)
-    {
-        for (const auto &[name, field] : fields)
-            bound_.push_back({&counter(name, CounterKind::Sum,
-                                       Determinism::Deterministic),
-                              field});
-    }
-
-    void
-    charge(const T &r) const
-    {
-        for (const auto &[c, field] : bound_)
-            c->charge(r.*field);
-    }
-
-  private:
-    std::vector<std::pair<Counter *, Field>> bound_;
-};
+    forEachField(
+        [prefix](const char *key, const auto &v) {
+            static_assert(
+                std::is_same_v<std::decay_t<decltype(v)>, std::uint64_t>);
+            counter(std::string(prefix) + ' ' + key, CounterKind::Sum,
+                    Determinism::Deterministic)
+                .charge(v);
+        },
+        rec);
+}
 
 /** Point-in-time copy of one counter. */
 struct CounterEntry

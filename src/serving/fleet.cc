@@ -59,10 +59,22 @@ enum ReplicaStatus : std::uint32_t {
     kDead = 3,
 };
 
+const char *
+toString(ReplicaStatus status)
+{
+    switch (status) {
+      case kIdle:       return "idle";
+      case kBusy:       return "busy";
+      case kSpinningUp: return "spinning-up";
+      case kDead:       return "dead";
+    }
+    return "?";
+}
+
 /** One replica slot (failover reuses the slot, autoscale appends). */
 struct ReplicaState
 {
-    std::uint32_t status = kIdle;
+    ReplicaStatus status = kIdle;
     double readyAtSec = 0;    ///< SpinningUp only
     double busyUntilSec = 0;  ///< Busy only
     double dispatchedSec = 0; ///< Busy only
@@ -118,7 +130,7 @@ void
 forEachField(F &&f, H &...h)
 {
     f("sequence", h.sequence...);
-    f("sim_time_sec", h.simTimeSec...);
+    f(nonNegative("sim_time_sec"), h.simTimeSec...);
     f("arrival_cursor", h.arrivalCursor...);
     f("fault_cursor", h.faultCursor...);
     f("spares_left", h.sparesLeft...);
@@ -211,7 +223,7 @@ struct FleetEngine
     void
     setUp()
     {
-        options.validate();
+        checkFields(options, "fleet");
         if (tiers.empty())
             throwError(ErrorCode::ConfigValidation,
                        "a fleet needs at least one tier");
@@ -259,7 +271,8 @@ struct FleetEngine
     /**
      * Decode a saved body into @p st and check it is a state this run
      * could have saved (the identity matched): no tier or cursor past
-     * the inputs, a real replica status and a finite clock.
+     * the inputs (decodeBody refuses a status or clock outside its
+     * field's domain).
      */
     bool
     decode(ByteReader &r, ServingState &st) const
@@ -274,13 +287,12 @@ struct FleetEngine
                         reoffers, st.replicas, st.hedgedIds,
                         st.hedgedDone, st.latencies, st.completionsSec,
                         st.completedOnTime) ||
-            !std::isfinite(st.simTimeSec) || st.simTimeSec < 0 ||
             st.arrivalCursor > arrivals.size() ||
             st.faultCursor > faultEvents.size() || !tiered(queue) ||
             !tiered(reoffers))
             return false;
         for (const ReplicaState &rep : st.replicas)
-            if (rep.status > kDead || !tiered(rep.batch))
+            if (!tiered(rep.batch))
                 return false;
         st.queue.restore(queue, reoffers, st.simTimeSec);
         return true;
@@ -903,24 +915,9 @@ struct FleetEngine
         static runtime::Counter &runs = runtime::counter(
             "serving runs", runtime::CounterKind::Sum,
             runtime::Determinism::Deterministic);
-        static const runtime::FieldCounters<FleetCounters> fields = {
-            {"serving offered", &FleetCounters::offered},
-            {"serving admitted", &FleetCounters::admitted},
-            {"serving shed", &FleetCounters::shed},
-            {"serving completed", &FleetCounters::completed},
-            {"serving goodput", &FleetCounters::goodput},
-            {"serving retries", &FleetCounters::retries},
-            {"serving hedges", &FleetCounters::hedges},
-            {"serving failures", &FleetCounters::replicaFailures},
-            {"serving failovers", &FleetCounters::failovers},
-            {"serving autoscale-ups", &FleetCounters::autoscaleUps},
-            {"serving checkpoints", &FleetCounters::checkpointsSaved},
-            {"serving reoffers", &FleetCounters::reoffered},
-            {"serving breaker trips", &FleetCounters::breakerTrips},
-            {"serving brownouts", &FleetCounters::brownoutEntries},
-        };
         runs.charge(1);
-        fields.charge(r);
+        runtime::chargeFields("serving",
+                              static_cast<const FleetCounters &>(r));
         if (obs::Tracer *tracer = obs::Tracer::current())
             tracer->span(obs::Domain::Serving, 1, "serving.run", 0,
                          obs::traceNs(r.makespanSec), r.completed);
@@ -993,14 +990,6 @@ FleetResult::report() const
     os << "  p999           " << formatSeconds(p999) << "\n";
     os << "events:\n" << eventLog;
     return os.str();
-}
-
-void
-FleetOptions::validate() const
-{
-    if (replicas == 0)
-        throwError(ErrorCode::ConfigValidation,
-                   "a fleet needs at least one replica");
 }
 
 std::string

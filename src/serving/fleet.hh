@@ -182,54 +182,58 @@ struct FleetOptions : resilience::RunControl
 
     /** On-disk checkpoint cadence in sim time (0 = every instant). */
     double checkpointIntervalSec = 0;
-
-    /** Throws ascend::Error(ConfigValidation) without replicas. */
-    void validate() const;
 };
 
 /**
  * FleetOptions' fields, its policies' included and RunControl's
- * excluded (common/field.hh).
+ * excluded (common/field.hh), checked by runFleet. The hedge delay,
+ * autoscale cadence and spin-up must be positive: at zero the next
+ * decision instant would not advance the sim clock.
  */
 template <typename F, RecordOf<FleetOptions>... O>
 void
 forEachField(F &&f, O &...o)
 {
-    f("replicas", o.replicas...);
+    f(positive("replicas"), o.replicas...);
     f("warm_spares", o.warmSpares...);
-    f("failover_sec", o.failoverSec...);
+    f(nonNegative("failover_sec"), o.failoverSec...);
     f("admission_enabled", o.admission.enabled...);
     f("admission_queue_capacity", o.admission.queueCapacity...);
-    f("admission_slack_factor", o.admission.slackFactor...);
+    f(nonNegative("admission_slack_factor"), o.admission.slackFactor...);
     f("hedge_enabled", o.hedge.enabled...);
-    f("hedge_after_sec", o.hedge.afterSec...);
+    f(positive("hedge_after_sec"), o.hedge.afterSec...);
     f("autoscale_enabled", o.autoscale.enabled...);
-    f("autoscale_check_interval_sec", o.autoscale.checkIntervalSec...);
+    f(positive("autoscale_check_interval_sec"),
+      o.autoscale.checkIntervalSec...);
     f("autoscale_queue_depth_per_replica",
       o.autoscale.queueDepthPerReplica...);
-    f("autoscale_spin_up_sec", o.autoscale.spinUpSec...);
+    f(positive("autoscale_spin_up_sec"), o.autoscale.spinUpSec...);
     f("autoscale_max_extra_replicas", o.autoscale.maxExtraReplicas...);
     f("health_enabled", o.health.enabled...);
-    f("health_fault_score", o.health.faultScore...);
-    f("health_success_decay", o.health.successDecay...);
-    f("health_breaker_threshold", o.health.breakerThreshold...);
-    f("health_cooloff_sec", o.health.cooloffSec...);
+    f(nonNegative("health_fault_score"), o.health.faultScore...);
+    f(fraction("health_success_decay"), o.health.successDecay...);
+    f(nonNegative("health_breaker_threshold"),
+      o.health.breakerThreshold...);
+    f(nonNegative("health_cooloff_sec"), o.health.cooloffSec...);
     f("brownout_enabled", o.brownout.enabled...);
     f("brownout_enter_queue_depth_per_replica",
       o.brownout.enterQueueDepthPerReplica...);
     f("brownout_exit_queue_depth_per_replica",
       o.brownout.exitQueueDepthPerReplica...);
-    f("brownout_min_residency_sec", o.brownout.minResidencySec...);
+    f(nonNegative("brownout_min_residency_sec"),
+      o.brownout.minResidencySec...);
     f("reoffer_enabled", o.reoffer.enabled...);
-    f("reoffer_delay_sec", o.reoffer.delaySec...);
+    f(nonNegative("reoffer_delay_sec"), o.reoffer.delaySec...);
     f("reoffer_max_reoffers", o.reoffer.maxReoffers...);
     f("retry", o.retry...);
-    f("checkpoint_interval_sec", o.checkpointIntervalSec...);
+    f(nonNegative("checkpoint_interval_sec"),
+      o.checkpointIntervalSec...);
 }
 
 /**
  * The counters a fleet run accumulates: checkpointed with the run's
- * state and reported in its FleetResult.
+ * state, reported in its FleetResult and charged into the runtime
+ * counter "serving <key>" of each.
  */
 struct FleetCounters
 {
@@ -332,8 +336,8 @@ std::string runFingerprint(const std::vector<Request> &arrivals,
  * unchanged: a rack event is just several core faults at one instant.
  * @p brownout_model is the cheaper curve the brownout ladder switches
  * to; ignored unless options.brownout.enabled. Throws ascend::Error
- * (ConfigValidation) before it runs on invalid options, an empty
- * @p tiers or a request tier out of range.
+ * (ConfigValidation) before it runs on an @p options field outside
+ * its domain, an empty @p tiers or a request tier out of range.
  */
 FleetResult runFleet(const std::vector<Request> &arrivals,
                      const std::vector<QosTier> &tiers,

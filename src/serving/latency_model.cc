@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "common/codec.hh"
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "graph/lower.hh"
 
@@ -18,16 +19,19 @@ BatchLatencyModel
 BatchLatencyModel::fromPoints(
     std::vector<std::pair<unsigned, double>> points)
 {
-    simAssert(!points.empty(),
-              "a latency curve needs at least one point");
+    if (points.empty())
+        throwError(ErrorCode::ConfigValidation,
+                   "a latency curve needs at least one point");
     std::sort(points.begin(), points.end());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        simAssert(points[i].first >= 1 && points[i].second > 0,
-                  "latency points need batch >= 1 and positive time");
-        simAssert(i == 0 || points[i].first > points[i - 1].first,
-                  "latency curve batches must be strictly increasing");
-        simAssert(i == 0 || points[i].second >= points[i - 1].second,
-                  "batch latency cannot shrink as the batch grows");
+        const auto &[b, t] = points[i];
+        if (b < 1 || !(t > 0) ||
+            (i > 0 && (b == points[i - 1].first ||
+                       t < points[i - 1].second)))
+            throwError(ErrorCode::ConfigValidation,
+                       "latency point (batch %u, %g s): batches must be "
+                       ">= 1 and distinct, latencies positive and "
+                       "non-decreasing in the batch", b, t);
     }
     BatchLatencyModel m;
     m.points_ = std::move(points);
@@ -38,8 +42,11 @@ BatchLatencyModel
 BatchLatencyModel::linear(double base_sec, double per_request_sec,
                           unsigned max_batch)
 {
-    simAssert(base_sec > 0 && per_request_sec >= 0 && max_batch >= 1,
-              "linear latency curve needs positive base and batch");
+    if (!(base_sec > 0 && per_request_sec >= 0) || max_batch < 1)
+        throwError(ErrorCode::ConfigValidation,
+                   "linear latency curve needs a positive base, a "
+                   "non-negative slope and a batch >= 1, got %g s + "
+                   "%g s x %u", base_sec, per_request_sec, max_batch);
     std::vector<std::pair<unsigned, double>> pts;
     pts.emplace_back(1, base_sec + per_request_sec);
     if (max_batch > 1)
@@ -54,8 +61,11 @@ BatchLatencyModel::fromGraph(
     const std::function<graph::Graph(unsigned)> &builder,
     const std::vector<unsigned> &batches, double clock_ghz)
 {
-    simAssert(!batches.empty(), "need at least one anchor batch");
-    simAssert(clock_ghz > 0, "clock must be positive");
+    if (batches.empty() || !(clock_ghz > 0))
+        throwError(ErrorCode::ConfigValidation,
+                   "a measured latency curve needs an anchor batch and "
+                   "a positive clock, got %zu anchors at %g GHz",
+                   batches.size(), clock_ghz);
     std::vector<std::pair<unsigned, double>> pts;
     pts.reserve(batches.size());
     for (unsigned b : batches) {
@@ -69,7 +79,9 @@ BatchLatencyModel::fromGraph(
 std::vector<unsigned>
 BatchLatencyModel::denseAnchors(unsigned max_batch)
 {
-    simAssert(max_batch >= 1, "need at least batch 1");
+    if (max_batch < 1)
+        throwError(ErrorCode::ConfigValidation,
+                   "dense anchors need a max batch >= 1");
     std::vector<unsigned> out;
     unsigned step = 1;
     for (unsigned b = 1; b < max_batch; b += step) {

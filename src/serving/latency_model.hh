@@ -42,7 +42,8 @@ class BatchLatencyModel
     /**
      * Curve through explicit @p points (batch, seconds); sorted and
      * validated (batches strictly increasing from >= 1, latencies
-     * positive and non-decreasing).
+     * positive and non-decreasing). This and the three builders below
+     * throw ascend::Error(ConfigValidation) on input they cannot use.
      */
     static BatchLatencyModel
     fromPoints(std::vector<std::pair<unsigned, double>> points);

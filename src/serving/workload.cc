@@ -42,13 +42,10 @@ std::vector<Request>
 generateArrivals(const ArrivalSpec &spec,
                  const std::vector<QosTier> &tiers)
 {
+    checkFields(spec, "arrival spec");
     std::vector<Request> out;
     if (tiers.empty() || spec.ratePerSec <= 0 || spec.horizonSec <= 0)
         return out;
-    simAssert(spec.burstFactor >= 1.0,
-              "burstFactor models a peak over the calm rate (>= 1)");
-    simAssert(spec.burstDuty >= 0 && spec.burstDuty <= 1,
-              "burstDuty is a fraction of the period");
 
     // Square-wave modulation, normalized so the mean over one period
     // is exactly ratePerSec: each period spends burstDuty at

@@ -88,6 +88,19 @@ struct ArrivalSpec
     double burstDuty = 0.5;   ///< fraction of a period at peak rate
 };
 
+/** ArrivalSpec's fields, checked by generateArrivals. */
+template <typename F, RecordOf<ArrivalSpec>... S>
+void
+forEachField(F &&f, S &...s)
+{
+    f("seed", s.seed...);
+    f(nonNegative("horizon_sec"), s.horizonSec...);
+    f(nonNegative("rate_per_sec"), s.ratePerSec...);
+    f(atLeastOne("burst_factor"), s.burstFactor...);
+    f(nonNegative("burst_period_sec"), s.burstPeriodSec...);
+    f(fraction("burst_duty"), s.burstDuty...);
+}
+
 /**
  * Deterministically expand @p spec into concrete arrivals with tiers
  * assigned by cumulative @p tiers share. Sorted by (arrivalSec, id);

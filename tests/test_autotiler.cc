@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "compiler/autotiler.hh"
 
 namespace ascend {
@@ -62,11 +63,18 @@ TEST(AutoTiler, CandidateCapIsRespected)
     EXPECT_LE(r.candidatesTried, 8u);
 }
 
-TEST(AutoTilerDeath, VectorLayerRejected)
+TEST(AutoTiler, VectorLayerRejected)
 {
     AutoTiler tiler(arch::makeCoreConfig(arch::CoreVersion::Max));
-    EXPECT_DEATH(tiler.search(model::Layer::batchNorm("bn", 100)),
-                 "GEMM-like");
+    try {
+        tiler.search(model::Layer::batchNorm("bn", 100));
+        FAIL() << "a vector layer must be refused";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::ConfigValidation);
+        EXPECT_NE(std::string(e.what()).find("GEMM-like"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // anonymous namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/collective.hh"
+#include "common/error.hh"
 
 namespace ascend {
 namespace cluster {
@@ -130,10 +131,18 @@ TEST(ClusterConfig, TotalChips)
     EXPECT_EQ(cl.totalChips(), 2048u);
 }
 
-TEST(TrainingJobDeath, ZeroChipsRejected)
+TEST(TrainingJob, ZeroChipsRejected)
 {
     const ClusterConfig cl;
-    EXPECT_DEATH(stepSeconds(sampleJob(), cl, 0), "at least one chip");
+    try {
+        stepSeconds(sampleJob(), cl, 0);
+        FAIL() << "zero chips must be refused";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::ConfigValidation);
+        EXPECT_NE(std::string(e.what()).find("at least one chip"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 /** Chips within one server use HCCS; beyond use the fat-tree. */

@@ -12,11 +12,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -540,12 +542,12 @@ void
 forEachLeafField(F &&f, R &rec)
 {
     forEachField(
-        [&f](const char *key, auto &field) {
+        [&f](FieldName name, auto &field) {
             if constexpr (FieldRecord<
                               std::remove_reference_t<decltype(field)>>)
                 forEachLeafField(f, field);
             else
-                f(key, field);
+                f(name, field);
         },
         rec);
 }
@@ -656,6 +658,291 @@ TEST(RecordKeys, EveryListedFieldIsKeyed)
     expectEveryFieldKeyed(
         opt, [&](const auto &o) { return elastic(job, cl, retry, o); },
         "ElasticOptions");
+}
+
+/**
+ * Values of a T just past @p domain's bound, the non-finite ones
+ * included for a double (a bounded double must be finite).
+ */
+template <typename T>
+std::vector<T>
+pastBound(FieldDomain domain)
+{
+    std::vector<T> out;
+    if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+        constexpr bool real = std::is_floating_point_v<T>;
+        const T below_zero =
+            real ? -std::numeric_limits<T>::denorm_min() : T(-1);
+        switch (domain) {
+          case FieldDomain::Positive:
+            out.push_back(T(0));
+            break;
+          case FieldDomain::NonNegative:
+            if (real || std::is_signed_v<T>)
+                out.push_back(below_zero);
+            break;
+          case FieldDomain::Fraction:
+            out.push_back(real ? T(std::nextafter(1.0, 2.0)) : T(2));
+            if (real)
+                out.push_back(below_zero);
+            break;
+          case FieldDomain::AtLeastOne:
+            out.push_back(real ? T(std::nextafter(1.0, 0.0)) : T(0));
+            break;
+          case FieldDomain::Any:
+            return out;
+        }
+        if constexpr (real) {
+            out.push_back(std::numeric_limits<T>::quiet_NaN());
+            out.push_back(std::numeric_limits<T>::infinity());
+        }
+    }
+    return out;
+}
+
+/** Values of a T on @p domain's bound, which the domain holds. */
+template <typename T>
+std::vector<T>
+onBound(FieldDomain domain)
+{
+    if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+        switch (domain) {
+          case FieldDomain::Positive:
+            return {std::is_floating_point_v<T>
+                        ? std::numeric_limits<T>::denorm_min()
+                        : T(1)};
+          case FieldDomain::NonNegative:
+            return {T(0)};
+          case FieldDomain::Fraction:
+            return {T(0), T(1)};
+          case FieldDomain::AtLeastOne:
+            return {T(1)};
+          case FieldDomain::Any:
+            break;
+        }
+    }
+    return {};
+}
+
+/**
+ * @p base passes @p check, the entry point that checks its record;
+ * each bounded leaf field set alone just past its bound makes
+ * @p check throw ConfigValidation naming the field's key, and set on
+ * the bound passes checkFields. @return the bounded fields seen.
+ */
+template <typename R, typename Check>
+std::size_t
+expectEveryDomainChecked(const R &base, const Check &check,
+                         const char *what)
+{
+    EXPECT_NO_THROW(check(base)) << what;
+    std::size_t bounded = 0;
+    R rec = base;
+    forEachLeafField(
+        [&](FieldName name, auto &v) {
+            using T = std::remove_reference_t<decltype(v)>;
+            if (name.domain == FieldDomain::Any)
+                return;
+            ++bounded;
+            const T keep = v;
+            for (const T &bad : pastBound<T>(name.domain)) {
+                v = bad;
+                try {
+                    check(rec);
+                    ADD_FAILURE() << what << " accepts " << name.key
+                                  << " = " << fieldText(bad);
+                } catch (const Error &e) {
+                    EXPECT_EQ(e.code(), ErrorCode::ConfigValidation);
+                    EXPECT_NE(std::string(e.what()).find(name.key),
+                              std::string::npos)
+                        << e.what();
+                }
+            }
+            for (const T &ok : onBound<T>(name.domain)) {
+                v = ok;
+                EXPECT_NO_THROW(checkFields(rec, what))
+                    << name.key << " = " << fieldText(ok);
+            }
+            v = keep;
+        },
+        rec);
+    return bounded;
+}
+
+TEST(RecordKeys, EveryDomainIsCheckedWhereItsRecordEnters)
+{
+    const auto validate = [](const auto &r) { r.validate(); };
+    for (auto v : {arch::CoreVersion::Tiny, arch::CoreVersion::Lite,
+                   arch::CoreVersion::Mini, arch::CoreVersion::Std,
+                   arch::CoreVersion::Max})
+        EXPECT_EQ(expectEveryDomainChecked(arch::makeCoreConfig(v),
+                                           validate, "core"),
+                  15u);
+    expectEveryDomainChecked(arch::makeNextGenCoreConfig(), validate,
+                             "core");
+    EXPECT_EQ(expectEveryDomainChecked(cluster::ServerConfig{}, validate,
+                                       "server"),
+              5u);
+    EXPECT_EQ(expectEveryDomainChecked(cluster::ClusterConfig{}, validate,
+                                       "cluster"),
+              8u);
+
+    const cluster::ClusterConfig cl;
+    const resilience::FaultSchedule faults;
+    const auto elastic = [&](const cluster::TrainingJob &j,
+                             const resilience::RetryPolicy &r,
+                             const cluster::ElasticOptions &o) {
+        cluster::runElastic(j, cl, 16, 2, faults, r,
+                            resilience::DegradedMode::ContinueDegraded,
+                            o);
+    };
+    EXPECT_GT(expectEveryDomainChecked(
+                  cluster::TrainingJob{},
+                  [&](const auto &j) { elastic(j, {}, {}); },
+                  "training job"),
+              0u);
+    EXPECT_GT(expectEveryDomainChecked(
+                  resilience::RetryPolicy{},
+                  [&](const auto &r) { elastic({}, r, {}); }, "retry"),
+              0u);
+    EXPECT_GT(expectEveryDomainChecked(
+                  cluster::ElasticOptions{},
+                  [&](const auto &o) { elastic({}, {}, o); }, "elastic"),
+              3u);
+    EXPECT_GT(expectEveryDomainChecked(
+                  resilience::CheckpointPolicy{},
+                  [](const auto &p) {
+                      resilience::timeWithCheckpointRestart(10, 0.1, p);
+                  },
+                  "checkpoint"),
+              0u);
+    EXPECT_GT(expectEveryDomainChecked(
+                  cluster::PipelineJob{},
+                  [](const auto &j) { cluster::pipelineStepSeconds(j); },
+                  "pipeline job"),
+              0u);
+    EXPECT_GT(expectEveryDomainChecked(
+                  resilience::FaultSpec{},
+                  [](const auto &s) {
+                      resilience::FaultSchedule::generate(s);
+                  },
+                  "fault spec"),
+              0u);
+    EXPECT_GT(expectEveryDomainChecked(
+                  resilience::CorrelatedFaultSpec{},
+                  [](const auto &s) { resilience::generateCorrelated(s); },
+                  "correlated fault spec"),
+              12u); // its background's fields included
+
+    const std::vector<serving::QosTier> tiers(1);
+    EXPECT_GT(expectEveryDomainChecked(
+                  serving::ArrivalSpec{},
+                  [&](const auto &a) {
+                      serving::generateArrivals(a, tiers);
+                  },
+                  "arrival spec"),
+              0u);
+    const serving::BatchLatencyModel model =
+        serving::BatchLatencyModel::linear(0.01, 0.001, 4);
+    EXPECT_GT(expectEveryDomainChecked(
+                  serving::FleetOptions{},
+                  [&](const auto &o) {
+                      serving::runFleet({}, tiers, model, faults, o);
+                  },
+                  "fleet"),
+              10u);
+
+    // Every other listed record's default is in its domain too.
+    const auto inDomain = [](const auto &rec, const char *what) {
+        EXPECT_NO_THROW(checkFields(rec, what)) << what;
+    };
+    inDomain(compiler::CompileOptions{}, "compile options");
+    inDomain(resilience::ResilienceOptions{}, "resilience options");
+    inDomain(serving::QosTier{}, "tier");
+    inDomain(serving::FleetCounters{}, "fleet counters");
+    inDomain(cluster::ElasticCounters{}, "elastic counters");
+    inDomain(core::SimResult{}, "sim result");
+    inDomain(model::Layer::linear("fc", 8, 16, 32), "layer");
+}
+
+/** One record listed with domains, and its twin listed without. */
+enum class ProbeKind { Off, On };
+
+const char *
+toString(ProbeKind kind)
+{
+    switch (kind) {
+      case ProbeKind::Off: return "off";
+      case ProbeKind::On:  return "on";
+    }
+    return "?";
+}
+
+struct BoundedProbe
+{
+    double share = 0.25;
+    unsigned count = 3;
+    ProbeKind kind = ProbeKind::On;
+};
+
+template <typename F, RecordOf<BoundedProbe>... P>
+void
+forEachField(F &&f, P &...p)
+{
+    f(fraction("share"), p.share...);
+    f(positive("count"), p.count...);
+    f("kind", p.kind...);
+}
+
+struct PlainProbe
+{
+    double share = 0.25;
+    unsigned count = 3;
+    ProbeKind kind = ProbeKind::On;
+};
+
+template <typename F, RecordOf<PlainProbe>... P>
+void
+forEachField(F &&f, P &...p)
+{
+    f("share", p.share...);
+    f("count", p.count...);
+    f("kind", p.kind...);
+}
+
+TEST(RecordKeys, DomainsMoveNoKeyOrBodyByte)
+{
+    BoundedProbe bounded;
+    PlainProbe plain;
+    for (const double share : {0.25, 1.0, 7.5, -1.0}) {
+        bounded.share = plain.share = share;
+        EXPECT_EQ(fieldKey(bounded), fieldKey(plain));
+        EXPECT_EQ(encodeBody(bounded), encodeBody(plain));
+        std::ostringstream a, b;
+        writeFields(a, bounded);
+        writeFields(b, plain);
+        EXPECT_EQ(a.str(), b.str());
+    }
+
+    // The decoder refuses what the domain refuses, and an enum past
+    // its last value whatever the list declares.
+    const auto decodes = [](const PlainProbe &from, auto into) {
+        const std::string body = encodeBody(from);
+        ByteReader rd{body};
+        return decodeBody(rd, into);
+    };
+    PlainProbe wide;
+    EXPECT_TRUE(decodes(wide, BoundedProbe{}));
+    wide.share = 1.5;
+    EXPECT_FALSE(decodes(wide, BoundedProbe{}));
+    EXPECT_TRUE(decodes(wide, PlainProbe{}));
+    wide = PlainProbe{};
+    wide.count = 0;
+    EXPECT_FALSE(decodes(wide, BoundedProbe{}));
+    wide = PlainProbe{};
+    wide.kind = ProbeKind(2);
+    EXPECT_FALSE(decodes(wide, BoundedProbe{}));
+    EXPECT_FALSE(decodes(wide, PlainProbe{}));
 }
 
 // -------------------------------------------------- fuzz

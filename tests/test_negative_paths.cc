@@ -6,6 +6,8 @@
  * like the SimCache must stay clean when a computation throws.
  */
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -13,10 +15,14 @@
 
 #include "cluster/collective.hh"
 #include "cluster/elastic_run.hh"
+#include "cluster/fault_collective.hh"
 #include "common/error.hh"
 #include "common/field.hh"
 #include "compiler/autotiler.hh"
 #include "compiler/layer_compiler.hh"
+#include "graph/decoder.hh"
+#include "graph/zoo_graphs.hh"
+#include "resilience/fault_domain.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
 #include "serving/fleet.hh"
@@ -277,8 +283,8 @@ TEST(NegativeFleet, CallerInputIsRefusedNotAborted)
 
     serving::FleetOptions none;
     none.replicas = 0;
-    expectError([&] { none.validate(); }, ErrorCode::ConfigValidation,
-                "replica");
+    expectError([&] { checkFields(none, "fleet"); },
+                ErrorCode::ConfigValidation, "replica");
     expectError(
         [&] { serving::runFleet(arrivals, tiers, model, faults, none); },
         ErrorCode::ConfigValidation, "replica");
@@ -291,6 +297,229 @@ TEST(NegativeFleet, CallerInputIsRefusedNotAborted)
         [&] { serving::runFleet(stray, tiers, model, faults); },
         ErrorCode::ConfigValidation, "tier 1 of 1");
     EXPECT_NO_THROW(serving::runFleet(arrivals, tiers, model, faults));
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(NegativeFleet, OptionDomainsAreRefusedAtRunEntry)
+{
+    const std::vector<serving::QosTier> tiers(1);
+    const std::vector<serving::Request> arrivals = {{0, 0.0, 0},
+                                                    {1, 0.1, 0}};
+    const serving::BatchLatencyModel model =
+        serving::BatchLatencyModel::linear(0.01, 0.001, 4);
+    const resilience::FaultSchedule faults;
+    const auto refused = [&](auto &&tweak, const char *key) {
+        serving::FleetOptions o;
+        tweak(o);
+        expectError(
+            [&] { serving::runFleet(arrivals, tiers, model, faults, o); },
+            ErrorCode::ConfigValidation, key);
+    };
+    // A zero delay would stall the sim clock; the rest run silently.
+    refused(
+        [](serving::FleetOptions &o) {
+            o.hedge.enabled = true;
+            o.hedge.afterSec = 0;
+        },
+        "hedge_after_sec: must be positive, got 0");
+    refused(
+        [](serving::FleetOptions &o) {
+            o.autoscale.enabled = true;
+            o.autoscale.maxExtraReplicas = 2;
+            o.autoscale.checkIntervalSec = 0;
+        },
+        "autoscale_check_interval_sec");
+    refused(
+        [](serving::FleetOptions &o) {
+            o.reoffer.enabled = true;
+            o.reoffer.delaySec = -1;
+        },
+        "reoffer_delay_sec: must be non-negative, got -1");
+    refused(
+        [](serving::FleetOptions &o) { o.admission.slackFactor = kNaN; },
+        "admission_slack_factor: must be finite, got nan");
+    refused([](serving::FleetOptions &o) { o.retry.timeoutSec = -1; },
+            "fleet retry timeout_sec");
+}
+
+TEST(NegativeArrivals, SpecDomainsAreRefused)
+{
+    const std::vector<serving::QosTier> tiers(1);
+    const auto refused = [&](auto &&tweak, const char *key) {
+        serving::ArrivalSpec spec;
+        spec.ratePerSec = 100;
+        tweak(spec);
+        expectError([&] { serving::generateArrivals(spec, tiers); },
+                    ErrorCode::ConfigValidation, key);
+    };
+    refused([](serving::ArrivalSpec &s) { s.ratePerSec = kNaN; },
+            "rate_per_sec");
+    refused([](serving::ArrivalSpec &s) { s.horizonSec = kInf; },
+            "horizon_sec: must be finite, got inf");
+    refused([](serving::ArrivalSpec &s) { s.burstFactor = 0.5; },
+            "burst_factor: must be at least 1, got 0.5");
+    refused([](serving::ArrivalSpec &s) { s.burstDuty = 2; },
+            "burst_duty: must be in [0, 1], got 2");
+}
+
+TEST(NegativeLatencyModel, UnusableCurvesAreRefused)
+{
+    using serving::BatchLatencyModel;
+    expectError([] { BatchLatencyModel::linear(0, 0.001, 4); },
+                ErrorCode::ConfigValidation, "positive base");
+    expectError([] { BatchLatencyModel::linear(0.01, -1, 4); },
+                ErrorCode::ConfigValidation, "slope");
+    expectError([] { BatchLatencyModel::linear(0.01, 0.001, 0); },
+                ErrorCode::ConfigValidation, "batch >= 1");
+    expectError([] { BatchLatencyModel::fromPoints({}); },
+                ErrorCode::ConfigValidation, "at least one point");
+    expectError([] { BatchLatencyModel::fromPoints({{0, 0.1}}); },
+                ErrorCode::ConfigValidation, "batch 0");
+    expectError(
+        [] { BatchLatencyModel::fromPoints({{1, 0.2}, {2, 0.1}}); },
+        ErrorCode::ConfigValidation, "non-decreasing");
+    expectError(
+        [] { BatchLatencyModel::fromPoints({{2, 0.1}, {2, 0.2}}); },
+        ErrorCode::ConfigValidation, "distinct");
+    expectError([] { BatchLatencyModel::denseAnchors(0); },
+                ErrorCode::ConfigValidation, "max batch");
+    const runtime::SimSession session(
+        arch::makeCoreConfig(arch::CoreVersion::Max));
+    const auto resnet = [](unsigned b) {
+        return graph::zoo::resnet50Graph(b);
+    };
+    expectError(
+        [&] { BatchLatencyModel::fromGraph(session, resnet, {}, 1.0); },
+        ErrorCode::ConfigValidation, "0 anchors");
+    expectError(
+        [&] { BatchLatencyModel::fromGraph(session, resnet, {1}, 0); },
+        ErrorCode::ConfigValidation, "at 0 GHz");
+}
+
+TEST(NegativeDecoder, DegenerateDimsAreRefused)
+{
+    graph::DecoderConfig cfg;
+    cfg.heads = 5; // does not divide 768
+    expectError([&] { graph::prefillGraph(cfg, 16); },
+                ErrorCode::ConfigValidation, "heads 5 must divide");
+    cfg = graph::DecoderConfig{};
+    cfg.batch = 0;
+    expectError([&] { graph::decodeGraph(cfg, 16); },
+                ErrorCode::ConfigValidation, "batch 0");
+    cfg = graph::DecoderConfig{};
+    expectError([&] { graph::prefillGraph(cfg, 0); },
+                ErrorCode::ConfigValidation, "prompt_len 0");
+    expectError([&] { graph::decodeGraph(cfg, 0); },
+                ErrorCode::ConfigValidation, "ctx 0");
+}
+
+TEST(NegativeTraining, ZeroChipsAndDomainsAreRefused)
+{
+    const cluster::ClusterConfig cl;
+    cluster::TrainingJob job;
+    job.stepSecondsPerChip = 0.1;
+    job.gradientBytes = 1 << 20;
+    job.samplesPerChipStep = 32;
+    const resilience::FaultSchedule faults;
+    const resilience::RetryPolicy retry;
+    const auto mode = resilience::DegradedMode::ContinueDegraded;
+    expectError([&] { cluster::stepSeconds(job, cl, 0); },
+                ErrorCode::ConfigValidation, "at least one chip");
+    expectError(
+        [&] {
+            cluster::stepSecondsWithFaults(job, cl, 0, faults, retry,
+                                           mode);
+        },
+        ErrorCode::ConfigValidation, "at least one chip");
+
+    const auto elastic = [&](const cluster::TrainingJob &j,
+                             unsigned chips,
+                             const resilience::RetryPolicy &r,
+                             const cluster::ElasticOptions &o) {
+        return [&, chips] {
+            cluster::runElastic(j, cl, chips, 4, faults, r, mode, o);
+        };
+    };
+    expectError(elastic(job, 0, retry, {}), ErrorCode::ConfigValidation,
+                "at least one chip");
+    cluster::TrainingJob nan_job = job;
+    nan_job.stepSecondsPerChip = kNaN;
+    expectError(elastic(nan_job, 16, retry, {}),
+                ErrorCode::ConfigValidation,
+                "training job step_seconds_per_chip");
+    resilience::RetryPolicy slow = retry;
+    slow.backoffCapSec = -1;
+    expectError(elastic(job, 16, slow, {}), ErrorCode::ConfigValidation,
+                "retry backoff_cap_sec");
+    cluster::ElasticOptions o;
+    o.failoverRestartSec = -1;
+    expectError(elastic(job, 16, retry, o), ErrorCode::ConfigValidation,
+                "elastic failover_restart_sec");
+    o = cluster::ElasticOptions{};
+    o.checkpoint.intervalSec = 0;
+    expectError(elastic(job, 16, retry, o), ErrorCode::ConfigValidation,
+                "elastic checkpoint interval_sec");
+
+    cluster::PipelineJob pipe;
+    pipe.stages = 0;
+    expectError([&] { cluster::pipelineStepSeconds(pipe); },
+                ErrorCode::ConfigValidation, "stages: must be positive");
+    pipe = cluster::PipelineJob{};
+    pipe.microBatches = 0;
+    expectError([&] { cluster::pipelineBubbleFraction(pipe); },
+                ErrorCode::ConfigValidation, "micro_batches");
+}
+
+TEST(NegativeResilience, FaultAndCheckpointDomainsAreRefused)
+{
+    resilience::FaultSpec spec;
+    spec.horizonSec = -1;
+    expectError([&] { resilience::FaultSchedule::generate(spec); },
+                ErrorCode::ConfigValidation,
+                "fault spec horizon_sec: must be non-negative, got -1");
+
+    resilience::CorrelatedFaultSpec cspec;
+    cspec.horizonSec = -1;
+    expectError([&] { resilience::generateCorrelated(cspec); },
+                ErrorCode::ConfigValidation, "horizon_sec");
+    cspec = resilience::CorrelatedFaultSpec{};
+    cspec.topology.replicas = 8;
+    cspec.topology.replicasPerRack = 0;
+    expectError([&] { resilience::generateCorrelated(cspec); },
+                ErrorCode::ConfigValidation, "replicas_per_rack");
+    cspec = resilience::CorrelatedFaultSpec{};
+    cspec.background.stragglerFraction = 2;
+    expectError([&] { resilience::generateCorrelated(cspec); },
+                ErrorCode::ConfigValidation,
+                "background straggler_fraction");
+
+    expectError(
+        [] { resilience::timeWithCheckpointRestart(-1, 0, {}); },
+        ErrorCode::ConfigValidation, "non-negative inputs");
+    resilience::CheckpointPolicy on;
+    on.enabled = true;
+    on.intervalSec = 0;
+    expectError(
+        [&] { resilience::timeWithCheckpointRestart(10, 0.1, on); },
+        ErrorCode::ConfigValidation, "checkpoint interval_sec");
+}
+
+TEST(NegativeTiles, VectorLayerSearchIsRefused)
+{
+    compiler::AutoTiler tiler(arch::makeCoreConfig(arch::CoreVersion::Max));
+    expectError([&] { tiler.search(model::Layer::batchNorm("bn", 100)); },
+                ErrorCode::ConfigValidation, "GEMM-like");
+}
+
+TEST(NegativeCoreConfig, EveryBoundedFieldIsChecked)
+{
+    arch::CoreConfig cfg = arch::makeCoreConfig(arch::CoreVersion::Lite);
+    cfg.dispatchPerCycle = 0;
+    expectError([&] { cfg.validate(); }, ErrorCode::ConfigValidation,
+                "core ascend-lite dispatch_per_cycle: must be positive, "
+                "got 0");
 }
 
 TEST(NegativeCoreConfig, ZeroClockRejectedOnLoad)

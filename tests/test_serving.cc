@@ -1026,12 +1026,16 @@ TEST(ServingFleet, CountersChargeIntoSimStats)
     const FleetResult r =
         run(1.5, baseOptions(), oneDeathPerCore(2, 0.5));
     EXPECT_EQ(runtime::counterValue("serving runs"), 1u);
-    EXPECT_EQ(runtime::counterValue("serving offered"), r.offered);
-    EXPECT_EQ(runtime::counterValue("serving shed"), r.shed);
-    EXPECT_EQ(runtime::counterValue("serving goodput"), r.goodput);
-    EXPECT_EQ(runtime::counterValue("serving retries"), r.retries);
-    EXPECT_EQ(runtime::counterValue("serving failures"),
+    EXPECT_EQ(runtime::counterValue("serving replica_failures"),
               r.replicaFailures);
+    // Every listed counter is charged, under "serving <key>".
+    forEachField(
+        [](const char *key, std::uint64_t v) {
+            EXPECT_EQ(runtime::counterValue(std::string("serving ") + key),
+                      v)
+                << key;
+        },
+        static_cast<const serving::FleetCounters &>(r));
 
     const std::string report =
         runtime::simStatsReport(runtime::SimCache::Stats{}, 1);
