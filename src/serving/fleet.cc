@@ -20,6 +20,13 @@
  * a save captures says "instant t not yet run": a resumed run
  * re-enters at t and replays its faults and step exactly as the
  * uninterrupted run did.
+ *
+ * Each decision lives in one place: the request queue's first-fate
+ * ledger decides whether a hedged instance lost, and active() picks
+ * the curve of a new dispatch and of admission. A defense whose
+ * state stays neutral while it is off (no health score, no open
+ * breaker, no brownout, no autoscale budget) is not re-tested where
+ * that state is read.
  */
 
 #include "serving/fleet.hh"
@@ -48,9 +55,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** The serving checkpoint: <checkpointDir>/serving.ckpt, ASCBLOB v1. */
+/** The serving checkpoint: <checkpointDir>/serving.ckpt, ASCBLOB v2. */
 const resilience::JournalFormat kJournalFormat = {
-    "serving", {'A', 'S', 'C', 'B', 'L', 'O', 'B', '\n'}, 1};
+    "serving", {'A', 'S', 'C', 'B', 'L', 'O', 'B', '\n'}, 2};
 
 enum ReplicaStatus : std::uint32_t {
     kIdle = 0,
@@ -119,7 +126,7 @@ struct ServingHead : FleetCounters
     double nextAutoscaleSec = 0;
     double lastCheckpointSec = -1;
     std::uint64_t nextReofferId = 0; ///< fresh ids for re-offers
-    std::uint8_t brownoutActive = 0;
+    bool brownoutActive = false;
     double brownoutSinceSec = 0; ///< entry instant while active
     double brownoutSec = 0;      ///< accumulated over closed windows
 };
@@ -148,34 +155,18 @@ forEachField(F &&f, H &...h)
 
 /**
  * Complete engine state at one instant's head, less the event log.
- * The ASCBLOB v1 body is the head, the queue's entries() and
- * reoffers(), then the members below in order; the journal appends
- * the log.
+ * The ASCBLOB v2 body is the head, the queue's entries() and
+ * reoffers(), the replicas, the queue's answeredIds(), then the
+ * latency vectors; the journal appends the log.
  */
 struct ServingState : ServingHead
 {
-    RequestQueue queue; ///< queued requests and pending re-offers
+    RequestQueue queue; ///< requests, re-offers, hedge ledger
     std::vector<ReplicaState> replicas;
-    std::vector<std::uint64_t> hedgedIds;  ///< sorted: ids with copies
-    std::vector<std::uint64_t> hedgedDone; ///< sorted: winner answered
     std::vector<double> latencies; ///< every completed request
     std::vector<double> completionsSec;    ///< aligned with latencies
     std::vector<std::uint8_t> completedOnTime; ///< aligned, 0/1
 };
-
-bool
-sortedContains(const std::vector<std::uint64_t> &v, std::uint64_t id)
-{
-    return std::binary_search(v.begin(), v.end(), id);
-}
-
-void
-sortedInsert(std::vector<std::uint64_t> &v, std::uint64_t id)
-{
-    const auto it = std::lower_bound(v.begin(), v.end(), id);
-    if (it == v.end() || *it != id)
-        v.insert(it, id);
-}
 
 double
 percentile(const std::vector<double> &sorted, double q)
@@ -188,6 +179,25 @@ percentile(const std::vector<double> &sorted, double q)
     return sorted[std::min(idx, sorted.size() - 1)];
 }
 
+/** A latency curve a dispatch rides, with its admission terms. */
+struct Curve
+{
+    explicit Curve(const BatchLatencyModel &m)
+        : model(m), maxBatch(m.maxBatch()),
+          fullBatchSec(m.latencySeconds(maxBatch))
+    {
+    }
+
+    const BatchLatencyModel &model;
+    unsigned maxBatch;
+    /**
+     * Admission's service time: under overload a request rides a
+     * near-full batch (latency(1) would admit requests that then
+     * complete past their deadline).
+     */
+    double fullBatchSec;
+};
+
 /** The engine: immutable inputs + checkpointable state. */
 struct FleetEngine
 {
@@ -197,25 +207,23 @@ struct FleetEngine
                 const FaultSchedule &faults_,
                 const FleetOptions &options_,
                 const BatchLatencyModel *brownout_model_)
-        : arrivals(arrivals_), tiers(tiers_), model(model_),
-          faults(faults_), options(options_),
+        : arrivals(arrivals_), tiers(tiers_), faults(faults_),
+          options(options_),
           brownoutModel(options_.brownout.enabled ? brownout_model_
-                                                  : nullptr)
+                                                  : nullptr),
+          base(model_), ladder(brownoutModel ? *brownoutModel : model_)
     {
     }
 
     const std::vector<Request> &arrivals;
     const std::vector<QosTier> &tiers;
-    const BatchLatencyModel &model;
     const FaultSchedule &faults;
     const FleetOptions &options;
     const BatchLatencyModel *brownoutModel; ///< null = no ladder
+    const Curve base;   ///< the model every dispatch rides by default
+    const Curve ladder; ///< the brownout curve (base without a ladder)
 
     std::vector<FaultEvent> faultEvents; ///< core-kind, time-sorted
-    double serviceLatencySec = 0;
-    unsigned maxBatch = 1;
-    double brownoutServiceLatencySec = 0;
-    unsigned brownoutMaxBatch = 1;
 
     ServingState s;
     resilience::RunJournal journal{options, kJournalFormat};
@@ -236,18 +244,6 @@ struct FleetEngine
                 e.kind == FaultKind::CoreTransient ||
                 e.kind == FaultKind::CoreStraggler)
                 faultEvents.push_back(e);
-        maxBatch = model.maxBatch();
-        // Service-time term of the admission estimate: under the
-        // overload that makes admission matter, a request rides a
-        // near-full batch, so the full-batch latency is the honest
-        // estimate (the single-request latency undercounts and lets
-        // through requests that then complete past their deadline).
-        serviceLatencySec = model.latencySeconds(maxBatch);
-        if (brownoutModel) {
-            brownoutMaxBatch = brownoutModel->maxBatch();
-            brownoutServiceLatencySec =
-                brownoutModel->latencySeconds(brownoutMaxBatch);
-        }
 
         s.replicas.resize(options.replicas);
         s.sparesLeft = options.warmSpares;
@@ -258,7 +254,7 @@ struct FleetEngine
 
         if (journal.persistent()) {
             ServingState loaded;
-            if (journal.load(runFingerprint(arrivals, tiers, model,
+            if (journal.load(runFingerprint(arrivals, tiers, base.model,
                                             faults, options,
                                             brownoutModel),
                              [&](ByteReader &r) {
@@ -283,10 +279,10 @@ struct FleetEngine
                 &PendingRequest::tier);
         };
         std::vector<PendingRequest> queue, reoffers;
+        std::vector<std::uint64_t> answered;
         if (!decodeBody(r, static_cast<ServingHead &>(st), queue,
-                        reoffers, st.replicas, st.hedgedIds,
-                        st.hedgedDone, st.latencies, st.completionsSec,
-                        st.completedOnTime) ||
+                        reoffers, st.replicas, answered, st.latencies,
+                        st.completionsSec, st.completedOnTime) ||
             st.arrivalCursor > arrivals.size() ||
             st.faultCursor > faultEvents.size() || !tiered(queue) ||
             !tiered(reoffers))
@@ -294,7 +290,7 @@ struct FleetEngine
         for (const ReplicaState &rep : st.replicas)
             if (!tiered(rep.batch))
                 return false;
-        st.queue.restore(queue, reoffers, st.simTimeSec);
+        st.queue.restore(queue, reoffers, answered, st.simTimeSec);
         return true;
     }
 
@@ -314,30 +310,16 @@ struct FleetEngine
         return n;
     }
 
-    /// @{ Brownout-aware curve: the ladder switches every *new*
-    /// dispatch (and the admission estimate) to the cheaper model.
-    const BatchLatencyModel &
-    activeModel() const
+    /**
+     * The curve of every *new* dispatch and of the admission
+     * estimate: the brownout ladder switches both to the cheaper
+     * model.
+     */
+    const Curve &
+    active() const
     {
-        return (brownoutModel && s.brownoutActive) ? *brownoutModel
-                                                   : model;
+        return s.brownoutActive ? ladder : base;
     }
-
-    unsigned
-    activeMaxBatch() const
-    {
-        return (brownoutModel && s.brownoutActive) ? brownoutMaxBatch
-                                                   : maxBatch;
-    }
-
-    double
-    activeServiceLatencySec() const
-    {
-        return (brownoutModel && s.brownoutActive)
-                   ? brownoutServiceLatencySec
-                   : serviceLatencySec;
-    }
-    /// @}
 
     /**
      * HealthPolicy accounting: a core fault raises the replica's
@@ -384,7 +366,7 @@ struct FleetEngine
                                    0x8000u + req.reoffers);
         }
         PendingRequest r;
-        r.id = (std::uint64_t(1) << 48) + s.nextReofferId++;
+        r.id = kReofferIdBase + s.nextReofferId++;
         r.tier = req.tier;
         r.eligibleSec = t + delay;
         r.reoffers = std::uint8_t(req.reoffers + 1);
@@ -402,10 +384,8 @@ struct FleetEngine
     {
         if (req.copy)
             return; // the original carries the book-keeping
-        if (req.hedged) {
-            sortedInsert(s.hedgedDone, req.id);
-            s.queue.markAnswered(req);
-        }
+        if (req.hedged && !s.queue.answer(req))
+            return; // a twin already answered
         ++s.shed;
         maybeReoffer(req, t);
     }
@@ -428,7 +408,7 @@ struct FleetEngine
                            s.sequence)));
         journal.save(encodeBody(static_cast<const ServingHead &>(s),
                                 s.queue.entries(), s.queue.reoffers(),
-                                s.replicas, s.hedgedIds, s.hedgedDone,
+                                s.replicas, s.queue.answeredIds(),
                                 s.latencies, s.completionsSec,
                                 s.completedOnTime));
     }
@@ -443,7 +423,7 @@ struct FleetEngine
     void
     requeueLost(const PendingRequest &req, double t)
     {
-        if (req.hedged && sortedContains(s.hedgedDone, req.id))
+        if (req.hedged && s.queue.answered(req.id))
             return; // its twin already answered
         resilience::RetryPolicy policy = options.retry;
         policy.giveUpAfterSeconds = tiers[req.tier].deadlineSec;
@@ -464,6 +444,17 @@ struct FleetEngine
         s.queue.push(r, t);
     }
 
+    /** Replica @p r went down at @p t: its in-flight batch is lost. */
+    void
+    loseBatch(ReplicaState &r, double t)
+    {
+        ++s.replicaFailures;
+        for (const PendingRequest &req : r.batch)
+            requeueLost(req, t);
+        r.batch.clear();
+        r.hedgeIssued = 0;
+    }
+
     /** Apply the single next due fault. */
     void
     applyOneFault(double t)
@@ -476,11 +467,7 @@ struct FleetEngine
             return;
         switch (e.kind) {
           case FaultKind::CorePermanent: {
-            ++s.replicaFailures;
-            for (const PendingRequest &req : r.batch)
-                requeueLost(req, t);
-            r.batch.clear();
-            r.hedgeIssued = 0;
+            loseBatch(r, t);
             if (s.sparesLeft > 0) {
                 --s.sparesLeft;
                 ++s.failovers;
@@ -501,11 +488,7 @@ struct FleetEngine
             break;
           }
           case FaultKind::CoreTransient: {
-            ++s.replicaFailures;
-            for (const PendingRequest &req : r.batch)
-                requeueLost(req, t);
-            r.batch.clear();
-            r.hedgeIssued = 0;
+            loseBatch(r, t);
             r.status = kSpinningUp;
             r.readyAtSec = t + e.durationSec;
             journal.append(eventPrefix() + "replica " +
@@ -533,12 +516,8 @@ struct FleetEngine
     void
     complete(const PendingRequest &req, double t, bool degraded)
     {
-        if (req.hedged) {
-            if (sortedContains(s.hedgedDone, req.id))
-                return; // the losing copy
-            sortedInsert(s.hedgedDone, req.id);
-            s.queue.markAnswered(req);
-        }
+        if (req.hedged && !s.queue.answer(req))
+            return; // the losing copy
         ++s.completed;
         const double latency = t - req.arrivalSec;
         const bool on_time = t <= req.deadlineSec;
@@ -555,25 +534,12 @@ struct FleetEngine
     }
 
     /**
-     * Admission control at the front door. Sheds when the queue is
-     * full, or when a sheddable request's estimated completion
-     * (queue-drain at full-batch service rate plus one service time)
-     * cannot meet its deadline.
-     */
-    void
-    admit(const Request &arrival)
-    {
-        PendingRequest r;
-        r.id = arrival.id;
-        r.tier = arrival.tier;
-        r.arrivalSec = arrival.arrivalSec;
-        offerPending(r, arrival.arrivalSec);
-    }
-
-    /**
      * One offer at the front door — a fresh arrival or a closed-loop
      * re-offer. Each call counts offered exactly once and ends
-     * admitted or shed, so conservation holds per instance.
+     * admitted or shed, so conservation holds per instance. Admission
+     * control sheds when the queue is full, or when a sheddable
+     * request's estimated completion (queue-drain at full-batch
+     * service rate plus one service time) cannot meet its deadline.
      */
     void
     offerPending(PendingRequest r, double t)
@@ -593,13 +559,14 @@ struct FleetEngine
                 // The estimate rides the *active* curve: on the
                 // brownout ladder the cheaper model's higher service
                 // rate is precisely why the fleet can stop shedding.
+                const Curve &curve = active();
                 const double rate =
-                    alive ? double(alive) * double(activeMaxBatch()) /
-                                activeServiceLatencySec()
+                    alive ? double(alive) * double(curve.maxBatch) /
+                                curve.fullBatchSec
                           : 0;
                 const double wait =
                     rate > 0 ? double(s.queue.size()) / rate : kInf;
-                if (wait + activeServiceLatencySec() >
+                if (wait + curve.fullBatchSec >
                     tier.deadlineSec * options.admission.slackFactor) {
                     shedInstance(r, t);
                     return;
@@ -621,10 +588,9 @@ struct FleetEngine
         r.hedgeIssued = 1;
         unsigned copies = 0;
         for (PendingRequest &req : r.batch) {
-            if (sortedContains(s.hedgedDone, req.id))
+            if (s.queue.answered(req.id))
                 continue;
             req.hedged = 1;
-            sortedInsert(s.hedgedIds, req.id);
             PendingRequest dup = req;
             dup.copy = 1;
             dup.eligibleSec = t;
@@ -639,19 +605,6 @@ struct FleetEngine
     }
 
     /**
-     * Drop queue entries that can no longer matter: losing hedge
-     * copies, and — when shedding is on — requests already past
-     * their deadline (the expired-at-dispatch drop).
-     */
-    void
-    purgeQueue(double t)
-    {
-        for (const PendingRequest &req :
-             s.queue.purge(t, options.admission.enabled))
-            shedInstance(req, t);
-    }
-
-    /**
      * Form one batch for replica @p idx from the eligible queue.
      * MPAM-style reservation first — each tier gets up to its
      * reservedSlots before the remainder fills by deadline order —
@@ -661,8 +614,9 @@ struct FleetEngine
     void
     dispatchReplica(unsigned idx, double t)
     {
+        const Curve &curve = active();
         std::vector<PendingRequest> batch =
-            s.queue.takeBatch(t, activeMaxBatch(), tiers);
+            s.queue.takeBatch(t, curve.maxBatch, tiers);
         if (batch.empty())
             return;
 
@@ -672,10 +626,10 @@ struct FleetEngine
         r.status = kBusy;
         r.dispatchedSec = t;
         r.busyUntilSec =
-            t + activeModel().latencySeconds(unsigned(batch.size())) *
+            t + curve.model.latencySeconds(unsigned(batch.size())) *
                     factor;
         r.hedgeIssued = 0;
-        r.degraded = (brownoutModel && s.brownoutActive) ? 1 : 0;
+        r.degraded = s.brownoutActive;
         r.batch = std::move(batch);
         if (obs::Tracer *tracer = obs::Tracer::current())
             tracer->span(obs::Domain::Serving, idx + 2,
@@ -695,6 +649,7 @@ struct FleetEngine
         if (s.faultCursor < faultEvents.size())
             next = std::min(next,
                             faultEvents[s.faultCursor].timeSec);
+        const bool queued = !s.queue.empty();
         for (const ReplicaState &r : s.replicas) {
             if (r.status == kBusy) {
                 next = std::min(next, r.busyUntilSec);
@@ -706,35 +661,23 @@ struct FleetEngine
                 }
             } else if (r.status == kSpinningUp) {
                 next = std::min(next, r.readyAtSec);
+            } else if (r.status == kIdle && queued &&
+                       r.breakerUntilSec > t) {
+                // An open breaker is a decision instant: the replica
+                // is idle but skipped, and nothing else may wake the
+                // step before the half-open probe becomes legal.
+                next = std::min(next, r.breakerUntilSec);
             }
         }
-        if (options.health.enabled && !s.queue.empty()) {
-            // An open breaker is a decision instant: the replica is
-            // idle but skipped, and nothing else may wake the step
-            // before the half-open probe becomes legal.
-            for (const ReplicaState &r : s.replicas)
-                if (r.status == kIdle && r.breakerUntilSec > t)
-                    next = std::min(next, r.breakerUntilSec);
-        }
-        if (brownoutModel && s.brownoutActive &&
-            options.brownout.minResidencySec > 0) {
+        if (s.brownoutActive) {
             const double residency =
                 s.brownoutSinceSec + options.brownout.minResidencySec;
             if (residency > t)
                 next = std::min(next, residency);
         }
-        if (options.autoscale.enabled && !s.queue.empty() &&
-            s.scaleUpsLeft > 0)
+        if (queued && s.scaleUpsLeft > 0)
             next = std::min(next, std::max(s.nextAutoscaleSec, t));
         return next;
-    }
-
-    /** True when no request can ever be answered again. */
-    bool
-    fleetDoomed() const
-    {
-        return aliveReplicas() == 0 && s.sparesLeft == 0 &&
-               s.scaleUpsLeft == 0;
     }
 
     /**
@@ -758,15 +701,18 @@ struct FleetEngine
             r.status = kIdle;
             r.hedgeIssued = 0;
             r.degraded = 0;
-            if (options.health.enabled)
-                r.healthScore *= options.health.successDecay;
+            r.healthScore *= options.health.successDecay;
         }
         for (ReplicaState &r : s.replicas)
             if (r.status == kSpinningUp && r.readyAtSec <= t)
                 r.status = kIdle;
         while (s.arrivalCursor < arrivals.size() &&
-               arrivals[s.arrivalCursor].arrivalSec <= t)
-            admit(arrivals[s.arrivalCursor++]);
+               arrivals[s.arrivalCursor].arrivalSec <= t) {
+            const Request &a = arrivals[s.arrivalCursor++];
+            offerPending({.id = a.id, .tier = a.tier,
+                          .arrivalSec = a.arrivalSec},
+                         a.arrivalSec);
+        }
         // Closed-loop clients whose think time has elapsed re-offer
         // their shed request as a brand-new arrival.
         for (PendingRequest &req : s.queue.takeDueReoffers(t)) {
@@ -802,15 +748,14 @@ struct FleetEngine
                 t + options.autoscale.checkIntervalSec;
         }
 
-        if (fleetDoomed()) {
+        if (aliveReplicas() == 0 && s.sparesLeft == 0 &&
+            s.scaleUpsLeft == 0) {
             // Nothing can serve again: account every queued and
             // future request as shed and drain. Pending re-offers
             // were never offered; dropping them keeps completed +
             // shed == offered intact.
-            std::uint64_t lost = 0;
-            for (const PendingRequest &req : s.queue.entries())
-                if (!req.copy)
-                    ++lost;
+            const std::uint64_t lost = std::ranges::count(
+                s.queue.entries(), 0, &PendingRequest::copy);
             s.shed += lost;
             s.queue.clear();
             const std::uint64_t remaining =
@@ -825,7 +770,12 @@ struct FleetEngine
             return true;
         }
 
-        purgeQueue(t);
+        // Drop the queued entries that can no longer matter: losing
+        // hedge instances, and, when shedding is on, requests already
+        // past their deadline (the expired-at-dispatch drop).
+        for (const PendingRequest &req :
+             s.queue.purge(t, options.admission.enabled))
+            shedInstance(req, t);
         if (brownoutModel) {
             const std::size_t alive =
                 std::max<std::size_t>(aliveReplicas(), 1);
@@ -833,7 +783,7 @@ struct FleetEngine
                 s.queue.size() >
                     options.brownout.enterQueueDepthPerReplica *
                         alive) {
-                s.brownoutActive = 1;
+                s.brownoutActive = true;
                 s.brownoutSinceSec = t;
                 ++s.brownoutEntries;
                 journal.append(eventPrefix() +
@@ -845,7 +795,7 @@ struct FleetEngine
                                alive &&
                        t - s.brownoutSinceSec >=
                            options.brownout.minResidencySec) {
-                s.brownoutActive = 0;
+                s.brownoutActive = false;
                 s.brownoutSec += t - s.brownoutSinceSec;
                 journal.append(eventPrefix() + "brownout exit depth " +
                                std::to_string(s.queue.size()));
@@ -854,8 +804,7 @@ struct FleetEngine
         for (unsigned i = 0; i < unsigned(s.replicas.size()); ++i) {
             if (s.replicas[i].status != kIdle || s.queue.empty())
                 continue;
-            if (options.health.enabled &&
-                t < s.replicas[i].breakerUntilSec)
+            if (t < s.replicas[i].breakerUntilSec)
                 continue; // breaker open: skip until half-open probe
             dispatchReplica(i, t);
         }

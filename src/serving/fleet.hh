@@ -30,7 +30,7 @@
  * time), then the step: completions, admitted arrivals, hedge checks,
  * autoscale, dispatch; the loop then moves to the next decision
  * instant. Checkpoints are resilience::RunJournal files (format
- * ASCBLOB v1) taken only at the head of an instant, so a SIGKILL at
+ * ASCBLOB v2) taken only at the head of an instant, so a SIGKILL at
  * any instant resumes into a byte-identical report — the property
  * bench_serving --chaos enforces with real kills.
  *

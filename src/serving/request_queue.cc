@@ -19,11 +19,17 @@ wakesLater(const E &a, const E &b)
     return a.seq > b.seq;
 }
 
+/** The requests of @p entries, in push order. */
 template <class E>
-bool
-pushedBefore(const E &a, const E &b)
+std::vector<PendingRequest>
+inPushOrder(std::vector<E> entries)
 {
-    return a.seq < b.seq;
+    std::ranges::sort(entries, {}, &E::seq);
+    std::vector<PendingRequest> out;
+    out.reserve(entries.size());
+    for (const E &e : entries)
+        out.push_back(e.req);
+    return out;
 }
 
 } // anonymous namespace
@@ -95,10 +101,13 @@ RequestQueue::promote(double t)
     }
 }
 
-void
-RequestQueue::markAnswered(const PendingRequest &winner)
+bool
+RequestQueue::answer(const PendingRequest &winner)
 {
-    answered_.push_back(winner);
+    if (!answered_.insert(winner.id).second)
+        return false;
+    unpurged_.push_back(winner);
+    return true;
 }
 
 bool
@@ -120,12 +129,10 @@ RequestQueue::sequenceBefore(const Entry &a, bool a_waiting,
 std::vector<PendingRequest>
 RequestQueue::purge(double t, bool shed_expired)
 {
-    if (!answered_.empty()) {
+    if (!unpurged_.empty()) {
         // Every instance of a request shares its deadline and tier, so
         // the deadline-ordered tier set finds them by lookup.
-        std::vector<std::uint64_t> ids;
-        for (const PendingRequest &w : answered_) {
-            ids.push_back(w.id);
+        for (const PendingRequest &w : unpurged_) {
             if (w.tier >= eligible_.size())
                 continue;
             TierSet &set = eligible_[w.tier];
@@ -139,11 +146,11 @@ RequestQueue::purge(double t, bool shed_expired)
                    it->req.id == w.id)
                 it = it->req.hedged ? set.erase(it) : std::next(it);
         }
-        answered_.clear();
-        std::sort(ids.begin(), ids.end());
+        unpurged_.clear();
+        // No hedged instance of an id answered before is queued again,
+        // so the ledger names exactly the new losers.
         const auto lost = [&](const Entry &e) {
-            return e.req.hedged &&
-                   std::binary_search(ids.begin(), ids.end(), e.req.id);
+            return e.req.hedged && answered(e.req.id);
         };
         const auto end =
             std::remove_if(waiting_.begin(), waiting_.end(), lost);
@@ -270,13 +277,7 @@ RequestQueue::popDueReoffers(double t)
 std::vector<PendingRequest>
 RequestQueue::takeDueReoffers(double t)
 {
-    std::vector<Entry> due = popDueReoffers(t);
-    std::sort(due.begin(), due.end(), pushedBefore<Entry>);
-    std::vector<PendingRequest> out;
-    out.reserve(due.size());
-    for (const Entry &e : due)
-        out.push_back(e.req);
-    return out;
+    return inPushOrder(popDueReoffers(t));
 }
 
 std::vector<PendingRequest>
@@ -304,18 +305,21 @@ RequestQueue::entries() const
 std::vector<PendingRequest>
 RequestQueue::reoffers() const
 {
-    std::vector<Entry> sorted = reoffers_;
-    std::sort(sorted.begin(), sorted.end(), pushedBefore<Entry>);
-    std::vector<PendingRequest> out;
-    out.reserve(sorted.size());
-    for (const Entry &e : sorted)
-        out.push_back(e.req);
-    return out;
+    return inPushOrder(reoffers_);
+}
+
+std::vector<std::uint64_t>
+RequestQueue::answeredIds() const
+{
+    std::vector<std::uint64_t> ids(answered_.begin(), answered_.end());
+    std::sort(ids.begin(), ids.end());
+    return ids;
 }
 
 void
 RequestQueue::restore(const std::vector<PendingRequest> &entries,
                       const std::vector<PendingRequest> &reoffers,
+                      const std::vector<std::uint64_t> &answered,
                       double t)
 {
     // No dispatch stamp: every entry is segment 3, so push order is
@@ -325,6 +329,7 @@ RequestQueue::restore(const std::vector<PendingRequest> &entries,
         push(r, t);
     for (const PendingRequest &r : reoffers)
         pushReoffer(r);
+    answered_.insert(answered.begin(), answered.end());
 }
 
 void

@@ -42,6 +42,11 @@
  * last non-empty dispatch tells segment 3 from the others, so the
  * sequence can be rebuilt on demand.
  *
+ * The queue also owns the first-fate ledger: a hedged request is
+ * decided by the first of its instances to complete or be shed, and
+ * answer() records that fate in one id set. answered() tells the
+ * fleet an in-flight instance lost; purge() drops the queued losers.
+ *
  * size() counts every entry physically queued. Losing hedge copies
  * and expired entries stay counted until purge() removes them, which
  * is what admission, autoscale and brownout read.
@@ -53,6 +58,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "common/field.hh"
@@ -107,13 +113,17 @@ class RequestQueue
     void push(const PendingRequest &r, double t);
 
     /**
-     * @p winner, a hedged request, was answered: its queued hedged
-     * instances lose and the next purge() drops them.
+     * Record the fate (completed or shed) of @p winner, a hedged
+     * instance. False when its id already had one; else its queued
+     * hedged instances lose, and the next purge() drops them.
      */
-    void markAnswered(const PendingRequest &winner);
+    bool answer(const PendingRequest &winner);
+
+    /** Whether hedged request @p id has met its first fate. */
+    bool answered(std::uint64_t id) const { return answered_.contains(id); }
 
     /**
-     * Drop the losers of markAnswered(); when @p shed_expired, also
+     * Drop the losers of answer(); when @p shed_expired, also
      * remove every entry with t > deadlineSec and return those in
      * queue order (the order their shed accounting must follow).
      */
@@ -140,20 +150,24 @@ class RequestQueue
     std::vector<PendingRequest> takeDueReoffers(double t);
     /// @}
 
-    /// @{ Sequence order of the queue, push order of the re-offers.
+    /// @{ Sequence order of the queue, push order of the re-offers,
+    /// ascending order of the answered ids.
     std::vector<PendingRequest> entries() const;
     std::vector<PendingRequest> reoffers() const;
+    std::vector<std::uint64_t> answeredIds() const;
     /// @}
 
     /**
-     * Rebuild from entries()/reoffers() order at instant @p t. Losers
-     * marked since the last purge are not carried over; the fleet
-     * saves its state only between steps, after the step's purge.
+     * Rebuild from entries()/reoffers()/answeredIds() at instant
+     * @p t. Losers answered since the last purge are not carried
+     * over; the fleet saves its state only between steps, after the
+     * step's purge.
      */
     void restore(const std::vector<PendingRequest> &entries,
-                 const std::vector<PendingRequest> &reoffers, double t);
+                 const std::vector<PendingRequest> &reoffers,
+                 const std::vector<std::uint64_t> &answered, double t);
 
-    /** Drop every entry and re-offer. */
+    /** Drop every entry, re-offer and answered id. */
     void clear();
 
   private:
@@ -188,7 +202,8 @@ class RequestQueue
     std::vector<TierSet> eligible_; ///< indexed by tier
     std::vector<Entry> waiting_;    ///< min-heap on (eligibleSec, seq)
     std::vector<Entry> reoffers_;   ///< min-heap on (eligibleSec, seq)
-    std::vector<PendingRequest> answered_; ///< winners since purge
+    std::unordered_set<std::uint64_t> answered_; ///< first fates
+    std::vector<PendingRequest> unpurged_; ///< winners since purge
     std::uint64_t nextSeq_ = 0;
     std::uint64_t nextReofferSeq_ = 0;
     std::uint64_t stamp_ = 0;     ///< nextSeq_ at the last dispatch

@@ -43,6 +43,13 @@ generateArrivals(const ArrivalSpec &spec,
                  const std::vector<QosTier> &tiers)
 {
     checkFields(spec, "arrival spec");
+    // Arrival ids count up from 0 and stay below the re-offer ids; the
+    // peak rate over the whole horizon bounds how many there are.
+    const double most = spec.ratePerSec * spec.horizonSec * spec.burstFactor;
+    if (!(most < double(kReofferIdBase)))
+        throwError(ErrorCode::ConfigValidation,
+                   "arrival spec: up to %g arrivals reach the re-offer "
+                   "id base 2^48", most);
     std::vector<Request> out;
     if (tiers.empty() || spec.ratePerSec <= 0 || spec.horizonSec <= 0)
         return out;

@@ -63,6 +63,12 @@ forEachField(F &&f, T &...t)
     f("reserved_slots", t.reservedSlots...);
 }
 
+/**
+ * First id of the fleet's closed-loop re-offers: the re-offer ids
+ * count up from here, so every arrival id must stay below it.
+ */
+inline constexpr std::uint64_t kReofferIdBase = std::uint64_t(1) << 48;
+
 /** One offered request. */
 struct Request
 {
@@ -104,7 +110,10 @@ forEachField(F &&f, S &...s)
 /**
  * Deterministically expand @p spec into concrete arrivals with tiers
  * assigned by cumulative @p tiers share. Sorted by (arrivalSec, id);
- * an empty tier list or zero rate yields an empty stream.
+ * an empty tier list or zero rate yields an empty stream. Throws
+ * ascend::Error (ConfigValidation) on a field outside its domain, or
+ * when the arrivals could reach kReofferIdBase (ratePerSec x
+ * horizonSec x burstFactor bounds their count).
  */
 std::vector<Request> generateArrivals(const ArrivalSpec &spec,
                                       const std::vector<QosTier> &tiers);

@@ -678,10 +678,29 @@ TEST(CheckpointFuzz, ForeignRunIdIsCorruptionUnderCheckedLoad)
     }
 }
 
+TEST(CheckpointFuzz, ServingV1FileColdStarts)
+{
+    // ASCBLOB v1 bodies carried a second hedge id list that v2 drops.
+    // A v1 file left by an older build is refused by its version word
+    // before any body byte is read, and the run cold-starts.
+    const Format &f = format("ASCBLOB");
+    const std::string dir = tempDir("blob_v1");
+    const std::string file = pristine(f, dir);
+    const Header h = headerOf(file);
+    ASSERT_EQ(h.version, 2u);
+    std::string v1 = file;
+    std::string word;
+    writeU64(word, 1);
+    v1.replace(8, word.size(), word);
+    std::set<FrameStatus> loaded;
+    expectRefused(f, dir, h, reseal(v1), FrameStatus::UnknownVersion,
+                  loaded, "v1");
+}
+
 /**
  * Resume the serving engine from its pristine checkpoint, resealed
  * with word @p field of the first queued request set to @p value. The
- * ASCBLOB v1 body holds 28 u64/double scalars, then the queue as a
+ * ASCBLOB v2 body holds 28 u64/double scalars, then the queue as a
  * count and 7-word requests (id, tier, arrival, deadline, attempt,
  * eligible, flags).
  */

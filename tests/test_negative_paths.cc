@@ -362,6 +362,16 @@ TEST(NegativeArrivals, SpecDomainsAreRefused)
             "burst_factor: must be at least 1, got 0.5");
     refused([](serving::ArrivalSpec &s) { s.burstDuty = 2; },
             "burst_duty: must be in [0, 1], got 2");
+    // Finite but huge offered loads: arrival ids would reach the
+    // re-offer ids, long before the arrival vector fits in memory.
+    refused([](serving::ArrivalSpec &s) { s.ratePerSec = 1e300; },
+            "reach the re-offer id base");
+    refused(
+        [](serving::ArrivalSpec &s) {
+            s.ratePerSec = double(serving::kReofferIdBase);
+            s.horizonSec = 1;
+        },
+        "reach the re-offer id base");
 }
 
 TEST(NegativeLatencyModel, UnusableCurvesAreRefused)

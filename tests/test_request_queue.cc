@@ -3,10 +3,11 @@
  * Differential test of serving::RequestQueue against the vector queue
  * the fleet engine used before it: one std::vector that every purge
  * copied, every dispatch split into eligible and waiting and
- * stable_sorted, and every wake-up query scanned. Seeded random
- * operation sequences drive both; after every operation the batches,
- * the shed order, size(), the next wake-up instant and the serialized
- * (vector) order must agree exactly.
+ * stable_sorted, and every wake-up query scanned, with a sorted id
+ * vector as the first-fate ledger. Seeded random operation sequences
+ * drive both; after every operation the batches, the shed order,
+ * size(), the next wake-up instant, the serialized (vector) order and
+ * the ledger must agree exactly.
  */
 
 #include <algorithm>
@@ -38,13 +39,22 @@ struct VectorQueue
 
     void push(const PendingRequest &r) { queue.push_back(r); }
 
-    void
-    markAnswered(std::uint64_t id)
+    /** True when @p id had no fate yet (RequestQueue::answer). */
+    bool
+    answer(std::uint64_t id)
     {
         const auto it =
             std::lower_bound(answered.begin(), answered.end(), id);
-        if (it == answered.end() || *it != id)
-            answered.insert(it, id);
+        if (it != answered.end() && *it == id)
+            return false;
+        answered.insert(it, id);
+        return true;
+    }
+
+    bool
+    isAnswered(std::uint64_t id) const
+    {
+        return std::binary_search(answered.begin(), answered.end(), id);
     }
 
     std::vector<PendingRequest>
@@ -250,12 +260,12 @@ runSequence(std::uint64_t seed)
           case 4: { // a hedged request answers: its queued copies lose
             if (issued.empty())
                 break;
+            // A later fate of an answered id is refused and changes
+            // nothing.
             const std::size_t k = rng.uniform(issued.size());
-            if (answered[k])
-                break;
             answered[k] = 1;
-            queue.markAnswered(issued[k]);
-            ref.markAnswered(issued[k].id);
+            ASSERT_EQ(queue.answer(issued[k]), ref.answer(issued[k].id))
+                << "answer " << issued[k].id;
             break;
           }
           case 5: { // purge; every shed original may come back later
@@ -265,9 +275,11 @@ runSequence(std::uint64_t seed)
                 queue.purge(t, shed_expired);
             ASSERT_TRUE(sameList(want, got)) << "purge at " << t;
             // The fleet checkpoints between steps, after the purge; a
-            // resume rebuilds the queue from the saved vector order.
+            // resume rebuilds the queue from the saved vector order
+            // and the ledger from its ascending ids.
             if (rng.chance(0.3))
-                queue.restore(queue.entries(), queue.reoffers(), t);
+                queue.restore(queue.entries(), queue.reoffers(),
+                              queue.answeredIds(), t);
             for (const PendingRequest &req : want) {
                 if (req.copy || rng.chance(0.3))
                     continue;
@@ -312,6 +324,12 @@ runSequence(std::uint64_t seed)
         ASSERT_TRUE(sameList(ref.queue, queue.entries()));
         ASSERT_TRUE(sameList(ref.reoffers, queue.reoffers()));
         ASSERT_EQ(queue.nextWake(t), ref.nextWake(t)) << "at " << t;
+        ASSERT_EQ(queue.answeredIds(), ref.answered);
+        if (!issued.empty()) {
+            const std::uint64_t id =
+                issued[rng.uniform(issued.size())].id;
+            ASSERT_EQ(queue.answered(id), ref.isAnswered(id)) << id;
+        }
     }
 }
 

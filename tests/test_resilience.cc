@@ -18,6 +18,7 @@
 #include "resilience/fault_schedule.hh"
 #include "resilience/policy.hh"
 #include "runtime/sim_session.hh"
+#include "serving/workload.hh"
 #include "soc/chip_sim.hh"
 
 using namespace ascend;
@@ -279,8 +280,8 @@ TEST(Policy, JitterOnlyShrinksAndPreservesClosedForms)
     // Property grid over (key, attempt): jitter only ever shrinks a
     // sleep, so retryCumulativeSeconds stays a valid upper bound on
     // any jittered schedule and the budget closed forms still hold.
-    for (std::uint64_t key : {0ull, 7ull, 0xdeadbeefull,
-                              (1ull << 48) + 12ull}) {
+    for (std::uint64_t key : std::initializer_list<std::uint64_t>{
+             0, 7, 0xdeadbeef, serving::kReofferIdBase + 12}) {
         double jittered_sum = 0;
         double nominal_sum = 0;
         for (unsigned a = 0; a < 12; ++a) {

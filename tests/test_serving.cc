@@ -33,6 +33,7 @@
 
 using namespace ascend;
 using resilience::CorrelatedFaultSpec;
+using resilience::FaultEvent;
 using resilience::FaultKind;
 using resilience::FaultSchedule;
 using resilience::FaultSpec;
@@ -463,6 +464,52 @@ TEST(ServingFleet, HedgingDuplicatesStragglersWithoutDoubleCounting)
     EXPECT_EQ(base.hedges, 0u);
     // Hedging recovers goodput the straggler was eating.
     EXPECT_GE(r.goodput, base.goodput);
+}
+
+TEST(ServingFleet, HedgedOriginalAndCopyInOneBatchCompleteOnce)
+{
+    // One replica straggles 10x over [0, 20 ms): the lone request
+    // dispatched at 0 runs past the 5 ms hedge delay, so its copy
+    // queues. A transient fault at 10 ms requeues the original for a
+    // retry, and when the replica is back at 20 ms the copy and the
+    // original are both eligible and ride one batch of two. The
+    // first of them to complete answers the request; the other loses.
+    const BatchLatencyModel model = testModel();
+    QosTier tier;
+    tier.deadlineSec = 1.0;
+    tier.sheddable = false;
+    const std::vector<QosTier> tiers = {tier};
+    const std::vector<Request> arrivals = {Request{0, 0.0, 0}};
+    FaultSpec meta;
+    meta.cores = 1;
+    meta.horizonSec = 0.05;
+    FaultEvent straggle;
+    straggle.kind = FaultKind::CoreStraggler;
+    straggle.durationSec = 0.02;
+    straggle.severity = 10.0;
+    FaultEvent outage;
+    outage.kind = FaultKind::CoreTransient;
+    outage.timeSec = 0.01;
+    outage.durationSec = 0.01;
+    const FaultSchedule faults = FaultSchedule::fromEvents(
+        meta, {straggle, outage}, "hedge-in-one-batch");
+
+    FleetOptions o = baseOptions();
+    o.replicas = 1;
+    o.hedge.enabled = true;
+    o.hedge.afterSec = 5e-3;
+    const FleetResult r =
+        serving::runFleet(arrivals, tiers, model, faults, o);
+    EXPECT_EQ(r.hedges, 1u);
+    EXPECT_EQ(r.retries, 1u);
+    // The batch after the repair held both instances.
+    EXPECT_DOUBLE_EQ(r.makespanSec,
+                     outage.timeSec + outage.durationSec +
+                         model.latencySeconds(2));
+    EXPECT_EQ(r.offered, 1u);
+    EXPECT_EQ(r.completed, 1u);
+    EXPECT_EQ(r.latencies.size(), 1u);
+    EXPECT_EQ(r.completed + r.shed, r.offered);
 }
 
 TEST(ServingFleet, AutoscalerAddsReplicasUnderSustainedBacklog)
