@@ -19,28 +19,23 @@
  * Modes:
  *  - (no args): the sweep. Prints deterministic tables (byte-stable
  *    at any ASCEND_THREADS) and writes BENCH_serving.json;
- *  - --chaos: SIGKILL/resume byte-diff experiment — kill a child at
- *    >= 3 seeded event boundaries, resume, and require the resumed
- *    report byte-identical to the uninterrupted one (CI job);
- *  - --run --seed <n> --ckpt-dir <d> --out <f>: chaos child mode.
+ *  - --chaos, and its --run child: the SIGKILL/resume byte-diff
+ *    experiment of bench/chaos_harness.hh, which also proves that its
+ *    kills landed and its resumes adopted a checkpoint. The seed
+ *    comes from ASCEND_CHAOS_SEED (default 5); CI runs two.
  *
- * The chaos scenario uses a synthetic latency curve: crash
- * consistency of the engine is under test there, not the cost model.
+ * The chaos scenario is bursty overload with replica failures and
+ * hedged retries, on a synthetic latency curve.
  */
 
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "bench/chaos_harness.hh"
 #include "graph/zoo_graphs.hh"
 #include "resilience/fault_domain.hh"
 #include "serving/fleet.hh"
@@ -522,249 +517,50 @@ sweep()
     return 0;
 }
 
-/** Everything one chaos scenario needs, derived from the seed. */
-struct Scenario
+/**
+ * The chaos harness's scenario: one seeded run under @p control. Its
+ * curve is synthetic: crash consistency is under test, not the cost
+ * model.
+ */
+bench::ChaosRun
+chaosRun(std::uint64_t seed, const resilience::RunControl &control)
 {
-    std::vector<QosTier> tiers;
-    std::vector<Request> arrivals;
-    BatchLatencyModel model;
-    FaultSchedule faults;
-    FleetOptions options;
-};
-
-Scenario
-scenario(std::uint64_t seed)
-{
-    Scenario sc;
-    // Synthetic curve: the chaos experiment tests crash consistency,
-    // not the cost model.
-    sc.model = BatchLatencyModel::linear(2e-3, 5e-4, 8);
-    const double lb = sc.model.latencySeconds(8);
-    sc.tiers = sweepTiers(lb);
-    sc.options = sweepOptions(lb, true);
-    sc.options.warmSpares = 2;
-    sc.options.checkpointIntervalSec = 5.0 * lb;
+    const BatchLatencyModel model =
+        BatchLatencyModel::linear(2e-3, 5e-4, 8);
+    const double lb = model.latencySeconds(8);
+    const std::vector<QosTier> tiers = sweepTiers(lb);
+    FleetOptions options = sweepOptions(lb, true);
+    static_cast<resilience::RunControl &>(options) = control;
+    options.warmSpares = 2;
+    options.checkpointIntervalSec = 5.0 * lb;
 
     ArrivalSpec arr;
     arr.seed = seed;
-    arr.ratePerSec =
-        1.2 * sc.model.saturationRequestsPerSec(sc.options.replicas);
+    arr.ratePerSec = 1.2 * model.saturationRequestsPerSec(options.replicas);
     arr.horizonSec = 0.25;
     arr.burstFactor = 2.0;
     arr.burstPeriodSec = 0.05;
     arr.burstDuty = 0.3;
-    sc.arrivals = serving::generateArrivals(arr, sc.tiers);
 
     FaultSpec spec;
     spec.seed = seed;
     spec.horizonSec = arr.horizonSec;
-    spec.cores = sc.options.replicas;
+    spec.cores = options.replicas;
     spec.corePermanentPerSec = 8.0 / (spec.horizonSec * spec.cores);
     spec.coreTransientPerSec = 8.0 / (spec.horizonSec * spec.cores);
     spec.coreRepairSec = 0.02;
     spec.stragglerFraction = 0.5;
     spec.stragglerSlowdown = 1.8;
-    sc.faults = FaultSchedule::generate(spec);
-    return sc;
-}
 
-std::uint64_t
-seedFromEnv()
-{
-    const char *env = std::getenv("ASCEND_CHAOS_SEED");
-    return env && *env ? std::strtoull(env, nullptr, 10) : 5;
-}
-
-FleetResult
-runScenario(Scenario &sc)
-{
-    return serving::runFleet(sc.arrivals, sc.tiers, sc.model,
-                             sc.faults, sc.options);
-}
-
-/** Child mode: run with on-disk checkpoints, marking every event. */
-int
-childMain(std::uint64_t seed, const std::string &ckpt_dir,
-          const std::string &out_path)
-{
-    Scenario sc = scenario(seed);
-    sc.options.checkpointDir = ckpt_dir;
-    unsigned events = 0;
-    sc.options.onEvent = [&events](const std::string &) {
-        std::printf("CHAOS-EVENT %u\n", ++events);
-        std::fflush(stdout);
-        // Give the parent's SIGKILL a window to land mid-run; wall
-        // clock never feeds back into simulated results.
-        ::usleep(20 * 1000);
-    };
-    const FleetResult r = runScenario(sc);
-    if (!writeFileText(out_path, r.report())) {
-        std::fprintf(stderr, "chaos child: cannot write %s\n",
-                     out_path.c_str());
-        return 1;
-    }
-    return 0;
-}
-
-/** Fork/exec a child run; returns its pid, stdout on @p out_fd. */
-pid_t
-spawnChild(const char *self, std::uint64_t seed,
-           const std::string &ckpt_dir, const std::string &out_path,
-           int *out_fd)
-{
-    int fds[2];
-    if (::pipe(fds) != 0)
-        fatal("pipe failed");
-    const pid_t pid = ::fork();
-    if (pid < 0)
-        fatal("fork failed");
-    if (pid == 0) {
-        ::dup2(fds[1], STDOUT_FILENO);
-        ::close(fds[0]);
-        ::close(fds[1]);
-        const std::string seed_str = std::to_string(seed);
-        const char *argv[] = {self,
-                              "--run",
-                              "--seed",
-                              seed_str.c_str(),
-                              "--ckpt-dir",
-                              ckpt_dir.c_str(),
-                              "--out",
-                              out_path.c_str(),
-                              nullptr};
-        ::execv(self, const_cast<char *const *>(argv));
-        std::perror("execv");
-        ::_exit(127);
-    }
-    ::close(fds[1]);
-    *out_fd = fds[0];
-    return pid;
-}
-
-/** Read event-marker lines until @p kill_after, then SIGKILL. */
-void
-killAfterEvents(pid_t pid, int out_fd, unsigned kill_after)
-{
-    FILE *stream = ::fdopen(out_fd, "r");
-    char line[256];
-    unsigned seen = 0;
-    while (seen < kill_after &&
-           std::fgets(line, sizeof(line), stream)) {
-        if (std::strncmp(line, "CHAOS-EVENT ", 12) == 0)
-            ++seen;
-    }
-    ::kill(pid, SIGKILL);
-    // Drain whatever raced out before the kill took effect.
-    while (std::fgets(line, sizeof(line), stream)) {
-    }
-    std::fclose(stream);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-}
-
-/** One kill-and-resume experiment; true when the diff is empty. */
-bool
-chaosExperiment(const char *self, std::uint64_t seed,
-                unsigned kill_after, const std::string &golden,
-                const std::string &work_dir)
-{
-    const std::string ckpt_dir = work_dir + "/ckpt";
-    const std::string out_path = work_dir + "/out.txt";
-    std::error_code ec;
-    std::filesystem::remove_all(work_dir, ec);
-    std::filesystem::create_directories(ckpt_dir, ec);
-
-    int out_fd = -1;
-    const pid_t victim =
-        spawnChild(self, seed, ckpt_dir, out_path, &out_fd);
-    killAfterEvents(victim, out_fd, kill_after);
-
-    // Resume (or, if the victim finished first, re-run) to completion.
-    const pid_t resumed =
-        spawnChild(self, seed, ckpt_dir, out_path, &out_fd);
-    {
-        FILE *stream = ::fdopen(out_fd, "r");
-        char line[256];
-        while (std::fgets(line, sizeof(line), stream)) {
-        }
-        std::fclose(stream);
-    }
-    int status = 0;
-    ::waitpid(resumed, &status, 0);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        std::cerr << "chaos: resume child failed (seed " << seed
-                  << ", kill after " << kill_after << ")\n";
-        return false;
-    }
-
-    const std::optional<std::string> resumed_report = readFile(out_path);
-    if (!resumed_report) {
-        std::cerr << "chaos: missing report " << out_path << "\n";
-        return false;
-    }
-    const std::string diff = diffGolden(golden, *resumed_report);
-    if (!diff.empty()) {
-        std::cerr << "chaos: resumed report differs (seed " << seed
-                  << ", kill after " << kill_after << "):\n"
-                  << diff;
-        return false;
-    }
-    return true;
-}
-
-int
-chaosMain(const char *self)
-{
-    const std::uint64_t seed = seedFromEnv();
-    const std::string work_dir =
-        "serving_chaos_work_" + std::to_string(::getpid());
-
-    // The golden run checkpoints like the children do: the engine
-    // logs a "checkpoint seq" event per save, so the uninterrupted
-    // report is byte-comparable only under the same persistence
-    // config.
-    Scenario sc = scenario(seed);
-    sc.options.checkpointDir = work_dir + "/golden-ckpt";
-    std::error_code ec;
-    std::filesystem::create_directories(sc.options.checkpointDir, ec);
-    const FleetResult uninterrupted = runScenario(sc);
-    const std::string golden = uninterrupted.report();
-
-    unsigned total_events = 0;
-    for (char c : uninterrupted.eventLog)
-        if (c == '\n')
-            ++total_events;
-    std::cout << "chaos seed " << seed << ": " << total_events
-              << " events, " << uninterrupted.completed
-              << " completed / " << uninterrupted.offered
-              << " offered\n";
-    if (total_events < 3) {
-        std::cerr << "chaos: scenario too quiet (" << total_events
-                  << " events); pick another seed\n";
-        return 1;
-    }
-
-    // Kill at >= 3 distinct event boundaries spread across the run.
-    std::vector<unsigned> kill_points = {1, total_events / 2,
-                                         total_events - 1};
-    std::sort(kill_points.begin(), kill_points.end());
-    kill_points.erase(
-        std::unique(kill_points.begin(), kill_points.end()),
-        kill_points.end());
-
-    bool ok = true;
-    for (unsigned k : kill_points) {
-        const bool pass =
-            chaosExperiment(self, seed, k, golden, work_dir);
-        std::cout << "  kill after event " << k << ": "
-                  << (pass ? "resumed byte-identical" : "MISMATCH")
-                  << "\n";
-        ok = ok && pass;
-    }
-    std::filesystem::remove_all(work_dir, ec);
-    std::cout << (ok ? "chaos: all kill points byte-identical\n"
-                     : "chaos: FAILED\n");
-    return ok ? 0 : 1;
+    const FleetResult r = serving::runFleet(
+        serving::generateArrivals(arr, tiers), tiers, model,
+        FaultSchedule::generate(spec), options);
+    const unsigned events = unsigned(
+        std::count(r.eventLog.begin(), r.eventLog.end(), '\n'));
+    return {r.report(), events,
+            std::to_string(events) + " events, " +
+                std::to_string(r.completed) + " completed / " +
+                std::to_string(r.offered) + " offered"};
 }
 
 } // anonymous namespace
@@ -772,32 +568,8 @@ chaosMain(const char *self)
 int
 main(int argc, char **argv)
 {
-    bool run_mode = false, chaos_mode = false;
-    std::uint64_t seed = seedFromEnv();
-    std::string ckpt_dir, out_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--run") == 0) {
-            run_mode = true;
-        } else if (std::strcmp(argv[i], "--chaos") == 0) {
-            chaos_mode = true;
-        } else if (std::strcmp(argv[i], "--seed") == 0 &&
-                   i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strcmp(argv[i], "--ckpt-dir") == 0 &&
-                   i + 1 < argc) {
-            ckpt_dir = argv[++i];
-        } else if (std::strcmp(argv[i], "--out") == 0 &&
-                   i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            fatal("unknown flag '%s' (--chaos | --run --seed <n> "
-                  "--ckpt-dir <d> --out <f>)",
-                  argv[i]);
-        }
-    }
-    if (run_mode)
-        return childMain(seed, ckpt_dir, out_path);
-    if (chaos_mode)
-        return chaosMain("/proc/self/exe");
+    if (const std::optional<int> rc =
+            bench::chaosHarness(argc, argv, 5, chaosRun))
+        return *rc;
     return sweep();
 }

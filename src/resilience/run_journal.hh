@@ -45,8 +45,11 @@ namespace ascend {
 namespace resilience {
 
 /**
- * How a run persists and reports itself. None of these fields
- * influence simulated results, so every run fingerprint excludes them.
+ * How a run persists and reports itself. Every run fingerprint
+ * excludes these fields. None of them influence simulated results,
+ * with one exception: the fleet logs and counts its saves only when
+ * checkpointDir is set, so its event log and checkpoint count differ
+ * between a persistent and a non-persistent run.
  */
 struct RunControl
 {
@@ -67,7 +70,7 @@ struct RunControl
 
     /**
      * Called with each event-log line as it is appended (the chaos
-     * harnesses flush kill-point markers here).
+     * harness flushes kill-point markers here).
      */
     std::function<void(const std::string &line)> onEvent;
 };

@@ -7,8 +7,8 @@
 
 #include <algorithm>
 
+#include "common/error.hh"
 #include "common/field.hh"
-#include "common/logging.hh"
 #include "common/rng.hh"
 
 namespace ascend {
@@ -112,27 +112,6 @@ generateArrivals(const ArrivalSpec &spec,
         lambdaAtSeg = lambdaEnd;
         if (bursty)
             inPeak = !inPeak;
-    }
-    return out;
-}
-
-std::vector<Request>
-replayTrace(const std::vector<double> &times_sec,
-            const std::vector<QosTier> &tiers, std::uint64_t seed)
-{
-    std::vector<Request> out;
-    if (tiers.empty())
-        return out;
-    Rng tierRng(seed ^ kTierSalt);
-    out.reserve(times_sec.size());
-    for (std::size_t i = 0; i < times_sec.size(); ++i) {
-        simAssert(i == 0 || times_sec[i] >= times_sec[i - 1],
-                  "trace arrival times must be sorted ascending");
-        Request r;
-        r.id = i;
-        r.arrivalSec = times_sec[i];
-        r.tier = drawTier(tierRng, tiers);
-        out.push_back(r);
     }
     return out;
 }

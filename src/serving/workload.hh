@@ -118,15 +118,6 @@ forEachField(F &&f, S &...s)
 std::vector<Request> generateArrivals(const ArrivalSpec &spec,
                                       const std::vector<QosTier> &tiers);
 
-/**
- * Trace replay: wrap explicit arrival instants (sorted ascending)
- * into Requests, assigning tiers from @p seed exactly like
- * generateArrivals does.
- */
-std::vector<Request> replayTrace(const std::vector<double> &times_sec,
-                                 const std::vector<QosTier> &tiers,
-                                 std::uint64_t seed);
-
 /** Exact identity of the tier list. */
 std::string fingerprint(const std::vector<QosTier> &tiers);
 

@@ -18,7 +18,6 @@
 
 #include "common/atomic_file.hh"
 #include "common/codec.hh"
-#include "common/golden.hh"
 #include "common/rng.hh"
 #include "compiler/layer_compiler.hh"
 #include "core/core_sim.hh"
@@ -29,6 +28,8 @@
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
 #include "runtime/thread_pool.hh"
+
+#include "golden_test.hh"
 
 namespace ascend {
 namespace {
@@ -645,14 +646,7 @@ TEST(CoreSimFuzz, MatchesGolden)
 
     const std::string path =
         std::string(ASCEND_GOLDEN_DIR) + "/core_sim_fuzz.txt";
-    const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
-    if (env && *env && std::string(env) != "0") {
-        ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
-        GTEST_SKIP() << "golden regenerated";
-    }
-    const std::optional<std::string> golden = readFile(path);
-    ASSERT_TRUE(golden) << "missing " << path;
-    EXPECT_EQ(diffGolden(*golden, rows), "");
+    expectGolden(path, rows);
 }
 
 // ------------------------------------------- steady-state fast-forward

@@ -15,14 +15,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/atomic_file.hh"
 #include "common/codec.hh"
-#include "common/golden.hh"
 #include "common/rng.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
@@ -31,6 +27,8 @@
 #include "runtime/sim_session.hh"
 #include "runtime/thread_pool.hh"
 #include "soc/chip_sim.hh"
+
+#include "golden_test.hh"
 
 namespace ascend {
 namespace {
@@ -418,14 +416,7 @@ TEST(Determinism, ChipSimFuzzMatchesGolden)
     rows += chipFanoutRow(61, false) + "\n";
     rows += chipFanoutRow(62, true) + "\n";
     rows += chipDistinctRow(63) + "\n";
-    const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
-    if (env && *env && std::string(env) != "0") {
-        ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
-        GTEST_SKIP() << "golden regenerated";
-    }
-    const std::optional<std::string> golden = readFile(path);
-    ASSERT_TRUE(golden) << "missing " << path;
-    EXPECT_EQ(diffGolden(*golden, rows), "");
+    expectGolden(path, rows);
 }
 
 TEST(Determinism, CoreSimSessionAcrossThreads)

@@ -24,11 +24,12 @@
 #include "cluster/elastic_run.hh"
 #include "common/atomic_file.hh"
 #include "common/codec.hh"
-#include "common/golden.hh"
 #include "obs/tracer.hh"
 #include "resilience/fault_domain.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/thread_pool.hh"
+
+#include "golden_test.hh"
 
 using namespace ascend;
 using cluster::ClusterConfig;
@@ -560,14 +561,7 @@ TEST(ElasticRun, ElasticFuzzMatchesGolden)
     for (unsigned f = 0; f < std::size(kFuzzFaults); ++f)
         for (unsigned o = 0; o < std::size(kFuzzOptions); ++o)
             rows += elasticFuzzRow(f, o) + "\n";
-    const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
-    if (env && *env && std::string(env) != "0") {
-        ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
-        GTEST_SKIP() << "golden regenerated";
-    }
-    const std::optional<std::string> golden = readFile(path);
-    ASSERT_TRUE(golden) << "missing " << path;
-    EXPECT_EQ(diffGolden(*golden, rows), "");
+    expectGolden(path, rows);
 }
 
 // ------------------------------------------------ observability

@@ -27,11 +27,9 @@
 
 #include "arch/core_config.hh"
 #include "cluster/elastic_run.hh"
-#include "common/atomic_file.hh"
 #include "common/codec.hh"
 #include "common/error.hh"
 #include "common/field.hh"
-#include "common/golden.hh"
 #include "graph/agr.hh"
 #include "graph/decoder.hh"
 #include "graph/lower.hh"
@@ -41,6 +39,8 @@
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
 #include "serving/fleet.hh"
+
+#include "golden_test.hh"
 
 using namespace ascend;
 
@@ -506,14 +506,7 @@ TEST(RecordKeys, MatchGolden)
 
     const std::string path =
         std::string(ASCEND_GOLDEN_DIR) + "/record_keys.txt";
-    const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
-    if (env && *env && std::string(env) != "0") {
-        ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
-        GTEST_SKIP() << "golden regenerated";
-    }
-    const std::optional<std::string> golden = readFile(path);
-    ASSERT_TRUE(golden) << "missing " << path;
-    EXPECT_EQ(diffGolden(*golden, rows), "");
+    expectGolden(path, rows);
 }
 
 /** Move @p v to another value with another key word. */

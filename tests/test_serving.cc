@@ -22,7 +22,6 @@
 
 #include "common/atomic_file.hh"
 #include "common/codec.hh"
-#include "common/golden.hh"
 #include "graph/zoo_graphs.hh"
 #include "resilience/fault_domain.hh"
 #include "runtime/perf_stats.hh"
@@ -30,6 +29,8 @@
 #include "runtime/thread_pool.hh"
 #include "serving/fleet.hh"
 #include "soc/training_soc.hh"
+
+#include "golden_test.hh"
 
 using namespace ascend;
 using resilience::CorrelatedFaultSpec;
@@ -217,21 +218,6 @@ TEST(ServingWorkload, BurstsReshapeButPreserveMeanRate)
 
     EXPECT_NE(serving::fingerprint(testTiers(0.05)),
               serving::fingerprint(testTiers(0.06)));
-}
-
-TEST(ServingWorkload, ReplayTraceAssignsTiersDeterministically)
-{
-    const std::vector<QosTier> tiers = testTiers();
-    const std::vector<double> times = {0.0, 0.01, 0.02, 0.5};
-    const std::vector<Request> a = serving::replayTrace(times, tiers, 9);
-    const std::vector<Request> b = serving::replayTrace(times, tiers, 9);
-    ASSERT_EQ(a.size(), times.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].arrivalSec, times[i]);
-        EXPECT_EQ(a[i].id, i);
-        EXPECT_EQ(a[i].tier, b[i].tier);
-        EXPECT_LT(a[i].tier, tiers.size());
-    }
 }
 
 // -------------------------------------------------- latency model
@@ -1054,14 +1040,7 @@ TEST(ServingFleet, FleetFuzzMatchesGolden)
         for (unsigned f = 0; f < std::size(kFuzzFaults); ++f)
             for (unsigned p = 0; p < std::size(kFuzzPolicies); ++p)
                 rows += fleetFuzzRow(l, f, p) + "\n";
-    const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
-    if (env && *env && std::string(env) != "0") {
-        ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
-        GTEST_SKIP() << "golden regenerated";
-    }
-    const std::optional<std::string> golden = readFile(path);
-    ASSERT_TRUE(golden) << "missing " << path;
-    EXPECT_EQ(diffGolden(*golden, rows), "");
+    expectGolden(path, rows);
 }
 
 // ------------------------------------------------- observability
