@@ -16,13 +16,13 @@
  * seeded resilience::FaultSchedule: the output is byte-identical for
  * any ASCEND_THREADS setting (the sweep fans out through
  * runtime::parallelFor with index-ordered rows). `--smoke` runs a
- * reduced grid for CI golden-output comparison.
+ * reduced grid, pinned to tests/golden/bench_fault_tolerance_smoke.txt
+ * (ctest -L bench-golden).
  */
 
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -540,26 +540,12 @@ int
 main(int argc, char **argv)
 {
     bool smoke = false;
-    std::string golden;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
+        if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        } else if (std::strcmp(argv[i], "--golden") == 0 &&
-                   i + 1 < argc) {
-            golden = argv[++i];
-        } else {
-            fatal("unknown flag '%s' (--smoke, --golden <file>)",
-                  argv[i]);
-        }
+        else
+            fatal("unknown flag '%s' (--smoke)", argv[i]);
     }
-
-    // With --golden the bench self-checks its stdout against the
-    // checked-in file through bench::checkGolden, so the whitespace
-    // normalization lives in exactly one place instead of per-CI-job
-    // sed pipelines.
-    std::ostringstream captured;
-    std::streambuf *const saved =
-        golden.empty() ? nullptr : std::cout.rdbuf(captured.rdbuf());
 
     trainingSweep(smoke);
     chipSweep(smoke);
@@ -570,13 +556,5 @@ main(int argc, char **argv)
     const std::vector<ElasticPoint> elastic = elasticSweep(smoke);
     eccCheckpointCurves(smoke);
     writeResilienceJson(elastic);
-
-    if (saved) {
-        std::cout.rdbuf(saved);
-        std::cout << captured.str();
-        if (!bench::checkGolden(captured.str(), golden))
-            return 1;
-        std::cerr << "golden OK: " << golden << "\n";
-    }
     return 0;
 }

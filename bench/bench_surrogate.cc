@@ -15,9 +15,9 @@
  * Everything on stdout is a pure function of the shapes and the
  * simulator — outcome counts, per-family error percentiles, the
  * budget verdict — so the output byte-diffs clean across
- * ASCEND_THREADS settings (the CI `surrogate` job asserts exactly
- * that). Wall-clock seconds and speedups vary run to run and go to
- * stderr and the JSON only.
+ * ASCEND_THREADS settings (tests/golden/bench_surrogate.txt pins it
+ * at 1 and 8). Wall-clock seconds and speedups vary run to run and
+ * go to stderr and the JSON only.
  *
  * Exit status is the error contract: nonzero if the worst observed
  * relative cycle error across every predicted query exceeds the
@@ -160,12 +160,19 @@ runFamily(const Family &family, const soc::TrainingSoc &soc,
         fs.surrogateSec = elapsedSec(start);
     }
 
+    const surrogate::Surrogate grid(sur_opts);
     for (std::size_t i = 0; i < n; ++i) {
         switch (outcome[i]) {
           case surrogate::Outcome::Predicted:
             ++fs.predicted;
             break;
           case surrogate::Outcome::Anchor:
+          case surrogate::Outcome::CacheHit:
+            // Shapes are distinct, so a hit is an on-grid shape that
+            // another query's interpolation already simulated: an
+            // anchor, whichever query reached it first.
+            simAssert(grid.onGrid(family.layers[i]),
+                      "surrogate cache hit on an off-grid shape");
             ++fs.anchors;
             break;
           case surrogate::Outcome::SpotCheck:
@@ -177,7 +184,6 @@ runFamily(const Family &family, const soc::TrainingSoc &soc,
             ++fs.fallbacks;
             break;
           case surrogate::Outcome::Disabled:
-          case surrogate::Outcome::CacheHit:
             break;
         }
         const double ec = double(exactRes[i].totalCycles);

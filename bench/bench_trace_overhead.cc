@@ -13,17 +13,32 @@
  *
  * The assertion is min-of-N T_off <= 1.05 x min-of-N T_base: if the
  * disabled path ever grows a lock, an allocation, or a cache-hostile
- * check, this bench fails (exit 1) and CI goes red. Min-of-N makes
- * the comparison robust to scheduler noise; the paper-table benches
- * depend on the simulator staying this fast.
+ * check, this bench fails (exit 1) and CI goes red. The paper-table
+ * benches depend on the simulator staying this fast.
+ *
+ * A shared host's speed drifts by tens of percent between phases of
+ * one run and within one (a few ms can run 30% fast), and a thread
+ * that migrates can land on a slower core, so T_base and T_off are
+ * not timed one phase after the other. A twin forked before tracing
+ * ever starts times the T_base blocks, this process the T_off
+ * blocks, on one pinned CPU. Each block of at least ~50 ms is a sum
+ * of ~1 ms slices, and the two sides alternate slice by slice, so
+ * every pair of blocks spans the same stretch of host conditions.
  */
 
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
 
 #include "bench/bench_util.hh"
+#include "common/logging.hh"
 #include "compiler/layer_compiler.hh"
 #include "core/core_sim.hh"
 #include "model/layer.hh"
@@ -68,6 +83,12 @@ main()
     // T_base really is the never-activated path.
     obs::Tracer::instance().stop();
 
+    // The twin inherits the pin: both time their blocks on one CPU.
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(::sched_getcpu(), &one);
+    ::sched_setaffinity(0, sizeof one, &one);
+
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
     compiler::LayerCompiler lc(cfg);
     core::CoreSim sim(cfg);
@@ -76,12 +97,34 @@ main()
     const auto prog =
         lc.compile(model::Layer::linear("gemm", 512, 512, 512)).flatten();
 
-    const int iters = 200; // ~several ms per block
+    // Size every block from the warm-up to last at least ~50 ms.
+    const int slice = 50; // sims per slice, ~1 ms
+    const double slice_sec = minOfReps(sim, prog, slice, 3);
+    const int slices = int(std::ceil(0.05 / std::max(slice_sec, 1e-6)));
+    const int iters = slices * slice;
     const int reps = 11;
 
-    minOfReps(sim, prog, iters, 3); // warm caches and frequency
-
-    const double t_base = minOfReps(sim, prog, iters, reps);
+    // The never-activated twin times one slice per byte it reads from
+    // `go` and writes the seconds back.
+    int go[2], back[2];
+    if (::pipe(go) != 0 || ::pipe(back) != 0)
+        fatal("pipe failed");
+    const pid_t twin = ::fork();
+    if (twin < 0)
+        fatal("fork failed");
+    if (twin == 0) {
+        ::close(go[1]);
+        ::close(back[0]);
+        char c;
+        while (::read(go[0], &c, 1) == 1) {
+            const double t = timeBlock(sim, prog, slice);
+            if (::write(back[1], &t, sizeof t) != sizeof t)
+                ::_exit(1);
+        }
+        ::_exit(0);
+    }
+    ::close(go[0]);
+    ::close(back[1]);
 
     double t_on = 0;
     std::size_t spans = 0;
@@ -93,7 +136,23 @@ main()
         std::remove("bench_trace_overhead.json");
     }
 
-    const double t_off = minOfReps(sim, prog, iters, reps);
+    // Alternate T_base (the twin) and T_off (here) slice by slice.
+    double t_base = 0, t_off = 0;
+    for (int r = 0; r < reps; ++r) {
+        double base = 0, off = 0;
+        for (int k = 0; k < slices; ++k) {
+            double t = 0;
+            if (::write(go[1], "b", 1) != 1 ||
+                ::read(back[0], &t, sizeof t) != sizeof t)
+                fatal("never-activated twin died");
+            base += t;
+            off += timeBlock(sim, prog, slice);
+        }
+        t_base = r ? std::min(t_base, base) : base;
+        t_off = r ? std::min(t_off, off) : off;
+    }
+    ::close(go[1]);
+    ::waitpid(twin, nullptr, 0);
 
     bench::banner("Tracer overhead (obs zero-overhead contract)");
     TextTable table("min-of-" + std::to_string(reps) + " block times, " +

@@ -12,10 +12,10 @@
  * prints runtime::simStatsReport at exit: the process cache counters
  * (with hit rate and disk load/store counts), per-scope wall-clock
  * timings and one row per registered runtime counter. The table goes
- * to stderr so the golden-diffed stdout stays byte-identical across
- * runs and thread counts. Rows ending in "~" (cache, threads,
- * timings, Racy counters) may vary with ASCEND_THREADS; the rest
- * must not.
+ * to stderr so stdout, pinned to tests/golden at ASCEND_THREADS 1 and
+ * 8 (ctest -L bench-golden), stays byte-identical across runs and
+ * thread counts. Rows ending in "~" (cache, threads, timings, Racy
+ * counters) may vary with ASCEND_THREADS; the rest must not.
  */
 
 #ifndef ASCEND_BENCH_BENCH_UTIL_HH
@@ -26,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "common/atomic_file.hh"
-#include "common/golden.hh"
 #include "common/table.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/profile.hh"
@@ -65,31 +63,6 @@ banner(const std::string &what)
     std::cout << "\n=================================================\n"
               << what << "\n"
               << "=================================================\n";
-}
-
-/**
- * Golden-diff helper: compare @p actual against the file at
- * @p goldenPath. Trailing-whitespace normalization happens here, in
- * one place, for every bench and CI check — individual benches must
- * not re-normalize. On mismatch prints a per-line diff to stderr and
- * returns false; a missing golden file is also a failure (with a
- * hint to regenerate).
- */
-inline bool
-checkGolden(const std::string &actual, const std::string &goldenPath)
-{
-    const std::optional<std::string> expected = readFile(goldenPath);
-    if (!expected) {
-        std::cerr << "golden: cannot read " << goldenPath
-                  << " (regenerate by redirecting this bench's stdout"
-                     " there)\n";
-        return false;
-    }
-    const std::string diff = diffGolden(*expected, actual);
-    if (diff.empty())
-        return true;
-    std::cerr << "golden mismatch vs " << goldenPath << ":\n" << diff;
-    return false;
 }
 
 /** Print a fusion-group ratio series (Figs. 4-8 format). */

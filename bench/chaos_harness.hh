@@ -12,8 +12,9 @@
  *    briefly so a kill lands mid-run, and writes the report to --out;
  *  - --chaos: runs the reference with a checkpoint directory (the
  *    fleet logs its saves only when persistent). For the kill points
- *    {1, n/2, n-1} of its n events it SIGKILLs a child after the k-th
- *    marker, runs a resume child and byte-diffs its report.
+ *    {d, n/2, n-1} of its n events, d the first event whose marker
+ *    finds a committed checkpoint on disk, it SIGKILLs a child after
+ *    the k-th marker, runs a resume child and byte-diffs its report.
  *
  * A cold re-run writes the same report, so the diff alone cannot tell
  * a resume from a restart. Every save follows its own log line, so a
@@ -40,6 +41,7 @@
 #include <functional>
 #include <iostream>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "common/atomic_file.hh"
@@ -142,6 +144,20 @@ killAfterEvents(std::uint64_t seed, const std::string &ckpt_dir,
 }
 
 /**
+ * True when @p dir holds a committed checkpoint: a *.ckpt file, not a
+ * save's temp file.
+ */
+inline bool
+hasCheckpoint(const std::string &dir)
+{
+    std::error_code ec;
+    std::filesystem::directory_iterator files(dir, ec);
+    return std::any_of(
+        begin(files), end(files),
+        [](const auto &f) { return f.path().extension() == ".ckpt"; });
+}
+
+/**
  * One kill-and-resume experiment in a fresh @p work_dir: true when
  * the resumed report equals @p reference byte for byte and check (a)
  * holds. Sets @p proved when the victim died by SIGKILL and the
@@ -169,11 +185,7 @@ chaosExperiment(std::uint64_t seed, unsigned kill_after,
     const int victim =
         killAfterEvents(seed, ckpt_dir, out_path, kill_after, &markers);
     const bool killed = WIFSIGNALED(victim) && WTERMSIG(victim) == SIGKILL;
-    // A committed checkpoint is a *.ckpt file, not a save's temp file.
-    std::filesystem::directory_iterator files(ckpt_dir, ec);
-    const bool on_disk = std::any_of(
-        begin(files), end(files),
-        [](const auto &f) { return f.path().extension() == ".ckpt"; });
+    const bool on_disk = hasCheckpoint(ckpt_dir);
 
     // Resume (or, if the victim finished first, re-run) to completion.
     const int resumed = killAfterEvents(seed, ckpt_dir, out_path, 0,
@@ -204,8 +216,19 @@ chaosMain(const ChaosScenario &scenario, std::uint64_t seed)
         "chaos_work_" + std::to_string(::getpid());
     std::error_code ec;
     std::filesystem::remove_all(work_dir, ec);
+    // The first kill point is the first event whose marker finds a
+    // committed checkpoint on disk: a victim killed earlier (the
+    // checkpoint's own log line precedes its save) leaves nothing to
+    // resume from.
+    const std::string reference_dir = work_dir + "/reference";
+    unsigned events = 0, first_durable = 0;
     resilience::RunControl control;
-    control.checkpointDir = work_dir + "/reference";
+    control.checkpointDir = reference_dir;
+    control.onEvent = [&](const std::string &) {
+        ++events;
+        if (!first_durable && hasCheckpoint(reference_dir))
+            first_durable = events;
+    };
     const ChaosRun reference = scenario(seed, control);
     const unsigned n = reference.events;
     std::cout << "chaos seed " << seed << ": " << reference.summary
@@ -215,15 +238,18 @@ chaosMain(const ChaosScenario &scenario, std::uint64_t seed)
                   << " events); pick another seed\n";
         return 1;
     }
+    if (first_durable == 0) {
+        std::cerr << "chaos: no event follows a committed checkpoint; "
+                     "pick another seed\n";
+        return 1;
+    }
 
-    // Kill at >= 3 event boundaries spread across the run (n = 3
-    // names event 1 twice).
+    // Kill at up to 3 distinct event boundaries spread across the
+    // run, each with a checkpoint to resume from.
     bool ok = true, proved = false;
-    unsigned last = 0;
-    for (unsigned k : {1u, n / 2, n - 1}) {
-        if (k == last)
+    for (unsigned k : std::set<unsigned>{first_durable, n / 2, n - 1}) {
+        if (k < first_durable)
             continue;
-        last = k;
         const bool pass =
             chaosExperiment(seed, k, reference, work_dir, &proved);
         std::cout << "  kill after event " << k << ": "

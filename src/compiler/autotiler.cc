@@ -5,7 +5,6 @@
 
 #include "compiler/autotiler.hh"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/error.hh"
@@ -28,8 +27,7 @@ AutoTiler::compileWithTile(const model::Layer &layer,
 }
 
 TileSearchResult
-AutoTiler::search(const model::Layer &layer,
-                  unsigned max_candidates) const
+AutoTiler::search(const model::Layer &layer) const
 {
     if (!layer.isCubeLayer())
         throwError(ErrorCode::ConfigValidation,
@@ -66,7 +64,6 @@ AutoTiler::search(const model::Layer &layer,
     const auto ks = candidates_for(k, shape.k0);
     const auto ns = candidates_for(n, shape.n0);
 
-    std::vector<GemmTile> space;
     for (std::uint64_t mt : ms) {
         for (std::uint64_t kt : ks) {
             for (std::uint64_t nt : ns) {
@@ -74,25 +71,16 @@ AutoTiler::search(const model::Layer &layer,
                     kt * nt * es * 2 > config_.l0bBytes ||
                     mt * nt * 4 * 2 > config_.l0cBytes)
                     continue;
-                space.push_back(GemmTile{mt, kt, nt});
+                const GemmTile tile{mt, kt, nt};
+                const Cycles cycles =
+                    sim_.run(lc.compileGemmWithTile(layer, tile))
+                        .totalCycles;
+                ++result.candidatesTried;
+                if (cycles < result.bestCycles) {
+                    result.bestCycles = cycles;
+                    result.best = tile;
+                }
             }
-        }
-    }
-    // Largest tiles first: per-instruction overheads favour them.
-    std::sort(space.begin(), space.end(),
-              [](const GemmTile &a, const GemmTile &b) {
-                  return a.mt * a.kt * a.nt > b.mt * b.kt * b.nt;
-              });
-    if (space.size() > max_candidates)
-        space.resize(max_candidates);
-
-    for (const GemmTile &tile : space) {
-        const Cycles cycles =
-            sim_.run(lc.compileGemmWithTile(layer, tile)).totalCycles;
-        ++result.candidatesTried;
-        if (cycles < result.bestCycles) {
-            result.bestCycles = cycles;
-            result.best = tile;
         }
     }
     return result;

@@ -52,14 +52,12 @@ class AutoTiler
     /**
      * Enumerate legitimate tiles for @p layer (fractal multiples that
      * fit the double-buffered L0s), simulate each, and return the
-     * fastest together with the heuristic baseline. Throws
-     * ascend::Error(ConfigValidation) when @p layer is not GEMM-like.
-     *
-     * @param max_candidates Cap on simulated candidates (the space is
-     *        pruned largest-tiles-first, which is where optima live).
+     * fastest together with the heuristic baseline. The space holds
+     * at most 6 tiles per dimension (216 in all), so every one is
+     * simulated. Throws ascend::Error(ConfigValidation) when @p layer
+     * is not GEMM-like.
      */
-    TileSearchResult search(const model::Layer &layer,
-                            unsigned max_candidates = 64) const;
+    TileSearchResult search(const model::Layer &layer) const;
 
     /** Compile @p layer with an explicitly chosen tile. */
     isa::Program compileWithTile(const model::Layer &layer,

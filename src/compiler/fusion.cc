@@ -5,46 +5,27 @@
 
 #include "compiler/fusion.hh"
 
+#include "compiler/layer_compiler.hh"
+
 namespace ascend {
 namespace compiler {
 
 namespace {
 
-/** Vector passes a fused layer adds to the producer's eviction. */
-double
-fusedPasses(const model::Layer &layer)
-{
-    using model::LayerKind;
-    switch (layer.kind) {
-      case LayerKind::BatchNorm:
-        return 2.0;
-      case LayerKind::Elementwise:
-        return 1.0;
-      case LayerKind::Activation:
-        switch (layer.act) {
-          case model::ActKind::Relu:
-          case model::ActKind::Relu6:
-            return 1.0;
-          case model::ActKind::Sigmoid:
-            return 2.0;
-          default:
-            return 3.0; // gelu / swish
-        }
-      default:
-        return -1.0; // not fusable
-    }
-}
-
 /**
- * A layer is fusable into @p producer only when it operates on the
- * producer's output volume elementwise (same element count).
+ * A layer is fusable into @p producer only when it is pointwise
+ * (BatchNorm, Elementwise, Activation) and operates on the producer's
+ * output volume (same element count).
  */
 bool
 fusable(const model::Layer &producer, const model::Layer &candidate)
 {
-    if (fusedPasses(candidate) < 0)
-        return false;
-    return candidate.inputBytes() == producer.outputBytes();
+    using model::LayerKind;
+    const LayerKind kind = candidate.kind;
+    return (kind == LayerKind::BatchNorm ||
+            kind == LayerKind::Elementwise ||
+            kind == LayerKind::Activation) &&
+           candidate.inputBytes() == producer.outputBytes();
 }
 
 } // anonymous namespace
@@ -57,7 +38,8 @@ fuseNetwork(const model::Network &net, FusionReport *report)
     for (const model::Layer &layer : net.layers) {
         if (!fused.layers.empty() && fused.layers.back().isCubeLayer() &&
             fusable(fused.layers.back(), layer)) {
-            fused.layers.back().fusedEvictPasses += fusedPasses(layer);
+            fused.layers.back().fusedEvictPasses +=
+                LayerCompiler::vectorPasses(layer);
             continue;
         }
         fused.add(layer);

@@ -134,15 +134,19 @@ class LayerCompiler
 
     const core::CostModel &costModel() const { return cost_; }
 
+    /**
+     * Datapath passes the vector unit needs for vector layer
+     * @p layer; fusion adds the same passes to a cube layer's
+     * eviction.
+     */
+    static double vectorPasses(const model::Layer &layer);
+
   private:
     void compileGemm(isa::Program &prog, const model::Layer &layer,
                      const GemmTile &tile) const;
     void compileVector(isa::Program &prog, const model::Layer &layer) const;
     void compileVectorGemm(isa::Program &prog,
                            const model::Layer &layer) const;
-
-    /** Datapath passes the vector unit needs for @p layer. */
-    static double vectorPasses(const model::Layer &layer);
 
     /** img2col expansion factor (expanded bytes / unique input bytes). */
     static double im2colExpansion(const model::Layer &layer);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hh"
 #include "compiler/autotiler.hh"
 
@@ -22,7 +24,7 @@ TEST(AutoTiler, NeverLosesToHeuristic)
          {Layer::linear("a", 384, 1024, 4096),
           Layer::linear("b", 17, 33, 65),
           Layer::conv2d("c", 1, 64, 28, 28, 128, 3, 1, 1)}) {
-        const auto r = tiler.search(layer, 32);
+        const auto r = tiler.search(layer);
         EXPECT_LE(r.bestCycles, r.heuristicCycles) << layer.name;
         EXPECT_GT(r.candidatesTried, 0u);
     }
@@ -32,8 +34,7 @@ TEST(AutoTiler, BestTileFitsBuffers)
 {
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Lite);
     AutoTiler tiler(cfg);
-    const auto r =
-        tiler.search(Layer::linear("fc", 512, 512, 512), 48);
+    const auto r = tiler.search(Layer::linear("fc", 512, 512, 512));
     EXPECT_LE(r.best.mt * r.best.kt * 2 * 2, cfg.l0aBytes);
     EXPECT_LE(r.best.kt * r.best.nt * 2 * 2, cfg.l0bBytes);
     EXPECT_LE(r.best.mt * r.best.nt * 4 * 2, cfg.l0cBytes);
@@ -55,12 +56,39 @@ TEST(AutoTiler, ExplicitTileCompilesAndRuns)
     EXPECT_GT(r_tiny.totalCycles, 2 * r_big.totalCycles);
 }
 
-TEST(AutoTiler, CandidateCapIsRespected)
+TEST(AutoTiler, SearchesTheWholeLegitimateSpace)
 {
-    AutoTiler tiler(arch::makeCoreConfig(arch::CoreVersion::Max));
-    const auto r =
-        tiler.search(Layer::linear("fc", 2048, 2048, 2048), 8);
-    EXPECT_LE(r.candidatesTried, 8u);
+    // Max's 64 KiB L0A/L0B and 256 KiB L0C admit more than 64 of the
+    // 6^3 fractal-multiple tiles of a 512-cube GEMM: every one must be
+    // simulated, and the best must be the argmin over all of them.
+    const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
+    const Layer layer = Layer::linear("fc", 512, 512, 512);
+    AutoTiler tiler(cfg);
+    core::CoreSim sim(cfg);
+    const auto r = tiler.search(layer);
+
+    Cycles best = r.heuristicCycles;
+    unsigned legitimate = 0;
+    for (std::uint64_t mt = 16; mt <= 512; mt *= 2) {
+        for (std::uint64_t kt = 16; kt <= 512; kt *= 2) {
+            for (std::uint64_t nt = 16; nt <= 512; nt *= 2) {
+                if (mt * kt * 2 * 2 > cfg.l0aBytes ||
+                    kt * nt * 2 * 2 > cfg.l0bBytes ||
+                    mt * nt * 4 * 2 > cfg.l0cBytes)
+                    continue;
+                ++legitimate;
+                best = std::min(
+                    best,
+                    sim.run(tiler.compileWithTile(layer, {mt, kt, nt}))
+                        .totalCycles);
+            }
+        }
+    }
+    EXPECT_GT(legitimate, 64u);
+    EXPECT_EQ(r.candidatesTried, legitimate);
+    EXPECT_EQ(r.bestCycles, best);
+    EXPECT_EQ(sim.run(tiler.compileWithTile(layer, r.best)).totalCycles,
+              best);
 }
 
 TEST(AutoTiler, VectorLayerRejected)

@@ -122,7 +122,7 @@ TEST(NegativeTiles, OversizeTileRejected)
                 ErrorCode::TileTooLarge, "positive");
 
     // A legitimate searched tile still compiles and simulates.
-    const auto found = tiler.search(fc, 8);
+    const auto found = tiler.search(fc);
     EXPECT_GT(found.candidatesTried, 0u);
     EXPECT_GT(tiler.compileWithTile(fc, found.best).size(), 0u);
 }

@@ -104,8 +104,8 @@ TEST(TilingProperties, SearchedTilesFitDoubleBufferedL0)
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Lite);
     const compiler::AutoTiler tiler(cfg);
     for (const Shape &s : randomShapes(0xbead, 4, 512)) {
-        const auto r = tiler.search(
-            model::Layer::linear("fc", s.m, s.k, s.n), 16);
+        const auto r =
+            tiler.search(model::Layer::linear("fc", s.m, s.k, s.n));
         EXPECT_LE(r.best.mt * r.best.kt * 2 * 2, cfg.l0aBytes);
         EXPECT_LE(r.best.kt * r.best.nt * 2 * 2, cfg.l0bBytes);
         EXPECT_LE(r.best.mt * r.best.nt * 4 * 2, cfg.l0cBytes);
