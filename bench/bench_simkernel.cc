@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: core
  * scheduling throughput, compiler lowering speed, LLC access rate,
- * chip-sim event rate and mesh-NoC cycle rate. These guard the
+ * chip-sim event rate, mesh-NoC cycle rate and the fleet serving
+ * loop under overload. These guard the
  * simulator's own performance (the table/figure benches above depend
  * on it staying fast enough to sweep).
  */
@@ -18,6 +19,7 @@
 #include "noc/mesh.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
+#include "serving/fleet.hh"
 #include "soc/chip_sim.hh"
 
 using namespace ascend;
@@ -188,6 +190,59 @@ BM_MeshCycle(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_MeshCycle);
+
+/**
+ * One runFleet of about 10k requests at 2x saturation on 8 replicas
+ * (batches up to 32), a quarter of them stragglers at 1.5x: either
+ * ungoverned with hedging (the backlog grows all run) or with
+ * admission, the expired-at-dispatch drop and closed-loop re-offers.
+ * Items are offered requests.
+ */
+void
+BM_FleetOverload(benchmark::State &state, bool shed)
+{
+    const auto model = serving::BatchLatencyModel::linear(2e-3, 2.5e-4, 32);
+    const double lb = model.latencySeconds(32);
+    serving::QosTier premium;
+    premium.deadlineSec = 5.0 * lb;
+    premium.share = 0.2;
+    premium.sheddable = false;
+    premium.reservedSlots = 2;
+    serving::QosTier standard;
+    standard.deadlineSec = 3.0 * lb;
+    standard.share = 0.8;
+    const std::vector<serving::QosTier> tiers{premium, standard};
+
+    serving::ArrivalSpec arr;
+    arr.seed = 11;
+    arr.ratePerSec = 2.0 * model.saturationRequestsPerSec(8);
+    arr.horizonSec = 1e4 / arr.ratePerSec;
+    const auto arrivals = serving::generateArrivals(arr, tiers);
+    resilience::FaultSpec spec;
+    spec.seed = 11;
+    spec.horizonSec = arr.horizonSec;
+    spec.cores = 8;
+    spec.stragglerFraction = 0.25;
+    spec.stragglerSlowdown = 1.5;
+    const auto faults = resilience::FaultSchedule::generate(spec);
+
+    serving::FleetOptions o;
+    o.replicas = 8;
+    o.admission.enabled = shed;
+    o.hedge.enabled = !shed;
+    o.hedge.afterSec = 1.25 * lb;
+    o.reoffer.enabled = shed;
+    o.reoffer.delaySec = 2.0 * lb;
+    std::uint64_t offered = 0;
+    for (auto _ : state) {
+        const auto r = serving::runFleet(arrivals, tiers, model, faults, o);
+        offered += r.offered;
+        benchmark::DoNotOptimize(r.p99);
+    }
+    state.SetItemsProcessed(std::int64_t(offered));
+}
+BENCHMARK_CAPTURE(BM_FleetOverload, hedge, false);
+BENCHMARK_CAPTURE(BM_FleetOverload, shed, true);
 
 } // anonymous namespace
 

@@ -59,18 +59,80 @@ RequestQueue::DispatchOrder::operator()(const Entry &a,
     return a.seq < b.seq;
 }
 
-std::size_t
-RequestQueue::size() const
+bool
+RequestQueue::TierQueue::frontInHeap() const
 {
-    std::size_t n = waiting_.size();
-    for (const TierSet &set : eligible_)
-        n += set.size();
-    return n;
+    return !heap.empty() &&
+           (run.empty() || DispatchOrder{}(heap.front(), run.front()));
+}
+
+const RequestQueue::Entry &
+RequestQueue::TierQueue::front() const
+{
+    return frontInHeap() ? heap.front() : run.front();
+}
+
+void
+RequestQueue::TierQueue::push(const Entry &e)
+{
+    if (run.empty() || !DispatchOrder{}(e, run.back())) {
+        run.push_back(e);
+        return;
+    }
+    heap.push_back(e);
+    std::push_heap(heap.begin(), heap.end(), sortsAfter);
+}
+
+RequestQueue::Entry
+RequestQueue::TierQueue::pop()
+{
+    if (frontInHeap()) {
+        std::pop_heap(heap.begin(), heap.end(), sortsAfter);
+        const Entry e = heap.back();
+        heap.pop_back();
+        return e;
+    }
+    const Entry e = run.front();
+    run.pop_front();
+    trim();
+    return e;
+}
+
+void
+RequestQueue::TierQueue::trim()
+{
+    while (!run.empty() && run.front().dead)
+        run.pop_front();
+    while (!run.empty() && run.back().dead)
+        run.pop_back();
+}
+
+std::size_t
+RequestQueue::TierQueue::killInRun(const PendingRequest &w)
+{
+    Entry first;
+    first.req.deadlineSec = w.deadlineSec;
+    first.req.id = w.id;
+    first.group = std::numeric_limits<std::int64_t>::min();
+    std::size_t killed = 0;
+    for (auto it = std::lower_bound(run.begin(), run.end(), first,
+                                    DispatchOrder{});
+         it != run.end() && it->req.deadlineSec == w.deadlineSec &&
+         it->req.id == w.id;
+         ++it) {
+        if (it->req.hedged && !it->dead) {
+            it->dead = true;
+            ++killed;
+        }
+    }
+    trim();
+    return killed;
 }
 
 void
 RequestQueue::push(const PendingRequest &r, double t)
 {
+    ++size_;
     Entry e{r, 0, nextSeq_++};
     if (r.eligibleSec > t) {
         waiting_.push_back(e);
@@ -78,9 +140,15 @@ RequestQueue::push(const PendingRequest &r, double t)
                        wakesLater<Entry>);
         return;
     }
-    if (r.tier >= eligible_.size())
-        eligible_.resize(r.tier + 1);
-    eligible_[r.tier].insert(e);
+    insertEligible(e);
+}
+
+void
+RequestQueue::insertEligible(const Entry &e)
+{
+    if (e.req.tier >= eligible_.size())
+        eligible_.resize(e.req.tier + 1);
+    eligible_[e.req.tier].push(e);
 }
 
 void
@@ -95,9 +163,7 @@ RequestQueue::promote(double t)
         // the next dispatch sorts ahead of every equal-key entry that
         // was already eligible.
         e.group = e.seq < stamp_ ? frontGroup() : 0;
-        if (e.req.tier >= eligible_.size())
-            eligible_.resize(e.req.tier + 1);
-        eligible_[e.req.tier].insert(e);
+        insertEligible(e);
     }
 }
 
@@ -131,34 +197,25 @@ RequestQueue::purge(double t, bool shed_expired)
 {
     if (!unpurged_.empty()) {
         // Every instance of a request shares its deadline and tier, so
-        // the deadline-ordered tier set finds them by lookup.
-        for (const PendingRequest &w : unpurged_) {
-            if (w.tier >= eligible_.size())
-                continue;
-            TierSet &set = eligible_[w.tier];
-            Entry first;
-            first.req.deadlineSec = w.deadlineSec;
-            first.req.id = w.id;
-            first.group = std::numeric_limits<std::int64_t>::min();
-            auto it = set.lower_bound(first);
-            while (it != set.end() &&
-                   it->req.deadlineSec == w.deadlineSec &&
-                   it->req.id == w.id)
-                it = it->req.hedged ? set.erase(it) : std::next(it);
-        }
+        // a binary search of the tier's run finds them.
+        for (const PendingRequest &w : unpurged_)
+            if (w.tier < eligible_.size())
+                size_ -= eligible_[w.tier].killInRun(w);
         unpurged_.clear();
         // No hedged instance of an id answered before is queued again,
-        // so the ledger names exactly the new losers.
+        // so the ledger names exactly the new losers of the heaps.
         const auto lost = [&](const Entry &e) {
             return e.req.hedged && answered(e.req.id);
         };
-        const auto end =
-            std::remove_if(waiting_.begin(), waiting_.end(), lost);
-        if (end != waiting_.end()) {
-            waiting_.erase(end, waiting_.end());
-            std::make_heap(waiting_.begin(), waiting_.end(),
-                           wakesLater<Entry>);
-        }
+        const auto dropLost = [&](std::vector<Entry> &heap, auto order) {
+            const std::size_t n = std::erase_if(heap, lost);
+            if (n)
+                std::make_heap(heap.begin(), heap.end(), order);
+            size_ -= n;
+        };
+        for (TierQueue &tier : eligible_)
+            dropLost(tier.heap, sortsAfter);
+        dropLost(waiting_, wakesLater<Entry>);
     }
     if (!shed_expired)
         return {};
@@ -169,11 +226,9 @@ RequestQueue::purge(double t, bool shed_expired)
         bool waiting;
     };
     std::vector<Expired> expired;
-    for (TierSet &set : eligible_)
-        while (!set.empty() && t > set.begin()->req.deadlineSec) {
-            expired.push_back({*set.begin(), false});
-            set.erase(set.begin());
-        }
+    for (TierQueue &tier : eligible_)
+        while (!tier.empty() && t > tier.front().req.deadlineSec)
+            expired.push_back({tier.pop(), false});
     const auto end = std::remove_if(
         waiting_.begin(), waiting_.end(), [&](const Entry &e) {
             if (!(t > e.req.deadlineSec))
@@ -186,6 +241,7 @@ RequestQueue::purge(double t, bool shed_expired)
         std::make_heap(waiting_.begin(), waiting_.end(),
                        wakesLater<Entry>);
     }
+    size_ -= expired.size();
     std::sort(expired.begin(), expired.end(),
               [this](const Expired &a, const Expired &b) {
                   return sequenceBefore(a.entry, a.waiting, b.entry,
@@ -203,32 +259,28 @@ RequestQueue::takeBatch(double t, std::size_t cap,
                         const std::vector<QosTier> &tiers)
 {
     promote(t);
-    if (std::all_of(eligible_.begin(), eligible_.end(),
-                    [](const TierSet &set) { return set.empty(); }))
+    if (size_ == waiting_.size())
         return {};
 
     std::vector<PendingRequest> batch;
-    const auto take = [&](TierSet &set) {
-        batch.push_back(set.begin()->req);
-        set.erase(set.begin());
-    };
     const std::size_t reserving = std::min(tiers.size(), eligible_.size());
     for (std::size_t ti = 0; ti < reserving && batch.size() < cap; ++ti)
         for (unsigned got = 0; got < tiers[ti].reservedSlots &&
                                batch.size() < cap && !eligible_[ti].empty();
              ++got)
-            take(eligible_[ti]);
-    // The remainder: a k-way merge of the tier sets' fronts.
+            batch.push_back(eligible_[ti].pop().req);
+    // The remainder: a k-way merge of the tiers' fronts.
     while (batch.size() < cap) {
-        TierSet *best = nullptr;
-        for (TierSet &set : eligible_)
-            if (!set.empty() &&
-                (!best || DispatchOrder{}(*set.begin(), *best->begin())))
-                best = &set;
+        TierQueue *best = nullptr;
+        for (TierQueue &tier : eligible_)
+            if (!tier.empty() &&
+                (!best || DispatchOrder{}(tier.front(), best->front())))
+                best = &tier;
         if (!best)
             break;
-        take(*best);
+        batch.push_back(best->pop().req);
     }
+    size_ -= batch.size();
     stamp_ = nextSeq_;
     ++dispatches_;
     return batch;
@@ -241,6 +293,10 @@ RequestQueue::nextWake(double t)
     double next = waiting_.empty()
                       ? std::numeric_limits<double>::infinity()
                       : waiting_.front().req.eligibleSec;
+    if (reoffers_.empty())
+        return next;
+    if (reoffers_.front().req.eligibleSec > t)
+        return std::min(next, reoffers_.front().req.eligibleSec);
     // A re-offer due at or before t (zero think time) does not wake
     // the fleet; look past it, then put it back.
     const std::vector<Entry> due = popDueReoffers(t);
@@ -277,6 +333,8 @@ RequestQueue::popDueReoffers(double t)
 std::vector<PendingRequest>
 RequestQueue::takeDueReoffers(double t)
 {
+    if (reoffers_.empty() || reoffers_.front().req.eligibleSec > t)
+        return {};
     return inPushOrder(popDueReoffers(t));
 }
 
@@ -285,9 +343,13 @@ RequestQueue::entries() const
 {
     std::vector<std::pair<Entry, bool>> all;
     all.reserve(size());
-    for (const TierSet &set : eligible_)
-        for (const Entry &e : set)
+    for (const TierQueue &tier : eligible_) {
+        for (const Entry &e : tier.run)
+            if (!e.dead)
+                all.emplace_back(e, false);
+        for (const Entry &e : tier.heap)
             all.emplace_back(e, false);
+    }
     for (const Entry &e : waiting_)
         all.emplace_back(e, true);
     std::sort(all.begin(), all.end(),

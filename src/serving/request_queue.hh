@@ -16,10 +16,22 @@
  * queue, and a run under overload would cost O(events x queue). The
  * queue keeps the same order with ordered structures instead:
  *
- *  - one set per QoS tier of the eligible entries, ordered by
- *    requestBefore and then by a tie rank. The deadline-ordered set
- *    is also the index a purge uses: expired entries sit at its
- *    front, and every instance of one request shares its deadline;
+ *  - per QoS tier, the eligible entries in dispatch order: requestBefore
+ *    and then a tie rank. Each tier keeps them in two parts:
+ *     - a sorted run, a deque in dispatch order. A push goes to its
+ *       back when it does not sort before the current back. Fresh
+ *       arrivals and re-offers almost always do: their deadline is
+ *       arrival + tier SLO, and arrivals reach the queue in time
+ *       order;
+ *     - a side min-heap in dispatch order for everything else:
+ *       retries promoted from backoff, hedge copies, and a fresh
+ *       entry whose deadline ties the back's with a smaller id.
+ *    The tier's front is the lesser of the run's head and the heap's
+ *    top, so expired entries sit at the front. Every instance of one
+ *    request shares its deadline and tier, so a binary search of the
+ *    run on (deadline, id) finds the hedge losers a purge drops; they
+ *    are marked dead in place (never at either end of the run). A
+ *    purge removes the side heap's losers in one pass;
  *  - a min-heap of the entries that are not yet eligible (retry
  *    backoff), keyed by (eligibleSec, push seq);
  *  - a min-heap of pending closed-loop re-offers, keyed by
@@ -57,7 +69,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <set>
+#include <deque>
 #include <unordered_set>
 #include <vector>
 
@@ -106,8 +118,8 @@ class RequestQueue
 {
   public:
     /** Entries queued, losers and expired ones included until purge. */
-    std::size_t size() const;
-    bool empty() const { return size() == 0; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
 
     /** Queue @p r at instant @p t; eligible now iff eligibleSec <= t. */
     void push(const PendingRequest &r, double t);
@@ -176,17 +188,44 @@ class RequestQueue
         PendingRequest req;
         std::int64_t group = 0; ///< tie rank, major
         std::uint64_t seq = 0;  ///< push ordinal, tie rank minor
+        bool dead = false;      ///< hedge loser left in a sorted run
     };
 
-    /** Eligible-set order: requestBefore, then (group, seq). */
+    /** Eligible-entry order: requestBefore, then (group, seq). */
     struct DispatchOrder
     {
         bool operator()(const Entry &a, const Entry &b) const;
     };
 
-    using TierSet = std::set<Entry, DispatchOrder>;
+    /** DispatchOrder reversed: std::*_heap's "less" for a min-heap. */
+    static bool
+    sortsAfter(const Entry &a, const Entry &b)
+    {
+        return DispatchOrder{}(b, a);
+    }
 
-    /** Move every waiting entry due at @p t into its tier set. */
+    /** One tier's eligible entries: a sorted run and a side heap. */
+    struct TierQueue
+    {
+        std::deque<Entry> run;   ///< in DispatchOrder, live at both ends
+        std::vector<Entry> heap; ///< min-heap in DispatchOrder
+
+        bool empty() const { return run.empty() && heap.empty(); }
+        /** Whether the front is the heap's top (else the run's head). */
+        bool frontInHeap() const;
+        const Entry &front() const;
+        void push(const Entry &e);
+        Entry pop();
+        /** Mark the hedged instances of @p w in the run dead; count. */
+        std::size_t killInRun(const PendingRequest &w);
+        /** Drop dead entries from both ends of the run. */
+        void trim();
+    };
+
+    /** Queue @p e in its tier, growing the tier list as needed. */
+    void insertEligible(const Entry &e);
+
+    /** Move every waiting entry due at @p t into its tier. */
     void promote(double t);
 
     /** Pop the re-offers due at @p t, in heap order. */
@@ -199,11 +238,12 @@ class RequestQueue
     /** Tie group of entries promoted before the next dispatch. */
     std::int64_t frontGroup() const { return -(dispatches_ + 1); }
 
-    std::vector<TierSet> eligible_; ///< indexed by tier
-    std::vector<Entry> waiting_;    ///< min-heap on (eligibleSec, seq)
-    std::vector<Entry> reoffers_;   ///< min-heap on (eligibleSec, seq)
+    std::vector<TierQueue> eligible_; ///< indexed by tier
+    std::vector<Entry> waiting_;      ///< min-heap on (eligibleSec, seq)
+    std::vector<Entry> reoffers_;     ///< min-heap on (eligibleSec, seq)
     std::unordered_set<std::uint64_t> answered_; ///< first fates
     std::vector<PendingRequest> unpurged_; ///< winners since purge
+    std::size_t size_ = 0; ///< live entries, eligible and waiting
     std::uint64_t nextSeq_ = 0;
     std::uint64_t nextReofferSeq_ = 0;
     std::uint64_t stamp_ = 0;     ///< nextSeq_ at the last dispatch

@@ -179,6 +179,24 @@ sameList(const std::vector<PendingRequest> &want,
 }
 
 /**
+ * The operations of a runSequence: each step draws one of @c kinds
+ * (a kind listed twice is twice as likely), @c ops steps in all, and
+ * every tier deadline is scaled by @c deadlineScale. The default lists
+ * kinds 0-9 once each; 10 and 11 aim hedging at the newest requests,
+ * whose instances sit in the middle of a backlogged run.
+ * The serialized order is compared after every @c orderEvery-th step
+ * (sorting a backlog of thousands every step would dominate the run);
+ * batches, sheds, size and wake-ups after every step.
+ */
+struct SequenceMix
+{
+    std::vector<unsigned> kinds{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+    unsigned ops = 600;
+    double deadlineScale = 1;
+    unsigned orderEvery = 1;
+};
+
+/**
  * One seeded operation sequence. Times and deadlines sit on a coarse
  * grid, so equal deadlines across ids, equal eligibility instants and
  * exact equal-key ties (hedge copies and retries of one (id, attempt))
@@ -186,7 +204,7 @@ sameList(const std::vector<PendingRequest> &want,
  * request that was already answered.
  */
 void
-runSequence(std::uint64_t seed)
+runSequence(std::uint64_t seed, const SequenceMix &mix = {})
 {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
@@ -194,7 +212,7 @@ runSequence(std::uint64_t seed)
     const unsigned n_tiers = 1 + unsigned(rng.uniform(3));
     std::vector<QosTier> tiers(n_tiers);
     for (QosTier &q : tiers) {
-        q.deadlineSec = grid * double(2 + rng.uniform(8));
+        q.deadlineSec = grid * double(2 + rng.uniform(8)) * mix.deadlineScale;
         q.reservedSlots = unsigned(rng.uniform(3));
     }
     const bool shed_expired = rng.chance(0.7);
@@ -224,9 +242,15 @@ runSequence(std::uint64_t seed)
         return r;
     };
 
-    for (unsigned op = 0; op < 600; ++op) {
+    // A request among the newest few issued.
+    const auto recent = [&](std::size_t span) {
+        return issued.size() - 1 -
+               rng.uniform(std::min(span, issued.size()));
+    };
+
+    for (unsigned op = 0; op < mix.ops; ++op) {
         SCOPED_TRACE("op " + std::to_string(op));
-        switch (rng.uniform(10)) {
+        switch (mix.kinds[rng.uniform(mix.kinds.size())]) {
           case 0:
           case 1:
           case 2: { // fresh arrivals, often several at one instant
@@ -314,6 +338,28 @@ runSequence(std::uint64_t seed)
             }
             break;
           }
+          case 10: { // a hedge copy of a new request: often the run's back
+            if (issued.empty())
+                break;
+            const std::size_t k = recent(8);
+            if (answered[k])
+                break;
+            PendingRequest r = issued[k];
+            r.hedged = 1;
+            r.copy = 1;
+            r.eligibleSec = t;
+            push(r);
+            break;
+          }
+          case 11: { // a new hedged request answers
+            if (issued.empty())
+                break;
+            const std::size_t k = recent(64);
+            answered[k] = 1;
+            ASSERT_EQ(queue.answer(issued[k]), ref.answer(issued[k].id))
+                << "answer " << issued[k].id;
+            break;
+          }
           default: { // time advances, sometimes with a checkpoint resume
             t += grid * double(rng.uniform(3));
             break;
@@ -321,7 +367,9 @@ runSequence(std::uint64_t seed)
         }
         ASSERT_EQ(queue.size(), ref.queue.size());
         ASSERT_EQ(queue.empty(), ref.queue.empty());
-        ASSERT_TRUE(sameList(ref.queue, queue.entries()));
+        if (op % mix.orderEvery == 0) {
+            ASSERT_TRUE(sameList(ref.queue, queue.entries()));
+        }
         ASSERT_TRUE(sameList(ref.reoffers, queue.reoffers()));
         ASSERT_EQ(queue.nextWake(t), ref.nextWake(t)) << "at " << t;
         ASSERT_EQ(queue.answeredIds(), ref.answered);
@@ -342,6 +390,59 @@ TEST(RequestQueue, MatchesVectorQueueOnRandomSequences)
         if (HasFatalFailure())
             return;
     }
+}
+
+TEST(RequestQueue, MatchesVectorQueueUnderSustainedOverload)
+{
+    // Arrival steps outnumber dispatches eight to one and deadlines are
+    // a hundred times longer, so each tier's run backs up to thousands
+    // of entries: hedge copies of new requests land at its back and
+    // lose in its middle, retries and old copies fill the side heaps,
+    // and checkpoint resumes rebuild the whole backlog.
+    SequenceMix overload;
+    overload.kinds = {0, 1, 2, 0, 1, 2, 0, 1, 3, 3, 10,
+                      10, 4, 11, 11, 5, 5, 6, 8, 9, 9};
+    overload.ops = 5000;
+    overload.deadlineScale = 100;
+    overload.orderEvery = 10;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        runSequence(seed, overload);
+        if (HasFatalFailure())
+            return;
+    }
+
+    // A re-offer comes back first, then an arrival with a smaller id
+    // and the same deadline: the later push sorts first.
+    std::vector<QosTier> tiers(1);
+    RequestQueue queue;
+    VectorQueue ref;
+    PendingRequest reoffer;
+    reoffer.id = 1u << 20;
+    reoffer.eligibleSec = 0.5;
+    queue.pushReoffer(reoffer);
+    ref.reoffers.push_back(reoffer);
+    const std::vector<PendingRequest> due = ref.takeDueReoffers(0.5);
+    ASSERT_TRUE(sameList(due, queue.takeDueReoffers(0.5)));
+    PendingRequest back = due[0];
+    back.arrivalSec = 0.5;
+    back.deadlineSec = 1.5;
+    PendingRequest arrival = back;
+    arrival.id = 7;
+    PendingRequest later = back;
+    later.id = 8;
+    later.deadlineSec = 1.6;
+    for (const PendingRequest &r : {back, arrival, later}) {
+        queue.push(r, 0.5);
+        ref.push(r);
+    }
+    EXPECT_TRUE(sameList(ref.queue, queue.entries()));
+    const std::vector<PendingRequest> first = ref.takeBatch(0.5, 1, tiers);
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first[0].id, 7u);
+    EXPECT_TRUE(sameList(first, queue.takeBatch(0.5, 1, tiers)));
+    EXPECT_TRUE(sameList(ref.takeBatch(0.5, 2, tiers),
+                         queue.takeBatch(0.5, 2, tiers)));
+    EXPECT_TRUE(queue.empty());
 }
 
 TEST(RequestQueue, WaitingEntrySortsAheadOfEarlierEligibleTwin)

@@ -378,6 +378,62 @@ TEST(ServingFleet, QueueCapacityShedsOutright)
     EXPECT_EQ(r.completed + r.shed, r.offered);
 }
 
+TEST(ServingFleet, PercentilesFollowTheRankRule)
+{
+    // Nearest rank: sorted[max(ceil(q n), 1) - 1] of the returned
+    // latencies, and 0 when nothing completed.
+    const auto expectRanks = [](const FleetResult &r) {
+        std::vector<double> sorted = r.latencies;
+        std::sort(sorted.begin(), sorted.end());
+        const auto rank = [&](double q) {
+            if (sorted.empty())
+                return 0.0;
+            const auto k = std::size_t(std::ceil(q * double(sorted.size())));
+            return sorted[std::max<std::size_t>(k, 1) - 1];
+        };
+        EXPECT_EQ(r.p50, rank(0.50));
+        EXPECT_EQ(r.p99, rank(0.99));
+        EXPECT_EQ(r.p999, rank(0.999));
+    };
+
+    const std::vector<QosTier> tiers = testTiers();
+    for (const std::uint64_t seed : {3u, 17u, 41u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        ArrivalSpec arr = testArrivals(2.0);
+        arr.seed = seed;
+        arr.burstFactor = 2.0;
+        arr.burstPeriodSec = 0.05;
+        for (const bool shed : {true, false}) {
+            FleetOptions o = baseOptions();
+            o.warmSpares = 2;
+            o.admission.enabled = shed;
+            o.hedge.enabled = !shed;
+            o.hedge.afterSec = 8e-3;
+            const FleetResult r = serving::runFleet(
+                serving::generateArrivals(arr, tiers), tiers,
+                testModel(), FaultSchedule::generate(oneDeathPerCore(2, 0.5)),
+                o);
+            ASSERT_GT(r.latencies.size(), 100u);
+            expectRanks(r);
+        }
+    }
+
+    const Request lone{.id = 0, .arrivalSec = 0.01, .tier = 1};
+    const FleetResult one =
+        serving::runFleet({lone}, tiers, testModel(), {}, baseOptions());
+    ASSERT_EQ(one.latencies.size(), 1u);
+    EXPECT_GT(one.p50, 0.0);
+    EXPECT_EQ(one.p999, one.p50);
+    expectRanks(one);
+
+    const FleetResult none =
+        serving::runFleet({}, tiers, testModel(), {}, baseOptions());
+    EXPECT_EQ(none.completed, 0u);
+    EXPECT_EQ(none.p50, 0.0);
+    EXPECT_EQ(none.p99, 0.0);
+    EXPECT_EQ(none.p999, 0.0);
+}
+
 TEST(ServingFleet, FailoverReplacesDeadReplicasAndRetriesRequests)
 {
     FleetOptions o = baseOptions();
