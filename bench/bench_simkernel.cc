@@ -8,11 +8,16 @@
  * on it staying fast enough to sweep).
  */
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hh"
 #include "compiler/layer_compiler.hh"
 #include "core/core_sim.hh"
+#include "graph/decoder.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
 #include "memory/llc.hh"
@@ -58,6 +63,49 @@ BM_CoreSimGemmFastForward(benchmark::State &state)
     simulateGemm(state, false);
 }
 BENCHMARK(BM_CoreSimGemmFastForward);
+
+/**
+ * Every distinct layer of the seven networks of the perf benchmark's
+ * dse-exact workload, compiled at the Std preset; items are flattened
+ * instructions, and `stepped` counts those simulated one by one per
+ * iteration. Many of these blocks take dozens of trips to settle,
+ * which the GEMM above, settled within a few, does not show.
+ */
+void
+BM_CoreSimDseLayers(benchmark::State &state)
+{
+    const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Std);
+    compiler::LayerCompiler lc(cfg);
+    core::CoreSim sim(cfg);
+    graph::DecoderConfig dec;
+    graph::DecoderConfig dec8;
+    dec8.batch = 8;
+    const std::vector<graph::Graph> nets = {
+        graph::zoo::resnet50Graph(1),    graph::zoo::resnet50Graph(16),
+        graph::zoo::mobilenetV2Graph(1), graph::zoo::bertBaseGraph(1, 128),
+        graph::zoo::bertBaseGraph(4, 384), graph::prefillGraph(dec, 512),
+        graph::decodeGraph(dec8, 2048)};
+    std::vector<isa::Program> progs;
+    std::uint64_t flat = 0;
+    for (const graph::Graph &g : nets) {
+        std::set<std::string> seen;
+        for (const model::Layer &l : graph::toNetwork(g).layers)
+            if (seen.insert(runtime::fingerprint(l)).second) {
+                progs.push_back(lc.compile(l));
+                flat += progs.back().size();
+            }
+    }
+    core::RunStats stats;
+    for (auto _ : state)
+        for (const isa::Program &p : progs) {
+            auto r = sim.run(p, nullptr, &stats);
+            benchmark::DoNotOptimize(r.totalCycles);
+        }
+    state.SetItemsProcessed(state.iterations() * flat);
+    state.counters["stepped"] = benchmark::Counter(
+        double(stats.steppedInstrs), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CoreSimDseLayers);
 
 void
 BM_CompileResnetLayer(benchmark::State &state)

@@ -6,6 +6,7 @@
 #include "core/core_sim.hh"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -84,8 +85,8 @@ class TokenQueue
  * set when the dispatch cycle beat the pipe clock, bit 1 when the
  * ready time beat a WAIT's token; each margin is winner minus loser.
  * A null `instr` marks where an inner block was extrapolated
- * (margin[0] = the trips it had stepped); such markers must match
- * exactly.
+ * (margin[0] = the trips it had done, margin[1] = the units it
+ * skipped); such markers must match exactly.
  */
 struct Decision
 {
@@ -125,9 +126,13 @@ struct Frame
     std::size_t block = 0;
     std::uint64_t trips = 0; ///< trips done
     /** Trips per extrapolation unit: the dispatch phase repeats every
-     *  rate / gcd(body length, rate) trips. */
+     *  rate / gcd(body length, rate) trips, and a paired unit holds
+     *  two such periods. */
     std::uint64_t unit = 1;
-    std::uint64_t units = 0; ///< unit boundaries snapshotted
+    std::uint64_t next = 0;  ///< trips done at the next unit boundary
+    std::uint64_t units = 0; ///< boundaries snapshotted since restart()
+    unsigned refusals = 0;   ///< boundaries in a row that did not settle
+    bool paired = false;     ///< unit doubled for two-trip periods
     bool live = false;       ///< may still extrapolate
     bool logging = false;    ///< this frame or an ancestor is live
     std::array<Snapshot, 3> snaps; ///< ring, indexed by units % 3
@@ -211,7 +216,7 @@ fastForwardable(const isa::Program &program, RunScratch &scratch)
  * straight through, draining the pipes whenever a barrier stops
  * dispatch. A program with blocks (fast-forward mode) is dispatched
  * one trip at a time, with the pipes drained at every block entry and
- * trip end; see trySettle() for when trips are extrapolated.
+ * trip end; see settle() for when trips are extrapolated.
  */
 class Engine
 {
@@ -297,8 +302,11 @@ class Engine
     void enterBlock(std::size_t b);
     void endTrip(std::size_t &pc, std::size_t &nb);
     void snapshot(Snapshot &s);
-    bool trySettle(const Frame &f) const;
+    void restart(Frame &f);
+    void settle(Frame &f);
+    std::uint64_t settledUnits(const Frame &f) const;
     void extrapolate(Frame &f, std::uint64_t units);
+    void trimLog(Frame &f);
     [[noreturn]] void deadlock(std::size_t pc) const;
 
     const isa::Program &program_;
@@ -445,71 +453,112 @@ Engine::enterBlock(std::size_t b)
 {
     if (scratch_.frames.size() <= depth_)
         scratch_.frames.emplace_back();
-    const bool parentLogging = loggingAt(depth_);
     Frame &f = scratch_.frames[depth_++];
     f.block = b;
     f.trips = 0;
     f.unit = rate_ / std::gcd(blocks_[b].bodySize, std::uint64_t(rate_));
+    f.paired = false;
+    restart(f);
+}
+
+/**
+ * Compare the units of @p f afresh from the current trip boundary. The
+ * frame stays live if two units to compare and one to skip remain.
+ */
+void
+Engine::restart(Frame &f)
+{
     f.units = 0;
-    // Two stepped units to compare, and at least one left to skip.
-    f.live = blocks_[b].trips >= 3 * f.unit;
-    f.logging = parentLogging || f.live;
-    logging_ = f.logging;
+    f.refusals = 0;
+    f.next = f.trips + f.unit;
+    f.live = blocks_[f.block].trips - f.trips >= 3 * f.unit;
+    f.logging = logging_ = loggingAt(depth_ - 1) || f.live;
     if (f.live)
         snapshot(f.snaps[0]);
 }
 
 /**
- * Whether the last two units of @p f settled: over the last three
- * boundaries every clock and queued token time moved by the same
- * amount per unit, with the same number of queued tokens per flag;
- * each pipe's WAIT stall per unit did not fall; and both units took
- * every max() the same way, with no margin shrinking. Then each unit
- * is the same affine map of the state, so the steady state holds, by
- * induction, for all the trips that follow.
+ * How many more units of @p f are sure to repeat its last unit: 0
+ * unless, over the last three boundaries, every clock and queued token
+ * time moved by the same amount per unit, with the same number of
+ * queued tokens per flag, and both units took every max() the same way
+ * (inner-block markers matching exactly). Then each unit is the same
+ * affine map of the state, and each margin moves by a constant per
+ * unit. A margin m that shrank by d keeps its winner for m / d more
+ * units (at a tie both sides of the max() give the same value); with
+ * no margin shrinking, every later unit repeats, by induction.
  */
-bool
-Engine::trySettle(const Frame &f) const
+std::uint64_t
+Engine::settledUnits(const Frame &f) const
 {
     const Snapshot &s0 = f.snaps[(f.units - 2) % 3];
     const Snapshot &s1 = f.snaps[(f.units - 1) % 3];
     const Snapshot &s2 = f.snaps[f.units % 3];
     if (s0.depth != s1.depth || s1.depth != s2.depth)
-        return false;
+        return 0;
     for (std::size_t i = 0; i < s0.clocks.size(); ++i)
         if (s1.clocks[i] - s0.clocks[i] != s2.clocks[i] - s1.clocks[i])
-            return false;
-    for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
-        const Cycles w1 = s1.result.pipes[p].waitCycles -
-                          s0.result.pipes[p].waitCycles;
-        const Cycles w2 = s2.result.pipes[p].waitCycles -
-                          s1.result.pipes[p].waitCycles;
-        if (w2 < w1)
-            return false;
-    }
+            return 0;
     const std::vector<Decision> &log = scratch_.log;
     const std::size_t len = s1.logEnd - s0.logEnd;
     if (s2.logEnd - s1.logEnd != len)
-        return false;
+        return 0;
+    std::uint64_t held = std::numeric_limits<std::uint64_t>::max();
     for (std::size_t k = 0; k < len; ++k) {
         const Decision &a = log[s0.logEnd + k];
         const Decision &b = log[s1.logEnd + k];
         if (a.instr != b.instr || a.winners != b.winners)
-            return false;
-        if (a.instr ? (b.margin[0] < a.margin[0] ||
-                       b.margin[1] < a.margin[1])
-                    : a.margin != b.margin)
-            return false;
+            return 0;
+        if (!a.instr) {
+            if (a.margin != b.margin)
+                return 0;
+            continue;
+        }
+        for (std::size_t m = 0; m < 2; ++m)
+            if (b.margin[m] < a.margin[m])
+                held = std::min(held,
+                                b.margin[m] / (a.margin[m] - b.margin[m]));
     }
-    return true;
+    return held;
+}
+
+/**
+ * At a unit boundary of live @p f (two units stepped since restart()):
+ * extrapolate the units that settledUnits() vouches for, up to the
+ * block end, and stop watching it there. If a margin runs out first,
+ * jump to just before its winner flips and compare afresh. After two
+ * refusals in a row, compare pairs of units instead: a double-buffered
+ * body alternates between two states, so only every other trip repeats.
+ */
+void
+Engine::settle(Frame &f)
+{
+    const std::uint64_t remaining = blocks_[f.block].trips - f.trips;
+    const std::uint64_t left = remaining / f.unit;
+    const std::uint64_t held = left ? settledUnits(f) : 0;
+    if (left == 0 || held >= left) {
+        if (left)
+            extrapolate(f, left);
+        f.live = false;
+        f.logging = logging_ = loggingAt(depth_ - 1);
+    } else if (held > 0) {
+        extrapolate(f, held);
+        restart(f);
+    } else if (!f.paired && ++f.refusals >= 2 &&
+               remaining >= 3 * 2 * f.unit) {
+        f.unit *= 2;
+        f.paired = true;
+        restart(f);
+    }
 }
 
 /**
  * Advance @p units more units of @p f in closed form: every clock and
  * queued token time and every counter by its per-unit delta, WAIT
  * stalls as an arithmetic series. For an enclosing live block, log a
- * marker and each decision's margins at the first and the last
- * skipped unit (a margin is linear in between).
+ * marker (the trip the jump starts at and its length) and each
+ * decision's margins at the first and the last skipped unit (a margin
+ * is linear in between).
  */
 void
 Engine::extrapolate(Frame &f, std::uint64_t units)
@@ -539,6 +588,9 @@ Engine::extrapolate(Frame &f, std::uint64_t units)
         PipeStats &ps = result.pipes[p];
         ps.busyCycles += n * (r2.pipes[p].busyCycles - r1.pipes[p].busyCycles);
         ps.instrs += n * (r2.pipes[p].instrs - r1.pipes[p].instrs);
+        // A WAIT stall per unit falls as its margin shrinks, so `grow`
+        // may be negative. Unsigned arithmetic wraps, and the sum is
+        // exact modulo 2^64; the true sum is in range, so it is exact.
         const Cycles w2 =
             r2.pipes[p].waitCycles - r1.pipes[p].waitCycles;
         const Cycles grow =
@@ -552,7 +604,7 @@ Engine::extrapolate(Frame &f, std::uint64_t units)
     extrapolated_ += skipped;
     if (loggingAt(depth_ - 1)) {
         std::vector<Decision> &log = scratch_.log;
-        log.push_back({nullptr, 0, {f.trips, 0}});
+        log.push_back({nullptr, 0, {f.trips, n}});
         const std::size_t len = s2.logEnd - s1.logEnd;
         for (std::size_t k = 0; k < len; ++k) {
             const Decision a = log[s0.logEnd + k];
@@ -561,6 +613,7 @@ Engine::extrapolate(Frame &f, std::uint64_t units)
                 log.push_back(b);
                 continue;
             }
+            // Shrinking margins wrap as `d`, exactly as above.
             Decision first = b, last = b;
             for (std::size_t m = 0; m < 2; ++m) {
                 const Cycles d = b.margin[m] - a.margin[m];
@@ -574,35 +627,34 @@ Engine::extrapolate(Frame &f, std::uint64_t units)
     f.trips += skipped;
 }
 
+/**
+ * Drop the decisions of @p f that no later comparison reads: all but
+ * the last unit's. Only for a frame with no live ancestor.
+ */
+void
+Engine::trimLog(Frame &f)
+{
+    const std::size_t cut = f.snaps[f.units ? (f.units - 1) % 3 : 0].logEnd;
+    std::vector<Decision> &log = scratch_.log;
+    log.erase(log.begin(), log.begin() + std::ptrdiff_t(cut));
+    for (Snapshot &s : f.snaps)
+        s.logEnd -= std::min(s.logEnd, cut);
+}
+
 void
 Engine::endTrip(std::size_t &pc, std::size_t &nb)
 {
     Frame &f = scratch_.frames[depth_ - 1];
     const Block &b = blocks_[f.block];
     ++f.trips;
-    if (f.live && f.trips % f.unit == 0) {
+    if (f.live && f.trips == f.next) {
+        f.next += f.unit;
         ++f.units;
-        Snapshot &cur = f.snaps[f.units % 3];
-        snapshot(cur);
-        if (f.units >= 2) {
-            const std::uint64_t left = (b.trips - f.trips) / f.unit;
-            if (left == 0 || trySettle(f)) {
-                if (left)
-                    extrapolate(f, left);
-                f.live = false;
-                f.logging = logging_ = loggingAt(depth_ - 1);
-            }
-        }
-        // With no live ancestor, only the last unit's decisions are
-        // still needed.
-        if (f.live && !loggingAt(depth_ - 1)) {
-            Snapshot &prev = f.snaps[(f.units - 1) % 3];
-            const std::size_t cut = prev.logEnd;
-            std::vector<Decision> &log = scratch_.log;
-            log.erase(log.begin(), log.begin() + std::ptrdiff_t(cut));
-            prev.logEnd -= cut;
-            cur.logEnd -= cut;
-        }
+        snapshot(f.snaps[f.units % 3]);
+        if (f.units >= 2)
+            settle(f);
+        if (f.live && !loggingAt(depth_ - 1))
+            trimLog(f);
     }
     if (f.trips < b.trips) {
         pc = b.begin;

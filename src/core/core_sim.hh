@@ -15,12 +15,15 @@
  * (this catches compiler synchronization bugs in tests).
  *
  * A program's repeat blocks are dispatched one trip at a time. Once a
- * block's trips settle into a steady state (every pipe clock and
- * queued token time moving by a fixed amount per trip, every max()
- * picking the same winner with a margin that does not shrink), the
- * remaining trips are advanced in closed form. The result is exactly
- * that of the flattened program (DESIGN.md, "Repeat blocks and the
- * steady-state fast-forward").
+ * block's units (one dispatch period of trips, or two for a block
+ * whose trips alternate) settle into a steady state, with every pipe
+ * clock and queued token time moving by a fixed amount per unit and
+ * every max() picking the same winner, the following units are
+ * advanced in closed form: all the remaining ones, or, when some
+ * margin shrinks, those before the first winner flips, after which
+ * stepping resumes. The result is exactly that of the flattened
+ * program (DESIGN.md, "Repeat blocks and the steady-state
+ * fast-forward").
  */
 
 #ifndef ASCEND_CORE_CORE_SIM_HH

@@ -389,6 +389,14 @@ RequestQueue::restore(const std::vector<PendingRequest> &entries,
     clear();
     for (const PendingRequest &r : entries)
         push(r, t);
+    // That order puts segment 1 ahead of the sorted segment 2, so much
+    // of a backlog lands in the side heaps: sort each tier back into
+    // one run. DispatchOrder is total, so every pop is unchanged.
+    for (TierQueue &tier : eligible_) {
+        tier.run.insert(tier.run.end(), tier.heap.begin(), tier.heap.end());
+        tier.heap.clear();
+        std::sort(tier.run.begin(), tier.run.end(), DispatchOrder{});
+    }
     for (const PendingRequest &r : reoffers)
         pushReoffer(r);
     answered_.insert(answered.begin(), answered.end());

@@ -171,9 +171,10 @@ class RequestQueue
 
     /**
      * Rebuild from entries()/reoffers()/answeredIds() at instant
-     * @p t. Losers answered since the last purge are not carried
-     * over; the fleet saves its state only between steps, after the
-     * step's purge.
+     * @p t; each tier's eligible entries come back as one sorted
+     * run, with an empty side heap. Losers answered since the last
+     * purge are not carried over; the fleet saves its state only
+     * between steps, after the step's purge.
      */
     void restore(const std::vector<PendingRequest> &entries,
                  const std::vector<PendingRequest> &reoffers,

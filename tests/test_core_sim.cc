@@ -862,7 +862,7 @@ TEST(CoreSimFastForward, ZooLayersMatchFlattened)
     }
 }
 
-TEST(CoreSimFastForward, StepsUnderAThirdOfTheDseNetworks)
+TEST(CoreSimFastForward, StepsUnderATenthOfTheDseNetworks)
 {
     // The seven networks of the perf benchmark's dse-exact workload, at
     // the Std preset.
@@ -892,7 +892,7 @@ TEST(CoreSimFastForward, StepsUnderAThirdOfTheDseNetworks)
         return;
     }
     EXPECT_GT(stats.extrapolatedTrips, 0u);
-    EXPECT_LE(stats.steppedInstrs * 3, flat)
+    EXPECT_LE(stats.steppedInstrs * 10, flat)
         << stats.steppedInstrs << " stepped of " << flat;
 }
 
@@ -958,13 +958,14 @@ TEST(CoreSimFastForward, NestedBlocksExtrapolateAtBothLevels)
     }
 }
 
-TEST(CoreSimFastForward, ShrinkingMarginIsNotExtrapolated)
+TEST(CoreSimFastForward, ShrinkingMarginExtrapolatesOnlyToTheFlip)
 {
     // The cube starts far behind its dispatch slot and catches up by
     // one cycle per trip: every early trip takes each max() the same
     // way, with the same per-trip deltas, but the pipe-vs-dispatch
-    // margin shrinks until dispatch wins. Extrapolating while it
-    // shrinks would finish the cube ~200 cycles early.
+    // margin shrinks until dispatch wins. Extrapolating past the flip
+    // would finish the cube ~200 cycles early; jumping to it, then
+    // stepping until the new steady state settles, steps five trips.
     Program p("catch-up");
     p.exec(Pipe::Cube, 200);
     p.beginBlock(400);
@@ -975,7 +976,84 @@ TEST(CoreSimFastForward, ShrinkingMarginIsNotExtrapolated)
     cfg.dispatchPerCycle = 1;
     const core::RunStats st =
         expectMatchesFlattened(CoreSim(cfg), p, "catch-up");
-    EXPECT_EQ(st.extrapolatedTrips > 0, fastForwardOn());
+    if (fastForwardOn()) {
+        EXPECT_GT(st.extrapolatedTrips, 0u);
+        EXPECT_LE(st.steppedInstrs, 1 + 2 * 5u);
+    }
+}
+
+TEST(CoreSimFastForward, FlipInTheLastTripIsStepped)
+{
+    // The cube's margin over its dispatch slot starts at 199 after the
+    // second trip and shrinks by 2 per trip, so it holds for 99 more
+    // trips; the flip falls in the block's last trip, where dispatch
+    // wins by one cycle. Extrapolating that trip too would finish the
+    // cube, and the program, one cycle early.
+    Program p("flip");
+    p.exec(Pipe::Cube, 205);
+    p.beginBlock(102);
+    for (int i = 0; i < 3; ++i)
+        p.exec(Pipe::Vector, 1);
+    p.exec(Pipe::Cube, 2);
+    p.endBlock();
+    arch::CoreConfig cfg = testConfig();
+    cfg.dispatchPerCycle = 1;
+    const core::RunStats st = expectMatchesFlattened(CoreSim(cfg), p, "flip");
+    EXPECT_EQ(CoreSim(cfg).run(p.flatten()).totalCycles, 4u * 102 + 2);
+    if (fastForwardOn()) {
+        EXPECT_EQ(st.extrapolatedTrips, 99u);
+        EXPECT_LE(st.steppedInstrs, 1 + 3 * 4u);
+    }
+}
+
+TEST(CoreSimFastForward, FallingWaitStallSumsExactly)
+{
+    // MTE2's clock starts 39 cycles past its dispatch slot, and the
+    // gap closes by one cycle per trip. From the third trip on the
+    // cube is ready at its own dispatch slot and waits for MTE2's
+    // token, so its WAIT stall falls by one cycle per trip until the
+    // two meet. The stalls of the extrapolated trips sum as a series
+    // with negative growth.
+    Program p("falling-stall");
+    p.exec(Pipe::Mte2, 40);
+    p.beginBlock(60);
+    p.exec(Pipe::Mte2, 40);
+    p.setFlag(Pipe::Mte2, 2);
+    for (int i = 0; i < 37; ++i)
+        p.exec(Pipe::Vector, 1);
+    p.waitFlag(Pipe::Cube, 2);
+    p.exec(Pipe::Cube, 1);
+    p.endBlock();
+    arch::CoreConfig cfg = testConfig();
+    cfg.dispatchPerCycle = 1;
+    const core::RunStats st =
+        expectMatchesFlattened(CoreSim(cfg), p, "falling-stall");
+    if (fastForwardOn()) {
+        EXPECT_GT(st.extrapolatedTrips, 0u);
+        EXPECT_LT(st.steppedInstrs * 4, p.size());
+    }
+}
+
+TEST(CoreSimFastForward, AlternatingTripsSettleAsPairs)
+{
+    // A double-buffered vector layer of equal tiles: with two UB slots
+    // in flight, the trip deltas alternate between two values, so trip
+    // by trip the block never settles. Pairs of trips repeat exactly.
+    const arch::CoreConfig base = testConfig();
+    const Program p = compiler::LayerCompiler(base).compile(
+        model::Layer::activation("relu", 1 << 20, model::ActKind::Relu));
+    ASSERT_EQ(p.blocks().size(), 1u);
+    ASSERT_EQ(p.blocks()[0].trips, 64u);
+    for (const unsigned dpc : {1u, 2u, 4u}) {
+        arch::CoreConfig cfg = base;
+        cfg.dispatchPerCycle = dpc;
+        const core::RunStats st = expectMatchesFlattened(
+            CoreSim(cfg), p, "d" + std::to_string(dpc));
+        if (fastForwardOn()) {
+            EXPECT_GT(st.extrapolatedTrips, 0u) << "d" << dpc;
+            EXPECT_LT(st.steppedInstrs * 6, p.size()) << "d" << dpc;
+        }
+    }
 }
 
 TEST(CoreSimFastForward, StaleQueuedTokensBlockExtrapolation)
