@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: core
  * scheduling throughput, compiler lowering speed, LLC access rate,
- * chip-sim event rate, mesh-NoC cycle rate and the fleet serving
- * loop under overload. These guard the
+ * chip-sim event rate, mesh-NoC cycle rate, whole-graph cache hits
+ * and the fleet serving loop under overload. These guard the
  * simulator's own performance (the table/figure benches above depend
  * on it staying fast enough to sweep).
  */
@@ -157,6 +157,34 @@ BM_ProfileGestureNetCached(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ProfileGestureNetCached);
+
+/**
+ * graph::graphResult on a warm session: every query is a whole-graph
+ * cache hit, so its cost is building the graph key and one lookup.
+ * Items are queries.
+ */
+void
+BM_GraphResultHit(benchmark::State &state, graph::Graph (*build)())
+{
+    runtime::SimSession session(
+        arch::makeCoreConfig(arch::CoreVersion::Max), {},
+        std::make_shared<runtime::SimCache>(), {},
+        surrogate::SurrogateOptions{});
+    const graph::Graph g = build();
+    benchmark::DoNotOptimize(graph::graphResult(session, g).totalCycles);
+    for (auto _ : state) {
+        auto r = graph::graphResult(session, g);
+        benchmark::DoNotOptimize(r.totalCycles);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_GraphResultHit, resnet50_b32,
+                  +[] { return graph::zoo::resnet50Graph(32); });
+BENCHMARK_CAPTURE(BM_GraphResultHit, decode_b8_c2048, +[] {
+    graph::DecoderConfig dec;
+    dec.batch = 8;
+    return graph::decodeGraph(dec, 2048);
+});
 
 void
 BM_LlcAccess(benchmark::State &state)

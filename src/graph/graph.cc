@@ -10,6 +10,7 @@
 
 #include "common/codec.hh"
 #include "common/error.hh"
+#include "common/field.hh"
 #include "runtime/sim_cache.hh"
 
 namespace ascend {
@@ -59,13 +60,6 @@ layerOutputElems(const model::Layer &l)
         return l.elems;
     }
 }
-
-/**
- * FNV-1a basis of graph fingerprints. It is not the standard basis
- * (one digit short), but every graph cache key is derived from it, so
- * it stays.
- */
-constexpr std::uint64_t kGraphHashBasis = 1469598103934665603ULL;
 
 /**
  * Shape agreement between one node and its tensors. Factored out so
@@ -329,7 +323,7 @@ Graph::markOutput(TensorId t)
     outputs.push_back(t);
 }
 
-void
+std::vector<std::size_t>
 Graph::validate() const
 {
     if (nodes.empty())
@@ -385,10 +379,11 @@ Graph::validate() const
                        name.c_str(), t);
 
     // Acyclicity (throws GraphInvalid naming a cycle member).
-    (void)topoOrder();
+    std::vector<std::size_t> order = topoOrder();
 
     for (std::size_t ni = 0; ni < nodes.size(); ++ni)
         checkNodeShapes(*this, ni);
+    return order;
 }
 
 std::vector<std::size_t>
@@ -443,46 +438,44 @@ Graph::fingerprint() const
 {
     // Names are cosmetic and excluded, exactly like the layer
     // fingerprints in runtime/sim_cache: two graphs that lower to the
-    // same schedule share one hash.
-    std::string s;
-    s.reserve(64 * (tensors.size() + nodes.size()));
+    // same schedule share one hash. Every list is length-prefixed, so
+    // the word stream parses one way only.
+    std::uint64_t h = kFnv1aBasis;
+    auto mix = [&h](std::uint64_t w) {
+        h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+        h ^= h >> 29;
+    };
+    auto mixIds = [&mix](const std::vector<TensorId> &ids) {
+        mix(ids.size());
+        for (const TensorId t : ids)
+            mix(t);
+    };
+    mix(tensors.size());
     for (const Tensor &t : tensors) {
-        s += 't';
-        s += std::to_string(t.elems);
-        s += ',';
-        s += std::to_string(std::uint64_t(t.dtype));
-        s += ',';
-        s += std::to_string(t.producer);
-        s += ',';
-        s += std::to_string(t.producerSlot);
-        s += ';';
+        mix(t.elems);
+        mix(fieldBits(t.dtype));
+        mix(fieldBits(t.producer));
+        mix(t.producerSlot);
     }
+    mix(nodes.size());
     for (const Node &n : nodes) {
-        s += 'n';
-        s += std::to_string(std::uint64_t(n.op));
-        if (n.op == OpKind::Layer)
-            s += runtime::fingerprint(n.layer);
-        for (const TensorId t : n.inputs) {
-            s += 'i';
-            s += std::to_string(t);
+        mix(fieldBits(n.op));
+        if (n.op == OpKind::Layer) {
+            mix(fieldBits(n.layer.kind));
+            model::forEachField(
+                [&mix](const char *, auto v) { mix(fieldBits(v)); },
+                n.layer);
         }
-        for (const TensorId t : n.outputs) {
-            s += 'o';
-            s += std::to_string(t);
-        }
-        s += ';';
+        mixIds(n.inputs);
+        mixIds(n.outputs);
     }
-    for (const TensorId t : outputs) {
-        s += 'O';
-        s += std::to_string(t);
-    }
+    mixIds(outputs);
 
-    const std::uint64_t h = fnv1a(s.data(), s.size(), kGraphHashBasis);
     static const char *hex = "0123456789abcdef";
-    std::string out = "agr:";
-    for (int shift = 60; shift >= 0; shift -= 4)
-        out += hex[(h >> shift) & 0xf];
-    return out;
+    char key[20] = {'a', 'g', 'r', ':'};
+    for (int i = 0; i < 16; ++i)
+        key[4 + i] = hex[(h >> (60 - 4 * i)) & 0xf];
+    return std::string(key, sizeof(key));
 }
 
 bool

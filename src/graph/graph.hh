@@ -144,9 +144,10 @@ class Graph
      * Error{GraphInvalid} on a cycle, an out-of-range edge, a
      * producer back-reference that disagrees with the node, or an
      * orphan tensor; Error{GraphShapeMismatch} when a node's tensor
-     * volumes disagree with its operation.
+     * volumes disagree with its operation. Returns topoOrder(),
+     * which the acyclicity check computes anyway.
      */
-    void validate() const;
+    std::vector<std::size_t> validate() const;
 
     /**
      * Deterministic topological order of node indices (Kahn's
@@ -157,12 +158,17 @@ class Graph
     std::vector<std::size_t> topoOrder() const;
 
     /**
-     * Structural content hash, "agr:" + 16 hex digits: FNV-1a over
-     * input shapes, node operations (layer shape fingerprints
-     * included, names excluded) and edge wiring. Two graphs that
-     * lower to the same schedule hash equal; the "agr:" prefix keys
-     * a SimCache namespace that can never alias the "lay:"-suffixed
-     * per-layer keys (tests/test_graph_ir.cc proves both).
+     * Structural content hash, "agr:" + 16 hex digits: a 64-bit
+     * word-at-a-time mix over every tensor's elems, dtype, producer
+     * and slot, every node's op (a layer node's kind and each
+     * model::forEachField word included, names excluded) and its
+     * edges, and the graph outputs, each list length-prefixed. No
+     * key text is built; the one allocation is the returned key.
+     * Two graphs that lower to the same schedule hash equal; the
+     * "agr:" prefix keys a SimCache namespace that can never alias
+     * the "lay:"-suffixed per-layer keys (tests/test_graph_ir.cc
+     * proves both). Recomputed on every call: the members are
+     * public and may change between calls.
      */
     std::string fingerprint() const;
 

@@ -26,18 +26,10 @@ spanLabel(OpKind op)
     return "?";
 }
 
-} // namespace
-
+/** lower() of an already validated @p g in @p order. */
 std::vector<Step>
-lower(const Graph &g)
+lowerValidated(const Graph &g, const std::vector<std::size_t> &order)
 {
-    return lower(g, g.topoOrder());
-}
-
-std::vector<Step>
-lower(const Graph &g, const std::vector<std::size_t> &order)
-{
-    g.validate();
     std::vector<Step> steps;
     steps.reserve(order.size());
     for (const std::size_t ni : order) {
@@ -79,6 +71,52 @@ lower(const Graph &g, const std::vector<std::size_t> &order)
     return steps;
 }
 
+/** runGraph, memoizing the total under @p key (graphCacheKey). */
+GraphRun
+runGraphKeyed(const runtime::SimSession &session, const Graph &g,
+              const std::string &key)
+{
+    GraphRun run;
+    run.steps = lower(g);
+
+    model::Network net;
+    net.name = g.name;
+    for (const Step &s : run.steps)
+        net.add(s.layer);
+    run.runs = session.runInference(net);
+
+    for (const runtime::LayerRun &lr : run.runs)
+        run.total.accumulate(lr.result);
+    session.cache().insert(key, run.total);
+
+    if (obs::Tracer *tr = obs::Tracer::current()) {
+        Cycles at = 0;
+        for (std::size_t i = 0; i < run.runs.size(); ++i) {
+            const Cycles dur = run.runs[i].result.totalCycles;
+            tr->span(obs::Domain::Graph, 1,
+                     spanLabel(g.nodes[run.steps[i].node].op), at,
+                     dur, run.runs[i].result.extBytes());
+            at += dur;
+        }
+    }
+    return run;
+}
+
+} // namespace
+
+std::vector<Step>
+lower(const Graph &g)
+{
+    return lowerValidated(g, g.validate());
+}
+
+std::vector<Step>
+lower(const Graph &g, const std::vector<std::size_t> &order)
+{
+    g.validate();
+    return lowerValidated(g, order);
+}
+
 model::Network
 toNetwork(const Graph &g)
 {
@@ -92,39 +130,13 @@ toNetwork(const Graph &g)
 std::string
 graphCacheKey(const runtime::SimSession &session, const Graph &g)
 {
-    return runtime::fingerprint(session.config()) +
-           runtime::fingerprint(session.options()) +
-           runtime::fingerprint(session.resilience()) +
-           g.fingerprint();
+    return session.sessionKey() + g.fingerprint();
 }
 
 GraphRun
 runGraph(const runtime::SimSession &session, const Graph &g)
 {
-    GraphRun run;
-    run.steps = lower(g);
-
-    model::Network net;
-    net.name = g.name;
-    for (const Step &s : run.steps)
-        net.add(s.layer);
-    run.runs = session.runInference(net);
-
-    for (const runtime::LayerRun &lr : run.runs)
-        run.total.accumulate(lr.result);
-    session.cache().insert(graphCacheKey(session, g), run.total);
-
-    if (obs::Tracer *tr = obs::Tracer::current()) {
-        Cycles at = 0;
-        for (std::size_t i = 0; i < run.runs.size(); ++i) {
-            const Cycles dur = run.runs[i].result.totalCycles;
-            tr->span(obs::Domain::Graph, 1,
-                     spanLabel(g.nodes[run.steps[i].node].op), at,
-                     dur, run.runs[i].result.extBytes());
-            at += dur;
-        }
-    }
-    return run;
+    return runGraphKeyed(session, g, graphCacheKey(session, g));
 }
 
 core::SimResult
@@ -141,7 +153,7 @@ graphResult(const runtime::SimSession &session, const Graph &g)
         hits.charge(1);
         return cached;
     }
-    return runGraph(session, g).total;
+    return runGraphKeyed(session, g, key).total;
 }
 
 } // namespace graph

@@ -83,10 +83,12 @@ core::SimResult graphResult(const runtime::SimSession &session,
                             const Graph &g);
 
 /**
- * The whole-graph memo key: fingerprint(config) + fingerprint(options)
- * + fingerprint(resilience) + Graph::fingerprint(). Ends in
- * "agr:<hash>" and holds no "lay:" component, so graph totals can
- * never alias a per-layer entry (whose key ends in one).
+ * The whole-graph memo key: the session's sessionKey() (its config,
+ * options and resilience fingerprints, built once per session) +
+ * Graph::fingerprint(). Ends in "agr:<hash>" and holds no "lay:"
+ * component, so graph totals can never alias a per-layer entry
+ * (whose key ends in one). graphResult builds it once per query and
+ * a miss memoizes under that same key.
  */
 std::string graphCacheKey(const runtime::SimSession &session,
                           const Graph &g);

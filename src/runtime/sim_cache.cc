@@ -160,9 +160,11 @@ SimCache::codeVersion()
 {
     // Manually bumped when compilation or simulation semantics
     // change (anything that can alter a SimResult for an unchanged
-    // fingerprint). The fingerprints themselves already separate
-    // config/option/layer changes; this guards the code.
-    return "ascend-sim-4";
+    // fingerprint), or when a key's encoding changes so that an old
+    // key would name a different record (ascend-sim-5: the word-
+    // hashed Graph::fingerprint). The fingerprints themselves already
+    // separate config/option/layer changes; this guards the code.
+    return "ascend-sim-5";
 }
 
 std::string

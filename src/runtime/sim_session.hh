@@ -116,6 +116,13 @@ class SimSession
         return layerCompiler_;
     }
 
+    /**
+     * fingerprint(config) + fingerprint(options) +
+     * fingerprint(resilience), built once at construction: the prefix
+     * of every exact-result key this session reads or writes.
+     */
+    const std::string &sessionKey() const { return sessionKey_; }
+
     /** The memo this session reads and writes. */
     SimCache &cache() const { return *cache_; }
 

@@ -7,8 +7,10 @@
  * the zoo golden in test_network_zoo.cc.
  */
 
+#include <cmath>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -218,6 +220,111 @@ TEST(GraphCacheKeys, FingerprintIgnoresNamesButNotShapes)
     graph::Graph c = diamond();
     c.tensors[0].elems *= 2;
     EXPECT_NE(a.fingerprint(), c.fingerprint());
+}
+
+/** Move @p v to another value with another hash word. */
+template <typename T>
+void
+perturb(T &v)
+{
+    if constexpr (std::is_enum_v<T>)
+        v = T(unsigned(v) ^ 1);
+    else if constexpr (std::is_floating_point_v<T>)
+        v += 1 + std::abs(v);
+    else
+        ++v;
+}
+
+TEST(GraphCacheKeys, FingerprintSeesEveryKeyedField)
+{
+    const graph::Graph base = diamond();
+    const std::string print = base.fingerprint();
+    // The fingerprint reads fields only, so an edit need not leave a
+    // valid graph.
+    auto expectSeen = [&](const std::string &what, auto &&edit) {
+        graph::Graph g = base;
+        edit(g);
+        EXPECT_NE(g.fingerprint(), print) << "misses " << what;
+    };
+
+    // Every listed field of one layer node, then its kind.
+    const std::size_t a = 1;
+    ASSERT_EQ(base.nodes[a].op, graph::OpKind::Layer);
+    std::size_t fields = 0;
+    model::forEachField([&](const char *, const auto &) { ++fields; },
+                        base.nodes[a].layer);
+    EXPECT_GT(fields, 20u);
+    for (std::size_t i = 0; i < fields; ++i) {
+        graph::Graph g = base;
+        std::size_t j = 0;
+        std::string name;
+        model::forEachField(
+            [&](const char *k, auto &v) {
+                if (j++ == i) {
+                    perturb(v);
+                    name = k;
+                }
+            },
+            g.nodes[a].layer);
+        EXPECT_NE(g.fingerprint(), print) << "misses layer field " << name;
+    }
+    expectSeen("layer kind",
+               [&](graph::Graph &g) { perturb(g.nodes[a].layer.kind); });
+
+    for (std::size_t t = 0; t < base.tensors.size(); ++t) {
+        const std::string at = " of tensor " + std::to_string(t);
+        expectSeen("elems" + at,
+                   [&](graph::Graph &g) { perturb(g.tensors[t].elems); });
+        expectSeen("dtype" + at,
+                   [&](graph::Graph &g) { perturb(g.tensors[t].dtype); });
+        expectSeen("producer" + at, [&](graph::Graph &g) {
+            perturb(g.tensors[t].producer);
+        });
+        expectSeen("slot" + at, [&](graph::Graph &g) {
+            perturb(g.tensors[t].producerSlot);
+        });
+    }
+    expectSeen("node op", [](graph::Graph &g) {
+        g.nodes.back().op = graph::OpKind::Concat;
+    });
+    expectSeen("graph outputs",
+               [](graph::Graph &g) { g.outputs.push_back(0); });
+
+    // x -> relu -> add(relu, x). Moving the add's first input to the
+    // end of the relu's inputs leaves the flat word stream of edge
+    // ids, output counts and ops unchanged: only the input list
+    // lengths tell the two apart.
+    graph::Graph res;
+    const graph::TensorId x = res.addInput("x", 64, DataType::Fp16);
+    const graph::TensorId r = res.addLayer(
+        model::Layer::activation("r", 64, model::ActKind::Relu,
+                                 DataType::Fp16),
+        {x});
+    res.markOutput(res.addResidualAdd("add", r, x));
+    graph::Graph moved = res;
+    moved.nodes[0].inputs.push_back(moved.nodes[1].inputs.front());
+    moved.nodes[1].inputs.erase(moved.nodes[1].inputs.begin());
+    EXPECT_NE(moved.fingerprint(), res.fingerprint());
+
+    // Names are cosmetic.
+    graph::Graph renamed = base;
+    renamed.name += "_renamed";
+    for (graph::Tensor &t : renamed.tensors)
+        t.name += "_renamed";
+    for (graph::Node &n : renamed.nodes) {
+        n.name += "_renamed";
+        n.layer.name += "_renamed";
+    }
+    EXPECT_EQ(renamed.fingerprint(), print);
+
+    // The key is the session's prefix, unchanged, then the graph's.
+    const runtime::SimSession session = makeSession();
+    EXPECT_EQ(graph::graphCacheKey(session, base),
+              session.sessionKey() + print);
+    EXPECT_EQ(session.sessionKey(),
+              runtime::fingerprint(session.config()) +
+                  runtime::fingerprint(session.options()) +
+                  runtime::fingerprint(session.resilience()));
 }
 
 TEST(GraphCacheKeys, GraphResultIsMemoized)

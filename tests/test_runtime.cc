@@ -237,6 +237,24 @@ TEST(SimCachePersist, VersionMismatchInvalidatesCleanly)
     EXPECT_EQ(out.totalCycles, 42u);
 }
 
+TEST(SimCachePersist, PreviousCodeVersionFileAdoptsNothing)
+{
+    // ascend-sim-4 files key graph totals under the old agr: hash,
+    // which names other graphs now: the whole file must be refused.
+    const std::string path = cacheFileFor("previous_version");
+    runtime::SimCache cache;
+    core::SimResult r;
+    r.totalCycles = 42;
+    cache.insert("key", r);
+    ASSERT_TRUE(cache.saveFile(path, "ascend-sim-4"));
+
+    EXPECT_STREQ(runtime::SimCache::codeVersion(), "ascend-sim-5");
+    runtime::SimCache current;
+    EXPECT_EQ(current.loadFile(path), 0u);
+    EXPECT_EQ(current.stats().entries, 0u);
+    EXPECT_EQ(current.stats().diskLoads, 0u);
+}
+
 TEST(SimCachePersist, TruncatedAndCorruptFilesAreIgnored)
 {
     // The fuzz suite (test_checkpoint_fuzz) refuses every malformed
