@@ -98,7 +98,7 @@ BM_CoreSimDseLayers(benchmark::State &state)
     core::RunStats stats;
     for (auto _ : state)
         for (const isa::Program &p : progs) {
-            auto r = sim.run(p, nullptr, &stats);
+            auto r = sim.run(p, &stats);
             benchmark::DoNotOptimize(r.totalCycles);
         }
     state.SetItemsProcessed(state.iterations() * flat);

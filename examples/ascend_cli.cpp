@@ -28,7 +28,7 @@
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
 #include "isa/verify.hh"
-#include "obs/pipe_trace.hh"
+#include "obs/tracer.hh"
 #include "runtime/sim_session.hh"
 
 using namespace ascend;
@@ -137,9 +137,12 @@ parse(int argc, char **argv)
             opt.ratios = true;
         else if (a == "--train")
             opt.train = true;
-        else if (a == "--trace")
+        else if (a == "--trace") {
             opt.traceFile = need(i, "--trace");
-        else if (a == "--disasm")
+            if (!obs::kTraceCompiledIn)
+                fatal("--trace needs the tracer, which this build "
+                      "compiles out (ASCEND_OBS_TRACE=OFF)");
+        } else if (a == "--disasm")
             opt.disasmLayer = need(i, "--disasm");
         else if (a == "--density")
             opt.density = std::stod(need(i, "--density"));
@@ -217,12 +220,19 @@ main(int argc, char **argv)
     if (!opt.traceFile.empty()) {
         compiler::LayerCompiler lc(cfg, copt);
         core::CoreSim sim(cfg);
-        obs::PipeTrace trace;
+        // An ASCEND_TRACE trace pauses for this one and then records
+        // the rest of the run.
+        obs::Tracer &tracer = obs::Tracer::instance();
+        const std::string envTrace =
+            obs::Tracer::enabled() ? tracer.path() : "";
+        tracer.start(opt.traceFile);
         for (const auto &layer : net.layers)
-            sim.run(lc.compile(layer), &trace);
-        std::ofstream out(opt.traceFile);
-        trace.writeChromeJson(out);
-        std::cout << "wrote " << trace.size() << " events to "
+            sim.run(lc.compile(layer));
+        const std::size_t events = tracer.spanCount();
+        tracer.stop();
+        if (!envTrace.empty())
+            tracer.start(envTrace);
+        std::cout << "wrote " << events << " events to "
                   << opt.traceFile << "\n";
     }
 

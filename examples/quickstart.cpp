@@ -8,13 +8,12 @@
  *   ./build/examples/quickstart
  */
 
-#include <fstream>
 #include <iostream>
 
 #include "common/table.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
-#include "obs/pipe_trace.hh"
+#include "obs/tracer.hh"
 #include "runtime/sim_session.hh"
 
 using namespace ascend;
@@ -64,16 +63,22 @@ main()
 
     // Bonus: dump a Chrome trace of one convolution so the six-pipe
     // overlap (paper Fig. 3) can be inspected in chrome://tracing.
+    if (!obs::kTraceCompiledIn) {
+        std::cout << "no quickstart_trace.json: the tracer is compiled "
+                     "out (ASCEND_OBS_TRACE=OFF)\n";
+        return 0;
+    }
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Lite);
     compiler::LayerCompiler lc(cfg);
     core::CoreSim sim(cfg);
-    obs::PipeTrace trace;
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.stop(); // an ASCEND_TRACE trace ends here, written in full
+    tracer.start("quickstart_trace.json");
     sim.run(lc.compile(model::Layer::conv2d("conv", 1, 32, 56, 56, 64,
-                                            3, 1, 1)),
-            &trace);
-    std::ofstream out("quickstart_trace.json");
-    trace.writeChromeJson(out);
-    std::cout << "wrote quickstart_trace.json (" << trace.size()
+                                            3, 1, 1)));
+    const std::size_t events = tracer.spanCount();
+    tracer.stop();
+    std::cout << "wrote quickstart_trace.json (" << events
               << " events) - open in chrome://tracing\n";
     return 0;
 }

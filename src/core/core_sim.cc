@@ -222,10 +222,10 @@ class Engine
 {
   public:
     Engine(const isa::Program &program, unsigned rate, RunScratch &scratch,
-           obs::PipeTrace *trace, obs::Tracer *tracer)
+           obs::Tracer *tracer)
         : program_(program), code_(program.code()),
           blocks_(program.blocks()), rate_(rate), scratch_(scratch),
-          tokens_(scratch.tokens), trace_(trace), tracer_(tracer)
+          tokens_(scratch.tokens), tracer_(tracer)
     {
         std::array<std::size_t, isa::kNumPipes> count{};
         for (const Instr &i : code_)
@@ -315,7 +315,6 @@ class Engine
     const unsigned rate_;
     RunScratch &scratch_;
     std::array<TokenQueue, isa::kNumFlags> &tokens_;
-    obs::PipeTrace *const trace_;
     obs::Tracer *const tracer_;
 
     QueueEntry *entries_ = nullptr;
@@ -340,7 +339,6 @@ Engine::executePass()
     // The hot state lives in locals for the length of one pipe's run,
     // so the stores into `result` cannot alias it.
     const QueueEntry *const entries = entries_;
-    obs::PipeTrace *const trace = trace_;
     obs::Tracer *const tracer = tracer_;
     bool any = false;
     bool progress = true;
@@ -361,9 +359,6 @@ Engine::executePass()
                     const Cycles start =
                         readyTime(avail, entry.dispatchCycle, d);
                     avail = start + i.cycles;
-                    if (trace)
-                        trace->add(static_cast<Pipe>(p), start, i.cycles,
-                                   i.tag);
                     ps.busyCycles += i.cycles;
                     ps.finishCycle = avail;
                     ++ps.instrs;
@@ -779,8 +774,7 @@ SimResult::accumulate(const SimResult &other)
 }
 
 SimResult
-CoreSim::run(const isa::Program &program, obs::PipeTrace *trace,
-             RunStats *stats) const
+CoreSim::run(const isa::Program &program, RunStats *stats) const
 {
     thread_local RunScratch scratch;
     // One gate check per run; record sites stay branch-free when
@@ -794,9 +788,9 @@ CoreSim::run(const isa::Program &program, obs::PipeTrace *trace,
     bool done = false;
     // Traces record every instruction in flat order, so a traced run
     // steps the flattened program.
-    if (program.hasBlocks() && !trace && !tracer &&
+    if (program.hasBlocks() && !tracer &&
         fastForwardable(program, scratch)) {
-        Engine engine(program, rate, scratch, nullptr, nullptr);
+        Engine engine(program, rate, scratch, nullptr);
         if (engine.run(counts)) {
             result = engine.result;
             done = true;
@@ -806,7 +800,7 @@ CoreSim::run(const isa::Program &program, obs::PipeTrace *trace,
         const isa::Program flat =
             program.hasBlocks() ? program.flatten() : isa::Program();
         Engine engine(program.hasBlocks() ? flat : program, rate, scratch,
-                      trace, tracer);
+                      tracer);
         engine.run(counts);
         result = engine.result;
     }

@@ -34,7 +34,6 @@
 
 #include "arch/core_config.hh"
 #include "isa/program.hh"
-#include "obs/pipe_trace.hh"
 
 namespace ascend {
 namespace core {
@@ -159,17 +158,16 @@ class CoreSim
     /**
      * Simulate @p program to completion.
      *
+     * While an obs::Tracer is active, the run records one Core span
+     * per executed instruction (track = pipe + 1) and steps every
+     * instruction of the flattened program.
+     *
      * @param program The instruction sequence.
-     * @param trace Optional collector receiving one event per
-     *        executed instruction (for Chrome-trace visualization).
-     *        A trace, like an active obs::Tracer, makes the run step
-     *        every instruction of the flattened program.
      * @param stats Optional work counts; the run's are added to it.
      * @return timing and traffic statistics.
      * Panics (with pipe-state diagnostics) if the program deadlocks.
      */
     SimResult run(const isa::Program &program,
-                  obs::PipeTrace *trace = nullptr,
                   RunStats *stats = nullptr) const;
 
     const arch::CoreConfig &config() const { return config_; }

@@ -401,13 +401,13 @@ Tracer::json()
     return os.str();
 }
 
-std::size_t
-Tracer::spanCount()
+std::vector<Span>
+Tracer::spans()
 {
     std::vector<Span> spans;
     std::vector<CounterSample> counters;
     collect(spans, counters);
-    return spans.size();
+    return spans;
 }
 
 void

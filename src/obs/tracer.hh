@@ -164,13 +164,15 @@ class Tracer
     /** write() into a string. */
     std::string json();
 
-    /** Deduplicated span count (for tests). */
-    std::size_t spanCount();
+    /** The merged, sorted and deduplicated spans write() emits. */
+    std::vector<Span> spans();
+
+    /** Deduplicated span count. */
+    std::size_t spanCount() { return spans().size(); }
 
     /** Drop all recorded events; keeps the active/path state. */
     void clear();
 
-    bool active() const { return enabled(); }
     const std::string &path() const { return path_; }
 
   private:
@@ -196,8 +198,6 @@ class Tracer
     std::vector<std::unique_ptr<Buffer>> buffers_;
     std::string path_;
     bool atexitRegistered_ = false;
-
-    friend struct TracerTestAccess;
 };
 
 } // namespace obs

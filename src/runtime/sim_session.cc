@@ -187,7 +187,7 @@ SimSession::runLayerExact(const model::Layer &layer) const
     static Counter &skipped = counter("core extrapolated trips",
                                       CounterKind::Sum, Determinism::Racy);
     core::RunStats stats;
-    result = sim_.run(prog, nullptr, &stats);
+    result = sim_.run(prog, &stats);
     stepped.charge(stats.steppedInstrs);
     skipped.charge(stats.extrapolatedTrips);
     // Straggler derate: only off the bit-for-bit fault-free path when

@@ -5,6 +5,9 @@
 
 #include "runtime/thread_pool.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <string>
 
@@ -29,11 +32,17 @@ ThreadPool::configuredThreads()
 {
     const char *env = std::getenv("ASCEND_THREADS");
     if (env && *env) {
+        // Digits only: strtoul alone would take a sign or blanks.
         char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end && *end == '\0' && v >= 0)
-            return v <= 1 ? 1u : unsigned(v);
-        // Malformed values fall through to the hardware default.
+        errno = 0;
+        const unsigned long v = std::strtoul(env, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(*env)) ||
+            *end != '\0' || errno == ERANGE || v > UINT_MAX)
+            throwError(ErrorCode::ConfigValidation,
+                       "ASCEND_THREADS='%s' is not a non-negative decimal "
+                       "integer",
+                       env);
+        return v <= 1 ? 1u : unsigned(v);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1u;

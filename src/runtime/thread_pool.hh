@@ -20,7 +20,8 @@
  *
  * The ASCEND_THREADS environment variable caps the pool: unset picks
  * the hardware concurrency, 0 or 1 forces serial execution (for CI
- * determinism and debugging).
+ * determinism and debugging), and anything but a non-negative decimal
+ * integer is refused.
  */
 
 #ifndef ASCEND_RUNTIME_THREAD_POOL_HH
@@ -89,6 +90,8 @@ class ThreadPool
     /**
      * Thread budget from the environment: ASCEND_THREADS if set
      * (0/1 = serial), otherwise std::thread::hardware_concurrency().
+     * Throws Error{ConfigValidation} when ASCEND_THREADS is set but
+     * not a non-negative decimal integer (e.g. "4x" or "-1").
      */
     static unsigned configuredThreads();
 

@@ -30,6 +30,7 @@
 #include "runtime/thread_pool.hh"
 
 #include "golden_test.hh"
+#include "scoped_trace.hh"
 
 namespace ascend {
 namespace {
@@ -704,7 +705,7 @@ expectMatchesFlattened(const CoreSim &sim, const Program &p,
                        const std::string &where)
 {
     core::RunStats stats;
-    const SimResult fast = sim.run(p, nullptr, &stats);
+    const SimResult fast = sim.run(p, &stats);
     const SimResult flat = sim.run(p.flatten());
     EXPECT_EQ(resultDiff(fast, flat), "") << where;
     EXPECT_EQ(fast.instrsExecuted, p.size()) << where;
@@ -883,7 +884,7 @@ TEST(CoreSimFastForward, StepsUnderATenthOfTheDseNetworks)
     for (const graph::Graph &g : nets) {
         for (const model::Layer &l : distinctLayers(g)) {
             const Program p = lc.compile(l);
-            sim.run(p, nullptr, &stats);
+            sim.run(p, &stats);
             flat += p.size();
         }
     }
@@ -896,31 +897,35 @@ TEST(CoreSimFastForward, StepsUnderATenthOfTheDseNetworks)
         << stats.steppedInstrs << " stepped of " << flat;
 }
 
-TEST(CoreSimFastForward, NeverUnderAPipeTrace)
+TEST(CoreSimFastForward, NeverUnderATracer)
 {
+    if (!obs::kTraceCompiledIn)
+        GTEST_SKIP() << "tracer compiled out";
     const arch::CoreConfig cfg = testConfig();
     const Program p = compiler::LayerCompiler(cfg).compile(
         model::Layer::linear("gemm", 512, 512, 512));
     ASSERT_TRUE(p.hasBlocks());
     const CoreSim sim(cfg);
-    obs::PipeTrace traced, flat;
+    obs::Tracer &tracer = obs::Tracer::instance();
     core::RunStats stats;
-    const SimResult a = sim.run(p, &traced, &stats);
-    const SimResult b = sim.run(p.flatten(), &flat);
+    SimResult a, b;
+    std::string traced, flat;
+    {
+        ScopedTrace scope;
+        a = sim.run(p, &stats);
+        traced = tracer.json();
+        EXPECT_GT(tracer.spanCount(), 0u);
+        tracer.clear();
+        b = sim.run(p.flatten());
+        flat = tracer.json();
+    }
     EXPECT_EQ(resultDiff(a, b), "");
     EXPECT_EQ(stats.extrapolatedTrips, 0u);
     EXPECT_EQ(stats.steppedInstrs, p.size());
-    ASSERT_EQ(traced.size(), flat.size());
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-        const obs::PipeTraceEvent &x = traced.events()[i];
-        const obs::PipeTraceEvent &y = flat.events()[i];
-        ASSERT_TRUE(x.pipe == y.pipe && x.start == y.start &&
-                    x.duration == y.duration && x.tag == y.tag)
-            << "event " << i;
-    }
-    // Without the trace the same program is fast-forwarded.
+    EXPECT_TRUE(traced == flat) << "blocked and flat traces differ";
+    // Without the tracer the same program is fast-forwarded.
     core::RunStats fast;
-    EXPECT_EQ(resultDiff(sim.run(p, nullptr, &fast), b), "");
+    EXPECT_EQ(resultDiff(sim.run(p, &fast), b), "");
     if (fastForwardOn()) {
         EXPECT_GT(fast.extrapolatedTrips, 0u);
         EXPECT_LT(fast.steppedInstrs, p.size());

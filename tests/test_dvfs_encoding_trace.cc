@@ -6,15 +6,17 @@
  */
 
 #include <cmath>
-#include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "compiler/layer_compiler.hh"
 #include "core/core_sim.hh"
 #include "isa/encoding.hh"
-#include "obs/pipe_trace.hh"
+#include "obs/tracer.hh"
 #include "soc/dvfs.hh"
+
+#include "scoped_trace.hh"
 
 namespace ascend {
 namespace {
@@ -112,8 +114,22 @@ TEST(Encoding, EmptyProgramRatioIsOne)
 
 // ------------------------------------------------------- trace
 
+/** Busy cycles of @p pipe in the Core spans of @p spans. */
+Cycles
+busyCycles(const std::vector<obs::Span> &spans, isa::Pipe pipe)
+{
+    Cycles total = 0;
+    for (const obs::Span &s : spans)
+        if (s.pid == std::uint32_t(obs::Domain::Core) &&
+            s.tid == std::uint32_t(pipe) + 1)
+            total += s.duration;
+    return total;
+}
+
 TEST(Trace, CapturesEveryExecInstr)
 {
+    if (!obs::kTraceCompiledIn)
+        GTEST_SKIP() << "tracer compiled out";
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
     core::CoreSim sim(cfg);
     isa::Program p;
@@ -122,58 +138,38 @@ TEST(Trace, CapturesEveryExecInstr)
     p.waitFlag(isa::Pipe::Cube, 0);
     p.exec(isa::Pipe::Cube, 200, 0, {}, "mm");
 
-    obs::PipeTrace trace;
-    const auto r = sim.run(p, &trace);
-    ASSERT_EQ(trace.size(), 2u);
-    EXPECT_EQ(trace.events()[0].pipe, isa::Pipe::Mte1);
-    EXPECT_EQ(trace.events()[0].duration, 100u);
-    EXPECT_STREQ(trace.events()[1].tag, "mm");
+    ScopedTrace scope;
+    const auto r = sim.run(p);
+    // Sorted by track: the cube pipe's before MTE1's.
+    const std::vector<obs::Span> spans = obs::Tracer::instance().spans();
+    ASSERT_EQ(spans.size(), 2u);
+    const obs::Span &mm = spans[0], &load = spans[1];
+    EXPECT_EQ(load.tid, std::uint32_t(isa::Pipe::Mte1) + 1);
+    EXPECT_EQ(load.duration, 100u);
+    EXPECT_STREQ(mm.name, "mm");
     // Dependency visible in the timeline.
-    EXPECT_GE(trace.events()[1].start,
-              trace.events()[0].start + trace.events()[0].duration);
-    EXPECT_EQ(trace.busyCycles(isa::Pipe::Cube),
+    EXPECT_GE(mm.start, load.start + load.duration);
+    EXPECT_EQ(busyCycles(spans, isa::Pipe::Cube),
               r.pipe(isa::Pipe::Cube).busyCycles);
 }
 
 TEST(Trace, BusyCyclesMatchSimResultOnRealProgram)
 {
+    if (!obs::kTraceCompiledIn)
+        GTEST_SKIP() << "tracer compiled out";
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
     compiler::LayerCompiler lc(cfg);
     core::CoreSim sim(cfg);
     const auto prog =
         lc.compile(model::Layer::linear("fc", 256, 256, 256));
-    obs::PipeTrace trace;
-    const auto r = sim.run(prog, &trace);
+    ScopedTrace scope;
+    const auto r = sim.run(prog);
+    const std::vector<obs::Span> spans = obs::Tracer::instance().spans();
     for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
         const auto pipe = static_cast<isa::Pipe>(p);
-        EXPECT_EQ(trace.busyCycles(pipe), r.pipe(pipe).busyCycles)
+        EXPECT_EQ(busyCycles(spans, pipe), r.pipe(pipe).busyCycles)
             << isa::toString(pipe);
     }
-}
-
-TEST(Trace, ChromeJsonIsWellFormedEnough)
-{
-    obs::PipeTrace trace;
-    trace.add(isa::Pipe::Cube, 0, 10, "mm");
-    trace.add(isa::Pipe::Vector, 10, 5, nullptr);
-    std::ostringstream os;
-    trace.writeChromeJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"mm\""), std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"cube\""), std::string::npos);
-    // Balanced braces as a cheap structural check.
-    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
-}
-
-TEST(Trace, ClearResets)
-{
-    obs::PipeTrace trace;
-    trace.add(isa::Pipe::Cube, 0, 1, "x");
-    trace.clear();
-    EXPECT_EQ(trace.size(), 0u);
-    EXPECT_EQ(trace.busyCycles(isa::Pipe::Cube), 0u);
 }
 
 } // anonymous namespace

@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -25,6 +26,7 @@
 #include "resilience/fault_domain.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
+#include "runtime/thread_pool.hh"
 #include "serving/fleet.hh"
 
 using namespace ascend;
@@ -538,6 +540,27 @@ TEST(NegativeCoreConfig, ZeroClockRejectedOnLoad)
     cfg.clockGhz = 0;
     expectError([&] { cfg.validate(); }, ErrorCode::ConfigValidation,
                 "clock");
+}
+
+TEST(NegativeThreads, MalformedBudgetIsRefused)
+{
+    // Reads the budget only: no pool is built.
+    const char *was = std::getenv("ASCEND_THREADS");
+    const std::string saved = was ? was : "";
+    for (const char *bad : {"4x", "-1", "+2", " 3", "1.5", "four"}) {
+        ASSERT_EQ(::setenv("ASCEND_THREADS", bad, 1), 0);
+        expectError([] { runtime::ThreadPool::configuredThreads(); },
+                    ErrorCode::ConfigValidation,
+                    "ASCEND_THREADS='" + std::string(bad) + "'");
+    }
+    ASSERT_EQ(::setenv("ASCEND_THREADS", "0", 1), 0);
+    EXPECT_EQ(runtime::ThreadPool::configuredThreads(), 1u);
+    ASSERT_EQ(::setenv("ASCEND_THREADS", "3", 1), 0);
+    EXPECT_EQ(runtime::ThreadPool::configuredThreads(), 3u);
+    if (was)
+        ::setenv("ASCEND_THREADS", saved.c_str(), 1);
+    else
+        ::unsetenv("ASCEND_THREADS");
 }
 
 } // namespace

@@ -20,20 +20,10 @@
 #include "runtime/sim_session.hh"
 #include "runtime/thread_pool.hh"
 
+#include "scoped_trace.hh"
+
 namespace ascend {
 namespace {
-
-/** RAII: tracing on (in-memory) for the scope, clean after. */
-class ScopedTrace
-{
-  public:
-    ScopedTrace()
-    {
-        obs::Tracer::instance().stop();
-        obs::Tracer::instance().start("");
-    }
-    ~ScopedTrace() { obs::Tracer::instance().stop(); }
-};
 
 TEST(Tracer, DisabledByDefault)
 {
