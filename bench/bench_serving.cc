@@ -36,6 +36,7 @@
 
 #include "bench/bench_util.hh"
 #include "bench/chaos_harness.hh"
+#include "common/field.hh"
 #include "graph/zoo_graphs.hh"
 #include "resilience/fault_domain.hh"
 #include "serving/fleet.hh"
@@ -217,13 +218,6 @@ struct CorrCell
 
 enum class Defense { Undefended, Governed, Defended };
 
-std::uint64_t
-faultSeedFromEnv()
-{
-    const char *env = std::getenv("ASCEND_FAULT_SEED");
-    return env && *env ? std::strtoull(env, nullptr, 10) : 17;
-}
-
 FleetOptions
 correlatedOptions(double batch_latency_sec, Defense defense,
                   std::uint64_t seed)
@@ -289,8 +283,8 @@ recoveryMetrics(CorrCell &c, double clear_sec, double window_sec,
 /** Shared inputs of the three correlated-chaos cells. */
 struct CorrSetup
 {
-    std::uint64_t seed = 0;
-    std::string profile;
+    std::uint64_t seed = 17;       ///< ASCEND_FAULT_SEED
+    std::string profile = "rack";  ///< ASCEND_FAULT_PROFILE
     double clearSec = 0;  ///< last fault event fully over
     double windowSec = 0; ///< recovery-scan window width
     double boundSec = 0;  ///< windowed-p99 recovery bound
@@ -320,9 +314,7 @@ correlatedSweep(const BatchLatencyModel &model,
     cspec.horizonSec = arr.horizonSec;
     cspec.topology.replicas = 8;
     cspec.topology.replicasPerRack = 4;
-    if (!resilience::applyFaultProfile(cspec, setup.profile))
-        fatal("unknown ASCEND_FAULT_PROFILE '%s'",
-              setup.profile.c_str());
+    resilience::applyFaultProfile(cspec, setup.profile); // known name
     const FaultSchedule faults =
         resilience::generateCorrelated(cspec);
 
@@ -447,6 +439,18 @@ writeJson(const std::vector<Cell> &cells, double saturation_rps,
 int
 sweep()
 {
+    // The correlated sweep's fault knobs, read first: a malformed one
+    // stops the bench before it prints or simulates anything.
+    CorrSetup setup;
+    setup.seed = envValue<std::uint64_t>("ASCEND_FAULT_SEED")
+                     .value_or(setup.seed);
+    setup.profile = envValue<std::string>("ASCEND_FAULT_PROFILE")
+                        .value_or(setup.profile);
+    if (CorrelatedFaultSpec probe;
+        !resilience::applyFaultProfile(probe, setup.profile))
+        throwError(ErrorCode::ConfigValidation,
+                   "ASCEND_FAULT_PROFILE='%s' is not a profile name",
+                   setup.profile.c_str());
     bench::banner("Fleet serving under overload: admission control, "
                   "hedged retries, failure-aware degradation");
 
@@ -503,9 +507,6 @@ sweep()
         },
         BatchLatencyModel::denseAnchors(16),
         session.config().clockGhz);
-    CorrSetup setup;
-    setup.seed = faultSeedFromEnv();
-    setup.profile = resilience::faultProfileFromEnv("rack");
     const std::vector<CorrCell> corr =
         correlatedSweep(model, cheap, setup);
     printCorrelated(corr, setup);

@@ -8,7 +8,7 @@
  * place. EXPERIMENTS.md records the same numbers.
  *
  * The benches drive simulation through runtime::SimSession (memoized
- * + thread-pooled); with ASCEND_SIM_STATS=1 every banner-using bench
+ * + thread-pooled); with ASCEND_SIM_STATS=1 (or true) every banner-using bench
  * prints runtime::simStatsReport at exit: the process cache counters
  * (with hit rate and disk load/store counts), per-scope wall-clock
  * timings and one row per registered runtime counter. The table goes
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/field.hh"
 #include "common/table.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/profile.hh"
@@ -42,8 +43,7 @@ banner(const std::string &what)
     // First banner wires up the ASCEND_SIM_STATS=1 observability
     // hook: one aligned stats table on exit, after all tables.
     static const bool registered = [] {
-        const char *env = std::getenv("ASCEND_SIM_STATS");
-        if (env && std::string(env) == "1") {
+        if (envValue<bool>("ASCEND_SIM_STATS").value_or(false)) {
             // Construct the process cache *before* registering the
             // handler: statics destruct in reverse order, so the
             // report then prints while the cache is still alive. The

@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <iostream>
@@ -45,6 +44,7 @@
 #include <string>
 
 #include "common/atomic_file.hh"
+#include "common/field.hh"
 #include "common/golden.hh"
 #include "common/logging.hh"
 #include "resilience/run_journal.hh"
@@ -280,9 +280,8 @@ inline std::optional<int>
 chaosHarness(int argc, char **argv, std::uint64_t default_seed,
              const ChaosScenario &scenario)
 {
-    const char *env = std::getenv("ASCEND_CHAOS_SEED");
     std::uint64_t seed =
-        env && *env ? std::strtoull(env, nullptr, 10) : default_seed;
+        envValue<std::uint64_t>("ASCEND_CHAOS_SEED").value_or(default_seed);
     bool run_mode = false, chaos_mode = false;
     std::string ckpt_dir, out_path;
     for (int i = 1; i < argc; ++i) {
@@ -292,7 +291,7 @@ chaosHarness(int argc, char **argv, std::uint64_t default_seed,
         } else if (flag == "--chaos") {
             chaos_mode = true;
         } else if (flag == "--seed" && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
+            seed = parseValue<std::uint64_t>("--seed", argv[++i]);
         } else if (flag == "--ckpt-dir" && i + 1 < argc) {
             ckpt_dir = argv[++i];
         } else if (flag == "--out" && i + 1 < argc) {

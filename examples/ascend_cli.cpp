@@ -24,6 +24,7 @@
 
 #include "arch/config_io.hh"
 #include "common/error.hh"
+#include "common/field.hh"
 #include "common/table.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
@@ -128,7 +129,7 @@ parse(int argc, char **argv)
         else if (a == "--net")
             opt.net = need(i, "--net");
         else if (a == "--batch")
-            opt.batch = unsigned(std::stoul(need(i, "--batch")));
+            opt.batch = parseValue<unsigned>("--batch", need(i, "--batch"));
         else if (a == "--list")
             opt.list = true;
         else if (a == "--profile")
@@ -145,7 +146,8 @@ parse(int argc, char **argv)
         } else if (a == "--disasm")
             opt.disasmLayer = need(i, "--disasm");
         else if (a == "--density")
-            opt.density = std::stod(need(i, "--density"));
+            opt.density = parseValue<double>(fraction("--density"),
+                                             need(i, "--density"));
         else if (a == "--structured")
             opt.structured = true;
         else if (a == "--config")
@@ -166,7 +168,7 @@ parse(int argc, char **argv)
 
 int
 main(int argc, char **argv)
-{
+try {
     const Options opt = parse(argc, argv);
     if (opt.list) {
         listNetworks();
@@ -179,11 +181,7 @@ main(int argc, char **argv)
         if (!in)
             fatal("cannot open config file '%s'",
                   opt.configFile.c_str());
-        try {
-            cfg = arch::readConfig(in, cfg);
-        } catch (const Error &e) {
-            fatal("%s: %s", opt.configFile.c_str(), e.what());
-        }
+        cfg = arch::readConfig(in, cfg);
     }
     if (opt.dumpConfig) {
         arch::writeConfig(cfg, std::cout);
@@ -229,7 +227,8 @@ main(int argc, char **argv)
         for (const auto &layer : net.layers)
             sim.run(lc.compile(layer));
         const std::size_t events = tracer.spanCount();
-        tracer.stop();
+        if (!tracer.stop())
+            fatal("cannot write trace %s", opt.traceFile.c_str());
         if (!envTrace.empty())
             tracer.start(envTrace);
         std::cout << "wrote " << events << " events to "
@@ -277,4 +276,6 @@ main(int argc, char **argv)
         t.print(std::cout);
     }
     return 0;
+} catch (const Error &e) {
+    fatal("%s", e.what()); // refused input: one line, not an abort
 }

@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
@@ -72,12 +73,14 @@ main()
     compiler::LayerCompiler lc(cfg);
     core::CoreSim sim(cfg);
     obs::Tracer &tracer = obs::Tracer::instance();
-    tracer.stop(); // an ASCEND_TRACE trace ends here, written in full
+    if (!tracer.stop()) // an ASCEND_TRACE trace ends here, written in full
+        fatal("cannot write trace %s", tracer.path().c_str());
     tracer.start("quickstart_trace.json");
     sim.run(lc.compile(model::Layer::conv2d("conv", 1, 32, 56, 56, 64,
                                             3, 1, 1)));
     const std::size_t events = tracer.spanCount();
-    tracer.stop();
+    if (!tracer.stop())
+        fatal("cannot write quickstart_trace.json");
     std::cout << "wrote quickstart_trace.json (" << events
               << " events) - open in chrome://tracing\n";
     return 0;

@@ -22,6 +22,9 @@
  * - setFieldText: parse one `key=value` pair into a record, refusing
  *   an unknown key or a value its field's type cannot hold with a
  *   structured ConfigParse error;
+ * - parseValue / envValue: every command-line flag value and ASCEND_*
+ *   variable the tree reads, through the same text codec, failing
+ *   closed with a ConfigValidation error that names it;
  * - writeFields / readFields: a record as the `key = value` lines of
  *   the core config file and the cluster config text;
  * - encodeBody / decodeBody (encodeField / decodeField for one
@@ -51,6 +54,7 @@
 #include <cstring>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -324,6 +328,37 @@ checkFields(const R &rec, const std::string &record)
             }
         },
         rec);
+}
+
+/**
+ * @p text, the value of flag or variable @p name, as a T. Throws
+ * ConfigValidation when it is not one (`NAME='text' is not a valid
+ * integer`) or lies outside @p name's domain (`NAME='-1' must be
+ * positive`).
+ */
+template <typename T>
+T
+parseValue(FieldName name, const std::string &text)
+{
+    T v{};
+    if (!parseFieldText(text, v))
+        throwError(ErrorCode::ConfigValidation, "%s='%s' is not a valid %s",
+                   name.key, text.c_str(), fieldTypeName<T>());
+    if (const char *why = outOfDomain(name.domain, v))
+        throwError(ErrorCode::ConfigValidation, "%s='%s' %s", name.key,
+                   text.c_str(), why);
+    return v;
+}
+
+/** Variable @p name through parseValue; nothing when unset or empty. */
+template <typename T>
+std::optional<T>
+envValue(FieldName name)
+{
+    const char *text = std::getenv(name.key);
+    if (!text || !*text)
+        return std::nullopt;
+    return parseValue<T>(name, text);
 }
 
 /**

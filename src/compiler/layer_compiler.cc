@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "common/error.hh"
+#include "common/field.hh"
 #include "common/logging.hh"
 
 namespace ascend {
@@ -109,6 +110,7 @@ LayerCompiler::LayerCompiler(const arch::CoreConfig &config,
         throwError(ErrorCode::ConfigValidation,
                    "pipeline depth must be >= 1, got %u",
                    options_.pipelineDepth);
+    checkFields(options_, "compile options");
 }
 
 double

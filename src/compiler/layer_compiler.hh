@@ -80,13 +80,13 @@ struct CompileOptions
     static constexpr const char *keyTag = "opt:"; ///< SimCache key prefix
 };
 
-/** CompileOptions' fields, in SimCache-key order (common/field.hh). */
+/** CompileOptions' fields, in key order; LayerCompiler checks them. */
 template <typename F, RecordOf<CompileOptions>... O>
 void
 forEachField(F &&f, O &...o)
 {
     f("pipeline_depth", o.pipelineDepth...);
-    f("weight_density", o.sparsity.weightDensity...);
+    f(fraction("weight_density"), o.sparsity.weightDensity...);
     f("structured", o.sparsity.structured...);
     f("map_gemm_to_vector", o.mapGemmToVector...);
 }

@@ -24,7 +24,7 @@ namespace core {
 /** Sparsity description of a tensor or network. */
 struct SparsityConfig
 {
-    /** Fraction of non-zero weight elements in (0, 1]. */
+    /** Fraction of non-zero weight elements, in [0, 1]. */
     double weightDensity = 1.0;
     /**
      * Structured (N:M) pruning: the cube can skip pruned reduction

@@ -8,7 +8,6 @@
  * directly; no caller needs their wiring as a graph.
  */
 
-#include "common/logging.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
 
@@ -41,7 +40,7 @@ addConvBnRelu(Network &net, const std::string &name, unsigned batch,
 Network
 maskRcnn(unsigned batch, DataType dt)
 {
-    simAssert(batch > 0, "batch must be positive");
+    requirePositive("mask_rcnn", {{"batch", batch}});
     // ResNet50 backbone...
     Network net = toNetwork(resnet50Graph(batch, dt));
     net.name = "mask_rcnn";
@@ -107,7 +106,7 @@ maskRcnn(unsigned batch, DataType dt)
 Network
 wideDeep(unsigned batch, DataType dt)
 {
-    simAssert(batch > 0, "batch must be positive");
+    requirePositive("wide_and_deep", {{"batch", batch}});
     Network net;
     net.name = "wide_and_deep";
     // 26 categorical features gathered from embedding tables: a
@@ -138,7 +137,8 @@ Network
 lstm(unsigned batch, unsigned seq_len, unsigned input_dim,
      unsigned hidden, unsigned layers, DataType dt)
 {
-    simAssert(batch > 0 && seq_len > 0 && hidden > 0, "bad LSTM dims");
+    requirePositive("lstm", {{"batch", batch}, {"seq_len", seq_len},
+                             {"hidden", hidden}});
     Network net;
     net.name = "lstm";
     for (unsigned l = 0; l < layers; ++l) {
@@ -165,7 +165,7 @@ lstm(unsigned batch, unsigned seq_len, unsigned input_dim,
 Network
 siameseTracker(unsigned batch, DataType dt)
 {
-    simAssert(batch > 0, "batch must be positive");
+    requirePositive("siamese_tracker", {{"batch", batch}});
     Network net;
     net.name = "siamese_tracker";
     // Shared AlexNet-ish backbone, run on the 127x127 template and
@@ -214,7 +214,7 @@ siameseTracker(unsigned batch, DataType dt)
 Network
 pointNet(unsigned batch, unsigned points, DataType dt)
 {
-    simAssert(batch > 0 && points > 0, "bad pointnet dims");
+    requirePositive("pointnet", {{"batch", batch}, {"points", points}});
     Network net;
     net.name = "pointnet";
     const std::uint64_t rows = std::uint64_t(batch) * points;
@@ -243,7 +243,7 @@ pointNet(unsigned batch, unsigned points, DataType dt)
 Network
 slamFrontend(unsigned points, DataType dt)
 {
-    simAssert(points > 0, "points must be positive");
+    requirePositive("slam_frontend", {{"points", points}});
     Network net;
     net.name = "slam_frontend";
     // The Section 3.3 Vector Core task mix: stereo matching, feature

@@ -6,7 +6,7 @@
 
 #include "graph/zoo_graphs.hh"
 
-#include "common/logging.hh"
+#include "common/error.hh"
 
 namespace ascend {
 namespace graph {
@@ -123,10 +123,20 @@ invertedResidual(Graph &g, const std::string &name, TensorId x,
 
 } // anonymous namespace
 
+void
+requirePositive(const std::string &net,
+                std::initializer_list<std::pair<const char *, unsigned>> dims)
+{
+    for (const auto &[dim, value] : dims)
+        if (value == 0)
+            throwError(ErrorCode::ConfigValidation,
+                       "%s %s: must be positive, got 0", net.c_str(), dim);
+}
+
 Graph
 resnet50Graph(unsigned batch, DataType dt)
 {
-    simAssert(batch > 0, "batch must be positive");
+    requirePositive("resnet50", {{"batch", batch}});
     Graph g;
     g.name = "resnet50";
     TensorId t =
@@ -171,7 +181,7 @@ resnet50Graph(unsigned batch, DataType dt)
 Graph
 vgg16Graph(unsigned batch, DataType dt)
 {
-    simAssert(batch > 0, "batch must be positive");
+    requirePositive("vgg16", {{"batch", batch}});
     Graph g;
     g.name = "vgg16";
     TensorId t =
@@ -218,7 +228,7 @@ vgg16Graph(unsigned batch, DataType dt)
 Graph
 mobilenetV2Graph(unsigned batch, DataType dt)
 {
-    simAssert(batch > 0, "batch must be positive");
+    requirePositive("mobilenet_v2", {{"batch", batch}});
     Graph g;
     g.name = "mobilenet_v2";
     TensorId t =
@@ -267,7 +277,7 @@ mobilenetV2Graph(unsigned batch, DataType dt)
 Graph
 gestureNetGraph(unsigned batch)
 {
-    simAssert(batch > 0, "batch must be positive");
+    requirePositive("gesture_net", {{"batch", batch}});
     const DataType dt = DataType::Int8; // Ascend-Tiny is int8-only
     Graph g;
     g.name = "gesture_net";
@@ -305,8 +315,12 @@ bertGraph(const std::string &name, unsigned batch, unsigned seq_len,
           unsigned hidden, unsigned layers, unsigned heads,
           unsigned ffn, DataType dt)
 {
-    simAssert(batch > 0 && seq_len > 0 && hidden > 0, "bad BERT dims");
-    simAssert(hidden % heads == 0, "hidden must divide by heads");
+    requirePositive(name, {{"batch", batch}, {"seq_len", seq_len},
+                           {"hidden", hidden}, {"heads", heads}});
+    if (hidden % heads != 0)
+        throwError(ErrorCode::ConfigValidation,
+                   "%s: heads %u must divide hidden %u", name.c_str(),
+                   heads, hidden);
     const std::uint64_t tokens = std::uint64_t(batch) * seq_len;
     const unsigned head_dim = hidden / heads;
 

@@ -19,6 +19,7 @@
 #ifndef ASCEND_GRAPH_ZOO_GRAPHS_HH
 #define ASCEND_GRAPH_ZOO_GRAPHS_HH
 
+#include <initializer_list>
 #include <string>
 
 #include "graph/graph.hh"
@@ -27,6 +28,11 @@
 namespace ascend {
 namespace graph {
 namespace zoo {
+
+/** Refuse a zero of @p dims: ConfigValidation `<net> <dim>: ...`. */
+void requirePositive(
+    const std::string &net,
+    std::initializer_list<std::pair<const char *, unsigned>> dims);
 
 /** ResNet50 v1.5 with explicit residual wiring. */
 Graph resnet50Graph(unsigned batch, DataType dt = DataType::Fp16);

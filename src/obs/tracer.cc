@@ -10,9 +10,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
+#include "common/field.hh"
+#include "common/golden.hh"
 #include "isa/instruction.hh"
 
 namespace ascend {
@@ -178,7 +178,9 @@ formatDouble(double v)
 void
 atexitWriter()
 {
-    Tracer::instance().stop();
+    if (!Tracer::instance().stop())
+        std::fprintf(stderr, "ASCEND_TRACE: cannot write %s\n",
+                     Tracer::instance().path().c_str());
 }
 
 /**
@@ -186,8 +188,8 @@ atexitWriter()
  * binary linking the simulator gets the knob with no code changes.
  */
 const bool kEnvInit = [] {
-    if (kTraceCompiledIn)
-        Tracer::instance().startFromEnv();
+    if (const auto path = envValue<std::string>("ASCEND_TRACE"))
+        Tracer::instance().start(*path);
     return true;
 }();
 
@@ -221,31 +223,20 @@ Tracer::start(const std::string &path)
     activeFlag().store(true, std::memory_order_relaxed);
 }
 
-void
-Tracer::startFromEnv()
-{
-    const char *path = std::getenv("ASCEND_TRACE");
-    if (path && *path)
-        start(path);
-}
-
-void
+bool
 Tracer::stop()
 {
     if (!enabled())
-        return;
+        return true;
     activeFlag().store(false, std::memory_order_relaxed);
     std::string path;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         path = path_;
     }
-    if (!path.empty()) {
-        std::ofstream out(path, std::ios::trunc);
-        if (out)
-            write(out);
-    }
+    const bool written = path.empty() || writeFileText(path, json());
     clear();
+    return written;
 }
 
 Tracer::Buffer &
@@ -304,8 +295,8 @@ Tracer::collect(std::vector<Span> &spans,
     compactCounters(counters);
 }
 
-void
-Tracer::write(std::ostream &os)
+std::string
+Tracer::json()
 {
     std::vector<Span> spans;
     std::vector<CounterSample> counters;
@@ -390,15 +381,7 @@ Tracer::write(std::ostream &os)
     }
 
     out += "\n]}\n";
-    os << out;
-}
-
-std::string
-Tracer::json()
-{
-    std::ostringstream os;
-    write(os);
-    return os.str();
+    return out;
 }
 
 std::vector<Span>

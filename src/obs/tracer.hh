@@ -26,7 +26,8 @@
  * compiled out).
  *
  * Activation: set ASCEND_TRACE=<path> in the environment (the trace
- * is written at process exit or at stop()), or call
+ * is written at process exit, or at stop(); a failed exit-time write
+ * prints one stderr line), or call
  * Tracer::instance().start(path) / stop() programmatically.
  *
  * Threading contract: span()/counter() are safe from any thread, but
@@ -43,7 +44,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -136,14 +136,12 @@ class Tracer
      */
     void start(const std::string &path);
 
-    /** start(ASCEND_TRACE) when the variable is set and non-empty. */
-    void startFromEnv();
-
     /**
      * Stop collecting; if a path was given, write the trace file.
      * Buffers are cleared. Safe to call when not started.
+     * @return false when the trace file could not be written.
      */
-    void stop();
+    bool stop();
 
     /** Record one span. No-op (beyond buffering) when stopped. */
     void span(Domain domain, std::uint32_t track, const char *name,
@@ -159,12 +157,9 @@ class Tracer
      * is deterministic: byte-identical for identical simulated work
      * at any thread count.
      */
-    void write(std::ostream &os);
-
-    /** write() into a string. */
     std::string json();
 
-    /** The merged, sorted and deduplicated spans write() emits. */
+    /** The merged, sorted and deduplicated spans json() emits. */
     std::vector<Span> spans();
 
     /** Deduplicated span count. */

@@ -6,7 +6,6 @@
 #include "resilience/fault_domain.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/field.hh"
 #include "common/logging.hh"
@@ -206,13 +205,6 @@ applyFaultProfile(CorrelatedFaultSpec &spec, const std::string &name)
         return true;
     }
     return false;
-}
-
-std::string
-faultProfileFromEnv(const std::string &fallback)
-{
-    const char *env = std::getenv("ASCEND_FAULT_PROFILE");
-    return env && *env ? env : fallback;
 }
 
 } // namespace resilience

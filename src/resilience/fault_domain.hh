@@ -142,8 +142,8 @@ std::string fingerprint(const CorrelatedFaultSpec &spec);
 FaultSchedule generateCorrelated(const CorrelatedFaultSpec &spec);
 
 /**
- * Named chaos profiles for benches and CI, selectable through the
- * ASCEND_FAULT_PROFILE environment variable:
+ * Named chaos profiles for benches and CI (bench_serving's
+ * ASCEND_FAULT_PROFILE):
  *  - "none":  empty (the fault-free twin);
  *  - "rack":  one rack-wide transient outage striking at
  *             0.3 * horizon for 0.1 * horizon;
@@ -153,12 +153,6 @@ FaultSchedule generateCorrelated(const CorrelatedFaultSpec &spec);
  */
 bool applyFaultProfile(CorrelatedFaultSpec &spec,
                        const std::string &name);
-
-/**
- * ASCEND_FAULT_PROFILE, or @p fallback when unset/empty. The caller
- * feeds the result to applyFaultProfile.
- */
-std::string faultProfileFromEnv(const std::string &fallback);
 
 } // namespace resilience
 } // namespace ascend

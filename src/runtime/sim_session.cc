@@ -11,6 +11,7 @@
 #include <mutex>
 
 #include "common/codec.hh"
+#include "common/field.hh"
 #include "obs/tracer.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/thread_pool.hh"
@@ -26,10 +27,8 @@ namespace {
 std::string
 persistentCachePath()
 {
-    const char *dir = std::getenv("ASCEND_CACHE_DIR");
-    if (!dir || !*dir)
-        return {};
-    return SimCache::filePath(dir);
+    const auto dir = envValue<std::string>("ASCEND_CACHE_DIR");
+    return dir ? SimCache::filePath(*dir) : std::string();
 }
 
 /**

@@ -58,7 +58,7 @@ class SimSession
      *        and share their cache entries. Any other value is mixed
      *        into the session key so degraded runs cache separately.
      * @param sur Surrogate cost-model knobs (surrogate/surrogate.hh);
-     *        default reads ASCEND_SURROGATE / ASCEND_SURROGATE_ERR.
+     *        default reads the ASCEND_SURROGATE* variables (fromEnv).
      *        When enabled, runLayer answers cache misses through
      *        error-bounded O(1) interpolation between exact anchor
      *        simulations; predicted results cache under keys mixed

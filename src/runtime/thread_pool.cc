@@ -5,13 +5,9 @@
 
 #include "runtime/thread_pool.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <climits>
-#include <cstdlib>
-#include <string>
+#include <algorithm>
 
-#include "common/error.hh"
+#include "common/field.hh"
 
 namespace ascend {
 namespace runtime {
@@ -30,20 +26,8 @@ thread_local unsigned tlsLoopDepth = 0;
 unsigned
 ThreadPool::configuredThreads()
 {
-    const char *env = std::getenv("ASCEND_THREADS");
-    if (env && *env) {
-        // Digits only: strtoul alone would take a sign or blanks.
-        char *end = nullptr;
-        errno = 0;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (!std::isdigit(static_cast<unsigned char>(*env)) ||
-            *end != '\0' || errno == ERANGE || v > UINT_MAX)
-            throwError(ErrorCode::ConfigValidation,
-                       "ASCEND_THREADS='%s' is not a non-negative decimal "
-                       "integer",
-                       env);
-        return v <= 1 ? 1u : unsigned(v);
-    }
+    if (const auto n = envValue<unsigned>("ASCEND_THREADS"))
+        return std::max(*n, 1u);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1u;
 }

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/field.hh"
 
@@ -302,23 +300,13 @@ SurrogateOptions
 SurrogateOptions::fromEnv()
 {
     SurrogateOptions o;
-    if (const char *v = std::getenv("ASCEND_SURROGATE"))
-        if (*v && std::strcmp(v, "0") != 0)
-            o.enabled = true;
-    if (const char *v = std::getenv("ASCEND_SURROGATE_ERR")) {
-        char *end = nullptr;
-        const double e = std::strtod(v, &end);
-        if (end != v && e > 0) {
-            o.errBudget = e;
-            o.enabled = true;
-        }
+    o.enabled = envValue<bool>("ASCEND_SURROGATE").value_or(false);
+    if (const auto e = envValue<double>(positive("ASCEND_SURROGATE_ERR"))) {
+        o.errBudget = *e;
+        o.enabled = true;
     }
-    if (const char *v = std::getenv("ASCEND_SURROGATE_SPOT")) {
-        char *end = nullptr;
-        const unsigned long long p = std::strtoull(v, &end, 10);
-        if (end != v)
-            o.spotCheckPeriod = p;
-    }
+    o.spotCheckPeriod = envValue<std::uint64_t>("ASCEND_SURROGATE_SPOT")
+                            .value_or(o.spotCheckPeriod);
     return o;
 }
 

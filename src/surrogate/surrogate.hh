@@ -92,9 +92,9 @@ struct SurrogateOptions
     double minPredictFlops = 1e7;
 
     /**
-     * ASCEND_SURROGATE=1 enables; ASCEND_SURROGATE_ERR=<rel> both
-     * sets the budget and enables; ASCEND_SURROGATE_SPOT=<n> tunes
-     * the spot-check period. Anything else: defaults above.
+     * ASCEND_SURROGATE=1 enables; ASCEND_SURROGATE_ERR=<rel> (> 0)
+     * sets the budget and enables; ASCEND_SURROGATE_SPOT=<n> sets the
+     * spot-check period. Unset: defaults above; malformed: throws.
      */
     static SurrogateOptions fromEnv();
 };

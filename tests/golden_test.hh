@@ -10,25 +10,24 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <optional>
 #include <string>
 
 #include "common/atomic_file.hh"
+#include "common/field.hh"
 #include "common/golden.hh"
 
 namespace ascend {
 
 /**
  * Expect @p rows to match the golden file @p path. With
- * ASCEND_UPDATE_GOLDEN set (and not "0"), write @p rows there and skip
+ * the switch ASCEND_UPDATE_GOLDEN on, write @p rows there and skip
  * the test instead. Call it last: the skip returns from here only.
  */
 inline void
 expectGolden(const std::string &path, const std::string &rows)
 {
-    const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
-    if (env && *env && std::string(env) != "0") {
+    if (envValue<bool>("ASCEND_UPDATE_GOLDEN").value_or(false)) {
         ASSERT_TRUE(writeFileText(path, rows)) << "cannot write " << path;
         GTEST_SKIP() << "golden regenerated";
     }

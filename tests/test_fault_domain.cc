@@ -190,7 +190,7 @@ TEST(CorrelatedFaults, MetaSpecCarriesFleetFacingFields)
     EXPECT_EQ(s.spec().cores, spec.topology.replicas);
 }
 
-TEST(FaultProfiles, ApplyAndEnvFallback)
+TEST(FaultProfiles, ApplyByName)
 {
     CorrelatedFaultSpec spec;
     spec.horizonSec = 10.0;
@@ -207,12 +207,6 @@ TEST(FaultProfiles, ApplyAndEnvFallback)
     EXPECT_GT(spec.powerOutagePerSec, 0.0);
 
     EXPECT_FALSE(resilience::applyFaultProfile(spec, "bogus"));
-
-    ::unsetenv("ASCEND_FAULT_PROFILE");
-    EXPECT_EQ(resilience::faultProfileFromEnv("rack"), "rack");
-    ::setenv("ASCEND_FAULT_PROFILE", "power", 1);
-    EXPECT_EQ(resilience::faultProfileFromEnv("rack"), "power");
-    ::unsetenv("ASCEND_FAULT_PROFILE");
 }
 
 } // namespace

@@ -844,12 +844,17 @@ TEST(RecordKeys, EveryDomainIsCheckedWhereItsRecordEnters)
                   },
                   "fleet"),
               10u);
+    const arch::CoreConfig max = arch::makeCoreConfig(arch::CoreVersion::Max);
+    EXPECT_EQ(expectEveryDomainChecked(
+                  compiler::CompileOptions{},
+                  [&](const auto &o) { compiler::LayerCompiler(max, o); },
+                  "compile options"),
+              1u);
 
     // Every other listed record's default is in its domain too.
     const auto inDomain = [](const auto &rec, const char *what) {
         EXPECT_NO_THROW(checkFields(rec, what)) << what;
     };
-    inDomain(compiler::CompileOptions{}, "compile options");
     inDomain(resilience::ResilienceOptions{}, "resilience options");
     inDomain(serving::QosTier{}, "tier");
     inDomain(serving::FleetCounters{}, "fleet counters");

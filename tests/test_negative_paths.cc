@@ -6,14 +6,21 @@
  * like the SimCache must stay clean when a computation throws.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/chaos_harness.hh"
 #include "cluster/collective.hh"
 #include "cluster/elastic_run.hh"
 #include "cluster/fault_collective.hh"
@@ -28,6 +35,7 @@
 #include "runtime/sim_session.hh"
 #include "runtime/thread_pool.hh"
 #include "serving/fleet.hh"
+#include "surrogate/surrogate.hh"
 
 using namespace ascend;
 using compiler::LayerCompiler;
@@ -410,6 +418,53 @@ TEST(NegativeLatencyModel, UnusableCurvesAreRefused)
         ErrorCode::ConfigValidation, "at 0 GHz");
 }
 
+TEST(NegativeZoo, CnnBuildersRefuseZeroBatch)
+{
+    using namespace graph::zoo;
+    expectError([] { resnet50Graph(0); }, ErrorCode::ConfigValidation,
+                "resnet50 batch: must be positive, got 0");
+    expectError([] { vgg16Graph(0); }, ErrorCode::ConfigValidation,
+                "vgg16 batch");
+    expectError([] { mobilenetV2Graph(0); }, ErrorCode::ConfigValidation,
+                "mobilenet_v2 batch");
+    expectError([] { gestureNetGraph(0); }, ErrorCode::ConfigValidation,
+                "gesture_net batch");
+}
+
+TEST(NegativeZoo, BertRefusesDegenerateDims)
+{
+    using namespace graph::zoo;
+    expectError([] { bertBaseGraph(0); }, ErrorCode::ConfigValidation,
+                "bert_base batch: must be positive");
+    expectError([] { bertLargeGraph(1, 0); }, ErrorCode::ConfigValidation,
+                "bert_large seq_len");
+    expectError([] { bertGraph("b", 1, 8, 0, 1, 1, 16); },
+                ErrorCode::ConfigValidation, "b hidden");
+    expectError([] { bertGraph("b", 1, 8, 64, 1, 0, 16); },
+                ErrorCode::ConfigValidation, "b heads");
+    expectError([] { bertGraph("b", 1, 8, 64, 1, 5, 16); },
+                ErrorCode::ConfigValidation, "heads 5 must divide hidden 64");
+}
+
+TEST(NegativeZoo, ChainBuildersRefuseZeroDims)
+{
+    using namespace graph::zoo;
+    expectError([] { maskRcnn(0); }, ErrorCode::ConfigValidation,
+                "mask_rcnn batch");
+    expectError([] { wideDeep(0); }, ErrorCode::ConfigValidation,
+                "wide_and_deep batch");
+    expectError([] { lstm(1, 0); }, ErrorCode::ConfigValidation,
+                "lstm seq_len");
+    expectError([] { lstm(1, 8, 64, 0); }, ErrorCode::ConfigValidation,
+                "lstm hidden");
+    expectError([] { siameseTracker(0); }, ErrorCode::ConfigValidation,
+                "siamese_tracker batch");
+    expectError([] { pointNet(1, 0); }, ErrorCode::ConfigValidation,
+                "pointnet points");
+    expectError([] { slamFrontend(0); }, ErrorCode::ConfigValidation,
+                "slam_frontend points");
+}
+
 TEST(NegativeDecoder, DegenerateDimsAreRefused)
 {
     graph::DecoderConfig cfg;
@@ -561,6 +616,177 @@ TEST(NegativeThreads, MalformedBudgetIsRefused)
         ::setenv("ASCEND_THREADS", saved.c_str(), 1);
     else
         ::unsetenv("ASCEND_THREADS");
+}
+
+/** The spelling of an unset variable in the OutsideInput table. */
+const std::string kUnset = "<unset>";
+
+/**
+ * One value from outside the program: an ASCEND_* variable or a
+ * command-line flag, read as the program reads it. @p read returns
+ * what the text parsed to (empty where the site keeps it private).
+ */
+struct OutsideValue
+{
+    std::string name;
+    std::function<std::string(const std::string &text)> read;
+    std::vector<std::pair<std::string, std::string>> accepted;
+    std::vector<std::string> malformed;
+};
+
+/** A row reading variable @p name through @p reader. */
+OutsideValue
+variable(const std::string &name, std::function<std::string()> reader,
+         std::vector<std::pair<std::string, std::string>> accepted,
+         std::vector<std::string> malformed)
+{
+    const auto read = [name, reader](const std::string &text) {
+        if (text == kUnset)
+            ::unsetenv(name.c_str());
+        else
+            ::setenv(name.c_str(), text.c_str(), 1);
+        return reader();
+    };
+    return {name, read, std::move(accepted), std::move(malformed)};
+}
+
+/** bench::chaosHarness on @p args: parses its seed, runs nothing. */
+std::string
+chaosSeedParse(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    EXPECT_FALSE(bench::chaosHarness(int(argv.size()), argv.data(), 5, {}));
+    return "";
+}
+
+TEST(OutsideInput, EveryVariableAndFlagFailsClosed)
+{
+    // Every variable is restored afterwards; no pool is built.
+    const std::vector<std::string> names = {
+        "ASCEND_THREADS", "ASCEND_CACHE_DIR", "ASCEND_TRACE",
+        "ASCEND_FAULT_PROFILE", "ASCEND_SURROGATE",
+        "ASCEND_SURROGATE_ERR", "ASCEND_SURROGATE_SPOT",
+        "ASCEND_FAULT_SEED", "ASCEND_UPDATE_GOLDEN", "ASCEND_SIM_STATS",
+        "ASCEND_CHAOS_SEED"};
+    std::map<std::string, std::string> saved;
+    for (const std::string &n : names) {
+        if (const char *v = std::getenv(n.c_str()))
+            saved[n] = v;
+        ::unsetenv(n.c_str());
+    }
+
+    const std::string hw =
+        std::to_string(std::max(std::thread::hardware_concurrency(), 1u));
+    const auto text = [](const auto &v) { return fieldText(v); };
+    const auto surrogate = [] {
+        return surrogate::SurrogateOptions::fromEnv();
+    };
+    const std::vector<std::string> not_bool = {"yes", "2", "on", "-1"};
+    const std::vector<std::pair<std::string, std::string>> switches = {
+        {kUnset, "false"}, {"", "false"},    {"0", "false"},
+        {"1", "true"},     {"true", "true"}, {"false", "false"}};
+    const std::vector<OutsideValue> table = {
+        variable("ASCEND_THREADS",
+                 [] {
+                     return std::to_string(
+                         runtime::ThreadPool::configuredThreads());
+                 },
+                 {{kUnset, hw}, {"", hw}, {"0", "1"}, {"1", "1"},
+                  {"3", "3"}},
+                 {"true", "false", "-1", "abc", "4294967296"}),
+        variable("ASCEND_CACHE_DIR",
+                 [] {
+                     return envValue<std::string>("ASCEND_CACHE_DIR")
+                         .value_or("-");
+                 },
+                 {{kUnset, "-"}, {"", "-"}, {"0", "0"}, {"d", "d"}}, {}),
+        variable("ASCEND_TRACE",
+                 [] {
+                     return envValue<std::string>("ASCEND_TRACE")
+                         .value_or("-");
+                 },
+                 {{kUnset, "-"}, {"", "-"}, {"t.json", "t.json"}}, {}),
+        // Any text parses; bench_serving refuses an unknown profile
+        // name at start-up (ctest refusal_fault_profile).
+        variable("ASCEND_FAULT_PROFILE",
+                 [] {
+                     return envValue<std::string>("ASCEND_FAULT_PROFILE")
+                         .value_or("rack");
+                 },
+                 {{kUnset, "rack"}, {"", "rack"}, {"power", "power"}}, {}),
+        variable("ASCEND_SURROGATE",
+                 [&] { return text(surrogate().enabled); }, switches,
+                 not_bool),
+        variable("ASCEND_SURROGATE_ERR",
+                 [&] {
+                     const auto o = surrogate();
+                     return o.enabled ? text(o.errBudget) : "off";
+                 },
+                 {{kUnset, "off"}, {"", "off"}, {"1", "1"}, {"0.5", "0.5"}},
+                 {"0", "-1", "abc", "true", "false", "nan", "inf"}),
+        variable("ASCEND_SURROGATE_SPOT",
+                 [&] { return text(surrogate().spotCheckPeriod); },
+                 {{kUnset, "64"}, {"", "64"}, {"0", "0"}, {"1", "1"}},
+                 {"-3", "abc", "true", "false", "1.5"}),
+        variable("ASCEND_FAULT_SEED",
+                 [&] {
+                     return text(envValue<std::uint64_t>("ASCEND_FAULT_SEED")
+                                     .value_or(17));
+                 },
+                 {{kUnset, "17"}, {"", "17"}, {"0", "0"}, {"1", "1"}},
+                 {"abc", "-1", "true", "false", "1.5"}),
+        variable("ASCEND_UPDATE_GOLDEN",
+                 [&] {
+                     return text(envValue<bool>("ASCEND_UPDATE_GOLDEN")
+                                     .value_or(false));
+                 },
+                 switches, not_bool),
+        variable("ASCEND_SIM_STATS",
+                 [&] {
+                     return text(envValue<bool>("ASCEND_SIM_STATS")
+                                     .value_or(false));
+                 },
+                 switches, not_bool),
+        variable("ASCEND_CHAOS_SEED", [] { return chaosSeedParse({}); },
+                 {{kUnset, ""}, {"", ""}, {"0", ""}, {"1", ""}},
+                 {"abc", "-1", "true", "false"}),
+        {"--batch",
+         [&](const std::string &t) {
+             return text(parseValue<unsigned>("--batch", t));
+         },
+         {{"0", "0"}, {"1", "1"}},
+         {"", "abc", "-1", "true", "false", "4294967296"}},
+        {"--density",
+         [&](const std::string &t) {
+             return text(parseValue<double>(fraction("--density"), t));
+         },
+         {{"0", "0"}, {"1", "1"}, {"0.5", "0.5"}},
+         {"", "abc", "-1", "2", "1e9", "true", "false", "nan"}},
+        {"--seed",
+         [](const std::string &t) { return chaosSeedParse({"--seed", t}); },
+         {{"0", ""}, {"1", ""}, {"18446744073709551615", ""}},
+         {"", "abc", "-1", "true", "false", "18446744073709551616"}},
+    };
+
+    for (const OutsideValue &row : table) {
+        for (const auto &[spelling, want] : row.accepted) {
+            std::string got;
+            EXPECT_NO_THROW(got = row.read(spelling))
+                << row.name << " '" << spelling << "'";
+            EXPECT_EQ(got, want) << row.name << " '" << spelling << "'";
+        }
+        for (const std::string &bad : row.malformed)
+            expectError([&] { row.read(bad); },
+                        ErrorCode::ConfigValidation,
+                        row.name + "='" + bad + "'");
+        if (row.name.rfind("ASCEND_", 0) == 0)
+            ::unsetenv(row.name.c_str());
+    }
+    for (const auto &[n, v] : saved)
+        ::setenv(n.c_str(), v.c_str(), 1);
 }
 
 } // namespace

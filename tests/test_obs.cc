@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <thread>
 
+#include "common/atomic_file.hh"
 #include "common/codec.hh"
 #include "common/error.hh"
 #include "graph/lower.hh"
@@ -101,6 +103,25 @@ TEST(Tracer, ClearDropsEventsButStaysActive)
     tracer.clear();
     EXPECT_EQ(tracer.spanCount(), 0u);
     EXPECT_TRUE(obs::Tracer::enabled());
+}
+
+TEST(Tracer, StopReportsAFailedWrite)
+{
+    if (!obs::kTraceCompiledIn)
+        GTEST_SKIP() << "tracer compiled out";
+    ScopedTrace scope;
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.start(::testing::TempDir() + "no_such_dir/trace.json");
+    tracer.span(obs::Domain::Noc, 1, "mesh-run", 0, 100);
+    EXPECT_FALSE(tracer.stop());
+
+    const std::string path = ::testing::TempDir() + "tracer_stop.json";
+    tracer.start(path);
+    tracer.span(obs::Domain::Noc, 1, "mesh-run", 0, 100);
+    const std::string json = tracer.json();
+    EXPECT_TRUE(tracer.stop());
+    EXPECT_EQ(readFile(path), json);
+    std::remove(path.c_str());
 }
 
 TEST(Tracer, CoreSimEmitsSpansAndRepeatRunsDedup)

@@ -34,6 +34,7 @@
 #include "baseline/systolic.hh"
 #include "cluster/collective.hh"
 #include "common/atomic_file.hh"
+#include "common/field.hh"
 #include "common/golden.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
@@ -350,8 +351,7 @@ TEST(PaperConformance, TablesMatchGolden)
 {
     const std::vector<Cell> cells = deriveAllCells();
 
-    if (const char *env = std::getenv("ASCEND_UPDATE_GOLDEN");
-        env && *env && std::string(env) != "0") {
+    if (envValue<bool>("ASCEND_UPDATE_GOLDEN").value_or(false)) {
         std::string text =
             "# Paper-table conformance golden (Tables 3, 5, 6, 7, 8, "
             "9).\n"
