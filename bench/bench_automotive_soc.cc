@@ -21,7 +21,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     soc::AutoSoc soc610;
 
@@ -97,4 +97,10 @@ main()
                  "the Section 3.3 vector-unit\n micro-architecture "
                  "extensions)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -18,7 +18,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     bench::banner("Section 5.1: Auto Tiling search vs heuristic");
     struct Case
@@ -93,4 +93,10 @@ main()
                  "diminish - the Section 2.3 resource-balance "
                  "principle.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -57,7 +57,7 @@ run(unsigned m0, unsigned batch)
 } // anonymous namespace
 
 int
-main()
+runBench()
 {
     bench::banner("Section 3.2 ablation: cube m0 for batch-1 mobile "
                   "inference (MobileNetV2, Lite-class core)");
@@ -90,4 +90,10 @@ main()
                  "gap closes - exactly the Section 3.2 argument for "
                  "tailoring m0.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

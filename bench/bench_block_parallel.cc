@@ -25,7 +25,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     soc::TrainingSoc soc910;
     const auto &cfg = soc910.config();
@@ -92,4 +92,10 @@ main()
                  "tail the paper's QoS policy\nbounds for "
                  "latency-critical traffic.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -138,11 +138,17 @@ soak()
 } // anonymous namespace
 
 int
-main(int argc, char **argv)
+runBench(int argc, char **argv)
 {
     if (const std::optional<int> rc =
             bench::chaosHarness(argc, argv, 3, chaosRun))
         return *rc;
     soak();
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

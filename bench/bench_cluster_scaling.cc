@@ -19,7 +19,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     soc::TrainingSoc soc910;
     const unsigned per_core_batch = 8;
@@ -110,4 +110,10 @@ main()
                  "endpoints; halving-doubling\nwins for the gradient "
                  "sizes ResNet50/BERT ship.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

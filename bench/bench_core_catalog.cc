@@ -17,7 +17,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     bench::banner("Table 1: Ascend cores, applications, networks");
     TextTable t1;
@@ -153,4 +153,10 @@ main()
     t10.row({"Ascend 310", "2018", "~1 M"});
     t10.print(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

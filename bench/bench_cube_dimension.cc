@@ -52,7 +52,7 @@ cubeUtilization(const arch::CubeShape &shape, const model::Network &net)
 } // anonymous namespace
 
 int
-main()
+runBench()
 {
     using arch::TechNode;
     const double ghz_small = 1.66; // GPU-class clock for the 4^3 SM
@@ -113,4 +113,10 @@ main()
     std::cout << "(paper: 32^3 becomes inefficient due to lower MAC "
                  "utilization)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -537,7 +537,7 @@ eccCheckpointCurves(bool smoke)
 } // anonymous namespace
 
 int
-main(int argc, char **argv)
+runBench(int argc, char **argv)
 {
     bool smoke = false;
     for (int i = 1; i < argc; ++i) {
@@ -557,4 +557,10 @@ main(int argc, char **argv)
     eccCheckpointCurves(smoke);
     writeResilienceJson(elastic);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

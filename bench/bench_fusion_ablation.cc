@@ -39,7 +39,7 @@ run(const runtime::SimSession &session, const model::Network &net)
 } // anonymous namespace
 
 int
-main()
+runBench()
 {
     bench::banner("Compiler ablation: operator fusion");
     TextTable t("fused vs layer-at-a-time");
@@ -92,4 +92,10 @@ main()
                  "keeps the Fig. 9 bandwidth profile under the bus "
                  "budgets.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -44,7 +44,7 @@ seriesMaxRead(const std::vector<runtime::GroupProfile> &groups)
 } // anonymous namespace
 
 int
-main()
+runBench()
 {
     runtime::SimSession session(unlimitedL1Config());
 
@@ -97,4 +97,10 @@ main()
               << " bits/cycle\n"
               << "(paper: MobileNet shows the highest L1 demand)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

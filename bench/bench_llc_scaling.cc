@@ -64,7 +64,7 @@ sweep(const char *name, const model::Network &per_core_net,
 } // anonymous namespace
 
 int
-main()
+runBench()
 {
     sweep("ResNet50 training (global batch 256, next-gen device)",
           graph::toNetwork(graph::zoo::resnet50Graph(4)), "(paper: 1.71x)");
@@ -72,4 +72,10 @@ main()
           graph::toNetwork(graph::zoo::bertBaseGraph(2, 128)),
           "(paper: 1.51x)");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

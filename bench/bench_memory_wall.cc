@@ -21,7 +21,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     soc::TrainingSoc soc910;
     const auto &core = soc910.coreConfig();
@@ -71,4 +71,10 @@ main()
                  "(Section 4.1); the multi-layer hierarchy is what\n"
                  "closes the >2000x gap between cube demand and HBM.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -22,7 +22,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     soc::MobileSoc kirin;
 
@@ -112,4 +112,10 @@ main()
               << TextTable::num(double(raw_total) / comp_total, 1)
               << "x by the shape-dictionary compressor\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -24,7 +24,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     const model::Layer hpc =
         model::Layer::linear("hpc.gemm", 2048, 2048, 2048,
@@ -100,4 +100,10 @@ main()
                  "~60x faster than routing\nfp32 through the vector "
                  "unit - the Section 7.2 trade for HPC corner cases.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -18,7 +18,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     noc::MeshConfig cfg; // 6x4, 128 B flits, 2 GHz, bufferless
     noc::MeshNoc mesh(cfg);
@@ -89,4 +89,10 @@ main()
     nt.print(std::cout);
     std::cout << "(paper: total throughput to L2 is 4 TB/s)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

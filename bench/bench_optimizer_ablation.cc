@@ -16,7 +16,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     soc::TrainingSoc soc910;
     const auto resnet = graph::toNetwork(graph::zoo::resnet50Graph(4));
@@ -48,4 +48,10 @@ main()
                  "UB-vector datapath of\nSection 3.1 exists exactly "
                  "for this optimizer-bound tail of training.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

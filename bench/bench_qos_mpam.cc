@@ -26,7 +26,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     soc::AutoSoc soc610;
 
@@ -78,4 +78,10 @@ main()
               << "(the CPU domain rides a private ASIL-D ring, so AI "
                  "bulk traffic cannot touch it)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -16,7 +16,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     const auto config = arch::makeCoreConfig(arch::CoreVersion::Max);
     runtime::SimSession session(config);
@@ -40,4 +40,10 @@ main()
         "BERT training (fwd+bwd per operator)",
         runtime::fusionGroupsTraining(tra_runs));
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -19,7 +19,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     const auto max_cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
     runtime::SimSession session(max_cfg);
@@ -46,4 +46,10 @@ main()
         "MobileNetV2 b=1 on Lite",
         runtime::fusionGroups(lite.runInference(mobilenet)));
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

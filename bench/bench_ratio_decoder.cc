@@ -160,7 +160,7 @@ servingCurve(const graph::DecoderConfig &cfg, unsigned ctx,
 } // anonymous namespace
 
 int
-main(int argc, char **argv)
+runBench(int argc, char **argv)
 {
     bool smoke = false;
     for (int i = 1; i < argc; ++i) {
@@ -185,4 +185,10 @@ main(int argc, char **argv)
 
     servingCurve(cfg, smoke ? 64 : 1024, smoke ? 4 : 16);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -15,7 +15,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     runtime::SimSession session(
         arch::makeCoreConfig(arch::CoreVersion::Tiny));
@@ -27,4 +27,10 @@ main()
         "Gesture NN b=1 int8",
         runtime::fusionGroups(session.runInference(net)));
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

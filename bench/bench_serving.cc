@@ -567,10 +567,16 @@ chaosRun(std::uint64_t seed, const resilience::RunControl &control)
 } // anonymous namespace
 
 int
-main(int argc, char **argv)
+runBench(int argc, char **argv)
 {
     if (const std::optional<int> rc =
             bench::chaosHarness(argc, argv, 5, chaosRun))
         return *rc;
     return sweep();
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

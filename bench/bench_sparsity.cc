@@ -51,7 +51,7 @@ run(double density, bool structured)
 } // anonymous namespace
 
 int
-main()
+runBench()
 {
     bench::banner("Section 3.2 ablation: sparsity on Ascend-Lite "
                   "(ResNet50 b=1)");
@@ -94,4 +94,10 @@ main()
                  "time\n(the paper's 'computing power consumption can "
                  "be further reduced under sparsity').\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -10,7 +10,7 @@
  * exploration, and the regime the surrogate is built for: many
  * queries sharing a small set of bracketing anchor simulations. Both
  * legs run on fresh private SimCaches so neither can feed the other
- * and a warm ASCEND_CACHE_DIR cannot skew the exact-leg timing.
+ * and the process cache cannot skew the exact-leg timing.
  *
  * Everything on stdout is a pure function of the shapes and the
  * simulator — outcome counts, per-family error percentiles, the
@@ -240,7 +240,7 @@ writeJson(const std::vector<FamilyStats> &fams, double err_budget,
 } // anonymous namespace
 
 int
-main()
+runBench()
 {
     bench::banner("Surrogate cost model: error CDF and speedup");
 
@@ -296,4 +296,10 @@ main()
               runtime::ThreadPool::configuredThreads());
     std::cout << "wrote BENCH_surrogate.json\n";
     return withinBudget ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

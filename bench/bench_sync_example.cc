@@ -16,7 +16,7 @@ using namespace ascend;
 using isa::Pipe;
 
 int
-main()
+runBench()
 {
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
     core::CoreSim sim(cfg);
@@ -66,4 +66,10 @@ main()
                   r.pipe(Pipe::Cube).finishCycle,
               "loads should overlap cube work");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

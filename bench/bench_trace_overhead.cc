@@ -77,7 +77,7 @@ minOfReps(core::CoreSim &sim, const isa::Program &prog, int iters,
 } // anonymous namespace
 
 int
-main()
+runBench()
 {
     // Neutralize any ASCEND_TRACE inherited from the environment so
     // T_base really is the never-activated path.
@@ -178,4 +178,10 @@ main()
     std::cout << "disabled-tracing overhead within "
               << (limit - 1.0) * 100.0 << "% budget\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

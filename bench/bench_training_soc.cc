@@ -24,7 +24,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     soc::TrainingSoc soc910;
 
@@ -127,4 +127,10 @@ main()
               << TextTable::num(100 * resnet_step.llcHitRate(), 0)
               << "%\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

@@ -15,7 +15,7 @@
 using namespace ascend;
 
 int
-main()
+runBench()
 {
     using arch::TechNode;
     const auto cfg = arch::makeCoreConfig(arch::CoreVersion::Max);
@@ -56,4 +56,10 @@ main()
               << TextTable::num(cube.perfPerWatt() / vec.perfPerWatt(), 1)
               << "x (paper: ~4.6x)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

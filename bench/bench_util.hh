@@ -8,14 +8,17 @@
  * place. EXPERIMENTS.md records the same numbers.
  *
  * The benches drive simulation through runtime::SimSession (memoized
- * + thread-pooled); with ASCEND_SIM_STATS=1 (or true) every banner-using bench
- * prints runtime::simStatsReport at exit: the process cache counters
- * (with hit rate and disk load/store counts), per-scope wall-clock
- * timings and one row per registered runtime counter. The table goes
- * to stderr so stdout, pinned to tests/golden at ASCEND_THREADS 1 and
- * 8 (ctest -L bench-golden), stays byte-identical across runs and
- * thread counts. Rows ending in "~" (cache, threads, timings, Racy
- * counters) may vary with ASCEND_THREADS; the rest must not.
+ * in one in-process cache + thread-pooled); with ASCEND_SIM_STATS=1
+ * (or true) every banner-using bench prints runtime::simStatsReport
+ * at exit: the process cache counters (with hit rate), per-scope
+ * wall-clock timings and one row per registered runtime counter. The
+ * table goes to stderr so stdout, pinned to tests/golden at
+ * ASCEND_THREADS 1 and 8 (ctest -L bench-golden), stays
+ * byte-identical across runs and thread counts. Rows ending in "~"
+ * (cache, threads, timings, Racy counters) may vary with
+ * ASCEND_THREADS; the rest must not. Each bench's main goes through
+ * bench::main, so a refused outside value exits 1 with one stderr
+ * line.
  */
 
 #ifndef ASCEND_BENCH_BENCH_UTIL_HH
@@ -24,9 +27,12 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/error.hh"
 #include "common/field.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/profile.hh"
@@ -35,6 +41,26 @@
 
 namespace ascend {
 namespace bench {
+
+/**
+ * Every bench's main: runs @p body (int() or int(int, char **)) and
+ * ends a refused outside value (an ascend::Error such as a malformed
+ * ASCEND_* variable or flag) with its one-line message on stderr and
+ * exit 1, as ascend_cli does, instead of std::terminate.
+ */
+template <typename Body>
+int
+main(int argc, char **argv, Body &&body)
+{
+    try {
+        if constexpr (std::is_invocable_v<Body, int, char **>)
+            return body(argc, argv);
+        else
+            return body();
+    } catch (const Error &e) {
+        fatal("%s", e.what());
+    }
+}
 
 /** Print a banner naming the experiment. */
 inline void
@@ -46,12 +72,9 @@ banner(const std::string &what)
         if (envValue<bool>("ASCEND_SIM_STATS").value_or(false)) {
             // Construct the process cache *before* registering the
             // handler: statics destruct in reverse order, so the
-            // report then prints while the cache is still alive. The
-            // cache's own exit save was registered first, so it would
-            // run after the report: save here, before counting.
+            // report then prints while the cache is still alive.
             runtime::SimSession::processCache();
             std::atexit([] {
-                runtime::SimSession::saveProcessCache();
                 std::cerr << runtime::simStatsReport(
                     runtime::SimSession::processCache()->stats(),
                     runtime::ThreadPool::configuredThreads());

@@ -71,7 +71,7 @@ sweepWidths(arch::CoreVersion version, const model::Network &net,
 } // anonymous namespace
 
 int
-main()
+runBench()
 {
     sweepWidths(arch::CoreVersion::Max,
                 graph::toNetwork(graph::zoo::bertGraph(
@@ -86,4 +86,10 @@ main()
                  "end-to-end cycles because\nvector work stops hiding "
                  "under cube work, while doubling it buys little.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

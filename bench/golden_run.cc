@@ -11,9 +11,10 @@
  * stdout; any other value names a file the bench writes (relative to
  * the current directory), and stdout is then only kept in stdout.txt.
  *
- * With the switch ASCEND_UPDATE_GOLDEN on (malformed: refused before
- * the bench runs) the output is written to <golden> instead and the
- * exit code is 77, which ctest reports as skipped (as expectGolden).
+ * With the switch ASCEND_UPDATE_GOLDEN on (malformed: refused with
+ * exit 1 before the bench runs) the output is written to <golden>
+ * instead and the exit code is 77, which ctest reports as skipped (as
+ * expectGolden).
  */
 
 #include <fcntl.h>
@@ -26,6 +27,7 @@
 #include <optional>
 #include <string>
 
+#include "bench_util.hh"
 #include "common/atomic_file.hh"
 #include "common/field.hh"
 #include "common/golden.hh"
@@ -35,7 +37,7 @@ extern char **environ;
 using namespace ascend;
 
 int
-main(int argc, char **argv)
+runBench(int argc, char **argv)
 {
     if (argc < 4) {
         std::cerr << "usage: golden_run <golden> <output|-> <bench> "
@@ -92,4 +94,10 @@ main(int argc, char **argv)
         return 0;
     std::cerr << "golden mismatch vs " << golden << ":\n" << diff;
     return 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::main(argc, argv, runBench);
 }

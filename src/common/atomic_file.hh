@@ -3,7 +3,7 @@
  * The one durable-bytes layer: crash-safe whole-file replacement, the
  * whole-file read, and the framing every on-disk format shares (the
  * ASCCKPT elastic and ASCBLOB serving checkpoints written through
- * resilience/run_journal, and the ASCSIMC file in runtime/sim_cache).
+ * resilience/run_journal).
  *
  * A framed file is, in order:
  *  1. an 8-byte magic naming the format;

@@ -3,7 +3,7 @@
  * The one field codec behind every durable format and every text key.
  *
  * Binary fields (the frame header in common/atomic_file, and the
- * checkpoint, blob and SimCache bodies common/field.hh's body walk
+ * checkpoint and blob bodies common/field.hh's body walk
  * builds): every scalar is a fixed-width u64 in host byte order (the
  * files are machine-local, not an interchange format), a double
  * travels as its bit pattern, and a byte string is length-prefixed.

@@ -29,9 +29,9 @@
  *   the core config file and the cluster config text;
  * - encodeBody / decodeBody (encodeField / decodeField for one
  *   value): records and values as the binary body of a durable file
- *   (the elastic and fleet checkpoints, the SimCache file). Both walk
- *   the same lists, so a field cannot be written and not read, and
- *   the decoder refuses a value its field cannot hold;
+ *   (the elastic and fleet checkpoints). Both walk the same lists,
+ *   so a field cannot be written and not read, and the decoder
+ *   refuses a value its field cannot hold;
  * - checkFields: a record against the domains its list declares,
  *   `f(positive("key"), ...)` (common/types.hh). The other walks take
  *   the key as `const char *`, so a domain moves no key, text or body
@@ -391,10 +391,6 @@ constexpr bool kVectorField = false;
 template <typename T>
 constexpr bool kVectorField<std::vector<T>> = true;
 template <typename T>
-constexpr bool kArrayField = false;
-template <typename T, std::size_t N>
-constexpr bool kArrayField<std::array<T, N>> = true;
-template <typename T>
 constexpr bool kBitWordField = false;
 template <typename T, std::size_t N>
 constexpr bool kBitWordField<BitWord<T, N>> = true;
@@ -411,9 +407,8 @@ encodeField(std::string &buf, const T &v)
     if constexpr (kBytesField<T>) {
         writeU64(buf, v.size());
         buf.append(v.begin(), v.end());
-    } else if constexpr (kVectorField<T> || kArrayField<T>) {
-        if constexpr (kVectorField<T>)
-            writeU64(buf, v.size());
+    } else if constexpr (kVectorField<T>) {
+        writeU64(buf, v.size());
         for (const auto &e : v)
             encodeField(buf, e);
     } else if constexpr (kBitWordField<T>) {
@@ -437,14 +432,13 @@ encodeField(std::string &buf, const T &v)
  * The body codec over @p vs, in order: an integer, enum or bool is one
  * u64 word (common/codec.hh); a double is its bit pattern; a string
  * or byte vector is length-prefixed; any other std::vector is a count
- * and its elements; a std::array is its elements; a bitWord is one
- * word; a record is its list's fields in order. encodeBody returns a
- * new body. decodeBody reads one back, false at the first field that
- * runs past the end, whose count or length cannot fit in the bytes
- * left, or whose value its field cannot hold (a bitWord with a bit
- * set past its fields, an enum past its last value and a value
- * outside its list entry's domain included); @p vs are then partly
- * written.
+ * and its elements; a bitWord is one word; a record is its list's
+ * fields in order. encodeBody returns a new body. decodeBody reads one
+ * back, false at the first field that runs past the end, whose count
+ * or length cannot fit in the bytes left, or whose value its field
+ * cannot hold (a bitWord with a bit set past its fields, an enum past
+ * its last value and a value outside its list entry's domain
+ * included); @p vs are then partly written.
  */
 template <typename... T>
 std::string
@@ -466,17 +460,15 @@ decodeField(ByteReader &rd, T &v)
             return false;
         v.assign(bytes.begin(), bytes.end());
         return true;
-    } else if constexpr (kVectorField<T> || kArrayField<T>) {
-        if constexpr (kVectorField<T>) {
-            // A default element (empty lists) encodes smallest: a
-            // count too big for the bytes left fails before resizing.
-            static const std::size_t min_bytes =
-                encodeBody(typename T::value_type{}).size();
-            std::uint64_t n = 0;
-            if (!rd.readCount(n, min_bytes))
-                return false;
-            v.assign(std::size_t(n), {});
-        }
+    } else if constexpr (kVectorField<T>) {
+        // A default element (empty lists) encodes smallest: a count
+        // too big for the bytes left fails before resizing.
+        static const std::size_t min_bytes =
+            encodeBody(typename T::value_type{}).size();
+        std::uint64_t n = 0;
+        if (!rd.readCount(n, min_bytes))
+            return false;
+        v.assign(std::size_t(n), {});
         for (auto &e : v)
             if (!decodeField(rd, e))
                 return false;

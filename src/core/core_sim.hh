@@ -47,7 +47,7 @@ struct PipeStats
     std::uint64_t instrs = 0;
 };
 
-/** PipeStats' fields, in SimCache file order (common/field.hh). */
+/** PipeStats' fields (common/field.hh); tests/result_diff.hh walks them. */
 template <typename F, RecordOf<PipeStats>... P>
 void
 forEachField(F &&f, P &...p)
@@ -121,7 +121,7 @@ struct SimResult
     void accumulate(const SimResult &other);
 };
 
-/** SimResult's fields, in SimCache file order (common/field.hh). */
+/** SimResult's fields (common/field.hh); tests/result_diff.hh walks them. */
 template <typename F, RecordOf<SimResult>... R>
 void
 forEachField(F &&f, R &...r)

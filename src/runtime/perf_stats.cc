@@ -160,8 +160,6 @@ simStatsReport(const SimCache::Stats &stats, unsigned threads)
         {"cache hit rate", percent(stats.hitRate()), "", true},
         {"cache entries", num(stats.entries), "", true},
         {"cache evictions", num(stats.evictions), "", true},
-        {"disk loads", num(stats.diskLoads), "", true},
-        {"disk stores", num(stats.diskStores), "", true},
     };
     for (const PerfEntry &e : perfSnapshot())
         rows.push_back({"scope " + e.name, num(e.calls) + " calls",

@@ -24,16 +24,6 @@
  * probe, orders of magnitude cheaper than the simulation it saves)
  * and LRU-bounded. Hit/miss/eviction counters are exposed for
  * observability (ASCEND_SIM_STATS=1 prints them from the benches).
- *
- * Persistence: loadFile()/saveFile() round-trip the entries through
- * one common/atomic_file frame (magic ASCSIMC, format version, an
- * identity of the simulator code version plus the pipe/bus array
- * dimensions, the entries in MRU order, and an FNV-1a checksum), so a
- * warm ASCEND_CACHE_DIR survives process exit. Writes go through
- * writeFileAtomic, so a crashed or concurrent writer cannot tear the
- * file. Loading is all or nothing: a missing, stale, foreign,
- * truncated or bit-flipped file adopts no entry at all and the cache
- * silently rebuilds; it never serves a corrupted result.
  */
 
 #ifndef ASCEND_RUNTIME_SIM_CACHE_HH
@@ -85,8 +75,6 @@ class SimCache
         std::uint64_t misses = 0;
         std::uint64_t evictions = 0;
         std::uint64_t entries = 0;
-        std::uint64_t diskLoads = 0;  ///< entries adopted from disk
-        std::uint64_t diskStores = 0; ///< entries persisted to disk
 
         double
         hitRate() const
@@ -116,47 +104,9 @@ class SimCache
     void insert(const std::string &key, const core::SimResult &value);
 
     Stats stats() const;
-    std::size_t capacity() const { return capacity_; }
 
     /** Drop all entries; counters survive (they are cumulative). */
     void clear();
-
-    /**
-     * Simulator code-version fingerprint baked into cache files.
-     * Bump it whenever a change can alter any SimResult for an
-     * unchanged key: stale on-disk entries are then ignored wholesale
-     * instead of poisoning new runs.
-     */
-    static const char *codeVersion();
-
-    /** The cache file this library uses under directory @p dir. */
-    static std::string filePath(const std::string &dir);
-
-    /**
-     * Adopt every entry of the cache file at @p path, or none. Never
-     * throws: a missing file, a frame refusal (magic, checksum,
-     * format, @p version, pipe/bus dimensions), a body that does not
-     * parse to its exact end or a record that breaks the pipe
-     * accounting (busy <= finish <= total, busy + wait <= total)
-     * adopts nothing. Loaded entries count
-     * neither hits nor misses.
-     *
-     * @return the number of entries adopted (also added to the
-     *         diskLoads counter); 0 on any refusal.
-     */
-    std::size_t loadFile(const std::string &path,
-                         const std::string &version = codeVersion());
-
-    /**
-     * Persist the current entries to @p path atomically (temp file +
-     * rename; the parent directory is created if missing). Entries
-     * are written in LRU order, most recent first, so a
-     * lower-capacity reader keeps the hottest ones.
-     *
-     * @return true on success; false leaves any previous file intact.
-     */
-    bool saveFile(const std::string &path,
-                  const std::string &version = codeVersion());
 
   private:
     struct Entry
@@ -170,8 +120,6 @@ class SimCache
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
-    std::uint64_t diskLoads_ = 0;
-    std::uint64_t diskStores_ = 0;
     std::unordered_map<std::string, Entry> map_;
     std::list<std::string> lru_; ///< front = most recently used
 };

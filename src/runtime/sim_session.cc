@@ -7,11 +7,8 @@
 
 #include <array>
 #include <cmath>
-#include <cstdlib>
-#include <mutex>
 
 #include "common/codec.hh"
-#include "common/field.hh"
 #include "obs/tracer.hh"
 #include "runtime/perf_stats.hh"
 #include "runtime/thread_pool.hh"
@@ -20,16 +17,6 @@ namespace ascend {
 namespace runtime {
 
 namespace {
-
-/**
- * ASCEND_CACHE_DIR's cache file, or empty when persistence is off.
- */
-std::string
-persistentCachePath()
-{
-    const auto dir = envValue<std::string>("ASCEND_CACHE_DIR");
-    return dir ? SimCache::filePath(*dir) : std::string();
-}
 
 /**
  * Per-pipe and per-result counters, charged from every SimResult a
@@ -117,36 +104,9 @@ derate(core::SimResult r, double slowdown)
 const std::shared_ptr<SimCache> &
 SimSession::processCache()
 {
-    static const std::shared_ptr<SimCache> cache = [] {
-        auto c = std::make_shared<SimCache>();
-        const std::string path = persistentCachePath();
-        if (!path.empty())
-            c->loadFile(path); // all or nothing; a refusal is a cold start
-        return c;
-    }();
-    // The save hook registers *after* the cache static above:
-    // std::atexit handlers and static destructors unwind through one
-    // LIFO list, so the save provably runs while the cache is still
-    // alive. (Registering inside the cache's own initializer would
-    // order the save after the destruction.)
-    static const bool saver = [] {
-        if (!persistentCachePath().empty())
-            std::atexit(saveProcessCache);
-        return true;
-    }();
-    (void)saver;
+    static const std::shared_ptr<SimCache> cache =
+        std::make_shared<SimCache>();
     return cache;
-}
-
-void
-SimSession::saveProcessCache()
-{
-    static std::once_flag saved;
-    std::call_once(saved, [] {
-        const std::string path = persistentCachePath();
-        if (!path.empty())
-            processCache()->saveFile(path);
-    });
 }
 
 SimSession::SimSession(const arch::CoreConfig &config,

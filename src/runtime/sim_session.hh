@@ -126,20 +126,8 @@ class SimSession
     /** The memo this session reads and writes. */
     SimCache &cache() const { return *cache_; }
 
-    /**
-     * The process-wide cache all default-constructed sessions share.
-     * With ASCEND_CACHE_DIR set it loads from that directory on first
-     * use and saves there at exit (saveProcessCache).
-     */
+    /** The process-wide cache all default-constructed sessions share. */
     static const std::shared_ptr<SimCache> &processCache();
-
-    /**
-     * Save the process cache to ASCEND_CACHE_DIR now, if the variable
-     * is set; the first call saves and later calls, the exit hook's
-     * included, do nothing. An exit report that runs before the exit
-     * hook calls this first, so it counts the disk stores.
-     */
-    static void saveProcessCache();
 
   private:
     /**

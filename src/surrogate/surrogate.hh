@@ -14,8 +14,8 @@
  * simulator is only consulted at the bracketing grid shapes. Anchor
  * results are memoized in the shared SimCache, so a dense sweep pays
  * one exact simulation per grid point instead of one per query —
- * and a warm ASCEND_CACHE_DIR cache *is* a pre-trained interpolation
- * table (self-calibration: every fallback enriches it).
+ * and that cache *is* the interpolation table (self-calibration:
+ * every fallback enriches it).
  *
  * Error-budget contract: a prediction is only trusted when two
  * independent interpolation levels agree. The fine estimate brackets
@@ -102,7 +102,7 @@ struct SurrogateOptions
 /**
  * Exact fingerprint of the surrogate configuration (plus an
  * algorithm version), mixed into cache keys so predicted results can
- * never alias exact ones — across sessions or cache files.
+ * never alias exact ones, also across sessions sharing a cache.
  */
 std::string fingerprint(const SurrogateOptions &options);
 

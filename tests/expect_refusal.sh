@@ -4,8 +4,8 @@
 #
 #   expect_refusal.sh [--stale <golden> <copy>] <needle> <command> [args...]
 #
-# Passes when <command> exits non-zero, prints nothing on stdout and
-# names <needle> on stderr. With --stale, <copy> is first written as
+# Passes when <command> exits 1 (a refusal, not a crash), prints
+# nothing on stdout and names <needle> on stderr. With --stale, <copy> is first written as
 # <golden> plus one stale line, and must be byte-unchanged after the
 # run: a golden the run was not asked to rewrite stays as it was.
 set -u
@@ -20,11 +20,13 @@ fi
 needle="$1"
 shift
 
-if "$@" > refusal_stdout.txt 2> refusal_stderr.txt; then
-    echo "FAIL: $* exited 0"
+"$@" > refusal_stdout.txt 2> refusal_stderr.txt
+status=$?
+cat refusal_stderr.txt
+if [ "$status" -ne 1 ]; then
+    echo "FAIL: $* exited $status, not 1"
     exit 1
 fi
-cat refusal_stderr.txt
 if [ -s refusal_stdout.txt ]; then
     echo "FAIL: $* printed on stdout before refusing:"
     cat refusal_stdout.txt

@@ -6,12 +6,11 @@
  * table-driven test, and bit flips and truncations run one named test
  * per row.
  * The rows are the ASCCKPT checkpoint a halted runElastic really
- * wrote, the ASCBLOB checkpoint a halted runFleet really wrote, and
- * the ASCSIMC SimCache file. The corruptions are every single-bit
- * flip, every truncation, appended bytes, zeroed windows, saturated
- * length fields, resealed mutations that pass the checksum and reach
- * the body decoders, and each format's file in every other format's
- * slot.
+ * wrote and the ASCBLOB checkpoint a halted runFleet really wrote.
+ * The corruptions are every single-bit flip, every truncation,
+ * appended bytes, zeroed windows, saturated length fields, resealed
+ * mutations that pass the checksum and reach the body decoders, and
+ * each format's file in every other format's slot.
  *
  * Each corruption is judged twice: the frame reader must name the
  * specific FrameStatus the corruption earns, and the format's own
@@ -42,15 +41,11 @@
 #include "cluster/elastic_run.hh"
 #include "common/atomic_file.hh"
 #include "common/codec.hh"
-#include "runtime/sim_cache.hh"
 #include "serving/fleet.hh"
 
 using namespace ascend;
 
 namespace {
-
-/** The identity the SimCache row is written under. */
-const std::string kRunId = "fuzz-run";
 
 std::string
 tempDir(const char *test)
@@ -299,43 +294,6 @@ loadServing(const std::string &dir, bool foreign)
                                             : Outcome::Resumed;
 }
 
-// --------------------------------------------------- sim-cache row
-
-/** Two cache entries with every result field nonzero. */
-constexpr std::size_t kCacheEntries = 2;
-
-void
-saveCache(const std::string &slot)
-{
-    runtime::SimCache cache;
-    for (std::size_t i = 0; i < kCacheEntries; ++i) {
-        core::SimResult r;
-        r.totalCycles = 1000 + i;
-        r.totalFlops = 1u << 20;
-        r.instrsExecuted = 77;
-        r.barriers = 3;
-        for (core::PipeStats &p : r.pipes)
-            p = {11, 12, 13, 14};
-        for (Bytes &b : r.busBytes)
-            b = 4096;
-        cache.insert("cfg:1,opt:2,lay:" + std::to_string(i) + ",", r);
-    }
-    ASSERT_TRUE(cache.saveFile(slot, kRunId));
-}
-
-Outcome
-loadCache(const std::string &slot, bool foreign)
-{
-    runtime::SimCache cache;
-    const std::size_t loaded =
-        cache.loadFile(slot, foreign ? "other-run" : kRunId);
-    EXPECT_EQ(cache.stats().entries, loaded);
-    if (loaded == kCacheEntries)
-        return Outcome::Resumed;
-    EXPECT_EQ(loaded, 0u) << "partial load";
-    return Outcome::ColdStart;
-}
-
 // --------------------------------------------------- the table
 
 /** One durable format: how to write its artifact and load it back. */
@@ -348,7 +306,7 @@ struct Format
     std::function<void(const std::string &dir)> save;
     /**
      * Run the format's own loader over the slot in @p dir as the
-     * writer, or (@p foreign) as another run or code version.
+     * writer, or (@p foreign) as another run.
      */
     std::function<Outcome(const std::string &dir, bool foreign)> load;
 };
@@ -359,11 +317,6 @@ formats()
     static const std::vector<Format> all = {
         {"ASCCKPT", "elastic.ckpt", saveElastic, loadElastic},
         {"ASCBLOB", "serving.ckpt", saveServing, loadServing},
-        {"ASCSIMC", "sim_cache.bin",
-         [](const std::string &dir) { saveCache(dir + "/sim_cache.bin"); },
-         [](const std::string &dir, bool foreign) {
-             return loadCache(dir + "/sim_cache.bin", foreign);
-         }},
     };
     return all;
 }
@@ -515,11 +468,6 @@ TEST(CheckpointFuzz, EveryBitFlipInBlobFramingIsCorrupt)
     expectEveryBitFlipRefused(format("ASCBLOB"), tempDir("blob_bitflip"));
 }
 
-TEST(CheckpointFuzz, EveryBitFlipInSimCacheFramingIsCorrupt)
-{
-    expectEveryBitFlipRefused(format("ASCSIMC"), tempDir("simc_bitflip"));
-}
-
 TEST(CheckpointFuzz, EveryTruncationOfElasticFramingIsCorrupt)
 {
     expectEveryTruncationRefused(format("ASCCKPT"), tempDir("truncate"));
@@ -529,12 +477,6 @@ TEST(CheckpointFuzz, EveryTruncationOfBlobFramingIsCorrupt)
 {
     expectEveryTruncationRefused(format("ASCBLOB"),
                                  tempDir("blob_truncate"));
-}
-
-TEST(CheckpointFuzz, EveryTruncationOfSimCacheFramingIsCorrupt)
-{
-    expectEveryTruncationRefused(format("ASCSIMC"),
-                                 tempDir("simc_truncate"));
 }
 
 TEST(CheckpointFuzz, StructuredMutationsNeverCrashOrPass)
@@ -661,9 +603,9 @@ TEST(CheckpointFuzz, EveryFormatRefusesEveryOtherFormatsFile)
 
 TEST(CheckpointFuzz, ForeignRunIdIsCorruptionUnderCheckedLoad)
 {
-    // The bytes are pristine; the identity (a run fingerprint, or the
-    // cache's code version) is another one. The reader names that,
-    // and the loader cold-starts instead of adopting the slot.
+    // The bytes are pristine; the identity (a run fingerprint) is
+    // another one. The reader names that, and the loader cold-starts
+    // instead of adopting the slot.
     const std::string dir = tempDir("foreign");
     for (const Format &f : formats()) {
         SCOPED_TRACE(f.name);

@@ -9,7 +9,6 @@
 
 #include <unistd.h>
 
-#include <array>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -293,7 +292,7 @@ struct BodyProbe
     double real = 0;
     std::string text;
     std::vector<std::uint8_t> bytes;
-    std::array<std::uint16_t, 2> pair{};
+    std::uint16_t small = 0;
     std::uint8_t lo = 0;
     std::uint8_t hi = 0;
     std::vector<BodyProbe> children;
@@ -307,7 +306,7 @@ forEachField(F &&f, P &...p)
     f("real", p.real...);
     f("text", p.text...);
     f("bytes", p.bytes...);
-    f("pair", p.pair...);
+    f("small", p.small...);
     f("flags", bitWord<1, 7>(p.lo, p.hi)...);
     f("children", p.children...);
 }
@@ -319,16 +318,16 @@ TEST(Codec, BodyWalkRoundTripsAndRefusesWhatAFieldCannotHold)
     p.real = -0.0;
     p.text = std::string("a\0b", 3);
     p.bytes = {0, 255};
-    p.pair = {1, 65535};
+    p.small = 65535;
     p.lo = 1;
     p.hi = 127;
     p.children.resize(2);
     p.children[1].text = "child";
     const std::string body = encodeBody(p, std::uint64_t(7));
-    // narrow, real, text, bytes, pair, flags, then the two children
-    // (8 words each, plus 5 text bytes) and the trailing word.
-    ASSERT_EQ(body.size(), 8u * 2 + (8 + 3) + (8 + 2) + 8 * 2 + 8 +
-                               (8 + 2 * 8 * 8 + 5) + 8);
+    // narrow, real, text, bytes, small, flags, then the two children
+    // (7 words each, plus 5 text bytes) and the trailing word.
+    ASSERT_EQ(body.size(), 8u * 2 + (8 + 3) + (8 + 2) + 8 + 8 +
+                               (8 + 2 * 7 * 8 + 5) + 8);
 
     BodyProbe back;
     std::uint64_t tail = 0;
@@ -339,15 +338,15 @@ TEST(Codec, BodyWalkRoundTripsAndRefusesWhatAFieldCannotHold)
     EXPECT_EQ(doubleBits(back.real), doubleBits(-0.0));
     EXPECT_EQ(back.text, p.text);
     EXPECT_EQ(back.bytes, p.bytes);
-    EXPECT_EQ(back.pair, p.pair);
+    EXPECT_EQ(back.small, p.small);
     EXPECT_EQ(back.lo, 1u);
     EXPECT_EQ(back.hi, 127u);
     ASSERT_EQ(back.children.size(), 2u);
     EXPECT_EQ(back.children[1].text, "child");
 
     // The flags word holds lo in bit 0 and hi in bits 1 to 7.
-    const std::size_t pair_at = 16 + 11 + 10;
-    const std::size_t flags_at = pair_at + 16;
+    const std::size_t small_at = 16 + 11 + 10;
+    const std::size_t flags_at = small_at + 8;
     std::uint64_t flags = 0;
     ByteReader at_flags{body, flags_at};
     ASSERT_TRUE(at_flags.readU64(flags));
@@ -364,10 +363,10 @@ TEST(Codec, BodyWalkRoundTripsAndRefusesWhatAFieldCannotHold)
         return !decodeBody(rd, out);
     };
     EXPECT_TRUE(refused(0, std::uint64_t(1) << 32)) << "u32";
-    EXPECT_TRUE(refused(pair_at + 8, 65536)) << "u16 in an array";
+    EXPECT_TRUE(refused(small_at, 65536)) << "u16";
     EXPECT_TRUE(refused(flags_at, 1u << 8)) << "past the bitWord";
     EXPECT_FALSE(refused(flags_at, 0xff)) << "every bitWord bit";
-    // A child takes at least 8 words: a count the bytes left cannot
+    // A child takes at least 7 words: a count the bytes left cannot
     // hold fails before any element is read.
     EXPECT_TRUE(refused(flags_at + 8, 3)) << "count";
     EXPECT_FALSE(refused(flags_at + 8, 2));

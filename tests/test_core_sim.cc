@@ -9,14 +9,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/atomic_file.hh"
 #include "common/codec.hh"
 #include "common/rng.hh"
 #include "compiler/layer_compiler.hh"
@@ -30,6 +28,7 @@
 #include "runtime/thread_pool.hh"
 
 #include "golden_test.hh"
+#include "result_diff.hh"
 #include "scoped_trace.hh"
 
 namespace ascend {
@@ -494,32 +493,6 @@ randomRow(std::uint64_t seed)
     return row;
 }
 
-/**
- * The ASCSIMC file bytes: a SimCache filled serially with the width-1
- * results of the first random programs (real, distinct values in
- * every field) and saved, hashed whole. It pins the cache file's body
- * codec as the elastic ckpt= and fleet blob= columns pin theirs.
- */
-std::string
-simCacheFileRow()
-{
-    constexpr std::uint64_t kEntries = 16;
-    runtime::SimCache cache;
-    for (std::uint64_t seed = 1; seed <= kEntries; ++seed) {
-        Rng rng(seed);
-        cache.insert("rand:" + std::to_string(seed) + ",",
-                     CoreSim(testConfig()).run(randomProgram(rng)));
-    }
-    const std::string path =
-        ::testing::TempDir() + "ascend_simc_golden.bin";
-    EXPECT_TRUE(cache.saveFile(path, "golden"));
-    const std::string file = readFile(path).value_or("");
-    std::remove(path.c_str());
-    return "simc entries=" + std::to_string(kEntries) +
-           " bytes=" + std::to_string(file.size()) +
-           " file=" + hex64(fnv1a(file.data(), file.size()));
-}
-
 struct FuzzGraph
 {
     std::string label;
@@ -622,8 +595,7 @@ layerRow(const FuzzGraph &fg, arch::CoreVersion v, const FuzzOptions &fo)
  * four presets under three option sets, are frozen in
  * tests/golden/core_sim_fuzz.txt: a rewrite of the compiler or the
  * core-sim kernel must reproduce each program and SimResult bit for
- * bit, and a rewrite of the SimCache file codec each file byte (the
- * simc row). Regenerate after an intended model change with
+ * bit. Regenerate after an intended model change with
  *     ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_core_sim
  */
 TEST(CoreSimFuzz, MatchesGolden)
@@ -631,13 +603,11 @@ TEST(CoreSimFuzz, MatchesGolden)
     std::string rows =
         "# CoreSim result hashes of seeded random programs at dispatch\n"
         "# widths 1/2/4, and program + result hashes of every distinct\n"
-        "# zoo and decoder layer per preset and option set, and the\n"
-        "# hash of a SimCache file of random-program results\n"
+        "# zoo and decoder layer per preset and option set\n"
         "# (tests/test_core_sim.cc).\n"
         "# Regenerate: ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_core_sim\n";
     for (std::uint64_t seed = 1; seed <= 128; ++seed)
         rows += randomRow(seed) + "\n";
-    rows += simCacheFileRow() + "\n";
     for (const FuzzGraph &fg : fuzzGraphs())
         for (const arch::CoreVersion v :
              {arch::CoreVersion::Lite, arch::CoreVersion::Mini,
@@ -651,39 +621,6 @@ TEST(CoreSimFuzz, MatchesGolden)
 }
 
 // ------------------------------------------- steady-state fast-forward
-
-/** The first SimResult field where @p a and @p b differ, or "". */
-std::string
-resultDiff(const SimResult &a, const SimResult &b)
-{
-    auto field = [](const char *name, std::uint64_t x, std::uint64_t y) {
-        return x == y ? std::string()
-                      : std::string(name) + " " + std::to_string(x) +
-                            " vs " + std::to_string(y);
-    };
-    std::string d = field("totalCycles", a.totalCycles, b.totalCycles);
-    if (d.empty())
-        d = field("totalFlops", a.totalFlops, b.totalFlops);
-    if (d.empty())
-        d = field("instrsExecuted", a.instrsExecuted, b.instrsExecuted);
-    if (d.empty())
-        d = field("barriers", a.barriers, b.barriers);
-    for (std::size_t p = 0; p < isa::kNumPipes && d.empty(); ++p) {
-        const std::string pipe = isa::toString(Pipe(p));
-        const core::PipeStats &x = a.pipes[p], &y = b.pipes[p];
-        d = field((pipe + " busy").c_str(), x.busyCycles, y.busyCycles);
-        if (d.empty())
-            d = field((pipe + " finish").c_str(), x.finishCycle,
-                      y.finishCycle);
-        if (d.empty())
-            d = field((pipe + " wait").c_str(), x.waitCycles, y.waitCycles);
-        if (d.empty())
-            d = field((pipe + " instrs").c_str(), x.instrs, y.instrs);
-    }
-    for (std::size_t i = 0; i < isa::kNumBuses && d.empty(); ++i)
-        d = field(isa::toString(isa::Bus(i)), a.busBytes[i], b.busBytes[i]);
-    return d;
-}
 
 /**
  * Whether runs may fast-forward. An active obs::Tracer (ASCEND_TRACE)

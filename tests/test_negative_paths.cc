@@ -666,7 +666,7 @@ TEST(OutsideInput, EveryVariableAndFlagFailsClosed)
 {
     // Every variable is restored afterwards; no pool is built.
     const std::vector<std::string> names = {
-        "ASCEND_THREADS", "ASCEND_CACHE_DIR", "ASCEND_TRACE",
+        "ASCEND_THREADS", "ASCEND_TRACE",
         "ASCEND_FAULT_PROFILE", "ASCEND_SURROGATE",
         "ASCEND_SURROGATE_ERR", "ASCEND_SURROGATE_SPOT",
         "ASCEND_FAULT_SEED", "ASCEND_UPDATE_GOLDEN", "ASCEND_SIM_STATS",
@@ -697,12 +697,6 @@ TEST(OutsideInput, EveryVariableAndFlagFailsClosed)
                  {{kUnset, hw}, {"", hw}, {"0", "1"}, {"1", "1"},
                   {"3", "3"}},
                  {"true", "false", "-1", "abc", "4294967296"}),
-        variable("ASCEND_CACHE_DIR",
-                 [] {
-                     return envValue<std::string>("ASCEND_CACHE_DIR")
-                         .value_or("-");
-                 },
-                 {{kUnset, "-"}, {"", "-"}, {"0", "0"}, {"d", "d"}}, {}),
         variable("ASCEND_TRACE",
                  [] {
                      return envValue<std::string>("ASCEND_TRACE")
