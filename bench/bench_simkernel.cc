@@ -186,6 +186,45 @@ BENCHMARK_CAPTURE(BM_GraphResultHit, decode_b8_c2048, +[] {
     return graph::decodeGraph(dec, 2048);
 });
 
+/**
+ * SimSession::runInference on a warm exact session over the distinct
+ * layers of resnet50-b1: every layer is a cache hit answered on the
+ * calling thread, so its cost is the layer key and one lookup. At
+ * Threads(2) two callers share the session and its cache. Items are
+ * layer queries.
+ */
+void
+BM_LayerHit(benchmark::State &state)
+{
+    struct WarmLayers
+    {
+        runtime::SimSession session{
+            arch::makeCoreConfig(arch::CoreVersion::Max), {},
+            std::make_shared<runtime::SimCache>(), {},
+            surrogate::SurrogateOptions{}};
+        model::Network net;
+
+        WarmLayers()
+        {
+            std::set<std::string> seen;
+            model::Network all =
+                graph::toNetwork(graph::zoo::resnet50Graph(1));
+            for (model::Layer &l : all.layers)
+                if (seen.insert(runtime::fingerprint(l)).second)
+                    net.add(std::move(l));
+            benchmark::DoNotOptimize(session.runInference(net).size());
+        }
+    };
+    static const WarmLayers warm;
+    for (auto _ : state) {
+        auto runs = warm.session.runInference(warm.net);
+        benchmark::DoNotOptimize(runs.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            std::int64_t(warm.net.layers.size()));
+}
+BENCHMARK(BM_LayerHit)->Threads(1)->Threads(2)->UseRealTime();
+
 void
 BM_LlcAccess(benchmark::State &state)
 {

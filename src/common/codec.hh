@@ -15,12 +15,15 @@
  * Text keys (cache keys, run identities, fingerprints): decimal
  * fields, each terminated by ','. A double is keyed by its bit
  * pattern, because decimal formatting would round and alias distinct
- * sweep points onto one key.
+ * sweep points onto one key. The one key rebuilt on every query, the
+ * layer part of a SimCache key, is fixed-width raw words (putWords)
+ * after a tag instead: formatting decimals was its cost.
  */
 
 #ifndef ASCEND_COMMON_CODEC_HH
 #define ASCEND_COMMON_CODEC_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -85,6 +88,25 @@ inline void
 putBits(std::string &key, double v)
 {
     putU64(key, doubleBits(v));
+}
+
+/**
+ * Fixed-width text-key fields: each of the @p n words at @p words as
+ * 8 bytes, least significant first, in one append. For the key built
+ * on every query, where a decimal or a per-word append was the cost.
+ * The byte order is pinned, so keys (and hashes of them) are the same
+ * on any host.
+ */
+inline void
+putWords(std::string &key, const std::uint64_t *words, std::size_t n)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        key.append(reinterpret_cast<const char *>(words), 8 * n);
+    } else {
+        for (std::size_t w = 0; w < n; ++w)
+            for (unsigned i = 0; i < 8; ++i)
+                key += char((words[w] >> (8 * i)) & 0xff);
+    }
 }
 /// @}
 

@@ -78,12 +78,10 @@ runGraphKeyed(const runtime::SimSession &session, const Graph &g,
 {
     GraphRun run;
     run.steps = lower(g);
-
-    model::Network net;
-    net.name = g.name;
-    for (const Step &s : run.steps)
-        net.add(s.layer);
-    run.runs = session.runInference(net);
+    run.runs.resize(run.steps.size());
+    for (std::size_t i = 0; i < run.steps.size(); ++i)
+        run.runs[i].layer = run.steps[i].layer;
+    session.runBatch(run.runs);
 
     for (const runtime::LayerRun &lr : run.runs)
         run.total.accumulate(lr.result);

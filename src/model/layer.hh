@@ -173,7 +173,7 @@ struct Layer
  * `.agr` op token) and name is never keyed.
  */
 template <typename F, RecordOf<Layer>... L>
-void
+constexpr void
 forEachShapeField(F &&f, L &...l)
 {
     f("dt", l.dtype...);
@@ -201,7 +201,7 @@ forEachShapeField(F &&f, L &...l)
 
 /** Every keyed field of Layer: the shape fields, then the overrides. */
 template <typename F, RecordOf<Layer>... L>
-void
+constexpr void
 forEachField(F &&f, L &...l)
 {
     forEachShapeField(f, l...);

@@ -244,8 +244,8 @@ void resetCounters();
 
 /**
  * The ASCEND_SIM_STATS=1 report, one aligned table: the thread
- * budget, the SimCache counters (with hit rate and disk load/store
- * counts), per-scope timings, one row per registered counter, and —
+ * budget, the SimCache counters (with hit rate, entries and
+ * evictions), per-scope timings, one row per registered counter, and —
  * when any simulation ran — per-pipe utilization. Rows whose value
  * can vary with the thread count end in "~". Ends with a newline.
  */

@@ -5,6 +5,7 @@
 
 #include "runtime/sim_cache.hh"
 
+#include <array>
 #include <type_traits>
 
 #include "common/field.hh"
@@ -35,15 +36,35 @@ fingerprint(const compiler::CompileOptions &options)
     return fieldKey(options);
 }
 
+namespace {
+
+/** Every model::forEachField entry of a Layer. */
+constexpr std::size_t kLayerFields = [] {
+    std::size_t n = 0;
+    model::Layer l;
+    model::forEachField([&n](const char *, const auto &) { ++n; }, l);
+    return n;
+}();
+
+} // anonymous namespace
+
+void
+appendFingerprint(std::string &key, const model::Layer &layer)
+{
+    std::array<std::uint64_t, 1 + kLayerFields> words;
+    std::size_t n = 0;
+    words[n++] = std::uint64_t(layer.kind);
+    model::forEachField(
+        [&](const char *, auto v) { words[n++] = fieldBits(v); }, layer);
+    key += "lay:";
+    putWords(key, words.data(), n);
+}
+
 std::string
 fingerprint(const model::Layer &layer)
 {
     std::string s;
-    s.reserve(128);
-    s += "lay:";
-    putU64(s, std::uint64_t(layer.kind));
-    model::forEachField(
-        [&s](const char *, auto v) { putU64(s, fieldBits(v)); }, layer);
+    appendFingerprint(s, layer);
     return s;
 }
 
@@ -77,19 +98,21 @@ void
 SimCache::insert(const std::string &key, const core::SimResult &value)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
+    const auto [it, fresh] = map_.try_emplace(key);
+    it->second.value = value;
+    if (!fresh) {
         // Concurrent misses on one key both simulate; the results
         // are identical, so last-writer-wins is safe.
-        it->second.value = value;
         lru_.splice(lru_.begin(), lru_, it->second.lruPos);
         return;
     }
-    lru_.push_front(key);
-    map_.emplace(key, Entry{value, lru_.begin()});
+    // Map nodes never move, so the list can point at their keys.
+    lru_.push_front(&it->first);
+    it->second.lruPos = lru_.begin();
     while (map_.size() > capacity_) {
-        map_.erase(lru_.back());
+        const auto victim = map_.find(*lru_.back());
         lru_.pop_back();
+        map_.erase(victim);
         ++evictions_;
     }
 }

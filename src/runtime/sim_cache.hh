@@ -16,7 +16,11 @@
  * walks its record's one field list (model::forEachField,
  * arch::forEachField and those of CompileOptions and
  * ResilienceOptions), so a field added there is keyed without
- * touching this file. Layer and network *names* are
+ * touching this file. A key is a session prefix — the config, options
+ * and resilience fingerprints as decimal text, built once per
+ * SimSession — followed by the layer's fingerprint: a tag, then its
+ * kind and each field as one raw 8-byte word (putWords), rebuilt on
+ * every query into a reused buffer. Layer and network *names* are
  * deliberately excluded: two layers with the same shape share one
  * entry, which is where the hit rate comes from.
  *
@@ -53,8 +57,14 @@ std::string fingerprint(const arch::CoreConfig &config);
 /** Exact fingerprint of a CompileOptions value. */
 std::string fingerprint(const compiler::CompileOptions &options);
 
-/** Exact shape fingerprint of a layer (name excluded). */
+/**
+ * Exact shape fingerprint of a layer (name excluded): "lay:", then
+ * the kind and every model::forEachField word, 8 raw bytes each.
+ */
 std::string fingerprint(const model::Layer &layer);
+
+/** Append fingerprint(@p layer) to @p key without a temporary. */
+void appendFingerprint(std::string &key, const model::Layer &layer);
 
 /**
  * Exact fingerprint of resilience options. Sessions mix this into
@@ -109,10 +119,13 @@ class SimCache
     void clear();
 
   private:
+    /** The LRU list points at the map's own key: one copy per entry. */
+    using LruList = std::list<const std::string *>;
+
     struct Entry
     {
         core::SimResult value;
-        std::list<std::string>::iterator lruPos;
+        LruList::iterator lruPos;
     };
 
     mutable std::mutex mutex_;
@@ -121,7 +134,7 @@ class SimCache
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
     std::unordered_map<std::string, Entry> map_;
-    std::list<std::string> lru_; ///< front = most recently used
+    LruList lru_; ///< front = most recently used
 };
 
 } // namespace runtime

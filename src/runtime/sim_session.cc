@@ -7,6 +7,9 @@
 
 #include <array>
 #include <cmath>
+#include <iterator>
+#include <unordered_set>
+#include <utility>
 
 #include "common/codec.hh"
 #include "obs/tracer.hh"
@@ -18,6 +21,8 @@ namespace runtime {
 
 namespace {
 
+using surrogate::Outcome;
+
 /**
  * Per-pipe and per-result counters, charged from every SimResult a
  * session produced or served from cache. Sim-time quantities, so for
@@ -27,7 +32,6 @@ struct PipeCounters
 {
     Counter &results = det("sim results");
     Counter &cycles = det("sim cycles");
-    Counter &barriers = det("sim barriers");
     std::array<Counter *, isa::kNumPipes> busy{}, wait{}, instrs{};
 
     PipeCounters()
@@ -49,19 +53,21 @@ struct PipeCounters
                        Determinism::Deterministic);
     }
 
+    /** Charge @p n results whose sum (SimResult::accumulate) is @p sum. */
     void
-    charge(const core::SimResult &r)
+    charge(const core::SimResult &sum, std::uint64_t n)
     {
-        results.charge(1);
-        cycles.charge(r.totalCycles);
-        barriers.charge(r.barriers);
+        results.charge(n);
+        cycles.charge(sum.totalCycles);
         for (std::size_t p = 0; p < isa::kNumPipes; ++p) {
-            busy[p]->charge(r.pipes[p].busyCycles);
-            wait[p]->charge(r.pipes[p].waitCycles);
-            instrs[p]->charge(r.pipes[p].instrs);
+            busy[p]->charge(sum.pipes[p].busyCycles);
+            wait[p]->charge(sum.pipes[p].waitCycles);
+            instrs[p]->charge(sum.pipes[p].instrs);
         }
     }
 };
+
+constexpr std::size_t kOutcomes = std::size_t(Outcome::SpotCheck) + 1;
 
 /**
  * The counter of surrogate outcome @p oc ("surrogate <outcome>").
@@ -69,11 +75,10 @@ struct PipeCounters
  * concurrent queries filled the cache first.
  */
 Counter &
-outcomeCounter(surrogate::Outcome oc)
+outcomeCounter(Outcome oc)
 {
-    using surrogate::Outcome;
     static const auto counters = [] {
-        std::array<Counter *, std::size_t(Outcome::SpotCheck) + 1> a{};
+        std::array<Counter *, kOutcomes> a{};
         for (auto i = std::size_t(Outcome::CacheHit); i < a.size(); ++i)
             a[i] = &counter(std::string("surrogate ") +
                                 surrogate::toString(Outcome(i)),
@@ -81,6 +86,67 @@ outcomeCounter(surrogate::Outcome oc)
         return a;
     }();
     return *counters[std::size_t(oc)];
+}
+
+/**
+ * What a set of queries charges to the shared counters, summed
+ * locally so one query or one whole batch charges them once.
+ */
+struct QueryTally
+{
+    core::SimResult sum;
+    std::uint64_t results = 0;
+    std::array<std::uint64_t, kOutcomes> outcomes{};
+
+    void
+    add(const core::SimResult &r, Outcome oc)
+    {
+        sum.accumulate(r);
+        ++results;
+        ++outcomes[std::size_t(oc)];
+    }
+
+    // Cache hits charge the pipe counters too: they describe the
+    // workload simulated, not the cache behavior.
+    void
+    charge() const
+    {
+        static PipeCounters pipes;
+        pipes.charge(sum, results);
+        for (auto i = std::size_t(Outcome::CacheHit); i < kOutcomes; ++i)
+            if (outcomes[i])
+                outcomeCounter(Outcome(i)).charge(outcomes[i]);
+    }
+};
+
+/** @p buf := @p prefix + fingerprint(@p layer); returns @p buf. */
+const std::string &
+buildKey(std::string &buf, const std::string &prefix,
+         const model::Layer &layer)
+{
+    buf.assign(prefix);
+    appendFingerprint(buf, layer);
+    return buf;
+}
+
+/**
+ * Exact key @p key (@p from + a layer fingerprint) moved under prefix
+ * @p to, in the calling thread's buffer.
+ */
+const std::string &
+rekey(const std::string &key, const std::string &from,
+      const std::string &to)
+{
+    thread_local std::string buf;
+    buf.assign(to).append(key, from.size());
+    return buf;
+}
+
+void
+traceQuery(const char *label, const core::SimResult &r)
+{
+    if (obs::Tracer *tr = obs::Tracer::current())
+        tr->span(obs::Domain::Surrogate, 1, label, 0, r.totalCycles);
 }
 
 } // anonymous namespace
@@ -129,10 +195,20 @@ SimSession::SimSession(const arch::CoreConfig &config,
 core::SimResult
 SimSession::runLayerExact(const model::Layer &layer) const
 {
-    const std::string key = sessionKey_ + fingerprint(layer);
+    // Its own buffer: the query tier still holds its key in another
+    // while the surrogate calls back into this tier.
+    thread_local std::string buf;
+    const std::string &key = buildKey(buf, sessionKey_, layer);
     core::SimResult result;
     if (cache_->lookup(key, result))
         return result;
+    return simulate(layer, key);
+}
+
+core::SimResult
+SimSession::simulate(const model::Layer &layer,
+                     const std::string &key) const
+{
     static PerfScope &perf = perfScope("layer-sim");
     const PerfTimer timer(perf);
     // One program per thread: its storage outlives the layer, so a
@@ -146,7 +222,7 @@ SimSession::runLayerExact(const model::Layer &layer) const
     static Counter &skipped = counter("core extrapolated trips",
                                       CounterKind::Sum, Determinism::Racy);
     core::RunStats stats;
-    result = sim_.run(prog, &stats);
+    core::SimResult result = sim_.run(prog, &stats);
     stepped.charge(stats.steppedInstrs);
     skipped.charge(stats.extrapolatedTrips);
     // Straggler derate: only off the bit-for-bit fault-free path when
@@ -154,6 +230,56 @@ SimSession::runLayerExact(const model::Layer &layer) const
     if (resilience_.enabled && resilience_.stragglerSlowdown > 1.0)
         result = derate(result, resilience_.stragglerSlowdown);
     cache_->insert(key, result);
+    return result;
+}
+
+bool
+SimSession::probe(const std::string &key, core::SimResult &out) const
+{
+    if (!surrogate_.options().enabled)
+        return cache_->lookup(key, out);
+    // The span label must stay a pure function of the query, never of
+    // cache state: predicted-class shapes (off-grid, in-hull, budget-
+    // and spot-check-passing) only ever cache under surrogateKey_,
+    // everything else only under sessionKey_, so which tier hits is
+    // itself deterministic.
+    if (cache_->lookup(key, out)) {
+        traceQuery("exact", out);
+        return true;
+    }
+    if (cache_->lookup(rekey(key, sessionKey_, surrogateKey_), out)) {
+        traceQuery("predicted", out);
+        return true;
+    }
+    return false;
+}
+
+core::SimResult
+SimSession::miss(const model::Layer &layer, const std::string &key,
+                 Outcome &outcome) const
+{
+    if (!surrogate_.options().enabled) {
+        outcome = Outcome::Disabled;
+        return simulate(layer, key);
+    }
+    core::SimResult result;
+    double spotErr = 0;
+    outcome = surrogate_.run(
+        layer,
+        [this](const model::Layer &l) { return runLayerExact(l); },
+        result, &spotErr);
+    // Exact outcomes were already memoized under the exact key by
+    // runLayerExact; only predictions live in the surrogate namespace.
+    if (outcome == Outcome::Predicted)
+        cache_->insert(rekey(key, sessionKey_, surrogateKey_), result);
+    traceQuery(outcome == Outcome::Predicted ? "predicted" : "exact",
+               result);
+    if (outcome == Outcome::SpotCheck) {
+        static Counter &maxErr =
+            counter("surrogate max rel err", CounterKind::Max,
+                    Determinism::Racy, CounterUnit::Fraction);
+        maxErr.charge(doubleBits(spotErr));
+    }
     return result;
 }
 
@@ -165,73 +291,71 @@ SimSession::runLayer(const model::Layer &layer) const
 
 core::SimResult
 SimSession::runLayer(const model::Layer &layer,
-                     surrogate::Outcome *outcome_out) const
+                     Outcome *outcome_out) const
 {
-    using surrogate::Outcome;
-    // Cache hits charge the pipe counters too: they describe the
-    // workload simulated, not the cache behavior.
-    auto finish = [&](const core::SimResult &r, Outcome oc) {
-        static PipeCounters pipes;
-        pipes.charge(r);
-        if (oc != Outcome::Disabled)
-            outcomeCounter(oc).charge(1);
-        if (outcome_out)
-            *outcome_out = oc;
-        return r;
-    };
-
-    if (!surrogate_.options().enabled)
-        return finish(runLayerExact(layer), Outcome::Disabled);
-
-    // The span label must stay a pure function of the query, never of
-    // cache state: predicted-class shapes (off-grid, in-hull, budget-
-    // and spot-check-passing) only ever cache under surrogateKey_,
-    // everything else only under sessionKey_, so which tier hits is
-    // itself deterministic.
-    auto trace = [](const char *label, const core::SimResult &r) {
-        if (obs::Tracer *tr = obs::Tracer::current())
-            tr->span(obs::Domain::Surrogate, 1, label, 0,
-                     r.totalCycles);
-    };
-
-    const std::string layerPrint = fingerprint(layer);
+    thread_local std::string buf;
+    const std::string &key = buildKey(buf, sessionKey_, layer);
     core::SimResult result;
-    if (cache_->lookup(sessionKey_ + layerPrint, result)) {
-        trace("exact", result);
-        return finish(result, Outcome::CacheHit);
-    }
-    if (cache_->lookup(surrogateKey_ + layerPrint, result)) {
-        trace("predicted", result);
-        return finish(result, Outcome::CacheHit);
-    }
+    Outcome oc = surrogate_.options().enabled ? Outcome::CacheHit
+                                              : Outcome::Disabled;
+    if (!probe(key, result))
+        result = miss(layer, key, oc);
+    QueryTally tally;
+    tally.add(result, oc);
+    tally.charge();
+    if (outcome_out)
+        *outcome_out = oc;
+    return result;
+}
 
-    double spotErr = 0;
-    const Outcome oc = surrogate_.run(
-        layer,
-        [this](const model::Layer &l) { return runLayerExact(l); },
-        result, &spotErr);
-    // Exact outcomes were already memoized under the exact key by
-    // runLayerExact; only predictions live in the surrogate namespace.
-    if (oc == Outcome::Predicted)
-        cache_->insert(surrogateKey_ + layerPrint, result);
-    trace(oc == Outcome::Predicted ? "predicted" : "exact", result);
-    if (oc == Outcome::SpotCheck) {
-        static Counter &maxErr =
-            counter("surrogate max rel err", CounterKind::Max,
-                    Determinism::Racy, CounterUnit::Fraction);
-        maxErr.charge(doubleBits(spotErr));
+void
+SimSession::runBatch(std::span<LayerRun> runs) const
+{
+    std::vector<Outcome> outcomes(runs.size(),
+                                  surrogate_.options().enabled
+                                      ? Outcome::CacheHit
+                                      : Outcome::Disabled);
+    // 1. Probe in order on this thread. A key that already missed in
+    //    this batch marks a repeat, which is not probed. The set is
+    //    node-based, so the workers can read its keys in place.
+    thread_local std::string buf;
+    std::unordered_set<std::string> missed;
+    std::vector<std::pair<std::size_t, const std::string *>> misses;
+    std::vector<std::size_t> repeats;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const std::string &key = buildKey(buf, sessionKey_, runs[i].layer);
+        if (!missed.empty() && missed.count(key))
+            repeats.push_back(i);
+        else if (!probe(key, runs[i].result))
+            misses.emplace_back(i, &*missed.insert(key).first);
     }
-    return finish(result, oc);
+    // 2. Only the distinct misses fan out, each taking the miss path
+    //    once.
+    parallelFor(misses.size(), [&](std::size_t j) {
+        const auto [i, key] = misses[j];
+        runs[i].result = miss(runs[i].layer, *key, outcomes[i]);
+    });
+    // 3. The repeats hit what step 2 memoized (one evicted since takes
+    //    the miss path again).
+    for (const std::size_t i : repeats) {
+        const std::string &key = buildKey(buf, sessionKey_, runs[i].layer);
+        if (!probe(key, runs[i].result))
+            runs[i].result = miss(runs[i].layer, key, outcomes[i]);
+    }
+    // 4. One charge for the whole batch.
+    QueryTally tally;
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        tally.add(runs[i].result, outcomes[i]);
+    tally.charge();
 }
 
 std::vector<LayerRun>
 SimSession::runInference(const model::Network &net) const
 {
     std::vector<LayerRun> runs(net.layers.size());
-    parallelFor(net.layers.size(), [&](std::size_t i) {
+    for (std::size_t i = 0; i < runs.size(); ++i)
         runs[i].layer = net.layers[i];
-        runs[i].result = runLayer(net.layers[i]);
-    });
+    runBatch(runs);
     return runs;
 }
 
@@ -239,19 +363,23 @@ std::vector<std::vector<LayerRun>>
 SimSession::runTraining(const model::Network &net,
                         model::OptimizerKind opt) const
 {
-    const auto steps = model::trainingSteps(net, opt);
+    // One batch over every step's forward and backward layers, in
+    // order, then cut back into one run list per step.
+    std::vector<model::TrainingStep> steps = model::trainingSteps(net, opt);
+    std::vector<LayerRun> flat;
+    for (model::TrainingStep &step : steps) {
+        flat.push_back({std::move(step.fwd), {}});
+        for (model::Layer &b : step.bwd)
+            flat.push_back({std::move(b), {}});
+    }
+    runBatch(flat);
     std::vector<std::vector<LayerRun>> runs(steps.size());
-    parallelFor(steps.size(), [&](std::size_t i) {
-        const model::TrainingStep &step = steps[i];
-        std::vector<LayerRun> &out = runs[i];
-        out.resize(1 + step.bwd.size());
-        out[0].layer = step.fwd;
-        out[0].result = runLayer(step.fwd);
-        for (std::size_t j = 0; j < step.bwd.size(); ++j) {
-            out[1 + j].layer = step.bwd[j];
-            out[1 + j].result = runLayer(step.bwd[j]);
-        }
-    });
+    auto next = std::make_move_iterator(flat.begin());
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        const auto end = next + std::ptrdiff_t(1 + steps[i].bwd.size());
+        runs[i].assign(next, end);
+        next = end;
+    }
     return runs;
 }
 

@@ -9,9 +9,10 @@
  *
  *  - repeated (config, options, layer-shape) triples are memoized
  *    across layers, networks, benches within a process;
- *  - per-layer network profiling fans out over the runtime thread
- *    pool with index-ordered results (byte-identical output at any
- *    ASCEND_THREADS setting).
+ *  - a network's layers are answered as one batch (runBatch): cache
+ *    hits on the calling thread, and only the distinct misses fan
+ *    out over the runtime thread pool, with index-ordered results
+ *    (byte-identical output at any ASCEND_THREADS setting).
  *
  * Sessions default to one process-wide cache: sweeps that vary the
  * config still share entries for everything the sweep holds fixed.
@@ -21,6 +22,8 @@
 #define ASCEND_RUNTIME_SIM_SESSION_HH
 
 #include <memory>
+#include <span>
+#include <string>
 
 #include "compiler/layer_compiler.hh"
 #include "core/core_sim.hh"
@@ -84,6 +87,18 @@ class SimSession
     core::SimResult runLayer(const model::Layer &layer,
                              surrogate::Outcome *outcome_out) const;
 
+    /**
+     * Answer every run's layer, filling its result: the runLayer of
+     * each layer, in one pass. The calling thread probes each layer in
+     * order (a layer whose key already missed in this batch is a
+     * repeat and is not probed); only the distinct misses fan out over
+     * the thread pool, each taking runLayer's miss path once; the
+     * repeats are then looked up and hit. With the surrogate off the
+     * cache counts the hits and misses of a serial runLayer loop. The
+     * pipe and outcome counters are charged once per batch.
+     */
+    void runBatch(std::span<LayerRun> runs) const;
+
     /** Compile and simulate every layer of @p net (inference). */
     std::vector<LayerRun> runInference(const model::Network &net) const;
 
@@ -137,6 +152,25 @@ class SimSession
      * Does not charge pipe totals — callers charge once per query.
      */
     core::SimResult runLayerExact(const model::Layer &layer) const;
+
+    /** Compile, simulate, derate and memoize under @p key; no probe. */
+    core::SimResult simulate(const model::Layer &layer,
+                             const std::string &key) const;
+
+    /**
+     * The query tier's probe: exact key @p key (sessionKey() plus the
+     * layer's fingerprint), then, with the surrogate on, the predicted
+     * key. A hit fills @p out and emits the Surrogate span.
+     */
+    bool probe(const std::string &key, core::SimResult &out) const;
+
+    /**
+     * The query tier's miss path, for a query whose probe missed:
+     * predict or simulate exactly, then memoize; never probes @p key
+     * again. Sets @p outcome.
+     */
+    core::SimResult miss(const model::Layer &layer, const std::string &key,
+                         surrogate::Outcome &outcome) const;
 
     compiler::CompileOptions options_;
     compiler::LayerCompiler layerCompiler_;

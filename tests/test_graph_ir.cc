@@ -20,6 +20,7 @@
 #include "graph/zoo_graphs.hh"
 #include "obs/tracer.hh"
 #include "runtime/perf_stats.hh"
+#include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
 #include "soc/training_soc.hh"
 
@@ -233,6 +234,38 @@ perturb(T &v)
         v += 1 + std::abs(v);
     else
         ++v;
+}
+
+TEST(LayerKeys, FingerprintSeesEveryKeyedField)
+{
+    const model::Layer base =
+        model::Layer::conv2d("c", 2, 3, 33, 31, 16, 3, 1, 1);
+    const std::string print = runtime::fingerprint(base);
+    std::size_t fields = 0;
+    model::forEachField([&](const char *, const auto &) { ++fields; },
+                        base);
+    EXPECT_GT(fields, 20u);
+    for (std::size_t i = 0; i < fields; ++i) {
+        model::Layer l = base;
+        std::size_t j = 0;
+        std::string name;
+        model::forEachField(
+            [&](const char *k, auto &v) {
+                if (j++ == i) {
+                    perturb(v);
+                    name = k;
+                }
+            },
+            l);
+        EXPECT_NE(runtime::fingerprint(l), print) << "misses " << name;
+    }
+    model::Layer kind = base;
+    perturb(kind.kind);
+    EXPECT_NE(runtime::fingerprint(kind), print) << "misses kind";
+    // The name is not keyed: equal shapes share one entry.
+    model::Layer renamed = base;
+    renamed.name = "other";
+    EXPECT_EQ(runtime::fingerprint(renamed), print);
 }
 
 TEST(GraphCacheKeys, FingerprintSeesEveryKeyedField)

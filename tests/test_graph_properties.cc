@@ -456,7 +456,7 @@ everyFieldGraph()
  * tests/golden/record_keys.txt: the .agr text, the SimCache key of
  * every lowered layer, the surrogate's spot-check subset, and the key
  * of every core preset. Regenerate only for an intended key change
- * (which also orphans every on-disk cache) with
+ * with
  *     ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_graph_properties
  */
 TEST(RecordKeys, MatchGolden)

@@ -223,7 +223,6 @@ TEST(PerfStats, PipeTotalsChargeOnMissAndHit)
     EXPECT_EQ(runtime::counterValue("sim results"), 2u);
     const std::uint64_t cycles = runtime::counterValue("sim cycles");
     EXPECT_EQ(cycles, 2 * r1.totalCycles);
-    EXPECT_EQ(runtime::counterValue("sim barriers"), 2 * r1.barriers);
     for (unsigned p = 0; p < isa::kNumPipes; ++p) {
         const auto pipe = static_cast<isa::Pipe>(p);
         const std::string name =

@@ -10,7 +10,10 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include "common/error.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
+#include "runtime/perf_stats.hh"
 #include "runtime/sim_cache.hh"
 #include "runtime/sim_session.hh"
 #include "runtime/thread_pool.hh"
@@ -292,6 +296,121 @@ TEST(SimSession, TrainingRunsAreCachedConsistently)
         for (std::size_t j = 0; j < a[i].size(); ++j)
             EXPECT_EQ(resultDiff(a[i][j].result, b[i][j].result), "");
     }
+}
+
+/** Every deterministic counter, as (name, value). */
+std::vector<std::pair<std::string, std::uint64_t>>
+deterministicCounters()
+{
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const runtime::CounterEntry &e : runtime::counterSnapshot())
+        if (e.determinism == runtime::Determinism::Deterministic)
+            out.emplace_back(e.name, e.value);
+    return out;
+}
+
+/** What one pass over a layer list left behind, on a fresh cache. */
+struct PassRecord
+{
+    std::vector<core::SimResult> results;
+    runtime::SimCache::Stats stats;
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+};
+
+/**
+ * Answer @p layers on a fresh-cache session of @p sur, through the
+ * batch path when @p batch (training layers in one runTraining when
+ * @p training, else one runInference) or else through one runLayer
+ * per layer, in order.
+ */
+PassRecord
+runPass(const model::Network &net, const std::vector<model::Layer> &layers,
+        bool training, bool batch,
+        const surrogate::SurrogateOptions &sur)
+{
+    runtime::resetCounters();
+    const auto cache = std::make_shared<runtime::SimCache>();
+    const runtime::SimSession session(
+        arch::makeCoreConfig(arch::CoreVersion::Std), {}, cache, {}, sur);
+    PassRecord rec;
+    if (!batch) {
+        for (const model::Layer &l : layers)
+            rec.results.push_back(session.runLayer(l));
+    } else if (training) {
+        for (const auto &step : session.runTraining(net))
+            for (const runtime::LayerRun &run : step)
+                rec.results.push_back(run.result);
+    } else {
+        for (const runtime::LayerRun &run : session.runInference(net))
+            rec.results.push_back(run.result);
+    }
+    rec.stats = cache->stats();
+    rec.counters = deterministicCounters();
+    return rec;
+}
+
+TEST(SimSession, BatchEqualsLayerByLayer)
+{
+    for (const bool surrogateOn : {false, true}) {
+        surrogate::SurrogateOptions sur;
+        sur.enabled = surrogateOn;
+        for (const auto &net : zooNetworks()) {
+            for (const bool training : {false, true}) {
+                std::vector<model::Layer> layers;
+                if (training) {
+                    for (const auto &step : model::trainingSteps(net)) {
+                        layers.push_back(step.fwd);
+                        layers.insert(layers.end(), step.bwd.begin(),
+                                      step.bwd.end());
+                    }
+                } else {
+                    layers = net.layers;
+                }
+                const PassRecord serial =
+                    runPass(net, layers, training, false, sur);
+                for (const unsigned threads : {1u, 4u}) {
+                    const std::string at =
+                        net.name + (training ? " training" : " inference") +
+                        " surrogate=" + std::to_string(surrogateOn) +
+                        " threads=" + std::to_string(threads);
+                    runtime::ScopedThreadPoolSize pool(threads);
+                    const PassRecord batch =
+                        runPass(net, layers, training, true, sur);
+                    ASSERT_EQ(batch.results.size(), serial.results.size())
+                        << at;
+                    for (std::size_t i = 0; i < serial.results.size(); ++i)
+                        EXPECT_EQ(resultDiff(batch.results[i],
+                                             serial.results[i]),
+                                  "")
+                            << at << " layer " << i;
+                    if (surrogateOn)
+                        continue;
+                    EXPECT_EQ(batch.stats.hits, serial.stats.hits) << at;
+                    EXPECT_EQ(batch.stats.misses, serial.stats.misses) << at;
+                    EXPECT_EQ(batch.counters, serial.counters) << at;
+                }
+            }
+        }
+    }
+}
+
+TEST(SimSession, BatchSimulatesEachDistinctMissOnce)
+{
+    const auto net = graph::toNetwork(graph::zoo::resnet50Graph(1));
+    std::set<std::string> shapes;
+    for (const model::Layer &l : net.layers)
+        shapes.insert(runtime::fingerprint(l));
+    ASSERT_LT(shapes.size(), net.layers.size()); // shapes repeat
+
+    runtime::ScopedThreadPoolSize pool(4);
+    const auto cache = std::make_shared<runtime::SimCache>();
+    const runtime::SimSession session(
+        arch::makeCoreConfig(arch::CoreVersion::Std), {}, cache, {},
+        surrogate::SurrogateOptions{});
+    (void)session.runInference(net);
+    EXPECT_EQ(cache->stats().misses, shapes.size());
+    EXPECT_EQ(cache->stats().hits, net.layers.size() - shapes.size());
+    EXPECT_EQ(cache->stats().entries, shapes.size());
 }
 
 } // anonymous namespace
