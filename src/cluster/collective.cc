@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 
 #include "common/error.hh"
 #include "common/field.hh"
@@ -253,25 +252,6 @@ ClusterConfig::validate() const
         throwError(ErrorCode::ConfigValidation,
                    "%u servers of %u chips overflow the chip count",
                    servers, server.chips);
-}
-
-ClusterConfig
-clusterConfigFromString(const std::string &text, const ClusterConfig &base)
-{
-    ClusterConfig config = base;
-    std::istringstream is(text);
-    readFields(is, config, "cluster config");
-    config.validate();
-    return config;
-}
-
-std::string
-clusterConfigToString(const ClusterConfig &config)
-{
-    std::ostringstream os;
-    os << "# ascend-sim cluster configuration\n";
-    writeFields(os, config);
-    return os.str();
 }
 
 } // namespace cluster

@@ -38,7 +38,7 @@ struct ServerConfig
     void validate() const;
 };
 
-/** ServerConfig's fields under their cluster-text keys. */
+/** ServerConfig's fields under their keys (common/field.hh). */
 template <typename F, RecordOf<ServerConfig>... S>
 void
 forEachField(F &&f, S &...s)
@@ -65,8 +65,8 @@ struct ClusterConfig
 };
 
 /**
- * ClusterConfig's fields under their cluster-text keys, the server's
- * spliced in first (common/field.hh).
+ * ClusterConfig's fields under their keys, the server's spliced in
+ * first (common/field.hh).
  */
 template <typename F, RecordOf<ClusterConfig>... C>
 void
@@ -77,19 +77,6 @@ forEachField(F &&f, C &...c)
     f(positive("net_bytes_per_sec"), c.netBytesPerSec...);
     f(nonNegative("net_latency_sec"), c.netLatencySec...);
 }
-
-/**
- * Parse a cluster description: starts from @p base and applies
- * `key = value` lines whose keys are the forEachField list's above
- * (`#` comments). Throws ascend::Error(ConfigParse) on malformed text,
- * an unknown key or a value its field cannot hold (`servers = -1`);
- * the result is validate()d before it is returned.
- */
-ClusterConfig clusterConfigFromString(const std::string &text,
-                                      const ClusterConfig &base = {});
-
-/** Serialize @p config as `key = value` lines (round-trips exactly). */
-std::string clusterConfigToString(const ClusterConfig &config);
 
 /** Allreduce algorithm families (Section 4.2 software stack). */
 enum class CollectiveAlgo { Ring, HalvingDoubling, Tree };

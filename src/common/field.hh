@@ -16,9 +16,9 @@
  *   enum or integer as its value, a double as its bit pattern);
  * - putField / fieldKey: the one key encoder of fingerprints and run
  *   identities;
- * - fieldText / parseFieldText: the field as text in `.agr` files and
- *   config files (decimal integers, %.17g doubles, true/false, an
- *   enum's toString token);
+ * - fieldText / parseFieldText: the field as text in the core config
+ *   file and in flag and variable values (decimal integers, %.17g
+ *   doubles, true/false, an enum's toString token);
  * - setFieldText: parse one `key=value` pair into a record, refusing
  *   an unknown key or a value its field's type cannot hold with a
  *   structured ConfigParse error;
@@ -26,7 +26,7 @@
  *   variable the tree reads, through the same text codec, failing
  *   closed with a ConfigValidation error that names it;
  * - writeFields / readFields: a record as the `key = value` lines of
- *   the core config file and the cluster config text;
+ *   the core config file;
  * - encodeBody / decodeBody (encodeField / decodeField for one
  *   value): records and values as the binary body of a durable file
  *   (the elastic and fleet checkpoints). Both walk the same lists,

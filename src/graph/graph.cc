@@ -11,7 +11,6 @@
 #include "common/codec.hh"
 #include "common/error.hh"
 #include "common/field.hh"
-#include "runtime/sim_cache.hh"
 
 namespace ascend {
 namespace graph {
@@ -61,10 +60,39 @@ layerOutputElems(const model::Layer &l)
     }
 }
 
+[[noreturn]] void
+failShape(const std::string &node_name, OpKind op, const char *what)
+{
+    throwError(ErrorCode::GraphShapeMismatch, "node '%s' (%s): %s",
+               node_name.c_str(), toString(op), what);
+}
+
+/**
+ * Refuse a windowed layer (conv, depthwise, pool) with no output
+ * shape, before layerOutputElems divides by its stride and subtracts
+ * its kernel from the padded input. addLayer calls it before deriving
+ * the output tensor, checkNodeShapes on every node validate() sees.
+ */
+void
+checkWindow(const model::Layer &l, const std::string &node_name)
+{
+    if (l.kind != model::LayerKind::Conv2d &&
+        l.kind != model::LayerKind::DepthwiseConv2d &&
+        l.kind != model::LayerKind::Pool2d)
+        return;
+    const std::uint64_t padded_h = l.inH + 2 * std::uint64_t(l.padH);
+    const std::uint64_t padded_w = l.inW + 2 * std::uint64_t(l.padW);
+    if (l.strideH == 0 || l.strideW == 0)
+        failShape(node_name, OpKind::Layer, "stride must be positive");
+    if (l.kernelH > padded_h || l.kernelW > padded_w)
+        failShape(node_name, OpKind::Layer,
+                  "kernel is larger than its padded input");
+}
+
 /**
  * Shape agreement between one node and its tensors. Factored out so
  * the builders fail fast with exactly the message validate() would
- * produce on an imported graph.
+ * produce on a graph whose members were edited after it was built.
  */
 void
 checkNodeShapes(const Graph &g, std::size_t ni)
@@ -76,10 +104,7 @@ checkNodeShapes(const Graph &g, std::size_t ni)
     auto out = [&](std::size_t i) -> const Tensor & {
         return g.tensors[n.outputs[i]];
     };
-    auto fail = [&](const char *what) {
-        throwError(ErrorCode::GraphShapeMismatch, "node '%s' (%s): %s",
-                   n.name.c_str(), toString(n.op), what);
-    };
+    auto fail = [&](const char *what) { failShape(n.name, n.op, what); };
 
     switch (n.op) {
       case OpKind::Layer: {
@@ -90,18 +115,7 @@ checkNodeShapes(const Graph &g, std::size_t ni)
             fail("a layer node produces exactly one output");
         if (in(0).dtype != l.dtype)
             fail("input dtype differs from the layer dtype");
-        if (l.kind == model::LayerKind::Conv2d ||
-            l.kind == model::LayerKind::DepthwiseConv2d ||
-            l.kind == model::LayerKind::Pool2d) {
-            // Refused before layerOutputElems divides by the stride
-            // and subtracts the kernel from the padded input.
-            const std::uint64_t padded_h = l.inH + 2 * std::uint64_t(l.padH);
-            const std::uint64_t padded_w = l.inW + 2 * std::uint64_t(l.padW);
-            if (l.strideH == 0 || l.strideW == 0)
-                fail("stride must be positive");
-            if (l.kernelH > padded_h || l.kernelW > padded_w)
-                fail("kernel is larger than its padded input");
-        }
+        checkWindow(l, n.name);
         if (in(0).elems != layerInputElems(l))
             fail("input volume differs from the layer's activation");
         if (n.inputs.size() == 2) {
@@ -219,6 +233,7 @@ Graph::addLayer(model::Layer layer, std::vector<TensorId> ins)
 {
     for (const TensorId t : ins)
         checkedTensor(t, "addLayer");
+    checkWindow(layer, layer.name);
     Node n;
     n.op = OpKind::Layer;
     n.name = layer.name;
@@ -476,34 +491,6 @@ Graph::fingerprint() const
     for (int i = 0; i < 16; ++i)
         key[4 + i] = hex[(h >> (60 - 4 * i)) & 0xf];
     return std::string(key, sizeof(key));
-}
-
-bool
-Graph::operator==(const Graph &other) const
-{
-    if (name != other.name || nodes.size() != other.nodes.size() ||
-        tensors.size() != other.tensors.size() ||
-        outputs != other.outputs)
-        return false;
-    for (std::size_t i = 0; i < tensors.size(); ++i) {
-        const Tensor &a = tensors[i], &b = other.tensors[i];
-        if (a.name != b.name || a.elems != b.elems ||
-            a.dtype != b.dtype || a.producer != b.producer ||
-            a.producerSlot != b.producerSlot)
-            return false;
-    }
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const Node &a = nodes[i], &b = other.nodes[i];
-        if (a.op != b.op || a.name != b.name ||
-            a.inputs != b.inputs || a.outputs != b.outputs)
-            return false;
-        if (a.op == OpKind::Layer &&
-            (a.layer.name != b.layer.name ||
-             runtime::fingerprint(a.layer) !=
-                 runtime::fingerprint(b.layer)))
-            return false;
-    }
-    return true;
 }
 
 } // namespace graph

@@ -7,12 +7,13 @@
  * residuals, BERT attention branches) collapses to the same layer
  * multiset when lowered. It cannot express *new* workloads whose
  * shape depends on wiring: KV-cache decoders whose cache tensors are
- * graph inputs and outputs, multi-output heads, or imported models.
+ * graph inputs and outputs, or multi-output heads.
  *
- * This module is the ONNX-like front-end the ROADMAP asks for: nodes
- * are either compute nodes wrapping one model::Layer or structural
- * nodes (residual-add, concat, split); edges are explicit tensors
- * with an element count and dtype. Structural invariants (acyclic,
+ * This module is the ONNX-like front-end the ROADMAP asks for, and a
+ * workload enters it only through the builders below: nodes are
+ * either compute nodes wrapping one model::Layer or structural nodes
+ * (residual-add, concat, split); edges are explicit tensors with an
+ * element count and dtype. Structural invariants (acyclic,
  * no dangling edges, per-node shape agreement) are checked by
  * validate(), which throws structured ascend::Error — GraphInvalid
  * for wiring damage, GraphShapeMismatch for inconsistent volumes —
@@ -110,7 +111,10 @@ class Graph
      * whose second operand is itself an activation (attention
      * scores/context consuming K/V) pass it as a second input. The
      * output tensor shape is derived from the layer; its name is
-     * "<layer.name>:0".
+     * "<layer.name>:0". Throws Error{GraphShapeMismatch} when the
+     * node's shapes disagree, and refuses a conv, depthwise or pool
+     * layer with a zero stride or a kernel larger than its padded
+     * input before deriving that shape.
      */
     TensorId addLayer(model::Layer layer, std::vector<TensorId> ins);
 
@@ -171,13 +175,6 @@ class Graph
      * public and may change between calls.
      */
     std::string fingerprint() const;
-
-    /** Exact equality, names included (importer round-trip oracle). */
-    bool operator==(const Graph &other) const;
-    bool operator!=(const Graph &other) const
-    {
-        return !(*this == other);
-    }
 
   private:
     TensorId newTensor(const std::string &tensor_name,

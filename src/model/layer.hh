@@ -165,12 +165,11 @@ struct Layer
 /**
  * Layer's shape fields, in SimCache-key order: calls
  * f(key, l.member...) once per field, passing that member of every
- * layer in @p l (so a printer can compare a layer with the defaults),
- * under its `.agr` key. This list and forEachField's two byte
- * overrides are the only place the keyed fields are named: the cache
- * key, the `.agr` text and the surrogate's spot-check hash all walk
- * them. kind is keyed ahead of the list by every consumer (it is the
- * `.agr` op token) and name is never keyed.
+ * layer in @p l. This list and forEachField's two byte overrides are
+ * the only place the keyed fields are named: the cache key,
+ * Graph::fingerprint and the surrogate's spot-check hash all walk
+ * them. kind is keyed ahead of the list by every consumer and name
+ * is never keyed.
  */
 template <typename F, RecordOf<Layer>... L>
 constexpr void

@@ -71,6 +71,21 @@ diamond()
     return g;
 }
 
+/**
+ * A graph of one 3x3 pad-1 conv on an 8x8 input, built after
+ * @p edit(layer): on that input a kernel of up to 10 fits.
+ */
+template <typename Edit>
+graph::Graph
+convGraph(Edit edit)
+{
+    model::Layer l = model::Layer::conv2d("c", 1, 3, 8, 8, 4, 3, 1, 1);
+    edit(l);
+    graph::Graph g;
+    g.addLayer(l, {g.addInput("x", 3 * 8 * 8, DataType::Fp16)});
+    return g;
+}
+
 // ------------------------------------------------- structure
 
 TEST(GraphIr, BuildersWireBackReferences)
@@ -160,6 +175,13 @@ TEST(GraphNegative, ShapeMismatchThrows)
     g.tensors[g.nodes[1].outputs[0]].elems = 7; // break relu output
     expectError([&] { g.validate(); }, ErrorCode::GraphShapeMismatch,
                 "output");
+
+    // A window edited after the build is refused before validate()
+    // derives an output volume from it.
+    graph::Graph c = convGraph([](model::Layer &) {});
+    c.nodes[0].layer.strideH = 0;
+    expectError([&] { c.validate(); }, ErrorCode::GraphShapeMismatch,
+                "stride must be positive");
 }
 
 TEST(GraphNegative, BuildersFailFast)
@@ -187,6 +209,19 @@ TEST(GraphNegative, BuildersFailFast)
                        {t, t});
         },
         ErrorCode::GraphShapeMismatch, "second operand");
+
+    // A window with no output shape is refused before addLayer
+    // derives the output tensor from it.
+    for (auto field : {&model::Layer::strideH, &model::Layer::strideW})
+        expectError(
+            [&] { convGraph([&](model::Layer &l) { l.*field = 0; }); },
+            ErrorCode::GraphShapeMismatch, "stride must be positive");
+    for (auto field : {&model::Layer::kernelH, &model::Layer::kernelW})
+        expectError(
+            [&] { convGraph([&](model::Layer &l) { l.*field = 11; }); },
+            ErrorCode::GraphShapeMismatch,
+            "kernel is larger than its padded input");
+    EXPECT_NO_THROW(convGraph([](model::Layer &l) { l.kernelH = 10; }));
 }
 
 TEST(GraphNegative, EmptyGraphIsInvalid)

@@ -1,11 +1,10 @@
 /**
  * @file
- * Property tests for the graph IR: importer round-trips exactly
- * (parse(print(g)) == g, tensor ids included), lowering totals are
- * invariant under any valid topological order, and randomized DAGs
- * survive the full build -> validate -> print -> parse -> lower
- * pipeline (run under the sanitizer CI jobs, this doubles as the
- * fuzz harness ISSUE.md asks for).
+ * Property tests for the graph IR: lowering totals are invariant
+ * under any valid topological order, and randomized DAGs survive the
+ * full build -> validate -> lower pipeline (run under the sanitizer
+ * CI jobs, this doubles as the graph fuzz harness). Also the record
+ * keys golden and the field-list checks of every keyed record.
  */
 
 #include <algorithm>
@@ -30,7 +29,6 @@
 #include "common/codec.hh"
 #include "common/error.hh"
 #include "common/field.hh"
-#include "graph/agr.hh"
 #include "graph/decoder.hh"
 #include "graph/lower.hh"
 #include "graph/zoo_graphs.hh"
@@ -45,29 +43,6 @@
 using namespace ascend;
 
 namespace {
-
-/** Expect fn() to throw Error with @p code. */
-template <typename Fn>
-void
-expectError(Fn &&fn, ErrorCode code)
-{
-    try {
-        fn();
-        FAIL() << "expected ascend::Error [" << toString(code) << "]";
-    } catch (const Error &e) {
-        EXPECT_EQ(e.code(), code) << e.what();
-    }
-}
-
-void
-expectRoundTrips(const graph::Graph &g)
-{
-    const std::string text = graph::printAgr(g);
-    const graph::Graph back = graph::parseAgr(text);
-    EXPECT_TRUE(back == g) << g.name << " did not round-trip";
-    // And the text itself is a fixed point.
-    EXPECT_EQ(graph::printAgr(back), text) << g.name;
-}
 
 /**
  * Kahn's algorithm with a MAX-heap: a valid topological order that
@@ -116,8 +91,8 @@ loweredMultiset(const std::vector<graph::Step> &steps)
 
 /**
  * A random but always-valid DAG: every mutation the generator knows
- * preserves the builder invariants, so validate() must accept and
- * the round trip must be exact for any seed.
+ * preserves the builder invariants, so validate() must accept it for
+ * any seed.
  */
 graph::Graph
 randomDag(std::mt19937 &rng)
@@ -196,136 +171,6 @@ randomDag(std::mt19937 &rng)
     return g;
 }
 
-/** The text of a one-conv graph (8x8 input, pad 1), @p keys appended
- *  to its node line. */
-std::string
-convAgr(const std::string &keys)
-{
-    graph::Graph g;
-    g.name = "conv";
-    const graph::TensorId in = g.addInput("x", 3 * 8 * 8, DataType::Fp16);
-    g.markOutput(g.addLayer(
-        model::Layer::conv2d("c", 1, 3, 8, 8, 4, 3, 1, 1), {in}));
-    std::string text = graph::printAgr(g);
-    return text.insert(text.find("\noutput"), keys);
-}
-
-// ------------------------------------------------- round trips
-
-TEST(AgrRoundTrip, ZooGraphs)
-{
-    expectRoundTrips(graph::zoo::resnet50Graph(1));
-    expectRoundTrips(graph::zoo::mobilenetV2Graph(1));
-    expectRoundTrips(graph::zoo::bertBaseGraph(1, 128));
-    expectRoundTrips(graph::zoo::vgg16Graph(1));
-    expectRoundTrips(graph::zoo::gestureNetGraph(1));
-}
-
-TEST(AgrRoundTrip, DecoderGraphs)
-{
-    graph::DecoderConfig cfg;
-    expectRoundTrips(graph::prefillGraph(cfg, 128));
-    expectRoundTrips(graph::decodeGraph(cfg, 129));
-    expectRoundTrips(graph::decodeGraph(cfg, 1)); // no cache inputs
-}
-
-TEST(AgrRoundTrip, LayerFieldsSurviveIncludingOverrides)
-{
-    graph::Graph g;
-    g.name = "fields";
-    model::Layer conv = model::Layer::conv2d(
-        "c", 2, 3, 32, 32, 8, 3, 2, 1, DataType::Int8);
-    conv.inputBytesOverride = 12345;
-    conv.cvPasses = 1.5;
-    const graph::TensorId in =
-        g.addInput("x", std::uint64_t(2) * 3 * 32 * 32,
-                   DataType::Int8);
-    g.markOutput(g.addLayer(conv, {in}));
-    expectRoundTrips(g);
-
-    const graph::Graph back = graph::parseAgr(graph::printAgr(g));
-    EXPECT_EQ(back.nodes[0].layer.inputBytesOverride, 12345u);
-    EXPECT_DOUBLE_EQ(back.nodes[0].layer.cvPasses, 1.5);
-}
-
-TEST(AgrRoundTrip, CountersCharge)
-{
-    runtime::resetCounters();
-    expectRoundTrips(graph::zoo::gestureNetGraph(1));
-    EXPECT_EQ(runtime::counterValue("graph agr parsed"), 1u);
-    // round trip prints twice
-    EXPECT_EQ(runtime::counterValue("graph agr printed"), 2u);
-}
-
-// ------------------------------------------------ parse errors
-
-TEST(AgrParse, RejectsMalformedText)
-{
-    const auto bad = [](const std::string &text) {
-        expectError([&] { graph::parseAgr(text); },
-                    ErrorCode::ConfigParse);
-    };
-    bad("");
-    bad("agr 2\ngraph g\nend\n");
-    bad("agr 1\nnope\n");
-    bad("agr 1\ngraph g\nwat x\nend\n");
-    bad("agr 1\ngraph g\ntensor t xyz fp16 input\nend\n");
-    bad("agr 1\ngraph g\ntensor t 8 fp19 input\nend\n");
-    bad("agr 1\ngraph g\ntensor t 8 fp16 input\n"
-        "tensor t 8 fp16 input\nend\n");           // duplicate name
-    bad("agr 1\ngraph g\nnode n add in a,b\nend\n"); // undefined refs
-    bad("agr 1\ngraph g\ntensor t 8 fp16 input\n"
-        "node n layer elementwise in t bogus=1\nend\n");
-    bad("agr 1\ngraph g\ntensor t 8 fp16 input\n"); // missing end
-    // A value its field's type cannot hold is refused, not truncated.
-    bad(convAgr(" b=4294967297"));
-    bad(convAgr(" b=-1"));
-    bad(convAgr(" el=18446744073709551616"));
-    bad(convAgr(" cvp=inf"));
-    bad(convAgr(" act=tanh"));
-    bad(convAgr(" dt=fp8"));
-    bad("agr 1\ngraph g\ntensor t 8 fp16 from 4294967296.0\nend\n");
-    bad("agr 1\ngraph g\ntensor t 8 fp16 from 3000000000.0\nend\n");
-}
-
-TEST(AgrParse, DegenerateWindowFailsTheShapeCheck)
-{
-    // Caught before any output volume is derived from the window; a
-    // kernel that just fits the padded input gets past the check (to
-    // the output-volume one, since the conv's output shrinks).
-    const auto refusal = [](const char *keys) -> std::string {
-        try {
-            graph::parseAgr(convAgr(keys));
-        } catch (const Error &e) {
-            EXPECT_EQ(e.code(), ErrorCode::GraphShapeMismatch) << keys;
-            return e.what();
-        }
-        return "";
-    };
-    for (const char *keys : {" sh=0", " sw=0"})
-        EXPECT_NE(refusal(keys).find("stride"), std::string::npos);
-    for (const char *keys : {" kh=11", " kw=11"})
-        EXPECT_NE(refusal(keys).find("kernel"), std::string::npos);
-    EXPECT_NE(refusal(" kh=10").find("output"), std::string::npos);
-    EXPECT_EQ(refusal(""), "");
-}
-
-TEST(AgrParse, WellFormedButBrokenGraphFailsValidation)
-{
-    // Syntactically fine; tensor claims a producer that never runs
-    // before it — a cycle between the two nodes.
-    const std::string text =
-        "agr 1\n"
-        "graph g\n"
-        "tensor a 8 fp16 from 1.0\n"
-        "tensor b 8 fp16 from 0.0\n"
-        "node n0 layer elementwise in a el=8\n"
-        "node n1 layer elementwise in b el=8\n"
-        "end\n";
-    expectError([&] { graph::parseAgr(text); },
-                ErrorCode::GraphInvalid);
-}
-
 // --------------------------------------- topo-order invariance
 
 TEST(TopoInvariance, LoweredTotalsMatchForAnyValidOrder)
@@ -380,7 +225,7 @@ hashText(const std::string &text)
 }
 
 /**
- * One golden row of graph @p g: the hash of its .agr text, the hash
+ * One golden row of graph @p g: its Graph::fingerprint(), the hash
  * of every lowered layer's SimCache fingerprint, and (when
  * @p run_outcomes) the hash of the surrogate outcome sequence of a
  * fresh-cache, surrogate-on session walking those layers. The spot
@@ -415,13 +260,13 @@ recordKeysRow(const std::string &label, const graph::Graph &g,
         outcomes = hex64(hashText(seq));
     }
     return label + " layers=" + std::to_string(net.layers.size()) +
-           " agr=" + hex64(hashText(graph::printAgr(g))) +
+           " fp=" + g.fingerprint() +
            " lay=" + hex64(lay) + " outcomes=" + outcomes;
 }
 
 /**
  * A one-layer graph whose layer sets every keyed field off its
- * default, so the .agr and fingerprint columns cover fields no zoo
+ * default, so the fp= and lay= columns cover fields no zoo
  * graph touches (fused passes, byte overrides, activation).
  */
 graph::Graph
@@ -453,18 +298,18 @@ everyFieldGraph()
 
 /**
  * Every keyed byte of the layer and core records is frozen in
- * tests/golden/record_keys.txt: the .agr text, the SimCache key of
- * every lowered layer, the surrogate's spot-check subset, and the key
- * of every core preset. Regenerate only for an intended key change
- * with
+ * tests/golden/record_keys.txt: the graph's fingerprint, the SimCache
+ * key of every lowered layer, the surrogate's spot-check subset, and
+ * the key of every core preset. Regenerate only for an intended key
+ * change with
  *     ASCEND_UPDATE_GOLDEN=1 ./build/tests/test_graph_properties
  */
 TEST(RecordKeys, MatchGolden)
 {
     namespace zoo = graph::zoo;
     std::string rows =
-        "# .agr, layer-fingerprint and surrogate-outcome hashes per "
-        "graph, and\n"
+        "# Graph::fingerprint, layer-fingerprint and surrogate-outcome "
+        "hashes per graph, and\n"
         "# the fingerprint of every core preset "
         "(tests/test_graph_properties.cc).\n"
         "# Regenerate: ASCEND_UPDATE_GOLDEN=1 "
@@ -952,10 +797,6 @@ TEST(GraphFuzz, RandomDagsSurviveThePipeline)
         const graph::Graph g = randomDag(rng);
         ASSERT_NO_THROW(g.validate()) << "iter " << iter;
 
-        // Round trip is exact.
-        const graph::Graph back = graph::parseAgr(graph::printAgr(g));
-        ASSERT_TRUE(back == g) << "iter " << iter;
-
         // Topological order is a permutation that respects edges.
         const std::vector<std::size_t> order = g.topoOrder();
         std::vector<std::size_t> position(g.nodes.size());
@@ -979,7 +820,7 @@ TEST(GraphFuzz, RandomDagsSurviveThePipeline)
             << "iter " << iter;
 
         // Renaming everything never moves the structural hash.
-        graph::Graph renamed = back;
+        graph::Graph renamed = g;
         for (auto &t : renamed.tensors)
             t.name = "x" + t.name;
         for (auto &n : renamed.nodes)

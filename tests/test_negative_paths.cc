@@ -196,71 +196,13 @@ TEST(NegativeClusterConfig, ValidationRejectsDegenerateTopologies)
     expectError([&] { cl.validate(); },
                 ErrorCode::ConfigValidation, "server");
 
-    EXPECT_NO_THROW(cluster::ClusterConfig{}.validate());
-}
-
-TEST(NegativeClusterConfig, ParserRejectsMalformedText)
-{
-    expectError([] { cluster::clusterConfigFromString("servers"); },
-                ErrorCode::ConfigParse, "key = value");
-    expectError(
-        [] { cluster::clusterConfigFromString("bogus = 1\n"); },
-        ErrorCode::ConfigParse, "unknown key");
-    expectError(
-        [] { cluster::clusterConfigFromString("servers = many\n"); },
-        ErrorCode::ConfigParse, "bad");
-    expectError(
-        [] { cluster::clusterConfigFromString("net_bytes_per_sec = nan\n"); },
-        ErrorCode::ConfigParse, "bad");
-    // A value its field cannot hold is refused, never wrapped.
-    expectError(
-        [] { cluster::clusterConfigFromString("servers = -1\n"); },
-        ErrorCode::ConfigParse, "bad integer");
-    expectError(
-        [] { cluster::clusterConfigFromString("chips = 4294967297\n"); },
-        ErrorCode::ConfigParse, "bad integer");
-    // Values that parse but violate validation surface as such.
-    expectError(
-        [] { cluster::clusterConfigFromString("servers = 0\n"); },
-        ErrorCode::ConfigValidation, "server");
     // Each factor fits, but the chip count would wrap.
-    expectError(
-        [] {
-            cluster::clusterConfigFromString("servers = 4294967295\n");
-        },
-        ErrorCode::ConfigValidation, "overflow");
-}
+    cl = cluster::ClusterConfig{};
+    cl.servers = 4294967295u;
+    expectError([&] { cl.validate(); },
+                ErrorCode::ConfigValidation, "overflow");
 
-TEST(NegativeClusterConfig, RoundTrips)
-{
-    cluster::ClusterConfig cl;
-    cl.servers = 12;
-    cl.server.chips = 4;
-    cl.server.chipsPerGroup = 2;
-    cl.netBytesPerSec = 25e9;
-    const std::string text = cluster::clusterConfigToString(cl);
-    const cluster::ClusterConfig back =
-        cluster::clusterConfigFromString(text);
-    EXPECT_EQ(back.servers, cl.servers);
-    EXPECT_EQ(back.server.chips, cl.server.chips);
-    EXPECT_EQ(back.server.chipsPerGroup, cl.server.chipsPerGroup);
-    EXPECT_EQ(back.netBytesPerSec, cl.netBytesPerSec);
-    EXPECT_EQ(back.server.hccsBytesPerSec, cl.server.hccsBytesPerSec);
-
-    // Bit for bit: every field off its default, doubles with no short
-    // decimal form. The key holds each field's exact bits.
-    cl.server.chips = 6;
-    cl.server.chipsPerGroup = 3;
-    cl.server.hccsBytesPerSec = 30e9 / 7;
-    cl.server.pcieBytesPerSec = 32e9 / 3;
-    cl.server.linkLatencySec = 1.0 / 3;
-    cl.servers = 13;
-    cl.netBytesPerSec = 12500000100;
-    cl.netLatencySec = 5e-6 / 7;
-    const cluster::ClusterConfig odd = cluster::clusterConfigFromString(
-        cluster::clusterConfigToString(cl));
-    EXPECT_EQ(fieldKey(odd), fieldKey(cl));
-    EXPECT_NE(fieldKey(cluster::ClusterConfig{}), fieldKey(cl));
+    EXPECT_NO_THROW(cluster::ClusterConfig{}.validate());
 }
 
 TEST(NegativeClusterConfig, RunIdentitySeesEveryDigit)
