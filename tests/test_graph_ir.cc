@@ -209,9 +209,13 @@ TEST(GraphNegative, BuildersFailFast)
                        {t, t});
         },
         ErrorCode::GraphShapeMismatch, "second operand");
+}
 
+TEST(AgrParse, DegenerateWindowFailsTheShapeCheck)
+{
     // A window with no output shape is refused before addLayer
-    // derives the output tensor from it.
+    // derives the output tensor from it; a kernel that just fits the
+    // padded input gets past the check.
     for (auto field : {&model::Layer::strideH, &model::Layer::strideW})
         expectError(
             [&] { convGraph([&](model::Layer &l) { l.*field = 0; }); },
